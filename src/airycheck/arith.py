@@ -116,6 +116,12 @@ class GF:
     def elements(self):
         return [FpElement(self.p, v) for v in range(self.p)]
 
+    def __eq__(self, other):
+        return isinstance(other, GF) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("GF", self.p))
+
     def __repr__(self):
         return f"GF({self.p})"
 

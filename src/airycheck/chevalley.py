@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import GF
-from .linalg import identity, in_span, mat_mul, mat_vec, nullspace, rank, rref, solve
+from . import VerificationError
+from .linalg import identity, mat_mul, nullspace, rank, rref, solve
 from .rootdata import (
     Coweight,
     RootDatum,
@@ -59,11 +59,16 @@ def structure_constants(rd: RootDatum):
     """All N_{a,b} for root pairs with a+b a root, as a dict.
 
     Seeds the extraspecial pairs with +(p+1) and closes under antisymmetry,
-    negation, the zero-sum coroot relation and the Jacobi relation.
+    negation, the zero-sum coroot relation and the Jacobi relation.  Roots
+    are handled by their index in rd.roots, with sums and negatives tabled.
     """
     roots = list(rd.roots)
-    rs = set(roots)
-    coroot = {a: rd.coroot_of(a) for a in roots}
+    index = {a: i for i, a in enumerate(roots)}
+    nr = len(roots)
+    neg = [index[_vneg(a)] for a in roots]
+    plus = [[index.get(_vadd(a, b)) for b in roots] for a in roots]  # a+b or None
+    partners = [[b for b in range(nr) if plus[a][b] is not None] for a in range(nr)]
+    coroot = [rd.coroot_of(a) for a in roots]
     N = {}
 
     def put(a, b, v):
@@ -72,42 +77,42 @@ def structure_constants(rd: RootDatum):
             if old is None:
                 N[key] = val
             elif old != val:
-                raise AssertionError(f"inconsistent constant at {key}")
+                raise AssertionError(f"inconsistent constant at {(roots[key[0]], roots[key[1]])}")
 
     for gamma in rd.pos_roots:
         if sum(gamma) < 2:
             continue
-        alpha = next(a for a in rd.pos_roots if _vadd(gamma, _vneg(a)) in rs
+        alpha = next(a for a in rd.pos_roots if _vadd(gamma, _vneg(a)) in index
                      and sum(_vadd(gamma, _vneg(a))) > 0)
         beta = _vadd(gamma, _vneg(alpha))
         p = 0
         cur = beta
         while True:
             cur = _vadd(cur, _vneg(alpha))
-            if cur in rs:
+            if cur in index:
                 p += 1
             else:
                 break
-        put(alpha, beta, p + 1)
+        put(index[alpha], index[beta], p + 1)
 
-    pairs = [(a, b) for a in roots for b in roots if _vadd(a, b) in rs]
+    pairs = [(a, b) for a in range(nr) for b in partners[a]]
     total = len(pairs)
     while len(N) < total:
         progress = False
         for (a, b) in pairs:
-            if (a, b) in N and (_vneg(a), _vneg(b)) not in N:
-                put(_vneg(a), _vneg(b), -N[(a, b)])
+            if (a, b) in N and (neg[a], neg[b]) not in N:
+                put(neg[a], neg[b], -N[(a, b)])
                 progress = True
         # zero-sum triples: N_{a,b} h_c + N_{b,c} h_a + N_{c,a} h_b = 0;
         # the coroot vectors of distinct slots are independent, so up to two
         # unknowns are still determined.
         for (a, b) in pairs:
-            c = _vneg(_vadd(a, b))
+            c = neg[plus[a][b]]
             trip = [(a, b), (b, c), (c, a)]
-            hs = [coroot[c], coroot[a], coroot[b]]
             unknown = [k for k in range(3) if trip[k] not in N]
             if not 1 <= len(unknown) <= 2:
                 continue
+            hs = [coroot[c], coroot[a], coroot[b]]
             n = rd.n
             A = [[Fraction(hs[k][j]) for k in unknown] for j in range(n)]
             rhs = [
@@ -125,17 +130,15 @@ def structure_constants(rd: RootDatum):
             progress = True
         # Jacobi on root triples with all sums nonzero
         for (a, b) in pairs:
-            ab = _vadd(a, b)
-            for c in roots:
-                if c == _vneg(ab) or c == _vneg(a) or c == _vneg(b):
-                    continue
-                s = _vadd(ab, c)
-                if s not in rs:
+            ab = plus[a][b]
+            skip = (neg[ab], neg[a], neg[b])
+            for c in partners[ab]:
+                if c in skip:
                     continue
                 terms = []  # ((pair1, pair2)) contributing N_p1 * N_p2
                 for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    xy = _vadd(x, y)
-                    if xy in rs:
+                    xy = plus[x][y]
+                    if xy is not None:
                         terms.append(((x, y), (xy, z)))
                 unknowns = [
                     (ti, pi)
@@ -160,7 +163,7 @@ def structure_constants(rd: RootDatum):
                 progress = True
         if not progress:
             raise AssertionError("sign propagation stalled")
-    return N
+    return {(roots[a], roots[b]): v for (a, b), v in N.items()}
 
 
 def _gl_root_interval(root):
@@ -191,12 +194,16 @@ class ChevalleyAlgebra:
     # -- construction ----------------------------------------------------
 
     def _build_table(self):
+        """table[i][j] = {k: c} with [b_i, b_j] = sum c b_k, for the pairs
+        with [b_i, b_j] != 0: the structure constants indexed by the first
+        argument, so ad_{b_i} is the single dict table[i]."""
         rd = self.rd
-        table = {}
+        table = [{} for _ in range(self.dim)]
 
         def add(i, j, k, c):
             if c:
-                table.setdefault((i, j), {})[k] = table.get((i, j), {}).get(k, 0) + c
+                row = table[i].setdefault(j, {})
+                row[k] = row.get(k, 0) + c
 
         if rd.series == "GL":
             ij = {a: _gl_root_interval(a) for a in self.basis_roots}
@@ -251,16 +258,16 @@ class ChevalleyAlgebra:
             for i in range(rd.rank):
                 gram[self.cartan_index(i)][self.cartan_index(i)] = Fraction(1)
         else:
-            # Killing form / 2h, from the sparse structure constants
+            # Killing form / 2h: tr(ad b_i ad b_j), from the sparse constants
             for i in range(self.dim):
+                ad_i = [(k, l, c) for k, row in self.table[i].items() for l, c in row.items()]
                 for j in range(i, self.dim):
+                    ad_j = self.table[j]
                     acc = 0
-                    for (x, k), row in self.table.items():
-                        if x != i:
-                            continue
-                        for l, c in row.items():
-                            c2 = self.table.get((j, l), {}).get(k, 0)
-                            acc += c * c2
+                    for k, l, c in ad_i:
+                        row = ad_j.get(l)
+                        if row:
+                            acc += c * row.get(k, 0)
                     gram[i][j] = gram[j][i] = Fraction(acc, 2 * self.h)
         self.kappa_gram = gram
 
@@ -291,11 +298,9 @@ class ChevalleyAlgebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = self.table.get((i, j))
-                if row:
+            for j, row in self.table[i].items():
+                yj = y[j]
+                if yj:
                     prod = xi * yj
                     for k, c in row.items():
                         out[k] = out[k] + prod * c
@@ -309,7 +314,7 @@ class ChevalleyAlgebra:
             for i, xi in enumerate(x):
                 if not xi:
                     continue
-                row = self.table.get((i, j))
+                row = self.table[i].get(j)
                 if row:
                     for k, c in row.items():
                         col[k] = col[k] + xi * c
@@ -406,13 +411,24 @@ class GradedSubspace:
 # Principal sl2 and gradings.
 
 def principal_sl2(alg: ChevalleyAlgebra):
-    """(N^-, H, N^+) with H = 2 rho-check, [N^+, N^-] = H, [H, N^pm] = pm 2."""
+    """(N^-, H, N^+) with H = 2 rho-check, [N^+, N^-] = H, [H, N^pm] = pm 2.
+
+    Built and verified once per algebra; every call returns fresh lists.
+    """
+    sl2 = alg._cache.get("sl2")
+    if sl2 is None:
+        sl2 = alg._cache["sl2"] = tuple(tuple(v) for v in _build_principal_sl2(alg))
+    return tuple(list(v) for v in sl2)
+
+
+def _build_principal_sl2(alg: ChevalleyAlgebra):
     rd = alg.rd
     n = rd.n
     # c solving sum_i c_i <alpha_j, coroot_i> = 2 for all j
     A = [[Fraction(rd.cartan[i][j]) for i in range(n)] for j in range(n)]
     c = solve(A, [Fraction(2)] * n)
-    assert c is not None and all(x.denominator == 1 for x in c)
+    if c is None or any(x.denominator != 1 for x in c):
+        raise VerificationError("2 rho-check is not an integral coroot combination")
     c = [int(x) for x in c]
     nminus = alg.zero()
     nplus = alg.zero()
@@ -430,11 +446,13 @@ def principal_sl2(alg: ChevalleyAlgebra):
     else:
         for i in range(n):
             H[alg.cartan_index(i)] = alg.field(c[i])
-    hm = alg.bracket(nplus, nminus)
-    assert hm == H, "[N+, N-] != 2 rho-check"
+    if alg.bracket(nplus, nminus) != H:
+        raise VerificationError("[N+, N-] != 2 rho-check")
     two = alg.field(2)
-    assert alg.bracket(H, nplus) == [two * x for x in nplus]
-    assert alg.bracket(H, nminus) == [-(two * x) for x in nminus]
+    if alg.bracket(H, nplus) != [two * x for x in nplus]:
+        raise VerificationError("[H, N+] != 2 N+")
+    if alg.bracket(H, nminus) != [-(two * x) for x in nminus]:
+        raise VerificationError("[H, N-] != -2 N-")
     return nminus, H, nplus
 
 
@@ -468,35 +486,45 @@ def grading_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
 
 
 def x_minus1(alg: ChevalleyAlgebra):
-    nminus, _, _ = principal_sl2(alg)
-    x = list(nminus)
-    i = alg.root_index[alg.rd.theta]
-    x[i] = x[i] + alg.field(1)
-    return x
+    x = alg._cache.get("x_minus1")
+    if x is None:
+        nminus, _, _ = principal_sl2(alg)
+        i = alg.root_index[alg.rd.theta]
+        nminus[i] = nminus[i] + alg.field(1)
+        x = alg._cache["x_minus1"] = tuple(nminus)
+    return list(x)
+
+
+def _ad_kernel(alg: ChevalleyAlgebra, x, basis):
+    """Basis of {v in span(basis) : [x, v] = 0}."""
+    if not basis:
+        return []
+    rows = [alg.bracket(x, v) for v in basis]
+    # kernel of the coefficient-space map c -> sum c_i [x, v_i]
+    cols = [[row[i] for row in rows] for i in range(alg.dim)]
+    out = []
+    for coeffs in nullspace(cols, alg.field(1)):
+        v = alg.zero()
+        for c, b in zip(coeffs, basis):
+            for i, bi in enumerate(b):
+                v[i] = v[i] + c * bi
+        out.append(v)
+    return out
 
 
 def centralizer_z(alg: ChevalleyAlgebra):
-    """z_r = ker(ad_{X_{-1}}) cap g_r for r = 0..h-1, as graded pieces."""
-    ad = alg.ad(x_minus1(alg))
-    out = []
-    for r in range(alg.h):
-        piece = grading_piece(alg, r).basis
-        if not piece:
-            out.append(GradedSubspace(r, []))
-            continue
-        rows = [mat_vec(ad, v) for v in piece]
-        # kernel of the coefficient-space map c -> sum c_i [X_{-1}, v_i]
-        cols = [[row[i] for row in rows] for i in range(alg.dim)]
-        ker = nullspace(cols, alg.field(1))
-        basis = []
-        for coeffs in ker:
-            v = alg.zero()
-            for c, b in zip(coeffs, piece):
-                for i, bi in enumerate(b):
-                    v[i] = v[i] + c * bi
-            basis.append(v)
-        out.append(GradedSubspace(r, basis))
-    return out
+    """z_r = ker(ad_{X_{-1}}) cap g_r for r = 0..h-1, as graded pieces.
+
+    Computed once per algebra; every call returns fresh pieces.
+    """
+    zs = alg._cache.get("z")
+    if zs is None:
+        x = x_minus1(alg)
+        zs = alg._cache["z"] = tuple(
+            tuple(tuple(v) for v in _ad_kernel(alg, x, grading_piece(alg, r).basis))
+            for r in range(alg.h)
+        )
+    return [GradedSubspace(r, [list(v) for v in basis]) for r, basis in enumerate(zs)]
 
 
 def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubspace:
@@ -516,8 +544,8 @@ def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubs
         red, pivots = rref(rows)
         basis = [red[i] for i in range(len(pivots))]
     if mu is not None and basis:
-        M = wP_representative(alg, mu)
-        basis = [mat_vec(M, v) for v in basis]
+        cols = _wP_columns(alg, mu)
+        basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
     return GradedSubspace(r, basis)
 
 
@@ -536,20 +564,15 @@ def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
         raise ValueError("r out of range")
     zr = centralizer_z(alg)[r]
     nminus, _, _ = principal_sl2(alg)
-    admat = alg.ad(nminus)
     tgt_basis = height_piece(alg, r - alg.h).basis
     # kernel of ad_{N^-} restricted to g(r-h)
-    rows = [mat_vec(admat, v) for v in tgt_basis]
+    rows = [alg.bracket(nminus, v) for v in tgt_basis]
     ker_dim = len(tgt_basis) - (rank(rows) if rows else 0)
     proj = [p_minus_project(alg, v) for v in zr.basis]
     proj_rank = rank(proj) if proj else 0
     if proj_rank != len(zr.basis) or proj_rank != ker_dim:
         return False
-    for v in proj:
-        img = mat_vec(admat, v)
-        if any(img):
-            return False
-    return True
+    return not any(any(alg.bracket(nminus, v)) for v in proj)
 
 
 def u_mu_piece(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> GradedSubspace:
@@ -650,7 +673,7 @@ def nilpotent_log(alg: ChevalleyAlgebra, u, band=None):
     bvec = []
     for j in range(alg.dim):
         for i in range(alg.dim):
-            A.append([alg.table.get((k, j), {}).get(i, 0) * alg.field(1)
+            A.append([alg.table[k].get(j, {}).get(i, 0) * alg.field(1)
                       for k in range(alg.dim)])
             bvec.append(rhs[j][i])
     x = solve(A, bvec)
@@ -659,73 +682,138 @@ def nilpotent_log(alg: ChevalleyAlgebra, u, band=None):
     return x
 
 
+def _exp_ad_basis(alg: ChevalleyAlgebra, i: int, t: int, v):
+    """exp(t ad b_i) v for t = +-1 and an integral sparse vector v
+    ({index: int}), over the integers.
+
+    The series sum_k t^k ad_{b_i}^k(v)/k! is finite since b_i is a root
+    vector, and each term is integral on the Chevalley lattice (Kostant's
+    Z-form); each ad_{b_i} step reads the table entries [b_i, b_j].
+    """
+    ad_i = alg.table[i]
+    out = dict(v)
+    term = v
+    k = 0
+    while term:
+        k += 1
+        if k > alg.dim:
+            raise ValueError("ad of a root vector is not nilpotent")
+        nxt = {}
+        for j, c in term.items():
+            for l, d in ad_i.get(j, {}).items():
+                nxt[l] = nxt.get(l, 0) + c * d
+        term = {}
+        for l, c in nxt.items():
+            q, rem = divmod(t * c, k)
+            if rem:
+                raise VerificationError("ad_e^k/k! is not integral")
+            if q:
+                term[l] = q
+                out[l] = out.get(l, 0) + q
+    return {l: c for l, c in out.items() if c}
+
+
+def _apply_columns(cols, v, zero):
+    """M v for M given by sparse columns ((row, entry), ...)."""
+    out = [zero] * len(cols)
+    for j, vj in enumerate(v):
+        if vj:
+            for k, c in cols[j]:
+                out[k] = out[k] + c * vj
+    return out
+
+
 def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
-    """Ad lift exp(ad e) exp(-ad f) exp(ad e) of s_i, as sparse columns."""
+    """Ad lift exp(ad e) exp(-ad f) exp(ad e) of s_i, as sparse integer
+    columns ((row, entry), ...) in row order.
+
+    Column j is the image of b_j, built from brackets; cached per algebra.
+    The entries are integers for every field, since the lift preserves the
+    Chevalley lattice.
+    """
     key = ("refl", i)
-    if key not in alg._cache:
-        rd = alg.rd
-        one = alg.field(1)
-        simple = tuple(1 if j == i else 0 for j in range(rd.n))
-        e = alg.E(simple)
-        f = alg.E(_vneg(simple))
-        ni = mat_mul(
-            mat_mul(_exp_matrix(alg.ad(e), one), _exp_matrix(alg.ad([-c for c in f]), one)),
-            _exp_matrix(alg.ad(e), one),
-        )
-        cols = [
-            [(k, ni[k][j]) for k in range(alg.dim) if ni[k][j]]
-            for j in range(alg.dim)
-        ]
-        alg._cache[key] = cols
-    return alg._cache[key]
+    cols = alg._cache.get(key)
+    if cols is None:
+        simple = tuple(1 if j == i else 0 for j in range(alg.rd.n))
+        e = alg.root_index[simple]
+        f = alg.root_index[_vneg(simple)]
+        cols = []
+        for j in range(alg.dim):
+            v = {j: 1}
+            for idx, t in ((e, 1), (f, -1), (e, 1)):
+                v = _exp_ad_basis(alg, idx, t, v)
+            cols.append(tuple(sorted(v.items())))
+        cols = alg._cache[key] = tuple(cols)
+    return cols
 
 
-def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
-    """Ad-matrix of a lift of w_P, torus-corrected to fix X_{-1} exactly."""
+def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
+    """Sparse columns of the torus-corrected w_P lift; cached per algebra."""
     key = ("wP", mu.coords)
-    if key in alg._cache:
-        return alg._cache[key]
+    cols = alg._cache.get(key)
+    if cols is not None:
+        return cols
     rd = alg.rd
-    wp = weyl_wP(rd, mu)
     one = alg.field(1)
     zero = alg.field(0)
-    M = identity(alg.dim, one)
-    for i in wp.word:
-        cols = _simple_reflection_ad(alg, i)
-        out = [[zero] * alg.dim for _ in range(alg.dim)]
-        for j in range(alg.dim):
-            for k, c in cols[j]:
-                col = out
-                for r in range(alg.dim):
-                    v = M[r][k]
-                    if v:
-                        col[r][j] = col[r][j] + v * c
-        M = out
+    # M = n_{i_1} ... n_{i_k} over the integers: column j of M N is M
+    # applied to column j of N
+    M = tuple(((j, 1),) for j in range(alg.dim))
+    for i in weyl_wP(rd, mu).word:
+        out = []
+        for col in _simple_reflection_ad(alg, i):
+            acc = {}
+            for k, c in col:
+                for r, m in M[k]:
+                    acc[r] = acc.get(r, 0) + m * c
+            out.append(tuple((r, x) for r, x in acc.items() if x))
+        M = tuple(out)
     x = x_minus1(alg)
-    v = mat_vec(M, x)
+    v = _apply_columns(M, x, zero)
     # v is supported on -Delta and theta; solve the torus correction
-    support = {alg.basis_roots[i]: c for i, c in enumerate(v) if c}
+    support = {}
+    for i, c in enumerate(v):
+        if c:
+            if i >= 2 * alg.npos:
+                raise VerificationError("w_P lift moves X_{-1} into the Cartan")
+            support[alg.basis_roots[i]] = c
     simples = [tuple(1 if j == i else 0 for j in range(rd.n)) for i in range(rd.n)]
-    assert set(support) == {_vneg(s) for s in simples} | {rd.theta}
+    if set(support) != {_vneg(s) for s in simples} | {rd.theta}:
+        raise VerificationError("w_P lift does not map X_{-1} onto -Delta and theta")
     xs = [support[_vneg(s)] for s in simples]  # alpha_i(t) = coeff at -alpha_i
     theta_t = one
     for xi, ci in zip(xs, rd.theta):
         for _ in range(ci):
             theta_t = theta_t * xi
-    assert theta_t * support[rd.theta] == one, "torus correction infeasible"
+    if theta_t * support[rd.theta] != one:
+        raise VerificationError("torus correction infeasible")
     diag = []
     for i in range(alg.dim):
+        b = one
         if i < 2 * alg.npos:
-            b = one
             for xi, ci in zip(xs, alg.basis_roots[i]):
                 for _ in range(abs(ci)):
                     b = b * xi if ci > 0 else b / xi
-            diag.append(b)
-        else:
-            diag.append(one)
-    M = [[diag[i] * M[i][j] for j in range(alg.dim)] for i in range(alg.dim)]
-    assert mat_vec(M, x) == x
+        diag.append(b)
+    # the corrected lift, with entries in the field
+    M = tuple(tuple((r, y) for r, c in col if (y := diag[r] * c)) for col in M)
+    if _apply_columns(M, x, zero) != x:
+        raise VerificationError("Ad of the w_P lift does not fix X_{-1}")
     alg._cache[key] = M
+    return M
+
+
+def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
+    """Ad-matrix of a lift of w_P, torus-corrected to fix X_{-1} exactly.
+
+    Raises VerificationError if the lift cannot be corrected to fix X_{-1}.
+    Returns a fresh dense matrix; the sparse columns are cached.
+    """
+    zero = alg.field(0)
+    M = [[zero] * alg.dim for _ in range(alg.dim)]
+    for j, col in enumerate(_wP_columns(alg, mu)):
+        for k, c in col:
+            M[k][j] = c
     return M
 
 
@@ -815,27 +903,14 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
     h = alg.h
     field = alg.field
     nminus, _, _ = principal_sl2(alg)
-    admin = alg.ad(nminus)
     zs = centralizer_z(alg)
 
     # one slot per exponent <= h/2, doubled at h/2 in type D even rank
     slots = []  # (r, Y_r vector, v_r lift)
     for r in range(1, h // 2 + 1):
-        tgt = height_piece(alg, r - h).basis
-        if not tgt:
+        ys = _ad_kernel(alg, nminus, height_piece(alg, r - h).basis)
+        if not ys:
             continue
-        rows = [mat_vec(admin, v) for v in tgt]
-        cols = [[row[i] for row in rows] for i in range(alg.dim)]
-        ker = nullspace(cols, field(1))
-        if not ker:
-            continue
-        ys = []
-        for coeffs in ker:
-            y = alg.zero()
-            for c, b in zip(coeffs, tgt):
-                for i, bi in enumerate(b):
-                    y[i] = y[i] + c * bi
-            ys.append(y)
         assert len(ys) == len(zs[r].basis)
         for y in ys:
             # lift through p_-|z_r
@@ -877,11 +952,9 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = alg.table.get((i, j))
-                if row:
+            for j, row in alg.table[i].items():
+                yj = y[j]
+                if yj:
                     prod = xi * yj
                     for k, c in row.items():
                         out[k] = out[k] + prod * c

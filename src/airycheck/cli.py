@@ -318,13 +318,13 @@ ACCEPTANCE = [
 
 
 def run_check(name, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, params, witness = fn()
     verdict = {
         "check": name,
         "params": params,
         "pass": ok,
-        "runtime_ms": int((time.time() - t0) * 1000),
+        "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
     if not ok:
         verdict["witness"] = witness

@@ -31,7 +31,15 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [row[0] for row in mat_mul(A, [[x] for x in v])]
+    out = []
+    for row in A:
+        acc = None
+        for a, x in zip(row, v):
+            if a:
+                term = a * x
+                acc = term if acc is None else acc + term
+        out.append((row[0] * 0 if v else 0) if acc is None else acc)
+    return out
 
 
 def identity(n, one):
@@ -53,11 +61,12 @@ def rref(rows):
             continue
         M[r], M[pr] = M[pr], M[r]
         inv = M[r][c]
-        M[r] = [x / inv for x in M[r]]
+        # zero entries are skipped: exact rows are mostly sparse
+        M[r] = [x / inv if x else x for x in M[r]]
         for i in range(len(M)):
             if i != r and M[i][c]:
                 f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = [a - f * b if b else a for a, b in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
         if r == len(M):

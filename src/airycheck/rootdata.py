@@ -532,13 +532,19 @@ def weyl_w0(rd: RootDatum) -> WeylElement:
 
 
 def weyl_wP0(rd: RootDatum, mu: Coweight) -> WeylElement:
-    i = alpha_mu(rd, mu)
-    subset = [j for j in range(rd.n) if j != i]
-    return _weyl_from_word(rd, _longest_word(rd, subset))
+    # depends on mu only through alpha_mu; cached per root datum
+    key = ("wP0", alpha_mu(rd, mu))
+    if key not in rd._cache:
+        subset = [j for j in range(rd.n) if j != key[1]]
+        rd._cache[key] = _weyl_from_word(rd, _longest_word(rd, subset))
+    return rd._cache[key]
 
 
 def weyl_wP(rd: RootDatum, mu: Coweight) -> WeylElement:
-    return weyl_wP0(rd, mu) * weyl_w0(rd)
+    key = ("wP", alpha_mu(rd, mu))
+    if key not in rd._cache:
+        rd._cache[key] = weyl_wP0(rd, mu) * weyl_w0(rd)
+    return rd._cache[key]
 
 
 def check_wP_heights(rd: RootDatum, mu: Coweight) -> bool:

@@ -1,7 +1,13 @@
+import copy
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import airycheck
 from airycheck.arith import GF
 from airycheck.chevalley import (
     QQ,
@@ -24,7 +30,7 @@ from airycheck.chevalley import (
     x_minus1,
 )
 from airycheck.linalg import identity, mat_vec
-from airycheck.rootdata import Coweight, get_root_datum, minuscule_coweights
+from airycheck.rootdata import Coweight, exponents, get_root_datum, minuscule_coweights
 
 
 def test_a1_structure():
@@ -242,3 +248,78 @@ def test_x_minus1_components():
     assert x[alg.root_index[alg.rd.theta]] == QQ(1)
     nz = [alg.height_of_index(i) for i, c in enumerate(x) if c]
     assert sorted(nz) == [-1, -1, 2]
+
+
+def test_build_algebra_cached_per_prime():
+    rd = get_root_datum("GL", 3, "gl")
+    assert GF(7) == GF(7) and hash(GF(7)) == hash(GF(7))
+    assert GF(7) != GF(11)
+    assert build_algebra(rd, GF(7)) is build_algebra(rd, GF(7))
+    assert build_algebra(rd, GF(7)) is not build_algebra(rd, GF(11))
+
+
+def test_cached_results_are_isolated():
+    alg = build_algebra(get_root_datum("A", 2, "adjoint"))
+    mu = Coweight((1, 0))
+    zs, M = centralizer_z(alg), wP_representative(alg, mu)
+    sl2, x = principal_sl2(alg), x_minus1(alg)
+    want = copy.deepcopy((zs, M, sl2, x))
+    zs[1].basis[0][0] = QQ(5)
+    zs[2].basis.append(alg.zero())
+    zs[0] = None
+    M[0][0] = QQ(7)
+    M.pop()
+    sl2[0][0] = QQ(3)
+    x[0] = QQ(3)
+    assert centralizer_z(alg) == want[0]
+    assert wP_representative(alg, mu) == want[1]
+    assert (principal_sl2(alg), x_minus1(alg)) == (want[2], want[3])
+
+
+_CORRUPT_REFLECTION = """
+from airycheck import VerificationError
+from airycheck.chevalley import _simple_reflection_ad, build_algebra, wP_representative
+from airycheck.rootdata import Coweight, get_root_datum
+
+assert not __debug__, "this check must run under python -O"
+alg = build_algebra(get_root_datum("A", 2, "adjoint"))
+cols = list(_simple_reflection_ad(alg, 0))
+j = alg.root_index[(-1, 0)]
+cols[j] = tuple((k, 2 * c) for k, c in cols[j])  # s_1 lift with a wrong scale
+alg._cache[("refl", 0)] = tuple(cols)
+try:
+    wP_representative(alg, Coweight((1, 0)))
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_wp_checks_survive_optimize():
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_REFLECTION],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:"), out.stdout
+
+
+def test_verification_error_is_an_assertion_error():
+    assert issubclass(airycheck.VerificationError, AssertionError)
+
+
+def test_e6_centralizer_and_decomposition():
+    rd = get_root_datum("E", 6, "adjoint")
+    alg = build_algebra(rd)
+    mult = Counter(exponents(rd))
+    zs = centralizer_z(alg)
+    for r in range(1, alg.h):
+        assert zs[r].dim == mult[r]
+    mus = minuscule_coweights(rd)
+    assert len(mus) == 3
+    for mu in mus:
+        for r in range(1, alg.h):
+            assert decomposition_check(alg, mu, r)
