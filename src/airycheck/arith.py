@@ -3,6 +3,9 @@
 Prime-field elements are `FpElement`, extension fields are built from a
 deterministic (lexicographically smallest) irreducible modulus, and values of
 the additive character live in Z[zeta_p] with exact integer coordinates.
+An extension-field element is an integer index in [0, q); its arithmetic is
+lookups in O(q) log, Zech-log, negation and trace tables (`FqTables`), built
+once per (p, e).
 Floats appear only in `CyclotomicValue.embed`, which is used for analytic
 bound checks, never for equality.
 """
@@ -13,6 +16,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from . import VerificationError
 
 
 def is_prime(n: int) -> bool:
@@ -209,6 +214,23 @@ def _is_irreducible(m, p):
     return True
 
 
+def _digits(i: int, p: int, e: int):
+    """The e base-p digits of i, lowest first."""
+    out = []
+    for _ in range(e):
+        i, c = divmod(i, p)
+        out.append(c)
+    return out
+
+
+def _index(coeffs, p: int) -> int:
+    """Inverse of _digits: sum c_k p^k."""
+    i = 0
+    for c in reversed(coeffs):
+        i = i * p + c
+    return i
+
+
 @lru_cache(maxsize=None)
 def lex_least_irreducible(p: int, e: int):
     """Lexicographically smallest monic irreducible of degree e over F_p."""
@@ -217,15 +239,104 @@ def lex_least_irreducible(p: int, e: int):
     # lex order on (c_0, c_1, ..., c_{e-1}) of x^e + c_{e-1}x^{e-1} + ... + c_0
     total = p ** e
     for idx in range(total):
-        coeffs = []
-        k = idx
-        for _ in range(e):
-            coeffs.append(k % p)
-            k //= p
-        m = coeffs + [1]
+        m = _digits(idx, p, e) + [1]
         if _is_irreducible(m, p):
             return tuple(m)
     raise AssertionError("no irreducible polynomial found")
+
+
+def _prime_factors(n: int):
+    """The distinct primes dividing n, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+class FqTables:
+    """Index tables of F_p[x]/(modulus), shared by every FqField(p, e).
+
+    An element is its index in [0, q): the base-p digits of its coefficient
+    vector, lowest degree first.  With g a primitive element:
+
+    - `exp[k]` is the index of g^k, listed twice (length 2(q-1)), so that
+      `exp[log[a] + log[b]]` needs no reduction mod q-1;
+    - `log[i]` is the discrete log of element i, and -1 for zero;
+    - `zech[k]` is log(1 + g^k), or -1 where 1 + g^k = 0 (Zech logarithms):
+      for nonzero a, b, a + b = g^(log a + zech[log b - log a]);
+    - `neg[i]` is the index of -i, `trace[i]` its trace down to F_p.
+
+    Every table has O(q) entries, none is q x q.
+    """
+
+    __slots__ = ("p", "e", "q", "modulus", "exp", "log", "zech", "neg", "trace")
+
+    def __init__(self, p: int, modulus):
+        m = list(modulus)
+        e = len(m) - 1
+        q = p ** e
+        self.p, self.e, self.q, self.modulus = p, e, q, tuple(m)
+
+        order = q - 1
+        one = _poly_mod([1], m, p)
+        factors = _prime_factors(order)
+        for gidx in range(1, q):
+            g = _digits(gidx, p, e)
+            if _poly_powmod(g, order, m, p) == one and all(
+                _poly_powmod(g, order // r, m, p) != one for r in factors
+            ):
+                break
+        else:
+            raise VerificationError(f"no primitive element modulo {tuple(m)} over F_{p}")
+
+        exp = [0] * order
+        cur = one
+        for k in range(order):
+            exp[k] = _index(cur, p)
+            cur = _poly_mulmod(cur, g, m, p)
+        log = [-1] * q
+        for k, i in enumerate(exp):
+            log[i] = k
+        # 1 + x changes only the lowest digit of x
+        self.zech = [log[i + 1 if i % p != p - 1 else i + 1 - p] for i in exp]
+        self.exp = exp + exp
+        self.log = log
+
+        # Tr(x^k) for each basis monomial, as the Frobenius-orbit sum
+        basis_trace = []
+        for k in range(e):
+            acc = [0] * e
+            y = _poly_mod([0] * k + [1], m, p)
+            for _ in range(e):
+                acc = [(a + b) % p for a, b in zip(acc, y)]
+                y = _poly_powmod(y, p, m, p)
+            if any(acc[1:]):
+                raise VerificationError("trace not in the prime field")
+            basis_trace.append(acc[0])
+
+        neg, trace = [0], [0]
+        for k in range(e):
+            pk, tk = p ** k, basis_trace[k]
+            neg = [x + (-c % p) * pk for c in range(p) for x in neg]
+            trace = [(t + c * tk) % p for c in range(p) for t in trace]
+        self.neg, self.trace = neg, trace
+
+
+@lru_cache(maxsize=None)
+def fq_tables(p: int, e: int) -> FqTables:
+    """The tables of F_{p^e} with its lex-least modulus, built once."""
+    return FqTables(p, lex_least_irreducible(p, e))
+
+
+def _fq(field, v: int) -> "FqElement":
+    el = object.__new__(FqElement)
+    el.field = field
+    el.v = v
+    return el
 
 
 class FqField:
@@ -240,55 +351,31 @@ class FqField:
         self.e = e
         self.q = p ** e
         self.modulus = lex_least_irreducible(p, e)
-        self._log = None  # lazy discrete-log tables for fast multiplication
-
-    def _log_tables(self):
-        if self._log is None:
-            m, p = list(self.modulus), self.p
-            one = (1,) + (0,) * (self.e - 1)
-            for gidx in range(2, self.q):
-                g = list(self.from_index(gidx).coeffs)
-                exp = [one]
-                cur = one
-                while True:
-                    nxt = _poly_mulmod(list(cur), g, m, p)
-                    cur = tuple(nxt + [0] * (self.e - len(nxt)))
-                    if cur == one:
-                        break
-                    exp.append(cur)
-                if len(exp) == self.q - 1:
-                    self._log = ({c: i for i, c in enumerate(exp)}, exp)
-                    break
-        return self._log
+        self._tables = fq_tables(p, e)
 
     def __call__(self, v) -> "FqElement":
+        if v.__class__ is int:
+            return _fq(self, v % self.p)
         if isinstance(v, FqElement):
-            if v.field is not self and (v.field.p, v.field.e) != (self.p, self.e):
+            if v.field._tables is not self._tables:
                 raise ValueError("element from a different field")
-            return FqElement(self, v.coeffs)
+            return _fq(self, v.v)
         if isinstance(v, FpElement):
             if v.p != self.p:
                 raise ValueError("mixed characteristics")
-            return FqElement(self, (v.v,) + (0,) * (self.e - 1))
+            return _fq(self, v.v)
         if isinstance(v, Fraction):
             return self(v.numerator) / self(v.denominator)
-        return FqElement(self, (v % self.p,) + (0,) * (self.e - 1))
+        return _fq(self, v % self.p)
 
     def from_coeffs(self, coeffs) -> "FqElement":
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.e:
-            c = _poly_mod(c, list(self.modulus), self.p)
-        return FqElement(self, tuple(c + [0] * (self.e - len(c))))
+        return FqElement(self, coeffs)
 
     def from_index(self, idx: int) -> "FqElement":
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return FqElement(self, tuple(coeffs))
+        return _fq(self, idx % self.q)
 
     def elements(self):
-        return [self.from_index(i) for i in range(self.q)]
+        return [_fq(self, i) for i in range(self.q)]
 
     def __eq__(self, other):
         return isinstance(other, FqField) and (self.p, self.e) == (other.p, other.e)
@@ -301,128 +388,140 @@ class FqField:
 
 
 class FqElement:
-    """Element of F_{p^e}, a length-e coefficient vector mod the modulus."""
+    """Element of F_{p^e}.
 
-    __slots__ = ("field", "coeffs")
+    `v` is its index in [0, q), the base-p digits of its coefficient vector
+    (so for e = 1 it is the value, as in FpElement); the operators are
+    lookups in the field's FqTables.
+    """
+
+    __slots__ = ("field", "v")
 
     def __init__(self, field: FqField, coeffs):
+        c = [x % field.p for x in coeffs]
+        if len(c) > field.e:
+            c = _poly_mod(c, list(field.modulus), field.p)
         self.field = field
-        self.coeffs = tuple(c % field.p for c in coeffs)
+        self.v = _index(c, field.p)
 
-    @classmethod
-    def _raw(cls, field, coeffs):
-        # fast path for coefficient tuples already reduced mod p
-        el = object.__new__(cls)
-        el.field = field
-        el.coeffs = coeffs
-        return el
+    @property
+    def coeffs(self):
+        return tuple(_digits(self.v, self.field.p, self.field.e))
 
-    def _lift(self, other):
-        if isinstance(other, FqElement):
-            if other.field is not self.field and other.field != self.field:
+    def _index_of(self, other):
+        """Index of `other` in this field, or None for a non-scalar."""
+        if other.__class__ is FqElement:
+            if other.field._tables is not self.field._tables:
                 raise ValueError("mixed fields")
-            return other
+            return other.v
         if isinstance(other, (int, FpElement, Fraction)):
-            return self.field(other)
-        return NotImplemented
+            return self.field(other).v
+        return None
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        return FqElement._raw(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        # inline fast path for the common operand, an element of this field
+        if other.__class__ is FqElement and other.field._tables is self.field._tables:
+            b = other.v
+        else:
+            b = self._index_of(other)
+            if b is None:
+                return NotImplemented
+        return _fq(self.field, _add(self.field._tables, self.v, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        return FqElement._raw(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        if other.__class__ is FqElement and other.field._tables is self.field._tables:
+            b = other.v
+        else:
+            b = self._index_of(other)
+            if b is None:
+                return NotImplemented
+        t = self.field._tables
+        return _fq(self.field, _add(t, self.v, t.neg[b]))
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o - self
+        b = self._index_of(other)
+        if b is None:
+            return NotImplemented
+        t = self.field._tables
+        return _fq(self.field, _add(t, b, t.neg[self.v]))
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        f = self.field
-        if not (self and o):
-            return FqElement._raw(f, (0,) * f.e)
-        log, exp = f._log_tables()
-        return FqElement._raw(f, exp[(log[self.coeffs] + log[o.coeffs]) % (f.q - 1)])
+        if other.__class__ is FqElement and other.field._tables is self.field._tables:
+            b = other.v
+        else:
+            b = self._index_of(other)
+            if b is None:
+                return NotImplemented
+        a = self.v
+        if not (a and b):
+            return _fq(self.field, 0)
+        t = self.field._tables
+        return _fq(self.field, t.exp[t.log[a] + t.log[b]])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         f = self.field
-        if not self:
+        if not self.v:
             if k < 0:
                 raise ZeroDivisionError("division by zero in F_q")
             return f(1) if k == 0 else self
-        log, exp = f._log_tables()
-        return FqElement._raw(f, exp[(log[self.coeffs] * k) % (f.q - 1)])
+        t = f._tables
+        return _fq(f, t.exp[t.log[self.v] * k % (f.q - 1)])
 
     def inverse(self):
-        if not self:
+        if not self.v:
             raise ZeroDivisionError("division by zero in F_q")
         f = self.field
-        log, exp = f._log_tables()
-        return FqElement._raw(f, exp[-log[self.coeffs] % (f.q - 1)])
+        t = f._tables
+        return _fq(f, t.exp[-t.log[self.v] % (f.q - 1)])
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else self * o.inverse()
+        b = self._index_of(other)
+        return NotImplemented if b is None else self * _fq(self.field, b).inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o * self.inverse()
+        b = self._index_of(other)
+        return NotImplemented if b is None else _fq(self.field, b) * self.inverse()
 
     def __neg__(self):
-        return FqElement(self.field, [-c for c in self.coeffs])
+        return _fq(self.field, self.field._tables.neg[self.v])
 
     def __eq__(self, other):
+        if other.__class__ is FqElement:
+            return other.v == self.v and other.field._tables is self.field._tables
         if isinstance(other, int):
-            return self == self.field(other)
-        return (
-            isinstance(other, FqElement)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
+            return self.v == other % self.field.p
+        return False
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, self.coeffs))
+        return self.v
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.v != 0
 
     def frobenius(self) -> "FqElement":
         return self ** self.field.p
 
     def trace(self) -> int:
         """Field trace down to F_p, returned as an integer in [0, p)."""
-        acc = self
-        x = self
-        for _ in range(self.field.e - 1):
-            x = x.frobenius()
-            acc = acc + x
-        assert all(c == 0 for c in acc.coeffs[1:]), "trace not in the prime field"
-        return acc.coeffs[0]
+        return self.field._tables.trace[self.v]
 
     def __repr__(self):
         return f"Fq({self.field.p}^{self.field.e}){list(self.coeffs)}"
 
 
-def field_trace(x: FqElement) -> int:
-    return x.trace()
+def _add(t: FqTables, a: int, b: int) -> int:
+    """Index of a + b, by Zech logarithms."""
+    if not a:
+        return b
+    if not b:
+        return a
+    la = t.log[a]
+    z = t.zech[t.log[b] - la]  # a negative difference wraps round mod q-1
+    return t.exp[la + z] if z >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +631,13 @@ class CyclotomicValue:
 
 
 def psi(p: int, x) -> CyclotomicValue:
-    """Additive character of F_p valued in Z[zeta_p]: x -> zeta_p^x."""
+    """Additive character of F_p valued in Z[zeta_p]: x -> zeta_p^x, composed
+    with the field trace for extension-field arguments."""
     if isinstance(x, FpElement):
         x = x.v
     if isinstance(x, FqElement):
         x = x.trace()
     return CyclotomicValue.zeta_pow(p, x)
-
-
-def psi_trace(p: int, x) -> CyclotomicValue:
-    """psi composed with the field trace, for extension-field arguments."""
-    return psi(p, x)
 
 
 def complex_embed(v: CyclotomicValue) -> complex:

@@ -1,17 +1,20 @@
 """Exact exponential sums: Airy trace tables and Hecke eigenvalue traces.
 
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
-Floats only enter through the Weil-bound checks.
+Floats only enter through the Weil-bound checks.  The sums are loops over
+element indices (`FpElement.v`, `FqElement.v`) that bin counts by trace,
+read from the field's `FqTables`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 
-from .arith import GF, CyclotomicValue, FqElement, FqField, complex_embed, psi, psi_trace
+from .arith import GF, CyclotomicValue, FqElement, FqField, complex_embed, fq_tables, psi
 from .gln_airy import CharacterParams, f_poly, hecke_p1, hecke_p2, make_params, poly_eval
 
 BRUTE_BUDGET = 10 ** 7
@@ -21,23 +24,37 @@ def _field(p: int, e: int):
     return GF(p) if e == 1 else FqField(p, e)
 
 
-def _psi_of(p: int, x) -> CyclotomicValue:
-    if isinstance(x, FqElement):
-        return psi_trace(p, x)
-    return psi(p, x)
-
-
-def _trace_map(field):
-    """Field element -> integer trace down to F_p, tabulated once."""
-    if isinstance(field, FqField):
-        return {x: x.trace() for x in field.elements()}
-    return {x: x.v for x in field.elements()}
-
-
 def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
     """sum_c counts[c] * zeta^c with the zeta^{p-1} relation applied."""
     k = counts[p - 1]
     return CyclotomicValue(p, [counts[c] - k for c in range(p - 1)])
+
+
+def _trace_sums(field, f_coeffs, scale: int = 1) -> dict:
+    """{t: -scale * sum_{x in F_q} psi(Tr(f(x) + t x))} for every t.
+
+    Tr(f(x) + t x) = Tr(f(x)) + Tr(t x) mod p, and for x = g^k, t = g^l the
+    second term is Tr(g^(k+l)); so each t is one pass that adds two traces
+    read from tables, with no field arithmetic.
+    """
+    p = field.p
+    tab = fq_tables(p, getattr(field, "e", 1))
+    q, exp, log, trace = tab.q, tab.exp, tab.log, tab.trace
+    els = field.elements()
+    tr_f = [trace[poly_eval(field, f_coeffs, x).v] for x in els]
+    tr_f_by_log = [tr_f[i] for i in exp[: q - 1]]  # Tr(f(g^k)), k < q-1
+    tr_exp = [trace[i] for i in exp]  # Tr(g^k), k < 2(q-1)
+    zero_row = [0] * (q - 1)
+    entries = {}
+    for t in els:
+        row = tr_exp[log[t.v]: log[t.v] + q - 1] if t.v else zero_row
+        counts = [0] * (2 * p)
+        counts[tr_f[0]] += 1  # x = 0
+        for a, b in zip(tr_f_by_log, row):
+            counts[a + b] += 1
+        folded = [scale * (counts[c] + counts[c + p]) for c in range(p)]
+        entries[t] = -_counts_to_cyclo(p, folded)
+    return entries
 
 
 @dataclass
@@ -74,16 +91,7 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("f must have degree n + 1 >= 2")
     if (n + 1) % p == 0:
         raise ValueError("p must not divide deg f")
-    field = _field(p, e)
-    els = field.elements()
-    entries = {}
-    tr = _trace_map(field)
-    fvals = [(x, poly_eval(field, f_coeffs, x)) for x in els]
-    for t in els:
-        counts = [0] * p
-        for x, fx in fvals:
-            counts[tr[fx + t * x]] += 1
-        entries[t] = -_counts_to_cyclo(p, counts)
+    entries = _trace_sums(_field(p, e), f_coeffs)
     return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
 
@@ -91,28 +99,46 @@ def _scalar_key(x):
     return list(x.coeffs) if isinstance(x, FqElement) else int(x.v)
 
 
+def _read_cached_entries(path: str, key: str, q: int, p: int):
+    """The entry rows stored at `path`, or None unless the file is readable
+    JSON with this key, exactly q entries and p-1 integers in each."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):  # missing, unreadable, or not JSON
+        return None
+    if not isinstance(data, dict) or data.get("key") != key:
+        return None
+    rows = data.get("entries")
+    if not isinstance(rows, list) or len(rows) != q:
+        return None
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == p - 1
+                and all(type(c) is int for c in row)):
+            return None
+    return rows
+
+
 def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
-    """airy_trace_table, consulting the AIRY_CACHE_DIR directory if set."""
+    """airy_trace_table, consulting the AIRY_CACHE_DIR directory if set.
+
+    A cache file that does not hold exactly this table's shape (key, q
+    entries of length p-1) is rebuilt and rewritten, never trusted.
+    """
     cache_dir = os.environ.get("AIRY_CACHE_DIR")
     if not cache_dir:
         return airy_trace_table(f_coeffs, p, e, lam=lam)
     key = json.dumps([p, e, [_scalar_key(c) for c in f_coeffs]])
-    import hashlib
+    import hashlib  # here, not at the top: loading it costs every process ~3 MB
 
     name = "airy-" + hashlib.sha256(key.encode()).hexdigest()[:24] + ".json"
     path = os.path.join(cache_dir, name)
-    field = _field(p, e)
-    els = field.elements()
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        if data["key"] == key:
-            entries = {
-                t: CyclotomicValue(p, coeffs)
-                for t, coeffs in zip(els, data["entries"])
-            }
-            n = len(f_coeffs) - 2
-            return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
+    els = _field(p, e).elements()
+    rows = _read_cached_entries(path, key, len(els), p)
+    if rows is not None:
+        entries = {t: CyclotomicValue(p, coeffs) for t, coeffs in zip(els, rows)}
+        n = len(f_coeffs) - 2
+        return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
     table = airy_trace_table(f_coeffs, p, e, lam=lam)
     os.makedirs(cache_dir, exist_ok=True)
     with open(path, "w") as fh:
@@ -124,16 +150,13 @@ def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
 
 def hecke_trace_closed(params: CharacterParams, a) -> CyclotomicValue:
     """-q^{n/2-1} sum_{m1 in F_q} psi(Tr(f(m1) + m1 a))."""
-    field = params.field
-    p = field.p
-    q = p ** getattr(field, "e", 1)
-    f = f_poly(params)
-    scale = q ** (params.n // 2 - 1)
-    tr = _trace_map(field)
-    counts = [0] * p
-    for m1 in field.elements():
-        counts[tr[poly_eval(field, f, m1) + m1 * a]] += scale
-    return -_counts_to_cyclo(p, counts)
+    return hecke_trace_table(params).entries[a]
+
+
+def _check_brute_budget(params: CharacterParams):
+    q = params.field.p ** getattr(params.field, "e", 1)
+    if q ** (1 + params.n // 2) > BRUTE_BUDGET:
+        raise ValueError("brute-force fiber enumeration exceeds budget")
 
 
 def hecke_trace_bruteforce(params: CharacterParams, a) -> CyclotomicValue:
@@ -142,78 +165,44 @@ def hecke_trace_bruteforce(params: CharacterParams, a) -> CyclotomicValue:
     Enumerates all of F_q^{1+n/2} with no algebraic simplification; this is
     the independent oracle for hecke_trace_closed.
     """
-    field = params.field
-    p = field.p
-    n = params.n
-    q = p ** getattr(field, "e", 1)
-    if q ** (1 + n // 2) > BRUTE_BUDGET:
-        raise ValueError("brute-force fiber enumeration exceeds budget")
-    els = field.elements()
-    acc = CyclotomicValue.zero(p)
-
-    def rec(m):
-        nonlocal acc
-        if len(m) == 1 + n // 2:
-            if hecke_p2(n, field, m) == a:
-                acc = acc + _psi_of(p, hecke_p1(params, m))
-            return
-        for x in els:
-            rec(m + [x])
-
-    rec([])
+    _check_brute_budget(params)
+    field, n = params.field, params.n
+    acc = CyclotomicValue.zero(field.p)
+    for m in itertools.product(field.elements(), repeat=1 + n // 2):
+        if hecke_p2(n, field, m) == a:
+            acc = acc + psi(field.p, hecke_p1(params, m))
     return acc if n % 2 == 1 else -acc
 
 
 def _brute_table_entries(params: CharacterParams):
-    """One pass over all of F_q^{1+n/2}, binning by p_2; same sums as the
-    per-fiber enumeration but O(q^{1+n/2}) total."""
-    field = params.field
+    """One pass over all of F_q^{1+n/2}, binning the trace of p_1 by the
+    index of p_2; same sums as the per-fiber enumeration but O(q^{1+n/2})
+    total."""
+    _check_brute_budget(params)
+    field, n = params.field, params.n
     p = field.p
-    n = params.n
-    q = p ** getattr(field, "e", 1)
-    if q ** (1 + n // 2) > BRUTE_BUDGET:
-        raise ValueError("brute-force fiber enumeration exceeds budget")
+    trace = fq_tables(p, getattr(field, "e", 1)).trace
     els = field.elements()
-    tr = _trace_map(field)
-    counts = {a: [0] * p for a in els}
-
-    def rec(m):
-        if len(m) == 1 + n // 2:
-            counts[hecke_p2(n, field, m)][tr[hecke_p1(params, m)]] += 1
-            return
-        for x in els:
-            rec(m + [x])
-
-    rec([])
-    sign = 1 if n % 2 == 1 else -1
-    return {
-        a: _counts_to_cyclo(p, c) if sign == 1 else -_counts_to_cyclo(p, c)
-        for a, c in counts.items()
-    }
+    counts = [[0] * p for _ in els]
+    for m in itertools.product(els, repeat=1 + n // 2):
+        counts[hecke_p2(n, field, m).v][trace[hecke_p1(params, m).v]] += 1
+    entries = {a: _counts_to_cyclo(p, c) for a, c in zip(els, counts)}
+    return entries if n % 2 == 1 else {a: -v for a, v in entries.items()}
 
 
 def hecke_trace_table(params: CharacterParams, brute: bool = False) -> TraceTable:
     field = params.field
     q = field.p ** getattr(field, "e", 1)
+    f = f_poly(params)
     if brute:
         entries = _brute_table_entries(params)
     else:
-        p = field.p
-        f = f_poly(params)
-        scale = q ** (params.n // 2 - 1)
-        tr = _trace_map(field)
-        fvals = [(m1, poly_eval(field, f, m1)) for m1 in field.elements()]
-        entries = {}
-        for a in field.elements():
-            counts = [0] * p
-            for m1, fm in fvals:
-                counts[tr[fm + m1 * a]] += scale
-            entries[a] = -_counts_to_cyclo(p, counts)
+        entries = _trace_sums(field, f, scale=q ** (params.n // 2 - 1))
     return TraceTable(
         q,
         params.n,
         params.lam,
-        tuple(f_poly(params)),
+        tuple(f),
         entries,
         "hecke-brute" if brute else "hecke-closed",
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import VerificationError
 from .loopmodel import GLnModel, phi_eval
 
 
@@ -38,6 +39,11 @@ class CharacterParams:
         _require_char(self.field, self.n)
         if len(self.lam) != self.n // 2:
             raise ValueError("lambda vector must have length n/2")
+        # computed once: the brute fiber sums look the params up per fiber
+        object.__setattr__(self, "_hash", hash((self.n, self.field, self.lam)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def make_params(n: int, field, lam) -> CharacterParams:
@@ -76,7 +82,8 @@ def z_element(model: GLnModel, r: int):
             if er[i][j]:
                 # entry height j - i is congruent to r mod n
                 lvl, rem = divmod(r - (j - i), n)
-                assert rem == 0
+                if rem:
+                    raise VerificationError(f"E_1^{r} has an entry at height {j - i}")
                 out[lvl][i][j] = er[i][j]
     return out
 
@@ -228,7 +235,8 @@ def f_poly(params: CharacterParams):
     for r in range(1, n // 2 + 1):
         coeffs[r] = params.lam[r - 1] / field(r)
     coeffs[n + 1] = -(field(1) / field(n + 1))
-    assert coeffs[n + 1]
+    if not coeffs[n + 1]:
+        raise VerificationError("f has degree below n + 1")
     return coeffs
 
 

@@ -1,20 +1,26 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import airycheck
 from airycheck.arith import (
     GF,
     CyclotomicValue,
     FqField,
     MultiPoly,
+    _poly_mod,
+    _poly_mulmod,
+    _poly_powmod,
     complex_embed,
     invert_triangular,
     is_prime,
     lex_least_irreducible,
     psi,
-    psi_trace,
 )
 
 
@@ -98,6 +104,74 @@ def test_fq_frobenius_and_trace():
     assert all(len(v) == 5 for v in fibers.values())
 
 
+def _operand_pairs(F, rng):
+    """All pairs for q <= 49, a seeded sample of 3000 above that."""
+    els = F.elements()
+    if F.q <= 49:
+        return [(a, b) for a in els for b in els]
+    return [(rng.choice(els), rng.choice(els)) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (7, 2), (11, 2), (5, 3)])
+def test_fq_index_arithmetic_matches_polynomials(p, e):
+    # the index tables against coefficient-vector arithmetic mod the modulus
+    F = FqField(p, e)
+    m = list(F.modulus)
+    for a, b in _operand_pairs(F, random.Random(p * 100 + e)):
+        ca, cb = list(a.coeffs), list(b.coeffs)
+        assert (a * b).coeffs == tuple(_poly_mulmod(ca, cb, m, p))
+        assert (a + b).coeffs == tuple(_poly_mod([x + y for x, y in zip(ca, cb)], m, p))
+        assert (a - b).coeffs == tuple(_poly_mod([x - y for x, y in zip(ca, cb)], m, p))
+    one = tuple(_poly_mod([1], m, p))
+    for a in F.elements():
+        ca = list(a.coeffs)
+        assert (-a).coeffs == tuple(_poly_mod([-x for x in ca], m, p))
+        assert F.from_coeffs(ca) == a and F.from_index(a.v) == a
+        if a:
+            assert tuple(_poly_mulmod(list(a.inverse().coeffs), ca, m, p)) == one
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (7, 2), (11, 2), (5, 3)])
+def test_fq_trace_is_frobenius_orbit_sum(p, e):
+    F = FqField(p, e)
+    m = list(F.modulus)
+    for x in F.elements():
+        acc = [0] * e
+        for j in range(e):
+            y = _poly_powmod(list(x.coeffs), p ** j, m, p)
+            acc = [(a + b) % p for a, b in zip(acc, y)]
+        assert acc == [x.trace()] + [0] * (e - 1)
+
+
+def test_fq_tables_shared_per_field():
+    F, G = FqField(11, 2), FqField(11, 2)
+    assert F._tables is G._tables
+    # elements of equal fields interoperate
+    assert F.from_index(7) * G.from_index(9) == G.from_index(7) * F.from_index(9)
+
+
+def test_fq_tables_reject_reducible_modulus_under_O():
+    # x^2 + 1 = (x - 2)(x + 2) over F_5 has no element of order 24; the
+    # table builder must say so even with asserts stripped
+    code = (
+        "from airycheck import VerificationError\n"
+        "from airycheck.arith import FqTables\n"
+        "try:\n"
+        "    FqTables(5, (1, 0, 1))\n"
+        "except VerificationError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: no primitive element"), out.stdout
+
+
 def test_cyclotomic_basics():
     p = 5
     z = CyclotomicValue.zeta_pow(p, 1)
@@ -134,7 +208,7 @@ def test_psi_trace_extension():
     F = FqField(p, e)
     acc = CyclotomicValue.zero(p)
     for x in F.elements():
-        acc = acc + psi_trace(p, x)
+        acc = acc + psi(p, x)
     assert not acc  # nontrivial additive character sums to zero over F_q
 
 

@@ -41,6 +41,20 @@ def test_verify_dim(capsys):
     assert all("runtime_ms" in v for v in doc["checks"])
 
 
+def test_verify_suite_flag_removed(capsys):
+    code, _, _ = run_capture(capsys, ["verify", "dim", "--suite", "desk"])
+    assert code == 2
+
+
+def test_verify_seed_reaches_checks(capsys):
+    code, out, _ = run_capture(capsys, ["--seed", "7", "verify", "s1-graph"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["seed"] == 7
+    (check,) = doc["checks"]
+    assert check["pass"] and check["params"]["seed"] == 7
+
+
 def test_verify_stab(capsys):
     code, out, _ = run_capture(capsys, ["verify", "stab"])
     assert code == 0

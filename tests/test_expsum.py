@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -115,6 +116,48 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     t2 = cached_airy_table(f, 7, 1)
     assert t1 == t2
     assert t2 == airy_trace_table(f, 7, 1)
+
+
+def _corrupt_cache(tmp_path, monkeypatch, edit):
+    """Write the p=7 cache file, apply `edit` to its JSON, reload."""
+    monkeypatch.setenv("AIRY_CACHE_DIR", str(tmp_path))
+    f = f_poly(make_params(2, GF(7), (1,)))
+    cached_airy_table(f, 7, 1)
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    path.write_text(edit(text))
+    table = cached_airy_table(f, 7, 1)
+    return table, path.read_text(), text, f
+
+
+def test_cache_truncated_entries_rebuilt(tmp_path, monkeypatch):
+    def cut(text):
+        data = json.loads(text)
+        data["entries"] = data["entries"][:2]
+        return json.dumps(data)
+
+    table, rewritten, original, f = _corrupt_cache(tmp_path, monkeypatch, cut)
+    assert len(table.entries) == 7
+    assert table == airy_trace_table(f, 7, 1)
+    assert json.loads(rewritten) == json.loads(original)
+
+
+def test_cache_wrong_length_entry_rebuilt(tmp_path, monkeypatch):
+    def lengthen(text):
+        data = json.loads(text)
+        data["entries"][3] = data["entries"][3] + [0]
+        return json.dumps(data)
+
+    table, rewritten, original, f = _corrupt_cache(tmp_path, monkeypatch, lengthen)
+    assert table == airy_trace_table(f, 7, 1)
+    assert json.loads(rewritten) == json.loads(original)
+
+
+def test_cache_unreadable_or_foreign_file_rebuilt(tmp_path, monkeypatch):
+    for edit in (lambda t: t[: len(t) // 2], lambda t: t.replace('"key": "[7', '"key": "[5')):
+        table, rewritten, original, f = _corrupt_cache(tmp_path, monkeypatch, edit)
+        assert table == airy_trace_table(f, 7, 1)
+        assert json.loads(rewritten) == json.loads(original)
 
 
 def test_brute_budget():
