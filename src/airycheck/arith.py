@@ -1,11 +1,11 @@
 """Exact scalar arithmetic: F_p, F_{p^e}, cyclotomic integers, polynomials.
 
-Prime-field elements are `FpElement`, extension fields are built from a
-deterministic (lexicographically smallest) irreducible modulus, and values of
-the additive character live in Z[zeta_p] with exact integer coordinates.
-An extension-field element is an integer index in [0, q); its arithmetic is
-lookups in O(q) log, Zech-log, negation and trace tables (`FqTables`), built
-once per (p, e).
+Every finite field is an `FqField(p, e)` built from a deterministic
+(lexicographically smallest) irreducible modulus; the prime field F_p is
+`GF(p) = FqField(p, 1)`.  A field element is an integer index in [0, q) (for
+e = 1, its value); its arithmetic is lookups in O(q) log, Zech-log, negation
+and trace tables (`FqTables`), built once per (p, e).  Values of the additive
+character live in Z[zeta_p] with exact integer coordinates.
 Floats appear only in `CyclotomicValue.embed`, which is used for analytic
 bound checks, never for equality.
 """
@@ -27,108 +27,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-class FpElement:
-    """Element of the prime field F_p."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _lift(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        if isinstance(other, Fraction):
-            num = FpElement(self.p, other.numerator)
-            return num / FpElement(self.p, other.denominator)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.p, self.v * pow(o.v, self.p - 2, self.p))
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o / self
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
-
-    def __pow__(self, k: int):
-        return FpElement(self.p, pow(self.v, k, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return isinstance(other, FpElement) and other.p == self.p and other.v == self.v
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
-class GF:
-    """Field context for F_p; calling it coerces integers/Fractions."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def __call__(self, v) -> FpElement:
-        if isinstance(v, FpElement):
-            return v
-        if isinstance(v, Fraction):
-            return FpElement(self.p, 0)._lift(v)
-        return FpElement(self.p, v)
-
-    def elements(self):
-        return [FpElement(self.p, v) for v in range(self.p)]
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
 
 
 def QQ(v) -> Fraction:
@@ -242,7 +140,7 @@ def lex_least_irreducible(p: int, e: int):
         m = _digits(idx, p, e) + [1]
         if _is_irreducible(m, p):
             return tuple(m)
-    raise AssertionError("no irreducible polynomial found")
+    raise VerificationError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
 def _prime_factors(n: int):
@@ -360,10 +258,6 @@ class FqField:
             if v.field._tables is not self._tables:
                 raise ValueError("element from a different field")
             return _fq(self, v.v)
-        if isinstance(v, FpElement):
-            if v.p != self.p:
-                raise ValueError("mixed characteristics")
-            return _fq(self, v.v)
         if isinstance(v, Fraction):
             return self(v.numerator) / self(v.denominator)
         return _fq(self, v % self.p)
@@ -387,12 +281,17 @@ class FqField:
         return f"FqField({self.p}, {self.e})"
 
 
+def GF(p: int) -> FqField:
+    """The prime field F_p."""
+    return FqField(p, 1)
+
+
 class FqElement:
     """Element of F_{p^e}.
 
     `v` is its index in [0, q), the base-p digits of its coefficient vector
-    (so for e = 1 it is the value, as in FpElement); the operators are
-    lookups in the field's FqTables.
+    (so for e = 1 it is the value); the operators are lookups in the field's
+    FqTables.
     """
 
     __slots__ = ("field", "v")
@@ -414,7 +313,9 @@ class FqElement:
             if other.field._tables is not self.field._tables:
                 raise ValueError("mixed fields")
             return other.v
-        if isinstance(other, (int, FpElement, Fraction)):
+        if other.__class__ is int:  # n is the constant n mod p in every F_{p^e}
+            return other % self.field.p
+        if isinstance(other, (int, Fraction)):
             return self.field(other).v
         return None
 
@@ -510,7 +411,10 @@ class FqElement:
         return self.field._tables.trace[self.v]
 
     def __repr__(self):
-        return f"Fq({self.field.p}^{self.field.e}){list(self.coeffs)}"
+        f = self.field
+        if f.e == 1:
+            return f"{self.v} (mod {f.p})"
+        return f"Fq({f.p}^{f.e}){list(self.coeffs)}"
 
 
 def _add(t: FqTables, a: int, b: int) -> int:
@@ -632,16 +536,10 @@ class CyclotomicValue:
 
 def psi(p: int, x) -> CyclotomicValue:
     """Additive character of F_p valued in Z[zeta_p]: x -> zeta_p^x, composed
-    with the field trace for extension-field arguments."""
-    if isinstance(x, FpElement):
-        x = x.v
+    with the field trace for field-element arguments."""
     if isinstance(x, FqElement):
         x = x.trace()
     return CyclotomicValue.zeta_pow(p, x)
-
-
-def complex_embed(v: CyclotomicValue) -> complex:
-    return v.embed()
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +550,7 @@ class MultiPoly:
 
     Terms map exponent tuples (aligned with `variables`) to nonzero
     coefficients. Coefficients are whatever the caller supplies (Fraction,
-    FpElement, FqElement); mixing works as long as the scalars interoperate.
+    FqElement); mixing works as long as the scalars interoperate.
     """
 
     __slots__ = ("variables", "terms")
@@ -735,12 +633,6 @@ class MultiPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.variables), 0)
-
     def coefficient(self, name):
         """Coefficient of the degree-1 monomial in `name` (other vars absent)."""
         i = self.variables.index(name)
@@ -792,31 +684,3 @@ class MultiPoly:
             )
             parts.append(f"({c})" + ("*" + mono if mono else ""))
         return " + ".join(parts)
-
-
-def invert_triangular(polys, in_vars, out_vars):
-    """Invert a triangular polynomial system y_i = c_i x_i + g_i(x_1..x_{i-1}).
-
-    `polys[i]` expresses out_vars[i] in terms of in_vars (over the combined
-    variable list), with an invertible linear pivot in in_vars[i] and lower
-    terms only in in_vars[:i]. Returns polynomials giving each in_var in the
-    out_vars. Raises ValueError on a non-unit pivot.
-    """
-    allvars = tuple(in_vars) + tuple(out_vars)
-    inv = {}
-    for i, (xv, yv) in enumerate(zip(in_vars, out_vars)):
-        poly = polys[i]
-        if poly.variables != allvars:
-            poly = MultiPoly(allvars, {
-                tuple(e[list(poly.variables).index(v)] if v in poly.variables else 0
-                      for v in allvars): c
-                for e, c in poly.terms.items()
-            })
-        c = poly.coefficient(xv)
-        if not c:
-            raise ValueError(f"non-unit pivot for {xv}")
-        rest = poly - MultiPoly.var(allvars, xv, Fraction(1)) * c
-        # x_i = (y_i - rest(x_1..x_{i-1})) / c, then push through known inverses
-        expr = (MultiPoly.var(allvars, yv, Fraction(1)) - rest.substitute(inv)) / c
-        inv[xv] = expr
-    return [inv[xv] for xv in in_vars]

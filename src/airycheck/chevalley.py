@@ -77,7 +77,9 @@ def structure_constants(rd: RootDatum):
             if old is None:
                 N[key] = val
             elif old != val:
-                raise AssertionError(f"inconsistent constant at {(roots[key[0]], roots[key[1]])}")
+                raise VerificationError(
+                    f"inconsistent constant at {(roots[key[0]], roots[key[1]])}"
+                )
 
     for gamma in rd.pos_roots:
         if sum(gamma) < 2:
@@ -124,7 +126,7 @@ def structure_constants(rd: RootDatum):
                 continue
             sol = solve(A, rhs)
             if sol is None or any(x.denominator != 1 for x in sol):
-                raise AssertionError("zero-sum relation not solvable")
+                raise VerificationError("zero-sum relation not solvable")
             for k, val in zip(unknown, sol):
                 put(trip[k][0], trip[k][1], int(val))
             progress = True
@@ -157,12 +159,12 @@ def structure_constants(rd: RootDatum):
                 )
                 val, rem = divmod(-known, cof)
                 if rem:
-                    raise AssertionError("Jacobi relation not exactly solvable")
+                    raise VerificationError("Jacobi relation not exactly solvable")
                 pr = terms[ti][pi]
                 put(pr[0], pr[1], val)
                 progress = True
         if not progress:
-            raise AssertionError("sign propagation stalled")
+            raise VerificationError("sign propagation stalled")
     return {(roots[a], roots[b]): v for (a, b), v in N.items()}
 
 
@@ -285,12 +287,6 @@ class ChevalleyAlgebra:
         v[self.root_index[tuple(root)]] = self.field(1)
         return v
 
-    def coerce(self, vec):
-        return [self.field(x) if not self._is_scalar(x) else x for x in vec]
-
-    def _is_scalar(self, x):
-        return isinstance(x, type(self.field(0)))
-
     # -- operations --------------------------------------------------------
 
     def bracket(self, x, y):
@@ -366,8 +362,12 @@ class ChevalleyAlgebra:
 
     # -- GL matrix model ---------------------------------------------------
 
+    def _require_gl(self):
+        if self.rd.series != "GL":
+            raise ValueError(f"the matrix model needs GL_n, not {self.rd.series}")
+
     def matrix_of(self, x):
-        assert self.rd.series == "GL"
+        self._require_gl()
         n = self.rd.rank
         m = [[self.field(0)] * n for _ in range(n)]
         for idx, c in enumerate(x):
@@ -382,7 +382,7 @@ class ChevalleyAlgebra:
         return m
 
     def from_matrix(self, m):
-        assert self.rd.series == "GL"
+        self._require_gl()
         x = self.zero()
         for idx, a in enumerate(self.basis_roots):
             i, j = _gl_root_interval(a)
@@ -911,13 +911,15 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
         ys = _ad_kernel(alg, nminus, height_piece(alg, r - h).basis)
         if not ys:
             continue
-        assert len(ys) == len(zs[r].basis)
+        if len(ys) != len(zs[r].basis):
+            raise VerificationError(f"dim ker ad N^- at height {r - h} != dim z_{r}")
         for y in ys:
             # lift through p_-|z_r
             proj = [p_minus_project(alg, v) for v in zs[r].basis]
             cols = [[pv[i] for pv in proj] for i in range(alg.dim)]
             sol = solve(cols, y)
-            assert sol is not None
+            if sol is None:
+                raise VerificationError(f"no lift of a height-{r - h} vector through p_-|z_{r}")
             v = alg.zero()
             for c, b in zip(sol, zs[r].basis):
                 for i, bi in enumerate(b):
@@ -999,7 +1001,8 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
             beta = next(a for a in cands if y[alg.root_index[a]])
             phi_s.append((idxs[0], beta))
         else:
-            assert len(idxs) == 2
+            if len(idxs) != 2:
+                raise VerificationError(f"exponent {r} has multiplicity {len(idxs)}")
             found = None
             for i1, b1 in enumerate(cands):
                 for b2 in cands[i1 + 1:]:
@@ -1012,7 +1015,8 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
                         break
                 if found:
                     break
-            assert found, "no invertible coefficient pair"
+            if not found:
+                raise VerificationError("no invertible coefficient pair")
             phi_s.append((idxs[0], found[0]))
             phi_s.append((idxs[1], found[1]))
     phi_s.sort(key=lambda t: t[0])
@@ -1026,7 +1030,8 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
             beta = phi_s_roots[i]
             f = p_minus[beta]
             c = f.coefficient(lam[i])
-            assert c
+            if not c:
+                raise VerificationError(f"zero linear pivot for {lam[i]}")
             rest = f - mp_var(lam[i]) * c
             lam_exprs[lam[i]] = (mp_var(xs[i]) - rest.substitute(lam_exprs)) / c
         else:
@@ -1036,7 +1041,8 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
             a11, a12 = f1.coefficient(lam[i1]), f1.coefficient(lam[i2])
             a21, a22 = f2.coefficient(lam[i1]), f2.coefficient(lam[i2])
             det = a11 * a22 - a12 * a21
-            assert det
+            if not det:
+                raise VerificationError(f"singular linear block for {lam[i1]}, {lam[i2]}")
             g1 = (f1 - mp_var(lam[i1]) * a11 - mp_var(lam[i2]) * a12).substitute(lam_exprs)
             g2 = (f2 - mp_var(lam[i1]) * a21 - mp_var(lam[i2]) * a22).substitute(lam_exprs)
             r1 = mp_var(xs[i1]) - g1
@@ -1048,7 +1054,8 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
     for a in cut_roots:
         poly = p_minus[a].substitute(lam_exprs)
         if a in phi_s_roots:
-            assert poly == mp_var(xs[phi_s_roots.index(a)]), "inversion failed"
+            if poly != mp_var(xs[phi_s_roots.index(a)]):
+                raise VerificationError("inversion failed")
         else:
             graphs[a] = poly
     return S1Graph(

@@ -2,8 +2,8 @@
 
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
 Floats only enter through the Weil-bound checks.  The sums are loops over
-element indices (`FpElement.v`, `FqElement.v`) that bin counts by trace,
-read from the field's `FqTables`.
+element indices (`FqElement.v`) that bin counts by trace, read from the
+field's `FqTables`.
 """
 
 from __future__ import annotations
@@ -14,14 +14,10 @@ import math
 import os
 from dataclasses import dataclass
 
-from .arith import GF, CyclotomicValue, FqElement, FqField, complex_embed, fq_tables, psi
+from .arith import CyclotomicValue, FqField, fq_tables, psi
 from .gln_airy import CharacterParams, f_poly, hecke_p1, hecke_p2, make_params, poly_eval
 
 BRUTE_BUDGET = 10 ** 7
-
-
-def _field(p: int, e: int):
-    return GF(p) if e == 1 else FqField(p, e)
 
 
 def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
@@ -38,7 +34,7 @@ def _trace_sums(field, f_coeffs, scale: int = 1) -> dict:
     read from tables, with no field arithmetic.
     """
     p = field.p
-    tab = fq_tables(p, getattr(field, "e", 1))
+    tab = fq_tables(p, field.e)
     q, exp, log, trace = tab.q, tab.exp, tab.log, tab.trace
     els = field.elements()
     tr_f = [trace[poly_eval(field, f_coeffs, x).v] for x in els]
@@ -91,12 +87,8 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("f must have degree n + 1 >= 2")
     if (n + 1) % p == 0:
         raise ValueError("p must not divide deg f")
-    entries = _trace_sums(_field(p, e), f_coeffs)
+    entries = _trace_sums(FqField(p, e), f_coeffs)
     return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
-
-
-def _scalar_key(x):
-    return list(x.coeffs) if isinstance(x, FqElement) else int(x.v)
 
 
 def _read_cached_entries(path: str, key: str, q: int, p: int):
@@ -128,12 +120,12 @@ def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     cache_dir = os.environ.get("AIRY_CACHE_DIR")
     if not cache_dir:
         return airy_trace_table(f_coeffs, p, e, lam=lam)
-    key = json.dumps([p, e, [_scalar_key(c) for c in f_coeffs]])
+    key = json.dumps([p, e, [list(c.coeffs) for c in f_coeffs]])
     import hashlib  # here, not at the top: loading it costs every process ~3 MB
 
     name = "airy-" + hashlib.sha256(key.encode()).hexdigest()[:24] + ".json"
     path = os.path.join(cache_dir, name)
-    els = _field(p, e).elements()
+    els = FqField(p, e).elements()
     rows = _read_cached_entries(path, key, len(els), p)
     if rows is not None:
         entries = {t: CyclotomicValue(p, coeffs) for t, coeffs in zip(els, rows)}
@@ -148,14 +140,8 @@ def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     return table
 
 
-def hecke_trace_closed(params: CharacterParams, a) -> CyclotomicValue:
-    """-q^{n/2-1} sum_{m1 in F_q} psi(Tr(f(m1) + m1 a))."""
-    return hecke_trace_table(params).entries[a]
-
-
 def _check_brute_budget(params: CharacterParams):
-    q = params.field.p ** getattr(params.field, "e", 1)
-    if q ** (1 + params.n // 2) > BRUTE_BUDGET:
+    if params.field.q ** (1 + params.n // 2) > BRUTE_BUDGET:
         raise ValueError("brute-force fiber enumeration exceeds budget")
 
 
@@ -163,7 +149,7 @@ def hecke_trace_bruteforce(params: CharacterParams, a) -> CyclotomicValue:
     """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))).
 
     Enumerates all of F_q^{1+n/2} with no algebraic simplification; this is
-    the independent oracle for hecke_trace_closed.
+    the independent oracle for one entry of the closed Hecke table.
     """
     _check_brute_budget(params)
     field, n = params.field, params.n
@@ -181,7 +167,7 @@ def _brute_table_entries(params: CharacterParams):
     _check_brute_budget(params)
     field, n = params.field, params.n
     p = field.p
-    trace = fq_tables(p, getattr(field, "e", 1)).trace
+    trace = fq_tables(p, field.e).trace
     els = field.elements()
     counts = [[0] * p for _ in els]
     for m in itertools.product(els, repeat=1 + n // 2):
@@ -191,13 +177,12 @@ def _brute_table_entries(params: CharacterParams):
 
 
 def hecke_trace_table(params: CharacterParams, brute: bool = False) -> TraceTable:
-    field = params.field
-    q = field.p ** getattr(field, "e", 1)
+    q = params.field.q
     f = f_poly(params)
     if brute:
         entries = _brute_table_entries(params)
     else:
-        entries = _trace_sums(field, f, scale=q ** (params.n // 2 - 1))
+        entries = _trace_sums(params.field, f, scale=q ** (params.n // 2 - 1))
     return TraceTable(
         q,
         params.n,
@@ -218,7 +203,7 @@ def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     """Exact cyclotomic comparison of the Hecke eigenvalue trace with the
     Tate-twisted Airy trace, and (optionally) with the brute-force fiber sum.
     """
-    field = _field(p, e)
+    field = FqField(p, e)
     params = make_params(n, field, lam)
     q = p ** e
     closed = hecke_trace_table(params)
@@ -250,5 +235,5 @@ def weil_check(table: TraceTable, slack: float = 1e-6) -> Verdict:
         bound *= table.q ** (table.n // 2 - 1)
     worst = 0.0
     for v in table.entries.values():
-        worst = max(worst, abs(complex_embed(v)))
+        worst = max(worst, abs(v.embed()))
     return Verdict(worst <= bound + slack, {"worst": worst, "bound": bound})

@@ -3,7 +3,7 @@
 The abelianization S(1)/S(2+n) is modelled by vectors x = (x_1, ..., x_{1+n})
 standing for Id + sum x_r Z_r, where Z_r is the loop-group incarnation of the
 cyclic shift power E_1^r and Z_i Z_j = Z_{i+j} (zero past n+1).  All scalars
-live in a caller-supplied field context (GF(p) or FqField(p, e)).
+live in a caller-supplied field context, an FqField(p, e) (GF(p) for e = 1).
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ class CharacterParams:
         _require_char(self.field, self.n)
         if len(self.lam) != self.n // 2:
             raise ValueError("lambda vector must have length n/2")
-        # computed once: the brute fiber sums look the params up per fiber
-        object.__setattr__(self, "_hash", hash((self.n, self.field, self.lam)))
-
-    def __hash__(self):
-        return self._hash
+        # chi_geometric's coefficients and value memo live on the params: the
+        # brute fiber sums evaluate it once per fiber
+        object.__setattr__(self, "_chi_geo_coeffs", _chi_geo_coeffs(self))
+        object.__setattr__(self, "_chi_geo_values", {})
 
 
 def make_params(n: int, field, lam) -> CharacterParams:
@@ -172,20 +171,15 @@ def _chi_geo_coeffs(params: CharacterParams):
     return coeffs
 
 
-_chi_geo_cache = {}
-
-
 def chi_geometric(params: CharacterParams, m1):
-    """Closed form sum (lambda_r/r) m1^r + (n/(1+n)) m1^{1+n}."""
+    """Closed form sum (lambda_r/r) m1^r + (n/(1+n)) m1^{1+n}, memoized
+    on the params object."""
     field = params.field
     m1 = field(m1) if isinstance(m1, int) else m1
-    cached = _chi_geo_cache.get(params)
-    if cached is None:
-        cached = _chi_geo_cache[params] = (_chi_geo_coeffs(params), {})
-    coeffs, values = cached
+    values = params._chi_geo_values
     v = values.get(m1)
     if v is None:
-        v = values[m1] = poly_eval(field, coeffs, m1)
+        v = values[m1] = poly_eval(field, params._chi_geo_coeffs, m1)
     return v
 
 

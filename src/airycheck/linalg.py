@@ -1,6 +1,6 @@
 """Exact dense linear algebra over an arbitrary field.
 
-Matrices are lists of lists of field elements (Fraction, FpElement, ...).
+Matrices are lists of lists of field elements (Fraction, FqElement, ...).
 Elements must support +, -, *, /, unary -, == and truthiness (zero is falsy).
 Everything here copies its inputs; nothing is mutated in place.
 """
@@ -119,12 +119,3 @@ def inverse(A, one):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in M]
-
-
-def in_span(basis_rows, v, one):
-    """Whether vector v lies in the row span of basis_rows."""
-    if not any(v):
-        return True
-    if not basis_rows:
-        return False
-    return rank(list(basis_rows) + [list(v)]) == rank(basis_rows)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import VerificationError
 from .arith import GF
 from .chevalley import (
     ChevalleyAlgebra,
@@ -135,7 +136,8 @@ def stab_affine_roots(alg: ChevalleyAlgebra, mu: Coweight):
     expected = set()
     for a in phi_u:
         expected.add(AffineRootIndex(a, 0 if rd.height(a) > 0 else 1))
-    assert lines == expected, "stabilizer lines differ from u_mu"
+    if lines != expected:
+        raise VerificationError("stabilizer lines differ from u_mu")
     return lines
 
 
@@ -252,11 +254,13 @@ class GLnModel:
         for idx, c in enumerate(v):
             if not c:
                 continue
-            assert idx < 2 * self.alg.npos, "graded lift of a Cartan line"
+            if idx >= 2 * self.alg.npos:
+                raise ValueError("graded lift of a Cartan line")
             a = self.alg.basis_roots[idx]
             ht = self.rd.height(a)
             i, rem = divmod(r - ht, self.h)
-            assert rem == 0 and 0 <= i < self.N
+            if rem or not 0 <= i < self.N:
+                raise ValueError(f"root {a} has no line of depth {r}")
             m = self.alg.matrix_of(self.alg.E(a))
             for rr in range(self.n):
                 for cc in range(self.n):
@@ -358,7 +362,8 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     s = model.identity_series()
     for r in range(1, half + 1):
         d = model.mul(model.inv(model.mul(model.mul(u, a), s)), g)
-        assert model.in_filtration(d, r)
+        if not model.in_filtration(d, r):
+            raise VerificationError(f"remainder before step {r} is not in I({r})")
         # depth-r component of d - 1, as a cyclic-degree-r algebra vector
         X = alg.zero()
         for idx, root in enumerate(alg.basis_roots):
@@ -371,7 +376,8 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         if cols:
             colmat = [[col[i] for col in cols] for i in range(alg.dim)]
             sol = solve(colmat, X)
-            assert sol is not None
+            if sol is None:
+                raise VerificationError(f"depth-{r} part is not in z + a^mu + u_mu")
         else:
             sol = []
         nz, na = len(zb), len(ab)
@@ -410,10 +416,12 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
                 for rr in range(model.n):
                     for cc in range(model.n):
                         sr[i][rr][cc] = sr[i][rr][cc] + lift[i][rr][cc]
-            assert model.stabilizes_x_tilde(sr)
+            if not model.stabilizes_x_tilde(sr):
+                raise VerificationError(f"the depth-{r} S-factor does not fix X-tilde")
             s = model.mul(s, sr)
     residual = model.mul(model.inv(model.mul(model.mul(u, a), s)), g)
-    assert model.in_filtration(residual, 1 + half)
+    if not model.in_filtration(residual, 1 + half):
+        raise VerificationError(f"residual is not in I({1 + half})")
     return u, a, s, residual
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import VerificationError
 from .linalg import inverse, mat_mul, mat_vec
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "GL")
@@ -207,10 +208,6 @@ class RootDatum:
     def height(self, root):
         return sum(root)
 
-    def is_root(self, coords):
-        t = tuple(coords)
-        return t in self.pos_roots or tuple(-c for c in t) in self.pos_roots
-
     def root_pairing(self, root, coroot):
         """<root, coroot> with both in simple-(co)root coordinates."""
         return sum(
@@ -304,7 +301,8 @@ def build_root_datum(series: str, rank: int, form: str = "sc") -> RootDatum:
             2,
         )
         cr = tuple(Fraction(d[j]) * beta[j] / dbeta for j in range(n))
-        assert all(x.denominator == 1 for x in cr)
+        if any(x.denominator != 1 for x in cr):
+            raise VerificationError(f"coroot of {beta} is not integral")
         coroots.append(tuple(int(x) for x in cr))
     rd = RootDatum(
         series=series,
@@ -323,13 +321,18 @@ def build_root_datum(series: str, rank: int, form: str = "sc") -> RootDatum:
 
 def _check_invariants(rd: RootDatum):
     h = coxeter_number(rd)
-    assert rd.num_roots == rd.n * h
-    assert rd.height(rd.theta) == h - 1
+    if rd.num_roots != rd.n * h:
+        raise VerificationError(f"{rd.num_roots} roots, want rank * h = {rd.n * h}")
+    if rd.height(rd.theta) != h - 1:
+        raise VerificationError("the highest root does not have height h - 1")
     for beta, cr in zip(rd.pos_roots, rd.coroots):
-        assert rd.root_pairing(beta, cr) == 2
+        if rd.root_pairing(beta, cr) != 2:
+            raise VerificationError(f"<{beta}, coroot> != 2")
     es = exponents(rd)
-    assert sum(es) == len(rd.pos_roots)
-    assert all(a + b == h for a, b in zip(es, reversed(es)))
+    if sum(es) != len(rd.pos_roots):
+        raise VerificationError("the exponents do not sum to the number of positive roots")
+    if any(a + b != h for a, b in zip(es, reversed(es))):
+        raise VerificationError("the exponents are not symmetric about h/2")
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +384,8 @@ def minuscule_coweights(rd: RootDatum, degree_window=None):
             if rd.in_lattice(mu):
                 out.append(mu)
     for mu in out:
-        assert rd.is_minuscule(mu)
+        if not rd.is_minuscule(mu):
+            raise VerificationError(f"{mu.coords} is not minuscule")
     return out
 
 
@@ -482,7 +486,8 @@ def alpha_mu(rd: RootDatum, mu: Coweight):
     ]
     if not hits:
         return None
-    assert len(hits) == 1
+    if len(hits) != 1:
+        raise VerificationError(f"simple roots {hits} all pair to 1 with {mu.coords}")
     return hits[0]
 
 
@@ -573,7 +578,8 @@ def u_mu_roots(rd: RootDatum, mu: Coweight):
         else:
             phi_uminus.append(a)
     wp = weyl_wP(rd, mu)
-    assert {wp.apply_root(a) for a in rd.pos_roots} == set(phi_u)
+    if {wp.apply_root(a) for a in rd.pos_roots} != set(phi_u):
+        raise VerificationError(f"w_P Phi+ != Phi(u_mu) for mu = {mu.coords}")
     return phi_u, phi_uminus
 
 

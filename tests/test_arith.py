@@ -11,13 +11,12 @@ import airycheck
 from airycheck.arith import (
     GF,
     CyclotomicValue,
+    FqElement,
     FqField,
     MultiPoly,
     _poly_mod,
     _poly_mulmod,
     _poly_powmod,
-    complex_embed,
-    invert_triangular,
     is_prime,
     lex_least_irreducible,
     psi,
@@ -45,6 +44,42 @@ def test_gf_basics():
 def test_gf_mixed_char_rejected():
     with pytest.raises(ValueError):
         GF(5)(1) + GF(7)(1)
+
+
+def test_gf_is_the_degree_one_fq_field():
+    assert GF(7) == FqField(7, 1) and hash(GF(7)) == hash(FqField(7, 1))
+    assert GF(7) != FqField(7, 2)
+    x = GF(7)(3)
+    assert type(x) is FqElement and x.field == FqField(7, 1)
+    assert str(x) == "3 (mod 7)"
+    with pytest.raises(ZeroDivisionError):
+        GF(7)(0) ** -1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_prime_field_matches_int_arithmetic(p):
+    # every operation on every pair, against Python ints mod p; int operands
+    # on either side include ones outside [0, p)
+    F = GF(p)
+    for a in range(p):
+        x = F(a)
+        assert x.v == a and x == a + 3 * p
+        assert (-x).v == -a % p
+        for k in range(-p, p + 1):
+            if a or k >= 0:
+                assert (x ** k).v == pow(a, k, p)
+        for b in range(p):
+            y = F(b)
+            for c in (b, b - 3 * p, b + 5 * p):
+                assert (x + y).v == (x + c).v == (c + x).v == (a + b) % p
+                assert (x - y).v == (x - c).v == (a - b) % p
+                assert (c - x).v == (b - a) % p
+                assert (x * y).v == (x * c).v == (c * x).v == a * b % p
+                if b:
+                    assert (x / y).v == (x / c).v == a * pow(b, -1, p) % p
+                if a:
+                    assert (c / x).v == b * pow(a, -1, p) % p
+            assert type(x + y) is type(x * 2) is type(2 - x) is FqElement
 
 
 def test_modulus_deterministic():
@@ -187,8 +222,8 @@ def test_cyclotomic_basics():
 def test_cyclotomic_embed():
     p = 7
     z = CyclotomicValue.zeta_pow(p, 3)
-    assert cmath.isclose(complex_embed(z), cmath.exp(2j * cmath.pi * 3 / p))
-    assert complex_embed(CyclotomicValue.one(p)) == 1 + 0j
+    assert cmath.isclose(z.embed(), cmath.exp(2j * cmath.pi * 3 / p))
+    assert CyclotomicValue.one(p).embed() == 1 + 0j
 
 
 def test_psi_orthogonality():
@@ -225,24 +260,3 @@ def test_multipoly_arithmetic():
     F = GF(7)
     h = f.map_coefficients(F)
     assert h.evaluate({"x": F(3), "y": F(1)}) == F(1)
-
-
-def test_invert_triangular():
-    # y1 = x1, y2 = x2 - x1^2/2  =>  x1 = y1, x2 = y2 + y1^2/2
-    allvars = ("x1", "x2", "y1", "y2")
-    x1 = MultiPoly.var(allvars, "x1")
-    x2 = MultiPoly.var(allvars, "x2")
-    y1 = MultiPoly.var(allvars, "y1")
-    y2 = MultiPoly.var(allvars, "y2")
-    inv = invert_triangular(
-        [x1, x2 - x1 * x1 / Fraction(2)], ("x1", "x2"), ("y1", "y2")
-    )
-    assert inv[0] == y1
-    assert inv[1] == y2 + y1 * y1 / Fraction(2)
-
-
-def test_invert_triangular_bad_pivot():
-    allvars = ("x1", "y1")
-    x1 = MultiPoly.var(allvars, "x1")
-    with pytest.raises(ValueError):
-        invert_triangular([x1 * x1], ("x1",), ("y1",))

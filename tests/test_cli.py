@@ -75,7 +75,10 @@ def test_chi(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["q"] == 7
-    assert len(doc["f"]) == 4
+    # f = m/1 - m^3/3 over F_7; prime-field elements print as "v (mod p)"
+    assert doc["lambda"] == ["1 (mod 7)"]
+    assert doc["f"] == ["0 (mod 7)", "1 (mod 7)", "0 (mod 7)", "2 (mod 7)"]
+    assert doc["chi_geometric"] == "0 (mod 7)"  # 3 + (2/3) 3^3 = 84
 
 
 def test_chi_bad_params(capsys):

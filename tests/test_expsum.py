@@ -9,11 +9,10 @@ from airycheck.expsum import (
     cached_airy_table,
     compare_traces,
     hecke_trace_bruteforce,
-    hecke_trace_closed,
     hecke_trace_table,
     weil_check,
 )
-from airycheck.gln_airy import f_poly, make_params, poly_eval
+from airycheck.gln_airy import CharacterParams, f_poly, make_params, poly_eval
 
 
 def test_trace_identity_n2():
@@ -164,3 +163,20 @@ def test_brute_budget():
     params = make_params(4, GF(223), (1, 0))  # 223^3 exceeds the budget
     with pytest.raises(ValueError):
         hecke_trace_table(params, brute=True)
+
+
+def test_brute_table_needs_no_params_equality(monkeypatch):
+    # chi_geometric's memo lives on the params object, so fresh but equal
+    # params never fall back to comparing against an earlier one
+    calls = []
+    eq = CharacterParams.__eq__
+
+    def counting_eq(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(CharacterParams, "__eq__", counting_eq)
+    first = hecke_trace_table(make_params(2, GF(7), (3,)), brute=True)
+    second = hecke_trace_table(make_params(2, GF(7), (3,)), brute=True)
+    assert first == second
+    assert len(calls) == 0

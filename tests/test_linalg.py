@@ -4,7 +4,6 @@ from fractions import Fraction
 from airycheck.arith import GF
 from airycheck.linalg import (
     identity,
-    in_span,
     inverse,
     mat_mul,
     mat_vec,
@@ -65,10 +64,3 @@ def test_solve_random_invertible():
         b = [F(rng.randrange(11)) for _ in range(3)]
         x = solve(A, b)
         assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
-
-
-def test_in_span():
-    F = GF(5)
-    basis = [[F(1), F(0), F(2)], [F(0), F(1), F(3)]]
-    assert in_span(basis, [F(1), F(1), F(0)], F(1))
-    assert not in_span(basis, [F(0), F(0), F(1)], F(1))

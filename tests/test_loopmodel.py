@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import airycheck
 from airycheck.chevalley import a_subspace, build_algebra
 from airycheck.loopmodel import (
     AffineRootIndex,
@@ -191,3 +195,26 @@ def test_exp_product_valuation():
                 Y2 = [x + c * y for x, y in zip(Y2, b)]
             d = exp_product_valuation(model, Y1, Y2, r)
             assert d is None or d >= 1 + r
+
+
+_IDENTITY_EXP = """
+from airycheck import cli
+from airycheck.loopmodel import GLnModel
+
+assert not __debug__, "this check must run under python -O"
+GLnModel.exp_series = lambda self, Y: self.identity_series()  # drops every A-factor
+ok, params, witness = cli.check_factorization(samples=5)
+print("passed" if ok else "failed", witness and witness[0])
+"""
+
+
+def test_factorization_check_fails_under_optimize():
+    # the residual is (u a s)^{-1} g, so u a s res = g holds by construction;
+    # only the depth checks inside factorize_I1 can see the dropped factor
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _IDENTITY_EXP],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("failed"), out.stdout
