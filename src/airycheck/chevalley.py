@@ -532,21 +532,33 @@ def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubs
 
     With mu, returns a_r^mu = Ad_{w_P}(a_r) through the normalized
     representative.  (The space a itself only sums a_r over r <= ceil(h/2).)
+    Computed once per (algebra, r, mu); every call returns a fresh basis.
     """
     h = alg.h
     if not 1 <= r <= h - 1:
         raise ValueError("r out of range")
-    _, _, nplus = principal_sl2(alg)
-    basis = []
-    if r >= 2:
-        src = height_piece(alg, r - 1 - h).basis
-        rows = [alg.bracket(v, nplus) for v in src]
-        red, pivots = rref(rows)
-        basis = [red[i] for i in range(len(pivots))]
-    if mu is not None and basis:
-        cols = _wP_columns(alg, mu)
-        basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
-    return GradedSubspace(r, basis)
+    key = ("a", r, None if mu is None else tuple(mu.coords))
+    basis = alg._cache.get(key)
+    if basis is None:
+        _, _, nplus = principal_sl2(alg)
+        basis = []
+        if r >= 2:
+            src = height_piece(alg, r - 1 - h).basis
+            rows = [alg.bracket(v, nplus) for v in src]
+            red, pivots = rref(rows)
+            basis = [red[i] for i in range(len(pivots))]
+        if mu is not None and basis:
+            cols = _wP_columns(alg, mu)
+            basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
+        # sparse: these bases are mostly zeros, and every type keeps one per (r, mu)
+        basis = alg._cache[key] = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in basis)
+    out = []
+    for entries in basis:
+        v = alg.zero()
+        for i, c in entries:
+            v[i] = c
+        out.append(v)
+    return GradedSubspace(r, out)
 
 
 def p_minus_project(alg: ChevalleyAlgebra, v):

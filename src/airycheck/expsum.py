@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .arith import CyclotomicValue, FqField, fq_tables, psi
+from .arith import CyclotomicValue, FqField, fq_tables
 from .gln_airy import CharacterParams, f_poly, hecke_p1, hecke_p2, make_params, poly_eval
 
 BRUTE_BUDGET = 10 ** 7
@@ -140,31 +140,12 @@ def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     return table
 
 
-def _check_brute_budget(params: CharacterParams):
+def _brute_table_entries(params: CharacterParams):
+    """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for
+    every a at once: one pass over all of F_q^{1+n/2}, binning the trace of
+    p_1 by the index of p_2."""
     if params.field.q ** (1 + params.n // 2) > BRUTE_BUDGET:
         raise ValueError("brute-force fiber enumeration exceeds budget")
-
-
-def hecke_trace_bruteforce(params: CharacterParams, a) -> CyclotomicValue:
-    """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))).
-
-    Enumerates all of F_q^{1+n/2} with no algebraic simplification; this is
-    the independent oracle for one entry of the closed Hecke table.
-    """
-    _check_brute_budget(params)
-    field, n = params.field, params.n
-    acc = CyclotomicValue.zero(field.p)
-    for m in itertools.product(field.elements(), repeat=1 + n // 2):
-        if hecke_p2(n, field, m) == a:
-            acc = acc + psi(field.p, hecke_p1(params, m))
-    return acc if n % 2 == 1 else -acc
-
-
-def _brute_table_entries(params: CharacterParams):
-    """One pass over all of F_q^{1+n/2}, binning the trace of p_1 by the
-    index of p_2; same sums as the per-fiber enumeration but O(q^{1+n/2})
-    total."""
-    _check_brute_budget(params)
     field, n = params.field, params.n
     p = field.p
     trace = fq_tables(p, field.e).trace

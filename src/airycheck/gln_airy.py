@@ -83,7 +83,7 @@ def z_element(model: GLnModel, r: int):
                 lvl, rem = divmod(r - (j - i), n)
                 if rem:
                     raise VerificationError(f"E_1^{r} has an entry at height {j - i}")
-                out[lvl][i][j] = er[i][j]
+                out[lvl][i][j] = er[i][j].v
     return out
 
 

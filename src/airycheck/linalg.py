@@ -3,6 +3,12 @@
 Matrices are lists of lists of field elements (Fraction, FqElement, ...).
 Elements must support +, -, *, /, unary -, == and truthiness (zero is falsy).
 Everything here copies its inputs; nothing is mutated in place.
+
+Callers: Weyl-group and Cartan matrices (`rootdata`), kernels, ranks and
+spans in the Chevalley algebras (`chevalley`), `E_1^r` (`gln_airy`) and the
+depth-r `solve` of `loopmodel.factorize_I1`.  The series arithmetic of the
+GL_n loop group does not come here: `loopmodel.GLnModel` multiplies and
+inverts int residues mod p itself.
 """
 
 from __future__ import annotations

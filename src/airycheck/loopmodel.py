@@ -6,18 +6,25 @@ Lie I(2+h), so no information is lost.  Affine filtration lines are pairs
 barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
 
 The group-level factorization is implemented in the GL_n matrix model: a
-group element is a list of h+2 matrices over F_p (the t-power coefficients).
+group element is a list of h+2 matrices of int residues mod p (the t-power
+coefficients).  Series arithmetic works on the residues directly, one fused
+dot product per entry and one reduction mod p; field elements of the
+Chevalley algebra enter and leave only at the Lie <-> group boundary
+(graded lifts, X-tilde and the depth-r components fed to `solve`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 
 from . import VerificationError
 from .arith import GF
 from .chevalley import (
     ChevalleyAlgebra,
+    _gl_root_interval,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -25,7 +32,7 @@ from .chevalley import (
     principal_sl2,
     u_mu_piece,
 )
-from .linalg import inverse, mat_mul, solve
+from .linalg import solve
 from .rootdata import Coweight, coxeter_number, get_root_datum, u_mu_roots
 
 
@@ -174,7 +181,13 @@ def odd_parahoric_check(alg: ChevalleyAlgebra) -> bool:
 # GL_n truncated matrix group.
 
 class GLnModel:
-    """GL_n(F_p[t]/t^(n+2)) together with its Iwahori filtration."""
+    """GL_n(F_p[t]/t^(n+2)) together with its Iwahori filtration.
+
+    A series is a list of N = n+2 blocks, the t^0 coefficient first; each
+    block is an n x n list of int residues mod p.  For GF(p) a residue is
+    the index of the field element, so an entry v equals model.field(v).
+    The methods accept any ints and return residues in [0, p).
+    """
 
     def __init__(self, n: int, p: int):
         self.n = n
@@ -188,56 +201,71 @@ class GLnModel:
     # -- series arithmetic -------------------------------------------------
 
     def zero_series(self):
-        z = self.field(0)
-        return [[[z] * self.n for _ in range(self.n)] for _ in range(self.N)]
+        return [[[0] * self.n for _ in range(self.n)] for _ in range(self.N)]
 
     def identity_series(self):
         g = self.zero_series()
         for i in range(self.n):
-            g[0][i][i] = self.field(1)
+            g[0][i][i] = 1
         return g
 
     def mul(self, A, B):
-        out = self.zero_series()
-        for i in range(self.N):
-            if not any(any(row) for row in A[i]):
-                continue
-            for j in range(self.N - i):
-                if not any(any(row) for row in B[j]):
-                    continue
-                prod = mat_mul(A[i], B[j])
-                tgt = out[i + j]
-                for r in range(self.n):
-                    for c in range(self.n):
-                        tgt[r][c] = tgt[r][c] + prod[r][c]
+        """Block k of the product is sum_{i+j=k} A_i B_j: entry (r, c) is one
+        dot product of row r of A_0..A_k against column c of B_k..B_0, with
+        the zero blocks of A below its first and above its last nonzero
+        block left out."""
+        n, N, p = self.n, self.N, self.p
+        nz = [i for i, blk in enumerate(A) if any(map(any, blk))]
+        if not nz:
+            return self.zero_series()
+        lo, hi = nz[0], nz[-1] + 1
+        # row r of A_lo..A_{hi-1} concatenated; column c of B_{N-1}..B_0
+        rows = [list(chain.from_iterable(rs)) for rs in zip(*A[lo:hi])]
+        cols = [list(c) for c in zip(*[row for blk in reversed(B) for row in blk])]
+        out = [[[0] * n for _ in range(n)] for _ in range(lo)]
+        for k in range(lo, N):
+            off = n * (N - 1 - k + lo)
+            ck = [col[off:] for col in cols]
+            out.append([[sum(map(operator.mul, row, col)) % p for col in ck] for row in rows])
         return out
 
     def inv(self, A):
-        inv0 = inverse(A[0], self.field(1))
-        out = self.zero_series()
-        out[0] = inv0
-        for k in range(1, self.N):
-            acc = [[self.field(0)] * self.n for _ in range(self.n)]
-            for i in range(1, k + 1):
-                prod = mat_mul(A[i], out[k - i])
-                for r in range(self.n):
-                    for c in range(self.n):
-                        acc[r][c] = acc[r][c] + prod[r][c]
-            out[k] = [[-x for x in row] for row in mat_mul(inv0, acc)]
+        """Inverse series: Gauss-Jordan on the t^0 block, then
+        B_k = -A_0^{-1} sum_{i=1..k} A_i B_{k-i}."""
+        n, N, p = self.n, self.N, self.p
+        inv0 = _inverse_mod(A[0], p)
+        neg = [[-x for x in row] for row in inv0]
+        # C_i = -A_0^{-1} A_i, so that B_k = sum_{i=1..k} C_i B_{k-i}
+        C = [None]
+        for blk in A[1:]:
+            bcols = list(zip(*blk))
+            C.append([[sum(map(operator.mul, row, col)) % p for col in bcols] for row in neg])
+        rows = [[] for _ in range(n)]  # row r of C_1..C_k
+        cols = [[] for _ in range(n)]  # column c of B_{k-1}..B_0
+        out = [inv0]
+        for k in range(1, N):
+            for r in range(n):
+                rows[r] += C[k][r]
+            cols = [[row[c] for row in out[-1]] + cols[c] for c in range(n)]
+            out.append([[sum(map(operator.mul, row, col)) % p for col in cols] for row in rows])
         return out
 
     def eq(self, A, B):
-        return all(A[i] == B[i] for i in range(self.N))
+        p = self.p
+        return all(
+            (x - y) % p == 0
+            for a, b in zip(A, B) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+        )
 
     def depth(self, A):
         """Filtration depth of A - 1; returns None for the identity."""
-        one = self.identity_series()
+        p, h = self.p, self.h
         best = None
-        for i in range(self.N):
-            for r in range(self.n):
-                for c in range(self.n):
-                    if A[i][r][c] != one[i][r][c]:
-                        d = i * self.h + (c - r)
+        for i, blk in enumerate(A):
+            for r, row in enumerate(blk):
+                for c, x in enumerate(row):
+                    if (x - (i == 0 and r == c)) % p:
+                        d = i * h + (c - r)
                         if best is None or d < best:
                             best = d
         return best
@@ -248,91 +276,111 @@ class GLnModel:
 
     # -- Lie <-> group -----------------------------------------------------
 
+    @cached_property
+    def _root_lines(self):
+        """(height, row, col) of each root basis vector of the algebra."""
+        return [(self.rd.height(a),) + _gl_root_interval(a) for a in self.alg.basis_roots]
+
     def graded_lift(self, v, r: int):
         """Depth-r series with t-powers (r - Ht(alpha))/h per root line."""
         out = self.zero_series()
+        lines = self._root_lines
         for idx, c in enumerate(v):
             if not c:
                 continue
-            if idx >= 2 * self.alg.npos:
+            if idx >= len(lines):
                 raise ValueError("graded lift of a Cartan line")
-            a = self.alg.basis_roots[idx]
-            ht = self.rd.height(a)
+            ht, rr, cc = lines[idx]
             i, rem = divmod(r - ht, self.h)
             if rem or not 0 <= i < self.N:
-                raise ValueError(f"root {a} has no line of depth {r}")
-            m = self.alg.matrix_of(self.alg.E(a))
-            for rr in range(self.n):
-                for cc in range(self.n):
-                    if m[rr][cc]:
-                        out[i][rr][cc] = out[i][rr][cc] + c * m[rr][cc]
+                raise ValueError(f"root {self.alg.basis_roots[idx]} has no line of depth {r}")
+            out[i][rr][cc] = (out[i][rr][cc] + c.v) % self.p
         return out
 
     def exp_series(self, Y):
         """exp of a positive-depth series; the series must terminate
         before 1/p! is needed."""
+        p = self.p
         out = self.identity_series()
         term = self.identity_series()
         k = 0
+        fact = 1
         while True:
             k += 1
             term = self.mul(term, Y)
-            if all(not any(any(row) for row in term[i]) for i in range(self.N)):
+            if not any(any(map(any, blk)) for blk in term):
                 break
-            if k >= self.p:
+            if k >= p:
                 raise ValueError("exp series does not terminate before 1/p!")
-            fk = self.field(1)
-            for i in range(2, k + 1):
-                fk = fk * i
-            coeff = self.field(1) / fk
-            for i in range(self.N):
-                for r in range(self.n):
-                    for c in range(self.n):
-                        out[i][r][c] = out[i][r][c] + coeff * term[i][r][c]
+            fact *= k
+            coeff = pow(fact, -1, p)
+            for ob, tb in zip(out, term):
+                for orow, trow in zip(ob, tb):
+                    for c, x in enumerate(trow):
+                        if x:
+                            orow[c] = (orow[c] + coeff * x) % p
+        return out
+
+    @cached_property
+    def _x_tilde(self):
+        out = self.zero_series()
+        nminus, _, _ = principal_sl2(self.alg)
+        out[0] = [[x.v for x in row] for row in self.alg.matrix_of(self.alg.E(self.rd.theta))]
+        out[1] = [[x.v for x in row] for row in self.alg.matrix_of(nminus)]
         return out
 
     def x_tilde_t2(self):
-        """t^2 * X-tilde = t N^- + E_theta as a series."""
-        out = self.zero_series()
-        nminus, _, _ = principal_sl2(self.alg)
-        m1 = self.alg.matrix_of(nminus)
-        m0 = self.alg.matrix_of(self.alg.E(self.rd.theta))
-        out[0] = m0
-        for r in range(self.n):
-            for c in range(self.n):
-                out[1][r][c] = out[1][r][c] + m1[r][c]
-        return out
+        """t^2 * X-tilde = t N^- + E_theta as a series (built once per model)."""
+        return [[list(row) for row in blk] for blk in self._x_tilde]
 
     def stabilizes_x_tilde(self, A) -> bool:
-        X = self.x_tilde_t2()
+        X = self._x_tilde
         return self.eq(self.mul(A, X), self.mul(X, A))
+
+    @cached_property
+    def _i1_draws(self):
+        """(t-power, entries) per line of Lie I(1), in filtration_basis order:
+        the diagonal for a Cartan line, the root's entry otherwise."""
+        diag = [(j, j) for j in range(self.n)]
+        return [
+            (line.power, diag if line.root is None else [_gl_root_interval(line.root)])
+            for line in filtration_basis(self.alg, 1)
+        ]
 
     def random_I1(self, rng):
         """Uniform-ish element 1 + (random Lie I(1) coefficients)."""
+        p = self.p
         g = self.identity_series()
-        for line in filtration_basis(self.alg, 1):
-            if line.root is None:
-                for j in range(self.n):
-                    g[line.power][j][j] = g[line.power][j][j] + self.field(
-                        rng.randrange(self.p)
-                    )
-            else:
-                i, j = _root_entry(line.root)
-                g[line.power][i][j] = g[line.power][i][j] + self.field(
-                    rng.randrange(self.p)
-                )
+        for power, entries in self._i1_draws:
+            blk = g[power]
+            for i, j in entries:
+                blk[i][j] = (blk[i][j] + rng.randrange(p)) % p
         return g
 
 
-def _root_entry(root):
-    from .chevalley import _gl_root_interval
-
-    return _gl_root_interval(root)
+def _inverse_mod(M, p):
+    """Inverse of a square int matrix mod p, by Gauss-Jordan elimination."""
+    n = len(M)
+    aug = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        s = pow(aug[col][col], -1, p)
+        prow = aug[col] = [x * s % p for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if f and r != col:
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], prow)]
+    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)
 def _factor_bases(model_key, mu_coords):
-    """Per-depth (z, a^mu, u_mu) bases and the solve matrix, cached."""
+    """Per depth r: the (z, a^mu, u_mu) bases, the solve matrix with them as
+    columns, and the (algebra index, t-power, row, col) of every root line
+    of depth r."""
     n, p = model_key
     model = GLnModel(n, p)
     alg = model.alg
@@ -344,8 +392,21 @@ def _factor_bases(model_key, mu_coords):
         ab = a_subspace(alg, r, mu).basis
         ub = u_mu_piece(alg, mu, r).basis
         cols = zb + ab + ub
-        out[r] = (zb, ab, ub, cols)
+        colmat = [[col[i] for col in cols] for i in range(alg.dim)]
+        entries = []
+        for idx, (ht, rr, cc) in enumerate(model._root_lines):
+            i, rem = divmod(r - ht, model.h)
+            if rem == 0 and 0 <= i < model.N:
+                entries.append((idx, i, rr, cc))
+        out[r] = (zb, ab, ub, colmat, entries)
     return out
+
+
+def _one_plus(model: GLnModel, Y):
+    """1 + Y, in place."""
+    for j in range(model.n):
+        Y[0][j][j] = (Y[0][j][j] + 1) % model.p
+    return Y
 
 
 def factorize_I1(model: GLnModel, g, mu: Coweight):
@@ -354,8 +415,7 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     if not model.in_filtration(g, 1):
         raise ValueError("element is not in I(1)")
     alg = model.alg
-    h = model.h
-    half = (h + 1) // 2
+    half = (model.h + 1) // 2
     bases = _factor_bases((model.n, model.p), tuple(mu.coords))
     u = model.identity_series()
     a = model.identity_series()
@@ -364,17 +424,12 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         d = model.mul(model.inv(model.mul(model.mul(u, a), s)), g)
         if not model.in_filtration(d, r):
             raise VerificationError(f"remainder before step {r} is not in I({r})")
+        zb, ab, ub, colmat, entries = bases[r]
         # depth-r component of d - 1, as a cyclic-degree-r algebra vector
         X = alg.zero()
-        for idx, root in enumerate(alg.basis_roots):
-            ht = alg.rd.height(root)
-            i, rem = divmod(r - ht, h)
-            if rem == 0 and 0 <= i < model.N:
-                rr, cc = _root_entry(root)
-                X[idx] = d[i][rr][cc]
-        zb, ab, ub, cols = bases[r]
-        if cols:
-            colmat = [[col[i] for col in cols] for i in range(alg.dim)]
+        for idx, i, rr, cc in entries:
+            X[idx] = alg.field(d[i][rr][cc])
+        if zb or ab or ub:
             sol = solve(colmat, X)
             if sol is None:
                 raise VerificationError(f"depth-{r} part is not in z + a^mu + u_mu")
@@ -386,7 +441,8 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
             v = alg.zero()
             for c, b in zip(coeffs, basis):
                 for i, bi in enumerate(b):
-                    v[i] = v[i] + c * bi
+                    if bi:
+                        v[i] = v[i] + c * bi
             return v
 
         zvec = combine(zb, sol[:nz])
@@ -395,27 +451,16 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         # u-part: product of one-parameter root subgroups (each square-zero)
         for idx, c in enumerate(uvec):
             if c:
-                lift = model.graded_lift(
-                    [c if i == idx else alg.field(0) for i in range(alg.dim)], r
-                )
-                one = model.identity_series()
-                for i in range(model.N):
-                    for rr in range(model.n):
-                        for cc in range(model.n):
-                            one[i][rr][cc] = one[i][rr][cc] + lift[i][rr][cc]
-                u = model.mul(u, one)
+                line = alg.zero()
+                line[idx] = c
+                u = model.mul(u, _one_plus(model, model.graded_lift(line, r)))
         # a-part: exp of the graded lift (a t^{-mu}w_P-conjugate of exp(tY))
         if any(avec):
             a = model.mul(a, model.exp_series(model.graded_lift(avec, r)))
         # s-part: 1 + Z with Z a multiple of E_1^r, which commutes with
         # t N^- + E_theta, so 1 + Z lies in S(r)
         if any(zvec):
-            lift = model.graded_lift(zvec, r)
-            sr = model.identity_series()
-            for i in range(model.N):
-                for rr in range(model.n):
-                    for cc in range(model.n):
-                        sr[i][rr][cc] = sr[i][rr][cc] + lift[i][rr][cc]
+            sr = _one_plus(model, model.graded_lift(zvec, r))
             if not model.stabilizes_x_tilde(sr):
                 raise VerificationError(f"the depth-{r} S-factor does not fix X-tilde")
             s = model.mul(s, sr)
@@ -434,9 +479,7 @@ def exp_product_valuation(model: GLnModel, Y1, Y2, r: int):
     def t_embed(v):
         out = model.zero_series()
         m = model.alg.matrix_of(v)
-        for rr in range(model.n):
-            for cc in range(model.n):
-                out[1][rr][cc] = m[rr][cc]
+        out[1] = [[x.v for x in row] for row in m]
         return out
 
     ysum = [x + y for x, y in zip(Y1, Y2)]

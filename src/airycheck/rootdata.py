@@ -566,21 +566,28 @@ def check_wP_heights(rd: RootDatum, mu: Coweight) -> bool:
 
 
 def u_mu_roots(rd: RootDatum, mu: Coweight):
-    """(Phi(u_mu), Phi(u_mu^-)); also checks w_P carries Phi+ onto the first."""
-    if not rd.is_minuscule(mu):
-        raise ValueError("mu is not minuscule")
-    phi_u, phi_uminus = [], []
-    for a in rd.roots:
-        pos = rd.height(a) > 0
-        pr = rd.pairing(a, mu)
-        if (pos and pr == 0) or (not pos and pr == -1):
-            phi_u.append(a)
-        else:
-            phi_uminus.append(a)
-    wp = weyl_wP(rd, mu)
-    if {wp.apply_root(a) for a in rd.pos_roots} != set(phi_u):
-        raise VerificationError(f"w_P Phi+ != Phi(u_mu) for mu = {mu.coords}")
-    return phi_u, phi_uminus
+    """(Phi(u_mu), Phi(u_mu^-)); also checks w_P carries Phi+ onto the first.
+
+    Split and checked once per (rd, mu); every call returns fresh lists.
+    """
+    key = ("u_mu", tuple(mu.coords))
+    split = rd._cache.get(key)
+    if split is None:
+        if not rd.is_minuscule(mu):
+            raise ValueError("mu is not minuscule")
+        phi_u, phi_uminus = [], []
+        for a in rd.roots:
+            pos = rd.height(a) > 0
+            pr = rd.pairing(a, mu)
+            if (pos and pr == 0) or (not pos and pr == -1):
+                phi_u.append(a)
+            else:
+                phi_uminus.append(a)
+        wp = weyl_wP(rd, mu)
+        if {wp.apply_root(a) for a in rd.pos_roots} != set(phi_u):
+            raise VerificationError(f"w_P Phi+ != Phi(u_mu) for mu = {mu.coords}")
+        split = rd._cache[key] = (tuple(phi_u), tuple(phi_uminus))
+    return list(split[0]), list(split[1])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,13 @@ from airycheck.chevalley import (
     x_minus1,
 )
 from airycheck.linalg import identity, mat_vec
-from airycheck.rootdata import Coweight, exponents, get_root_datum, minuscule_coweights
+from airycheck.rootdata import (
+    Coweight,
+    exponents,
+    get_root_datum,
+    minuscule_coweights,
+    u_mu_roots,
+)
 
 
 def test_a1_structure():
@@ -274,6 +280,40 @@ def test_cached_results_are_isolated():
     assert centralizer_z(alg) == want[0]
     assert wP_representative(alg, mu) == want[1]
     assert (principal_sl2(alg), x_minus1(alg)) == (want[2], want[3])
+
+
+def test_a_subspace_and_u_mu_roots_cached(monkeypatch):
+    # a_r^mu and the u_mu split are built once per (algebra, r, mu) and
+    # (root datum, mu); later calls neither rerun rref nor recheck w_P
+    from airycheck import chevalley, rootdata
+
+    alg = build_algebra(get_root_datum("A", 3, "adjoint"))
+    mu = Coweight((0, 1, 0))
+    want = {r: a_subspace(alg, r, mu) for r in (1, 2, 3)}
+    want[0] = a_subspace(alg, 2)
+    want, split = copy.deepcopy((want, u_mu_roots(alg.rd, mu)))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(chevalley, "rref", counted("rref", chevalley.rref))
+    monkeypatch.setattr(rootdata, "weyl_wP", counted("weyl_wP", rootdata.weyl_wP))
+    got = {r: a_subspace(alg, r, mu) for r in (1, 2, 3)}
+    got[0] = a_subspace(alg, 2)
+    assert got == want and u_mu_roots(alg.rd, mu) == split
+    assert not calls
+    # the caches hand out copies
+    got[2].basis[0][0] = QQ(5)
+    got[3].basis.append(alg.zero())
+    u, u_minus = u_mu_roots(alg.rd, mu)
+    u.pop()
+    u_minus.append((9, 9, 9))
+    assert a_subspace(alg, 2, mu) == want[2] and a_subspace(alg, 3, mu) == want[3]
+    assert u_mu_roots(alg.rd, mu) == split
 
 
 _CORRUPT_REFLECTION = """

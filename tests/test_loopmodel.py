@@ -7,6 +7,7 @@ import pytest
 
 import airycheck
 from airycheck.chevalley import a_subspace, build_algebra
+from airycheck.linalg import inverse, mat_mul
 from airycheck.loopmodel import (
     AffineRootIndex,
     GLnModel,
@@ -125,16 +126,132 @@ def test_model_depth():
     model = GLnModel(2, 5)
     g = model.identity_series()
     assert model.depth(g) is None
-    g[1][0][0] = model.field(1)  # diagonal at t^1: depth h = 2
+    g[1][0][0] = 1  # diagonal at t^1: depth h = 2
     assert model.depth(g) == 2
-    g[0][0][1] = model.field(3)  # entry above diagonal at t^0: depth 1
+    g[0][0][1] = 3  # entry above diagonal at t^0: depth 1
     assert model.depth(g) == 1
+
+
+KERNEL_CASES = [(n, p) for n in (2, 3, 4) for p in (5, 7, 11)]
+
+
+def _random_series(model, rng, lo=0, hi=None):
+    hi = model.p if hi is None else hi
+    return [
+        [[rng.randrange(lo, hi) for _ in range(model.n)] for _ in range(model.n)]
+        for _ in range(model.N)
+    ]
+
+
+def _random_unit(model, rng):
+    """A series with an invertible t^0 block (not only a unipotent one)."""
+    while True:
+        g = _random_series(model, rng)
+        try:
+            inverse([[model.field(x) for x in row] for row in g[0]], model.field(1))
+        except ValueError:
+            continue
+        return g
+
+
+def _naive_mul(model, A, B):
+    """sum_{i+j=k} A_i B_j with FqElement blocks and linalg.mat_mul."""
+    F, n = model.field, model.n
+    out = [[[F(0)] * n for _ in range(n)] for _ in range(model.N)]
+    for i in range(model.N):
+        for j in range(model.N - i):
+            prod = mat_mul(
+                [[F(x) for x in row] for row in A[i]], [[F(x) for x in row] for row in B[j]]
+            )
+            for r in range(n):
+                for c in range(n):
+                    out[i + j][r][c] = out[i + j][r][c] + prod[r][c]
+    return [[[x.v for x in row] for row in blk] for blk in out]
+
+
+def _is_reduced(model, A):
+    return all(
+        type(x) is int and 0 <= x < model.p for blk in A for row in blk for x in row
+    )
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_mul_matches_field_convolution(n, p):
+    model = GLnModel(n, p)
+    rng = random.Random(10 * n + p)
+    for _ in range(8):
+        A, B = _random_series(model, rng), _random_series(model, rng)
+        for k in rng.sample(range(model.N), 2):  # zero blocks are skipped
+            A[k] = [[0] * n for _ in range(n)]
+        assert model.mul(A, B) == _naive_mul(model, A, B)
+    # a run of leading zero blocks, on either side
+    A = model.zero_series()
+    A[2] = _random_series(model, rng)[2]
+    B = _random_series(model, rng)
+    assert model.mul(A, B) == _naive_mul(model, A, B)
+    assert model.mul(B, A) == _naive_mul(model, B, A)
+    assert model.mul(model.zero_series(), B) == model.zero_series()
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_mul_associative(n, p):
+    model = GLnModel(n, p)
+    rng = random.Random(100 + 10 * n + p)
+    for _ in range(5):
+        A, B, C = (_random_series(model, rng) for _ in range(3))
+        assert model.mul(model.mul(A, B), C) == model.mul(A, model.mul(B, C))
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_inv_two_sided(n, p):
+    model = GLnModel(n, p)
+    rng = random.Random(200 + 10 * n + p)
+    one = model.identity_series()
+    for g in [_random_unit(model, rng) for _ in range(5)] + [model.random_I1(rng)]:
+        h = model.inv(g)
+        assert model.mul(g, h) == one
+        assert model.mul(h, g) == one
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_kernel_returns_residues(n, p):
+    # any ints in, residues in [0, p) out, and the same values as reduced input
+    model = GLnModel(n, p)
+    rng = random.Random(300 + 10 * n + p)
+    A = _random_series(model, rng, -3 * p, 3 * p)
+    B = _random_series(model, rng, -3 * p, 3 * p)
+    A[0] = _random_unit(model, rng)[0]
+    A[0][0][0] += 5 * p
+    red = lambda S: [[[x % p for x in row] for row in blk] for blk in S]
+    prod, inv = model.mul(A, B), model.inv(A)
+    assert _is_reduced(model, prod) and _is_reduced(model, inv)
+    assert prod == model.mul(red(A), red(B)) == _naive_mul(model, A, B)
+    assert inv == model.inv(red(A))
+    assert model.eq(A, red(A))
+    g = model.random_I1(rng)
+    shift = lambda S: [[[x + p * rng.randrange(-2, 3) for x in row] for row in blk] for blk in S]
+    assert model.depth(shift(g)) == model.depth(g) >= 1
+    assert model.depth(shift(model.identity_series())) is None
+    Y = model.zero_series()
+    Y[1][0][n - 1] = -1 + 2 * p
+    assert _is_reduced(model, model.exp_series(Y))
+    assert _is_reduced(model, model.random_I1(rng))
+    assert _is_reduced(model, model.x_tilde_t2())
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_inv_rejects_singular_constant_block(n, p):
+    model = GLnModel(n, p)
+    g = model.random_I1(random.Random(n * p))
+    g[0][n - 1] = [p * x for x in range(n)]  # last row of the t^0 block is 0 mod p
+    with pytest.raises(ValueError):
+        model.inv(g)
 
 
 def test_exp_series_terminates():
     model = GLnModel(2, 5)
     Y = model.zero_series()
-    Y[1][0][1] = model.field(2)
+    Y[1][0][1] = 2
     g = model.exp_series(Y)
     assert g[0] == [[model.field(1), model.field(0)], [model.field(0), model.field(1)]]
     assert g[1][0][1] == model.field(2)
@@ -169,7 +286,7 @@ def test_factorize_random(n, p):
 def test_factorize_rejects_outside_I1():
     model = GLnModel(2, 7)
     g = model.identity_series()
-    g[0][1][0] = model.field(1)  # below the diagonal at t^0: depth -1
+    g[0][1][0] = 1  # below the diagonal at t^0: depth -1
     with pytest.raises(ValueError):
         factorize_I1(model, g, Coweight((0, 0)))
 

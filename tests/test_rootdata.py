@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import airycheck
 from airycheck.rootdata import (
     Coweight,
     alpha_mu,
@@ -176,3 +181,30 @@ def test_invalid_type():
         get_root_datum("Z", 1, "sc")
     with pytest.raises(ValueError):
         get_root_datum("G", 3, "sc")
+
+
+_IDENTITY_WP = """
+from airycheck import cli
+from airycheck.rootdata import WeylElement, alpha_mu, minuscule_coweights
+
+assert not __debug__, "this check must run under python -O"
+rd = cli._suite_datum("A", 3)
+one = WeylElement(tuple(tuple(int(i == j) for j in range(rd.n)) for i in range(rd.n)), ())
+for mu in minuscule_coweights(rd):
+    rd._cache[("wP", alpha_mu(rd, mu))] = one  # w_P replaced by the identity
+ok, params, witness = cli.check_weyl_appendix()
+print("passed" if ok else "failed", witness and witness[0])
+"""
+
+
+def test_weyl_appendix_check_fails_under_optimize():
+    # the identity permutes each height class and its lift fixes X_{-1}, so
+    # only the w_P Phi+ = Phi(u_mu) check in u_mu_roots can see it
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _IDENTITY_WP],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("failed"), out.stdout
+    assert "w_P Phi+ != Phi(u_mu)" in out.stdout, out.stdout
