@@ -16,6 +16,7 @@ from . import VerificationError
 from .arith import GF, FqField
 from .chevalley import (
     QQ,
+    a_subspace,
     build_algebra,
     centralizer_z,
     decomposition_check,
@@ -24,6 +25,7 @@ from .chevalley import (
     relevance_quadratic_bruteforce,
     s1_graph,
     s1_graph_check,
+    u_mu_piece,
     wP_representative,
 )
 from .expsum import (
@@ -163,22 +165,119 @@ def check_rigidity_kernel():
     return not failures, {"quadratic_over": "F_5: GL_2, GL_4, Sp_4"}, failures or None
 
 
+def _draw_factorization(model, mu, rng):
+    """Random coordinates and the g = u a s res they give: per depth
+    r = 1..ceil(h/2) a random vector of u_{mu,r}, of a_r^mu and of z_r
+    (coefficients in the Chevalley basis), and a random residual in
+    I(1 + ceil(h/2)).  Returns (coords, products, residual, g), the
+    products as `_factor_products` gives them."""
+    alg, p = model.alg, model.p
+    half = (model.h + 1) // 2
+    zs = centralizer_z(alg)
+
+    def draw(basis):
+        v = alg.zero()
+        for b in basis:
+            c = rng.randrange(p)
+            for i, y in enumerate(b):
+                if y:
+                    v[i] = v[i] + c * y
+        return v
+
+    coords = [
+        tuple(map(draw, (u_mu_piece(alg, mu, r).basis, a_subspace(alg, r, mu).basis, zs[r].basis)))
+        for r in range(1, half + 1)
+    ]
+    residual = model.identity_series()
+    for i, blk in enumerate(residual):
+        for j, row in enumerate(blk):
+            for k in range(model.n):
+                if i * model.h + k - j > half:
+                    row[k] = (row[k] + rng.randrange(p)) % p
+    prods = _factor_products(model, coords)
+    g = model.mul(model.mul(model.mul(prods[0][-1], prods[1][-1]), prods[2][-1]), residual)
+    return coords, prods, residual, g
+
+
+def _one_plus(model, v, r):
+    """1 + the graded lift of v at depth r."""
+    g = model.graded_lift(v, r)
+    for j in range(model.n):
+        g[0][j][j] += 1
+    return g
+
+
+def _factor_products(model, coords):
+    """For each of u, a and s, the products of its drawn factors of depth
+    < r for r = 1..ceil(h/2)+1.  The depth-r factors are formed as
+    factorize_I1 forms them: the u_mu root lines 1 + Y one at a time in
+    algebra-index order, exp of the a^mu lift, and 1 + the z lift."""
+    alg = model.alg
+    one = model.identity_series()
+    prods = ([one], [one], [one])
+    for r, (uvec, avec, zvec) in enumerate(coords, start=1):
+        lines = []
+        for idx, c in enumerate(uvec):
+            if c:
+                line = alg.zero()
+                line[idx] = c
+                lines.append(_one_plus(model, line, r))
+        a = model.exp_series(model.graded_lift(avec, r))
+        for prod, factors in zip(prods, (lines, [a], [_one_plus(model, zvec, r)])):
+            acc = prod[-1]
+            for f in factors:
+                acc = f if acc is one else model.mul(acc, f)
+            prod.append(acc)
+    return prods
+
+
+def _shallow_difference(model, A, B, r):
+    """The entries of depth <= r of A - B, as a series."""
+    out = model.zero_series()
+    for i, (ablk, bblk) in enumerate(zip(A, B)):
+        for j, (arow, brow) in enumerate(zip(ablk, bblk)):
+            for k, (x, y) in enumerate(zip(arow, brow)):
+                if i * model.h + k - j <= r:
+                    out[i][j][k] = (x - y) % model.p
+    return out
+
+
+def _round_trip_mismatch(model, coords, prods, residual, found):
+    """The first drawn coordinate that factorize_I1's (u, a, s, residual)
+    does not give back, or None.  Each returned factor is read one depth at
+    a time: below depth r it must agree with the product of the drawn
+    factors of depth < r, and at depth r differ from it by the graded lift
+    of the drawn depth-r vector; in the end it must be the whole product."""
+    for part, name in enumerate("uas"):
+        for r, vecs in enumerate(coords, start=1):
+            diff = _shallow_difference(model, found[part], prods[part][r - 1], r)
+            if not model.eq(diff, model.graded_lift(vecs[part], r)):
+                return f"{name}-coordinates at depth {r}"
+        if not model.eq(found[part], prods[part][-1]):
+            return f"{name} beyond depth {len(coords)}"
+    if not model.eq(found[3], residual):
+        return "residual"
+    return None
+
+
 def check_factorization(seed=DEFAULT_SEED, samples=100):
+    """Round trip: g built from random u_mu, a^mu, z and residual
+    coordinates must factorize back to the same coordinates."""
     failures = []
     for n in (2, 3, 4):
         model = GLnModel(n, 7)
         rng = random.Random(seed + n)
         for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
             for _ in range(samples):
-                g = model.random_I1(rng)
+                coords, prods, residual, g = _draw_factorization(model, mu, rng)
                 try:
-                    u, a, s, res = factorize_I1(model, g, mu)
+                    found = factorize_I1(model, g, mu)
                 except VerificationError as exc:
                     failures.append({"n": n, "mu": mu.coords, "what": str(exc)})
                     continue
-                rec = model.mul(model.mul(model.mul(u, a), s), res)
-                if not model.eq(rec, g):
-                    failures.append({"n": n, "mu": mu.coords, "what": "reconstruction"})
+                what = _round_trip_mismatch(model, coords, prods, residual, found)
+                if what:
+                    failures.append({"n": n, "mu": mu.coords, "what": what})
     params = {"n": [2, 3, 4], "p": 7, "samples": samples, "seed": seed}
     return not failures, params, failures or None
 

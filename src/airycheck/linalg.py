@@ -6,9 +6,10 @@ Everything here copies its inputs; nothing is mutated in place.
 
 Callers: Weyl-group and Cartan matrices (`rootdata`), kernels, ranks and
 spans in the Chevalley algebras (`chevalley`), `E_1^r` (`gln_airy`) and the
-depth-r `solve` of `loopmodel.factorize_I1`.  The series arithmetic of the
-GL_n loop group does not come here: `loopmodel.GLnModel` multiplies and
-inverts int residues mod p itself.
+one `rref` per (n, p, mu, r) with which `loopmodel._factor_bases` builds the
+depth-r solve maps of `factorize_I1`.  No factorization sample comes here:
+`loopmodel` applies those maps, and multiplies and inverts GL_n loop-group
+series, on int residues mod p itself.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
 The group-level factorization is implemented in the GL_n matrix model: a
 group element is a list of h+2 matrices of int residues mod p (the t-power
 coefficients).  Series arithmetic works on the residues directly, one fused
-dot product per entry and one reduction mod p; field elements of the
-Chevalley algebra enter and leave only at the Lie <-> group boundary
-(graded lifts, X-tilde and the depth-r components fed to `solve`).
+dot product per entry and one reduction mod p.  In `factorize_I1` field
+elements enter only in `_factor_bases`, which turns the z, a^mu and u_mu
+bases into int solve maps once per (n, p, mu); a sample reads, solves and
+updates on residues alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .chevalley import (
     principal_sl2,
     u_mu_piece,
 )
-from .linalg import solve
+from .linalg import rref
 from .rootdata import Coweight, coxeter_number, get_root_datum, u_mu_roots
 
 
@@ -271,8 +272,11 @@ class GLnModel:
         return best
 
     def in_filtration(self, A, r: int) -> bool:
-        d = self.depth(A)
-        return d is None or d >= r
+        """A - 1 has depth >= r: reads only the entries of depth < r."""
+        p = self.p
+        ones, zeros = _shallow_positions(self.n, r)
+        return (all(A[0][j][j] % p == 1 for j in ones)
+                and not any(A[i][j][k] % p for i, j, k in zeros))
 
     # -- Lie <-> group -----------------------------------------------------
 
@@ -302,14 +306,10 @@ class GLnModel:
         before 1/p! is needed."""
         p = self.p
         out = self.identity_series()
-        term = self.identity_series()
-        k = 0
+        term = [[[x % p for x in row] for row in blk] for blk in Y]  # Y^k, from k = 1
+        k = 1
         fact = 1
-        while True:
-            k += 1
-            term = self.mul(term, Y)
-            if not any(any(map(any, blk)) for blk in term):
-                break
+        while any(any(map(any, blk)) for blk in term):
             if k >= p:
                 raise ValueError("exp series does not terminate before 1/p!")
             fact *= k
@@ -319,6 +319,8 @@ class GLnModel:
                     for c, x in enumerate(trow):
                         if x:
                             orow[c] = (orow[c] + coeff * x) % p
+            k += 1
+            term = self.mul(term, Y)
         return out
 
     @cached_property
@@ -333,9 +335,35 @@ class GLnModel:
         """t^2 * X-tilde = t N^- + E_theta as a series (built once per model)."""
         return [[list(row) for row in blk] for blk in self._x_tilde]
 
+    @cached_property
+    def _x_tilde_entries(self):
+        return [
+            (i, r, c, x)
+            for i, blk in enumerate(self._x_tilde) for r, row in enumerate(blk)
+            for c, x in enumerate(row) if x
+        ]
+
     def stabilizes_x_tilde(self, A) -> bool:
-        X = self._x_tilde
-        return self.eq(self.mul(A, X), self.mul(X, A))
+        """A X = X A for X = t N^- + E_theta, checked as Z X = X Z with
+        Z = A - 1: both products are sparse, so they are summed over the
+        pairs of nonzero entries of Z and X."""
+        N, p = self.N, self.p
+        diff = {}
+        for i, blk in enumerate(A):
+            for r, row in enumerate(blk):
+                for c, z in enumerate(row):
+                    z = (z - (i == 0 and r == c)) % p
+                    if not z:
+                        continue
+                    for i2, r2, c2, x in self._x_tilde_entries:
+                        if i + i2 < N:
+                            if r2 == c:  # z t^i E_rc . x t^i2 E_c c2
+                                key = (i + i2, r, c2)
+                                diff[key] = diff.get(key, 0) + z * x
+                            if c2 == r:  # x t^i2 E_r2 r . z t^i E_rc
+                                key = (i + i2, r2, c)
+                                diff[key] = diff.get(key, 0) - x * z
+        return not any(v % p for v in diff.values())
 
     @cached_property
     def _i1_draws(self):
@@ -377,96 +405,182 @@ def _inverse_mod(M, p):
 
 
 @lru_cache(maxsize=None)
+def _shallow_positions(n, r):
+    """The entries of depth < r of a GL_n series: the t^0 diagonal, which is
+    1 in I(r) for r >= 1, and the (t-power, row, col) of the rest, which are 0."""
+    ones = tuple(range(n)) if r > 0 else ()
+    zeros = tuple(
+        (i, j, k) for i in range(n + 2) for j in range(n) for k in range(n)
+        if i * n + k - j < r and not (i == 0 and j == k)
+    )
+    return ones, zeros
+
+
+@lru_cache(maxsize=None)
 def _factor_bases(model_key, mu_coords):
-    """Per depth r: the (z, a^mu, u_mu) bases, the solve matrix with them as
-    columns, and the (algebra index, t-power, row, col) of every root line
-    of depth r."""
+    """Per depth r, int maps mod p that split the depth-r part of a remainder
+    into its z_r, a_r^mu and u_{mu,r} parts: (reads, consistency, u_lines,
+    a_lift, z_lift).
+
+    A sample is the vector x of the remainder's entries at `reads`, the
+    (t-power, row, col) of the depth-r root lines.  One rref of
+    [colmat | I], with the z, a^mu and u_mu bases as the columns of colmat,
+    gives an invertible E with E colmat reduced.  The rows of E below the
+    rank are the consistency rows: x is in the span exactly when they all
+    annihilate it.  The pivot rows of E give the coordinates that
+    `linalg.solve` picks (the free ones 0); composed with the bases, they
+    give each entry of a part's graded lift as one row over x.  `u_lines`
+    holds the u_mu root lines in algebra-index order, and every entry is a
+    (t-power, row, col, coefficient row).
+    """
     n, p = model_key
     model = GLnModel(n, p)
     alg = model.alg
     mu = Coweight(mu_coords)
     zs = centralizer_z(alg)
+    one, zero = alg.field(1), alg.field(0)
     out = {}
     for r in range(1, (model.h + 1) // 2 + 1):
         zb = zs[r].basis
         ab = a_subspace(alg, r, mu).basis
         ub = u_mu_piece(alg, mu, r).basis
         cols = zb + ab + ub
-        colmat = [[col[i] for col in cols] for i in range(alg.dim)]
-        entries = []
+        lines = {}  # algebra index -> (t-power, row, col) of its depth-r line
         for idx, (ht, rr, cc) in enumerate(model._root_lines):
             i, rem = divmod(r - ht, model.h)
             if rem == 0 and 0 <= i < model.N:
-                entries.append((idx, i, rr, cc))
-        out[r] = (zb, ab, ub, colmat, entries)
+                lines[idx] = (i, rr, cc)
+        aug = [
+            [col[i] for col in cols] + [one if j == i else zero for j in range(alg.dim)]
+            for i in range(alg.dim)
+        ]
+        M, pivots = rref(aug)
+        rank = sum(c < len(cols) for c in pivots)
+        E = [[row[len(cols) + idx].v for idx in lines] for row in M]
+        parts = ({}, {}, {})  # z, a, u: algebra index -> row over x
+        for erow, k in zip(E, pivots[:rank]):
+            part = parts[(k >= len(zb)) + (k >= len(zb) + len(ab))]
+            for idx, b in enumerate(cols[k]):
+                if b:
+                    acc = part.setdefault(idx, [0] * len(lines))
+                    part[idx] = [(y + b.v * e) % p for y, e in zip(acc, erow)]
+
+        def placed(part):
+            rows = []
+            for idx in sorted(part):
+                if any(part[idx]):
+                    if idx not in lines:
+                        raise ValueError(f"a basis vector has no line of depth {r}")
+                    rows.append(lines[idx] + (part[idx],))
+            return rows
+
+        z_lift, a_lift, u_lines = map(placed, parts)
+        consistency = [row for row in E[rank:] if any(row)]
+        out[r] = (list(lines.values()), consistency, u_lines, a_lift, z_lift)
     return out
 
 
-def _one_plus(model: GLnModel, Y):
-    """1 + Y, in place."""
-    for j in range(model.n):
-        Y[0][j][j] = (Y[0][j][j] + 1) % model.p
-    return Y
+def _entries(rows, x, p):
+    """(t-power, row, col, value) of the nonzero entries that the rows give
+    on the sample x."""
+    out = []
+    for i, j, k, row in rows:
+        c = sum(map(operator.mul, row, x)) % p
+        if c:
+            out.append((i, j, k, c))
+    return out
+
+
+def _series(model: GLnModel, entries):
+    """The series with these (t-power, row, col, value) entries."""
+    out = model.zero_series()
+    for i, j, k, c in entries:
+        out[i][j][k] = c
+    return out
+
+
+def _times_one_plus(model: GLnModel, A, entries):
+    """A (1 + Z) in place, Z the sum of c t^i E_jk over the entries
+    (i, j, k, c): column k of block m gains c times column j of the old
+    block m - i."""
+    N, p = model.N, model.p
+    adds = [(m, k, c, [line[j] for line in A[m - i]])
+            for i, j, k, c in entries for m in range(i, N)]
+    for m, k, c, src in adds:
+        for line, x in zip(A[m], src):
+            line[k] = (line[k] + c * x) % p
+    return A
+
+
+def _one_plus_times(model: GLnModel, entries, A):
+    """(1 + Z) A in place: row j of block m gains c times row k of the old
+    block m - i."""
+    N, p = model.N, model.p
+    adds = [(m, j, c, A[m - i][k]) for i, j, k, c in entries for m in range(i, N)]
+    for m, j, c, src in adds:  # rows are replaced, so src keeps the old row
+        A[m][j] = [(y + c * x) % p for y, x in zip(A[m][j], src)]
 
 
 def factorize_I1(model: GLnModel, g, mu: Coweight):
     """g = u * a * s * residual with u in Ad_{t^-mu}U_mu, a a product of
-    depth-r A-factors, s in S(1), residual in I(1 + ceil(h/2))."""
+    depth-r A-factors, s in S(1), residual in I(1 + ceil(h/2)).
+
+    The remainder (u a s)^{-1} g is carried as s^{-1} a^{-1} w with
+    w = u^{-1} g: a root-line factor 1 + Y (Y square-zero, inverse 1 - Y)
+    updates u by a column and w by a row operation, an A-factor exp(Y) has
+    the inverse exp(-Y) and an S-factor 1 + Z the inverse inv(1 + Z).
+    """
     if not model.in_filtration(g, 1):
         raise ValueError("element is not in I(1)")
-    alg = model.alg
+    p = model.p
     half = (model.h + 1) // 2
-    bases = _factor_bases((model.n, model.p), tuple(mu.coords))
+    maps = _factor_bases((model.n, p), tuple(mu.coords))
+    w = [[[x % p for x in row] for row in blk] for blk in g]
     u = model.identity_series()
-    a = model.identity_series()
     s = model.identity_series()
+    a = a_inv = s_inv = None  # None while still the identity
+
+    def remainder():
+        d = w
+        for f in (a_inv, s_inv):
+            if f is not None:
+                d = model.mul(f, d)
+        return d
+
     for r in range(1, half + 1):
-        d = model.mul(model.inv(model.mul(model.mul(u, a), s)), g)
+        d = remainder()
         if not model.in_filtration(d, r):
             raise VerificationError(f"remainder before step {r} is not in I({r})")
-        zb, ab, ub, colmat, entries = bases[r]
-        # depth-r component of d - 1, as a cyclic-degree-r algebra vector
-        X = alg.zero()
-        for idx, i, rr, cc in entries:
-            X[idx] = alg.field(d[i][rr][cc])
-        if zb or ab or ub:
-            sol = solve(colmat, X)
-            if sol is None:
-                raise VerificationError(f"depth-{r} part is not in z + a^mu + u_mu")
-        else:
-            sol = []
-        nz, na = len(zb), len(ab)
-
-        def combine(basis, coeffs):
-            v = alg.zero()
-            for c, b in zip(coeffs, basis):
-                for i, bi in enumerate(b):
-                    if bi:
-                        v[i] = v[i] + c * bi
-            return v
-
-        zvec = combine(zb, sol[:nz])
-        avec = combine(ab, sol[nz:nz + na])
-        uvec = combine(ub, sol[nz + na:])
+        reads, consistency, u_lines, a_lift, z_lift = maps[r]
+        x = [d[i][j][k] for i, j, k in reads]
+        if any(sum(map(operator.mul, row, x)) % p for row in consistency):
+            raise VerificationError(f"depth-{r} part is not in z + a^mu + u_mu")
         # u-part: product of one-parameter root subgroups (each square-zero)
-        for idx, c in enumerate(uvec):
-            if c:
-                line = alg.zero()
-                line[idx] = c
-                u = model.mul(u, _one_plus(model, model.graded_lift(line, r)))
+        for i, j, k, c in _entries(u_lines, x, p):
+            _times_one_plus(model, u, [(i, j, k, c)])
+            _one_plus_times(model, [(i, j, k, p - c)], w)
         # a-part: exp of the graded lift (a t^{-mu}w_P-conjugate of exp(tY))
-        if any(avec):
-            a = model.mul(a, model.exp_series(model.graded_lift(avec, r)))
+        ya = _entries(a_lift, x, p)
+        if ya:
+            e = model.exp_series(_series(model, ya))
+            e_inv = model.exp_series(_series(model, [(i, j, k, p - c) for i, j, k, c in ya]))
+            a = e if a is None else model.mul(a, e)
+            a_inv = e_inv if a_inv is None else model.mul(e_inv, a_inv)
         # s-part: 1 + Z with Z a multiple of E_1^r, which commutes with
         # t N^- + E_theta, so 1 + Z lies in S(r)
-        if any(zvec):
-            sr = _one_plus(model, model.graded_lift(zvec, r))
+        zs = _entries(z_lift, x, p)
+        if zs:
+            sr = _times_one_plus(model, model.identity_series(), zs)
             if not model.stabilizes_x_tilde(sr):
                 raise VerificationError(f"the depth-{r} S-factor does not fix X-tilde")
-            s = model.mul(s, sr)
-    residual = model.mul(model.inv(model.mul(model.mul(u, a), s)), g)
+            sr_inv = model.inv(sr)
+            s_inv = sr_inv if s_inv is None else model.mul(sr_inv, s_inv)
+            _times_one_plus(model, s, zs)
+    residual = remainder()
     if not model.in_filtration(residual, 1 + half):
         raise VerificationError(f"residual is not in I({1 + half})")
+    if a is None:
+        a = model.identity_series()
     return u, a, s, residual
 
 

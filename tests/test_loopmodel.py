@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 import airycheck
-from airycheck.chevalley import a_subspace, build_algebra
+from airycheck import cli
+from airycheck.chevalley import a_subspace, build_algebra, centralizer_z, u_mu_piece
 from airycheck.linalg import inverse, mat_mul
 from airycheck.loopmodel import (
     AffineRootIndex,
@@ -335,3 +337,153 @@ def test_factorization_check_fails_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("failed"), out.stdout
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_in_filtration_agrees_with_depth(n, p):
+    model = GLnModel(n, p)
+    rng = random.Random(7 * n + p)
+    N = model.N
+    positions = [(i, j, k) for i in range(N) for j in range(n) for k in range(n)]
+    depth_of = lambda pos: pos[0] * n + pos[2] - pos[1]
+    for _ in range(40):
+        g = model.identity_series()
+        lowest = rng.randrange(-(n - 1), N * n)
+        for pos in positions:
+            if depth_of(pos) >= lowest and rng.random() < 0.3:
+                i, j, k = pos
+                g[i][j][k] += rng.randrange(1, p) + p * rng.randrange(-1, 2)
+        if rng.random() < 0.3:  # unreduced entries that are still 1 and 0 mod p
+            g[0][0][0] += p
+            g[N - 1][n - 1][0] -= p
+        d = model.depth(g)
+        for r in range(-n, N * n + 2):
+            assert model.in_filtration(g, r) == (d is None or d >= r)
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_stabilizes_x_tilde_matches_series_products(n, p):
+    model = GLnModel(n, p)
+    X = model.x_tilde_t2()
+    rng = random.Random(n * p + 1)
+    zs = centralizer_z(model.alg)
+    samples = [model.random_I1(rng) for _ in range(10)]
+    for r in range(1, n):  # S-factors 1 + c lift(z_r), which must commute
+        for b in zs[r].basis:
+            c = rng.randrange(1, p)
+            sr = model.graded_lift([c * x for x in b], r)
+            for j in range(n):
+                sr[0][j][j] += 1
+            samples.append(sr)
+    seen = set()
+    for g in samples:
+        want = model.eq(model.mul(g, X), model.mul(X, g))
+        assert model.stabilizes_x_tilde(g) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _round_trip_case(n, mu, seed):
+    model = GLnModel(n, 7)
+    coords, prods, residual, g = cli._draw_factorization(model, mu, random.Random(seed))
+    return model, coords, prods, residual, factorize_I1(model, g, mu)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
+    mu = Coweight((1,) + (0,) * (n - 1))
+    model, coords, prods, residual, found = _round_trip_case(n, mu, 5)
+    assert cli._round_trip_mismatch(model, coords, prods, residual, found) is None
+    alg = model.alg
+    corrupted = 0
+    for r in range(1, len(coords) + 1):
+        bases = (u_mu_piece(alg, mu, r).basis, a_subspace(alg, r, mu).basis,
+                 centralizer_z(alg)[r].basis)
+        for part, (name, basis) in enumerate(zip("uas", bases)):
+            for b in basis:  # one coordinate, moved by 1
+                bad = [list(vecs) for vecs in coords]
+                bad[r - 1][part] = [x + y for x, y in zip(bad[r - 1][part], b)]
+                what = cli._round_trip_mismatch(model, bad, prods, residual, found)
+                assert what == f"{name}-coordinates at depth {r}"
+                corrupted += 1
+    assert corrupted >= 4
+    residual[-1][0][0] = (residual[-1][0][0] + 1) % model.p
+    assert cli._round_trip_mismatch(model, coords, prods, residual, found) == "residual"
+
+
+def test_factorization_round_trip_sees_a_changed_factor():
+    mu = Coweight((1, 0, 0, 0))
+    model, coords, prods, residual, found = _round_trip_case(4, mu, 6)
+    u, a, s, res = found
+    deeper = [[list(row) for row in blk] for blk in a]
+    deeper[-1][0][1] = (deeper[-1][0][1] + 1) % model.p  # below every coordinate
+    assert cli._round_trip_mismatch(model, coords, prods, residual, (u, deeper, s, res)) \
+        == "a beyond depth 2"
+    shallow = [[list(row) for row in blk] for blk in s]
+    shallow[0][1][0] = 1  # depth -1: s is no longer in I(1)
+    assert cli._round_trip_mismatch(model, coords, prods, residual, (u, a, shallow, res)) \
+        == "s-coordinates at depth 1"
+
+
+def test_factorize_i1_rank_defect_gl5_f7():
+    # p = 7 < 2h - 1 = 9: z + a^mu + u_mu is not all of g_3 for GL_5, and the
+    # precomputed consistency rows must see it; the raising samples are
+    # those of the solve-per-sample code
+    model = GLnModel(5, 7)
+    rng = random.Random(57)
+    raised = ""
+    for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+        for _ in range(6):
+            g = model.random_I1(rng)
+            try:
+                factorize_I1(model, g, mu)
+                raised += "0"
+            except airycheck.VerificationError as exc:
+                assert str(exc) == "depth-3 part is not in z + a^mu + u_mu"
+                raised += "1"
+    assert raised == "111110111111110111011101011001"
+
+
+@pytest.mark.parametrize("n,digest", [
+    (5, "685243a3860ffe5d613153e69ac85b7da7efc9b0a4f9b06f5dc69baad91d77c1"),
+    (6, "1dcc83d77f836c26ade3fee2828d1c259530a7c243380ede18b66276d330848f"),
+])
+def test_factorize_i1_outputs_pinned_p11(n, digest):
+    # SHA-256 of the (u, a, s, residual) tuples of the solve-per-sample code
+    model = GLnModel(n, 11)
+    rng = random.Random(100 * n + 11)
+    outs = [factorize_I1(model, model.random_I1(rng), mu)
+            for mu in minuscule_coweights(model.rd, degree_window=(0, 0)) for _ in range(3)]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == digest
+
+
+def test_factorize_i1_sample_builds_no_field_element(monkeypatch):
+    from airycheck import arith, loopmodel
+
+    model = GLnModel(4, 7)
+    mu = Coweight((1, 1, 0, 0))
+    rng = random.Random(8)
+    factorize_I1(model, model.random_I1(rng), mu)  # builds the depth-r maps
+    made = []
+    fq = arith._fq
+    monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
+    monkeypatch.setattr(loopmodel, "rref", None)
+    for _ in range(20):
+        factorize_I1(model, model.random_I1(rng), mu)
+    assert made == []
+    assert not hasattr(loopmodel, "solve")
+
+
+def test_factorize_i1_sees_an_s_factor_off_x_tilde(monkeypatch):
+    from airycheck import loopmodel
+
+    model = GLnModel(4, 7)
+    mu = Coweight((0, 0, 0, 0))
+    maps = dict(loopmodel._factor_bases((4, 7), tuple(mu.coords)))
+    reads, consistency, u_lines, a_lift, z_lift = maps[1]
+    i, j, k, row = z_lift[0]  # Z is no longer a multiple of E_1
+    maps[1] = (reads, consistency, u_lines, a_lift, [(i, j, k, [2 * y for y in row])] + z_lift[1:])
+    monkeypatch.setattr(loopmodel, "_factor_bases", lambda key, mu: maps)
+    g = model.random_I1(random.Random(3))
+    with pytest.raises(airycheck.VerificationError, match="depth-1 S-factor does not fix X-tilde"):
+        factorize_I1(model, g, mu)
