@@ -428,6 +428,11 @@ def _add(t: FqTables, a: int, b: int) -> int:
     return t.exp[la + z] if z >= 0 else 0
 
 
+def _mul(t: FqTables, a: int, b: int) -> int:
+    """Index of a * b: g^(log a + log b), read from the doubled exp table."""
+    return t.exp[t.log[a] + t.log[b]] if a and b else 0
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic integers Z[zeta_p].
 

@@ -3,7 +3,10 @@
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
 Floats only enter through the Weil-bound checks.  The sums are loops over
 element indices (`FqElement.v`) that bin counts by trace, read from the
-field's `FqTables`.
+field's `FqTables`.  The brute fiber sum visits every point of
+F_q^{1+n/2}: per m_1 it takes p_1 and p_2 as the affine forms of
+`gln_airy.hecke_forms` and evaluates them on each tail with the index-level
+`arith._mul` and `arith._add`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from .arith import CyclotomicValue, FqField, fq_tables
-from .gln_airy import CharacterParams, f_poly, hecke_p1, hecke_p2, make_params, poly_eval
+from .arith import CyclotomicValue, FqField, _add, _mul, fq_tables
+from .gln_airy import CharacterParams, chi_geometric, f_poly, hecke_forms, make_params, poly_eval
 
 BRUTE_BUDGET = 10 ** 7
 
@@ -143,17 +146,31 @@ def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
 def _brute_table_entries(params: CharacterParams):
     """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for
     every a at once: one pass over all of F_q^{1+n/2}, binning the trace of
-    p_1 by the index of p_2."""
-    if params.field.q ** (1 + params.n // 2) > BRUTE_BUDGET:
-        raise ValueError("brute-force fiber enumeration exceeds budget")
+    p_1 by the index of p_2.
+
+    Per m_1 the Hecke maps are the affine forms of `hecke_forms` in the
+    tail (m_2, ..., m_{1+n/2}); every point is evaluated on element indices,
+    with `_mul` and `_add` reading the field's tables.
+    """
     field, n = params.field, params.n
+    q = field.q
+    if q ** (1 + n // 2) > BRUTE_BUDGET:
+        raise ValueError("brute-force fiber enumeration exceeds budget")
     p = field.p
-    trace = fq_tables(p, field.e).trace
-    els = field.elements()
-    counts = [[0] * p for _ in els]
-    for m in itertools.product(els, repeat=1 + n // 2):
-        counts[hecke_p2(n, field, m).v][trace[hecke_p1(params, m).v]] += 1
-    entries = {a: _counts_to_cyclo(p, c) for a, c in zip(els, counts)}
+    tab = fq_tables(p, field.e)
+    trace = tab.trace
+    tails = list(itertools.product(range(q), repeat=n // 2))
+    counts = [[0] * p for _ in range(q)]
+    for m1 in field.elements():
+        c, w1, w2 = hecke_forms(n, field, m1.v)
+        c = _add(tab, chi_geometric(params, m1).v, c)
+        for tail in tails:
+            a1, a2 = c, 0
+            for x, y1, y2 in zip(tail, w1, w2):
+                a1 = _add(tab, a1, _mul(tab, x, y1))
+                a2 = _add(tab, a2, _mul(tab, x, y2))
+            counts[a2][trace[a1]] += 1
+    entries = {a: _counts_to_cyclo(p, c) for a, c in zip(field.elements(), counts)}
     return entries if n % 2 == 1 else {a: -v for a, v in entries.items()}
 
 

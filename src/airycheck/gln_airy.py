@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import VerificationError
+from .arith import _add, _mul, fq_tables
 from .loopmodel import GLnModel, phi_eval
 
 
@@ -39,10 +40,7 @@ class CharacterParams:
         _require_char(self.field, self.n)
         if len(self.lam) != self.n // 2:
             raise ValueError("lambda vector must have length n/2")
-        # chi_geometric's coefficients and value memo live on the params: the
-        # brute fiber sums evaluate it once per fiber
         object.__setattr__(self, "_chi_geo_coeffs", _chi_geo_coeffs(self))
-        object.__setattr__(self, "_chi_geo_values", {})
 
 
 def make_params(n: int, field, lam) -> CharacterParams:
@@ -172,15 +170,10 @@ def _chi_geo_coeffs(params: CharacterParams):
 
 
 def chi_geometric(params: CharacterParams, m1):
-    """Closed form sum (lambda_r/r) m1^r + (n/(1+n)) m1^{1+n}, memoized
-    on the params object."""
+    """Closed form sum (lambda_r/r) m1^r + (n/(1+n)) m1^{1+n}."""
     field = params.field
     m1 = field(m1) if isinstance(m1, int) else m1
-    values = params._chi_geo_values
-    v = values.get(m1)
-    if v is None:
-        v = values[m1] = poly_eval(field, params._chi_geo_coeffs, m1)
-    return v
+    return poly_eval(field, params._chi_geo_coeffs, m1)
 
 
 def geometric_section(params: CharacterParams, m1):
@@ -193,32 +186,56 @@ def geometric_section(params: CharacterParams, m1):
     return x
 
 
+def hecke_forms(n: int, field, m1: int):
+    """p_1 and p_2 at first coordinate m1, as affine forms in the tail
+    (m_2, ..., m_{1+n/2}), on element indices (`FqElement.v`):
+
+        p_2(m) = -sum_{r=2}^{1+n/2} m_r m1^{n/2-r+1}
+        p_1(m) = chi_geometric(m1) - m1^{n+1} - sum_{r=2}^{1+n/2} m_r m1^{n/2-r+2}
+
+    Returns (c, w1, w2): c is the index of -m1^{n+1}, and w1[r-2], w2[r-2]
+    are those of the coefficients of m_r in p_1 and p_2.  chi_geometric(m1),
+    the only term that depends on lambda, is added by the caller.
+    """
+    _require_even(n)
+    tab = fq_tables(field.p, field.e)
+    if m1:
+        step = tab.log[m1]
+        powers = [tab.exp[step * k % (tab.q - 1)] for k in range(n + 2)]
+    else:
+        powers = [1] + [0] * (n + 1)
+    neg, half = tab.neg, n // 2
+    w1 = [neg[powers[half - i]] for i in range(half)]
+    w2 = [neg[powers[half - 1 - i]] for i in range(half)]
+    return neg[powers[n + 1]], w1, w2
+
+
+def _eval_form(field, c: int, w, m):
+    """The element c + sum_r w[r-2] m_r, with m = (m_1, ..., m_{1+n/2})."""
+    tab = fq_tables(field.p, field.e)
+    for x, y in zip(m[1:], w):
+        c = _add(tab, c, _mul(tab, field(x).v, y))
+    return field.from_index(c)
+
+
 def hecke_p2(n: int, field, m):
-    """p_2(m_1, ..., m_{1+n/2}) = -sum_{r=2}^{1+n/2} m_r m_1^{n/2-r+1}."""
+    """p_2(m_1, ..., m_{1+n/2}), the affine form w2 of `hecke_forms`."""
     _require_even(n)
     if len(m) != 1 + n // 2:
         raise ValueError("m must have length 1 + n/2")
-    powers = [field(1)]
-    for _ in range(n // 2 - 1):
-        powers.append(powers[-1] * m[0])
-    acc = field(0)
-    for r in range(2, n // 2 + 2):
-        acc = acc - m[r - 1] * powers[n // 2 - r + 1]
-    return acc
+    _, _, w2 = hecke_forms(n, field, field(m[0]).v)
+    return _eval_form(field, 0, w2, m)
 
 
 def hecke_p1(params: CharacterParams, m):
-    """p_1(m) = chi_geometric(m_1) - m_1^{n+1} - sum m_r m_1^{n/2-r+2}."""
+    """p_1(m), chi_geometric(m_1) plus the affine form (c, w1) of
+    `hecke_forms`."""
     n, field = params.n, params.field
     if len(m) != 1 + n // 2:
         raise ValueError("m must have length 1 + n/2")
-    powers = [field(1)]
-    for _ in range(n + 1):
-        powers.append(powers[-1] * m[0])
-    acc = chi_geometric(params, m[0]) - powers[n + 1]
-    for r in range(2, n // 2 + 2):
-        acc = acc - m[r - 1] * powers[n // 2 - r + 2]
-    return acc
+    m1 = field(m[0])
+    c, w1, _ = hecke_forms(n, field, m1.v)
+    return chi_geometric(params, m1) + _eval_form(field, c, w1, m)
 
 
 def f_poly(params: CharacterParams):

@@ -304,8 +304,15 @@ class GLnModel:
     def exp_series(self, Y):
         """exp of a positive-depth series; the series must terminate
         before 1/p! is needed."""
-        p = self.p
         out = self.identity_series()
+        for coeff, term in self._exp_terms(Y):
+            _add_scaled(out, coeff, term, self.p)
+        return out
+
+    def _exp_terms(self, Y):
+        """[(1/k! mod p, Y^k) for k = 1, 2, ...] up to the first zero power."""
+        p = self.p
+        terms = []
         term = [[[x % p for x in row] for row in blk] for blk in Y]  # Y^k, from k = 1
         k = 1
         fact = 1
@@ -313,15 +320,10 @@ class GLnModel:
             if k >= p:
                 raise ValueError("exp series does not terminate before 1/p!")
             fact *= k
-            coeff = pow(fact, -1, p)
-            for ob, tb in zip(out, term):
-                for orow, trow in zip(ob, tb):
-                    for c, x in enumerate(trow):
-                        if x:
-                            orow[c] = (orow[c] + coeff * x) % p
+            terms.append((pow(fact, -1, p), term))
             k += 1
             term = self.mul(term, Y)
-        return out
+        return terms
 
     @cached_property
     def _x_tilde(self):
@@ -491,6 +493,26 @@ def _entries(rows, x, p):
     return out
 
 
+def _add_scaled(A, c: int, B, p: int):
+    """A + c B mod p, in place in A."""
+    for ab, bb in zip(A, B):
+        for arow, brow in zip(ab, bb):
+            for j, x in enumerate(brow):
+                if x:
+                    arow[j] = (arow[j] + c * x) % p
+
+
+def _exp_pair(model: GLnModel, Y):
+    """exp(Y) and exp(-Y) from one chain of powers Y^k: the k-th terms
+    differ by the sign (-1)^k."""
+    p = model.p
+    e, e_inv = model.identity_series(), model.identity_series()
+    for k, (coeff, term) in enumerate(model._exp_terms(Y), start=1):
+        _add_scaled(e, coeff, term, p)
+        _add_scaled(e_inv, coeff if k % 2 == 0 else p - coeff, term, p)
+    return e, e_inv
+
+
 def _series(model: GLnModel, entries):
     """The series with these (t-power, row, col, value) entries."""
     out = model.zero_series()
@@ -562,8 +584,7 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         # a-part: exp of the graded lift (a t^{-mu}w_P-conjugate of exp(tY))
         ya = _entries(a_lift, x, p)
         if ya:
-            e = model.exp_series(_series(model, ya))
-            e_inv = model.exp_series(_series(model, [(i, j, k, p - c) for i, j, k, c in ya]))
+            e, e_inv = _exp_pair(model, _series(model, ya))
             a = e if a is None else model.mul(a, e)
             a_inv = e_inv if a_inv is None else model.mul(e_inv, a_inv)
         # s-part: 1 + Z with Z a multiple of E_1^r, which commutes with

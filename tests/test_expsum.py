@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -65,6 +67,71 @@ def test_closed_matches_bruteforce():
     # the per-fiber enumeration agrees entry by entry
     for a in GF(7).elements():
         assert _fiber_sum(params, a) == closed.entries[a]
+
+
+# the trace workload's grid, plus GL_6 over F_11
+BRUTE_GRID = [(2, p, e) for p in (5, 7, 11) for e in (1, 2)] + [(4, 7, 1), (4, 11, 1), (6, 11, 1)]
+
+
+def test_brute_tables_pinned():
+    # SHA-256 of the tables of the enumeration that called hecke_p1 and
+    # hecke_p2 on field elements at every point
+    rng = random.Random(7)
+    rows = []
+    for n, p, e in BRUTE_GRID:
+        field = FqField(p, e)
+        lam = tuple(rng.randrange(p) for _ in range(n // 2))
+        table = hecke_trace_table(make_params(n, field, lam), brute=True)
+        rows.append((n, p, e, lam, [table.entries[a].coeffs for a in field.elements()]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "1694541d2cc4a50ade44a0ba5ad14c6c6d8b9e2c8ca53f4c1be569a48c3a8e06"
+
+
+@pytest.mark.parametrize("n,p,e,lam", [(2, 5, 2, (3,)), (4, 7, 1, (1, 2))])
+def test_brute_kernel_matches_fiber_sum(n, p, e, lam):
+    # e = 2 runs the Zech and negation tables; n = 4 has a two-term tail
+    field = FqField(p, e)
+    params = make_params(n, field, lam)
+    brute = hecke_trace_table(params, brute=True)
+    for a in field.elements():
+        assert _fiber_sum(params, a) == brute.entries[a]
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
+def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
+    # both forms are evaluated at each of the q^{1+n/2} points, and the field
+    # elements made are O(q): the m_1 loop and the entries, none per point
+    from airycheck import arith, expsum
+
+    field = FqField(p, e)
+    params = make_params(n, field, (2,) * (n // 2))
+    made, products = [], []
+    fq, mul = arith._fq, arith._mul
+    monkeypatch.setattr(arith, "_fq", lambda f, v: made.append(v) or fq(f, v))
+    monkeypatch.setattr(expsum, "_mul", lambda t, a, b: products.append(1) or mul(t, a, b))
+    hecke_trace_table(params, brute=True)
+    assert len(products) == n * field.q ** (1 + n // 2)
+    assert len(made) <= 20 * field.q
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (7, 2)])
+def test_brute_table_for_shifted_lambda_differs(p, e):
+    # negative control: the brute side must see a change of character
+    field = FqField(p, e)
+    good = make_params(2, field, (3,))
+    airy = airy_trace_table(f_poly(good), p, e, lam=good.lam)  # no twist at n = 2
+    assert hecke_trace_table(good, brute=True).entries == airy.entries
+    bad = make_params(2, field, (4,))
+    assert hecke_trace_table(bad, brute=True).entries != airy.entries
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_trace_identity_n6(p):
+    rng = random.Random(p)
+    for _ in range(2):
+        lam = tuple(rng.randrange(p) for _ in range(3))
+        v = compare_traces(6, p, 1, lam, brute=True)
+        assert v.ok and v.detail["brute_mismatches"] == 0, v.detail
 
 
 def test_airy_constant_shift():
@@ -184,8 +251,8 @@ def test_brute_budget():
 
 
 def test_brute_table_needs_no_params_equality(monkeypatch):
-    # chi_geometric's memo lives on the params object, so fresh but equal
-    # params never fall back to comparing against an earlier one
+    # chi_geometric's coefficients live on the params object, so fresh but
+    # equal params never fall back to comparing against an earlier one
     calls = []
     eq = CharacterParams.__eq__
 

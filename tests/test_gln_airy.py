@@ -158,6 +158,23 @@ def test_fiber_identity_random():
         assert hecke_p1(params, m) == poly_eval(F, f, m[0]) + m[0] * a
 
 
+@pytest.mark.parametrize("n,p,e", [(2, 5, 2), (4, 7, 2), (6, 11, 1)])
+def test_hecke_maps_match_field_formulas(n, p, e):
+    # hecke_forms works on indices; here both maps are restated with the
+    # field's operators, on every m_1 and random tails
+    F = FqField(p, e)
+    rng = random.Random(n * p + e)
+    params = make_params(n, F, [rng.randrange(p) for _ in range(n // 2)])
+    for m1 in F.elements():
+        for _ in range(4):
+            m = [m1] + [F.from_index(rng.randrange(F.q)) for _ in range(n // 2)]
+            p2 = -sum((m[r - 1] * m1 ** (n // 2 - r + 1) for r in range(2, n // 2 + 2)), F(0))
+            p1 = chi_geometric(params, m1) - m1 ** (n + 1) - sum(
+                (m[r - 1] * m1 ** (n // 2 - r + 2) for r in range(2, n // 2 + 2)), F(0))
+            assert hecke_p2(n, F, m) == p2
+            assert hecke_p1(params, m) == p1
+
+
 def test_f_poly_n4():
     F = GF(11)
     params = make_params(4, F, (1, 0))

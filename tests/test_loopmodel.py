@@ -259,6 +259,44 @@ def test_exp_series_terminates():
     assert g[1][0][1] == model.field(2)
 
 
+@pytest.mark.parametrize("n,p", [(3, 7), (4, 7), (6, 11)])
+def test_exp_pair_is_exp_of_y_and_of_minus_y(n, p, monkeypatch):
+    # one power chain for both exponentials: as many products as one
+    # exp_series, and the same ValueError where exp needs 1/p!
+    from airycheck import loopmodel
+
+    model = GLnModel(n, p)
+    rng = random.Random(n * p)
+    products = []
+    mul = GLnModel.mul
+    monkeypatch.setattr(GLnModel, "mul", lambda self, A, B: products.append(1) or mul(self, A, B))
+    longest = 0
+    for d in range(1, 2 * model.h):  # Y has entries of depth >= d only
+        Y = model.zero_series()
+        for i, blk in enumerate(Y):
+            for j, row in enumerate(blk):
+                for k in range(n):
+                    if i * model.h + k - j >= d and rng.random() < 0.3:
+                        row[k] = rng.randrange(-p, 2 * p)
+        minus = [[[-x for x in row] for row in blk] for blk in Y]
+        try:
+            expected = model.exp_series(Y), model.exp_series(minus)
+        except ValueError:
+            with pytest.raises(ValueError, match="1/p!"):
+                loopmodel._exp_pair(model, Y)
+            continue
+        products.clear()
+        model.exp_series(Y)
+        one_chain = len(products)
+        products.clear()
+        pair = loopmodel._exp_pair(model, Y)
+        assert len(products) == one_chain
+        assert pair == expected
+        assert model.eq(mul(model, pair[0], pair[1]), model.identity_series())
+        longest = max(longest, one_chain)
+    assert longest >= 3
+
+
 def test_factorize_identity():
     model = GLnModel(2, 7)
     mu = Coweight((0, 0))
@@ -328,8 +366,9 @@ print("passed" if ok else "failed", witness and witness[0])
 
 
 def test_factorization_check_fails_under_optimize():
-    # the residual is (u a s)^{-1} g, so u a s res = g holds by construction;
-    # only the depth checks inside factorize_I1 can see the dropped factor
+    # the drawn g and the products the round trip compares with lose their
+    # A-factors while the drawn a-coordinates stay, so the coordinates read
+    # back from factorize_I1 (which does not call exp_series) do not match
     src = os.path.dirname(os.path.dirname(airycheck.__file__))
     out = subprocess.run(
         [sys.executable, "-O", "-c", _IDENTITY_EXP],
