@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import VerificationError
-from .linalg import identity, mat_mul, nullspace, rank, rref, solve
+from .linalg import identity, nullspace, rank, rref, solve
 from .rootdata import (
     Coweight,
     RootDatum,
@@ -301,21 +301,6 @@ class ChevalleyAlgebra:
                     for k, c in row.items():
                         out[k] = out[k] + prod * c
         return out
-
-    def ad(self, x):
-        """Matrix of ad_x acting on coordinate columns."""
-        cols = []
-        for j in range(self.dim):
-            col = self.zero()
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                row = self.table[i].get(j)
-                if row:
-                    for k, c in row.items():
-                        col[k] = col[k] + xi * c
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def kappa(self, x, y):
         acc = self.field(0)
@@ -610,90 +595,6 @@ def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
 # ---------------------------------------------------------------------------
 # Exponentials and the w_P representative.
 
-def _exp_matrix(M, one, max_pow=None):
-    """exp of a nilpotent matrix, exact series."""
-    n = len(M)
-    out = identity(n, one)
-    term = identity(n, one)
-    k = 0
-    while True:
-        k += 1
-        if max_pow is not None and k > max_pow:
-            break
-        term = mat_mul(term, M)
-        if not any(any(row) for row in term):
-            break
-        if k > n:
-            raise ValueError("matrix is not nilpotent")
-        fk = one * 0 + 1
-        for i in range(2, k + 1):
-            fk = fk * i
-        inv = one / fk
-        out = [
-            [o + inv * t for o, t in zip(orow, trow)]
-            for orow, trow in zip(out, term)
-        ]
-    return out
-
-
-def _log_matrix(M, one):
-    """log of a unipotent matrix, exact series."""
-    n = len(M)
-    X = [[m - (one if i == j else one * 0) for j, m in enumerate(row)]
-         for i, row in enumerate(M)]
-    out = [[one * 0] * n for _ in range(n)]
-    term = identity(n, one)
-    k = 0
-    while True:
-        k += 1
-        term = mat_mul(term, X)
-        if not any(any(row) for row in term):
-            break
-        if k > n:
-            raise ValueError("matrix is not unipotent")
-        coeff = one / k if k % 2 else -(one / k)
-        out = [
-            [o + coeff * t for o, t in zip(orow, trow)]
-            for orow, trow in zip(out, term)
-        ]
-    return out
-
-
-def nilpotent_exp(alg: ChevalleyAlgebra, x, band=None):
-    """Group exponential: n x n matrix for GL, Ad-matrix otherwise."""
-    if alg.rd.series == "GL":
-        return _exp_matrix(alg.matrix_of(x), alg.field(1), band)
-    return _exp_matrix(alg.ad(x), alg.field(1), band)
-
-
-def nilpotent_log(alg: ChevalleyAlgebra, u, band=None):
-    """Inverse of nilpotent_exp on unipotent elements."""
-    if alg.rd.series == "GL":
-        return alg.from_matrix(_log_matrix(u, alg.field(1)))
-    ad = _log_matrix(u, alg.field(1))
-    # recover the element from its ad-matrix on the root/Cartan basis
-    rows = []
-    rhs = []
-    basis = identity(alg.dim, alg.field(1))
-    for j in range(alg.dim):
-        col = alg.zero()
-        for i in range(alg.dim):
-            col[i] = ad[i][j]
-        rhs.append(col)
-    # solve [x, b_j] = col_j for x: linear in x
-    A = []
-    bvec = []
-    for j in range(alg.dim):
-        for i in range(alg.dim):
-            A.append([alg.table[k].get(j, {}).get(i, 0) * alg.field(1)
-                      for k in range(alg.dim)])
-            bvec.append(rhs[j][i])
-    x = solve(A, bvec)
-    if x is None:
-        raise ValueError("not in the image of ad")
-    return x
-
-
 def _exp_ad_basis(alg: ChevalleyAlgebra, i: int, t: int, v):
     """exp(t ad b_i) v for t = +-1 and an integral sparse vector v
     ({index: int}), over the integers.
@@ -941,9 +842,6 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
     lam = [f"l{i}" for i in range(len(slots))]
     xs = [f"x{i}" for i in range(len(slots))]
     allvars = tuple(lam + xs)
-
-    def mp_const(c):
-        return MultiPoly.const(allvars, c)
 
     def mp_var(name):
         return MultiPoly.var(allvars, name, field(1))

@@ -45,7 +45,13 @@ from .gln_airy import (
     phi_z_values,
     section_mul,
 )
-from .loopmodel import GLnModel, factorize_I1, stab_affine_roots
+from .loopmodel import (
+    GLnModel,
+    factorize_I1,
+    odd_parahoric_check,
+    phi_generic_check,
+    stab_affine_roots,
+)
 from .rootdata import (
     Coweight,
     alpha_mu,
@@ -324,11 +330,19 @@ def check_stab_dichotomy():
 
 def check_weyl_appendix():
     failures = []
+    odd_h = []
     for series, rank in SUITE_TYPES:
         rd = _suite_datum(series, rank)
         alg = build_algebra(rd, QQ)
+        name = f"{series}{rank}"
+        if not phi_generic_check(alg):
+            failures.append({"type": name, "what": "phi generic"})
+        if alg.h % 2:
+            odd_h.append(name)
+            if not odd_parahoric_check(alg):
+                failures.append({"type": name, "what": "odd parahoric"})
         for mu in minuscule_coweights(rd):
-            tag = {"type": f"{series}{rank}", "mu": mu.coords}
+            tag = {"type": name, "mu": mu.coords}
             if not check_wP_heights(rd, mu):
                 failures.append({**tag, "what": "heights mod h"})
             try:
@@ -343,7 +357,9 @@ def check_weyl_appendix():
                 simple = tuple(1 if j == i else 0 for j in range(rd.n))
                 if weyl_wP0(rd, mu).apply_root(rd.theta) != simple:
                     failures.append({**tag, "what": "w_P0 theta"})
-    return not failures, {"types": [f"{s}{r}" for s, r in SUITE_TYPES]}, failures or None
+    types = [f"{s}{r}" for s, r in SUITE_TYPES]
+    params = {"types": types, "phi_generic": types, "odd_parahoric": odd_h}
+    return not failures, params, failures or None
 
 
 def check_character(seed=DEFAULT_SEED):

@@ -48,40 +48,18 @@ def make_params(n: int, field, lam) -> CharacterParams:
 
 
 # ---------------------------------------------------------------------------
-# E_1 and the Z_r in the loop model.
-
-def e1_matrix(n: int, field):
-    """The cyclic shift sum E_{i,i+1} + E_{n,1}; satisfies E_1^n = Id."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    m = [[field(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = field(1)
-    m[n - 1][0] = field(1)
-    return m
-
+# The Z_r in the loop model.
 
 def z_element(model: GLnModel, r: int):
-    """Z_r as a truncated series: E_1^r split by height, with the
-    height-(r mod n) part at t^floor(r/n) and the wrapped part one higher."""
+    """Z_r as a truncated series: the cyclic shift power E_1^r, whose entry
+    (i, (i+r) mod n) sits at t^((i+r) // n)."""
     n = model.n
     if not 1 <= r <= n + 1:
         raise ValueError("r out of range")
-    from .linalg import mat_mul
-
-    e1 = e1_matrix(n, model.field)
-    er = e1
-    for _ in range(r - 1):
-        er = mat_mul(er, e1)
     out = model.zero_series()
     for i in range(n):
-        for j in range(n):
-            if er[i][j]:
-                # entry height j - i is congruent to r mod n
-                lvl, rem = divmod(r - (j - i), n)
-                if rem:
-                    raise VerificationError(f"E_1^{r} has an entry at height {j - i}")
-                out[lvl][i][j] = er[i][j].v
+        lvl, j = divmod(i + r, n)
+        out[lvl][i][j] = 1
     return out
 
 

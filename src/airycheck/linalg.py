@@ -4,10 +4,11 @@ Matrices are lists of lists of field elements (Fraction, FqElement, ...).
 Elements must support +, -, *, /, unary -, == and truthiness (zero is falsy).
 Everything here copies its inputs; nothing is mutated in place.
 
-Callers: Weyl-group and Cartan matrices (`rootdata`), kernels, ranks and
-spans in the Chevalley algebras (`chevalley`), `E_1^r` (`gln_airy`) and the
-one `rref` per (n, p, mu, r) with which `loopmodel._factor_bases` builds the
-depth-r solve maps of `factorize_I1`.  No factorization sample comes here:
+Callers: Weyl-group matrices and the coroot coordinates of a coweight, one
+`solve` against the transposed Cartan matrix (`rootdata`), kernels, ranks and
+spans in the Chevalley algebras (`chevalley`), and the one `rref` per
+(n, p, mu, r) with which `loopmodel._factor_bases` builds the depth-r solve
+maps of `factorize_I1`.  No factorization sample comes here:
 `loopmodel` applies those maps, and multiplies and inverts GL_n loop-group
 series, on int residues mod p itself.
 """
@@ -118,11 +119,3 @@ def solve(A, b):
         x[pc] = M[r][ncols]
     return x
 
-
-def inverse(A, one):
-    n = len(A)
-    aug = [list(row) + list(e) for row, e in zip(A, identity(n, one))]
-    M, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in M]

@@ -604,22 +604,3 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         a = model.identity_series()
     return u, a, s, residual
 
-
-def exp_product_valuation(model: GLnModel, Y1, Y2, r: int):
-    """Depth of exp(-(Y1+Y2)t) exp(Y1 t) exp(Y2 t); None for the identity.
-
-    Y1, Y2 are algebra vectors (Y1 in a, Y2 in a_r); the t factor makes
-    each exp a terminating series.
-    """
-    def t_embed(v):
-        out = model.zero_series()
-        m = model.alg.matrix_of(v)
-        out[1] = [[x.v for x in row] for row in m]
-        return out
-
-    ysum = [x + y for x, y in zip(Y1, Y2)]
-    g = model.mul(
-        model.inv(model.exp_series(t_embed(ysum))),
-        model.mul(model.exp_series(t_embed(Y1)), model.exp_series(t_embed(Y2))),
-    )
-    return model.depth(g)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import VerificationError
-from .linalg import inverse, mat_mul, mat_vec
+from .linalg import mat_mul, mat_vec, solve
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "GL")
 FORMS = ("sc", "adjoint", "gl")
@@ -246,13 +246,9 @@ class RootDatum:
         """mu as a rational combination of simple coroots, or None for GL."""
         if self.series == "GL":
             return None
-        C = [[Fraction(x) for x in row] for row in self.cartan]
-        Cinv = inverse(C, Fraction(1))
         # mu = sum_i b_i coroot_i with sum_i b_i cartan[i][j] = coords[j]
-        return tuple(
-            sum(Fraction(m) * Cinv[j][i] for j, m in enumerate(mu.coords))
-            for i in range(self.n)
-        )
+        Ct = [[Fraction(row[j]) for row in self.cartan] for j in range(self.n)]
+        return tuple(solve(Ct, [Fraction(m) for m in mu.coords]))
 
     def in_lattice(self, mu: Coweight) -> bool:
         """Whether mu lies in the cocharacter lattice of this form."""

@@ -55,6 +55,18 @@ def test_verify_seed_reaches_checks(capsys):
     assert check["pass"] and check["params"]["seed"] == 7
 
 
+def test_weyl_appendix_report_names_its_sub_checks():
+    # the weyl-appendix entry of the `verify all` report
+    verdict = cli.run_check("weyl-appendix", cli.check_weyl_appendix)
+    (check,) = json.loads(cli.emit_report([verdict]))["checks"]
+    assert check["pass"]
+    params = check["params"]
+    types = [f"{s}{r}" for s, r in cli.SUITE_TYPES]
+    assert params["phi_generic"] == params["types"] == types
+    # the A_2n parahoric comparison needs an odd Coxeter number
+    assert params["odd_parahoric"] == ["A2", "A4", "A6"]
+
+
 def test_verify_stab(capsys):
     code, out, _ = run_capture(capsys, ["verify", "stab"])
     assert code == 0

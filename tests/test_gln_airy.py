@@ -7,7 +7,6 @@ from airycheck.arith import GF, FqField
 from airycheck.gln_airy import (
     chi_eval,
     chi_geometric,
-    e1_matrix,
     exp_section,
     f_poly,
     geometric_section,
@@ -21,20 +20,6 @@ from airycheck.gln_airy import (
     z_element,
 )
 from airycheck.loopmodel import GLnModel
-
-
-def test_e1_matrix():
-    F = GF(7)
-    m = e1_matrix(2, F)
-    assert m == [[F(0), F(1)], [F(1), F(0)]]
-    from airycheck.linalg import identity, mat_mul
-
-    n = 4
-    m = e1_matrix(n, F)
-    power = identity(n, F(1))
-    for _ in range(n):
-        power = mat_mul(power, m)
-    assert power == identity(n, F(1))
 
 
 def test_z_element_levels():

@@ -4,7 +4,6 @@ from fractions import Fraction
 from airycheck.arith import GF
 from airycheck.linalg import (
     identity,
-    inverse,
     mat_mul,
     mat_vec,
     nullspace,
@@ -48,8 +47,6 @@ def test_solve_and_inverse():
     b = [q(3), q(2)]
     x = solve(A, b)
     assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
-    Ainv = inverse(A, q(1))
-    assert mat_mul(A, Ainv) == identity(2, q(1))
     # inconsistent system
     assert solve([[q(1)], [q(2)]], [q(1), q(3)]) is None
 
