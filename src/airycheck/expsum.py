@@ -1,5 +1,10 @@
 """Exact exponential sums: Airy trace tables and Hecke eigenvalue traces.
 
+There are two table builders, and every trace check compares them:
+`airy_trace_table`, Katz's Airy sum in closed form over F_q, and
+`hecke_trace_table`, the Hecke eigenvalue trace as the brute fiber sum
+over the maps p_1, p_2, an oracle independent of the Airy sum.
+
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
 Floats only enter through the Weil-bound checks.  The sums are loops over
 element indices (`FqElement.v`) that bin counts by trace, read from the
@@ -12,9 +17,7 @@ F_q^{1+n/2}: per m_1 it takes p_1 and p_2 as the affine forms of
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 
 from .arith import CyclotomicValue, FqField, _add, _mul, fq_tables
@@ -29,8 +32,8 @@ def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
     return CyclotomicValue(p, [counts[c] - k for c in range(p - 1)])
 
 
-def _trace_sums(field, f_coeffs, scale: int = 1) -> dict:
-    """{t: -scale * sum_{x in F_q} psi(Tr(f(x) + t x))} for every t.
+def _trace_sums(field, f_coeffs) -> dict:
+    """{t: -sum_{x in F_q} psi(Tr(f(x) + t x))} for every t.
 
     Tr(f(x) + t x) = Tr(f(x)) + Tr(t x) mod p, and for x = g^k, t = g^l the
     second term is Tr(g^(k+l)); so each t is one pass that adds two traces
@@ -51,7 +54,7 @@ def _trace_sums(field, f_coeffs, scale: int = 1) -> dict:
         counts[tr_f[0]] += 1  # x = 0
         for a, b in zip(tr_f_by_log, row):
             counts[a + b] += 1
-        folded = [scale * (counts[c] + counts[c + p]) for c in range(p)]
+        folded = [counts[c] + counts[c + p] for c in range(p)]
         entries[t] = -_counts_to_cyclo(p, folded)
     return entries
 
@@ -94,55 +97,6 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
 
-def _read_cached_entries(path: str, key: str, q: int, p: int):
-    """The entry rows stored at `path`, or None unless the file is readable
-    JSON with this key, exactly q entries and p-1 integers in each."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):  # missing, unreadable, or not JSON
-        return None
-    if not isinstance(data, dict) or data.get("key") != key:
-        return None
-    rows = data.get("entries")
-    if not isinstance(rows, list) or len(rows) != q:
-        return None
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == p - 1
-                and all(type(c) is int for c in row)):
-            return None
-    return rows
-
-
-def cached_airy_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
-    """airy_trace_table, consulting the AIRY_CACHE_DIR directory if set.
-
-    A cache file that does not hold exactly this table's shape (key, q
-    entries of length p-1) is rebuilt and rewritten, never trusted.
-    """
-    cache_dir = os.environ.get("AIRY_CACHE_DIR")
-    if not cache_dir:
-        return airy_trace_table(f_coeffs, p, e, lam=lam)
-    key = json.dumps([p, e, [list(c.coeffs) for c in f_coeffs]])
-    import hashlib  # here, not at the top: loading it costs every process ~3 MB
-
-    name = "airy-" + hashlib.sha256(key.encode()).hexdigest()[:24] + ".json"
-    path = os.path.join(cache_dir, name)
-    els = FqField(p, e).elements()
-    rows = _read_cached_entries(path, key, len(els), p)
-    if rows is not None:
-        entries = {t: CyclotomicValue(p, coeffs) for t, coeffs in zip(els, rows)}
-        n = len(f_coeffs) - 2
-        return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
-    table = airy_trace_table(f_coeffs, p, e, lam=lam)
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(
-            {"key": key, "entries": [list(table.entries[t].coeffs) for t in els]}, fh
-        )
-    return table
-
-
 def _brute_table_entries(params: CharacterParams):
     """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for
     every a at once: one pass over all of F_q^{1+n/2}, binning the trace of
@@ -174,20 +128,24 @@ def _brute_table_entries(params: CharacterParams):
     return entries if n % 2 == 1 else {a: -v for a, v in entries.items()}
 
 
-def hecke_trace_table(params: CharacterParams, brute: bool = False) -> TraceTable:
-    q = params.field.q
-    f = f_poly(params)
-    if brute:
-        entries = _brute_table_entries(params)
-    else:
-        entries = _trace_sums(params.field, f, scale=q ** (params.n // 2 - 1))
+def _require_brute(brute):
+    # The closed form of the Hecke trace would be the twisted Airy table
+    # itself, so the brute fiber sum is the only Hecke table; the keyword
+    # stays for callers that pass brute=True (perfbench/workloads.py).
+    if brute is not True:
+        raise ValueError("the Hecke trace table is the brute fiber sum; brute must be True")
+
+
+def hecke_trace_table(params: CharacterParams, brute: bool = True) -> TraceTable:
+    """The Hecke eigenvalue trace at every a, as the brute fiber sum."""
+    _require_brute(brute)
     return TraceTable(
-        q,
+        params.field.q,
         params.n,
         params.lam,
-        tuple(f),
-        entries,
-        "hecke-brute" if brute else "hecke-closed",
+        tuple(f_poly(params)),
+        _brute_table_entries(params),
+        "hecke-brute",
     )
 
 
@@ -198,38 +156,32 @@ class Verdict:
 
 
 def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
-    """Exact cyclotomic comparison of the Hecke eigenvalue trace with the
-    Tate-twisted Airy trace, and (optionally) with the brute-force fiber sum.
-    """
+    """Exact cyclotomic comparison of the Hecke eigenvalue trace, as the
+    brute fiber sum, with the Airy trace twisted by q^{n/2-1}."""
+    _require_brute(brute)
     field = FqField(p, e)
     params = make_params(n, field, lam)
     q = p ** e
-    closed = hecke_trace_table(params)
+    hecke = hecke_trace_table(params)
     airy = airy_trace_table(f_poly(params), p, e, lam=params.lam)
     twist = CyclotomicValue(p, [q ** (n // 2 - 1)] + [0] * (p - 2))
     twisted = airy.scaled(twist, "airy-twisted")
-    mismatches = [a for a in field.elements() if closed.entries[a] != twisted.entries[a]]
+    mismatches = [a for a in field.elements() if hecke.entries[a] != twisted.entries[a]]
     detail = {
         "n": n,
         "p": p,
         "e": e,
         "lambda": [str(x) for x in params.lam],
-        "tate_mismatches": len(mismatches),
+        "brute_mismatches": len(mismatches),
     }
-    ok = not mismatches
-    if brute:
-        brute_tab = hecke_trace_table(params, brute=True)
-        bm = [a for a in field.elements() if closed.entries[a] != brute_tab.entries[a]]
-        detail["brute_mismatches"] = len(bm)
-        ok = ok and not bm
-    return Verdict(ok, detail)
+    return Verdict(not mismatches, detail)
 
 
 def weil_check(table: TraceTable, slack: float = 1e-6) -> Verdict:
     """|entry| <= n sqrt(q) for every entry of an Airy table (up to float
     slack); scaled tables are checked against the scaled bound."""
     bound = table.n * math.sqrt(table.q)
-    if table.provenance in ("hecke-closed", "hecke-brute", "airy-twisted"):
+    if table.provenance in ("hecke-brute", "airy-twisted"):
         bound *= table.q ** (table.n // 2 - 1)
     worst = 0.0
     for v in table.entries.values():

@@ -67,6 +67,20 @@ def test_weyl_appendix_report_names_its_sub_checks():
     assert params["odd_parahoric"] == ["A2", "A4", "A6"]
 
 
+def test_every_acceptance_check_is_a_verify_choice():
+    parser = cli.build_parser()
+    for name, _ in cli.ACCEPTANCE:
+        assert parser.parse_args(["verify", name]).what == name
+        assert cli.VERIFY_MAP[name] == [name]
+
+
+def test_verify_weyl_appendix(capsys):
+    code, out, _ = run_capture(capsys, ["verify", "weyl-appendix"])
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["check"] == "weyl-appendix" and check["pass"]
+
+
 def test_verify_stab(capsys):
     code, out, _ = run_capture(capsys, ["verify", "stab"])
     assert code == 0
@@ -114,10 +128,27 @@ def test_trace_airy(capsys):
 def test_trace_hecke_brute(capsys):
     code, out, _ = run_capture(
         capsys,
-        ["trace", "hecke", "--n", "2", "--prime", "5", "--lambda", "1", "--brute"],
+        ["trace", "hecke", "--n", "2", "--prime", "5", "--lambda", "1"],
     )
     assert code == 0
     assert json.loads(out)["provenance"] == "hecke-brute"
+
+
+def test_trace_brute_flag_removed(capsys):
+    code, _, _ = run_capture(
+        capsys,
+        ["trace", "hecke", "--n", "2", "--prime", "5", "--lambda", "1", "--brute"],
+    )
+    assert code == 2
+
+
+def test_trace_hecke_over_budget(capsys):
+    # 223^3 points exceed the brute fiber sum's budget
+    code, out, err = run_capture(
+        capsys, ["trace", "hecke", "--n", "4", "--prime", "223", "--lambda", "1,0"]
+    )
+    assert code == 2
+    assert "error" in err and out == ""
 
 
 def test_compare(capsys):
