@@ -362,40 +362,54 @@ def check_weyl_appendix():
     return not failures, params, failures or None
 
 
+# what check_character runs: the exp/log round trips (n, p, samples), the
+# additivity pairs (n, p, lambda, pairs), the chi_geometric fields
+# (p, e, n, lambda) and the phi(Z) models (n, p)
+CHI_ROUNDTRIPS = ((2, 11, 500), (4, 11, 500))
+CHI_ADDITIVITY = (4, 7, (1, 2), 1000)
+CHI_GEOMETRIC = ((7, 1, 2, (3,)), (11, 1, 4, (2, 3)), (7, 2, 2, (1,)), (11, 2, 4, (1, 0)))
+PHI_Z_MODELS = ((2, 7), (4, 7), (4, 11))
+
+
 def check_character(seed=DEFAULT_SEED):
     failures = []
     rng = random.Random(seed)
-    F11 = GF(11)
-    for n in (2, 4):
-        for _ in range(500):
-            y = [F11(rng.randrange(11)) for _ in range(n + 1)]
-            if log_section(n, F11, exp_section(n, F11, y)) != y:
+    for n, p, samples in CHI_ROUNDTRIPS:
+        F = GF(p)
+        for _ in range(samples):
+            y = [F(rng.randrange(p)) for _ in range(n + 1)]
+            if log_section(n, F, exp_section(n, F, y)) != y:
                 failures.append({"n": n, "what": "roundtrip"})
                 break
-    params = make_params(4, GF(7), (1, 2))
-    F7 = GF(7)
-    for _ in range(1000):
-        a = [F7(rng.randrange(7)) for _ in range(5)]
-        b = [F7(rng.randrange(7)) for _ in range(5)]
-        if chi_eval(params, section_mul(4, F7, a, b)) != chi_eval(params, a) + chi_eval(params, b):
+    n, p, lam, pairs = CHI_ADDITIVITY
+    F = GF(p)
+    params = make_params(n, F, lam)
+    for _ in range(pairs):
+        a = [F(rng.randrange(p)) for _ in range(n + 1)]
+        b = [F(rng.randrange(p)) for _ in range(n + 1)]
+        if chi_eval(params, section_mul(n, F, a, b)) != chi_eval(params, a) + chi_eval(params, b):
             failures.append({"what": "additivity"})
             break
-    for field, n, lam in (
-        (GF(7), 2, (3,)),
-        (GF(11), 4, (2, 3)),
-        (FqField(7, 2), 2, (1,)),
-        (FqField(11, 2), 4, (1, 0)),
-    ):
+    for p, e, n, lam in CHI_GEOMETRIC:
+        field = FqField(p, e)
         prm = make_params(n, field, lam)
         for m1 in field.elements():
             if chi_geometric(prm, m1) != chi_eval(prm, geometric_section(prm, m1)):
                 failures.append({"n": n, "q": field.q, "what": "geometric"})
                 break
-    for n, p in ((2, 7), (4, 7), (4, 11)):
+    for n, p in PHI_Z_MODELS:
         vals = phi_z_values(GLnModel(n, p))
         if any(vals[:-1]) or vals[-1] != GF(p)(n):
             failures.append({"n": n, "p": p, "what": "phi(Z)"})
-    return not failures, {"n": [2, 4], "seed": seed}, failures or None
+    params = {
+        "n": [n for n, _, _ in CHI_ROUNDTRIPS],
+        "seed": seed,
+        "roundtrip": [{"n": n, "p": p, "samples": k} for n, p, k in CHI_ROUNDTRIPS],
+        "additivity": dict(zip(("n", "p", "lambda", "pairs"), CHI_ADDITIVITY)),
+        "geometric": [{"q": p ** e, "n": n, "lambda": lam} for p, e, n, lam in CHI_GEOMETRIC],
+        "phi_z": [{"n": n, "p": p} for n, p in PHI_Z_MODELS],
+    }
+    return not failures, params, failures or None
 
 
 def check_s1_graph(seed=DEFAULT_SEED):
@@ -520,6 +534,9 @@ def cmd_verify(args):
         for n, fn in ACCEPTANCE
         if n in wanted
     ]
+    for v in verdicts:
+        if not v["pass"]:  # the one command that reruns this check alone
+            v["repro"] = f"airycheck --seed {args.seed} verify {v['check']}"
     print(emit_report(verdicts, seed=args.seed))
     return 0 if all(v["pass"] for v in verdicts) else 1
 

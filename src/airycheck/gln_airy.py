@@ -4,14 +4,20 @@ The abelianization S(1)/S(2+n) is modelled by vectors x = (x_1, ..., x_{1+n})
 standing for Id + sum x_r Z_r, where Z_r is the loop-group incarnation of the
 cyclic shift power E_1^r and Z_i Z_j = Z_{i+j} (zero past n+1).  All scalars
 live in a caller-supplied field context, an FqField(p, e) (GF(p) for e = 1).
+
+The arithmetic runs on element indices (`FqElement.v`) with the field's
+tables (`arith._mul`, `arith._add`): the section algebra and chi take field
+elements, compute on their indices and build field elements only for the
+result, and the Hecke maps are affine forms with index coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import VerificationError
-from .arith import _add, _mul, fq_tables
+from .arith import FqElement, _add, _mul, fq_tables
 from .loopmodel import GLnModel, phi_eval
 
 
@@ -75,66 +81,96 @@ def phi_z_values(model: GLnModel):
 
 
 # ---------------------------------------------------------------------------
-# The section algebra F[Z]/(Z^{n+2}).
+# The section algebra F[Z]/(Z^{n+2}), on element indices.
+#
+# A section vector enters as field elements and leaves as field elements;
+# in between every coefficient is its index in F_q (`FqElement.v`) and the
+# arithmetic is `_mul`/`_add` on the field's tables.
 
-def _trunc_mul(n, field, a, b):
-    """Multiply two x-vectors of Z-coefficients (index r-1 <-> Z_r)."""
-    out = [field(0)] * (n + 1)
+def _indices(field, xs):
+    """The indices of the elements xs of `field` (ints are read as field(x))."""
+    t = field._tables
+    return [x.v if x.__class__ is FqElement and x.field._tables is t else field(x).v for x in xs]
+
+
+def _elements(field, vs):
+    return [field.from_index(v) for v in vs]
+
+
+def _trunc_mul(tab, n, a, b):
+    """X Y for index vectors of Z-coefficients (index r-1 <-> Z_r); the
+    terms past Z_{n+1} are dropped."""
+    out = [0] * (n + 1)
     for i, x in enumerate(a):
         if not x:
             continue
-        for j, y in enumerate(b):
-            if i + j + 2 <= n + 1 and y:
-                out[i + j + 1] = out[i + j + 1] + x * y
+        for j, y in enumerate(b[:n - i]):
+            if y:
+                out[i + j + 1] = _add(tab, out[i + j + 1], _mul(tab, x, y))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _series_coeffs(p: int, n: int):
+    """The indices of 1/r! and of (-1)^{r+1}/r for r = 1..n+1.  They lie in
+    F_p, where an element's index is its value, so they are the same in
+    every F_{p^e}."""
+    fact, exp_c, log_c = 1, [], []
+    for r in range(1, n + 2):
+        fact *= r
+        exp_c.append(pow(fact, -1, p))
+        log_c.append(pow(r, -1, p) if r % 2 else p - pow(r, -1, p))
+    return exp_c, log_c
+
+
+def _power_series(tab, n, coeffs, x):
+    """sum_{r=1}^{n+1} coeffs[r-1] X^r, all on indices."""
+    out = [0] * (n + 1)
+    power = x
+    for r, c in enumerate(coeffs, start=1):
+        for i, v in enumerate(power):
+            if v:
+                out[i] = _add(tab, out[i], _mul(tab, c, v))
+        if r <= n:
+            power = _trunc_mul(tab, n, power, x)
     return out
 
 
 def section_mul(n, field, a, b):
     """Group law on Id + sum x_r Z_r vectors."""
-    out = [x + y for x, y in zip(a, b)]
-    prod = _trunc_mul(n, field, a, b)
-    return [x + y for x, y in zip(out, prod)]
+    tab = field._tables
+    a, b = _indices(field, a), _indices(field, b)
+    prod = _trunc_mul(tab, n, a, b)
+    return _elements(field, [_add(tab, _add(tab, x, y), z) for x, y, z in zip(a, b, prod)])
 
 
 def exp_section(n, field, y):
     """Id + sum_{r=1}^{1+n} X^r / r! for X = sum y_r Z_r."""
     _require_char(field, n)
-    out = [field(0)] * (n + 1)
-    power = list(y)
-    fact = field(1)
-    for r in range(1, n + 2):
-        fact = fact * r if r > 1 else fact
-        inv = field(1) / fact
-        for i, c in enumerate(power):
-            out[i] = out[i] + inv * c
-        power = _trunc_mul(n, field, power, y)
-    return out
+    coeffs = _series_coeffs(field.p, n)[0]
+    return _elements(field, _power_series(field._tables, n, coeffs, _indices(field, y)))
 
 
 def log_section(n, field, x):
     """sum_{r=1}^{1+n} (-1)^{r+1} X^r / r for X = H - Id."""
     _require_char(field, n)
-    out = [field(0)] * (n + 1)
-    power = list(x)
-    for r in range(1, n + 2):
-        coeff = field(1) / field(r) if r % 2 == 1 else -(field(1) / field(r))
-        for i, c in enumerate(power):
-            out[i] = out[i] + coeff * c
-        power = _trunc_mul(n, field, power, x)
-    return out
+    coeffs = _series_coeffs(field.p, n)[1]
+    return _elements(field, _power_series(field._tables, n, coeffs, _indices(field, x)))
 
 
 # ---------------------------------------------------------------------------
 # The character chi and the Hecke-kernel maps.
 
 def chi_eval(params: CharacterParams, x):
-    """chi(Id + sum x_r Z_r) = sum_{r<=n/2} lambda_r y_r + n y_{1+n}."""
+    """chi(Id + sum x_r Z_r) = sum_{r<=n/2} lambda_r y_r + n y_{1+n}, with
+    y = log of the section, run on indices."""
     n, field = params.n, params.field
-    y = log_section(n, field, x)
-    acc = field(0)
-    for r in range(1, n // 2 + 1):
-        acc = acc + params.lam[r - 1] * y[r - 1]
-    return acc + field(n) * y[n]
+    tab = field._tables
+    y = _power_series(tab, n, _series_coeffs(field.p, n)[1], _indices(field, x))
+    acc = _mul(tab, n % field.p, y[n])
+    for lam, v in zip(_indices(field, params.lam), y):
+        acc = _add(tab, acc, _mul(tab, lam, v))
+    return field.from_index(acc)
 
 
 def _chi_geo_coeffs(params: CharacterParams):

@@ -211,43 +211,50 @@ class GLnModel:
         return g
 
     def mul(self, A, B):
-        """Block k of the product is sum_{i+j=k} A_i B_j: entry (r, c) is one
-        dot product of row r of A_0..A_k against column c of B_k..B_0, with
-        the zero blocks of A below its first and above its last nonzero
-        block left out."""
-        n, N, p = self.n, self.N, self.p
-        nz = [i for i, blk in enumerate(A) if any(map(any, blk))]
+        """The product series A B."""
+        return self._mul(A, B, self.N)
+
+    def _mul(self, A, B, blocks: int):
+        """Blocks 0..blocks-1 of A B.  Block k is sum_{i+j=k} A_i B_j: entry
+        (r, c) is one dot product of row r of A_0..A_k against column c of
+        B_k..B_0, with the zero blocks of A below its first and above its
+        last nonzero block left out."""
+        n, p = self.n, self.p
+        nz = [i for i, blk in enumerate(A[:blocks]) if any(map(any, blk))]
         if not nz:
-            return self.zero_series()
+            return [[[0] * n for _ in range(n)] for _ in range(blocks)]
         lo, hi = nz[0], nz[-1] + 1
-        # row r of A_lo..A_{hi-1} concatenated; column c of B_{N-1}..B_0
+        # row r of A_lo..A_{hi-1} concatenated; column c of B_{blocks-1}..B_0
         rows = [list(chain.from_iterable(rs)) for rs in zip(*A[lo:hi])]
-        cols = [list(c) for c in zip(*[row for blk in reversed(B) for row in blk])]
+        cols = [list(c) for c in zip(*[row for blk in reversed(B[:blocks]) for row in blk])]
         out = [[[0] * n for _ in range(n)] for _ in range(lo)]
-        for k in range(lo, N):
-            off = n * (N - 1 - k + lo)
+        for k in range(lo, blocks):
+            off = n * (blocks - 1 - k + lo)
             ck = [col[off:] for col in cols]
             out.append([[sum(map(operator.mul, row, col)) % p for col in ck] for row in rows])
         return out
 
     def inv(self, A):
         """Inverse series: Gauss-Jordan on the t^0 block, then
-        B_k = -A_0^{-1} sum_{i=1..k} A_i B_{k-i}."""
+        B_k = sum_{i=1..k} C_i B_{k-i} with C_i = -A_0^{-1} A_i, summed over
+        the nonzero A_i only."""
         n, N, p = self.n, self.N, self.p
         inv0 = _inverse_mod(A[0], p)
         neg = [[-x for x in row] for row in inv0]
-        # C_i = -A_0^{-1} A_i, so that B_k = sum_{i=1..k} C_i B_{k-i}
-        C = [None]
-        for blk in A[1:]:
-            bcols = list(zip(*blk))
-            C.append([[sum(map(operator.mul, row, col)) % p for col in bcols] for row in neg])
-        rows = [[] for _ in range(n)]  # row r of C_1..C_k
-        cols = [[] for _ in range(n)]  # column c of B_{k-1}..B_0
+        C = {
+            i: [[sum(map(operator.mul, row, col)) % p for col in zip(*A[i])] for row in neg]
+            for i in range(1, N) if any(map(any, A[i]))
+        }
+        live = []  # the i <= k with C_i nonzero
+        rows = [[] for _ in range(n)]  # row r of the live C_i, concatenated
         out = [inv0]
         for k in range(1, N):
-            for r in range(n):
-                rows[r] += C[k][r]
-            cols = [[row[c] for row in out[-1]] + cols[c] for c in range(n)]
+            if k in C:
+                live.append(k)
+                for r in range(n):
+                    rows[r] += C[k][r]
+            # column c of the B_{k-i} for the live i, in the same order
+            cols = [[row[c] for i in live for row in out[k - i]] for c in range(n)]
             out.append([[sum(map(operator.mul, row, col)) % p for col in cols] for row in rows])
         return out
 
@@ -562,15 +569,17 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     s = model.identity_series()
     a = a_inv = s_inv = None  # None while still the identity
 
-    def remainder():
+    def remainder(blocks):
         d = w
         for f in (a_inv, s_inv):
             if f is not None:
-                d = model.mul(f, d)
+                d = model._mul(f, d, blocks)
         return d
 
     for r in range(1, half + 1):
-        d = remainder()
+        # the step reads only entries of depth <= r <= h; an entry at t^i
+        # has depth at least i h - (h - 1), so these lie in blocks 0 and 1
+        d = remainder(2)
         if not model.in_filtration(d, r):
             raise VerificationError(f"remainder before step {r} is not in I({r})")
         reads, consistency, u_lines, a_lift, z_lift = maps[r]
@@ -597,7 +606,7 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
             sr_inv = model.inv(sr)
             s_inv = sr_inv if s_inv is None else model.mul(sr_inv, s_inv)
             _times_one_plus(model, s, zs)
-    residual = remainder()
+    residual = remainder(model.N)
     if not model.in_filtration(residual, 1 + half):
         raise VerificationError(f"residual is not in I({1 + half})")
     if a is None:

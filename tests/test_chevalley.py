@@ -159,6 +159,17 @@ def test_decomposition_small():
                 assert decomposition_check(alg, mu, r)
 
 
+def test_decomposition_fails_below_the_characteristic_bound():
+    # adjoint A3 has h = 4, so the bound is p >= 2h - 1 = 7: over F_5 the
+    # depth-3 sum z_3 + a_3^mu + u_{mu,3} is rank-deficient for every
+    # minuscule mu, over F_7 it is all of g_3
+    rd = get_root_datum("A", 3, "adjoint")
+    for p, verdicts in ((5, [True, True, False]), (7, [True, True, True])):
+        alg = build_algebra(rd, GF(p))
+        for mu in minuscule_coweights(rd):
+            assert [decomposition_check(alg, mu, r) for r in range(1, alg.h)] == verdicts
+
+
 def test_u_mu_piece_trivial_mu():
     rd = get_root_datum("A", 2, "sc")
     alg = build_algebra(rd)

@@ -170,3 +170,46 @@ def test_compare_odd_n(capsys):
 def test_acceptance_names():
     names = [n for n, _ in cli.ACCEPTANCE]
     assert len(names) == 12 and len(set(names)) == 12
+
+
+def _failing_swan(monkeypatch):
+    failing = lambda: (False, {"types": ["A1"]}, [{"type": "A1"}])
+    monkeypatch.setattr(cli, "ACCEPTANCE", [
+        (name, failing if name == "swan-identity" else fn) for name, fn in cli.ACCEPTANCE
+    ])
+
+
+def test_failing_verdict_carries_a_repro_command(monkeypatch, capsys):
+    _failing_swan(monkeypatch)
+    code, out, _ = run_capture(capsys, ["--seed", "5", "verify", "dim"])
+    assert code == 1
+    checks = {v["check"]: v for v in json.loads(out)["checks"]}
+    assert "repro" not in checks["dim-and-components"]  # it passed
+    repro = checks["swan-identity"]["repro"]
+    assert repro == "airycheck --seed 5 verify swan-identity"
+    prog, *argv = repro.split()
+    assert prog == "airycheck"
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["check"] == "swan-identity" and check["repro"] == repro
+
+
+def test_character_machinery_params_list_what_ran(capsys):
+    code, out, _ = run_capture(capsys, ["--seed", "3", "verify", "character-machinery"])
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["pass"] and "repro" not in check
+    assert check["params"] == {
+        "n": [2, 4],
+        "seed": 3,
+        "roundtrip": [{"n": 2, "p": 11, "samples": 500}, {"n": 4, "p": 11, "samples": 500}],
+        "additivity": {"n": 4, "p": 7, "lambda": [1, 2], "pairs": 1000},
+        "geometric": [
+            {"q": 7, "n": 2, "lambda": [3]},
+            {"q": 11, "n": 4, "lambda": [2, 3]},
+            {"q": 49, "n": 2, "lambda": [1]},
+            {"q": 121, "n": 4, "lambda": [1, 0]},
+        ],
+        "phi_z": [{"n": 2, "p": 7}, {"n": 4, "p": 7}, {"n": 4, "p": 11}],
+    }

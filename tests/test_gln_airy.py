@@ -176,3 +176,84 @@ def test_invalid_params():
         make_params(4, GF(5), (1, 0))  # p <= n + 1
     with pytest.raises(ValueError):
         make_params(4, GF(11), (1,))  # wrong lambda length
+
+
+# The section kernels run on element indices; these restate them with the
+# field's operators, as the code before the index kernels computed them.
+
+def _oracle_trunc_mul(n, F, a, b):
+    out = [F(0)] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j + 1 <= n:
+                out[i + j + 1] = out[i + j + 1] + x * y
+    return out
+
+
+def _oracle_series(n, F, coeff, x):
+    """sum_{r=1}^{n+1} coeff(r) X^r."""
+    out, power = [F(0)] * (n + 1), list(x)
+    for r in range(1, n + 2):
+        out = [o + coeff(r) * c for o, c in zip(out, power)]
+        power = _oracle_trunc_mul(n, F, power, x)
+    return out
+
+
+def _oracle_exp(n, F, y):
+    fact = lambda r: F(1) if r == 0 else fact(r - 1) * r
+    return _oracle_series(n, F, lambda r: F(1) / fact(r), y)
+
+
+def _oracle_log(n, F, x):
+    return _oracle_series(n, F, lambda r: F((-1) ** (r + 1)) / F(r), x)
+
+
+def _oracle_chi(params, x):
+    n, F = params.n, params.field
+    y = _oracle_log(n, F, x)
+    return sum((lam * v for lam, v in zip(params.lam, y)), F(0)) + F(n) * y[n]
+
+
+# GF(7), GF(11), F_25, F_49 for n = 2, 4, 6, where the section needs p > n + 1
+ORACLE_CASES = [(n, p, e) for n in (2, 4, 6) for p, e in ((7, 1), (11, 1), (5, 2), (7, 2))
+                if p > n + 1]
+
+
+@pytest.mark.parametrize("n,p,e", ORACLE_CASES)
+def test_section_kernels_match_field_operators(n, p, e):
+    F = FqField(p, e)
+    rng = random.Random(31 * n + 7 * p + e)
+    params = make_params(n, F, [rng.randrange(p) for _ in range(n // 2)])
+    # dense vectors, sparse ones and the zero vector
+    vec = lambda density: [F.from_index(rng.randrange(F.q)) if rng.random() < density else F(0)
+                           for _ in range(n + 1)]
+    for density in [1.0] * 20 + [0.3] * 20 + [0.0]:
+        a, b = vec(density), vec(density)
+        assert section_mul(n, F, a, b) == [x + y + z for x, y, z in zip(a, b, _oracle_trunc_mul(n, F, a, b))]
+        assert exp_section(n, F, a) == _oracle_exp(n, F, a)
+        assert log_section(n, F, a) == _oracle_log(n, F, a)
+        assert chi_eval(params, a) == _oracle_chi(params, a)
+
+
+def test_section_kernels_build_field_elements_only_at_exit(monkeypatch):
+    # entry reads .v and exit builds one element per output coefficient:
+    # the power loop itself builds none
+    from airycheck import arith
+
+    n, F = 4, FqField(7, 2)
+    params = make_params(n, F, (1, 2))
+    rng = random.Random(12)
+    a, b = ([F.from_index(rng.randrange(F.q)) for _ in range(n + 1)] for _ in range(2))
+    exp_section(n, F, a)  # fills the per-(p, n) coefficient cache
+    made = []
+    fq = arith._fq
+    monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
+    for kernel, outputs in (
+        (lambda: section_mul(n, F, a, b), n + 1),
+        (lambda: exp_section(n, F, a), n + 1),
+        (lambda: log_section(n, F, a), n + 1),
+        (lambda: chi_eval(params, a), 1),
+    ):
+        made.clear()
+        kernel()
+        assert len(made) == outputs

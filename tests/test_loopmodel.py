@@ -233,15 +233,56 @@ def test_mul_associative(n, p):
         assert model.mul(model.mul(A, B), C) == model.mul(A, model.mul(B, C))
 
 
+def _one_block_above_t0(model, rng, k):
+    """A unit whose only nonzero block above t^0 is at t^k."""
+    g = model.zero_series()
+    g[0] = _random_unit(model, rng)[0]
+    g[k] = _random_series(model, rng)[k]
+    g[k][0][0] = g[k][0][0] or 1
+    return g
+
+
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_inv_two_sided(n, p):
+    # inv sums only over the nonzero blocks above t^0, hence the sparse units
     model = GLnModel(n, p)
     rng = random.Random(200 + 10 * n + p)
     one = model.identity_series()
-    for g in [_random_unit(model, rng) for _ in range(5)] + [model.random_I1(rng)]:
+    units = [_random_unit(model, rng) for _ in range(5)] + [model.random_I1(rng)]
+    units += [_one_block_above_t0(model, rng, k) for k in (1, 2, model.N - 1)]
+    for g in units:
         h = model.inv(g)
         assert model.mul(g, h) == one
         assert model.mul(h, g) == one
+
+
+@pytest.mark.parametrize("n,p", [(4, 7), (5, 11)])
+def test_inv_two_sided_on_s_factors(n, p):
+    # the S-factors 1 + Z of factorize_I1, Z read off a sample by z_lift
+    model = GLnModel(n, p)
+    rng = random.Random(n * p)
+    one = model.identity_series()
+    maps = loopmodel._factor_bases((n, p), (0,) * n)
+    for reads, _, _, _, z_lift in maps.values():
+        for _ in range(3):
+            x = [rng.randrange(p) for _ in reads]
+            s = loopmodel._times_one_plus(model, model.identity_series(),
+                                          loopmodel._entries(z_lift, x, p))
+            h = model.inv(s)
+            assert model.mul(s, h) == one
+            assert model.mul(h, s) == one
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_mul_blocks_is_a_prefix_of_the_product(n, p):
+    model = GLnModel(n, p)
+    rng = random.Random(500 + 10 * n + p)
+    A, B = _random_series(model, rng), _random_series(model, rng)
+    A[0] = A[1] = [[0] * n for _ in range(n)]  # leading zero blocks
+    for blocks in range(1, model.N + 1):
+        prefix = model.mul(A, B)[:blocks]
+        assert model._mul(A, B, blocks) == prefix
+        assert model._mul(A, B[:blocks], blocks) == prefix
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
@@ -532,3 +573,25 @@ def test_factorize_i1_sees_an_s_factor_off_x_tilde(monkeypatch):
     g = model.random_I1(random.Random(3))
     with pytest.raises(airycheck.VerificationError, match="depth-1 S-factor does not fix X-tilde"):
         factorize_I1(model, g, mu)
+
+
+def test_factorize_i1_sees_a_shallow_entry_in_block_1(monkeypatch):
+    # before step 2 the remainder is computed in blocks 0 and 1 only; an
+    # inverse S-factor off by t E_{n-1,0} puts a depth-1 entry in block 1
+    model = GLnModel(4, 7)
+    mu = Coweight((1, 0, 0, 0))
+    g = model.random_I1(random.Random(1))  # its step 1 has an S-factor
+    factorize_I1(model, g, mu)
+    inv = model.inv
+    calls = []
+
+    def off_by_one(A):
+        B = inv(A)
+        calls.append(B)
+        B[1][model.n - 1][0] = (B[1][model.n - 1][0] + 1) % model.p
+        return B
+
+    monkeypatch.setattr(model, "inv", off_by_one)
+    with pytest.raises(airycheck.VerificationError, match=r"remainder before step 2 is not in I\(2\)"):
+        factorize_I1(model, g, mu)
+    assert len(calls) == 1  # the step-1 S-factor
