@@ -29,10 +29,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def QQ(v) -> Fraction:
-    return Fraction(v)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over F_p (coefficient lists, low degree first) and F_{p^e}.
 
@@ -90,8 +86,6 @@ def _poly_gcd(a, b, p):
         for i in range(db + 1):
             a[da - db + i] = (a[da - db + i] - c * b[i]) % p
         a, b = b, a[: deg(a) + 1] or [0]
-        a, b = b, a  # undo the swap; keep reducing a by b
-        a, b = b, a
     return a[: deg(a) + 1] or [0]
 
 
@@ -262,9 +256,6 @@ class FqField:
             return self(v.numerator) / self(v.denominator)
         return _fq(self, v % self.p)
 
-    def from_coeffs(self, coeffs) -> "FqElement":
-        return FqElement(self, coeffs)
-
     def from_index(self, idx: int) -> "FqElement":
         return _fq(self, idx % self.q)
 
@@ -295,13 +286,6 @@ class FqElement:
     """
 
     __slots__ = ("field", "v")
-
-    def __init__(self, field: FqField, coeffs):
-        c = [x % field.p for x in coeffs]
-        if len(c) > field.e:
-            c = _poly_mod(c, list(field.modulus), field.p)
-        self.field = field
-        self.v = _index(c, field.p)
 
     @property
     def coeffs(self):
@@ -403,9 +387,6 @@ class FqElement:
     def __bool__(self):
         return self.v != 0
 
-    def frobenius(self) -> "FqElement":
-        return self ** self.field.p
-
     def trace(self) -> int:
         """Field trace down to F_p, returned as an integer in [0, p)."""
         return self.field._tables.trace[self.v]
@@ -453,10 +434,6 @@ class CyclotomicValue:
     @classmethod
     def zero(cls, p: int):
         return cls(p)
-
-    @classmethod
-    def one(cls, p: int):
-        return cls(p, (1,) + (0,) * (p - 2))
 
     @classmethod
     def zeta_pow(cls, p: int, k: int):
@@ -635,9 +612,6 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def coefficient(self, name):
         """Coefficient of the degree-1 monomial in `name` (other vars absent)."""
         i = self.variables.index(name)
@@ -673,9 +647,6 @@ class MultiPoly:
                     term = term * rep
             out = out + term
         return out
-
-    def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: fn(c) for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -23,7 +23,6 @@ from .rootdata import (
     Coweight,
     RootDatum,
     coxeter_number,
-    exponents,
     u_mu_roots,
     weyl_wP,
 )

@@ -16,7 +16,6 @@ from . import VerificationError
 from .arith import GF, FqField
 from .chevalley import (
     QQ,
-    a_subspace,
     build_algebra,
     centralizer_z,
     decomposition_check,
@@ -25,7 +24,6 @@ from .chevalley import (
     relevance_quadratic_bruteforce,
     s1_graph,
     s1_graph_check,
-    u_mu_piece,
     wP_representative,
 )
 from .expsum import (
@@ -47,9 +45,11 @@ from .gln_airy import (
 )
 from .loopmodel import (
     GLnModel,
+    draw_factorization,
     factorize_I1,
     odd_parahoric_check,
     phi_generic_check,
+    round_trip_mismatch,
     stab_affine_roots,
 )
 from .rootdata import (
@@ -87,47 +87,47 @@ def _suite_datum(series, rank):
 # ---------------------------------------------------------------------------
 # Acceptance checks.  Each returns (ok, params, witness).
 
-def check_trace_gl2():
+# the (n, p, e, lambda) grids of the trace identities, which weil-bound
+# runs on too; each is also the params of its trace check
+TRACE_GRIDS = {
+    2: {"p": [5, 7, 11], "e": [1, 2], "lambda1": [0, 1, 2]},
+    4: {"p": [7, 11], "e": [1], "lambda": [(0, 0), (1, 0), (2, 3)]},
+}
+
+
+def _trace_cases(n):
+    """(p, e, lambda) over the GL_n trace grid."""
+    grid = TRACE_GRIDS[n]
+    lams = grid.get("lambda") or [(l1,) for l1 in grid["lambda1"]]
+    return [(p, e, lam) for p in grid["p"] for e in grid["e"] for lam in lams]
+
+
+def _check_trace(n):
     failures = []
-    grid = {"p": [5, 7, 11], "e": [1, 2], "lambda1": [0, 1, 2]}
-    for p in grid["p"]:
-        for e in grid["e"]:
-            for l1 in grid["lambda1"]:
-                v = compare_traces(2, p, e, (l1,))
-                if not v.ok:
-                    failures.append(v.detail)
-    return not failures, grid, failures or None
+    for p, e, lam in _trace_cases(n):
+        v = compare_traces(n, p, e, lam)
+        if not v.ok:
+            failures.append(v.detail)
+    return not failures, TRACE_GRIDS[n], failures or None
+
+
+def check_trace_gl2():
+    return _check_trace(2)
 
 
 def check_trace_gl4():
-    failures = []
-    grid = {"p": [7, 11], "e": [1], "lambda": [(0, 0), (1, 0), (2, 3)]}
-    for p in grid["p"]:
-        for lam in grid["lambda"]:
-            v = compare_traces(4, p, 1, lam)
-            if not v.ok:
-                failures.append(v.detail)
-    return not failures, grid, failures or None
-
-
-def _airy_grid():
-    for p in (5, 7, 11):
-        for e in (1, 2):
-            for l1 in (0, 1, 2):
-                yield 2, p, e, (l1,)
-    for p in (7, 11):
-        for lam in ((0, 0), (1, 0), (2, 3)):
-            yield 4, p, 1, lam
+    return _check_trace(4)
 
 
 def check_weil():
     failures = []
-    for n, p, e, lam in _airy_grid():
-        params = make_params(n, FqField(p, e), lam)
-        table = airy_trace_table(f_poly(params), p, e, lam=params.lam)
-        v = weil_check(table)
-        if not v.ok:
-            failures.append({"n": n, "p": p, "e": e, "lambda": lam, **v.detail})
+    for n in TRACE_GRIDS:
+        for p, e, lam in _trace_cases(n):
+            params = make_params(n, FqField(p, e), lam)
+            table = airy_trace_table(f_poly(params), p, e, lam=params.lam)
+            v = weil_check(table)
+            if not v.ok:
+                failures.append({"n": n, "p": p, "e": e, "lambda": lam, **v.detail})
     return not failures, {"tables": "all Airy tables of criteria 1-2"}, failures or None
 
 
@@ -171,101 +171,6 @@ def check_rigidity_kernel():
     return not failures, {"quadratic_over": "F_5: GL_2, GL_4, Sp_4"}, failures or None
 
 
-def _draw_factorization(model, mu, rng):
-    """Random coordinates and the g = u a s res they give: per depth
-    r = 1..ceil(h/2) a random vector of u_{mu,r}, of a_r^mu and of z_r
-    (coefficients in the Chevalley basis), and a random residual in
-    I(1 + ceil(h/2)).  Returns (coords, products, residual, g), the
-    products as `_factor_products` gives them."""
-    alg, p = model.alg, model.p
-    half = (model.h + 1) // 2
-    zs = centralizer_z(alg)
-
-    def draw(basis):
-        v = alg.zero()
-        for b in basis:
-            c = rng.randrange(p)
-            for i, y in enumerate(b):
-                if y:
-                    v[i] = v[i] + c * y
-        return v
-
-    coords = [
-        tuple(map(draw, (u_mu_piece(alg, mu, r).basis, a_subspace(alg, r, mu).basis, zs[r].basis)))
-        for r in range(1, half + 1)
-    ]
-    residual = model.identity_series()
-    for i, blk in enumerate(residual):
-        for j, row in enumerate(blk):
-            for k in range(model.n):
-                if i * model.h + k - j > half:
-                    row[k] = (row[k] + rng.randrange(p)) % p
-    prods = _factor_products(model, coords)
-    g = model.mul(model.mul(model.mul(prods[0][-1], prods[1][-1]), prods[2][-1]), residual)
-    return coords, prods, residual, g
-
-
-def _one_plus(model, v, r):
-    """1 + the graded lift of v at depth r."""
-    g = model.graded_lift(v, r)
-    for j in range(model.n):
-        g[0][j][j] += 1
-    return g
-
-
-def _factor_products(model, coords):
-    """For each of u, a and s, the products of its drawn factors of depth
-    < r for r = 1..ceil(h/2)+1.  The depth-r factors are formed as
-    factorize_I1 forms them: the u_mu root lines 1 + Y one at a time in
-    algebra-index order, exp of the a^mu lift, and 1 + the z lift."""
-    alg = model.alg
-    one = model.identity_series()
-    prods = ([one], [one], [one])
-    for r, (uvec, avec, zvec) in enumerate(coords, start=1):
-        lines = []
-        for idx, c in enumerate(uvec):
-            if c:
-                line = alg.zero()
-                line[idx] = c
-                lines.append(_one_plus(model, line, r))
-        a = model.exp_series(model.graded_lift(avec, r))
-        for prod, factors in zip(prods, (lines, [a], [_one_plus(model, zvec, r)])):
-            acc = prod[-1]
-            for f in factors:
-                acc = f if acc is one else model.mul(acc, f)
-            prod.append(acc)
-    return prods
-
-
-def _shallow_difference(model, A, B, r):
-    """The entries of depth <= r of A - B, as a series."""
-    out = model.zero_series()
-    for i, (ablk, bblk) in enumerate(zip(A, B)):
-        for j, (arow, brow) in enumerate(zip(ablk, bblk)):
-            for k, (x, y) in enumerate(zip(arow, brow)):
-                if i * model.h + k - j <= r:
-                    out[i][j][k] = (x - y) % model.p
-    return out
-
-
-def _round_trip_mismatch(model, coords, prods, residual, found):
-    """The first drawn coordinate that factorize_I1's (u, a, s, residual)
-    does not give back, or None.  Each returned factor is read one depth at
-    a time: below depth r it must agree with the product of the drawn
-    factors of depth < r, and at depth r differ from it by the graded lift
-    of the drawn depth-r vector; in the end it must be the whole product."""
-    for part, name in enumerate("uas"):
-        for r, vecs in enumerate(coords, start=1):
-            diff = _shallow_difference(model, found[part], prods[part][r - 1], r)
-            if not model.eq(diff, model.graded_lift(vecs[part], r)):
-                return f"{name}-coordinates at depth {r}"
-        if not model.eq(found[part], prods[part][-1]):
-            return f"{name} beyond depth {len(coords)}"
-    if not model.eq(found[3], residual):
-        return "residual"
-    return None
-
-
 def check_factorization(seed=DEFAULT_SEED, samples=100):
     """Round trip: g built from random u_mu, a^mu, z and residual
     coordinates must factorize back to the same coordinates."""
@@ -275,13 +180,13 @@ def check_factorization(seed=DEFAULT_SEED, samples=100):
         rng = random.Random(seed + n)
         for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
             for _ in range(samples):
-                coords, prods, residual, g = _draw_factorization(model, mu, rng)
+                coords, prods, residual, g = draw_factorization(model, mu, rng)
                 try:
                     found = factorize_I1(model, g, mu)
                 except VerificationError as exc:
                     failures.append({"n": n, "mu": mu.coords, "what": str(exc)})
                     continue
-                what = _round_trip_mismatch(model, coords, prods, residual, found)
+                what = round_trip_mismatch(model, coords, prods, residual, found)
                 if what:
                     failures.append({"n": n, "mu": mu.coords, "what": what})
     params = {"n": [2, 3, 4], "p": 7, "samples": samples, "seed": seed}
@@ -573,9 +478,6 @@ def cmd_trace(args):
 
 
 def cmd_compare(args):
-    if args.n % 2 != 0:
-        print("error: odd n unsupported", file=sys.stderr)
-        return 2
     v = compare_traces(args.n, args.prime, args.ext, _parse_lambda(args.lam))
     print(json.dumps({"pass": v.ok, **v.detail}, indent=2))
     return 0 if v.ok else 1

@@ -224,34 +224,6 @@ def hecke_forms(n: int, field, m1: int):
     return neg[powers[n + 1]], w1, w2
 
 
-def _eval_form(field, c: int, w, m):
-    """The element c + sum_r w[r-2] m_r, with m = (m_1, ..., m_{1+n/2})."""
-    tab = fq_tables(field.p, field.e)
-    for x, y in zip(m[1:], w):
-        c = _add(tab, c, _mul(tab, field(x).v, y))
-    return field.from_index(c)
-
-
-def hecke_p2(n: int, field, m):
-    """p_2(m_1, ..., m_{1+n/2}), the affine form w2 of `hecke_forms`."""
-    _require_even(n)
-    if len(m) != 1 + n // 2:
-        raise ValueError("m must have length 1 + n/2")
-    _, _, w2 = hecke_forms(n, field, field(m[0]).v)
-    return _eval_form(field, 0, w2, m)
-
-
-def hecke_p1(params: CharacterParams, m):
-    """p_1(m), chi_geometric(m_1) plus the affine form (c, w1) of
-    `hecke_forms`."""
-    n, field = params.n, params.field
-    if len(m) != 1 + n // 2:
-        raise ValueError("m must have length 1 + n/2")
-    m1 = field(m[0])
-    c, w1, _ = hecke_forms(n, field, m1.v)
-    return chi_geometric(params, m1) + _eval_form(field, c, w1, m)
-
-
 def f_poly(params: CharacterParams):
     """Coefficients of f(m) = -m^{n+1}/(n+1) + sum (lambda_r/r) m^r,
     index i <-> m^i; degree exactly n+1."""

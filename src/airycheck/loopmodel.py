@@ -12,6 +12,14 @@ dot product per entry and one reduction mod p.  In `factorize_I1` field
 elements enter only in `_factor_bases`, which turns the z, a^mu and u_mu
 bases into int solve maps once per (n, p, mu); a sample reads, solves and
 updates on residues alone.
+
+`draw_factorization` and `round_trip_mismatch` are the round-trip oracle
+of `factorize_I1`: they build g from random factor coordinates and read the
+coordinates back from the factors it returns.  The oracle forms its factors
+with `graded_lift`, `exp_series` and `mul` only, and must share none of
+factorize_I1's kernels (`_factor_bases`, `_entries`, `_series`, `_exp_pair`,
+`_times_one_plus`, `_one_plus_times`), so that a fault in one of them cannot
+cancel out of the comparison.
 """
 
 from __future__ import annotations
@@ -75,10 +83,6 @@ def filtration_basis(alg: ChevalleyAlgebra, r: int, r_hi: int = None):
         if d >= r and (r_hi is None or d < r_hi):
             out.append(line)
     return out
-
-
-def filtration_dim(alg: ChevalleyAlgebra, r: int, r_hi: int) -> int:
-    return sum(line_dim(alg.rd, l) for l in filtration_basis(alg, r, r_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -613,3 +617,94 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         a = model.identity_series()
     return u, a, s, residual
 
+
+
+# ---------------------------------------------------------------------------
+# The round-trip oracle of factorize_I1 (see the module docstring).
+
+def draw_factorization(model: GLnModel, mu: Coweight, rng):
+    """Random coordinates and the g = u a s res they give: per depth
+    r = 1..ceil(h/2) a random vector of u_{mu,r}, of a_r^mu and of z_r
+    (coefficients in the Chevalley basis), and a random residual in
+    I(1 + ceil(h/2)).  Returns (coords, products, residual, g), the
+    products as `_factor_products` gives them."""
+    alg, p = model.alg, model.p
+    half = (model.h + 1) // 2
+    zs = centralizer_z(alg)
+
+    def draw(basis):
+        v = alg.zero()
+        for b in basis:
+            c = rng.randrange(p)
+            for i, y in enumerate(b):
+                if y:
+                    v[i] = v[i] + c * y
+        return v
+
+    coords = [
+        tuple(map(draw, (u_mu_piece(alg, mu, r).basis, a_subspace(alg, r, mu).basis, zs[r].basis)))
+        for r in range(1, half + 1)
+    ]
+    residual = model.identity_series()
+    for i, blk in enumerate(residual):
+        for j, row in enumerate(blk):
+            for k in range(model.n):
+                if i * model.h + k - j > half:
+                    row[k] = (row[k] + rng.randrange(p)) % p
+    prods = _factor_products(model, coords)
+    g = model.mul(model.mul(model.mul(prods[0][-1], prods[1][-1]), prods[2][-1]), residual)
+    return coords, prods, residual, g
+
+
+def _one_plus(model: GLnModel, v, r: int):
+    """1 + the graded lift of v at depth r."""
+    g = model.graded_lift(v, r)
+    for j in range(model.n):
+        g[0][j][j] += 1
+    return g
+
+
+def _factor_products(model: GLnModel, coords):
+    """For each of u, a and s, the products of its drawn factors of depth
+    < r for r = 1..ceil(h/2)+1.  The depth-r factors are formed as
+    factorize_I1 forms them: the u_mu root lines 1 + Y one at a time in
+    algebra-index order, exp of the a^mu lift, and 1 + the z lift."""
+    alg = model.alg
+    one = model.identity_series()
+    prods = ([one], [one], [one])
+    for r, (uvec, avec, zvec) in enumerate(coords, start=1):
+        lines = []
+        for idx, c in enumerate(uvec):
+            if c:
+                line = alg.zero()
+                line[idx] = c
+                lines.append(_one_plus(model, line, r))
+        a = model.exp_series(model.graded_lift(avec, r))
+        for prod, factors in zip(prods, (lines, [a], [_one_plus(model, zvec, r)])):
+            acc = prod[-1]
+            for f in factors:
+                acc = f if acc is one else model.mul(acc, f)
+            prod.append(acc)
+    return prods
+
+
+def round_trip_mismatch(model: GLnModel, coords, prods, residual, found):
+    """The first drawn coordinate that factorize_I1's (u, a, s, residual)
+    does not give back, or None.  Each returned factor is read one depth at
+    a time: at the entries of depth <= r it must agree with the product of
+    the drawn factors of depth < r plus the graded lift of the drawn depth-r
+    vector; in the end it must be the whole product."""
+    p = model.p
+    for part, name in enumerate("uas"):
+        A = found[part]
+        for r, vecs in enumerate(coords, start=1):
+            B, lift = prods[part][r - 1], model.graded_lift(vecs[part], r)
+            ones, zeros = _shallow_positions(model.n, r + 1)
+            if any((A[i][j][k] - B[i][j][k] - lift[i][j][k]) % p
+                   for i, j, k in chain(((0, j, j) for j in ones), zeros)):
+                return f"{name}-coordinates at depth {r}"
+        if not model.eq(A, prods[part][-1]):
+            return f"{name} beyond depth {len(coords)}"
+    if not model.eq(found[3], residual):
+        return "residual"
+    return None

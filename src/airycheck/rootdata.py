@@ -159,14 +159,6 @@ class WeylElement:
         m = mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
         return WeylElement(tuple(tuple(r) for r in m), self.word + other.word)
 
-    def is_identity(self):
-        n = len(self.matrix)
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
-
 
 @dataclass(frozen=True)
 class RootDatum:
@@ -385,45 +377,6 @@ def minuscule_coweights(rd: RootDatum, degree_window=None):
     return out
 
 
-def _dual_datum(rd: RootDatum) -> RootDatum:
-    """The dual root datum (roots and coroots swapped)."""
-    dual_form = {"sc": "adjoint", "adjoint": "sc", "gl": "gl"}[rd.form]
-    cartan = [list(r) for r in zip(*rd.cartan)]
-    series = rd.series
-    if series == "B":
-        series = "C"
-    elif series == "C":
-        series = "B"
-    if series == "GL":
-        return rd
-    d = symmetrizer(cartan) if cartan else []
-    pos = tuple(_enumerate_positive_roots(cartan))
-    coroots = []
-    n = len(cartan)
-    for beta in pos:
-        dbeta = Fraction(
-            sum(
-                beta[i] * beta[j] * d[j] * cartan[j][i]
-                for i in range(n)
-                for j in range(n)
-            ),
-            2,
-        )
-        cr = tuple(int(Fraction(d[j]) * beta[j] / dbeta) for j in range(n))
-        coroots.append(cr)
-    return RootDatum(
-        series=series,
-        rank=rd.rank,
-        form=dual_form,
-        n=n,
-        center_rank=rd.center_rank,
-        cartan=tuple(tuple(r) for r in cartan),
-        d=tuple(d),
-        pos_roots=pos,
-        coroots=tuple(coroots),
-    )
-
-
 def minuscule_bijection_check(rd: RootDatum, degree_window=None) -> bool:
     """Minuscule characters biject with X^*(T) modulo the root lattice.
 
@@ -438,7 +391,13 @@ def minuscule_bijection_check(rd: RootDatum, degree_window=None) -> bool:
         return len(set(degrees)) == len(degrees) and (
             sorted(degrees) == list(range(min(degrees), max(degrees) + 1))
         )
-    dual = _dual_datum(rd)
+    # the dual datum: B and C swap, sc and adjoint swap; for G2 and F4 the
+    # library's Cartan matrix is the transpose with the nodes relabelled,
+    # which moves neither the count nor the classes below
+    dual = get_root_datum(
+        {"B": "C", "C": "B"}.get(rd.series, rd.series), rd.rank,
+        {"sc": "adjoint", "adjoint": "sc"}[rd.form],
+    )
     ms = minuscule_coweights(dual)
     if rd.form == "adjoint":
         index = 1

@@ -164,7 +164,7 @@ def test_compare_odd_n(capsys):
         capsys, ["compare", "--n", "3", "--prime", "7", "--lambda", "1"]
     )
     assert code == 2
-    assert "odd n unsupported" in err
+    assert "error: only even n is supported" in err
 
 
 def test_acceptance_names():

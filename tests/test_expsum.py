@@ -14,11 +14,11 @@ from airycheck.expsum import (
 from airycheck.gln_airy import (
     CharacterParams,
     f_poly,
-    hecke_p1,
-    hecke_p2,
     make_params,
     poly_eval,
 )
+
+import hecke_oracle
 
 
 def test_trace_identity_n2():
@@ -45,14 +45,15 @@ def test_trace_identity_n4():
         assert brute.entries[a] == airy.entries[a] * 7
 
 
-def _fiber_sum(params, a):
+def _fiber_sum(params, a, p2=hecke_oracle.p2):
     """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))): all of
-    F_q^{1+n/2} enumerated once per entry, with no binning by trace."""
+    F_q^{1+n/2} enumerated once per entry, with no binning by trace, and
+    p_1, p_2 from the field-operator oracle."""
     field, n = params.field, params.n
     acc = CyclotomicValue.zero(field.p)
     for m in itertools.product(field.elements(), repeat=1 + n // 2):
-        if hecke_p2(n, field, m) == a:
-            acc = acc + psi(field.p, hecke_p1(params, m))
+        if p2(n, field, m) == a:
+            acc = acc + psi(field.p, hecke_oracle.p1(params, m))
     return acc if n % 2 == 1 else -acc
 
 
@@ -61,8 +62,8 @@ BRUTE_GRID = [(2, p, e) for p in (5, 7, 11) for e in (1, 2)] + [(4, 7, 1), (4, 1
 
 
 def test_brute_tables_pinned():
-    # SHA-256 of the tables of the enumeration that called hecke_p1 and
-    # hecke_p2 on field elements at every point
+    # SHA-256 of the tables of the earlier enumeration that evaluated p_1
+    # and p_2 with field operators at every point
     rng = random.Random(7)
     rows = []
     for n, p, e in BRUTE_GRID:
@@ -83,6 +84,23 @@ def test_brute_kernel_matches_fiber_sum(n, p, e, lam):
     brute = hecke_trace_table(params, brute=True)
     for a in field.elements():
         assert _fiber_sum(params, a) == brute.entries[a]
+
+
+# p_2 with its sign flipped, and with every power of m_1 one higher
+WRONG_P2 = [
+    lambda n, field, m: -hecke_oracle.p2(n, field, m),
+    lambda n, field, m: m[0] * hecke_oracle.p2(n, field, m),
+]
+
+
+@pytest.mark.parametrize("wrong_p2", WRONG_P2, ids=["sign", "exponent"])
+def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
+    # negative control: the oracle comparison must see a wrong p_2
+    field = FqField(7, 1)
+    params = make_params(4, field, (1, 2))
+    # unperturbed, _fiber_sum gives this table (test_brute_kernel_matches_fiber_sum)
+    brute = hecke_trace_table(params)
+    assert any(_fiber_sum(params, a, wrong_p2) != brute.entries[a] for a in field.elements())
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +9,7 @@ from airycheck.gln_airy import (
     exp_section,
     f_poly,
     geometric_section,
-    hecke_p1,
-    hecke_p2,
+    hecke_forms,
     log_section,
     make_params,
     phi_z_values,
@@ -20,6 +18,8 @@ from airycheck.gln_airy import (
     z_element,
 )
 from airycheck.loopmodel import GLnModel
+
+import hecke_oracle
 
 
 def test_z_element_levels():
@@ -113,9 +113,11 @@ def test_hecke_p2_specialization():
     F = GF(11)
     # p_2(m1, m2, m3) = -(m2 m1 + m3)
     m = [F(2), F(3), F(5)]
-    assert hecke_p2(n, F, m) == -(F(3) * F(2) + F(5))
+    assert hecke_oracle.p2(n, F, m) == -(F(3) * F(2) + F(5))
+    _, _, w2 = hecke_forms(n, F, F(2).v)
+    assert [F.from_index(w) for w in w2] == [-F(2), -F(1)]
     with pytest.raises(ValueError):
-        hecke_p2(n, F, [F(1)])
+        hecke_forms(3, F, 1)
 
 
 def test_hecke_p1_on_geometric_locus():
@@ -126,9 +128,9 @@ def test_hecke_p1_on_geometric_locus():
     f = f_poly(params)
     for m1 in F.elements():
         m = [m1, F(0), F(0)]
-        a = hecke_p2(n, F, m)
+        a = hecke_oracle.p2(n, F, m)
         # fiber identity: p_1 = f(m1) + m1 * a on the fiber p_2 = a
-        assert hecke_p1(params, m) == poly_eval(F, f, m1) + m1 * a
+        assert hecke_oracle.p1(params, m) == poly_eval(F, f, m1) + m1 * a
 
 
 def test_fiber_identity_random():
@@ -139,25 +141,26 @@ def test_fiber_identity_random():
     rng = random.Random(8)
     for _ in range(200):
         m = [F(rng.randrange(7)) for _ in range(1 + n // 2)]
-        a = hecke_p2(n, F, m)
-        assert hecke_p1(params, m) == poly_eval(F, f, m[0]) + m[0] * a
+        a = hecke_oracle.p2(n, F, m)
+        assert hecke_oracle.p1(params, m) == poly_eval(F, f, m[0]) + m[0] * a
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 5, 2), (4, 7, 2), (6, 11, 1)])
 def test_hecke_maps_match_field_formulas(n, p, e):
-    # hecke_forms works on indices; here both maps are restated with the
-    # field's operators, on every m_1 and random tails
+    # hecke_forms works on indices; evaluated here with the field's
+    # operators and with chi_geometric added, on every m_1 and random tails,
+    # it must give the maps of the field-operator oracle
     F = FqField(p, e)
     rng = random.Random(n * p + e)
     params = make_params(n, F, [rng.randrange(p) for _ in range(n // 2)])
     for m1 in F.elements():
+        c, w1, w2 = hecke_forms(n, F, m1.v)
         for _ in range(4):
             m = [m1] + [F.from_index(rng.randrange(F.q)) for _ in range(n // 2)]
-            p2 = -sum((m[r - 1] * m1 ** (n // 2 - r + 1) for r in range(2, n // 2 + 2)), F(0))
-            p1 = chi_geometric(params, m1) - m1 ** (n + 1) - sum(
-                (m[r - 1] * m1 ** (n // 2 - r + 2) for r in range(2, n // 2 + 2)), F(0))
-            assert hecke_p2(n, F, m) == p2
-            assert hecke_p1(params, m) == p1
+            form = lambda const, w: sum((x * F.from_index(y) for x, y in zip(m[1:], w)), const)
+            assert form(F(0), w2) == hecke_oracle.p2(n, F, m)
+            p1 = chi_geometric(params, m1) + form(F.from_index(c), w1)
+            assert p1 == hecke_oracle.p1(params, m)
 
 
 def test_f_poly_n4():

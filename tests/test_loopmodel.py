@@ -21,15 +21,17 @@ from airycheck.loopmodel import (
     AffineRootIndex,
     GLnModel,
     all_lines,
+    draw_factorization,
     factorize_I1,
     filtration_basis,
-    filtration_dim,
+    line_dim,
     odd_parahoric_check,
     phi_eval,
     phi_generic_check,
+    round_trip_mismatch,
     stab_affine_roots,
 )
-from airycheck.rootdata import Coweight, exponents, get_root_datum, minuscule_coweights
+from airycheck.rootdata import Coweight, get_root_datum, minuscule_coweights
 
 
 def test_affine_lines_a2():
@@ -44,6 +46,10 @@ def test_affine_lines_a2():
     assert ((-1, -1), 1) in roots
 
 
+def _filtration_dim(alg, r, r_hi):
+    return sum(line_dim(alg.rd, l) for l in filtration_basis(alg, r, r_hi))
+
+
 def test_filtration_dims():
     rd = get_root_datum("A", 2, "sc")
     alg = build_algebra(rd)
@@ -51,10 +57,10 @@ def test_filtration_dims():
     # Lie I(1)/Lie I(1 + h/2 rounded up): one line per depth in range
     npos = len(rd.pos_roots)
     k = (h + 1) // 2
-    dims = [filtration_dim(alg, r, r + 1) for r in range(1, h)]
+    dims = [_filtration_dim(alg, r, r + 1) for r in range(1, h)]
     assert all(d >= 1 for d in dims)
-    assert filtration_dim(alg, 0, 1) == rd.rank  # only the Cartan sits at depth 0
-    total = filtration_dim(alg, 1, 1 + h)
+    assert _filtration_dim(alg, 0, 1) == rd.rank  # only the Cartan sits at depth 0
+    total = _filtration_dim(alg, 1, 1 + h)
     assert total == rd.num_roots + rd.rank  # one full cyclic period
 
 
@@ -471,7 +477,7 @@ def test_stabilizes_x_tilde_matches_series_products(n, p):
 
 def _round_trip_case(n, mu, seed):
     model = GLnModel(n, 7)
-    coords, prods, residual, g = cli._draw_factorization(model, mu, random.Random(seed))
+    coords, prods, residual, g = draw_factorization(model, mu, random.Random(seed))
     return model, coords, prods, residual, factorize_I1(model, g, mu)
 
 
@@ -479,7 +485,7 @@ def _round_trip_case(n, mu, seed):
 def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
     mu = Coweight((1,) + (0,) * (n - 1))
     model, coords, prods, residual, found = _round_trip_case(n, mu, 5)
-    assert cli._round_trip_mismatch(model, coords, prods, residual, found) is None
+    assert round_trip_mismatch(model, coords, prods, residual, found) is None
     alg = model.alg
     corrupted = 0
     for r in range(1, len(coords) + 1):
@@ -489,12 +495,34 @@ def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
             for b in basis:  # one coordinate, moved by 1
                 bad = [list(vecs) for vecs in coords]
                 bad[r - 1][part] = [x + y for x, y in zip(bad[r - 1][part], b)]
-                what = cli._round_trip_mismatch(model, bad, prods, residual, found)
+                what = round_trip_mismatch(model, bad, prods, residual, found)
                 assert what == f"{name}-coordinates at depth {r}"
                 corrupted += 1
     assert corrupted >= 4
     residual[-1][0][0] = (residual[-1][0][0] + 1) % model.p
-    assert cli._round_trip_mismatch(model, coords, prods, residual, found) == "residual"
+    assert round_trip_mismatch(model, coords, prods, residual, found) == "residual"
+
+
+# factorize_I1's own kernels, which its round-trip oracle must not call
+FACTORIZE_KERNELS = ("_times_one_plus", "_one_plus_times", "_factor_bases", "_exp_pair",
+                     "_entries", "_series")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_round_trip_oracle_runs_without_factorize_kernels(n, monkeypatch):
+    mu = Coweight((1,) + (0,) * (n - 1))
+    model, coords, prods, residual, found = _round_trip_case(n, mu, 5)
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the round-trip oracle called a factorize_I1 kernel")
+
+    for name in FACTORIZE_KERNELS:
+        monkeypatch.setattr(loopmodel, name, kernel)
+    drawn = draw_factorization(model, mu, random.Random(5))
+    assert repr(drawn[:3]) == repr((coords, prods, residual))
+    assert round_trip_mismatch(model, *drawn[:3], found) is None
+    with pytest.raises(AssertionError, match="factorize_I1 kernel"):
+        factorize_I1(model, drawn[3], mu)
 
 
 def test_factorization_round_trip_sees_a_changed_factor():
@@ -503,11 +531,11 @@ def test_factorization_round_trip_sees_a_changed_factor():
     u, a, s, res = found
     deeper = [[list(row) for row in blk] for blk in a]
     deeper[-1][0][1] = (deeper[-1][0][1] + 1) % model.p  # below every coordinate
-    assert cli._round_trip_mismatch(model, coords, prods, residual, (u, deeper, s, res)) \
+    assert round_trip_mismatch(model, coords, prods, residual, (u, deeper, s, res)) \
         == "a beyond depth 2"
     shallow = [[list(row) for row in blk] for blk in s]
     shallow[0][1][0] = 1  # depth -1: s is no longer in I(1)
-    assert cli._round_trip_mismatch(model, coords, prods, residual, (u, a, shallow, res)) \
+    assert round_trip_mismatch(model, coords, prods, residual, (u, a, shallow, res)) \
         == "s-coordinates at depth 1"
 
 

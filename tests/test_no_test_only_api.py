@@ -1,0 +1,88 @@
+"""Every public function and method of airycheck has a caller in the library
+or the benchmark: a name that only tests reach is test-only API."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# public names kept without a caller in src/ or perfbench/, each with its reason
+KEEP = {
+    "cli.main": "the console-script entry point named in pyproject.toml",
+    "loopmodel.GLnModel.depth": "the reference that in_filtration is tested against",
+    "loopmodel.GLnModel.x_tilde_t2": "the reference that stabilizes_x_tilde is tested against",
+    "loopmodel.GLnModel.random_I1": "the loop workload of the benchmark draws its samples with it",
+    "arith.psi": "the additive character; the per-fiber test oracle sums its values",
+    "arith.CyclotomicValue.galois": "the Galois action the exact L-function check needs (ROADMAP item 1)",
+    "chevalley.ChevalleyAlgebra.check_jacobi":
+        "the dense Jacobi check, until the sparse self-check replaces it (ROADMAP item 4)",
+    "chevalley.ChevalleyAlgebra.check_kappa_invariance":
+        "the dense invariance check, until the sparse self-check replaces it (ROADMAP item 4)",
+}
+
+
+def _public_defs(tree):
+    """(qualified name, node) of the public module-level functions and
+    methods of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def uncalled(library, others):
+    """The public defs of `library` ({module name: tree}) whose name occurs
+    as no Name or Attribute outside their own definition, in `library` or in
+    `others` (a list of trees), and the set of every public def."""
+    refs = {}  # name -> [(tree, line)]
+    for tree in list(library.values()) + list(others):
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None:
+                refs.setdefault(name, []).append((tree, node.lineno))
+    missing, defined = [], set()
+    for module, tree in library.items():
+        for qual, node in _public_defs(tree):
+            if node.name.startswith("_"):
+                continue
+            key = f"{module}.{qual}"
+            defined.add(key)
+            outside = [
+                line for t, line in refs.get(node.name, ())
+                if not (t is tree and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                missing.append(key)
+    return missing, defined
+
+
+def test_every_public_function_has_a_library_or_benchmark_caller():
+    library = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "airycheck").glob("*.py"))
+    }
+    bench = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    missing, defined = uncalled(library, bench)
+    assert [key for key in missing if key not in KEEP] == []
+    assert set(KEEP) <= defined, "a keep-list entry names no public function"
+
+
+def test_uncalled_sees_a_function_only_its_own_body_names():
+    lib = ast.parse(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+        "class C:\n    def method(self):\n        return self.method\n\n"
+        "    def called(self):\n        return 0\n"
+    )
+    bench = ast.parse("from lib import C\nC().called()\n")
+    missing, defined = uncalled({"lib": lib}, [bench])
+    assert missing == ["lib.recursive", "lib.C.method"]
+    assert defined == {"lib.used", "lib.recursive", "lib.C.method", "lib.C.called"}
