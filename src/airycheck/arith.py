@@ -432,10 +432,6 @@ class CyclotomicValue:
         self.coeffs = tuple(c)
 
     @classmethod
-    def zero(cls, p: int):
-        return cls(p)
-
-    @classmethod
     def zeta_pow(cls, p: int, k: int):
         k %= p
         if k < p - 1:
@@ -501,7 +497,7 @@ class CyclotomicValue:
 
     def galois(self, k: int) -> "CyclotomicValue":
         """Apply the automorphism zeta -> zeta^k, gcd(k, p) = 1."""
-        out = CyclotomicValue.zero(self.p)
+        out = CyclotomicValue(self.p)
         for i, a in enumerate(self.coeffs):
             if a:
                 out = out + CyclotomicValue.zeta_pow(self.p, i * k) * a

@@ -6,9 +6,11 @@ diagonal matrix units).  Structure constants are integers; scalars live in Q
 or F_p with p > h.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
-order and propagated to the remaining constants through the Jacobi and
-zero-sum-triple relations; the Jacobi identity is then checkable on all basis
-triples.
+order: `structure_constants` derives every other constant from the
+extraspecial ones in one pass (the four-root relation, negation and the
+zero-sum rule) and checks the result (|N| = p + 1, the coroot relation and
+Jacobi on the root triples) before any algebra is built from it.  GL_n keeps
+the signs of the matrix units.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import VerificationError
-from .linalg import identity, nullspace, rank, rref, solve
+from .linalg import nullspace, rank, rref, solve
 from .rootdata import (
     Coweight,
     RootDatum,
@@ -54,117 +56,152 @@ def _vneg(a):
 
 
 @lru_cache(maxsize=None)
-def structure_constants(rd: RootDatum):
-    """All N_{a,b} for root pairs with a+b a root, as a dict.
+def _root_sums(rd: RootDatum):
+    """sums[a] = {b: c} for the root indices (in rd.roots) with
+    root a + root b = root c, b ascending.
 
-    Seeds the extraspecial pairs with +(p+1) and closes under antisymmetry,
-    negation, the zero-sum coroot relation and the Jacobi relation.  Roots
-    are handled by their index in rd.roots, with sums and negatives tabled.
+    A root x is coded as sum_i x_i B^i with B > 4 max|x_i|, which is additive
+    and injective on sums of two roots, so a root sum is one integer add.
     """
-    roots = list(rd.roots)
-    index = {a: i for i, a in enumerate(roots)}
-    nr = len(roots)
-    neg = [index[_vneg(a)] for a in roots]
-    plus = [[index.get(_vadd(a, b)) for b in roots] for a in roots]  # a+b or None
-    partners = [[b for b in range(nr) if plus[a][b] is not None] for a in range(nr)]
-    coroot = [rd.coroot_of(a) for a in roots]
-    N = {}
+    base = 4 * max(abs(c) for a in rd.pos_roots for c in a) + 1
+    code = [sum(c * base ** i for i, c in enumerate(a)) for a in rd.roots]
+    at = {x: i for i, x in enumerate(code)}
+    return tuple(
+        {b: at[x + y] for b, y in enumerate(code) if x + y in at} for x in code
+    )
 
-    def put(a, b, v):
-        for key, val in (((a, b), v), ((b, a), -v)):
-            old = N.get(key)
-            if old is None:
-                N[key] = val
-            elif old != val:
-                raise VerificationError(
-                    f"inconsistent constant at {(roots[key[0]], roots[key[1]])}"
-                )
 
-    for gamma in rd.pos_roots:
-        if sum(gamma) < 2:
+def _exact(q, roots, a, b):
+    if q.denominator != 1:
+        raise VerificationError(f"N at {(roots[a], roots[b])} is not integral")
+    return int(q)
+
+
+def _string_below(sums, neg, a, b):
+    """p with b - p a a root and b - (p+1) a not, on root indices."""
+    p = 0
+    cur = sums[b].get(neg[a])
+    while cur is not None:
+        p += 1
+        cur = sums[cur].get(neg[a])
+    return p
+
+
+def _negation(npos):
+    """neg[a] = the index of -a; rd.roots lists the negatives in the order
+    of rd.pos_roots."""
+    return [i + npos for i in range(npos)] + list(range(npos))
+
+
+@lru_cache(maxsize=None)
+def structure_constants(rd: RootDatum):
+    """{(a, b): N_{a,b}} on root indices (in rd.roots), for every pair with
+    a + b a root: [e_a, e_b] = N_{a,b} e_{a+b}.
+
+    One pass over the positive roots gamma in rd.pos_roots order (Carter,
+    Simple Groups of Lie Type, 4.1-4.2).  The special pairs of gamma are the
+    positive (xi, zeta) with xi + zeta = gamma, xi before zeta.  The first,
+    the extraspecial pair (alpha, beta), gets N = p + 1, p the length of the
+    alpha-string below beta; every other one follows from the four-root
+    relation with (-alpha, -beta).  A pair with a negative root follows from
+    N_{-x,-y} = -N_{x,y}, antisymmetry and the zero-sum rule
+    N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b) for a + b + c = 0.
+    The result passes `_check_constants` before it is returned.
+    """
+    roots = rd.roots
+    sums = _root_sums(rd)
+    npos = len(rd.pos_roots)
+    neg = _negation(npos)
+    n = rd.n
+    norm = [  # (x, x) = sum_ij x_i x_j d_j a_ji
+        sum(x[i] * x[j] * rd.d[j] * rd.cartan[j][i] for i in range(n) for j in range(n))
+        for x in roots
+    ]
+    N = {}  # positive pairs, both orders
+
+    def const(a, b):
+        if a < npos and b < npos:
+            return N[a, b]
+        if a >= npos and b >= npos:
+            return -const(neg[a], neg[b])
+        if a >= npos:
+            return -const(b, a)
+        # a positive, b negative: the zero-sum triple (a, b, -c)
+        c = sums[a][b]
+        if c < npos:  # N_{a,b}/(c,c) = N_{b,-c}/(a,a) = -N_{-b,c}/(a,a)
+            q = -norm[c] * N[neg[b], c] / norm[a]
+        else:  # N_{a,b}/(c,c) = N_{-c,a}/(b,b)
+            q = norm[c] * N[neg[c], a] / norm[b]
+        return _exact(q, roots, a, b)
+
+    for g in range(npos):
+        special = [(x, z) for x in range(g)
+                   if (z := sums[g].get(neg[x])) is not None and x < z < npos]
+        if not special:
             continue
-        alpha = next(a for a in rd.pos_roots if _vadd(gamma, _vneg(a)) in index
-                     and sum(_vadd(gamma, _vneg(a))) > 0)
-        beta = _vadd(gamma, _vneg(alpha))
-        p = 0
-        cur = beta
-        while True:
-            cur = _vadd(cur, _vneg(alpha))
-            if cur in index:
-                p += 1
-            else:
-                break
-        put(index[alpha], index[beta], p + 1)
+        alpha, beta = special[0]
+        top = _string_below(sums, neg, alpha, beta) + 1
+        N[alpha, beta], N[beta, alpha] = top, -top
+        for xi, zeta in special[1:]:
+            # N_{xi,zeta} N_{-alpha,-beta}/(gamma,gamma)
+            #   + N_{zeta,-alpha} N_{xi,-beta}/(zeta-alpha,zeta-alpha)
+            #   + N_{-alpha,xi} N_{zeta,-beta}/(xi-alpha,xi-alpha) = 0,
+            # a term dropped when its sum is not a root
+            q = Fraction(0)
+            d = sums[zeta].get(neg[alpha])
+            if d is not None:
+                q += Fraction(const(zeta, neg[alpha]) * const(xi, neg[beta]), norm[d])
+            d = sums[xi].get(neg[alpha])
+            if d is not None:
+                q += Fraction(const(neg[alpha], xi) * const(zeta, neg[beta]), norm[d])
+            v = _exact(q * norm[g] / top, roots, xi, zeta)
+            N[xi, zeta], N[zeta, xi] = v, -v
+    out = {(a, b): const(a, b) for a, row in enumerate(sums) for b in row}
+    _check_constants(rd, out)
+    return out
 
-    pairs = [(a, b) for a in range(nr) for b in partners[a]]
-    total = len(pairs)
-    while len(N) < total:
-        progress = False
-        for (a, b) in pairs:
-            if (a, b) in N and (neg[a], neg[b]) not in N:
-                put(neg[a], neg[b], -N[(a, b)])
-                progress = True
-        # zero-sum triples: N_{a,b} h_c + N_{b,c} h_a + N_{c,a} h_b = 0;
-        # the coroot vectors of distinct slots are independent, so up to two
-        # unknowns are still determined.
-        for (a, b) in pairs:
-            c = neg[plus[a][b]]
-            trip = [(a, b), (b, c), (c, a)]
-            unknown = [k for k in range(3) if trip[k] not in N]
-            if not 1 <= len(unknown) <= 2:
-                continue
-            hs = [coroot[c], coroot[a], coroot[b]]
-            n = rd.n
-            A = [[Fraction(hs[k][j]) for k in unknown] for j in range(n)]
-            rhs = [
-                Fraction(-sum(N[trip[k]] * hs[k][j] for k in range(3)
-                              if k not in unknown))
-                for j in range(n)
-            ]
-            if rank(A) < len(unknown):
-                continue
-            sol = solve(A, rhs)
-            if sol is None or any(x.denominator != 1 for x in sol):
-                raise VerificationError("zero-sum relation not solvable")
-            for k, val in zip(unknown, sol):
-                put(trip[k][0], trip[k][1], int(val))
-            progress = True
-        # Jacobi on root triples with all sums nonzero
-        for (a, b) in pairs:
-            ab = plus[a][b]
-            skip = (neg[ab], neg[a], neg[b])
-            for c in partners[ab]:
-                if c in skip:
-                    continue
-                terms = []  # ((pair1, pair2)) contributing N_p1 * N_p2
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    xy = plus[x][y]
-                    if xy is not None:
-                        terms.append(((x, y), (xy, z)))
-                unknowns = [
-                    (ti, pi)
-                    for ti, t in enumerate(terms)
-                    for pi, pr in enumerate(t)
-                    if pr not in N
-                ]
-                if len(unknowns) != 1:
-                    continue
-                ti, pi = unknowns[0]
-                cof = N[terms[ti][1 - pi]]
-                if cof == 0:
-                    continue
-                known = sum(
-                    N[t[0]] * N[t[1]] for i, t in enumerate(terms) if i != ti
-                )
-                val, rem = divmod(-known, cof)
-                if rem:
-                    raise VerificationError("Jacobi relation not exactly solvable")
-                pr = terms[ti][pi]
-                put(pr[0], pr[1], val)
-                progress = True
-        if not progress:
-            raise VerificationError("sign propagation stalled")
-    return {(roots[a], roots[b]): v for (a, b), v in N.items()}
+
+def _check_constants(rd: RootDatum, N):
+    """Raise VerificationError, naming the roots, unless the constants N
+    (as `structure_constants` returns them) are antisymmetric, have
+    |N_{a,b}| = p + 1, satisfy N_{a,b} h_c + N_{b,c} h_a + N_{c,a} h_b = 0
+    for a + b + c = 0, and satisfy Jacobi on every root triple whose sum is
+    a root."""
+    roots = rd.roots
+    sums = _root_sums(rd)
+    npos = len(rd.pos_roots)
+    neg = _negation(npos)
+    coroot = [rd.coroot_of(a) for a in roots]
+    for (a, b), v in N.items():
+        if abs(v) != _string_below(sums, neg, a, b) + 1:
+            raise VerificationError(f"|N| != p + 1 at {(roots[a], roots[b])}")
+        if N[b, a] != -v:
+            raise VerificationError(f"N is not antisymmetric at {(roots[a], roots[b])}")
+    for (a, b), v in N.items():
+        c = neg[sums[a][b]]
+        if any(v * x + N[b, c] * y + N[c, a] * z
+               for x, y, z in zip(coroot[c], coroot[a], coroot[b])):
+            raise VerificationError(
+                f"coroot relation fails at {(roots[a], roots[b], roots[c])}")
+
+    def term(x, y, z):
+        """The coefficient of [[e_x, e_y], e_z] at e_{x+y+z}."""
+        s = sums[x].get(y)
+        if s is not None:
+            return N[x, y] * N[s, z]
+        if y == neg[x]:  # <z, x-check>
+            return rd.root_pairing(roots[z], coroot[x])
+        return 0
+
+    # N is antisymmetric, so the Jacobi sum is alternating in (x, y, z): one
+    # order with x < y and x + y in Phi or 0 covers every triple
+    for x, row in enumerate(sums):
+        for y in [b for b in row if b > x] + ([neg[x]] if x < npos else []):
+            s = row.get(y)
+            for z in (range(len(roots)) if s is None else sums[s]):
+                if term(x, y, z) + term(y, z, x) + term(z, x, y):
+                    raise VerificationError(
+                        f"Jacobi fails at {(roots[x], roots[y], roots[z])}")
 
 
 def _gl_root_interval(root):
@@ -231,15 +268,12 @@ class ChevalleyAlgebra:
                     add(b, hi, b, -c)
         else:
             N = structure_constants(rd)
-            for a, ia in enumerate(self.basis_roots):
-                for b, ib in enumerate(self.basis_roots):
-                    s = _vadd(ia, ib)
-                    if s in self.root_index:
-                        add(a, b, self.root_index[s], N[(ia, ib)])
-                    elif all(c == 0 for c in s):
-                        cr = rd.coroot_of(ia)
-                        for i, ci in enumerate(cr):
-                            add(a, b, self.cartan_index(i), ci)
+            neg = _negation(self.npos)
+            for a, row in enumerate(_root_sums(rd)):
+                for b, s in row.items():
+                    add(a, b, s, N[a, b])
+                for i, ci in enumerate(rd.coroot_of(self.basis_roots[a])):
+                    add(a, neg[a], self.cartan_index(i), ci)
             for i in range(rd.n):
                 hi = self.cartan_index(i)
                 ei = tuple(1 if j == i else 0 for j in range(rd.n))
@@ -315,34 +349,6 @@ class ChevalleyAlgebra:
         if i >= 2 * self.npos:
             return 0
         return self.rd.height(self.basis_roots[i])
-
-    def check_jacobi(self):
-        """Jacobi identity on all basis triples (exhaustive)."""
-        basis = [self.E(a) for a in self.basis_roots]
-        for i in range(self.ncartan):
-            v = self.zero()
-            v[self.cartan_index(i)] = self.field(1)
-            basis.append(v)
-        for x in basis:
-            for y in basis:
-                xy = self.bracket(x, y)
-                for z in basis:
-                    lhs = self.bracket(xy, z)
-                    t2 = self.bracket(self.bracket(y, z), x)
-                    t3 = self.bracket(self.bracket(z, x), y)
-                    if any(a + b + c for a, b, c in zip(lhs, t2, t3)):
-                        return False
-        return True
-
-    def check_kappa_invariance(self):
-        basis = identity(self.dim, self.field(1))
-        for x in basis:
-            for y in basis:
-                xy = self.bracket(x, y)
-                for z in basis:
-                    if self.kappa(xy, z) != self.kappa(x, self.bracket(y, z)):
-                        return False
-        return True
 
     # -- GL matrix model ---------------------------------------------------
 
@@ -857,20 +863,6 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
             if up:
                 vplus[i] = vplus[i] + lv * up
 
-    # Z = sum_j (-1)^j/(j+1)! ad_{v+}^j (v-)
-    def bracket_poly(x, y):
-        out = [zero] * alg.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, row in alg.table[i].items():
-                yj = y[j]
-                if yj:
-                    prod = xi * yj
-                    for k, c in row.items():
-                        out[k] = out[k] + prod * c
-        return out
-
     # components above height -h/2 can never come back down, so drop them
     def cut(vec):
         out = list(vec)
@@ -879,6 +871,7 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
                 out[i] = zero
         return out
 
+    # Z = sum_j (-1)^j/(j+1)! ad_{v+}^j (v-)
     Z = [zero] * alg.dim
     term = cut(vminus)
     j = 0
@@ -893,7 +886,7 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
         j += 1
         if j > h:
             break
-        term = cut(bracket_poly(vplus, term))
+        term = cut(alg.bracket(vplus, term))
 
     cut_roots = [a for a in rd.roots if 2 * rd.height(a) <= -h]
     p_minus = {a: Z[alg.root_index[a]] for a in cut_roots}

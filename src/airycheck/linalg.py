@@ -50,11 +50,6 @@ def mat_vec(A, v):
     return out
 
 
-def identity(n, one):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     M = [list(r) for r in rows]

@@ -50,12 +50,12 @@ class AffineRootIndex:
     root: tuple  # root coordinates, or None for the Cartan block
     power: int
 
-    def height(self, rd):
+    def _height(self, rd):
         return 0 if self.root is None else rd.height(self.root)
 
     def depth(self, rd):
         h = coxeter_number(rd)
-        return self.power * h + self.height(rd)
+        return self.power * h + self._height(rd)
 
 
 def all_lines(rd):
@@ -165,7 +165,7 @@ def odd_parahoric_check(alg: ChevalleyAlgebra) -> bool:
     n = (h - 1) // 2
 
     def p_depth(line):
-        return line.power * (h - 1) + line.height(rd)
+        return line.power * (h - 1) + line._height(rd)
 
     lines = all_lines(rd)
     P = lambda r: {l for l in lines if p_depth(l) >= r}
@@ -268,19 +268,6 @@ class GLnModel:
             (x - y) % p == 0
             for a, b in zip(A, B) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
         )
-
-    def depth(self, A):
-        """Filtration depth of A - 1; returns None for the identity."""
-        p, h = self.p, self.h
-        best = None
-        for i, blk in enumerate(A):
-            for r, row in enumerate(blk):
-                for c, x in enumerate(row):
-                    if (x - (i == 0 and r == c)) % p:
-                        d = i * h + (c - r)
-                        if best is None or d < best:
-                            best = d
-        return best
 
     def in_filtration(self, A, r: int) -> bool:
         """A - 1 has depth >= r: reads only the entries of depth < r."""

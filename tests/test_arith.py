@@ -211,7 +211,7 @@ def test_fq_tables_reject_reducible_modulus_under_O():
 def test_cyclotomic_basics():
     p = 5
     z = CyclotomicValue.zeta_pow(p, 1)
-    acc = CyclotomicValue.zero(p)
+    acc = CyclotomicValue(p)
     for k in range(p):
         acc = acc + CyclotomicValue.zeta_pow(p, k)
     assert not acc  # sum of all p-th roots of unity vanishes
@@ -232,17 +232,17 @@ def test_psi_orthogonality():
     p = 7
     F = GF(p)
     for c in F.elements():
-        acc = CyclotomicValue.zero(p)
+        acc = CyclotomicValue(p)
         for x in F.elements():
             acc = acc + psi(p, c * x)
-        expected = CyclotomicValue(p, [p] + [0] * (p - 2)) if not c else CyclotomicValue.zero(p)
+        expected = CyclotomicValue(p, [p] + [0] * (p - 2)) if not c else CyclotomicValue(p)
         assert acc == expected
 
 
 def test_psi_trace_extension():
     p, e = 5, 2
     F = FqField(p, e)
-    acc = CyclotomicValue.zero(p)
+    acc = CyclotomicValue(p)
     for x in F.elements():
         acc = acc + psi(p, x)
     assert not acc  # nontrivial additive character sums to zero over F_q

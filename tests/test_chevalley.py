@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import airycheck
 from airycheck.arith import GF
 from airycheck.chevalley import (
     QQ,
+    _check_constants,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -23,11 +25,13 @@ from airycheck.chevalley import (
     relevance_quadratic_bruteforce,
     s1_graph,
     s1_graph_check,
+    structure_constants,
     u_mu_piece,
     wP_representative,
     x_minus1,
 )
-from airycheck.linalg import identity, mat_vec
+from airycheck.cli import SUITE_TYPES
+from airycheck.linalg import mat_vec
 from airycheck.rootdata import (
     Coweight,
     exponents,
@@ -37,11 +41,44 @@ from airycheck.rootdata import (
 )
 
 
+def _basis(alg):
+    one, zero = alg.field(1), alg.field(0)
+    return [[one if i == j else zero for j in range(alg.dim)] for i in range(alg.dim)]
+
+
+def _jacobi_holds(alg):
+    """Jacobi on all basis triples, dense: how _build_table assembles the
+    structure constants and the Cartan rows."""
+    basis = _basis(alg)
+    for x in basis:
+        for y in basis:
+            xy = alg.bracket(x, y)
+            for z in basis:
+                lhs = alg.bracket(xy, z)
+                t2 = alg.bracket(alg.bracket(y, z), x)
+                t3 = alg.bracket(alg.bracket(z, x), y)
+                if any(a + b + c for a, b, c in zip(lhs, t2, t3)):
+                    return False
+    return True
+
+
+def _kappa_invariant(alg):
+    """kappa([x, y], z) = kappa(x, [y, z]) on all basis triples, dense."""
+    basis = _basis(alg)
+    for x in basis:
+        for y in basis:
+            xy = alg.bracket(x, y)
+            for z in basis:
+                if alg.kappa(xy, z) != alg.kappa(x, alg.bracket(y, z)):
+                    return False
+    return True
+
+
 def test_a1_structure():
     alg = build_algebra(get_root_datum("A", 1, "sc"))
     assert alg.dim == 3
-    assert alg.check_jacobi()
-    assert alg.check_kappa_invariance()
+    assert _jacobi_holds(alg)
+    assert _kappa_invariant(alg)
     e, f = alg.E((1,)), alg.E((-1,))
     hcoord = alg.bracket(e, f)
     assert hcoord[alg.cartan_index(0)] == QQ(1)
@@ -50,8 +87,88 @@ def test_a1_structure():
 def test_g2_jacobi_exhaustive():
     alg = build_algebra(get_root_datum("G", 2, "adjoint"))
     assert alg.dim == 14
-    assert alg.check_jacobi()
-    assert alg.check_kappa_invariance()
+    assert _jacobi_holds(alg)
+    assert _kappa_invariant(alg)
+
+
+def test_structure_constants_pinned():
+    # the constants of the Jacobi closure that the one-pass derivation
+    # replaced, keyed by root pairs, for the suite types and E6-E8
+    digest = hashlib.sha256()
+    for series, rank in list(SUITE_TYPES) + [("E", 6), ("E", 7), ("E", 8)]:
+        rd = get_root_datum(series, rank, "adjoint")
+        roots = rd.roots
+        N = {(roots[a], roots[b]): v for (a, b), v in structure_constants(rd).items()}
+        digest.update(repr(sorted(N.items())).encode())
+    assert digest.hexdigest() == "f9942cd8b3fe34de05c9982c19bd81601eed197d3f866d0b47ffad870ed7028b"
+
+
+def _corrupt(rd, scale, pairs=1):
+    """A copy of the constants of rd with N_{x,y} and N_{y,x} replaced by
+    scale(N) for the first `pairs` of (a, b), (b, c), (c, a), where a, b is
+    a seeded root pair and a + b + c = 0; and the roots a, b."""
+    N = dict(structure_constants(rd))
+    a, b = random.Random(7).choice(sorted(N))
+    c = rd.roots.index(tuple(-x - y for x, y in zip(rd.roots[a], rd.roots[b])))
+    for x, y in [(a, b), (b, c), (c, a)][:pairs]:
+        N[x, y], N[y, x] = scale(N[x, y]), scale(N[y, x])
+    return N, [rd.roots[a], rd.roots[b]]
+
+
+@pytest.mark.parametrize("series,rank", [t for t in SUITE_TYPES if t != ("A", 1)])
+def test_check_constants_catches_a_flipped_sign(series, rank):
+    rd = get_root_datum(series, rank, "adjoint")
+    N, named = _corrupt(rd, lambda v: -v)
+    with pytest.raises(airycheck.VerificationError, match="coroot relation") as err:
+        _check_constants(rd, N)
+    assert all(str(root) in str(err.value) for root in named)
+
+
+def test_check_constants_catches_a_magnitude_off_by_one():
+    rd = get_root_datum("G", 2, "adjoint")
+    N, named = _corrupt(rd, lambda v: v + (1 if v > 0 else -1))
+    with pytest.raises(airycheck.VerificationError, match="p \\+ 1") as err:
+        _check_constants(rd, N)
+    assert all(str(root) in str(err.value) for root in named)
+
+
+def test_check_constants_catches_a_flipped_zero_sum_triple():
+    # flipping N on all three pairs of a + b + c = 0 keeps |N| and the
+    # coroot relation; only Jacobi sees it
+    rd = get_root_datum("B", 3, "adjoint")
+    N, _ = _corrupt(rd, lambda v: -v, pairs=3)
+    with pytest.raises(airycheck.VerificationError, match="Jacobi"):
+        _check_constants(rd, N)
+
+
+_CORRUPT_CONSTANTS = """
+from airycheck import VerificationError
+from airycheck.chevalley import _check_constants, structure_constants
+from airycheck.rootdata import get_root_datum
+
+assert not __debug__, "this check must run under python -O"
+rd = get_root_datum("B", 2, "adjoint")
+N = dict(structure_constants(rd))
+a, b = min(N)
+N[a, b], N[b, a] = -N[a, b], -N[b, a]
+try:
+    _check_constants(rd, N)
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_constant_checks_survive_optimize():
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_CONSTANTS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:"), out.stdout
 
 
 def test_gl3_matrix_crosscheck():
@@ -182,7 +299,7 @@ def test_u_mu_piece_trivial_mu():
 def test_wp_trivial_mu_identity():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
     M = wP_representative(alg, Coweight((0, 0)))
-    assert M == identity(alg.dim, alg.field(1))
+    assert M == _basis(alg)
 
 
 def test_wp_conjugates_a_r():

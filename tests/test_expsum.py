@@ -50,7 +50,7 @@ def _fiber_sum(params, a, p2=hecke_oracle.p2):
     F_q^{1+n/2} enumerated once per entry, with no binning by trace, and
     p_1, p_2 from the field-operator oracle."""
     field, n = params.field, params.n
-    acc = CyclotomicValue.zero(field.p)
+    acc = CyclotomicValue(field.p)
     for m in itertools.product(field.elements(), repeat=1 + n // 2):
         if p2(n, field, m) == a:
             acc = acc + psi(field.p, hecke_oracle.p1(params, m))
@@ -159,7 +159,7 @@ def test_airy_column_sum_orthogonality():
     F = GF(p)
     f = [F(1), F(2), F(1), F(3)]
     table = airy_trace_table(f, p, e)
-    acc = CyclotomicValue.zero(p)
+    acc = CyclotomicValue(p)
     for t in F.elements():
         acc = acc + table.entries[t]
     assert acc == psi(p, poly_eval(F, f, F(0))) * (-p)

@@ -1,5 +1,8 @@
 """Every public function and method of airycheck has a caller in the library
-or the benchmark: a name that only tests reach is test-only API."""
+or the benchmark: a name that only tests reach is test-only API.
+
+References are matched by bare name, so no two public defs may share one:
+otherwise a caller of either would count for both."""
 
 import ast
 import pathlib
@@ -9,15 +12,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # public names kept without a caller in src/ or perfbench/, each with its reason
 KEEP = {
     "cli.main": "the console-script entry point named in pyproject.toml",
-    "loopmodel.GLnModel.depth": "the reference that in_filtration is tested against",
     "loopmodel.GLnModel.x_tilde_t2": "the reference that stabilizes_x_tilde is tested against",
     "loopmodel.GLnModel.random_I1": "the loop workload of the benchmark draws its samples with it",
     "arith.psi": "the additive character; the per-fiber test oracle sums its values",
     "arith.CyclotomicValue.galois": "the Galois action the exact L-function check needs (ROADMAP item 1)",
-    "chevalley.ChevalleyAlgebra.check_jacobi":
-        "the dense Jacobi check, until the sparse self-check replaces it (ROADMAP item 4)",
-    "chevalley.ChevalleyAlgebra.check_kappa_invariance":
-        "the dense invariance check, until the sparse self-check replaces it (ROADMAP item 4)",
 }
 
 
@@ -60,11 +58,30 @@ def uncalled(library, others):
     return missing, defined
 
 
-def test_every_public_function_has_a_library_or_benchmark_caller():
-    library = {
+def shared_names(library):
+    """{bare name: [qualified names]} for the names that more than one
+    public def of `library` ({module name: tree}) carries."""
+    by_name = {}
+    for module, tree in library.items():
+        for qual, node in _public_defs(tree):
+            if not node.name.startswith("_"):
+                by_name.setdefault(node.name, []).append(f"{module}.{qual}")
+    return {name: quals for name, quals in by_name.items() if len(quals) > 1}
+
+
+def _library():
+    return {
         path.stem: ast.parse(path.read_text(), str(path))
         for path in sorted((ROOT / "src" / "airycheck").glob("*.py"))
     }
+
+
+def test_no_two_public_defs_share_a_name():
+    assert shared_names(_library()) == {}
+
+
+def test_every_public_function_has_a_library_or_benchmark_caller():
+    library = _library()
     bench = [
         ast.parse(path.read_text(), str(path))
         for path in sorted((ROOT / "perfbench").glob("*.py"))
@@ -86,3 +103,16 @@ def test_uncalled_sees_a_function_only_its_own_body_names():
     missing, defined = uncalled({"lib": lib}, [bench])
     assert missing == ["lib.recursive", "lib.C.method"]
     assert defined == {"lib.used", "lib.recursive", "lib.C.method", "lib.C.called"}
+
+
+def test_a_shared_name_hides_an_uncalled_method():
+    # A.depth has no caller, but the call of B.depth carries the same bare
+    # name, so only the shared-name check sees it
+    lib = ast.parse(
+        "class A:\n    def depth(self):\n        return 0\n\n"
+        "class B:\n    def depth(self):\n        return 1\n"
+    )
+    bench = ast.parse("from lib import B\nB().depth()\n")
+    missing, _ = uncalled({"lib": lib}, [bench])
+    assert missing == []
+    assert shared_names({"lib": lib}) == {"depth": ["lib.A.depth", "lib.B.depth"]}
