@@ -7,19 +7,21 @@ barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
 
 The group-level factorization is implemented in the GL_n matrix model: a
 group element is a list of h+2 matrices of int residues mod p (the t-power
-coefficients).  Series arithmetic works on the residues directly, one fused
-dot product per entry and one reduction mod p.  In `factorize_I1` field
-elements enter only in `_factor_bases`, which turns the z, a^mu and u_mu
-bases into int solve maps once per (n, p, mu); a sample reads, solves and
-updates on residues alone.
+coefficients).  Series products work on the residues directly, one fused
+dot product per entry and one reduction mod p.  `factorize_I1` forms no
+series product and no inverse: each factor is an entry list, applied to a
+series by sparse row or column operations, and an S-factor is undone by a
+triangular solve.  Field elements enter only in `_factor_bases`, which
+turns the z, a^mu and u_mu bases into int solve maps once per (n, p, mu); a
+sample reads, solves and updates on residues alone.
 
 `draw_factorization` and `round_trip_mismatch` are the round-trip oracle
 of `factorize_I1`: they build g from random factor coordinates and read the
 coordinates back from the factors it returns.  The oracle forms its factors
 with `graded_lift`, `exp_series` and `mul` only, and must share none of
-factorize_I1's kernels (`_factor_bases`, `_entries`, `_series`, `_exp_pair`,
-`_times_one_plus`, `_one_plus_times`), so that a fault in one of them cannot
-cancel out of the comparison.
+factorize_I1's kernels (`_factor_bases`, `_entries`, `_sparse_exp_terms`,
+`_exp_pair`, `_times_one_plus`, `_one_plus_times`, `_solve_one_plus`), so
+that a fault in one of them cannot cancel out of the comparison.
 """
 
 from __future__ import annotations
@@ -238,30 +240,6 @@ class GLnModel:
             out.append([[sum(map(operator.mul, row, col)) % p for col in ck] for row in rows])
         return out
 
-    def inv(self, A):
-        """Inverse series: Gauss-Jordan on the t^0 block, then
-        B_k = sum_{i=1..k} C_i B_{k-i} with C_i = -A_0^{-1} A_i, summed over
-        the nonzero A_i only."""
-        n, N, p = self.n, self.N, self.p
-        inv0 = _inverse_mod(A[0], p)
-        neg = [[-x for x in row] for row in inv0]
-        C = {
-            i: [[sum(map(operator.mul, row, col)) % p for col in zip(*A[i])] for row in neg]
-            for i in range(1, N) if any(map(any, A[i]))
-        }
-        live = []  # the i <= k with C_i nonzero
-        rows = [[] for _ in range(n)]  # row r of the live C_i, concatenated
-        out = [inv0]
-        for k in range(1, N):
-            if k in C:
-                live.append(k)
-                for r in range(n):
-                    rows[r] += C[k][r]
-            # column c of the B_{k-i} for the live i, in the same order
-            cols = [[row[c] for i in live for row in out[k - i]] for c in range(n)]
-            out.append([[sum(map(operator.mul, row, col)) % p for col in cols] for row in rows])
-        return out
-
     def eq(self, A, B):
         p = self.p
         return all(
@@ -300,28 +278,22 @@ class GLnModel:
         return out
 
     def exp_series(self, Y):
-        """exp of a positive-depth series; the series must terminate
-        before 1/p! is needed."""
-        out = self.identity_series()
-        for coeff, term in self._exp_terms(Y):
-            _add_scaled(out, coeff, term, self.p)
-        return out
-
-    def _exp_terms(self, Y):
-        """[(1/k! mod p, Y^k) for k = 1, 2, ...] up to the first zero power."""
+        """exp of a positive-depth series, summed over the powers Y^k up to
+        the first zero one; the series must terminate before 1/p! is needed."""
         p = self.p
-        terms = []
+        out = self.identity_series()
         term = [[[x % p for x in row] for row in blk] for blk in Y]  # Y^k, from k = 1
-        k = 1
-        fact = 1
+        k = fact = 1
         while any(any(map(any, blk)) for blk in term):
             if k >= p:
                 raise ValueError("exp series does not terminate before 1/p!")
             fact *= k
-            terms.append((pow(fact, -1, p), term))
+            c = pow(fact, -1, p)
+            out = [[[(x + c * y) % p for x, y in zip(orow, trow)] for orow, trow in zip(ob, tb)]
+                   for ob, tb in zip(out, term)]
             k += 1
             term = self.mul(term, Y)
-        return terms
+        return out
 
     @cached_property
     def _x_tilde(self):
@@ -384,24 +356,6 @@ class GLnModel:
             for i, j in entries:
                 blk[i][j] = (blk[i][j] + rng.randrange(p)) % p
         return g
-
-
-def _inverse_mod(M, p):
-    """Inverse of a square int matrix mod p, by Gauss-Jordan elimination."""
-    n = len(M)
-    aug = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = pow(aug[col][col], -1, p)
-        prow = aug[col] = [x * s % p for x in aug[col]]
-        for r in range(n):
-            f = aug[r][col]
-            if f and r != col:
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], prow)]
-    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)
@@ -491,39 +445,52 @@ def _entries(rows, x, p):
     return out
 
 
-def _add_scaled(A, c: int, B, p: int):
-    """A + c B mod p, in place in A."""
-    for ab, bb in zip(A, B):
-        for arow, brow in zip(ab, bb):
-            for j, x in enumerate(brow):
-                if x:
-                    arow[j] = (arow[j] + c * x) % p
+def _sparse_exp_terms(model: GLnModel, Y):
+    """[(1/k! mod p, Y^k) for k = 1, 2, ...] up to the first zero power, for
+    Y an entry list; each Y^k is a {(t-power, row, col): value} dict, and
+    the entries (i, j, k) and (i', k, l) multiply to (i + i', j, l), dropped
+    at t^N."""
+    N, p = model.N, model.p
+    term = {(i, j, k): c % p for i, j, k, c in Y if c % p}
+    right = {}  # row -> [(t-power, col, value)] of Y
+    for (i, j, k), c in term.items():
+        right.setdefault(j, []).append((i, k, c))
+    terms = []
+    k = fact = 1
+    while term:
+        if k >= p:
+            raise ValueError("exp series does not terminate before 1/p!")
+        fact *= k
+        terms.append((pow(fact, -1, p), term))
+        k += 1
+        nxt = {}
+        for (i, j, l), c in term.items():
+            for i2, l2, c2 in right.get(l, ()):
+                if i + i2 < N:
+                    nxt[i + i2, j, l2] = nxt.get((i + i2, j, l2), 0) + c * c2
+        term = {key: c % p for key, c in nxt.items() if c % p}
+    return terms
 
 
 def _exp_pair(model: GLnModel, Y):
-    """exp(Y) and exp(-Y) from one chain of powers Y^k: the k-th terms
-    differ by the sign (-1)^k."""
+    """exp(Y) - 1 and exp(-Y) - 1 as entry lists, for Y an entry list of
+    positive depth, from one chain of powers Y^k: the k-th terms differ by
+    the sign (-1)^k."""
     p = model.p
-    e, e_inv = model.identity_series(), model.identity_series()
-    for k, (coeff, term) in enumerate(model._exp_terms(Y), start=1):
-        _add_scaled(e, coeff, term, p)
-        _add_scaled(e_inv, coeff if k % 2 == 0 else p - coeff, term, p)
-    return e, e_inv
-
-
-def _series(model: GLnModel, entries):
-    """The series with these (t-power, row, col, value) entries."""
-    out = model.zero_series()
-    for i, j, k, c in entries:
-        out[i][j][k] = c
-    return out
+    plus, minus = {}, {}
+    for k, (coeff, term) in enumerate(_sparse_exp_terms(model, Y), start=1):
+        sign = coeff if k % 2 == 0 else -coeff
+        for key, y in term.items():
+            plus[key] = plus.get(key, 0) + coeff * y
+            minus[key] = minus.get(key, 0) + sign * y
+    return tuple([key + (c % p,) for key, c in d.items() if c % p] for d in (plus, minus))
 
 
 def _times_one_plus(model: GLnModel, A, entries):
     """A (1 + Z) in place, Z the sum of c t^i E_jk over the entries
     (i, j, k, c): column k of block m gains c times column j of the old
     block m - i."""
-    N, p = model.N, model.p
+    N, p = len(A), model.p
     adds = [(m, k, c, [line[j] for line in A[m - i]])
             for i, j, k, c in entries for m in range(i, N)]
     for m, k, c, src in adds:
@@ -535,10 +502,29 @@ def _times_one_plus(model: GLnModel, A, entries):
 def _one_plus_times(model: GLnModel, entries, A):
     """(1 + Z) A in place: row j of block m gains c times row k of the old
     block m - i."""
-    N, p = model.N, model.p
+    N, p = len(A), model.p
     adds = [(m, j, c, A[m - i][k]) for i, j, k, c in entries for m in range(i, N)]
     for m, j, c, src in adds:  # rows are replaced, so src keeps the old row
         A[m][j] = [(y + c * x) % p for y, x in zip(A[m][j], src)]
+
+
+def _solve_one_plus(model: GLnModel, entries, A):
+    """(1 + Z)^{-1} A in place, for Z of positive depth: X = A - Z X, where
+    row j of block m of Z X is the sum of c times row k of X_{m-i}.  Blocks
+    are solved in ascending order and the rows of a block from the bottom
+    up, since a t^0 entry (j, k) of positive depth has k > j.  Rows are
+    replaced, never changed in place."""
+    p = model.p
+    by_row = [[] for _ in range(model.n)]  # row j -> [(t-power, col, value)] of Z
+    for i, j, k, c in entries:
+        if i == 0 and k <= j:
+            raise ValueError(f"t^0 entry ({j}, {k}) of Z does not have positive depth")
+        by_row[j].append((i, k, c))
+    for m, blk in enumerate(A):
+        for j in reversed(range(model.n)):
+            for i, k, c in by_row[j]:
+                if i <= m:
+                    blk[j] = [(y - c * x) % p for y, x in zip(blk[j], A[m - i][k])]
 
 
 def factorize_I1(model: GLnModel, g, mu: Coweight):
@@ -546,9 +532,13 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     depth-r A-factors, s in S(1), residual in I(1 + ceil(h/2)).
 
     The remainder (u a s)^{-1} g is carried as s^{-1} a^{-1} w with
-    w = u^{-1} g: a root-line factor 1 + Y (Y square-zero, inverse 1 - Y)
-    updates u by a column and w by a row operation, an A-factor exp(Y) has
-    the inverse exp(-Y) and an S-factor 1 + Z the inverse inv(1 + Z).
+    w = u^{-1} g, and every factor as the entry list of its part off the
+    identity: a root-line factor 1 + Y (Y square-zero, inverse 1 - Y)
+    updates u by a column and w by a row operation, an A-factor exp(Y)
+    updates a by column operations and is undone on the remainder by the
+    row operations of exp(-Y), and an S-factor 1 + Z updates s by column
+    operations and is undone on the remainder by a triangular solve.  No
+    inverse series and no dense series product is formed.
     """
     if not model.in_filtration(g, 1):
         raise ValueError("element is not in I(1)")
@@ -557,14 +547,16 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     maps = _factor_bases((model.n, p), tuple(mu.coords))
     w = [[[x % p for x in row] for row in blk] for blk in g]
     u = model.identity_series()
+    a = model.identity_series()
     s = model.identity_series()
-    a = a_inv = s_inv = None  # None while still the identity
+    a_steps, s_steps = [], []  # exp(-Y) - 1 and Z of each factor, in step order
 
     def remainder(blocks):
-        d = w
-        for f in (a_inv, s_inv):
-            if f is not None:
-                d = model._mul(f, d, blocks)
+        d = [list(blk) for blk in w[:blocks]]  # rows are replaced, never changed
+        for e in a_steps:
+            _one_plus_times(model, e, d)
+        for z in s_steps:
+            _solve_one_plus(model, z, d)
         return d
 
     for r in range(1, half + 1):
@@ -584,9 +576,9 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         # a-part: exp of the graded lift (a t^{-mu}w_P-conjugate of exp(tY))
         ya = _entries(a_lift, x, p)
         if ya:
-            e, e_inv = _exp_pair(model, _series(model, ya))
-            a = e if a is None else model.mul(a, e)
-            a_inv = e_inv if a_inv is None else model.mul(e_inv, a_inv)
+            e, e_minus = _exp_pair(model, ya)
+            _times_one_plus(model, a, e)
+            a_steps.append(e_minus)
         # s-part: 1 + Z with Z a multiple of E_1^r, which commutes with
         # t N^- + E_theta, so 1 + Z lies in S(r)
         zs = _entries(z_lift, x, p)
@@ -594,16 +586,12 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
             sr = _times_one_plus(model, model.identity_series(), zs)
             if not model.stabilizes_x_tilde(sr):
                 raise VerificationError(f"the depth-{r} S-factor does not fix X-tilde")
-            sr_inv = model.inv(sr)
-            s_inv = sr_inv if s_inv is None else model.mul(sr_inv, s_inv)
+            s_steps.append(zs)
             _times_one_plus(model, s, zs)
     residual = remainder(model.N)
     if not model.in_filtration(residual, 1 + half):
         raise VerificationError(f"residual is not in I({1 + half})")
-    if a is None:
-        a = model.identity_series()
     return u, a, s, residual
-
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import airycheck
-from airycheck import cli, linalg, loopmodel
+from airycheck import cli, loopmodel
 from airycheck.chevalley import (
     a_subspace,
     build_algebra,
@@ -153,13 +153,51 @@ def test_odd_parahoric():
 # ---------------------------------------------------------------------------
 # GL_n matrix model.
 
+def _off_identity(model, A):
+    """The entry list (t-power, row, col, value) of A - 1."""
+    p = model.p
+    return [
+        (i, j, k, (x - (i == 0 and j == k)) % p)
+        for i, blk in enumerate(A) for j, row in enumerate(blk) for k, x in enumerate(row)
+        if (x - (i == 0 and j == k)) % p
+    ]
+
+
+def _one_plus_series(model, entries):
+    """1 + the series with these (t-power, row, col, value) entries."""
+    out = model.identity_series()
+    for i, j, k, c in entries:
+        out[i][j][k] = (out[i][j][k] + c) % model.p
+    return out
+
+
+def _copy(A):
+    return [[list(row) for row in blk] for blk in A]
+
+
+def _solved(model, entries, A):
+    """(1 + Z)^{-1} A by _solve_one_plus, on a copy of A."""
+    X = _copy(A)
+    loopmodel._solve_one_plus(model, entries, X)
+    return X
+
+
+def _one_plus_applied(model, entries, A):
+    """(1 + Z) A by _one_plus_times, on a copy of A."""
+    X = _copy(A)
+    loopmodel._one_plus_times(model, entries, X)
+    return X
+
+
 def test_model_mul_inv():
+    # g = 1 + Z in I(1) times its inverse, which _solve_one_plus applies to 1
     model = GLnModel(3, 7)
     rng = random.Random(0)
+    one = model.identity_series()
     for _ in range(20):
         g = model.random_I1(rng)
         assert model.in_filtration(g, 1)
-        assert model.eq(model.mul(g, model.inv(g)), model.identity_series())
+        assert model.eq(model.mul(g, _solved(model, _off_identity(model, g), one)), one)
 
 
 def _depth(model, A):
@@ -194,14 +232,6 @@ def _random_series(model, rng, lo=0, hi=None):
         [[rng.randrange(lo, hi) for _ in range(model.n)] for _ in range(model.n)]
         for _ in range(model.N)
     ]
-
-
-def _random_unit(model, rng):
-    """A series with an invertible t^0 block (not only a unipotent one)."""
-    while True:
-        g = _random_series(model, rng)
-        if linalg.rank([[model.field(x) for x in row] for row in g[0]]) == model.n:
-            return g
 
 
 def _naive_mul(model, A, B):
@@ -252,27 +282,42 @@ def test_mul_associative(n, p):
         assert model.mul(model.mul(A, B), C) == model.mul(A, model.mul(B, C))
 
 
-def _one_block_above_t0(model, rng, k):
-    """A unit whose only nonzero block above t^0 is at t^k."""
-    g = model.zero_series()
-    g[0] = _random_unit(model, rng)[0]
-    g[k] = _random_series(model, rng)[k]
-    g[k][0][0] = g[k][0][0] or 1
-    return g
+def _random_positive_depth(model, rng, density):
+    """An entry list Z of positive depth: each entry (i, j, k) with
+    i h + k - j >= 1 present with probability `density`."""
+    n, p = model.n, model.p
+    return [
+        (i, j, k, rng.randrange(1, p))
+        for i in range(model.N) for j in range(n) for k in range(n)
+        if i * n + k - j >= 1 and rng.random() < density
+    ]
+
+
+def _check_two_sided(model, entries, rng):
+    """_solve_one_plus undoes _one_plus_times and the other way round, on a
+    full and on a 2-block series, and agrees with the product by 1 + Z."""
+    one_plus = _one_plus_series(model, entries)
+    for blocks in (model.N, 2):
+        A = _random_series(model, rng)[:blocks]
+        X = _solved(model, entries, A)
+        assert _one_plus_applied(model, entries, X) == A
+        assert _solved(model, entries, _one_plus_applied(model, entries, A)) == A
+        assert model._mul(one_plus, X, blocks) == A
+    inv = _solved(model, entries, model.identity_series())
+    assert model.mul(one_plus, inv) == model.mul(inv, one_plus) == model.identity_series()
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_inv_two_sided(n, p):
-    # inv sums only over the nonzero blocks above t^0, hence the sparse units
+    # (1 + Z)^{-1} as _solve_one_plus applies it, for dense and sparse Z of
+    # positive depth, and for Z with one block only, at t^0, t^1 or t^(N-1)
     model = GLnModel(n, p)
     rng = random.Random(200 + 10 * n + p)
-    one = model.identity_series()
-    units = [_random_unit(model, rng) for _ in range(5)] + [model.random_I1(rng)]
-    units += [_one_block_above_t0(model, rng, k) for k in (1, 2, model.N - 1)]
-    for g in units:
-        h = model.inv(g)
-        assert model.mul(g, h) == one
-        assert model.mul(h, g) == one
+    cases = [_random_positive_depth(model, rng, density) for density in (1.0, 0.5, 0.2)]
+    for k in (0, 1, model.N - 1):
+        cases.append([e for e in _random_positive_depth(model, rng, 1.0) if e[0] == k])
+    for entries in cases:
+        _check_two_sided(model, entries, rng)
 
 
 @pytest.mark.parametrize("n,p", [(4, 7), (5, 11)])
@@ -280,16 +325,11 @@ def test_inv_two_sided_on_s_factors(n, p):
     # the S-factors 1 + Z of factorize_I1, Z read off a sample by z_lift
     model = GLnModel(n, p)
     rng = random.Random(n * p)
-    one = model.identity_series()
     maps = loopmodel._factor_bases((n, p), (0,) * n)
     for reads, _, _, _, z_lift in maps.values():
         for _ in range(3):
             x = [rng.randrange(p) for _ in reads]
-            s = loopmodel._times_one_plus(model, model.identity_series(),
-                                          loopmodel._entries(z_lift, x, p))
-            h = model.inv(s)
-            assert model.mul(s, h) == one
-            assert model.mul(h, s) == one
+            _check_two_sided(model, loopmodel._entries(z_lift, x, p), rng)
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
@@ -311,13 +351,10 @@ def test_kernel_returns_residues(n, p):
     rng = random.Random(300 + 10 * n + p)
     A = _random_series(model, rng, -3 * p, 3 * p)
     B = _random_series(model, rng, -3 * p, 3 * p)
-    A[0] = _random_unit(model, rng)[0]
-    A[0][0][0] += 5 * p
     red = lambda S: [[[x % p for x in row] for row in blk] for blk in S]
-    prod, inv = model.mul(A, B), model.inv(A)
-    assert _is_reduced(model, prod) and _is_reduced(model, inv)
+    prod = model.mul(A, B)
+    assert _is_reduced(model, prod)
     assert prod == model.mul(red(A), red(B)) == _naive_mul(model, A, B)
-    assert inv == model.inv(red(A))
     assert model.eq(A, red(A))
     g = model.random_I1(rng)
     shift = lambda S: [[[x + p * rng.randrange(-2, 3) for x in row] for row in blk] for blk in S]
@@ -332,11 +369,41 @@ def test_kernel_returns_residues(n, p):
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_inv_rejects_singular_constant_block(n, p):
+    # _solve_one_plus inverts 1 + Z only for Z of positive depth; a t^0
+    # entry on or below the diagonal raises before the series is touched
     model = GLnModel(n, p)
     g = model.random_I1(random.Random(n * p))
-    g[0][n - 1] = [p * x for x in range(n)]  # last row of the t^0 block is 0 mod p
-    with pytest.raises(ValueError):
-        model.inv(g)
+    Z = _off_identity(model, g)
+    A = model.random_I1(random.Random(n * p + 1))
+    before = _copy(A)
+    # -1 at t^0 (n-1, n-1): the last row of the t^0 block of 1 + Z is 0 mod p
+    for bad in ((0, n - 1, n - 1, p - 1), (0, n - 1, 0, 1)):
+        with pytest.raises(ValueError, match=rf"t\^0 entry \({bad[1]}, {bad[2]}\)"):
+            loopmodel._solve_one_plus(model, Z + [bad], A)
+        assert A == before
+
+
+_SOLVE_UNDER_O = """
+from airycheck import loopmodel
+from airycheck.loopmodel import GLnModel
+
+assert not __debug__, "this check must run under python -O"
+model = GLnModel(3, 7)
+try:
+    loopmodel._solve_one_plus(model, [(0, 1, 1, 6)], model.identity_series())
+except ValueError as exc:
+    print("raised", exc)
+"""
+
+
+def test_solve_one_plus_rejects_a_t0_entry_under_optimize():
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _SOLVE_UNDER_O],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised t^0 entry (1, 1)"), out.stdout
 
 
 def test_exp_series_terminates():
@@ -348,17 +415,16 @@ def test_exp_series_terminates():
     assert g[1][0][1] == model.field(2)
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("a dense series product was formed")
+
+
 @pytest.mark.parametrize("n,p", [(3, 7), (4, 7), (6, 11)])
 def test_exp_pair_is_exp_of_y_and_of_minus_y(n, p, monkeypatch):
-    # one power chain for both exponentials: as many products as one
-    # exp_series, and the same ValueError where exp needs 1/p!
-    from airycheck import loopmodel
-
+    # one sparse power chain for both exponentials, no dense product, and
+    # the same ValueError as exp_series where exp needs 1/p!
     model = GLnModel(n, p)
     rng = random.Random(n * p)
-    products = []
-    mul = GLnModel.mul
-    monkeypatch.setattr(GLnModel, "mul", lambda self, A, B: products.append(1) or mul(self, A, B))
     longest = 0
     for d in range(1, 2 * model.h):  # Y has entries of depth >= d only
         Y = model.zero_series()
@@ -368,22 +434,52 @@ def test_exp_pair_is_exp_of_y_and_of_minus_y(n, p, monkeypatch):
                     if i * model.h + k - j >= d and rng.random() < 0.3:
                         row[k] = rng.randrange(-p, 2 * p)
         minus = [[[-x for x in row] for row in blk] for blk in Y]
+        entries = [(i, j, k, x) for i, blk in enumerate(Y) for j, row in enumerate(blk)
+                   for k, x in enumerate(row) if x]
         try:
             expected = model.exp_series(Y), model.exp_series(minus)
         except ValueError:
             with pytest.raises(ValueError, match="1/p!"):
-                loopmodel._exp_pair(model, Y)
+                loopmodel._exp_pair(model, entries)
             continue
-        products.clear()
-        model.exp_series(Y)
-        one_chain = len(products)
-        products.clear()
-        pair = loopmodel._exp_pair(model, Y)
-        assert len(products) == one_chain
-        assert pair == expected
-        assert model.eq(mul(model, pair[0], pair[1]), model.identity_series())
-        longest = max(longest, one_chain)
+        with monkeypatch.context() as m:
+            m.setattr(GLnModel, "_mul", _raise)
+            pair = loopmodel._exp_pair(model, entries)
+            longest = max(longest, len(loopmodel._sparse_exp_terms(model, entries)))
+        for e, want in zip(pair, expected):
+            assert len({c[:3] for c in e}) == len(e)
+            assert all(0 < c < p for *_, c in e)
+            assert _one_plus_series(model, e) == want
     assert longest >= 3
+
+
+def test_factorize_i1_forms_no_series_product(monkeypatch):
+    outs = []
+    with monkeypatch.context() as m:
+        m.setattr(GLnModel, "_mul", _raise)
+        for n in (2, 3, 4):
+            model = GLnModel(n, 7)
+            rng = random.Random(n)
+            for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+                for _ in range(3):
+                    g = model.random_I1(rng)
+                    outs.append((model, g, factorize_I1(model, g, mu)))
+    for model, g, (u, a, s, res) in outs:
+        assert model.eq(model.mul(model.mul(model.mul(u, a), s), res), g)
+
+
+@pytest.mark.parametrize("fault,failures", [("S-solve by 1 + Z", 82), ("A-inverse by exp(Y)", 63)])
+def test_factorization_check_sees_a_wrong_inverse(fault, failures, monkeypatch):
+    # undoing a factor on the remainder by the factor itself, instead of its
+    # inverse, leaves the round trip with wrong coordinates or residuals
+    if fault.startswith("S"):
+        monkeypatch.setattr(loopmodel, "_solve_one_plus", loopmodel._one_plus_times)
+    else:
+        exp_pair = loopmodel._exp_pair
+        monkeypatch.setattr(loopmodel, "_exp_pair", lambda model, Y: (exp_pair(model, Y)[0],) * 2)
+    ok, params, witness = cli.check_factorization(samples=10)
+    assert not ok
+    assert len(witness) == failures
 
 
 def test_factorize_identity():
@@ -517,8 +613,8 @@ def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
 
 
 # factorize_I1's own kernels, which its round-trip oracle must not call
-FACTORIZE_KERNELS = ("_times_one_plus", "_one_plus_times", "_factor_bases", "_exp_pair",
-                     "_entries", "_series")
+FACTORIZE_KERNELS = ("_times_one_plus", "_one_plus_times", "_solve_one_plus", "_factor_bases",
+                     "_exp_pair", "_sparse_exp_terms", "_entries")
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -584,6 +680,26 @@ def test_factorize_i1_outputs_pinned_p11(n, digest):
     assert hashlib.sha256(repr(outs).encode()).hexdigest() == digest
 
 
+def test_factorize_i1_outputs_pinned_p7():
+    # SHA-256 over the (u, a, s, residual) reprs, or the error texts, of the
+    # loop workload's grid (GL_2-GL_4 over F_7, every mu in degree window
+    # (0, 0)) and of GL_5 over F_7, where p < 2h - 1 and most samples raise;
+    # the digest is that of the code that formed inverse series
+    outs = []
+    for n in (2, 3, 4, 5):
+        model = GLnModel(n, 7)
+        rng = random.Random(100 * n + 7)
+        for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+            for _ in range(3):
+                try:
+                    outs.append(repr(factorize_I1(model, model.random_I1(rng), mu)))
+                except airycheck.VerificationError as exc:
+                    outs.append(str(exc))
+    assert sum(out.startswith("depth-3 part") for out in outs) == 12
+    assert hashlib.sha256("\n".join(outs).encode()).hexdigest() == \
+        "f504f7272b3f6226ff5486b847bc9afe927e9699ec2b5cc60f5f1928884c0026"
+
+
 def test_factorize_i1_sample_builds_no_field_element(monkeypatch):
     from airycheck import arith, loopmodel
 
@@ -618,21 +734,20 @@ def test_factorize_i1_sees_an_s_factor_off_x_tilde(monkeypatch):
 
 def test_factorize_i1_sees_a_shallow_entry_in_block_1(monkeypatch):
     # before step 2 the remainder is computed in blocks 0 and 1 only; an
-    # inverse S-factor off by t E_{n-1,0} puts a depth-1 entry in block 1
+    # S-solve shifted by t E_{n-1,0} puts a depth-1 entry in block 1
     model = GLnModel(4, 7)
     mu = Coweight((1, 0, 0, 0))
     g = model.random_I1(random.Random(1))  # its step 1 has an S-factor
     factorize_I1(model, g, mu)
-    inv = model.inv
+    solve = loopmodel._solve_one_plus
     calls = []
 
-    def off_by_one(A):
-        B = inv(A)
-        calls.append(B)
-        B[1][model.n - 1][0] = (B[1][model.n - 1][0] + 1) % model.p
-        return B
+    def off_by_one(model, entries, A):
+        solve(model, entries, A)
+        calls.append(entries)
+        loopmodel._one_plus_times(model, [(1, model.n - 1, 0, 1)], A)
 
-    monkeypatch.setattr(model, "inv", off_by_one)
+    monkeypatch.setattr(loopmodel, "_solve_one_plus", off_by_one)
     with pytest.raises(airycheck.VerificationError, match=r"remainder before step 2 is not in I\(2\)"):
         factorize_I1(model, g, mu)
     assert len(calls) == 1  # the step-1 S-factor
