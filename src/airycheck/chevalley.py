@@ -15,6 +15,7 @@ the signs of the matrix units.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,10 +113,9 @@ def structure_constants(rd: RootDatum):
     sums = _root_sums(rd)
     npos = len(rd.pos_roots)
     neg = _negation(npos)
-    n = rd.n
-    norm = [  # (x, x) = sum_ij x_i x_j d_j a_ji
-        sum(x[i] * x[j] * rd.d[j] * rd.cartan[j][i] for i in range(n) for j in range(n))
-        for x in roots
+    norm = [  # (x, x) = sum_j d_j x_j <x, alpha-check_j>, an int
+        sum(dj * xj * tj for dj, xj, tj in zip(rd.d, x, t))
+        for x, t in zip(roots, rd.pairings)
     ]
     N = {}  # positive pairs, both orders
 
@@ -126,12 +126,13 @@ def structure_constants(rd: RootDatum):
             return -const(neg[a], neg[b])
         if a >= npos:
             return -const(b, a)
-        # a positive, b negative: the zero-sum triple (a, b, -c)
+        # a positive, b negative: the zero-sum triple (a, b, -c); the
+        # quotients are Fractions, since int / int would be a float
         c = sums[a][b]
         if c < npos:  # N_{a,b}/(c,c) = N_{b,-c}/(a,a) = -N_{-b,c}/(a,a)
-            q = -norm[c] * N[neg[b], c] / norm[a]
+            q = Fraction(-norm[c] * N[neg[b], c], norm[a])
         else:  # N_{a,b}/(c,c) = N_{-c,a}/(b,b)
-            q = norm[c] * N[neg[c], a] / norm[b]
+            q = Fraction(norm[c] * N[neg[c], a], norm[b])
         return _exact(q, roots, a, b)
 
     for g in range(npos):
@@ -171,7 +172,8 @@ def _check_constants(rd: RootDatum, N):
     sums = _root_sums(rd)
     npos = len(rd.pos_roots)
     neg = _negation(npos)
-    coroot = [rd.coroot_of(a) for a in roots]
+    coroot = _coroots(rd)
+    pairs = rd.pairings
     for (a, b), v in N.items():
         if abs(v) != _string_below(sums, neg, a, b) + 1:
             raise VerificationError(f"|N| != p + 1 at {(roots[a], roots[b])}")
@@ -184,24 +186,44 @@ def _check_constants(rd: RootDatum, N):
             raise VerificationError(
                 f"coroot relation fails at {(roots[a], roots[b], roots[c])}")
 
-    def term(x, y, z):
-        """The coefficient of [[e_x, e_y], e_z] at e_{x+y+z}."""
-        s = sums[x].get(y)
-        if s is not None:
-            return N[x, y] * N[s, z]
-        if y == neg[x]:  # <z, x-check>
-            return rd.root_pairing(roots[z], coroot[x])
-        return 0
+    row_of = [{} for _ in roots]  # row_of[a][b] = N_{a,b}
+    for (a, b), v in N.items():
+        row_of[a][b] = v
+
+    def pairing(z, x):  # <z, x-check>
+        return sum(map(operator.mul, coroot[x], pairs[z]))
 
     # N is antisymmetric, so the Jacobi sum is alternating in (x, y, z): one
-    # order with x < y and x + y in Phi or 0 covers every triple
+    # order with x < y and x + y in Phi or 0 covers every triple.  Each of
+    # its three terms, the coefficient of [[e_u, e_v], e_w] at e_{u+v+w}, is
+    # N_{u,v} N_{u+v,w} when u + v is a root, <w, u-check> when v = -u and
+    # 0 otherwise
+    every = range(len(roots))
     for x, row in enumerate(sums):
+        nx = row_of[x]
         for y in [b for b in row if b > x] + ([neg[x]] if x < npos else []):
             s = row.get(y)
-            for z in (range(len(roots)) if s is None else sums[s]):
-                if term(x, y, z) + term(y, z, x) + term(z, x, y):
+            sy, ny = sums[y], row_of[y]
+            for z in (every if s is None else sums[s]):
+                j = pairing(z, x) if s is None else nx[y] * row_of[s][z]
+                yz = sy.get(z)
+                if yz is not None:
+                    j += ny[z] * row_of[yz][x]
+                elif z == neg[y]:
+                    j += pairing(x, y)
+                zx = sums[z].get(x)
+                if zx is not None:
+                    j += row_of[z][x] * row_of[zx][y]
+                elif x == neg[z]:
+                    j += pairing(y, z)
+                if j:
                     raise VerificationError(
                         f"Jacobi fails at {(roots[x], roots[y], roots[z])}")
+
+
+def _coroots(rd: RootDatum):
+    """The coroots of rd.roots in simple-coroot coordinates, in that order."""
+    return rd.coroots + tuple(tuple(-c for c in x) for x in rd.coroots)
 
 
 def _gl_root_interval(root):
@@ -269,42 +291,54 @@ class ChevalleyAlgebra:
         else:
             N = structure_constants(rd)
             neg = _negation(self.npos)
-            for a, row in enumerate(_root_sums(rd)):
+            for a, (row, coroot) in enumerate(zip(_root_sums(rd), _coroots(rd))):
                 for b, s in row.items():
                     add(a, b, s, N[a, b])
-                for i, ci in enumerate(rd.coroot_of(self.basis_roots[a])):
+                for i, ci in enumerate(coroot):
                     add(a, neg[a], self.cartan_index(i), ci)
+            pairs = rd.pairings
             for i in range(rd.n):
                 hi = self.cartan_index(i)
-                ei = tuple(1 if j == i else 0 for j in range(rd.n))
-                for b, ib in enumerate(self.basis_roots):
-                    c = rd.root_pairing(ib, ei)
-                    add(hi, b, b, c)
-                    add(b, hi, b, -c)
+                for b, t in enumerate(pairs):
+                    add(hi, b, b, t[i])
+                    add(b, hi, b, -t[i])
         self.table = table
 
     def _build_kappa(self):
+        """kappa_rows[i] = {j: kappa(b_i, b_j)} over the nonzero values.
+
+        ad b_i ad b_j moves weights by wt(b_i) + wt(b_j), so its trace can
+        be nonzero only when that sum is 0: on the pairs (e_a, e_{-a}) and
+        on the Cartan block.  The same holds for the matrix trace form."""
         rd = self.rd
-        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        npos, cartan = self.npos, range(2 * self.npos, self.dim)
+        neg = _negation(npos)
+        rows = [{} for _ in range(self.dim)]
         if rd.series == "GL":
             # matrix trace form
-            for i, a in enumerate(self.basis_roots):
-                gram[i][self.root_index[_vneg(a)]] = Fraction(1)
-            for i in range(rd.rank):
-                gram[self.cartan_index(i)][self.cartan_index(i)] = Fraction(1)
+            for i in range(2 * npos):
+                rows[i][neg[i]] = Fraction(1)
+            for i in cartan:
+                rows[i][i] = Fraction(1)
         else:
             # Killing form / 2h: tr(ad b_i ad b_j), from the sparse constants
-            for i in range(self.dim):
-                ad_i = [(k, l, c) for k, row in self.table[i].items() for l, c in row.items()]
-                for j in range(i, self.dim):
-                    ad_j = self.table[j]
-                    acc = 0
-                    for k, l, c in ad_i:
-                        row = ad_j.get(l)
-                        if row:
-                            acc += c * row.get(k, 0)
-                    gram[i][j] = gram[j][i] = Fraction(acc, 2 * self.h)
-        self.kappa_gram = gram
+            def trace(i, j):
+                ad_j = self.table[j]
+                acc = 0
+                for k, row in self.table[i].items():
+                    for l, c in row.items():
+                        col = ad_j.get(l)
+                        if col:
+                            acc += c * col.get(k, 0)
+                return Fraction(acc, 2 * self.h)
+
+            pairs = [(i, neg[i]) for i in range(npos)]
+            pairs += [(i, j) for i in cartan for j in cartan if i <= j]
+            for i, j in pairs:
+                g = trace(i, j)
+                if g:
+                    rows[i][j] = rows[j][i] = g
+        self.kappa_rows = rows
 
     # -- basic vectors ----------------------------------------------------
 
@@ -340,8 +374,8 @@ class ChevalleyAlgebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, g in enumerate(self.kappa_gram[i]):
-                if g and y[j]:
+            for j, g in self.kappa_rows[i].items():
+                if y[j]:
                     acc = acc + xi * y[j] * g
         return acc
 
@@ -485,6 +519,18 @@ def x_minus1(alg: ChevalleyAlgebra):
     return list(x)
 
 
+def _combine(alg: ChevalleyAlgebra, coeffs, basis):
+    """sum_k coeffs[k] basis[k], summed over the nonzero coefficients and
+    the nonzero basis entries only."""
+    v = alg.zero()
+    for c, b in zip(coeffs, basis):
+        if c:
+            for i, bi in enumerate(b):
+                if bi:
+                    v[i] = v[i] + c * bi
+    return v
+
+
 def _ad_kernel(alg: ChevalleyAlgebra, x, basis):
     """Basis of {v in span(basis) : [x, v] = 0}."""
     if not basis:
@@ -492,14 +538,7 @@ def _ad_kernel(alg: ChevalleyAlgebra, x, basis):
     rows = [alg.bracket(x, v) for v in basis]
     # kernel of the coefficient-space map c -> sum c_i [x, v_i]
     cols = [[row[i] for row in rows] for i in range(alg.dim)]
-    out = []
-    for coeffs in nullspace(cols, alg.field(1)):
-        v = alg.zero()
-        for c, b in zip(coeffs, basis):
-            for i, bi in enumerate(b):
-                v[i] = v[i] + c * bi
-        out.append(v)
-    return out
+    return [_combine(alg, coeffs, basis) for coeffs in nullspace(cols, alg.field(1))]
 
 
 def centralizer_z(alg: ChevalleyAlgebra):
@@ -680,6 +719,10 @@ def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
     for i in weyl_wP(rd, mu).word:
         out = []
         for col in _simple_reflection_ad(alg, i):
+            if len(col) == 1:  # every root column: M[k] times its sign
+                (k, c), = col
+                out.append(M[k] if c == 1 else tuple((r, m * c) for r, m in M[k]))
+                continue
             acc = {}
             for k, c in col:
                 for r, m in M[k]:
@@ -838,11 +881,7 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
             sol = solve(cols, y)
             if sol is None:
                 raise VerificationError(f"no lift of a height-{r - h} vector through p_-|z_{r}")
-            v = alg.zero()
-            for c, b in zip(sol, zs[r].basis):
-                for i, bi in enumerate(b):
-                    v[i] = v[i] + c * bi
-            slots.append((r, y, v))
+            slots.append((r, y, _combine(alg, sol, zs[r].basis)))
 
     lam = [f"l{i}" for i in range(len(slots))]
     xs = [f"x{i}" for i in range(len(slots))]

@@ -315,26 +315,21 @@ class GLnModel:
             for c, x in enumerate(row) if x
         ]
 
-    def stabilizes_x_tilde(self, A) -> bool:
-        """A X = X A for X = t N^- + E_theta, checked as Z X = X Z with
-        Z = A - 1: both products are sparse, so they are summed over the
-        pairs of nonzero entries of Z and X."""
+    def stabilizes_x_tilde(self, Z) -> bool:
+        """1 + Z commutes with X = t N^- + E_theta, for Z the entry list
+        (t-power, row, col, value) of a series: Z X = X Z, both products
+        summed over the pairs of entries of Z and of X."""
         N, p = self.N, self.p
         diff = {}
-        for i, blk in enumerate(A):
-            for r, row in enumerate(blk):
-                for c, z in enumerate(row):
-                    z = (z - (i == 0 and r == c)) % p
-                    if not z:
-                        continue
-                    for i2, r2, c2, x in self._x_tilde_entries:
-                        if i + i2 < N:
-                            if r2 == c:  # z t^i E_rc . x t^i2 E_c c2
-                                key = (i + i2, r, c2)
-                                diff[key] = diff.get(key, 0) + z * x
-                            if c2 == r:  # x t^i2 E_r2 r . z t^i E_rc
-                                key = (i + i2, r2, c)
-                                diff[key] = diff.get(key, 0) - x * z
+        for i, r, c, z in Z:
+            for i2, r2, c2, x in self._x_tilde_entries:
+                if i + i2 < N:
+                    if r2 == c:  # z t^i E_rc . x t^i2 E_c c2
+                        key = (i + i2, r, c2)
+                        diff[key] = diff.get(key, 0) + z * x
+                    if c2 == r:  # x t^i2 E_r2 r . z t^i E_rc
+                        key = (i + i2, r2, c)
+                        diff[key] = diff.get(key, 0) - x * z
         return not any(v % p for v in diff.values())
 
     @cached_property
@@ -583,8 +578,7 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
         # t N^- + E_theta, so 1 + Z lies in S(r)
         zs = _entries(z_lift, x, p)
         if zs:
-            sr = _times_one_plus(model, model.identity_series(), zs)
-            if not model.stabilizes_x_tilde(sr):
+            if not model.stabilizes_x_tilde(zs):
                 raise VerificationError(f"the depth-{r} S-factor does not fix X-tilde")
             s_steps.append(zs)
             _times_one_plus(model, s, zs)

@@ -87,7 +87,9 @@ def cartan_matrix(series: str, rank: int):
 
 
 def symmetrizer(cartan):
-    """d_i with d_i * a[i][j] = d_j * a[j][i], normalized to min 1."""
+    """d_i with d_i * a[i][j] = d_j * a[j][i], as the smallest positive
+    integers: for a connected finite type 1 on the short simple roots and 2
+    or 3 on the long ones, all 1 when it is simply laced."""
     n = len(cartan)
     d = [None] * n
     if n == 0:
@@ -103,8 +105,10 @@ def symmetrizer(cartan):
                 if i != j and cartan[i][j] and d[j] is None:
                     d[j] = d[i] * cartan[i][j] / cartan[j][i]
                     changed = True
-    lo = min(d)
-    return [x / lo for x in d]
+    scale = math.lcm(*(x.denominator for x in d))
+    d = [int(x * scale) for x in d]
+    g = math.gcd(*d)
+    return [x // g for x in d]
 
 
 def _enumerate_positive_roots(cartan):
@@ -168,9 +172,13 @@ class RootDatum:
     n: int  # semisimple rank
     center_rank: int
     cartan: tuple  # n x n, rows = coroot index
-    d: tuple  # symmetrizer (root half-lengths)
+    d: tuple  # symmetrizer, ints (root half-lengths)
     pos_roots: tuple  # positive roots, simple-root coords, height/lex order
     coroots: tuple  # coroots of the positive roots, simple-coroot coords
+    # pairings[a][i] = <root a, alpha-check_i> as ints, for the roots in
+    # `roots` order; <root a, coroot> for a coroot with simple-coroot
+    # coordinates b is sum_i b_i pairings[a][i]
+    pairings: tuple = field(compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- basic structure -------------------------------------------------
@@ -199,22 +207,6 @@ class RootDatum:
 
     def height(self, root):
         return sum(root)
-
-    def root_pairing(self, root, coroot):
-        """<root, coroot> with both in simple-(co)root coordinates."""
-        return sum(
-            b * self.cartan[i][j] * c
-            for i, b in enumerate(coroot)
-            for j, c in enumerate(root)
-            if b and c
-        )
-
-    def coroot_of(self, root):
-        neg = all(c <= 0 for c in root)
-        pos = tuple(-c for c in root) if neg else tuple(root)
-        idx = self.pos_roots.index(pos)
-        cr = self.coroots[idx]
-        return tuple(-c for c in cr) if neg else cr
 
     def pairing(self, root, mu: Coweight):
         """<alpha, mu> for a root alpha and a cocharacter mu."""
@@ -276,22 +268,18 @@ def build_root_datum(series: str, rank: int, form: str = "sc") -> RootDatum:
     n = len(cartan)
     d = symmetrizer(cartan)
     pos = tuple(_enumerate_positive_roots(cartan))
+    pairings = tuple(
+        tuple(sum(a * c for a, c in zip(row, beta)) for row in cartan) for beta in pos
+    )
+    # coroot_j = 2 d_j beta_j / (beta, beta), an integer quotient, with
+    # (beta, beta) = sum_j d_j beta_j <beta, alpha-check_j>
     coroots = []
-    for beta in pos:
-        # (beta,beta)/2 via (alpha_i, alpha_j) = d_j a[j][i]
-        dbeta = Fraction(
-            sum(
-                beta[i] * beta[j] * d[j] * cartan[j][i]
-                for i in range(n)
-                for j in range(n)
-                if beta[i] and beta[j]
-            ),
-            2,
-        )
-        cr = tuple(Fraction(d[j]) * beta[j] / dbeta for j in range(n))
-        if any(x.denominator != 1 for x in cr):
+    for beta, t in zip(pos, pairings):
+        norm = sum(dj * bj * tj for dj, bj, tj in zip(d, beta, t))
+        cr = [divmod(2 * dj * bj, norm) for dj, bj in zip(d, beta)]
+        if any(rem for _, rem in cr):
             raise VerificationError(f"coroot of {beta} is not integral")
-        coroots.append(tuple(int(x) for x in cr))
+        coroots.append(tuple(q for q, _ in cr))
     rd = RootDatum(
         series=series,
         rank=rank,
@@ -302,6 +290,7 @@ def build_root_datum(series: str, rank: int, form: str = "sc") -> RootDatum:
         d=tuple(d),
         pos_roots=pos,
         coroots=tuple(coroots),
+        pairings=pairings + tuple(tuple(-c for c in t) for t in pairings),
     )
     _check_invariants(rd)
     return rd
@@ -313,8 +302,8 @@ def _check_invariants(rd: RootDatum):
         raise VerificationError(f"{rd.num_roots} roots, want rank * h = {rd.n * h}")
     if rd.height(rd.theta) != h - 1:
         raise VerificationError("the highest root does not have height h - 1")
-    for beta, cr in zip(rd.pos_roots, rd.coroots):
-        if rd.root_pairing(beta, cr) != 2:
+    for beta, cr, t in zip(rd.pos_roots, rd.coroots, rd.pairings):
+        if sum(b * x for b, x in zip(cr, t)) != 2:
             raise VerificationError(f"<{beta}, coroot> != 2")
     es = exponents(rd)
     if sum(es) != len(rd.pos_roots):
@@ -449,21 +438,12 @@ def alpha_mu(rd: RootDatum, mu: Coweight):
 # ---------------------------------------------------------------------------
 # Weyl elements.
 
-def _reflection_matrix(rd: RootDatum, i: int):
-    """s_i acting on simple-root coordinates."""
-    n = rd.n
-    m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    for j in range(n):
-        m[i][j] -= rd.cartan[i][j]
-    return m
-
-
 def _longest_word(rd: RootDatum, subset):
     """Reduced word for the longest element of the parabolic W_subset."""
     # Push rho of the sub-system to the anti-dominant chamber, recording
     # the reflections used; pairings live in fundamental-weight coords.
     n = rd.n
-    v = [Fraction(1 if i in subset else 0) for i in range(n)]
+    v = [1 if i in subset else 0 for i in range(n)]
     word = []
     while True:
         j = next((j for j in subset if v[j] > 0), None)
@@ -480,7 +460,13 @@ def _weyl_from_word(rd: RootDatum, word) -> WeylElement:
     n = rd.n
     m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
     for i in word:
-        m = mat_mul(m, _reflection_matrix(rd, i))
+        # m s_i, where s_i = 1 - e_i cartan[i] on simple-root coordinates:
+        # each row loses its entry i times row i of the Cartan matrix
+        ci = rd.cartan[i]
+        for a, row in enumerate(m):
+            c = row[i]
+            if c:
+                m[a] = [x - c * y for x, y in zip(row, ci)]
     return WeylElement(tuple(tuple(r) for r in m), tuple(word))
 
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+from fractions import Fraction
 import os
 import random
 import subprocess
@@ -12,7 +13,9 @@ import airycheck
 from airycheck.arith import GF
 from airycheck.chevalley import (
     QQ,
+    ChevalleyAlgebra,
     _check_constants,
+    _wP_columns,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -31,13 +34,14 @@ from airycheck.chevalley import (
     x_minus1,
 )
 from airycheck.cli import SUITE_TYPES
-from airycheck.linalg import mat_vec
+from airycheck.linalg import mat_mul, mat_vec
 from airycheck.rootdata import (
     Coweight,
     exponents,
     get_root_datum,
     minuscule_coweights,
     u_mu_roots,
+    weyl_wP,
 )
 
 
@@ -171,13 +175,127 @@ def test_constant_checks_survive_optimize():
     assert out.stdout.startswith("raised:"), out.stdout
 
 
+def _ad_entries(alg):
+    """ad b_i as {(row, col): entry} over its nonzero entries, for every
+    basis index i, read off the brackets of basis vectors."""
+    basis = _basis(alg)
+    ads = []
+    for x in basis:
+        ad = {}
+        for col, y in enumerate(basis):
+            for row, c in enumerate(alg.bracket(x, y)):
+                if c:
+                    ad[row, col] = c
+        ads.append(ad)
+    return ads
+
+
+def _kappa_mismatches(alg, oracle):
+    """The basis pairs (i, j) where alg.kappa differs from oracle(i, j)."""
+    basis = _basis(alg)
+    return [
+        (i, j) for i, x in enumerate(basis) for j, y in enumerate(basis)
+        if alg.kappa(x, y) != oracle(i, j)
+    ]
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("D", 4)])
+def test_sparse_killing_form_matches_dense_traces(series, rank):
+    # kappa on every basis pair against tr(ad b_i ad b_j)/2h, with the trace
+    # taken over all entries of the ad matrices: no weight argument assumed
+    rd = get_root_datum(series, rank, "adjoint")
+    alg = build_algebra(rd)
+    ads = _ad_entries(alg)
+
+    def oracle(i, j):
+        tr = sum(c * ads[j].get((l, k), 0) for (k, l), c in ads[i].items())
+        return Fraction(tr, 2 * alg.h)
+
+    assert _kappa_mismatches(alg, oracle) == []
+    # negative control: one changed sparse entry fails the comparison
+    bad = ChevalleyAlgebra(rd)
+    i, row = next((i, row) for i, row in enumerate(bad.kappa_rows) if row)
+    j = next(iter(row))
+    row[j] += 1
+    assert _kappa_mismatches(bad, oracle) == [(i, j)]
+
+
+def test_gl3_kappa_is_the_trace_form():
+    alg = build_algebra(get_root_datum("GL", 3, "gl"))
+    basis = _basis(alg)
+
+    def oracle(i, j):
+        m = mat_mul(alg.matrix_of(basis[i]), alg.matrix_of(basis[j]))
+        return sum(m[k][k] for k in range(3))
+
+    assert _kappa_mismatches(alg, oracle) == []
+    bad = ChevalleyAlgebra(alg.rd)
+    bad.kappa_rows[0][next(iter(bad.kappa_rows[0]))] = QQ(2)
+    assert len(_kappa_mismatches(bad, oracle)) == 1
+
+
+def _first_builds():
+    """(root datum, algebra, minuscule coweights) for every suite type in
+    both forms over QQ, then GL_2, GL_4 and GL_6 over F_7."""
+    cases = [(s, r, f, QQ, None) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", GF(7), (0, 0)) for n in (2, 4, 6)]
+    for series, rank, form, field, window in cases:
+        rd = get_root_datum(series, rank, form)
+        yield rd, build_algebra(rd, field), minuscule_coweights(rd, window)
+
+
+def test_first_build_outputs_pinned():
+    # the Cartan rows of the table, kappa on all basis pairs, the z_r bases
+    # and, per minuscule mu, w_P, its torus-corrected lift and the a_r^mu
+    # bases, as the dense Killing form and the Fraction pairings built them
+    digest = hashlib.sha256()
+    for rd, alg, mus in _first_builds():
+        basis = _basis(alg)
+        items = [
+            (rd.series, rd.rank, rd.form, repr(alg.field)),
+            sorted((i, j, sorted(row.items()))
+                   for i, t in enumerate(alg.table) for j, row in t.items()),
+            [[alg.kappa(x, y) for y in basis] for x in basis],
+            [z.basis for z in centralizer_z(alg)],
+        ]
+        for mu in mus:
+            items.append((mu, weyl_wP(rd, mu), _wP_columns(alg, mu)))
+            items.append([a_subspace(alg, r, mu).basis for r in range(1, alg.h)])
+        for item in items:
+            digest.update(repr(item).encode())
+    assert digest.hexdigest() == "b81928a9e531f056ea45281458dea9c70c85bf7ffa6640463344268f2f2d767b"
+
+
+def _floats(obj):
+    """The number of floats in nested lists, tuples and dicts."""
+    if isinstance(obj, float):
+        return 1
+    if isinstance(obj, dict):
+        return sum(_floats(k) + _floats(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_floats, obj))
+    return 0
+
+
+def test_first_build_outputs_are_exact():
+    # an int / int slipped into the integer paths would give a float
+    assert _floats([{1: (Fraction(1), 0.5)}, (2, [0.0])]) == 2
+    for rd, alg, mus in _first_builds():
+        if alg.field is not QQ:
+            continue
+        outputs = [structure_constants(rd), alg.table, alg.kappa_rows,
+                   [z.basis for z in centralizer_z(alg)]]
+        for mu in mus:
+            outputs += [weyl_wP(rd, mu).word, _wP_columns(alg, mu),
+                        [a_subspace(alg, r, mu).basis for r in range(1, alg.h)]]
+        assert _floats(outputs) == 0, (rd.series, rd.rank, rd.form)
+
+
 def test_gl3_matrix_crosscheck():
     # bracket agrees with the commutator of 3x3 matrices over F_7
     F = GF(7)
     alg = build_algebra(get_root_datum("GL", 3, "gl"), F)
     rng = random.Random(3)
-    from airycheck.linalg import mat_mul
-
     for _ in range(25):
         x = [F(rng.randrange(7)) for _ in range(alg.dim)]
         y = [F(rng.randrange(7)) for _ in range(alg.dim)]

@@ -505,7 +505,7 @@ def test_factorize_random(n, p):
             recon = model.mul(model.mul(model.mul(u, a), s), res)
             assert model.eq(recon, g)
             assert model.in_filtration(res, 1 + half)
-            assert model.stabilizes_x_tilde(s)
+            assert model.stabilizes_x_tilde(_off_identity(model, s))
 
 
 def test_factorize_rejects_outside_I1():
@@ -579,7 +579,7 @@ def test_stabilizes_x_tilde_matches_series_products(n, p):
     seen = set()
     for g in samples:
         want = model.eq(model.mul(g, X), model.mul(X, g))
-        assert model.stabilizes_x_tilde(g) == want
+        assert model.stabilizes_x_tilde(_off_identity(model, g)) == want
         seen.add(want)
     assert seen == {True, False}
 

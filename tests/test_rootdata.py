@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import airycheck
+from airycheck.linalg import mat_mul
 from airycheck.rootdata import (
     Coweight,
     alpha_mu,
@@ -68,6 +70,37 @@ def test_root_datum_invariants(series, rank):
     exps = exponents(rd)
     assert all(exps[i] + exps[rd.n - 1 - i] == h for i in range(rd.n))
     assert sum(exps) == rd.num_roots // 2
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES + [("E", 8)])
+def test_pairings_and_coroots(series, rank):
+    # the int pairing table against <root, alpha-check_i> = sum_j a_ij root_j,
+    # and the coroots against 2 d_j beta_j / (beta, beta) in Fractions
+    rd = get_root_datum(series, rank, "sc")
+    n = rd.n
+    assert len(rd.pairings) == rd.num_roots
+    for root, t in zip(rd.roots, rd.pairings):
+        assert t == tuple(sum(rd.cartan[i][j] * root[j] for j in range(n)) for i in range(n))
+    for beta, cr in zip(rd.pos_roots, rd.coroots):
+        norm = sum(beta[i] * beta[j] * rd.d[j] * rd.cartan[j][i]
+                   for i in range(n) for j in range(n))
+        assert cr == tuple(Fraction(2) * rd.d[j] * beta[j] / norm for j in range(n))
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_weyl_matrices_are_products_of_reflections(series, rank):
+    rd = get_root_datum(series, rank, "adjoint")
+    n = rd.n
+
+    def reflection(i):  # s_i on simple-root coordinates
+        return [[int(a == b) - (a == i) * rd.cartan[i][b] for b in range(n)] for a in range(n)]
+
+    for mu in minuscule_coweights(rd):
+        w = weyl_wP(rd, mu)
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        for i in w.word:
+            m = mat_mul(m, reflection(i))
+        assert w.matrix == tuple(map(tuple, m))
 
 
 def test_minuscule_sl2_vs_pgl2():
