@@ -622,18 +622,34 @@ def u_mu_piece(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> GradedSubspace:
     return GradedSubspace(r, basis)
 
 
+def _support(v) -> set:
+    return {i for i, c in enumerate(v) if c}
+
+
 def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
-    """g_r = z_r + a_r^mu + u_{mu,r}, checked by dimension and rank."""
+    """g_r = z_r + a_r^mu + u_{mu,r}, checked by dimension, support and rank.
+
+    g_r is spanned by unit vectors, and so is u_{mu,r} (distinct root
+    vectors E_alpha).  So the sum is g_r exactly when every vector lies in
+    g_r and z_r + a_r^mu, read on the coordinates of g_r that no u_{mu,r}
+    vector covers, has full rank there.
+    """
     if not (1 <= r <= alg.h - 1):
         raise ValueError("r out of range")
     zr = centralizer_z(alg)[r]
     ar = a_subspace(alg, r, mu)
     ur = u_mu_piece(alg, mu, r)
     gr = grading_piece(alg, r)
-    combined = zr.basis + ar.basis + ur.basis
     if zr.dim + ar.dim + ur.dim != gr.dim:
         return False
-    return rank(combined) == gr.dim if combined else gr.dim == 0
+    coords = set().union(*map(_support, gr.basis))
+    rest = zr.basis + ar.basis
+    if any(not _support(v) <= coords for v in rest + ur.basis):
+        return False
+    free = sorted(coords.difference(*map(_support, ur.basis)))
+    if len(free) != len(rest):  # some u_{mu,r} vector is not a unit vector
+        return False
+    return not rest or rank([[v[i] for i in free] for v in rest]) == len(free)
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,13 @@ def _suite_datum(series, rank):
 # Acceptance checks.  Each returns (ok, params, witness).
 
 # the (n, p, e, lambda) grids of the trace identities, which weil-bound
-# runs on too; each is also the params of its trace check
+# runs on too: trace-identity-gl2 runs n = 2 and trace-identity-gl4 runs
+# n = 4, 6 and 8, and each lists its grids in its params
 TRACE_GRIDS = {
     2: {"p": [5, 7, 11], "e": [1, 2], "lambda1": [0, 1, 2]},
     4: {"p": [7, 11], "e": [1], "lambda": [(0, 0), (1, 0), (2, 3)]},
+    6: {"p": [11, 13], "e": [1], "lambda": [(0, 0, 0), (1, 0, 0), (2, 5, 7)]},
+    8: {"p": [11], "e": [1], "lambda": [(0, 0, 0, 0), (0, 1, 0, 0), (3, 1, 4, 9)]},
 }
 
 
@@ -102,21 +105,25 @@ def _trace_cases(n):
     return [(p, e, lam) for p in grid["p"] for e in grid["e"] for lam in lams]
 
 
-def _check_trace(n):
+def _trace_failures(ns):
     failures = []
-    for p, e, lam in _trace_cases(n):
-        v = compare_traces(n, p, e, lam)
-        if not v.ok:
-            failures.append(v.detail)
-    return not failures, TRACE_GRIDS[n], failures or None
+    for n in ns:
+        for p, e, lam in _trace_cases(n):
+            v = compare_traces(n, p, e, lam)
+            if not v.ok:
+                failures.append(v.detail)
+    return failures
 
 
 def check_trace_gl2():
-    return _check_trace(2)
+    failures = _trace_failures([2])
+    return not failures, TRACE_GRIDS[2], failures or None
 
 
 def check_trace_gl4():
-    return _check_trace(4)
+    ns = (4, 6, 8)
+    failures = _trace_failures(ns)
+    return not failures, {f"n={n}": TRACE_GRIDS[n] for n in ns}, failures or None
 
 
 def check_weil():

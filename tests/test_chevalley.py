@@ -405,6 +405,34 @@ def test_decomposition_fails_below_the_characteristic_bound():
             assert [decomposition_check(alg, mu, r) for r in range(1, alg.h)] == verdicts
 
 
+@pytest.mark.parametrize("piece", ["a", "z"])
+def test_decomposition_fails_off_g_r(piece, monkeypatch):
+    # negative control: one a_r^mu (or z_r) vector moved off g_r by a Cartan
+    # coordinate (g_r has none for r != 0) must fail the check at every depth
+    # where that space is nonzero, though the rank of the sum is unchanged
+    from airycheck import chevalley
+
+    rd = get_root_datum("B", 3, "adjoint")
+    alg = build_algebra(rd)
+    mu = minuscule_coweights(rd)[0]
+    off = alg.cartan_index(0)
+    a_subspace, centralizer = chevalley.a_subspace, chevalley.centralizer_z
+
+    def nudge(sub):
+        if sub.basis:
+            sub.basis[0][off] = sub.basis[0][off] + 1
+        return sub
+
+    if piece == "a":
+        monkeypatch.setattr(chevalley, "a_subspace", lambda *args: nudge(a_subspace(*args)))
+    else:
+        monkeypatch.setattr(chevalley, "centralizer_z", lambda alg: [nudge(z) for z in centralizer(alg)])
+    depths = [r for r in range(1, alg.h) if (a_subspace(alg, r, mu) if piece == "a" else centralizer(alg)[r]).dim]
+    assert len(depths) == (4 if piece == "a" else 3)
+    for r in depths:
+        assert not decomposition_check(alg, mu, r)
+
+
 def test_u_mu_piece_trivial_mu():
     rd = get_root_datum("A", 2, "sc")
     alg = build_algebra(rd)

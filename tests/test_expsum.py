@@ -45,6 +45,17 @@ def test_trace_identity_n4():
         assert brute.entries[a] == airy.entries[a] * 7
 
 
+def test_scaled_by_int_or_cyclotomic_value():
+    # compare_traces twists by the integer q^{n/2-1}; a one-coefficient
+    # CyclotomicValue (as the benchmark passes) gives the same table
+    params = make_params(4, GF(7), (1, 0))
+    airy = airy_trace_table(f_poly(params), 7, 1)
+    by_int = airy.scaled(7, "airy-twisted")
+    by_cyclo = airy.scaled(CyclotomicValue(7, [7, 0, 0, 0, 0, 0]), "airy-twisted")
+    assert by_int == by_cyclo
+    assert by_int.entries == hecke_trace_table(params).entries
+
+
 def _fiber_sum(params, a, p2=hecke_oracle.p2):
     """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))): all of
     F_q^{1+n/2} enumerated once per entry, with no binning by trace, and
@@ -73,6 +84,27 @@ def test_brute_tables_pinned():
         rows.append((n, p, e, lam, [table.entries[a].coeffs for a in field.elements()]))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "1694541d2cc4a50ade44a0ba5ad14c6c6d8b9e2c8ca53f4c1be569a48c3a8e06"
+
+
+# the Airy tables of the trace workload's grid, plus GL_6 and GL_8 over F_11
+AIRY_GRID = BRUTE_GRID + [(8, 11, 1)]
+
+
+def test_airy_tables_pinned():
+    # SHA-256 of the tables of the earlier per-t loop, which evaluated f at
+    # each x by Horner's rule with field operators; lambda = 0 and two
+    # seeded vectors per grid point
+    rng = random.Random(7)
+    rows = []
+    for n, p, e in AIRY_GRID:
+        field = FqField(p, e)
+        lams = [(0,) * (n // 2)] + [tuple(rng.randrange(p) for _ in range(n // 2)) for _ in range(2)]
+        for lam in lams:
+            params = make_params(n, field, lam)
+            table = airy_trace_table(f_poly(params), p, e, lam=params.lam)
+            rows.append((n, p, e, lam, [table.entries[a].coeffs for a in field.elements()]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "f7cff75dd11c5814a960d8c174881a8a5e1e40efa0b115e1ff2f53d0c86deac8"
 
 
 @pytest.mark.parametrize("n,p,e,lam", [(2, 5, 2, (3,)), (4, 7, 1, (1, 2)), (2, 7, 1, (3,))])
@@ -105,19 +137,42 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
 def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
-    # both forms are evaluated at each of the q^{1+n/2} points, and the field
-    # elements made are O(q): the m_1 loop and the entries, none per point
+    # every point of F_q^{1+n/2} is binned once: the counts the kernel turns
+    # into entries total q^{1+n/2}; and the field elements made are O(q):
+    # the m_1 loop and the entries, none per point
     from airycheck import arith, expsum
 
     field = FqField(p, e)
     params = make_params(n, field, (2,) * (n // 2))
-    made, products = [], []
-    fq, mul = arith._fq, arith._mul
+    made, binned = [], []
+    fq, to_cyclo = arith._fq, expsum._counts_to_cyclo
     monkeypatch.setattr(arith, "_fq", lambda f, v: made.append(v) or fq(f, v))
-    monkeypatch.setattr(expsum, "_mul", lambda t, a, b: products.append(1) or mul(t, a, b))
+    monkeypatch.setattr(
+        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(sum(counts)) or to_cyclo(p, counts)
+    )
     hecke_trace_table(params, brute=True)
-    assert len(products) == n * field.q ** (1 + n // 2)
+    assert len(binned) == field.q
+    assert sum(binned) == field.q ** (1 + n // 2)
     assert len(made) <= 20 * field.q
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (5, 2), (7, 2)])
+def test_row_helpers_match_index_arithmetic(p, e):
+    # the brute kernel's rows against arith._mul and _add on every pair
+    from airycheck.arith import _add, _mul, fq_tables
+    from airycheck.expsum import _add_rows, _mul_row
+
+    tab = fq_tables(p, e)
+    q = tab.q
+    for w in range(q):
+        row = _mul_row(tab, w)
+        assert row == [_mul(tab, x, w) for x in range(q)]
+        assert row[0] == 0  # 0 w
+    every = list(range(q))
+    assert _add_rows(tab, every, every) == [_add(tab, a, b) for a in every for b in every]
+    for a in every:
+        assert _add_rows(tab, [a], [0]) == [a]  # a + 0
+        assert _add_rows(tab, [a], [tab.neg[a]]) == [0]  # a + (-a)
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (7, 2)])
