@@ -115,14 +115,6 @@ def _digits(i: int, p: int, e: int):
     return out
 
 
-def _index(coeffs, p: int) -> int:
-    """Inverse of _digits: sum c_k p^k."""
-    i = 0
-    for c in reversed(coeffs):
-        i = i * p + c
-    return i
-
-
 @lru_cache(maxsize=None)
 def lex_least_irreducible(p: int, e: int):
     """Lexicographically smallest monic irreducible of degree e over F_p."""
@@ -137,16 +129,75 @@ def lex_least_irreducible(p: int, e: int):
     raise VerificationError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
-def _prime_factors(n: int):
-    """The distinct primes dividing n, by trial division."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
+def _digit_sums(p: int, lo: int, hi: int, base: int):
+    """For each s in [0, (2p-1)^(hi-lo)): sum_k (d_k mod p) base^(lo+k) over
+    the base-(2p-1) digits d_k of s."""
+    out = [0]
+    for k in range(lo, hi):
+        w = base ** k
+        out = [t + d % p * w for d in range(2 * p - 1) for t in out]
+    return out
+
+
+class _IndexProduct:
+    """Multiplication by a fixed element on the indices of F_p[x]/(m).
+
+    For e = 1 an index is its value.  For e > 1 the digits of an element are
+    also written in base b = 2p-1, where the sum of two elements carries no
+    digit; `to_index` and `to_spread` take such a sum back to a base-p index
+    and to base b, each by one lookup on its low h digits and one on the
+    rest."""
+
+    def __init__(self, p: int, m):
+        self.p, self.m, self.e = p, list(m), len(m) - 1
+        if self.e > 1:
+            e, b = self.e, 2 * p - 1
+            self.h = (e + 1) // 2
+            self.B = b ** self.h
+            self.to_index = _digit_sums(p, 0, self.h, p), _digit_sums(p, self.h, e, p)
+            self.to_spread = _digit_sums(p, 0, self.h, b), _digit_sums(p, self.h, e, b)
+
+    def by(self, g):
+        """v -> the index of g v, for g a coefficient list.  With v split as
+        hi p^h + lo, `low[lo]` and `high[hi]` are g lo and g hi p^h in base
+        b, spanned digit by digit from the products c g x^k; their sum is
+        reduced to an index."""
+        p, m, e = self.p, self.m, self.e
+        if e == 1:
+            c = g[0]
+            return lambda v: v * c % p
+        b, h, B = 2 * p - 1, self.h, self.B
+        slo, shi = self.to_spread
+        parts, gx = [], list(g)  # parts[k][c]: c g x^k in base b
+        for _ in range(e):
+            parts.append([sum(c * y % p * b ** i for i, y in enumerate(gx)) for c in range(p)])
+            gx = _poly_mulmod(gx, [0, 1], m, p)
+        low, high = [0], [0]
+        for part in parts[:h]:
+            low = [slo[t % B] + shi[t // B] for w in part for t in (u + w for u in low)]
+        for part in parts[h:]:
+            high = [slo[t % B] + shi[t // B] for w in part for t in (u + w for u in high)]
+        (ilo, ihi), P = self.to_index, p ** h
+
+        def times_g(v):
+            s = low[v % P] + high[v // P]
+            return ilo[s % B] + ihi[s // B]
+
+        return times_g
+
+
+def _power_walk(times_g, q: int):
+    """The indices of g^0, g^1, ... for the g that `times_g` multiplies by,
+    up to the first power that is 1 again, so that their number is the
+    order of g; None if no power within q - 1 steps is 1 (the modulus is
+    reducible and g no unit)."""
+    out, v = [], 1
+    for _ in range(q - 1):
+        out.append(v)
+        v = times_g(v)
+        if v == 1:
+            return out
+    return None
 
 
 class FqTables:
@@ -173,23 +224,14 @@ class FqTables:
         q = p ** e
         self.p, self.e, self.q, self.modulus = p, e, q, tuple(m)
 
-        order = q - 1
-        one = _poly_mod([1], m, p)
-        factors = _prime_factors(order)
+        # the first g, in index order, whose powers walk through all of F_q*
+        order, times = q - 1, _IndexProduct(p, m)
         for gidx in range(1, q):
-            g = _digits(gidx, p, e)
-            if _poly_powmod(g, order, m, p) == one and all(
-                _poly_powmod(g, order // r, m, p) != one for r in factors
-            ):
+            exp = _power_walk(times.by(_digits(gidx, p, e)), q)
+            if exp is not None and len(exp) == order:
                 break
         else:
             raise VerificationError(f"no primitive element modulo {tuple(m)} over F_{p}")
-
-        exp = [0] * order
-        cur = one
-        for k in range(order):
-            exp[k] = _index(cur, p)
-            cur = _poly_mulmod(cur, g, m, p)
         log = [-1] * q
         for k, i in enumerate(exp):
             log[i] = k

@@ -14,7 +14,6 @@ result, and the Hecke maps are affine forms with index coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import VerificationError
 from .arith import FqElement, _add, _mul, fq_tables
@@ -85,7 +84,10 @@ def phi_z_values(model: GLnModel):
 #
 # A section vector enters as field elements and leaves as field elements;
 # in between every coefficient is its index in F_q (`FqElement.v`) and the
-# arithmetic is `_mul`/`_add` on the field's tables.
+# arithmetic is `_mul`/`_add` on the field's tables.  exp and log are the
+# O(n^2) recurrences that follow from E' = X' E and (1 + X) L' = X' for
+# E = exp(X) and L = log(1 + X) (Knuth, TAOCP vol. 2, 4.7); they divide by
+# k <= n+1 only, which `_require_char` makes a unit.
 
 def _indices(field, xs):
     """The indices of the elements xs of `field` (ints are read as field(x))."""
@@ -110,30 +112,30 @@ def _trunc_mul(tab, n, a, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def _series_coeffs(p: int, n: int):
-    """The indices of 1/r! and of (-1)^{r+1}/r for r = 1..n+1.  They lie in
-    F_p, where an element's index is its value, so they are the same in
-    every F_{p^e}."""
-    fact, exp_c, log_c = 1, [], []
-    for r in range(1, n + 2):
-        fact *= r
-        exp_c.append(pow(fact, -1, p))
-        log_c.append(pow(r, -1, p) if r % 2 else p - pow(r, -1, p))
-    return exp_c, log_c
+def _exp_series(tab, n, x):
+    """The Z-coefficients e_1..e_{n+1} of exp(X) for X = sum x_r Z^r, on
+    indices, by k e_k = sum_{j=1..k} (j x_j) e_{k-j} with e_0 = 1.  An
+    integer j < p is its own index; 1 <= k <= n+1 < p is invertible."""
+    jx = [_mul(tab, j, v) for j, v in enumerate(x, start=1)]
+    e = [1]
+    for k in range(1, n + 2):
+        acc = 0
+        for j in range(k):
+            acc = _add(tab, acc, _mul(tab, jx[j], e[k - 1 - j]))
+        e.append(_mul(tab, pow(k, -1, tab.p), acc))
+    return e[1:]
 
 
-def _power_series(tab, n, coeffs, x):
-    """sum_{r=1}^{n+1} coeffs[r-1] X^r, all on indices."""
-    out = [0] * (n + 1)
-    power = x
-    for r, c in enumerate(coeffs, start=1):
-        for i, v in enumerate(power):
-            if v:
-                out[i] = _add(tab, out[i], _mul(tab, c, v))
-        if r <= n:
-            power = _trunc_mul(tab, n, power, x)
-    return out
+def _log_series(tab, n, x):
+    """The Z-coefficients l_1..l_{n+1} of log(1 + X) for X = sum x_r Z^r,
+    on indices, by k l_k = k x_k - sum_{j<k} (j l_j) x_{k-j}."""
+    neg, jl = tab.neg, []  # jl[j-1] is the index of j l_j
+    for k in range(1, n + 2):
+        acc = 0
+        for j in range(k - 1):
+            acc = _add(tab, acc, _mul(tab, jl[j], x[k - 2 - j]))
+        jl.append(_add(tab, _mul(tab, k, x[k - 1]), neg[acc]))
+    return [_mul(tab, pow(k, -1, tab.p), v) for k, v in enumerate(jl, start=1)]
 
 
 def section_mul(n, field, a, b):
@@ -147,15 +149,13 @@ def section_mul(n, field, a, b):
 def exp_section(n, field, y):
     """Id + sum_{r=1}^{1+n} X^r / r! for X = sum y_r Z_r."""
     _require_char(field, n)
-    coeffs = _series_coeffs(field.p, n)[0]
-    return _elements(field, _power_series(field._tables, n, coeffs, _indices(field, y)))
+    return _elements(field, _exp_series(field._tables, n, _indices(field, y)))
 
 
 def log_section(n, field, x):
     """sum_{r=1}^{1+n} (-1)^{r+1} X^r / r for X = H - Id."""
     _require_char(field, n)
-    coeffs = _series_coeffs(field.p, n)[1]
-    return _elements(field, _power_series(field._tables, n, coeffs, _indices(field, x)))
+    return _elements(field, _log_series(field._tables, n, _indices(field, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def chi_eval(params: CharacterParams, x):
     y = log of the section, run on indices."""
     n, field = params.n, params.field
     tab = field._tables
-    y = _power_series(tab, n, _series_coeffs(field.p, n)[1], _indices(field, x))
+    y = _log_series(tab, n, _indices(field, x))
     acc = _mul(tab, n % field.p, y[n])
     for lam, v in zip(_indices(field, params.lam), y):
         acc = _add(tab, acc, _mul(tab, lam, v))
@@ -238,7 +238,10 @@ def f_poly(params: CharacterParams):
 
 
 def poly_eval(field, coeffs, x):
-    acc = field(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    """sum coeffs[i] x^i, by Horner's rule on element indices."""
+    tab = field._tables
+    (v,) = _indices(field, (x,))
+    acc = 0
+    for c in reversed(_indices(field, coeffs)):
+        acc = _add(tab, _mul(tab, acc, v), c)
+    return field.from_index(acc)

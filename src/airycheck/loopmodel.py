@@ -7,8 +7,11 @@ barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
 
 The group-level factorization is implemented in the GL_n matrix model: a
 group element is a list of h+2 matrices of int residues mod p (the t-power
-coefficients).  Series products work on the residues directly, one fused
-dot product per entry and one reduction mod p.  `factorize_I1` forms no
+coefficients).  A series product works on packed rows: row j of B, over
+all h+2 blocks, is one int with a 64-bit slot per entry, so a row of A B is
+a sum of small multiples of shifted packed rows, unpacked once and reduced
+mod p (Kronecker substitution).  No slot carries while (h+2) n (p-1)^2 is
+below 2^64, which `GLnModel` checks.  `factorize_I1` forms no
 series product and no inverse: each factor is an entry list, applied to a
 series by sparse row or column operations, and an S-factor is undone by a
 triangular solve.  Field elements enter only in `_factor_bases`, which
@@ -27,6 +30,7 @@ that a fault in one of them cannot cancel out of the comparison.
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -197,6 +201,8 @@ class GLnModel:
     """
 
     def __init__(self, n: int, p: int):
+        if (n + 2) * n * (p - 1) ** 2 >= 1 << 64:
+            raise ValueError(f"GL_{n} series products over F_{p} overflow 64-bit slots")
         self.n = n
         self.p = p
         self.field = GF(p)
@@ -204,6 +210,7 @@ class GLnModel:
         self.alg = build_algebra(self.rd, self.field)
         self.h = n
         self.N = n + 2  # truncation order
+        self._slots = struct.Struct(f"<{self.N * n}Q")  # one packed row
 
     # -- series arithmetic -------------------------------------------------
 
@@ -217,27 +224,32 @@ class GLnModel:
         return g
 
     def mul(self, A, B):
-        """The product series A B."""
-        return self._mul(A, B, self.N)
-
-    def _mul(self, A, B, blocks: int):
-        """Blocks 0..blocks-1 of A B.  Block k is sum_{i+j=k} A_i B_j: entry
-        (r, c) is one dot product of row r of A_0..A_k against column c of
-        B_k..B_0, with the zero blocks of A below its first and above its
-        last nonzero block left out."""
-        n, p = self.n, self.p
-        nz = [i for i, blk in enumerate(A[:blocks]) if any(map(any, blk))]
-        if not nz:
-            return [[[0] * n for _ in range(n)] for _ in range(blocks)]
-        lo, hi = nz[0], nz[-1] + 1
-        # row r of A_lo..A_{hi-1} concatenated; column c of B_{blocks-1}..B_0
-        rows = [list(chain.from_iterable(rs)) for rs in zip(*A[lo:hi])]
-        cols = [list(c) for c in zip(*[row for blk in reversed(B[:blocks]) for row in blk])]
-        out = [[[0] * n for _ in range(n)] for _ in range(lo)]
-        for k in range(lo, blocks):
-            off = n * (blocks - 1 - k + lo)
-            ck = [col[off:] for col in cols]
-            out.append([[sum(map(operator.mul, row, col)) % p for col in ck] for row in rows])
+        """The product series A B, on packed rows.  Row j of B over all N
+        blocks is one int whose 64-bit slot m n + c holds B_m[j][c]; row r
+        of A B is the sum of x (packed row j << 64 n i) over the nonzero
+        entries x = A_i[r][j], cut to N n slots and unpacked once.  A slot
+        sums at most N n products below p^2, so none carries."""
+        n, p, slots = self.n, self.p, self._slots
+        width = 64 * n
+        packed = [
+            int.from_bytes(slots.pack(*[x % p for blk in B for x in blk[j]]), "little")
+            for j in range(n)
+        ]
+        mask = (1 << 8 * slots.size) - 1
+        out = [[] for _ in range(self.N)]
+        for r in range(n):
+            acc = 0
+            for i, blk in enumerate(A):
+                s = 0
+                for x, row in zip(blk[r], packed):
+                    x %= p
+                    if x:
+                        s += x * row
+                if s:
+                    acc += s << width * i
+            vals = [v % p for v in slots.unpack((acc & mask).to_bytes(slots.size, "little"))]
+            for m, blk in enumerate(out):
+                blk.append(vals[m * n:(m + 1) * n])
         return out
 
     def eq(self, A, B):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from airycheck.arith import (
     CyclotomicValue,
     FqElement,
     FqField,
+    FqTables,
     MultiPoly,
     _poly_mod,
     _poly_mulmod,
@@ -177,6 +179,69 @@ def test_fq_trace_is_frobenius_orbit_sum(p, e):
             y = _poly_powmod(list(x.coeffs), p ** j, m, p)
             acc = [(a + b) % p for a, b in zip(acc, y)]
         assert acc == [x.trace()] + [0] * (e - 1)
+
+
+# sha256 of repr(table) for each table of F_{p^e}, built on the least index
+# g with g^((q-1)/r) != 1 for every prime r dividing q - 1
+FQ_TABLE_DIGESTS = {
+    (5, 2): {
+        "exp": "99252198fcca5e29d11c7980985f44e7b4699da31bcb1c02c32ad2af812fed11",
+        "log": "551d965b7d6f47763e6ed36a30009f8118d2da58c44fe72197b1d571b108f345",
+        "zech": "2367472ee827e777d22a480443636dbf94c9a3967a46c8bc6fe16672027497c0",
+        "neg": "6d313d10c08c2467093df94462386dbb179ab696b26a9247ecbbb9e3b3ab8af0",
+        "trace": "9d5e850888af06b1495095f45f43a7cda8c8eb15126b54b313cf21233287b210",
+    },
+    (7, 2): {
+        "exp": "d89f7e6621ba0fb776cbd979500c44412a8dfc9ee71a0a97622c6c4d3e559e9c",
+        "log": "ec59c1698371b6b2d9a86c6b4839a21be694d010b82fff01d67a4763cc6ec6a2",
+        "zech": "1c0c288371d3166d42df850cde5e501f9e078c35cd4498c3ffccccd6697995a5",
+        "neg": "fbd54c1e7ae6299a87f4ae08d2b8564522a23ad99718acabafb18fad285fce63",
+        "trace": "b7d59222c6f58414f00a3ac9b00984989ffbba754855905b34490985801b0fdb",
+    },
+    (11, 2): {
+        "exp": "3657893a0734da487c133fa3b5fc9ddcd15d73c065aac05b734f9aef6f9540f9",
+        "log": "9ce3cf540067cc576fd659c3ee932f2a89db0cc9b34ccf5348b26bc160c0ab20",
+        "zech": "56f4a0c6ece0d71b5759f5b8203bbd8a85c2d56a6c96491ae1cfac4ed9f483ab",
+        "neg": "f313cfe1315e0a5f8c0462ad49200cf145227b6520a2049a4eab67335931ac89",
+        "trace": "4988ed66ecce827d34a03e48ac52bf5094fb2d085e874475d99c0845beb73541",
+    },
+    (7, 3): {
+        "exp": "2caf589f53f53890f99f74c6f92fd9f48b4020242f367835293c99bdd1288116",
+        "log": "0dbd82bebc96fe2f16ff67ea52cc333c3142954b3b3318c5ef5b7331cf8e2a37",
+        "zech": "3bb153e6e969c7288015e4572f9ecba2f2961aa2c4b41f6c9bc292bd8c96f051",
+        "neg": "3d5b77e086dfc3449f696c598cf8dfc1129743f7e5b0841e9a0efe1a50d88b1c",
+        "trace": "05559a008716bc07ad1ab60ede8b5bf41f05cce044db758d12ea0d3343f8da36",
+    },
+    (3, 5): {
+        "exp": "8f0b0dd86073253c3d5573479c56242805eb00559b5d264e538e09245dd88271",
+        "log": "f7a308af9e16d12a8fcae5124a5c9623a30cdf94604c70ee27959e9420004f5d",
+        "zech": "d57bfac31f85969b1583bb6e420a519c12c1351b4e051a138cad363f96deaa02",
+        "neg": "70dff729f194421586ede5a4750b3a71d4ecc7f9aaa19bf04fb3aff0057065e2",
+        "trace": "411fe09b78c06a91e609d8635eb1f83f697ba54b72f5f9198555274ad849dabd",
+    },
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(FQ_TABLE_DIGESTS))
+def test_fq_tables_pinned(p, e):
+    # a fresh build, not the cached one, is byte-identical to the pinned tables
+    tables = FqTables(p, lex_least_irreducible(p, e))
+    for name, digest in FQ_TABLE_DIGESTS[p, e].items():
+        assert hashlib.sha256(repr(getattr(tables, name)).encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (7, 3), (3, 5), (13, 1)])
+def test_fq_tables_generator_is_the_first_primitive_index(p, e):
+    # exp[1] is the least index of order q - 1: every smaller nonzero index
+    # has a power below q - 1 that is 1
+    F = FqField(p, e)
+    g = F._tables.exp[1]
+    assert len(set(F._tables.exp[:F.q - 1])) == F.q - 1
+    for v in range(1, g):
+        x, k = F.from_index(v), 1
+        while x ** k != 1:
+            k += 1
+        assert k < F.q - 1
 
 
 def test_fq_tables_shared_per_field():

@@ -108,6 +108,20 @@ def test_chi_geometric_matches_chi_eval_n4():
         )
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (11, 1), (7, 2)])
+def test_poly_eval_matches_powers(p, e):
+    # Horner on indices against sum c_i x^i with field operators, on every
+    # x, for coefficient lists with zeros, a zero top one, and the empty list
+    F = FqField(p, e)
+    rng = random.Random(p * e)
+    lists = [[F.from_index(rng.randrange(F.q)) if rng.random() < 0.7 else F(0)
+              for _ in range(rng.randrange(1, 10))] for _ in range(6)]
+    for coeffs in lists + [[F(3), F(0), F(0)], []]:
+        for x in F.elements():
+            want = sum((c * x ** i for i, c in enumerate(coeffs)), F(0))
+            assert poly_eval(F, coeffs, x) == want
+
+
 def test_hecke_p2_specialization():
     n = 4
     F = GF(11)
@@ -217,9 +231,10 @@ def _oracle_chi(params, x):
     return sum((lam * v for lam, v in zip(params.lam, y)), F(0)) + F(n) * y[n]
 
 
-# GF(7), GF(11), F_25, F_49 for n = 2, 4, 6, where the section needs p > n + 1
+# GF(7), GF(11), F_25, F_49 for n = 2, 4, 6, where the section needs p > n + 1,
+# and GF(11), GF(13) for n = 8, where exp and log divide by k up to 9
 ORACLE_CASES = [(n, p, e) for n in (2, 4, 6) for p, e in ((7, 1), (11, 1), (5, 2), (7, 2))
-                if p > n + 1]
+                if p > n + 1] + [(8, 11, 1), (8, 13, 1)]
 
 
 @pytest.mark.parametrize("n,p,e", ORACLE_CASES)
@@ -240,14 +255,13 @@ def test_section_kernels_match_field_operators(n, p, e):
 
 def test_section_kernels_build_field_elements_only_at_exit(monkeypatch):
     # entry reads .v and exit builds one element per output coefficient:
-    # the power loop itself builds none
+    # the exp/log recurrences and Horner's rule build none
     from airycheck import arith
 
     n, F = 4, FqField(7, 2)
     params = make_params(n, F, (1, 2))
     rng = random.Random(12)
     a, b = ([F.from_index(rng.randrange(F.q)) for _ in range(n + 1)] for _ in range(2))
-    exp_section(n, F, a)  # fills the per-(p, n) coefficient cache
     made = []
     fq = arith._fq
     monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
@@ -256,6 +270,7 @@ def test_section_kernels_build_field_elements_only_at_exit(monkeypatch):
         (lambda: exp_section(n, F, a), n + 1),
         (lambda: log_section(n, F, a), n + 1),
         (lambda: chi_eval(params, a), 1),
+        (lambda: poly_eval(F, b, a[0]), 1),
     ):
         made.clear()
         kernel()

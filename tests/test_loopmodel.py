@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -293,16 +294,22 @@ def _random_positive_depth(model, rng, density):
     ]
 
 
+def _padded(model, A):
+    """A, cut to its first blocks, with zero blocks up to N."""
+    return [[list(row) for row in blk] for blk in A] + model.zero_series()[len(A):]
+
+
 def _check_two_sided(model, entries, rng):
     """_solve_one_plus undoes _one_plus_times and the other way round, on a
-    full and on a 2-block series, and agrees with the product by 1 + Z."""
+    full and on a 2-block series, and agrees with the product by 1 + Z: on
+    the 2-block series, blocks 0 and 1 of the product by the zero-padded X."""
     one_plus = _one_plus_series(model, entries)
     for blocks in (model.N, 2):
         A = _random_series(model, rng)[:blocks]
         X = _solved(model, entries, A)
         assert _one_plus_applied(model, entries, X) == A
         assert _solved(model, entries, _one_plus_applied(model, entries, A)) == A
-        assert model._mul(one_plus, X, blocks) == A
+        assert model.mul(one_plus, _padded(model, X))[:blocks] == A
     inv = _solved(model, entries, model.identity_series())
     assert model.mul(one_plus, inv) == model.mul(inv, one_plus) == model.identity_series()
 
@@ -334,14 +341,42 @@ def test_inv_two_sided_on_s_factors(n, p):
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_mul_blocks_is_a_prefix_of_the_product(n, p):
+    # blocks 0..k-1 of A B read only blocks 0..k-1 of A and of B
     model = GLnModel(n, p)
     rng = random.Random(500 + 10 * n + p)
     A, B = _random_series(model, rng), _random_series(model, rng)
     A[0] = A[1] = [[0] * n for _ in range(n)]  # leading zero blocks
+    prod = model.mul(A, B)
     for blocks in range(1, model.N + 1):
-        prefix = model.mul(A, B)[:blocks]
-        assert model._mul(A, B, blocks) == prefix
-        assert model._mul(A, B[:blocks], blocks) == prefix
+        cut_a, cut_b = _padded(model, A[:blocks]), _padded(model, B[:blocks])
+        assert model.mul(cut_a, B)[:blocks] == prod[:blocks]
+        assert model.mul(A, cut_b)[:blocks] == prod[:blocks]
+        assert model.mul(cut_a, cut_b)[:blocks] == prod[:blocks]
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_mul_of_dense_top_residues(n, p):
+    # every entry p - 1: each 64-bit slot takes its largest sum
+    model = GLnModel(n, p)
+    top = [[[p - 1] * n for _ in range(n)] for _ in range(model.N)]
+    assert model.mul(top, top) == _naive_mul(model, top, top)
+    shifted = [[[x - 2 * p for x in row] for row in blk] for blk in top]  # -p - 1
+    assert model.mul(shifted, top) == model.mul(top, shifted) == _naive_mul(model, top, top)
+
+
+def test_model_rejects_a_prime_whose_slots_overflow(monkeypatch):
+    # N n (p-1)^2 must stay below 2^64, checked before GF(p) builds a table
+    def build(p):
+        raise RuntimeError("a field table was built")
+
+    monkeypatch.setattr(loopmodel, "GF", build)
+    with pytest.raises(ValueError, match="64-bit slots"):
+        GLnModel(2, 2 ** 61 - 1)
+    top = math.isqrt((2 ** 64 - 1) // 80) + 1  # the largest p with 80 (p-1)^2 < 2^64
+    with pytest.raises(ValueError, match="64-bit slots"):
+        GLnModel(8, top + 1)
+    with pytest.raises(RuntimeError, match="table"):
+        GLnModel(8, top)
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
@@ -443,7 +478,7 @@ def test_exp_pair_is_exp_of_y_and_of_minus_y(n, p, monkeypatch):
                 loopmodel._exp_pair(model, entries)
             continue
         with monkeypatch.context() as m:
-            m.setattr(GLnModel, "_mul", _raise)
+            m.setattr(GLnModel, "mul", _raise)
             pair = loopmodel._exp_pair(model, entries)
             longest = max(longest, len(loopmodel._sparse_exp_terms(model, entries)))
         for e, want in zip(pair, expected):
@@ -456,7 +491,7 @@ def test_exp_pair_is_exp_of_y_and_of_minus_y(n, p, monkeypatch):
 def test_factorize_i1_forms_no_series_product(monkeypatch):
     outs = []
     with monkeypatch.context() as m:
-        m.setattr(GLnModel, "_mul", _raise)
+        m.setattr(GLnModel, "mul", _raise)
         for n in (2, 3, 4):
             model = GLnModel(n, 7)
             rng = random.Random(n)
