@@ -224,9 +224,11 @@ class FqTables:
         q = p ** e
         self.p, self.e, self.q, self.modulus = p, e, q, tuple(m)
 
-        # the first g, in index order, whose powers walk through all of F_q*
+        # the first g, in index order, whose powers walk through all of F_q*;
+        # for e > 1 that is past the indices below p, the constants of F_p,
+        # whose order divides p - 1 < q - 1
         order, times = q - 1, _IndexProduct(p, m)
-        for gidx in range(1, q):
+        for gidx in range(p if e > 1 else 1, q):
             exp = _power_walk(times.by(_digits(gidx, p, e)), q)
             if exp is not None and len(exp) == order:
                 break
@@ -309,6 +311,11 @@ class FqField:
 
     def __hash__(self):
         return hash((self.p, self.e))
+
+    def __reduce__(self):
+        # a copy or an unpickled field shares the tables of (p, e), which
+        # element equality requires
+        return FqField, (self.p, self.e)
 
     def __repr__(self):
         return f"FqField({self.p}, {self.e})"

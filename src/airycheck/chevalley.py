@@ -16,11 +16,10 @@ the signs of the matrix units.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import VerificationError
+from . import Record, VerificationError
 from .linalg import nullspace, rank, rref, solve
 from .rootdata import (
     Coweight,
@@ -421,10 +420,12 @@ def build_algebra(rd: RootDatum, field=QQ) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rd, field)
 
 
-@dataclass
-class GradedSubspace:
-    r: int
-    basis: list  # list of coordinate vectors
+class GradedSubspace(Record):
+    _fields = ("r", "basis")
+
+    def __init__(self, r: int, basis: list):
+        self.r = r
+        self.basis = basis  # list of coordinate vectors
 
     @property
     def dim(self):
@@ -857,14 +858,17 @@ def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra, mu: Coweight = None,
 # ---------------------------------------------------------------------------
 # The polynomial graph of p_-(S(1)).
 
-@dataclass
-class S1Graph:
-    phi_s: list  # roots in Phi_S, aligned with var names x0, x1, ...
-    var_names: list
-    lambda_names: list
-    p_minus: dict  # root -> MultiPoly in the lambda variables
-    lambda_exprs: dict  # lambda name -> MultiPoly in the x variables
-    graphs: dict  # root (not in Phi_S) -> MultiPoly in the x variables
+class S1Graph(Record):
+    _fields = ("phi_s", "var_names", "lambda_names", "p_minus", "lambda_exprs", "graphs")
+
+    def __init__(self, phi_s: list, var_names: list, lambda_names: list, p_minus: dict,
+                 lambda_exprs: dict, graphs: dict):
+        self.phi_s = phi_s  # roots in Phi_S, aligned with var names x0, x1, ...
+        self.var_names = var_names
+        self.lambda_names = lambda_names
+        self.p_minus = p_minus  # root -> MultiPoly in the lambda variables
+        self.lambda_exprs = lambda_exprs  # lambda name -> MultiPoly in the x variables
+        self.graphs = graphs  # root (not in Phi_S) -> MultiPoly in the x variables
 
 
 def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import add
 
+from . import Record
 from .arith import CyclotomicValue, FqField, _add, fq_tables
 from .gln_airy import CharacterParams, chi_geometric, f_poly, hecke_forms, make_params
 
@@ -72,14 +72,17 @@ def _trace_sums(field, f_coeffs) -> dict:
     return entries
 
 
-@dataclass
-class TraceTable:
-    q: int
-    n: int
-    lam: tuple
-    f_coeffs: tuple
-    entries: dict  # field element -> CyclotomicValue
-    provenance: str
+class TraceTable(Record):
+    _fields = ("q", "n", "lam", "f_coeffs", "entries", "provenance")
+
+    def __init__(self, q: int, n: int, lam: tuple, f_coeffs: tuple, entries: dict,
+                 provenance: str):
+        self.q = q
+        self.n = n
+        self.lam = lam
+        self.f_coeffs = f_coeffs
+        self.entries = entries  # field element -> CyclotomicValue
+        self.provenance = provenance
 
     def scaled(self, factor, provenance: str) -> "TraceTable":
         """Every entry times `factor`, an int or a CyclotomicValue."""
@@ -186,10 +189,12 @@ def hecke_trace_table(params: CharacterParams, brute: bool = True) -> TraceTable
     )
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    detail: dict
+class Verdict(Record):
+    _fields = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: dict):
+        self.ok = ok
+        self.detail = detail
 
 
 def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:

@@ -13,9 +13,7 @@ result, and the Hecke maps are affine forms with index coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import VerificationError
+from . import Frozen, VerificationError
 from .arith import FqElement, _add, _mul, fq_tables
 from .loopmodel import GLnModel, phi_eval
 
@@ -34,17 +32,17 @@ def _require_char(field, n: int):
         raise ValueError(f"need p > n + 1 = {n + 1}, got p = {p}")
 
 
-@dataclass(frozen=True)
-class CharacterParams:
-    n: int
-    field: object
-    lam: tuple  # (lambda_1, ..., lambda_{n/2})
+class CharacterParams(Frozen):
+    _fields = ("n", "field", "lam")
 
-    def __post_init__(self):
-        _require_even(self.n)
-        _require_char(self.field, self.n)
-        if len(self.lam) != self.n // 2:
+    def __init__(self, n: int, field, lam: tuple):
+        _require_even(n)
+        _require_char(field, n)
+        if len(lam) != n // 2:
             raise ValueError("lambda vector must have length n/2")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "lam", lam)  # (lambda_1, ..., lambda_{n/2})
         object.__setattr__(self, "_chi_geo_coeffs", _chi_geo_coeffs(self))
 
 

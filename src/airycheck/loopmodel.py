@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from . import VerificationError
+from . import Frozen, VerificationError
 from .arith import GF
 from .chevalley import (
     ChevalleyAlgebra,
@@ -51,10 +50,16 @@ from .linalg import rref
 from .rootdata import Coweight, coxeter_number, get_root_datum, u_mu_roots
 
 
-@dataclass(frozen=True)
-class AffineRootIndex:
-    root: tuple  # root coordinates, or None for the Cartan block
-    power: int
+class AffineRootIndex(Frozen):
+    _fields = ("root", "power")
+
+    def __init__(self, root: tuple, power: int):
+        object.__setattr__(self, "root", root)  # root coordinates, or None for the Cartan block
+        object.__setattr__(self, "power", power)
+
+    def _key(self):
+        # spelled out, since the stabilizer-line sets hash these often
+        return (self.root, self.power)
 
     def _height(self, rd):
         return 0 if self.root is None else rd.height(self.root)

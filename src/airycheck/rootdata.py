@@ -13,11 +13,10 @@ reflection indices applied left to right (w = s_{w[0]} s_{w[1]} ...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import VerificationError
+from . import Frozen, VerificationError
 from .linalg import mat_mul, mat_vec, solve
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "GL")
@@ -141,20 +140,24 @@ def _enumerate_positive_roots(cartan):
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(Frozen):
     """Integer cocharacter; fundamental-coweight coords, or Z^n for GL."""
 
-    coords: tuple
+    _fields = ("coords",)
+
+    def __init__(self, coords: tuple):
+        object.__setattr__(self, "coords", coords)
 
     def __repr__(self):
         return f"Coweight{self.coords}"
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: tuple  # action on simple-root coordinates
-    word: tuple  # reduced word, applied left to right
+class WeylElement(Frozen):
+    _fields = ("matrix", "word")
+
+    def __init__(self, matrix: tuple, word: tuple):
+        object.__setattr__(self, "matrix", matrix)  # action on simple-root coordinates
+        object.__setattr__(self, "word", word)  # reduced word, applied left to right
 
     def apply_root(self, coords):
         return tuple(mat_vec([list(r) for r in self.matrix], list(coords)))
@@ -164,22 +167,31 @@ class WeylElement:
         return WeylElement(tuple(tuple(r) for r in m), self.word + other.word)
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    series: str
-    rank: int
-    form: str
-    n: int  # semisimple rank
-    center_rank: int
-    cartan: tuple  # n x n, rows = coroot index
-    d: tuple  # symmetrizer, ints (root half-lengths)
-    pos_roots: tuple  # positive roots, simple-root coords, height/lex order
-    coroots: tuple  # coroots of the positive roots, simple-coroot coords
-    # pairings[a][i] = <root a, alpha-check_i> as ints, for the roots in
-    # `roots` order; <root a, coroot> for a coroot with simple-coroot
-    # coordinates b is sum_i b_i pairings[a][i]
-    pairings: tuple = field(compare=False, repr=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+class RootDatum(Frozen):
+    """Compared, hashed and printed on the nine structural fields of
+    `_fields`; `pairings` and the per-instance `_cache` take no part."""
+
+    _fields = ("series", "rank", "form", "n", "center_rank", "cartan", "d",
+               "pos_roots", "coroots")
+
+    def __init__(self, series: str, rank: int, form: str, n: int, center_rank: int,
+                 cartan: tuple, d: tuple, pos_roots: tuple, coroots: tuple,
+                 pairings: tuple):
+        set_ = object.__setattr__
+        set_(self, "series", series)
+        set_(self, "rank", rank)
+        set_(self, "form", form)
+        set_(self, "n", n)  # semisimple rank
+        set_(self, "center_rank", center_rank)
+        set_(self, "cartan", cartan)  # n x n, rows = coroot index
+        set_(self, "d", d)  # symmetrizer, ints (root half-lengths)
+        set_(self, "pos_roots", pos_roots)  # positive roots, simple-root coords, height/lex order
+        set_(self, "coroots", coroots)  # coroots of the positive roots, simple-coroot coords
+        # pairings[a][i] = <root a, alpha-check_i> as ints, for the roots in
+        # `roots` order; <root a, coroot> for a coroot with simple-coroot
+        # coordinates b is sum_i b_i pairings[a][i]
+        set_(self, "pairings", pairings)
+        set_(self, "_cache", {})
 
     # -- basic structure -------------------------------------------------
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import airycheck
+from airycheck import arith
 from airycheck.arith import (
     GF,
     CyclotomicValue,
@@ -242,6 +243,19 @@ def test_fq_tables_generator_is_the_first_primitive_index(p, e):
         while x ** k != 1:
             k += 1
         assert k < F.q - 1
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (7, 3), (11, 2), (3, 5)])
+def test_fq_tables_search_starts_past_the_prime_field(p, e, monkeypatch):
+    # for e > 1 the indices below p are the constants of F_p, whose order
+    # divides p - 1 < q - 1: the search walks the powers of each index from
+    # p to the generator once, and of no constant
+    walks = []
+    power_walk = arith._power_walk
+    monkeypatch.setattr(arith, "_power_walk", lambda *a: walks.append(a) or power_walk(*a))
+    g = FqTables(p, lex_least_irreducible(p, e)).exp[1]
+    assert g >= p
+    assert len(walks) == g - p + 1
 
 
 def test_fq_tables_shared_per_field():

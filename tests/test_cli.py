@@ -1,6 +1,24 @@
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
 
+import pytest
+
+import airycheck
 from airycheck import cli
+from airycheck.arith import FqField
+from airycheck.gln_airy import make_params
+from airycheck.loopmodel import AffineRootIndex
+from airycheck.rootdata import (
+    Coweight,
+    WeylElement,
+    build_root_datum,
+    fundamental_coweight,
+    weyl_wP,
+)
 
 
 def run_capture(capsys, argv):
@@ -213,3 +231,77 @@ def test_character_machinery_params_list_what_ran(capsys):
         ],
         "phi_z": [{"n": 2, "p": 7}, {"n": 4, "p": 7}, {"n": 4, "p": 11}],
     }
+
+
+def test_import_path_skips_dataclasses_inspect_and_typing():
+    # a fresh process pays for every module airycheck imports; pytest itself
+    # imports all three, so only a subprocess can see the import path, and
+    # -S keeps site-packages' .pth files from importing anything first
+    code = "import sys, airycheck.cli; print(' '.join(sorted(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    modules = set(out.stdout.split())
+    assert "airycheck.cli" in modules
+    assert not {"dataclasses", "inspect", "typing"} & modules
+
+
+def _a2_wP():
+    rd = build_root_datum("A", 2)
+    return weyl_wP(rd, fundamental_coweight(rd, 0))
+
+
+# (build a value, a different value, its fields as a bare tuple, its repr as
+# the dataclass versions printed it, a field name)
+VALUE_CASES = {
+    "Coweight": (
+        lambda: Coweight((1, 0)), Coweight((0, 1)), ((1, 0),), "Coweight(1, 0)", "coords",
+    ),
+    "WeylElement": (
+        _a2_wP, WeylElement(((1, 0), (0, 1)), ()), (((0, -1), (1, -1)), (1, 0, 1, 0)),
+        "WeylElement(matrix=((0, -1), (1, -1)), word=(1, 0, 1, 0))", "word",
+    ),
+    "RootDatum": (
+        lambda: build_root_datum("A", 1), build_root_datum("GL", 2, "gl"),
+        ("A", 1, "sc", 1, 0, ((2,),), (1,), ((1,),), ((1,),)),
+        "RootDatum(series='A', rank=1, form='sc', n=1, center_rank=0, cartan=((2,),), "
+        "d=(1,), pos_roots=((1,),), coroots=((1,),))",
+        "n",
+    ),
+    "AffineRootIndex": (
+        lambda: AffineRootIndex((1, 0), 1), AffineRootIndex((1, 0), 0), ((1, 0), 1),
+        "AffineRootIndex(root=(1, 0), power=1)", "power",
+    ),
+    "CharacterParams": (
+        lambda: make_params(2, FqField(5, 2), (3,)), make_params(2, FqField(5, 2), (4,)),
+        (2, FqField(5, 2), (FqField(5, 2)(3),)),
+        "CharacterParams(n=2, field=FqField(5, 2), lam=(Fq(5^2)[3, 0],))", "lam",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_class_semantics(name):
+    make, other, fields, pinned_repr, field = VALUE_CASES[name]
+    x, y = make(), make()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != other and x != fields and fields != x
+    assert repr(x) == pinned_repr
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert x == y
+    for z in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert z is not x and z == x and hash(z) == hash(x)
+
+
+def test_root_datum_equality_ignores_pairings_and_cache():
+    x, y = build_root_datum("B", 2), build_root_datum("B", 2)
+    x._cache["filled"] = True
+    assert x.pairings is not y.pairings
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    assert "pairings" not in repr(x) and "_cache" not in repr(x)
