@@ -275,14 +275,21 @@ def _fq(field, v: int) -> "FqElement":
     return el
 
 
+FIELD_BUDGET = 2 ** 19  # the most elements a field's tables may hold
+
+
 class FqField:
-    """The field F_{p^e} with a deterministic modulus."""
+    """The field F_{p^e} with a deterministic modulus, of at most
+    FIELD_BUDGET elements."""
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
+        # 2^e <= p^e for a prime p, so a large e is refused before p^e is formed
+        if p > FIELD_BUDGET or e >= FIELD_BUDGET.bit_length() or p ** e > FIELD_BUDGET:
+            raise ValueError(f"F_{p}^{e} exceeds the field budget of {FIELD_BUDGET} elements")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.e = e
         self.q = p ** e

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from . import Record, VerificationError
+from . import Frozen, Record, VerificationError
 from .linalg import nullspace, rank, rref, solve
 from .rootdata import (
     Coweight,
@@ -246,7 +246,6 @@ class ChevalleyAlgebra:
         self.dim = 2 * self.npos + self.ncartan
         self.basis_roots = list(rd.roots)  # index -> root, first 2*npos slots
         self.root_index = {a: i for i, a in enumerate(self.basis_roots)}
-        self._cache = {}
         self._build_table()
         self._build_kappa()
 
@@ -420,12 +419,11 @@ def build_algebra(rd: RootDatum, field=QQ) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rd, field)
 
 
-class GradedSubspace(Record):
-    _fields = ("r", "basis")
+class GradedSubspace(Frozen):
+    _fields = ("basis",)
 
-    def __init__(self, r: int, basis: list):
-        self.r = r
-        self.basis = basis  # list of coordinate vectors
+    def __init__(self, basis: tuple):
+        object.__setattr__(self, "basis", basis)  # tuple of coordinate tuples
 
     @property
     def dim(self):
@@ -435,18 +433,10 @@ class GradedSubspace(Record):
 # ---------------------------------------------------------------------------
 # Principal sl2 and gradings.
 
+@lru_cache(maxsize=None)
 def principal_sl2(alg: ChevalleyAlgebra):
-    """(N^-, H, N^+) with H = 2 rho-check, [N^+, N^-] = H, [H, N^pm] = pm 2.
-
-    Built and verified once per algebra; every call returns fresh lists.
-    """
-    sl2 = alg._cache.get("sl2")
-    if sl2 is None:
-        sl2 = alg._cache["sl2"] = tuple(tuple(v) for v in _build_principal_sl2(alg))
-    return tuple(list(v) for v in sl2)
-
-
-def _build_principal_sl2(alg: ChevalleyAlgebra):
+    """(N^-, H, N^+) with H = 2 rho-check, [N^+, N^-] = H, [H, N^pm] = pm 2,
+    as tuples."""
     rd = alg.rd
     n = rd.n
     # c solving sum_i c_i <alpha_j, coroot_i> = 2 for all j
@@ -478,7 +468,7 @@ def _build_principal_sl2(alg: ChevalleyAlgebra):
         raise VerificationError("[H, N+] != 2 N+")
     if alg.bracket(H, nminus) != [-(two * x) for x in nminus]:
         raise VerificationError("[H, N-] != -2 N-")
-    return nminus, H, nplus
+    return tuple(nminus), tuple(H), tuple(nplus)
 
 
 def height_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
@@ -491,12 +481,12 @@ def height_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
         for i in range(alg.ncartan):
             v = alg.zero()
             v[alg.cartan_index(i)] = alg.field(1)
-            basis.append(v)
+            basis.append(tuple(v))
     else:
         for a in alg.basis_roots:
             if alg.rd.height(a) == r:
-                basis.append(alg.E(a))
-    return GradedSubspace(r, basis)
+                basis.append(tuple(alg.E(a)))
+    return GradedSubspace(tuple(basis))
 
 
 def grading_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
@@ -504,20 +494,19 @@ def grading_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
     h = alg.h
     if not (0 <= r <= h - 1):
         raise ValueError("cyclic degree out of range")
-    basis = list(height_piece(alg, r).basis)
+    basis = height_piece(alg, r).basis
     if r != 0:
         basis += height_piece(alg, r - h).basis
-    return GradedSubspace(r, basis)
+    return GradedSubspace(basis)
 
 
+@lru_cache(maxsize=None)
 def x_minus1(alg: ChevalleyAlgebra):
-    x = alg._cache.get("x_minus1")
-    if x is None:
-        nminus, _, _ = principal_sl2(alg)
-        i = alg.root_index[alg.rd.theta]
-        nminus[i] = nminus[i] + alg.field(1)
-        x = alg._cache["x_minus1"] = tuple(nminus)
-    return list(x)
+    """X_{-1} = N^- + E_theta, as a tuple."""
+    x = list(principal_sl2(alg)[0])
+    i = alg.root_index[alg.rd.theta]
+    x[i] = x[i] + alg.field(1)
+    return tuple(x)
 
 
 def _combine(alg: ChevalleyAlgebra, coeffs, basis):
@@ -542,53 +531,37 @@ def _ad_kernel(alg: ChevalleyAlgebra, x, basis):
     return [_combine(alg, coeffs, basis) for coeffs in nullspace(cols, alg.field(1))]
 
 
+@lru_cache(maxsize=None)
 def centralizer_z(alg: ChevalleyAlgebra):
-    """z_r = ker(ad_{X_{-1}}) cap g_r for r = 0..h-1, as graded pieces.
-
-    Computed once per algebra; every call returns fresh pieces.
-    """
-    zs = alg._cache.get("z")
-    if zs is None:
-        x = x_minus1(alg)
-        zs = alg._cache["z"] = tuple(
-            tuple(tuple(v) for v in _ad_kernel(alg, x, grading_piece(alg, r).basis))
-            for r in range(alg.h)
-        )
-    return [GradedSubspace(r, [list(v) for v in basis]) for r, basis in enumerate(zs)]
+    """z_r = ker(ad_{X_{-1}}) cap g_r for r = 0..h-1, as a tuple of graded
+    pieces."""
+    x = x_minus1(alg)
+    return tuple(
+        GradedSubspace(tuple(map(tuple, _ad_kernel(alg, x, grading_piece(alg, r).basis))))
+        for r in range(alg.h)
+    )
 
 
+@lru_cache(maxsize=None)
 def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubspace:
     """a_r = [g(r-1-h), N^+]; zero at r = 1 since g(-h) = 0.
 
     With mu, returns a_r^mu = Ad_{w_P}(a_r) through the normalized
     representative.  (The space a itself only sums a_r over r <= ceil(h/2).)
-    Computed once per (algebra, r, mu); every call returns a fresh basis.
     """
     h = alg.h
     if not 1 <= r <= h - 1:
         raise ValueError("r out of range")
-    key = ("a", r, None if mu is None else tuple(mu.coords))
-    basis = alg._cache.get(key)
-    if basis is None:
+    basis = []
+    if r >= 2:
         _, _, nplus = principal_sl2(alg)
-        basis = []
-        if r >= 2:
-            src = height_piece(alg, r - 1 - h).basis
-            rows = [alg.bracket(v, nplus) for v in src]
-            red, pivots = rref(rows)
-            basis = [red[i] for i in range(len(pivots))]
-        if mu is not None and basis:
-            cols = _wP_columns(alg, mu)
-            basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
-        # sparse: these bases are mostly zeros, and every type keeps one per (r, mu)
-        basis = alg._cache[key] = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in basis)
-    out = []
-    for entries in basis:
-        v = alg.zero()
-        for i, c in entries:
-            v[i] = c
-        out.append(v)
-    return GradedSubspace(r, out)
+        rows = [alg.bracket(v, nplus) for v in height_piece(alg, r - 1 - h).basis]
+        red, pivots = rref(rows)
+        basis = red[:len(pivots)]
+    if mu is not None and basis:
+        cols = _wP_columns(alg, mu)
+        basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
+    return GradedSubspace(tuple(map(tuple, basis)))
 
 
 def p_minus_project(alg: ChevalleyAlgebra, v):
@@ -619,8 +592,8 @@ def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
 
 def u_mu_piece(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> GradedSubspace:
     phi_u, _ = u_mu_roots(alg.rd, mu)
-    basis = [alg.E(a) for a in phi_u if alg.rd.height(a) % alg.h == r % alg.h]
-    return GradedSubspace(r, basis)
+    return GradedSubspace(
+        tuple(tuple(alg.E(a)) for a in phi_u if alg.rd.height(a) % alg.h == r % alg.h))
 
 
 def _support(v) -> set:
@@ -697,36 +670,29 @@ def _apply_columns(cols, v, zero):
     return out
 
 
+@lru_cache(maxsize=None)
 def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
     """Ad lift exp(ad e) exp(-ad f) exp(ad e) of s_i, as sparse integer
     columns ((row, entry), ...) in row order.
 
-    Column j is the image of b_j, built from brackets; cached per algebra.
-    The entries are integers for every field, since the lift preserves the
-    Chevalley lattice.
+    Column j is the image of b_j, built from brackets.  The entries are
+    integers for every field, since the lift preserves the Chevalley lattice.
     """
-    key = ("refl", i)
-    cols = alg._cache.get(key)
-    if cols is None:
-        simple = tuple(1 if j == i else 0 for j in range(alg.rd.n))
-        e = alg.root_index[simple]
-        f = alg.root_index[_vneg(simple)]
-        cols = []
-        for j in range(alg.dim):
-            v = {j: 1}
-            for idx, t in ((e, 1), (f, -1), (e, 1)):
-                v = _exp_ad_basis(alg, idx, t, v)
-            cols.append(tuple(sorted(v.items())))
-        cols = alg._cache[key] = tuple(cols)
-    return cols
+    simple = tuple(1 if j == i else 0 for j in range(alg.rd.n))
+    e = alg.root_index[simple]
+    f = alg.root_index[_vneg(simple)]
+    cols = []
+    for j in range(alg.dim):
+        v = {j: 1}
+        for idx, t in ((e, 1), (f, -1), (e, 1)):
+            v = _exp_ad_basis(alg, idx, t, v)
+        cols.append(tuple(sorted(v.items())))
+    return tuple(cols)
 
 
+@lru_cache(maxsize=None)
 def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
-    """Sparse columns of the torus-corrected w_P lift; cached per algebra."""
-    key = ("wP", mu.coords)
-    cols = alg._cache.get(key)
-    if cols is not None:
-        return cols
+    """Sparse columns of the torus-corrected w_P lift."""
     rd = alg.rd
     one = alg.field(1)
     zero = alg.field(0)
@@ -775,9 +741,8 @@ def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
         diag.append(b)
     # the corrected lift, with entries in the field
     M = tuple(tuple((r, y) for r, c in col if (y := diag[r] * c)) for col in M)
-    if _apply_columns(M, x, zero) != x:
+    if tuple(_apply_columns(M, x, zero)) != x:
         raise VerificationError("Ad of the w_P lift does not fix X_{-1}")
-    alg._cache[key] = M
     return M
 
 
@@ -785,14 +750,14 @@ def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
     """Ad-matrix of a lift of w_P, torus-corrected to fix X_{-1} exactly.
 
     Raises VerificationError if the lift cannot be corrected to fix X_{-1}.
-    Returns a fresh dense matrix; the sparse columns are cached.
+    Returns the dense matrix as a tuple of rows.
     """
     zero = alg.field(0)
     M = [[zero] * alg.dim for _ in range(alg.dim)]
     for j, col in enumerate(_wP_columns(alg, mu)):
         for k, c in col:
             M[k][j] = c
-    return M
+    return tuple(map(tuple, M))
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +779,10 @@ def relevance_linear_kernel(alg: ChevalleyAlgebra, r: int) -> bool:
     return rank(rows) == ar.dim
 
 
-def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra, mu: Coweight = None,
-                                   budget: int = 10 ** 7):
+QUADRATIC_BUDGET = 10 ** 7  # the most points of a(F_p) to enumerate
+
+
+def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra):
     """All e in a(F_p) with kappa([e,N^-] + [e,[e,E_theta]]/2, u_{>=1+h/2}) = 0.
 
     The w_P-conjugated condition for nonzero minuscule mu reduces to the
@@ -828,7 +795,7 @@ def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra, mu: Coweight = None,
     basis = []
     for r in range(2, (h + 1) // 2 + 1):
         basis.extend(a_subspace(alg, r).basis)
-    if p ** len(basis) > budget:
+    if p ** len(basis) > QUADRATIC_BUDGET:
         raise ValueError("search space exceeds budget")
     nminus, _, _ = principal_sl2(alg)
     etheta = alg.E(alg.rd.theta)

@@ -33,6 +33,7 @@ from .arith import CyclotomicValue, FqField, _add, fq_tables
 from .gln_airy import CharacterParams, chi_geometric, f_poly, hecke_forms, make_params
 
 BRUTE_BUDGET = 10 ** 7
+WEIL_SLACK = 1e-6  # float error allowed in the Weil bound
 
 
 def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
@@ -110,8 +111,11 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("f must have degree n + 1 >= 2")
     if (n + 1) % p == 0:
         raise ValueError("p must not divide deg f")
-    entries = _trace_sums(FqField(p, e), f_coeffs)
-    return TraceTable(p ** e, n, tuple(lam), tuple(f_coeffs), entries, "airy")
+    field = FqField(p, e)
+    if field.q ** 2 > BRUTE_BUDGET:  # q sums over q points each
+        raise ValueError("Airy trace table exceeds budget")
+    entries = _trace_sums(field, f_coeffs)
+    return TraceTable(field.q, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
 
 def _mul_row(tab, w: int) -> list:
@@ -218,13 +222,13 @@ def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     return Verdict(not mismatches, detail)
 
 
-def weil_check(table: TraceTable, slack: float = 1e-6) -> Verdict:
-    """|entry| <= n sqrt(q) for every entry of an Airy table (up to float
-    slack); scaled tables are checked against the scaled bound."""
+def weil_check(table: TraceTable) -> Verdict:
+    """|entry| <= n sqrt(q) for every entry of an Airy table (up to
+    WEIL_SLACK); scaled tables are checked against the scaled bound."""
     bound = table.n * math.sqrt(table.q)
     if table.provenance in ("hecke-brute", "airy-twisted"):
         bound *= table.q ** (table.n // 2 - 1)
     worst = 0.0
     for v in table.entries.values():
         worst = max(worst, abs(v.embed()))
-    return Verdict(worst <= bound + slack, {"worst": worst, "bound": bound})
+    return Verdict(worst <= bound + WEIL_SLACK, {"worst": worst, "bound": bound})

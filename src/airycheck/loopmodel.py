@@ -83,17 +83,12 @@ def line_dim(rd, line: AffineRootIndex) -> int:
     return rd.rank if line.root is None else 1
 
 
-def filtration_basis(alg: ChevalleyAlgebra, r: int, r_hi: int = None):
-    """Lines of Lie I(r) (depth >= r), optionally cut off below r_hi."""
+def filtration_basis(alg: ChevalleyAlgebra, r: int):
+    """Lines of Lie I(r) (depth >= r)."""
     rd = alg.rd
     if not 0 <= r <= alg.h + 2:
         raise ValueError("r out of range")
-    out = []
-    for line in all_lines(rd):
-        d = line.depth(rd)
-        if d >= r and (r_hi is None or d < r_hi):
-            out.append(line)
-    return out
+    return [line for line in all_lines(rd) if line.depth(rd) >= r]
 
 
 # ---------------------------------------------------------------------------

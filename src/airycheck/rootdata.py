@@ -169,7 +169,8 @@ class WeylElement(Frozen):
 
 class RootDatum(Frozen):
     """Compared, hashed and printed on the nine structural fields of
-    `_fields`; `pairings` and the per-instance `_cache` take no part."""
+    `_fields`; `pairings` takes no part.  The hash is computed once, since
+    every lru_cache keyed on a root datum hashes it on each call."""
 
     _fields = ("series", "rank", "form", "n", "center_rank", "cartan", "d",
                "pos_roots", "coroots")
@@ -191,7 +192,14 @@ class RootDatum(Frozen):
         # `roots` order; <root a, coroot> for a coroot with simple-coroot
         # coordinates b is sum_i b_i pairings[a][i]
         set_(self, "pairings", pairings)
-        set_(self, "_cache", {})
+        set_(self, "_hash", hash(self._key()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt rather than restored, since str hashes differ between processes
+        return RootDatum, self._key() + (self.pairings,)
 
     # -- basic structure -------------------------------------------------
 
@@ -482,27 +490,21 @@ def _weyl_from_word(rd: RootDatum, word) -> WeylElement:
     return WeylElement(tuple(tuple(r) for r in m), tuple(word))
 
 
+@lru_cache(maxsize=None)
 def weyl_w0(rd: RootDatum) -> WeylElement:
-    key = "w0"
-    if key not in rd._cache:
-        rd._cache[key] = _weyl_from_word(rd, _longest_word(rd, range(rd.n)))
-    return rd._cache[key]
+    return _weyl_from_word(rd, _longest_word(rd, range(rd.n)))
 
 
+@lru_cache(maxsize=None)
 def weyl_wP0(rd: RootDatum, mu: Coweight) -> WeylElement:
-    # depends on mu only through alpha_mu; cached per root datum
-    key = ("wP0", alpha_mu(rd, mu))
-    if key not in rd._cache:
-        subset = [j for j in range(rd.n) if j != key[1]]
-        rd._cache[key] = _weyl_from_word(rd, _longest_word(rd, subset))
-    return rd._cache[key]
+    # the longest element of W_P, generated by the s_j with j != alpha_mu
+    i = alpha_mu(rd, mu)
+    return _weyl_from_word(rd, _longest_word(rd, [j for j in range(rd.n) if j != i]))
 
 
+@lru_cache(maxsize=None)
 def weyl_wP(rd: RootDatum, mu: Coweight) -> WeylElement:
-    key = ("wP", alpha_mu(rd, mu))
-    if key not in rd._cache:
-        rd._cache[key] = weyl_wP0(rd, mu) * weyl_w0(rd)
-    return rd._cache[key]
+    return weyl_wP0(rd, mu) * weyl_w0(rd)
 
 
 def check_wP_heights(rd: RootDatum, mu: Coweight) -> bool:
@@ -518,29 +520,24 @@ def check_wP_heights(rd: RootDatum, mu: Coweight) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def u_mu_roots(rd: RootDatum, mu: Coweight):
-    """(Phi(u_mu), Phi(u_mu^-)); also checks w_P carries Phi+ onto the first.
-
-    Split and checked once per (rd, mu); every call returns fresh lists.
-    """
-    key = ("u_mu", tuple(mu.coords))
-    split = rd._cache.get(key)
-    if split is None:
-        if not rd.is_minuscule(mu):
-            raise ValueError("mu is not minuscule")
-        phi_u, phi_uminus = [], []
-        for a in rd.roots:
-            pos = rd.height(a) > 0
-            pr = rd.pairing(a, mu)
-            if (pos and pr == 0) or (not pos and pr == -1):
-                phi_u.append(a)
-            else:
-                phi_uminus.append(a)
-        wp = weyl_wP(rd, mu)
-        if {wp.apply_root(a) for a in rd.pos_roots} != set(phi_u):
-            raise VerificationError(f"w_P Phi+ != Phi(u_mu) for mu = {mu.coords}")
-        split = rd._cache[key] = (tuple(phi_u), tuple(phi_uminus))
-    return list(split[0]), list(split[1])
+    """(Phi(u_mu), Phi(u_mu^-)) as tuples; also checks w_P carries Phi+ onto
+    the first."""
+    if not rd.is_minuscule(mu):
+        raise ValueError("mu is not minuscule")
+    phi_u, phi_uminus = [], []
+    for a in rd.roots:
+        pos = rd.height(a) > 0
+        pr = rd.pairing(a, mu)
+        if (pos and pr == 0) or (not pos and pr == -1):
+            phi_u.append(a)
+        else:
+            phi_uminus.append(a)
+    wp = weyl_wP(rd, mu)
+    if {wp.apply_root(a) for a in rd.pos_roots} != set(phi_u):
+        raise VerificationError(f"w_P Phi+ != Phi(u_mu) for mu = {mu.coords}")
+    return tuple(phi_u), tuple(phi_uminus)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from airycheck.arith import GF
 from airycheck.chevalley import (
     QQ,
     ChevalleyAlgebra,
+    GradedSubspace,
     _check_constants,
     _wP_columns,
     a_subspace,
@@ -256,11 +257,11 @@ def test_first_build_outputs_pinned():
             sorted((i, j, sorted(row.items()))
                    for i, t in enumerate(alg.table) for j, row in t.items()),
             [[alg.kappa(x, y) for y in basis] for x in basis],
-            [z.basis for z in centralizer_z(alg)],
+            [list(map(list, z.basis)) for z in centralizer_z(alg)],
         ]
         for mu in mus:
             items.append((mu, weyl_wP(rd, mu), _wP_columns(alg, mu)))
-            items.append([a_subspace(alg, r, mu).basis for r in range(1, alg.h)])
+            items.append([list(map(list, a_subspace(alg, r, mu).basis)) for r in range(1, alg.h)])
         for item in items:
             digest.update(repr(item).encode())
     assert digest.hexdigest() == "b81928a9e531f056ea45281458dea9c70c85bf7ffa6640463344268f2f2d767b"
@@ -316,7 +317,7 @@ def test_principal_sl2_sl3():
         simple = tuple(1 if j == i else 0 for j in range(2))
         assert nplus[alg.root_index[simple]] == QQ(2)
         assert nminus[alg.root_index[tuple(-c for c in simple)]] == QQ(1)
-    assert alg.bracket(nplus, nminus) == H
+    assert tuple(alg.bracket(nplus, nminus)) == H
 
 
 def test_grading_dims():
@@ -419,14 +420,17 @@ def test_decomposition_fails_off_g_r(piece, monkeypatch):
     a_subspace, centralizer = chevalley.a_subspace, chevalley.centralizer_z
 
     def nudge(sub):
-        if sub.basis:
-            sub.basis[0][off] = sub.basis[0][off] + 1
-        return sub
+        # a nudged copy: the cached piece itself is immutable
+        if not sub.basis:
+            return sub
+        first = list(sub.basis[0])
+        first[off] = first[off] + 1
+        return GradedSubspace((tuple(first),) + sub.basis[1:])
 
     if piece == "a":
         monkeypatch.setattr(chevalley, "a_subspace", lambda *args: nudge(a_subspace(*args)))
     else:
-        monkeypatch.setattr(chevalley, "centralizer_z", lambda alg: [nudge(z) for z in centralizer(alg)])
+        monkeypatch.setattr(chevalley, "centralizer_z", lambda alg: tuple(map(nudge, centralizer(alg))))
     depths = [r for r in range(1, alg.h) if (a_subspace(alg, r, mu) if piece == "a" else centralizer(alg)[r]).dim]
     assert len(depths) == (4 if piece == "a" else 3)
     for r in depths:
@@ -445,7 +449,7 @@ def test_u_mu_piece_trivial_mu():
 def test_wp_trivial_mu_identity():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
     M = wP_representative(alg, Coweight((0, 0)))
-    assert M == _basis(alg)
+    assert M == tuple(map(tuple, _basis(alg)))
 
 
 def test_wp_conjugates_a_r():
@@ -519,18 +523,31 @@ def test_build_algebra_cached_per_prime():
 
 
 def test_cached_results_are_isolated():
+    # a caller cannot change a cached result: each is built once per
+    # algebra, a repeat call returns the same object, and that object is
+    # made of tuples and frozen records
     alg = build_algebra(get_root_datum("A", 2, "adjoint"))
     mu = Coweight((1, 0))
     zs, M = centralizer_z(alg), wP_representative(alg, mu)
     sl2, x = principal_sl2(alg), x_minus1(alg)
     want = copy.deepcopy((zs, M, sl2, x))
-    zs[1].basis[0][0] = QQ(5)
-    zs[2].basis.append(alg.zero())
-    zs[0] = None
-    M[0][0] = QQ(7)
-    M.pop()
-    sl2[0][0] = QQ(3)
-    x[0] = QQ(3)
+    assert centralizer_z(alg) is zs and principal_sl2(alg) is sl2 and x_minus1(alg) is x
+    with pytest.raises(TypeError):
+        zs[1].basis[0][0] = QQ(5)
+    with pytest.raises(AttributeError):
+        zs[2].basis.append(alg.zero())
+    with pytest.raises(AttributeError):
+        zs[2].basis = ()
+    with pytest.raises(TypeError):
+        zs[0] = None
+    with pytest.raises(TypeError):
+        M[0][0] = QQ(7)
+    with pytest.raises(AttributeError):
+        M.pop()
+    with pytest.raises(TypeError):
+        sl2[0][0] = QQ(3)
+    with pytest.raises(TypeError):
+        x[0] = QQ(3)
     assert centralizer_z(alg) == want[0]
     assert wP_representative(alg, mu) == want[1]
     assert (principal_sl2(alg), x_minus1(alg)) == (want[2], want[3])
@@ -560,27 +577,41 @@ def test_a_subspace_and_u_mu_roots_cached(monkeypatch):
     got[0] = a_subspace(alg, 2)
     assert got == want and u_mu_roots(alg.rd, mu) == split
     assert not calls
-    # the caches hand out copies
-    got[2].basis[0][0] = QQ(5)
-    got[3].basis.append(alg.zero())
+    # the caches hand out the same immutable values on every call
+    assert all(a_subspace(alg, r, mu) is got[r] for r in (1, 2, 3))
+    assert u_mu_roots(alg.rd, mu) is u_mu_roots(alg.rd, mu)
+    with pytest.raises(TypeError):
+        got[2].basis[0][0] = QQ(5)
+    with pytest.raises(AttributeError):
+        got[3].basis.append(alg.zero())
     u, u_minus = u_mu_roots(alg.rd, mu)
-    u.pop()
-    u_minus.append((9, 9, 9))
+    with pytest.raises(AttributeError):
+        u.pop()
+    with pytest.raises(AttributeError):
+        u_minus.append((9, 9, 9))
     assert a_subspace(alg, 2, mu) == want[2] and a_subspace(alg, 3, mu) == want[3]
     assert u_mu_roots(alg.rd, mu) == split
 
 
 _CORRUPT_REFLECTION = """
-from airycheck import VerificationError
-from airycheck.chevalley import _simple_reflection_ad, build_algebra, wP_representative
+from airycheck import VerificationError, chevalley
+from airycheck.chevalley import build_algebra, wP_representative
 from airycheck.rootdata import Coweight, get_root_datum
 
 assert not __debug__, "this check must run under python -O"
 alg = build_algebra(get_root_datum("A", 2, "adjoint"))
-cols = list(_simple_reflection_ad(alg, 0))
-j = alg.root_index[(-1, 0)]
-cols[j] = tuple((k, 2 * c) for k, c in cols[j])  # s_1 lift with a wrong scale
-alg._cache[("refl", 0)] = tuple(cols)
+reflection = chevalley._simple_reflection_ad
+
+
+def corrupt(alg, i):
+    cols = list(reflection(alg, i))
+    if i == 0:  # the s_1 lift with a wrong scale
+        j = alg.root_index[(-1, 0)]
+        cols[j] = tuple((k, 2 * c) for k, c in cols[j])
+    return tuple(cols)
+
+
+chevalley._simple_reflection_ad = corrupt
 try:
     wP_representative(alg, Coweight((1, 0)))
 except VerificationError as exc:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import airycheck
-from airycheck import cli
+from airycheck import arith, cli, expsum
 from airycheck.arith import FqField
 from airycheck.gln_airy import make_params
 from airycheck.loopmodel import AffineRootIndex
@@ -169,6 +169,33 @@ def test_trace_hecke_over_budget(capsys):
     assert "error" in err and out == ""
 
 
+def _refuse(*args):
+    raise RuntimeError("work ran that the budget check should have refused")
+
+
+@pytest.mark.parametrize("prime,ext", [("1000000007", "1"), ("2", str(10 ** 12))])
+def test_field_over_budget(capsys, monkeypatch, prime, ext):
+    # refused before the primality test and the table build (F_(10^9+7)
+    # would walk 10^9 powers), and p^e is never formed for a huge --ext
+    monkeypatch.setattr(arith, "is_prime", _refuse)
+    monkeypatch.setattr(arith, "fq_tables", _refuse)
+    code, out, err = run_capture(
+        capsys, ["chi", "--n", "2", "--prime", prime, "--ext", ext, "--lambda", "1"]
+    )
+    assert code == 2
+    assert "field budget" in err and out == ""
+
+
+def test_trace_airy_over_budget(capsys, monkeypatch):
+    # F_100003 fits the field budget, but its Airy table is q^2 = 10^10 terms
+    monkeypatch.setattr(expsum, "_trace_sums", _refuse)
+    code, out, err = run_capture(
+        capsys, ["trace", "airy", "--n", "2", "--prime", "100003", "--lambda", "1"]
+    )
+    assert code == 2
+    assert "budget" in err and out == ""
+
+
 def test_compare(capsys):
     code, out, _ = run_capture(
         capsys, ["compare", "--n", "2", "--prime", "5", "--lambda", "2"]
@@ -250,8 +277,10 @@ def test_import_path_skips_dataclasses_inspect_and_typing():
 
 
 def _a2_wP():
+    # a fresh element each call: weyl_wP itself returns its cached one
     rd = build_root_datum("A", 2)
-    return weyl_wP(rd, fundamental_coweight(rd, 0))
+    wp = weyl_wP(rd, fundamental_coweight(rd, 0))
+    return WeylElement(wp.matrix, wp.word)
 
 
 # (build a value, a different value, its fields as a bare tuple, its repr as
@@ -299,9 +328,8 @@ def test_value_class_semantics(name):
         assert z is not x and z == x and hash(z) == hash(x)
 
 
-def test_root_datum_equality_ignores_pairings_and_cache():
+def test_root_datum_equality_ignores_pairings():
     x, y = build_root_datum("B", 2), build_root_datum("B", 2)
-    x._cache["filled"] = True
     assert x.pairings is not y.pairings
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
-    assert "pairings" not in repr(x) and "_cache" not in repr(x)
+    assert "pairings" not in repr(x)
