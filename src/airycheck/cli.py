@@ -30,6 +30,8 @@ from .expsum import (
     airy_trace_table,
     compare_traces,
     hecke_trace_table,
+    require_airy_budget,
+    require_brute_budget,
     weil_check,
 )
 from .gln_airy import (
@@ -468,6 +470,10 @@ def cmd_chi(args):
 
 
 def cmd_trace(args):
+    if args.kind == "airy":
+        require_airy_budget(args.prime, args.ext)
+    else:
+        require_brute_budget(args.prime, args.ext, args.n)
     params = make_params(args.n, FqField(args.prime, args.ext), _parse_lambda(args.lam))
     if args.kind == "airy":
         table = airy_trace_table(f_poly(params), args.prime, args.ext, lam=params.lam)

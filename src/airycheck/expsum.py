@@ -104,6 +104,29 @@ class TraceTable(Record):
         )
 
 
+def _exceeds_budget(p: int, e: int, k: int) -> bool:
+    """(p^e)^k > BRUTE_BUDGET, from the numbers alone.  For p >= 2,
+    2^(e k) <= p^(e k), so a large e k is refused before a power is formed;
+    a p below 2 passes, for FqField to refuse."""
+    if p < 2 or k < 1:
+        return False
+    return e * k >= BRUTE_BUDGET.bit_length() or p ** (e * k) > BRUTE_BUDGET
+
+
+def require_airy_budget(p: int, e: int):
+    """Refuse an Airy table over F_{p^e} past the budget before any field
+    is built: it sums over q points for each of q entries."""
+    if _exceeds_budget(p, e, 2):
+        raise ValueError("Airy trace table exceeds budget")
+
+
+def require_brute_budget(p: int, e: int, n: int):
+    """Refuse the brute fiber sum of GL_n over F_{p^e} past the budget
+    before any field is built: it visits every point of F_q^{1+n/2}."""
+    if _exceeds_budget(p, e, 1 + n // 2):
+        raise ValueError("brute-force fiber enumeration exceeds budget")
+
+
 def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     """Entry at t is -sum_{x in F_q} psi(Tr(f(x) + t x))."""
     n = len(f_coeffs) - 2
@@ -111,9 +134,8 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("f must have degree n + 1 >= 2")
     if (n + 1) % p == 0:
         raise ValueError("p must not divide deg f")
+    require_airy_budget(p, e)
     field = FqField(p, e)
-    if field.q ** 2 > BRUTE_BUDGET:  # q sums over q points each
-        raise ValueError("Airy trace table exceeds budget")
     entries = _trace_sums(field, f_coeffs)
     return TraceTable(field.q, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
@@ -152,10 +174,8 @@ def _brute_table_entries(params: CharacterParams):
     same order, so the two lists stay aligned point by point.
     """
     field, n = params.field, params.n
-    q = field.q
-    if q ** (1 + n // 2) > BRUTE_BUDGET:
-        raise ValueError("brute-force fiber enumeration exceeds budget")
-    p = field.p
+    require_brute_budget(field.p, field.e, n)
+    q, p = field.q, field.p
     tab = fq_tables(p, field.e)
     bins = Counter()  # (index of p_2, Tr p_1) -> points
     for m1 in field.elements():
@@ -205,6 +225,8 @@ def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     """Exact cyclotomic comparison of the Hecke eigenvalue trace, as the
     brute fiber sum, with the Airy trace twisted by q^{n/2-1}."""
     _require_brute(brute)
+    require_brute_budget(p, e, n)
+    require_airy_budget(p, e)
     field = FqField(p, e)
     params = make_params(n, field, lam)
     q = p ** e

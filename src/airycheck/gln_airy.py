@@ -6,12 +6,15 @@ cyclic shift power E_1^r and Z_i Z_j = Z_{i+j} (zero past n+1).  All scalars
 live in a caller-supplied field context, an FqField(p, e) (GF(p) for e = 1).
 
 The arithmetic runs on element indices (`FqElement.v`) with the field's
-tables (`arith._mul`, `arith._add`): the section algebra and chi take field
+tables (`arith._mul`, `arith._add`, or the tables read inline in the exp and
+log recurrences): the section algebra and chi take field
 elements, compute on their indices and build field elements only for the
 result, and the Hecke maps are affine forms with index coefficients.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import Frozen, VerificationError
 from .arith import FqElement, _add, _mul, fq_tables
@@ -82,10 +85,13 @@ def phi_z_values(model: GLnModel):
 #
 # A section vector enters as field elements and leaves as field elements;
 # in between every coefficient is its index in F_q (`FqElement.v`) and the
-# arithmetic is `_mul`/`_add` on the field's tables.  exp and log are the
-# O(n^2) recurrences that follow from E' = X' E and (1 + X) L' = X' for
-# E = exp(X) and L = log(1 + X) (Knuth, TAOCP vol. 2, 4.7); they divide by
-# k <= n+1 only, which `_require_char` makes a unit.
+# arithmetic is on the field's tables.  exp and log are the O(n^2)
+# recurrences that follow from E' = X' E and (1 + X) L' = X' for E = exp(X)
+# and L = log(1 + X) (Knuth, TAOCP vol. 2, 4.7); they read the log and
+# antilog tables and add by Zech logarithms inline, as `expsum._add_rows`
+# does, rather than through `_mul`/`_add`.  They divide by k <= n+1 only,
+# which `_require_char` makes a unit, and read each 1/k from one cached
+# tuple per (p, n).
 
 def _indices(field, xs):
     """The indices of the elements xs of `field` (ints are read as field(x))."""
@@ -110,30 +116,56 @@ def _trunc_mul(tab, n, a, b):
     return out
 
 
+@lru_cache(maxsize=None)
+def _inverses(p, n):
+    """(1/1, 1/2, ..., 1/(n+1)) mod p: for k < p, 1/k lies in F_p, so these
+    are also its indices in every F_{p^e}."""
+    return tuple(pow(k, -1, p) for k in range(1, n + 2))
+
+
 def _exp_series(tab, n, x):
     """The Z-coefficients e_1..e_{n+1} of exp(X) for X = sum x_r Z^r, on
     indices, by k e_k = sum_{j=1..k} (j x_j) e_{k-j} with e_0 = 1.  An
-    integer j < p is its own index; 1 <= k <= n+1 < p is invertible."""
-    jx = [_mul(tab, j, v) for j, v in enumerate(x, start=1)]
+    integer j < p is its own index; 1 <= k <= n+1 < p is invertible.
+    Products are looked up inline in the log and antilog tables, sums by
+    Zech logarithms."""
+    exp, log, zech = tab.exp, tab.log, tab.zech
+    jx = [exp[log[j] + log[v]] if v else 0 for j, v in enumerate(x, start=1)]
     e = [1]
-    for k in range(1, n + 2):
+    for inv in _inverses(tab.p, n):
         acc = 0
-        for j in range(k):
-            acc = _add(tab, acc, _mul(tab, jx[j], e[k - 1 - j]))
-        e.append(_mul(tab, pow(k, -1, tab.p), acc))
+        for a, b in zip(jx, reversed(e)):  # (j x_j) e_{k-j}, j = 1..k
+            if a and b:
+                y = exp[log[a] + log[b]]
+                if acc:
+                    la = log[acc]
+                    z = zech[log[y] - la]
+                    acc = exp[la + z] if z >= 0 else 0
+                else:
+                    acc = y
+        e.append(exp[log[inv] + log[acc]] if acc else 0)
     return e[1:]
 
 
 def _log_series(tab, n, x):
     """The Z-coefficients l_1..l_{n+1} of log(1 + X) for X = sum x_r Z^r,
-    on indices, by k l_k = k x_k - sum_{j<k} (j l_j) x_{k-j}."""
-    neg, jl = tab.neg, []  # jl[j-1] is the index of j l_j
+    on indices, by k l_k = k x_k - sum_{j<k} (j l_j) x_{k-j}, with the
+    table lookups inline as in `_exp_series`."""
+    exp, log, zech, neg = tab.exp, tab.log, tab.zech, tab.neg
+    jl = []  # jl[j-1] is the index of j l_j
     for k in range(1, n + 2):
-        acc = 0
-        for j in range(k - 1):
-            acc = _add(tab, acc, _mul(tab, jl[j], x[k - 2 - j]))
-        jl.append(_add(tab, _mul(tab, k, x[k - 1]), neg[acc]))
-    return [_mul(tab, pow(k, -1, tab.p), v) for k, v in enumerate(jl, start=1)]
+        acc = exp[log[k] + log[x[k - 1]]] if x[k - 1] else 0
+        for a, b in zip(jl, reversed(x[:k - 1])):  # -(j l_j) x_{k-j}, j < k
+            if a and b:
+                y = neg[exp[log[a] + log[b]]]
+                if acc:
+                    la = log[acc]
+                    z = zech[log[y] - la]
+                    acc = exp[la + z] if z >= 0 else 0
+                else:
+                    acc = y
+        jl.append(acc)
+    return [exp[log[inv] + log[v]] if v else 0 for inv, v in zip(_inverses(tab.p, n), jl)]
 
 
 def section_mul(n, field, a, b):

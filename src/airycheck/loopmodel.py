@@ -7,24 +7,30 @@ barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
 
 The group-level factorization is implemented in the GL_n matrix model: a
 group element is a list of h+2 matrices of int residues mod p (the t-power
-coefficients).  A series product works on packed rows: row j of B, over
-all h+2 blocks, is one int with a 64-bit slot per entry, so a row of A B is
-a sum of small multiples of shifted packed rows, unpacked once and reduced
-mod p (Kronecker substitution).  No slot carries while (h+2) n (p-1)^2 is
+coefficients).  A series product works on packed rows (Kronecker
+substitution): all of B is packed by one struct call and split by shifts
+into one int per row j, over all h+2 blocks, with a 64-bit slot per entry;
+a row of A B is a sum of small multiples of shifted packed rows, over the
+rows of A that are not all zero, and the rows of A B are unpacked by one
+struct call and reduced mod p.  No slot carries while (h+2) n (p-1)^2 is
 below 2^64, which `GLnModel` checks.  `factorize_I1` forms no
 series product and no inverse: each factor is an entry list, applied to a
 series by sparse row or column operations, and an S-factor is undone by a
-triangular solve.  Field elements enter only in `_factor_bases`, which
-turns the z, a^mu and u_mu bases into int solve maps once per (n, p, mu); a
-sample reads, solves and updates on residues alone.
+triangular solve.  u, a and s are carried as {(t-power, row, col): value}
+dicts of their nonzero entries, so a column operation touches only the
+nonzero entries of the column it reads, and each is made dense once, on
+return.  Field elements enter only in `_factor_bases`, which turns the z,
+a^mu and u_mu bases into int solve maps once per (n, p, mu); a sample
+reads, solves and updates on residues alone.
 
 `draw_factorization` and `round_trip_mismatch` are the round-trip oracle
 of `factorize_I1`: they build g from random factor coordinates and read the
 coordinates back from the factors it returns.  The oracle forms its factors
-with `graded_lift`, `exp_series` and `mul` only, and must share none of
-factorize_I1's kernels (`_factor_bases`, `_entries`, `_sparse_exp_terms`,
-`_exp_pair`, `_times_one_plus`, `_one_plus_times`, `_solve_one_plus`), so
-that a fault in one of them cannot cancel out of the comparison.
+with `graded_lift`, `exp_series` and `mul` only (and `identity_series`),
+and must share none of factorize_I1's kernels (`_factor_bases`, `_entries`,
+`_sparse_exp_terms`, `_exp_pair`, `_times_one_plus`, `_one_plus_times`,
+`_solve_one_plus`, `_dense`), so that a fault in one of them cannot cancel
+out of the comparison.
 """
 
 from __future__ import annotations
@@ -210,7 +216,12 @@ class GLnModel:
         self.alg = build_algebra(self.rd, self.field)
         self.h = n
         self.N = n + 2  # truncation order
-        self._slots = struct.Struct(f"<{self.N * n}Q")  # one packed row
+        self._slots = struct.Struct(f"<{self.N * n * n}Q")  # every row, packed
+        self._identity = [
+            [[int(j == k) for k in range(n)] for j in range(n)] if i == 0
+            else [[0] * n for _ in range(n)]
+            for i in range(self.N)
+        ]
 
     # -- series arithmetic -------------------------------------------------
 
@@ -218,39 +229,37 @@ class GLnModel:
         return [[[0] * self.n for _ in range(self.n)] for _ in range(self.N)]
 
     def identity_series(self):
-        g = self.zero_series()
-        for i in range(self.n):
-            g[0][i][i] = 1
-        return g
+        return [[list(row) for row in blk] for blk in self._identity]
 
     def mul(self, A, B):
-        """The product series A B, on packed rows.  Row j of B over all N
-        blocks is one int whose 64-bit slot m n + c holds B_m[j][c]; row r
-        of A B is the sum of x (packed row j << 64 n i) over the nonzero
-        entries x = A_i[r][j], cut to N n slots and unpacked once.  A slot
-        sums at most N n products below p^2, so none carries."""
-        n, p, slots = self.n, self.p, self._slots
-        width = 64 * n
-        packed = [
-            int.from_bytes(slots.pack(*[x % p for blk in B for x in blk[j]]), "little")
-            for j in range(n)
-        ]
-        mask = (1 << 8 * slots.size) - 1
-        out = [[] for _ in range(self.N)]
+        """The product series A B, on packed rows.  All of B is packed by
+        one struct call, row j over all N blocks into one int whose 64-bit
+        slot m n + c holds B_m[j][c]; row r of A B is the sum of x (packed
+        row j << 64 n i) over the nonzero entries x = A_i[r][j], with the
+        all-zero rows of A skipped, cut to N n slots.  The rows of A B are
+        unpacked together by one struct call.  A slot sums at most N n
+        products below p^2, so none carries."""
+        n, p, N, slots = self.n, self.p, self.N, self._slots
+        width = 64 * n  # one block of a packed row
+        row_bits = width * N
+        mask = (1 << row_bits) - 1
+        whole = int.from_bytes(
+            slots.pack(*[x % p for j in range(n) for blk in B for x in blk[j]]), "little")
+        packed = [whole >> row_bits * j & mask for j in range(n)]
+        acc = 0
         for r in range(n):
-            acc = 0
+            row = 0
             for i, blk in enumerate(A):
-                s = 0
-                for x, row in zip(blk[r], packed):
-                    x %= p
-                    if x:
-                        s += x * row
-                if s:
-                    acc += s << width * i
-            vals = [v % p for v in slots.unpack((acc & mask).to_bytes(slots.size, "little"))]
-            for m, blk in enumerate(out):
-                blk.append(vals[m * n:(m + 1) * n])
-        return out
+                if any(blk[r]):
+                    s = 0
+                    for x, b in zip(blk[r], packed):
+                        x %= p
+                        if x:
+                            s += x * b
+                    row += s << width * i
+            acc |= (row & mask) << row_bits * r
+        vals = [v % p for v in slots.unpack(acc.to_bytes(slots.size, "little"))]
+        return [[vals[(r * N + m) * n:(r * N + m + 1) * n] for r in range(n)] for m in range(N)]
 
     def eq(self, A, B):
         p = self.p
@@ -494,16 +503,32 @@ def _exp_pair(model: GLnModel, Y):
 
 
 def _times_one_plus(model: GLnModel, A, entries):
-    """A (1 + Z) in place, Z the sum of c t^i E_jk over the entries
-    (i, j, k, c): column k of block m gains c times column j of the old
-    block m - i."""
-    N, p = len(A), model.p
-    adds = [(m, k, c, [line[j] for line in A[m - i]])
-            for i, j, k, c in entries for m in range(i, N)]
-    for m, k, c, src in adds:
-        for line, x in zip(A[m], src):
-            line[k] = (line[k] + c * x) % p
+    """A (1 + Z) in place, for A a {(t-power, row, col): value} dict of its
+    nonzero entries and Z the sum of c t^i E_jk over the entries
+    (i, j, k, c): each entry x of column j of the old A, at (m, r, j), adds
+    c x at (m + i, r, k), dropped at t^N."""
+    N, p = model.N, model.p
+    by_col = {}  # j -> [(t-power, col, value)] of Z
+    for i, j, k, c in entries:
+        by_col.setdefault(j, []).append((i, k, c))
+    adds = [((m + i, r, k), c * x)
+            for (m, r, j), x in A.items() for i, k, c in by_col.get(j, ()) if m + i < N]
+    for key, y in adds:
+        v = (A.get(key, 0) + y) % p
+        if v:
+            A[key] = v
+        else:
+            A.pop(key, None)
     return A
+
+
+def _dense(model: GLnModel, A):
+    """The series whose nonzero entries are the {(t-power, row, col): value}
+    dict A."""
+    out = model.zero_series()
+    for (i, j, k), x in A.items():
+        out[i][j][k] = x
+    return out
 
 
 def _one_plus_times(model: GLnModel, entries, A):
@@ -544,8 +569,10 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     updates u by a column and w by a row operation, an A-factor exp(Y)
     updates a by column operations and is undone on the remainder by the
     row operations of exp(-Y), and an S-factor 1 + Z updates s by column
-    operations and is undone on the remainder by a triangular solve.  No
-    inverse series and no dense series product is formed.
+    operations and is undone on the remainder by a triangular solve.  u, a
+    and s are {(t-power, row, col): value} dicts of their nonzero entries,
+    from the identity on, made dense once on return.  No inverse series and
+    no dense series product is formed.
     """
     if not model.in_filtration(g, 1):
         raise ValueError("element is not in I(1)")
@@ -553,9 +580,7 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     half = (model.h + 1) // 2
     maps = _factor_bases((model.n, p), tuple(mu.coords))
     w = [[[x % p for x in row] for row in blk] for blk in g]
-    u = model.identity_series()
-    a = model.identity_series()
-    s = model.identity_series()
+    u, a, s = ({(0, j, j): 1 for j in range(model.n)} for _ in "uas")
     a_steps, s_steps = [], []  # exp(-Y) - 1 and Z of each factor, in step order
 
     def remainder(blocks):
@@ -597,7 +622,7 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     residual = remainder(model.N)
     if not model.in_filtration(residual, 1 + half):
         raise VerificationError(f"residual is not in I({1 + half})")
-    return u, a, s, residual
+    return _dense(model, u), _dense(model, a), _dense(model, s), residual
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,44 @@ def test_trace_airy_over_budget(capsys, monkeypatch):
     assert "budget" in err and out == ""
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["trace", "airy", "--n", "2", "--prime", "100003", "--lambda", "1"], "Airy trace table"),
+    (["trace", "hecke", "--n", "4", "--prime", "223", "--lambda", "1,0"], "brute-force"),
+    (["compare", "--n", "4", "--prime", "223", "--lambda", "1,0"], "brute-force"),
+])
+def test_trace_budgets_refuse_before_any_field_is_built(capsys, monkeypatch, argv, what):
+    # both budgets are read off (p, e, n): no field table is built, by the
+    # CLI or by the library calls it makes, before the refusal
+    monkeypatch.setattr(arith, "fq_tables", _refuse)
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert what in err and "exceeds budget" in err and out == ""
+    n, prime = int(argv[argv.index("--n") + 1]), int(argv[argv.index("--prime") + 1])
+    with pytest.raises(ValueError, match="exceeds budget"):
+        expsum.compare_traces(n, prime, 1, (1,) * (n // 2))
+    with pytest.raises(ValueError, match="exceeds budget"):
+        if what == "brute-force":
+            expsum.require_brute_budget(prime, 1, n)
+        else:
+            expsum.airy_trace_table([0, 1] + [0] * (n - 1) + [1], prime, 1)
+
+
+def test_trace_budgets_refuse_a_huge_extension_without_forming_it():
+    # 2^(e k) <= q^k, so e = 10^12 is refused before p^e is formed
+    for p in (2, 7):
+        with pytest.raises(ValueError, match="Airy trace table exceeds budget"):
+            expsum.require_airy_budget(p, 10 ** 12)
+        with pytest.raises(ValueError, match="brute-force fiber enumeration exceeds budget"):
+            expsum.require_brute_budget(p, 10 ** 12, 2)
+    # on the boundary: 3162^2 < 10^7 < 3163^2, and 215^3 < 10^7 < 216^3
+    expsum.require_airy_budget(3162, 1)
+    expsum.require_brute_budget(215, 1, 4)
+    with pytest.raises(ValueError):
+        expsum.require_airy_budget(3163, 1)
+    with pytest.raises(ValueError):
+        expsum.require_brute_budget(216, 1, 4)
+
+
 def test_compare(capsys):
     code, out, _ = run_capture(
         capsys, ["compare", "--n", "2", "--prime", "5", "--lambda", "2"]

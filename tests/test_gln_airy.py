@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from airycheck import gln_airy
 from airycheck.arith import GF, FqField
 from airycheck.gln_airy import (
     chi_eval,
@@ -251,6 +252,23 @@ def test_section_kernels_match_field_operators(n, p, e):
         assert exp_section(n, F, a) == _oracle_exp(n, F, a)
         assert log_section(n, F, a) == _oracle_log(n, F, a)
         assert chi_eval(params, a) == _oracle_chi(params, a)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("p,e", [(7, 1), (11, 1), (7, 2), (11, 2)])
+def test_exp_log_recurrences_match_the_power_series(n, p, e):
+    # the index recurrences, with their inline table lookups, against
+    # sum X^r / r! and sum (-1)^(r+1) X^r / r summed in field elements
+    F = FqField(p, e)
+    tab = F._tables
+    rng = random.Random(1000 * n + 10 * p + e)
+    zero = [F(0)] * (n + 1)
+    one_hot = [zero[:r] + [F(1)] + zero[r + 1:] for r in range(n + 1)]
+    seeded = [[F.from_index(rng.randrange(F.q)) for _ in range(n + 1)] for _ in range(200)]
+    for x in [zero] + one_hot + seeded:
+        idx = [v.v for v in x]
+        assert gln_airy._exp_series(tab, n, idx) == [v.v for v in _oracle_exp(n, F, x)]
+        assert gln_airy._log_series(tab, n, idx) == [v.v for v in _oracle_log(n, F, x)]
 
 
 def test_section_kernels_build_field_elements_only_at_exit(monkeypatch):

@@ -275,6 +275,61 @@ def test_mul_matches_field_convolution(n, p):
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_mul_with_zero_rows_multiples_of_p_and_negative_entries(n, p):
+    # a row of A that is all zero is skipped, one of nonzero multiples of p
+    # is not zero as a list but is mod p, and negative entries reduce
+    model = GLnModel(n, p)
+    rng = random.Random(400 + 10 * n + p)
+    for _ in range(8):
+        A = _random_series(model, rng, -2 * p, p)
+        B = _random_series(model, rng, -2 * p, 2 * p)
+        for blk in A:
+            for r in range(n):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    blk[r] = [0] * n
+                elif kind == 1:
+                    blk[r] = [rng.choice((p, -2 * p, 0)) for _ in range(n)]
+                    blk[r][rng.randrange(n)] = p
+        A[rng.randrange(model.N)][rng.randrange(n)] = [0] * n  # at least one zero row
+        assert model.mul(A, B) == _naive_mul(model, A, B)
+        assert model.mul(B, A) == _naive_mul(model, B, A)
+    multiples = [[[rng.choice((p, -2 * p)) for _ in range(n)] for _ in range(n)]
+                 for _ in range(model.N)]
+    assert model.mul(multiples, _random_series(model, rng)) == model.zero_series()
+
+
+def _entry_dict(model, A):
+    """The {(t-power, row, col): value} dict of the nonzero entries of A."""
+    return {(i, j, k): x % model.p for i, blk in enumerate(A) for j, row in enumerate(blk)
+            for k, x in enumerate(row) if x % model.p}
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_times_one_plus_on_entry_dicts(n, p):
+    # A (1 + Z) on the entry dict of A agrees with the dense product, for Z
+    # with several entries, some of whose target columns others read: every
+    # update reads the columns of the old A
+    model = GLnModel(n, p)
+    rng = random.Random(600 + 10 * n + p)
+    chain = [(0, j, j + 1, rng.randrange(1, p)) for j in range(n - 1)]  # col j+1 gains col j
+    chain += [(1, n - 1, 0, rng.randrange(1, p)), (model.N - 1, 0, 0, 1)]
+    cases = [chain] + [_random_positive_depth(model, rng, d) for d in (0.1, 0.3, 1.0)]
+    for Z in cases:
+        for A in (model.identity_series(), model.random_I1(rng), _random_series(model, rng)):
+            D = _entry_dict(model, A)
+            got = loopmodel._times_one_plus(model, D, Z)
+            assert got is D and all(0 < x < p for x in D.values())
+            assert loopmodel._dense(model, D) == model.mul(A, _one_plus_series(model, Z))
+    # an entry that cancels leaves the dict: (1 - c E_01)(1 + c E_01) = 1
+    c = rng.randrange(1, p)
+    D = {(0, j, j): 1 for j in range(n)}
+    D[0, 0, 1] = p - c
+    assert loopmodel._times_one_plus(model, D, [(0, 0, 1, c)]) == {(0, j, j): 1 for j in range(n)}
+    assert loopmodel._dense(model, D) == model.identity_series()
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_mul_associative(n, p):
     model = GLnModel(n, p)
     rng = random.Random(100 + 10 * n + p)
@@ -649,7 +704,7 @@ def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
 
 # factorize_I1's own kernels, which its round-trip oracle must not call
 FACTORIZE_KERNELS = ("_times_one_plus", "_one_plus_times", "_solve_one_plus", "_factor_bases",
-                     "_exp_pair", "_sparse_exp_terms", "_entries")
+                     "_exp_pair", "_sparse_exp_terms", "_entries", "_dense")
 
 
 @pytest.mark.parametrize("n", [3, 4])
