@@ -568,14 +568,6 @@ class CyclotomicValue:
         return f"Cyc({self.p}){list(self.coeffs)}"
 
 
-def psi(p: int, x) -> CyclotomicValue:
-    """Additive character of F_p valued in Z[zeta_p]: x -> zeta_p^x, composed
-    with the field trace for field-element arguments."""
-    if isinstance(x, FqElement):
-        x = x.trace()
-    return CyclotomicValue.zeta_pow(p, x)
-
-
 # ---------------------------------------------------------------------------
 # Multivariate polynomials with exact coefficients.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from . import Frozen, Record, VerificationError
 from .linalg import nullspace, rank, rref, solve
@@ -381,37 +382,6 @@ class ChevalleyAlgebra:
         if i >= 2 * self.npos:
             return 0
         return self.rd.height(self.basis_roots[i])
-
-    # -- GL matrix model ---------------------------------------------------
-
-    def _require_gl(self):
-        if self.rd.series != "GL":
-            raise ValueError(f"the matrix model needs GL_n, not {self.rd.series}")
-
-    def matrix_of(self, x):
-        self._require_gl()
-        n = self.rd.rank
-        m = [[self.field(0)] * n for _ in range(n)]
-        for idx, c in enumerate(x):
-            if not c:
-                continue
-            if idx < 2 * self.npos:
-                i, j = _gl_root_interval(self.basis_roots[idx])
-                m[i][j] = m[i][j] + c
-            else:
-                i = idx - 2 * self.npos
-                m[i][i] = m[i][i] + c
-        return m
-
-    def from_matrix(self, m):
-        self._require_gl()
-        x = self.zero()
-        for idx, a in enumerate(self.basis_roots):
-            i, j = _gl_root_interval(a)
-            x[idx] = self.field(m[i][j])
-        for i in range(self.rd.rank):
-            x[self.cartan_index(i)] = self.field(m[i][i])
-        return x
 
 
 @lru_cache(maxsize=None)
@@ -917,66 +887,41 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
     cut_roots = [a for a in rd.roots if 2 * rd.height(a) <= -h]
     p_minus = {a: Z[alg.root_index[a]] for a in cut_roots}
 
-    # Phi_S: one beta_r per slot; invertible 2x2 block at a doubled exponent
-    phi_s = []
+    # Phi_S and the inverse of the triangular change of variables
+    # lambda_beta = f_beta(lambda), one exponent r at a time.  For the k
+    # slots of r, Phi_S takes the first k roots of height r - h on which the
+    # slot vectors have a rank-k block.  Their lambda are A^{-1}(x - rest),
+    # with A the block of the linear terms of their f_beta in them, read off
+    # one rref of [A | I], and rest the other terms, in lower lambda only.
     by_r = {}
     for idx, (r, y, v) in enumerate(slots):
         by_r.setdefault(r, []).append(idx)
-    for r, idxs in sorted(by_r.items()):
-        cands = [a for a in rd.roots if rd.height(a) == r - h]
-        if len(idxs) == 1:
-            y = slots[idxs[0]][1]
-            beta = next(a for a in cands if y[alg.root_index[a]])
-            phi_s.append((idxs[0], beta))
-        else:
-            if len(idxs) != 2:
-                raise VerificationError(f"exponent {r} has multiplicity {len(idxs)}")
-            found = None
-            for i1, b1 in enumerate(cands):
-                for b2 in cands[i1 + 1:]:
-                    m = [
-                        [slots[k][1][alg.root_index[b]] for b in (b1, b2)]
-                        for k in idxs
-                    ]
-                    if m[0][0] * m[1][1] - m[0][1] * m[1][0]:
-                        found = (b1, b2)
-                        break
-                if found:
-                    break
-            if not found:
-                raise VerificationError("no invertible coefficient pair")
-            phi_s.append((idxs[0], found[0]))
-            phi_s.append((idxs[1], found[1]))
-    phi_s.sort(key=lambda t: t[0])
-    phi_s_roots = [b for _, b in phi_s]
-
-    # invert the triangular change of variables lambda_beta = f_beta(lambda)
+    one, zero_f = field(1), field(0)
+    phi_s_roots = [None] * len(slots)
     lam_exprs = {}
-    for r, idxs in sorted(by_r.items()):
-        if len(idxs) == 1:
-            i = idxs[0]
-            beta = phi_s_roots[i]
-            f = p_minus[beta]
-            c = f.coefficient(lam[i])
-            if not c:
-                raise VerificationError(f"zero linear pivot for {lam[i]}")
-            rest = f - mp_var(lam[i]) * c
-            lam_exprs[lam[i]] = (mp_var(xs[i]) - rest.substitute(lam_exprs)) / c
-        else:
-            i1, i2 = idxs
-            b1, b2 = phi_s_roots[i1], phi_s_roots[i2]
-            f1, f2 = p_minus[b1], p_minus[b2]
-            a11, a12 = f1.coefficient(lam[i1]), f1.coefficient(lam[i2])
-            a21, a22 = f2.coefficient(lam[i1]), f2.coefficient(lam[i2])
-            det = a11 * a22 - a12 * a21
-            if not det:
-                raise VerificationError(f"singular linear block for {lam[i1]}, {lam[i2]}")
-            g1 = (f1 - mp_var(lam[i1]) * a11 - mp_var(lam[i2]) * a12).substitute(lam_exprs)
-            g2 = (f2 - mp_var(lam[i1]) * a21 - mp_var(lam[i2]) * a22).substitute(lam_exprs)
-            r1 = mp_var(xs[i1]) - g1
-            r2 = mp_var(xs[i2]) - g2
-            lam_exprs[lam[i1]] = (r1 * a22 - r2 * a12) / det
-            lam_exprs[lam[i2]] = (r2 * a11 - r1 * a21) / det
+    for r, idxs in by_r.items():
+        k = len(idxs)
+        cands = [a for a in rd.roots if rd.height(a) == r - h]
+        betas = next((
+            bs for bs in combinations(cands, k)
+            if rank([[slots[i][1][alg.root_index[b]] for b in bs] for i in idxs]) == k
+        ), None)
+        if betas is None:
+            raise VerificationError(f"no invertible coefficient block at exponent {r}")
+        aug, rs = [], []
+        for row, (i, beta) in enumerate(zip(idxs, betas)):
+            phi_s_roots[i] = beta
+            rest = p_minus[beta]
+            coeffs = [rest.coefficient(lam[j]) for j in idxs]  # int 0 where absent
+            aug.append([c or zero_f for c in coeffs] + [one if col == row else zero_f for col in range(k)])
+            for j, c in zip(idxs, coeffs):
+                rest = rest - mp_var(lam[j]) * c
+            rs.append(mp_var(xs[i]) - rest.substitute(lam_exprs))
+        M, pivots = rref(aug)
+        if pivots[:k] != list(range(k)):
+            raise VerificationError(f"singular linear block for {', '.join(lam[i] for i in idxs)}")
+        for i, inv_row in zip(idxs, M):
+            lam_exprs[lam[i]] = sum((ri * c for ri, c in zip(rs, inv_row[k:])), zero)
 
     graphs = {}
     for a in cut_roots:

@@ -246,10 +246,10 @@ def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
 
 def weil_check(table: TraceTable) -> Verdict:
     """|entry| <= n sqrt(q) for every entry of an Airy table (up to
-    WEIL_SLACK); scaled tables are checked against the scaled bound."""
+    WEIL_SLACK); a table of any other provenance raises ValueError."""
+    if table.provenance != "airy":
+        raise ValueError(f"the Weil bound is checked on Airy tables, not {table.provenance!r}")
     bound = table.n * math.sqrt(table.q)
-    if table.provenance in ("hecke-brute", "airy-twisted"):
-        bound *= table.q ** (table.n // 2 - 1)
     worst = 0.0
     for v in table.entries.values():
         worst = max(worst, abs(v.embed()))

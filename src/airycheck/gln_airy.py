@@ -71,13 +71,8 @@ def z_element(model: GLnModel, r: int):
 
 def phi_z_values(model: GLnModel):
     """phi(Z_r) for r = 1..n+1; only r = n+1 pairs nontrivially (value n)."""
-    alg = model.alg
-    vals = []
-    for r in range(1, model.n + 2):
-        series = z_element(model, r)
-        Y = [alg.from_matrix(series[i]) for i in range(model.N)]
-        vals.append(phi_eval(alg, Y))
-    return vals
+    return [phi_eval(model.alg, [model.block_coords(blk) for blk in z_element(model, r)])
+            for r in range(1, model.n + 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
 
 The group-level factorization is implemented in the GL_n matrix model: a
 group element is a list of h+2 matrices of int residues mod p (the t-power
-coefficients).  A series product works on packed rows (Kronecker
+coefficients).  One cached table, `_gl_lines` with its per-depth view
+`_gl_lines_at`, places each root line at a matrix entry; `graded_lift`,
+`block_coords`, X-tilde, the draws of `random_I1` and `_factor_bases` all
+read it.  A series product works on packed rows (Kronecker
 substitution): all of B is packed by one struct call and split by shifts
 into one int per row j, over all h+2 blocks, with a 64-bit slot per entry;
 a row of A B is a sum of small multiples of shifted packed rows, over the
@@ -51,6 +54,7 @@ from .chevalley import (
     height_piece,
     principal_sl2,
     u_mu_piece,
+    x_minus1,
 )
 from .linalg import rref
 from .rootdata import Coweight, coxeter_number, get_root_datum, u_mu_roots
@@ -197,6 +201,26 @@ def odd_parahoric_check(alg: ChevalleyAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # GL_n truncated matrix group.
 
+@lru_cache(maxsize=None)
+def _gl_lines(n):
+    """(height, row, col) of each root line of GL_n, in algebra-index order:
+    the root e_row - e_col sits at that matrix entry."""
+    rd = get_root_datum("GL", n, "gl")
+    return tuple((rd.height(a),) + _gl_root_interval(a) for a in rd.roots)
+
+
+@lru_cache(maxsize=None)
+def _gl_lines_at(n, r):
+    """Per root line of GL_n, in algebra-index order, the (t-power, row, col)
+    of its line of depth r, or None: the t-power (r - height)/n, which must
+    be an integer below the truncation order n + 2."""
+    out = []
+    for ht, row, col in _gl_lines(n):
+        i, rem = divmod(r - ht, n)
+        out.append((i, row, col) if rem == 0 and 0 <= i < n + 2 else None)
+    return tuple(out)
+
+
 class GLnModel:
     """GL_n(F_p[t]/t^(n+2)) together with its Iwahori filtration.
 
@@ -263,10 +287,8 @@ class GLnModel:
 
     def eq(self, A, B):
         p = self.p
-        return all(
-            (x - y) % p == 0
-            for a, b in zip(A, B) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-        )
+        return ([x % p for blk in A for row in blk for x in row]
+                == [x % p for blk in B for row in blk for x in row])
 
     def in_filtration(self, A, r: int) -> bool:
         """A - 1 has depth >= r: reads only the entries of depth < r."""
@@ -277,26 +299,28 @@ class GLnModel:
 
     # -- Lie <-> group -----------------------------------------------------
 
-    @cached_property
-    def _root_lines(self):
-        """(height, row, col) of each root basis vector of the algebra."""
-        return [(self.rd.height(a),) + _gl_root_interval(a) for a in self.alg.basis_roots]
-
     def graded_lift(self, v, r: int):
         """Depth-r series with t-powers (r - Ht(alpha))/h per root line."""
         out = self.zero_series()
-        lines = self._root_lines
+        lines = _gl_lines_at(self.n, r)
         for idx, c in enumerate(v):
             if not c:
                 continue
             if idx >= len(lines):
                 raise ValueError("graded lift of a Cartan line")
-            ht, rr, cc = lines[idx]
-            i, rem = divmod(r - ht, self.h)
-            if rem or not 0 <= i < self.N:
+            if lines[idx] is None:
                 raise ValueError(f"root {self.alg.basis_roots[idx]} has no line of depth {r}")
-            out[i][rr][cc] = (out[i][rr][cc] + c.v) % self.p
+            i, j, k = lines[idx]
+            out[i][j][k] = (out[i][j][k] + c.v) % self.p
         return out
+
+    def block_coords(self, blk):
+        """The algebra coordinates of an n x n block, the inverse of the
+        placement of a root line: each root's entry, then the diagonal as
+        the Cartan coordinates."""
+        F = self.field
+        return ([F(blk[row][col]) for _, row, col in _gl_lines(self.n)]
+                + [F(blk[j][j]) for j in range(self.n)])
 
     def exp_series(self, Y):
         """exp of a positive-depth series, summed over the powers Y^k up to
@@ -318,15 +342,9 @@ class GLnModel:
 
     @cached_property
     def _x_tilde(self):
-        out = self.zero_series()
-        nminus, _, _ = principal_sl2(self.alg)
-        out[0] = [[x.v for x in row] for row in self.alg.matrix_of(self.alg.E(self.rd.theta))]
-        out[1] = [[x.v for x in row] for row in self.alg.matrix_of(nminus)]
-        return out
-
-    def x_tilde_t2(self):
-        """t^2 * X-tilde = t N^- + E_theta as a series (built once per model)."""
-        return [[list(row) for row in blk] for blk in self._x_tilde]
+        """t^2 X-tilde = E_theta + t N^-, the graded lift of X_{-1} at depth
+        h - 1 (built once per model)."""
+        return self.graded_lift(x_minus1(self.alg), self.h - 1)
 
     @cached_property
     def _x_tilde_entries(self):
@@ -356,12 +374,16 @@ class GLnModel:
     @cached_property
     def _i1_draws(self):
         """(t-power, entries) per line of Lie I(1), in filtration_basis order:
-        the diagonal for a Cartan line, the root's entry otherwise."""
-        diag = [(j, j) for j in range(self.n)]
-        return [
-            (line.power, diag if line.root is None else [_gl_root_interval(line.root)])
-            for line in filtration_basis(self.alg, 1)
-        ]
+        per t-power the diagonal for the Cartan line (from t^1 on), then the
+        entry of each root line of depth >= 1."""
+        n = self.n
+        diag = [(j, j) for j in range(n)]
+        draws = []
+        for i in range(self.N):
+            if i:
+                draws.append((i, diag))
+            draws += [(i, [(row, col)]) for ht, row, col in _gl_lines(n) if i * n + ht >= 1]
+        return draws
 
     def random_I1(self, rng):
         """Uniform-ish element 1 + (random Lie I(1) coefficients)."""
@@ -415,11 +437,8 @@ def _factor_bases(model_key, mu_coords):
         ab = a_subspace(alg, r, mu).basis
         ub = u_mu_piece(alg, mu, r).basis
         cols = zb + ab + ub
-        lines = {}  # algebra index -> (t-power, row, col) of its depth-r line
-        for idx, (ht, rr, cc) in enumerate(model._root_lines):
-            i, rem = divmod(r - ht, model.h)
-            if rem == 0 and 0 <= i < model.N:
-                lines[idx] = (i, rr, cc)
+        # algebra index -> (t-power, row, col) of its depth-r line
+        lines = {idx: line for idx, line in enumerate(_gl_lines_at(n, r)) if line}
         aug = [
             [col[i] for col in cols] + [one if j == i else zero for j in range(alg.dim)]
             for i in range(alg.dim)

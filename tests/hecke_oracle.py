@@ -1,10 +1,22 @@
-"""The Hecke-kernel maps p_1 and p_2 restated with field operators.
+"""The Hecke-kernel maps p_1 and p_2 restated with field operators, and the
+additive character psi.
 
 A test oracle for `gln_airy.hecke_forms` and for the brute trace table that
 evaluates those forms on element indices: it shares no code with either,
 and writes chi_geometric out too.  m = (m_1, ..., m_{1+n/2}) are elements
-of params.field.
+of params.field.  The per-fiber oracle sums psi(Tr p_1) one point at a
+time, where the library bins points by trace.
 """
+
+from airycheck.arith import CyclotomicValue, FqElement
+
+
+def psi(p, x):
+    """Additive character of F_p valued in Z[zeta_p]: x -> zeta_p^x, composed
+    with the field trace for field-element arguments."""
+    if isinstance(x, FqElement):
+        x = x.trace()
+    return CyclotomicValue.zeta_pow(p, x)
 
 
 def p2(n, field, m):

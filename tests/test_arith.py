@@ -22,8 +22,8 @@ from airycheck.arith import (
     _poly_powmod,
     is_prime,
     lex_least_irreducible,
-    psi,
 )
+from hecke_oracle import psi
 
 
 def test_is_prime():

@@ -16,6 +16,7 @@ from airycheck.chevalley import (
     ChevalleyAlgebra,
     GradedSubspace,
     _check_constants,
+    _gl_root_interval,
     _wP_columns,
     a_subspace,
     build_algebra,
@@ -49,6 +50,30 @@ from airycheck.rootdata import (
 def _basis(alg):
     one, zero = alg.field(1), alg.field(0)
     return [[one if i == j else zero for j in range(alg.dim)] for i in range(alg.dim)]
+
+
+def _matrix_of(alg, x):
+    """The n x n matrix of a gl_n vector: e_i - e_j at (i, j), the Cartan
+    coordinates on the diagonal.  The reference for the GL bracket and the
+    trace form."""
+    assert alg.rd.series == "GL", "the matrix model needs GL_n"
+    n = alg.rd.rank
+    m = [[alg.field(0)] * n for _ in range(n)]
+    for idx, c in enumerate(x):
+        if c:
+            if idx < 2 * alg.npos:
+                i, j = _gl_root_interval(alg.basis_roots[idx])
+            else:
+                i = j = idx - 2 * alg.npos
+            m[i][j] = m[i][j] + c
+    return m
+
+
+def _from_matrix(alg, m):
+    """The gl_n vector of an n x n matrix, the inverse of `_matrix_of`."""
+    assert alg.rd.series == "GL", "the matrix model needs GL_n"
+    x = [alg.field(m[i][j]) for i, j in map(_gl_root_interval, alg.basis_roots)]
+    return x + [alg.field(m[i][i]) for i in range(alg.rd.rank)]
 
 
 def _jacobi_holds(alg):
@@ -226,7 +251,7 @@ def test_gl3_kappa_is_the_trace_form():
     basis = _basis(alg)
 
     def oracle(i, j):
-        m = mat_mul(alg.matrix_of(basis[i]), alg.matrix_of(basis[j]))
+        m = mat_mul(_matrix_of(alg, basis[i]), _matrix_of(alg, basis[j]))
         return sum(m[k][k] for k in range(3))
 
     assert _kappa_mismatches(alg, oracle) == []
@@ -300,13 +325,13 @@ def test_gl3_matrix_crosscheck():
     for _ in range(25):
         x = [F(rng.randrange(7)) for _ in range(alg.dim)]
         y = [F(rng.randrange(7)) for _ in range(alg.dim)]
-        mx, my = alg.matrix_of(x), alg.matrix_of(y)
+        mx, my = _matrix_of(alg, x), _matrix_of(alg, y)
         comm = [
             [a - b for a, b in zip(ra, rb)]
             for ra, rb in zip(mat_mul(mx, my), mat_mul(my, mx))
         ]
-        assert alg.matrix_of(alg.bracket(x, y)) == comm
-        assert alg.from_matrix(mx) == x
+        assert _matrix_of(alg, alg.bracket(x, y)) == comm
+        assert _from_matrix(alg, mx) == x
 
 
 def test_principal_sl2_sl3():
@@ -356,7 +381,7 @@ def test_centralizer_gl_is_cyclic_powers():
         assert zs[r].dim == 1
         v = zs[r].basis[0]
         # E_1^r has a 1 at (i, i + r mod 4)
-        w = alg.from_matrix([[F(int(j == (i + r) % 4)) for j in range(4)] for i in range(4)])
+        w = _from_matrix(alg, [[F(int(j == (i + r) % 4)) for j in range(4)] for i in range(4)])
         # v and E_1^r are proportional
         i = next(i for i, c in enumerate(w) if c)
         assert [c * w[i] for c in v] == [c * v[i] for c in w]
@@ -504,6 +529,44 @@ def test_s1_graph_d4_doubled_slot():
     depth3 = [b for b in graph.phi_s if alg.rd.height(b) == 3 - alg.h]
     assert len(depth3) == 2
     assert s1_graph_check(alg, graph, random.Random(4), samples=25)
+
+
+S1_CASES = [("A", 1, "sc", 5), ("GL", 2, "gl", 5), ("GL", 4, "gl", 7), ("GL", 6, "gl", 7),
+            ("B", 2, "sc", 7), ("C", 3, "sc", 11), ("D", 4, "adjoint", 7), ("D", 6, "adjoint", 13)]
+
+
+def test_s1_graph_outputs_pinned():
+    # every field of the graph, each polynomial as its variables and its
+    # sorted terms (as its repr and == see it); D4 and D6 have a doubled
+    # exponent h/2
+    def poly(f):
+        return f.variables, sorted(f.terms.items())
+
+    digest = hashlib.sha256()
+    for series, rank, form, p in S1_CASES:
+        g = s1_graph(build_algebra(get_root_datum(series, rank, form), GF(p)))
+        items = [g.phi_s, g.var_names, g.lambda_names]
+        items += [[(k, poly(f)) for k, f in m.items()] for m in (g.p_minus, g.lambda_exprs, g.graphs)]
+        for item in items:
+            digest.update(repr(item).encode())
+    assert digest.hexdigest() == "ce77a345b4455c62176d9c0772555e20ddb5ee82ef094d2b184b178f1644e4a3"
+
+
+def test_s1_graph_needs_a_block_of_full_rank(monkeypatch):
+    # negative controls on a doubled exponent (D4): with no block of slot
+    # coefficients of full rank there is no Phi_S, and with a singular
+    # linear block the change of variables cannot be inverted
+    from airycheck import chevalley, linalg
+
+    alg = build_algebra(get_root_datum("D", 4, "adjoint"), GF(7))
+    with monkeypatch.context() as m:
+        m.setattr(chevalley, "rank", lambda rows: 0)
+        with pytest.raises(airycheck.VerificationError, match="no invertible coefficient block"):
+            s1_graph(alg)
+    with monkeypatch.context() as m:
+        m.setattr(chevalley, "rref", lambda rows: (lambda M, piv: (M, piv[:-1]))(*linalg.rref(rows)))
+        with pytest.raises(airycheck.VerificationError, match="singular linear block for l0"):
+            s1_graph(alg)
 
 
 def test_x_minus1_components():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from airycheck.arith import GF, CyclotomicValue, FqField, psi
+from airycheck.arith import GF, CyclotomicValue, FqField
 from airycheck.expsum import (
     airy_trace_table,
     compare_traces,
@@ -19,6 +19,7 @@ from airycheck.gln_airy import (
 )
 
 import hecke_oracle
+from hecke_oracle import psi
 
 
 def test_trace_identity_n2():
@@ -244,11 +245,16 @@ def test_weil_bound_values():
     assert v.ok
     assert v.detail["bound"] == pytest.approx(2 * 11 ** 0.5)
     assert v.detail["worst"] <= v.detail["bound"] + 1e-6
-    # the scaled bound applies to the Hecke table
-    brute = hecke_trace_table(make_params(4, GF(7), (1, 2)))
-    v = weil_check(brute)
-    assert v.ok
-    assert v.detail["bound"] == pytest.approx(4 * 7 ** 0.5 * 7)
+
+
+def test_weil_check_refuses_a_table_that_is_not_airy():
+    # the bound n sqrt(q) holds for the Airy sums only; a Hecke or a twisted
+    # table is refused, not checked against a scaled bound
+    params = make_params(4, GF(7), (1, 2))
+    airy = airy_trace_table(f_poly(params), 7, 1)
+    for table in (hecke_trace_table(params), airy.scaled(7, "airy-twisted")):
+        with pytest.raises(ValueError, match="Airy"):
+            weil_check(table)
 
 
 @pytest.mark.parametrize("n,p,lam", [(2, 7, (3,)), (4, 7, (1, 0))])

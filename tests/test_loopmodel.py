@@ -454,7 +454,7 @@ def test_kernel_returns_residues(n, p):
     Y[1][0][n - 1] = -1 + 2 * p
     assert _is_reduced(model, model.exp_series(Y))
     assert _is_reduced(model, model.random_I1(rng))
-    assert _is_reduced(model, model.x_tilde_t2())
+    assert _is_reduced(model, model._x_tilde)
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
@@ -655,7 +655,7 @@ def test_in_filtration_agrees_with_depth(n, p):
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_stabilizes_x_tilde_matches_series_products(n, p):
     model = GLnModel(n, p)
-    X = model.x_tilde_t2()
+    X = model._x_tilde
     rng = random.Random(n * p + 1)
     zs = centralizer_z(model.alg)
     samples = [model.random_I1(rng) for _ in range(10)]
@@ -672,6 +672,71 @@ def test_stabilizes_x_tilde_matches_series_products(n, p):
         assert model.stabilizes_x_tilde(_off_identity(model, g)) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_x_tilde_is_e_theta_plus_t_n_minus(n):
+    # t^2 X-tilde = E_theta + t N^-: E_{0,n-1} at t^0 and the subdiagonal
+    # sum_i E_{i+1,i} at t^1, written out here
+    model = GLnModel(n, 7)
+    want = model.zero_series()
+    want[0][0][n - 1] = 1
+    for i in range(n - 1):
+        want[1][i + 1][i] = 1
+    assert model._x_tilde == want
+
+
+def test_graded_lift_refuses_a_cartan_coordinate():
+    model = GLnModel(3, 7)
+    v = model.alg.zero()
+    v[model.alg.cartan_index(1)] = model.field(2)
+    with pytest.raises(ValueError, match="Cartan"):
+        model.graded_lift(v, 3)
+
+
+def test_graded_lift_refuses_a_root_with_no_line_of_depth_r():
+    # e_0 - e_1 has height 1, so its lines have depth 1 + 3 i only
+    model = GLnModel(3, 7)
+    v = model.alg.E((1, 0))
+    assert model.graded_lift(v, 4)[1][0][1] == 1
+    with pytest.raises(ValueError, match="no line of depth 2"):
+        model.graded_lift(v, 2)
+    with pytest.raises(ValueError, match="no line of depth 16"):
+        model.graded_lift(v, 16)  # t^5 is past the truncation
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_coords_reads_back_the_root_placement(n):
+    # each root line lifted to t^1 is read back from block 1 alone, and the
+    # diagonal of a block gives the Cartan coordinates
+    model = GLnModel(n, 7)
+    alg = model.alg
+    for root in alg.basis_roots:
+        lift = model.graded_lift(alg.E(root), alg.rd.height(root) + n)
+        assert [model.block_coords(blk) == alg.E(root) for blk in lift] == [
+            i == 1 for i in range(model.N)]
+    blk = [[j + 1 if j == k else 0 for k in range(n)] for j in range(n)]
+    want = alg.zero()
+    for j in range(n):
+        want[alg.cartan_index(j)] = model.field(j + 1)
+    assert model.block_coords(blk) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_i1_draws_follow_the_filtration_lines(n):
+    # random_I1 draws one coefficient per line of Lie I(1), in
+    # filtration_basis order: the diagonal for a Cartan line
+    model = GLnModel(n, 7)
+    want = []
+    for line in filtration_basis(model.alg, 1):
+        if line.root is None:
+            want.append((line.power, [(j, j) for j in range(n)]))
+        else:
+            a = line.root
+            support = [k for k, c in enumerate(a) if c]
+            i, j = support[0], support[-1] + 1
+            want.append((line.power, [(i, j) if a[i] > 0 else (j, i)]))
+    assert model._i1_draws == want
 
 
 def _round_trip_case(n, mu, seed):

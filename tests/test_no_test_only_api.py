@@ -12,9 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # public names kept without a caller in src/ or perfbench/, each with its reason
 KEEP = {
     "cli.main": "the console-script entry point named in pyproject.toml",
-    "loopmodel.GLnModel.x_tilde_t2": "the reference that stabilizes_x_tilde is tested against",
     "loopmodel.GLnModel.random_I1": "the loop workload of the benchmark draws its samples with it",
-    "arith.psi": "the additive character; the per-fiber test oracle sums its values",
     "arith.CyclotomicValue.galois": "the Galois action the exact L-function check needs (ROADMAP item 1)",
 }
 

@@ -1,0 +1,60 @@
+"""One table places a root of GL_n at a matrix entry: `_gl_root_interval`
+is named in `src/` only where `chevalley` builds the GL bracket table and
+where `loopmodel` builds its line table (and imports it for that)."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "airycheck"
+NAME = "_gl_root_interval"
+ALLOWED = {
+    ("chevalley", "<def>"),
+    ("chevalley", "ChevalleyAlgebra._build_table"),
+    ("loopmodel", "<import>"),
+    ("loopmodel", "_gl_lines"),
+}
+
+
+def namings(module, tree):
+    """(module, place) for each naming of NAME in a module's tree: the
+    qualified name of the def it occurs in, `<def>` for its own definition,
+    `<import>` for an import of it and `<module>` at top level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name == NAME:
+                found.append((module, "<def>"))
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.ImportFrom) and any(a.name == NAME for a in node.names):
+            found.append((module, "<import>"))
+        elif (isinstance(node, ast.Name) and node.id == NAME
+              or isinstance(node, ast.Attribute) and node.attr == NAME
+              or isinstance(node, ast.Constant) and node.value == NAME):
+            found.append((module, scope or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_guard_sees_every_spelling():
+    tree = ast.parse(
+        "from .chevalley import _gl_root_interval\n"
+        "def _gl_root_interval(root):\n    return 0\n"
+        "class M:\n    def lift(self):\n        return chevalley._gl_root_interval\n"
+        "f = getattr(chevalley, '_gl_root_interval')\n"
+    )
+    assert namings("m", tree) == [
+        ("m", "<import>"), ("m", "<def>"), ("m", "M.lift"), ("m", "<module>"),
+    ]
+
+
+def test_gl_placement_has_one_table_per_module():
+    found = [
+        hit for path in sorted(SRC.glob("*.py"))
+        for hit in namings(path.stem, ast.parse(path.read_text(), str(path)))
+    ]
+    assert set(found) - ALLOWED == set()
+    assert set(found) == ALLOWED, "a table this guard names is gone; update ALLOWED"
