@@ -443,10 +443,6 @@ class FqElement:
     def __bool__(self):
         return self.v != 0
 
-    def trace(self) -> int:
-        """Field trace down to F_p, returned as an integer in [0, p)."""
-        return self.field._tables.trace[self.v]
-
     def __repr__(self):
         f = self.field
         if f.e == 1:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import Frozen, VerificationError
 from .arith import FqElement, _add, _mul, fq_tables
-from .loopmodel import GLnModel, phi_eval
+from .loopmodel import GLnModel, _gl_depths, phi_eval
 
 
 def _require_even(n: int):
@@ -57,15 +57,14 @@ def make_params(n: int, field, lam) -> CharacterParams:
 # The Z_r in the loop model.
 
 def z_element(model: GLnModel, r: int):
-    """Z_r as a truncated series: the cyclic shift power E_1^r, whose entry
-    (i, (i+r) mod n) sits at t^((i+r) // n)."""
-    n = model.n
-    if not 1 <= r <= n + 1:
+    """Z_r as a truncated series: the cyclic shift power E_1^r, the sum of
+    the entries of depth r."""
+    if not 1 <= r <= model.n + 1:
         raise ValueError("r out of range")
     out = model.zero_series()
-    for i in range(n):
-        lvl, j = divmod(i + r, n)
-        out[lvl][i][j] = 1
+    for (i, j, k), d in _gl_depths(model.n).items():
+        if d == r:
+            out[i][j][k] = 1
     return out
 
 

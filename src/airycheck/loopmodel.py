@@ -1,16 +1,21 @@
 """Truncated loop algebra and the GL_n truncated loop group.
 
 Everything is truncated at t^(h+2): the functional phi vanishes on
-Lie I(2+h), so no information is lost.  Affine filtration lines are pairs
-(root, t-power) with Moy-Prasad depth i*h + Ht(alpha) for the Iwahori
-barycenter rho-check/h; the Cartan occupies the root=None lines of depth i*h.
+Lie I(2+h), so no information is lost.  Affine filtration lines are
+(root, t-power) pairs, the Cartan line being (None, i).  `_line_depth` is the
+one statement of their Moy-Prasad depth i*h + Ht(alpha) at the Iwahori
+barycenter rho-check/h.
 
 The group-level factorization is implemented in the GL_n matrix model: a
 group element is a list of h+2 matrices of int residues mod p (the t-power
 coefficients).  One cached table, `_gl_lines` with its per-depth view
 `_gl_lines_at`, places each root line at a matrix entry; `graded_lift`,
 `block_coords`, X-tilde, the draws of `random_I1` and `_factor_bases` all
-read it.  A series product works on packed rows (Kronecker
+read it.  One cached table, `_gl_depths`, gives each entry (t-power, row,
+col) the `_line_depth` of the line it carries, the diagonal carrying the
+Cartan line; `_gl_lines_at`, `in_filtration`, the draws, the S-solve's
+depth guard, the oracle's residual and `gln_airy.z_element` all read it.
+A series product works on packed rows (Kronecker
 substitution): all of B is packed by one struct call and split by shifts
 into one int per row j, over all h+2 blocks, with a 64-bit slot per entry;
 a row of A B is a sum of small multiples of shifted packed rows, over the
@@ -43,7 +48,7 @@ import struct
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from . import Frozen, VerificationError
+from . import VerificationError
 from .arith import GF
 from .chevalley import (
     ChevalleyAlgebra,
@@ -60,37 +65,18 @@ from .linalg import rref
 from .rootdata import Coweight, coxeter_number, get_root_datum, u_mu_roots
 
 
-class AffineRootIndex(Frozen):
-    _fields = ("root", "power")
-
-    def __init__(self, root: tuple, power: int):
-        object.__setattr__(self, "root", root)  # root coordinates, or None for the Cartan block
-        object.__setattr__(self, "power", power)
-
-    def _key(self):
-        # spelled out, since the stabilizer-line sets hash these often
-        return (self.root, self.power)
-
-    def _height(self, rd):
-        return 0 if self.root is None else rd.height(self.root)
-
-    def depth(self, rd):
-        h = coxeter_number(rd)
-        return self.power * h + self._height(rd)
+def _line_depth(rd, line) -> int:
+    """The depth i*h + Ht(alpha) of the affine line (alpha, i) at the
+    barycenter rho-check/h; the Cartan line (None, i) has height 0."""
+    root, power = line
+    return power * coxeter_number(rd) + (0 if root is None else rd.height(root))
 
 
 def all_lines(rd):
+    """The (root, t-power) lines below the truncation, per t-power the
+    Cartan line (None, i) first and then the roots in `rd.roots` order."""
     h = coxeter_number(rd)
-    lines = []
-    for i in range(h + 2):
-        lines.append(AffineRootIndex(None, i))
-        for a in rd.roots:
-            lines.append(AffineRootIndex(a, i))
-    return lines
-
-
-def line_dim(rd, line: AffineRootIndex) -> int:
-    return rd.rank if line.root is None else 1
+    return [(root, i) for i in range(h + 2) for root in (None,) + rd.roots]
 
 
 def filtration_basis(alg: ChevalleyAlgebra, r: int):
@@ -98,7 +84,7 @@ def filtration_basis(alg: ChevalleyAlgebra, r: int):
     rd = alg.rd
     if not 0 <= r <= alg.h + 2:
         raise ValueError("r out of range")
-    return [line for line in all_lines(rd) if line.depth(rd) >= r]
+    return [line for line in all_lines(rd) if _line_depth(rd, line) >= r]
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +122,11 @@ def phi_generic_check(alg: ChevalleyAlgebra) -> bool:
     if not phi_eval(alg, Y):
         return False
     # vanishing on depth >= h+2 within the truncation
-    for line in filtration_basis(alg, alg.h + 2):
-        if line.root is None:
+    for root, power in filtration_basis(alg, alg.h + 2):
+        if root is None:
             continue
         Y = list(zero)
-        Y[line.power] = alg.E(line.root)
+        Y[power] = alg.E(root)
         if phi_eval(alg, Y):
             return False
     return True
@@ -158,12 +144,10 @@ def stab_affine_roots(alg: ChevalleyAlgebra, mu: Coweight):
             i = -m - pairing
             if i < 0:
                 continue
-            if i * h + rd.height(a) >= 1 and i <= h + 1:
-                lines.add(AffineRootIndex(a, i))
+            if _line_depth(rd, (a, i)) >= 1 and i <= h + 1:
+                lines.add((a, i))
     phi_u, _ = u_mu_roots(rd, mu)
-    expected = set()
-    for a in phi_u:
-        expected.add(AffineRootIndex(a, 0 if rd.height(a) > 0 else 1))
+    expected = {(a, 0 if rd.height(a) > 0 else 1) for a in phi_u}
     if lines != expected:
         raise VerificationError("stabilizer lines differ from u_mu")
     return lines
@@ -180,18 +164,17 @@ def odd_parahoric_check(alg: ChevalleyAlgebra) -> bool:
         raise ValueError("odd Coxeter number required (type A_2n)")
     n = (h - 1) // 2
 
-    def p_depth(line):
-        return line.power * (h - 1) + line._height(rd)
-
-    lines = all_lines(rd)
-    P = lambda r: {l for l in lines if p_depth(l) >= r}
-    I = lambda r: {l for l in lines if l.depth(rd) >= r}
+    # the parahoric depth i (h - 1) + Ht(alpha) of the line (alpha, i)
+    depths = [(line, _line_depth(rd, line)) for line in all_lines(rd)]
+    P = lambda r: {line for line, d in depths if d - line[1] >= r}
+    I = lambda r: {line for line, d in depths if d >= r}
+    dim = lambda lines: sum(rd.rank if root is None else 1 for root, _ in lines)
     if not P(2) <= I(2):
         return False
     if not (I(n + 2) <= P(1 + n) <= I(n + 1)):
         return False
-    q1 = sum(line_dim(rd, l) for l in P(1 + n) - I(n + 2))
-    q2 = sum(line_dim(rd, l) for l in I(n + 1) - P(1 + n))
+    q1 = dim(P(1 + n) - I(n + 2))
+    q2 = dim(I(n + 1) - P(1 + n))
     return (
         q1 == len(height_piece(alg, n + 1).basis)
         and q2 == len(height_piece(alg, n + 1 - h).basis)
@@ -203,22 +186,28 @@ def odd_parahoric_check(alg: ChevalleyAlgebra) -> bool:
 
 @lru_cache(maxsize=None)
 def _gl_lines(n):
-    """(height, row, col) of each root line of GL_n, in algebra-index order:
-    the root e_row - e_col sits at that matrix entry."""
+    """(row, col) of each root line of GL_n, in algebra-index order: the
+    root e_row - e_col sits at that matrix entry."""
+    return tuple(map(_gl_root_interval, get_root_datum("GL", n, "gl").roots))
+
+
+@lru_cache(maxsize=None)
+def _gl_depths(n):
+    """{(t-power, row, col): depth} over the entries of a GL_n series, in
+    (t-power, row, col) order: the entry (row, col) at t^i carries the line
+    (e_row - e_col, i), and a diagonal entry the Cartan line (None, i)."""
     rd = get_root_datum("GL", n, "gl")
-    return tuple((rd.height(a),) + _gl_root_interval(a) for a in rd.roots)
+    roots = dict(zip(_gl_lines(n), rd.roots))
+    return {(i, j, k): _line_depth(rd, (roots.get((j, k)), i))
+            for i in range(n + 2) for j in range(n) for k in range(n)}
 
 
 @lru_cache(maxsize=None)
 def _gl_lines_at(n, r):
     """Per root line of GL_n, in algebra-index order, the (t-power, row, col)
-    of its line of depth r, or None: the t-power (r - height)/n, which must
-    be an integer below the truncation order n + 2."""
-    out = []
-    for ht, row, col in _gl_lines(n):
-        i, rem = divmod(r - ht, n)
-        out.append((i, row, col) if rem == 0 and 0 <= i < n + 2 else None)
-    return tuple(out)
+    of its line of depth r, or None if that line lies past the truncation."""
+    at = {(j, k): (i, j, k) for (i, j, k), d in _gl_depths(n).items() if d == r}
+    return tuple(map(at.get, _gl_lines(n)))
 
 
 class GLnModel:
@@ -319,7 +308,7 @@ class GLnModel:
         placement of a root line: each root's entry, then the diagonal as
         the Cartan coordinates."""
         F = self.field
-        return ([F(blk[row][col]) for _, row, col in _gl_lines(self.n)]
+        return ([F(blk[row][col]) for row, col in _gl_lines(self.n)]
                 + [F(blk[j][j]) for j in range(self.n)])
 
     def exp_series(self, Y):
@@ -377,12 +366,13 @@ class GLnModel:
         per t-power the diagonal for the Cartan line (from t^1 on), then the
         entry of each root line of depth >= 1."""
         n = self.n
+        depths = _gl_depths(n)
         diag = [(j, j) for j in range(n)]
         draws = []
         for i in range(self.N):
-            if i:
+            if depths[i, 0, 0] >= 1:
                 draws.append((i, diag))
-            draws += [(i, [(row, col)]) for ht, row, col in _gl_lines(n) if i * n + ht >= 1]
+            draws += [(i, [(row, col)]) for row, col in _gl_lines(n) if depths[i, row, col] >= 1]
         return draws
 
     def random_I1(self, rng):
@@ -401,10 +391,8 @@ def _shallow_positions(n, r):
     """The entries of depth < r of a GL_n series: the t^0 diagonal, which is
     1 in I(r) for r >= 1, and the (t-power, row, col) of the rest, which are 0."""
     ones = tuple(range(n)) if r > 0 else ()
-    zeros = tuple(
-        (i, j, k) for i in range(n + 2) for j in range(n) for k in range(n)
-        if i * n + k - j < r and not (i == 0 and j == k)
-    )
+    zeros = tuple((i, j, k) for (i, j, k), d in _gl_depths(n).items()
+                  if d < r and not (i == 0 and j == k))
     return ones, zeros
 
 
@@ -565,11 +553,11 @@ def _solve_one_plus(model: GLnModel, entries, A):
     are solved in ascending order and the rows of a block from the bottom
     up, since a t^0 entry (j, k) of positive depth has k > j.  Rows are
     replaced, never changed in place."""
-    p = model.p
+    p, depths = model.p, _gl_depths(model.n)
     by_row = [[] for _ in range(model.n)]  # row j -> [(t-power, col, value)] of Z
     for i, j, k, c in entries:
-        if i == 0 and k <= j:
-            raise ValueError(f"t^0 entry ({j}, {k}) of Z does not have positive depth")
+        if depths[i, j, k] < 1:
+            raise ValueError(f"t^{i} entry ({j}, {k}) of Z does not have positive depth")
         by_row[j].append((i, k, c))
     for m, blk in enumerate(A):
         for j in reversed(range(model.n)):
@@ -671,11 +659,9 @@ def draw_factorization(model: GLnModel, mu: Coweight, rng):
         for r in range(1, half + 1)
     ]
     residual = model.identity_series()
-    for i, blk in enumerate(residual):
-        for j, row in enumerate(blk):
-            for k in range(model.n):
-                if i * model.h + k - j > half:
-                    row[k] = (row[k] + rng.randrange(p)) % p
+    for (i, j, k), d in _gl_depths(model.n).items():
+        if d > half:
+            residual[i][j][k] = (residual[i][j][k] + rng.randrange(p)) % p
     prods = _factor_products(model, coords)
     g = model.mul(model.mul(model.mul(prods[0][-1], prods[1][-1]), prods[2][-1]), residual)
     return coords, prods, residual, g

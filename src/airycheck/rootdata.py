@@ -25,15 +25,10 @@ FORMS = ("sc", "adjoint", "gl")
 
 def cartan_matrix(series: str, rank: int):
     """Cartan matrix with entries a[i][j] = <alpha_j, alpha-check_i>."""
-    n = rank
+    n = rank - 1 if series == "GL" else rank  # GL_n has the Cartan matrix of A_{n-1}
     if series in ("A", "GL"):
-        if series == "GL":
-            n = rank - 1
-        if n < 1 and series == "A":
-            raise ValueError("rank must be >= 1")
         if n < 1:
-            # GL_1: empty semisimple part
-            return []
+            raise ValueError("rank must be >= 1")
         a = [[0] * n for _ in range(n)]
         for i in range(n):
             a[i][i] = 2
@@ -91,8 +86,6 @@ def symmetrizer(cartan):
     or 3 on the long ones, all 1 when it is simply laced."""
     n = len(cartan)
     d = [None] * n
-    if n == 0:
-        return []
     d[0] = Fraction(1)
     changed = True
     while changed:
@@ -168,22 +161,19 @@ class WeylElement(Frozen):
 
 
 class RootDatum(Frozen):
-    """Compared, hashed and printed on the nine structural fields of
+    """Compared, hashed and printed on the eight structural fields of
     `_fields`; `pairings` takes no part.  The hash is computed once, since
     every lru_cache keyed on a root datum hashes it on each call."""
 
-    _fields = ("series", "rank", "form", "n", "center_rank", "cartan", "d",
-               "pos_roots", "coroots")
+    _fields = ("series", "rank", "form", "n", "cartan", "d", "pos_roots", "coroots")
 
-    def __init__(self, series: str, rank: int, form: str, n: int, center_rank: int,
-                 cartan: tuple, d: tuple, pos_roots: tuple, coroots: tuple,
-                 pairings: tuple):
+    def __init__(self, series: str, rank: int, form: str, n: int, cartan: tuple, d: tuple,
+                 pos_roots: tuple, coroots: tuple, pairings: tuple):
         set_ = object.__setattr__
         set_(self, "series", series)
         set_(self, "rank", rank)
         set_(self, "form", form)
         set_(self, "n", n)  # semisimple rank
-        set_(self, "center_rank", center_rank)
         set_(self, "cartan", cartan)  # n x n, rows = coroot index
         set_(self, "d", d)  # symmetrizer, ints (root half-lengths)
         set_(self, "pos_roots", pos_roots)  # positive roots, simple-root coords, height/lex order
@@ -247,17 +237,14 @@ class RootDatum(Frozen):
     # -- lattice membership ----------------------------------------------
 
     def _coroot_lattice_coords(self, mu: Coweight):
-        """mu as a rational combination of simple coroots, or None for GL."""
-        if self.series == "GL":
-            return None
+        """mu as a rational combination of simple coroots (not for GL)."""
         # mu = sum_i b_i coroot_i with sum_i b_i cartan[i][j] = coords[j]
         Ct = [[Fraction(row[j]) for row in self.cartan] for j in range(self.n)]
         return tuple(solve(Ct, [Fraction(m) for m in mu.coords]))
 
     def in_lattice(self, mu: Coweight) -> bool:
-        """Whether mu lies in the cocharacter lattice of this form."""
-        if self.series == "GL":
-            return all(isinstance(c, int) for c in mu.coords)
+        """Whether mu lies in the cocharacter lattice of this form (not for
+        GL, whose minuscule coweights are listed directly)."""
         if self.form == "adjoint":
             return all(isinstance(c, int) for c in mu.coords)
         b = self._coroot_lattice_coords(mu)
@@ -305,7 +292,6 @@ def build_root_datum(series: str, rank: int, form: str = "sc") -> RootDatum:
         rank=rank,
         form="gl" if series == "GL" else form,
         n=n,
-        center_rank=1 if series == "GL" else 0,
         cartan=tuple(tuple(r) for r in cartan),
         d=tuple(d),
         pos_roots=pos,

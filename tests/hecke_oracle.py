@@ -1,5 +1,5 @@
 """The Hecke-kernel maps p_1 and p_2 restated with field operators, and the
-additive character psi.
+field trace and additive character psi.
 
 A test oracle for `gln_airy.hecke_forms` and for the brute trace table that
 evaluates those forms on element indices: it shares no code with either,
@@ -11,11 +11,17 @@ time, where the library bins points by trace.
 from airycheck.arith import CyclotomicValue, FqElement
 
 
+def trace(x):
+    """Field trace of an F_q element down to F_p, as an integer in [0, p):
+    read from the field's trace table."""
+    return x.field._tables.trace[x.v]
+
+
 def psi(p, x):
     """Additive character of F_p valued in Z[zeta_p]: x -> zeta_p^x, composed
     with the field trace for field-element arguments."""
     if isinstance(x, FqElement):
-        x = x.trace()
+        x = trace(x)
     return CyclotomicValue.zeta_pow(p, x)
 
 

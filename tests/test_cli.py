@@ -8,10 +8,9 @@ import sys
 import pytest
 
 import airycheck
-from airycheck import arith, cli, expsum
+from airycheck import arith, cli, expsum, rootdata
 from airycheck.arith import FqField
 from airycheck.gln_airy import make_params
-from airycheck.loopmodel import AffineRootIndex
 from airycheck.rootdata import (
     Coweight,
     WeylElement,
@@ -56,7 +55,24 @@ def test_verify_dim(capsys):
     names = {v["check"] for v in doc["checks"]}
     assert names == {"dim-and-components", "swan-identity"}
     assert all(v["pass"] for v in doc["checks"])
+    (dim,) = [v for v in doc["checks"] if v["check"] == "dim-and-components"]
+    assert dim["params"]["bijection_forms"] == ["adjoint", "sc"]
     assert all("runtime_ms" in v for v in doc["checks"])
+
+
+def test_dim_components_sees_a_missing_minuscule_coweight(monkeypatch):
+    # the sc form of A3 needs |det C| = 4 minuscule coweights of its dual,
+    # the adjoint A3; with one dropped only that form fails
+    coweights = rootdata.minuscule_coweights
+
+    def drop_one(rd, degree_window=None):
+        out = coweights(rd, degree_window)
+        return out[:-1] if (rd.series, rd.rank, rd.form) == ("A", 3, "adjoint") else out
+
+    monkeypatch.setattr(rootdata, "minuscule_coweights", drop_one)
+    ok, _, witness = cli.check_dim_components()
+    assert not ok
+    assert witness == [{"type": "A3", "form": "sc", "what": "bijection"}]
 
 
 def test_verify_suite_flag_removed(capsys):
@@ -333,14 +349,10 @@ VALUE_CASES = {
     ),
     "RootDatum": (
         lambda: build_root_datum("A", 1), build_root_datum("GL", 2, "gl"),
-        ("A", 1, "sc", 1, 0, ((2,),), (1,), ((1,),), ((1,),)),
-        "RootDatum(series='A', rank=1, form='sc', n=1, center_rank=0, cartan=((2,),), "
+        ("A", 1, "sc", 1, ((2,),), (1,), ((1,),), ((1,),)),
+        "RootDatum(series='A', rank=1, form='sc', n=1, cartan=((2,),), "
         "d=(1,), pos_roots=((1,),), coroots=((1,),))",
         "n",
-    ),
-    "AffineRootIndex": (
-        lambda: AffineRootIndex((1, 0), 1), AffineRootIndex((1, 0), 0), ((1, 0), 1),
-        "AffineRootIndex(root=(1, 0), power=1)", "power",
     ),
     "CharacterParams": (
         lambda: make_params(2, FqField(5, 2), (3,)), make_params(2, FqField(5, 2), (4,)),

@@ -19,13 +19,11 @@ from airycheck.chevalley import (
 )
 from airycheck.linalg import mat_mul
 from airycheck.loopmodel import (
-    AffineRootIndex,
     GLnModel,
     all_lines,
     draw_factorization,
     factorize_I1,
     filtration_basis,
-    line_dim,
     odd_parahoric_check,
     phi_eval,
     phi_generic_check,
@@ -40,15 +38,15 @@ def test_affine_lines_a2():
     alg = build_algebra(rd)
     # depth-1 lines inside Lie I(1)/Lie I(2): the simple roots at level 0
     # plus -theta at level 1
-    lines = [l for l in filtration_basis(alg, 1) if l.depth(rd) < 2]
+    lines = [l for l in filtration_basis(alg, 1) if loopmodel._line_depth(rd, l) < 2]
     assert len(lines) == 3
-    roots = {(l.root, l.power) for l in lines}
-    assert ((1, 0), 0) in roots and ((0, 1), 0) in roots
-    assert ((-1, -1), 1) in roots
+    assert set(lines) == {((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)}
 
 
 def _filtration_dim(alg, r, r_hi):
-    return sum(line_dim(alg.rd, l) for l in filtration_basis(alg, r) if l.depth(alg.rd) < r_hi)
+    rd = alg.rd
+    return sum(rd.rank if root is None else 1 for root, power in filtration_basis(alg, r)
+               if loopmodel._line_depth(rd, (root, power)) < r_hi)
 
 
 def test_filtration_dims():
@@ -67,9 +65,9 @@ def test_filtration_dims():
 
 def test_line_depths():
     rd = get_root_datum("A", 2, "sc")
-    assert AffineRootIndex((1, 1), 0).depth(rd) == 2
-    assert AffineRootIndex((-1, -1), 1).depth(rd) == 1
-    assert AffineRootIndex(None, 2).depth(rd) == 6
+    assert loopmodel._line_depth(rd, ((1, 1), 0)) == 2
+    assert loopmodel._line_depth(rd, ((-1, -1), 1)) == 1
+    assert loopmodel._line_depth(rd, (None, 2)) == 6
     assert len(all_lines(rd)) == (rd.num_roots + 1) * (3 + 2)
 
 
@@ -124,15 +122,13 @@ def test_phi_values():
 def test_stab_affine_roots_trivial_mu():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
     lines = stab_affine_roots(alg, Coweight((0, 0)))
-    assert lines == {
-        AffineRootIndex(a, 0) for a in alg.rd.pos_roots
-    }
+    assert lines == {(a, 0) for a in alg.rd.pos_roots}
 
 
 def test_stab_affine_roots_pgl2():
     alg = build_algebra(get_root_datum("A", 1, "adjoint"))
     lines = stab_affine_roots(alg, Coweight((1,)))
-    assert lines == {AffineRootIndex((-1,), 1)}
+    assert lines == {((-1,), 1)}
 
 
 def test_stab_affine_roots_minuscule_suite():
@@ -212,6 +208,15 @@ def _depth(model, A):
         if (x - (i == 0 and r == c)) % p
     ]
     return min(depths, default=None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gl_depths_are_the_entry_depths_of_the_reference(n):
+    # the one GL_n entry table against _depth's formula i h + c - r, in
+    # (t-power, row, col) order
+    want = {(i, r, c): i * n + c - r for i in range(n + 2) for r in range(n) for c in range(n)}
+    depths = loopmodel._gl_depths(n)
+    assert depths == want and list(depths) == list(want)
 
 
 def test_model_depth():
@@ -728,14 +733,13 @@ def test_i1_draws_follow_the_filtration_lines(n):
     # filtration_basis order: the diagonal for a Cartan line
     model = GLnModel(n, 7)
     want = []
-    for line in filtration_basis(model.alg, 1):
-        if line.root is None:
-            want.append((line.power, [(j, j) for j in range(n)]))
+    for a, power in filtration_basis(model.alg, 1):
+        if a is None:
+            want.append((power, [(j, j) for j in range(n)]))
         else:
-            a = line.root
             support = [k for k, c in enumerate(a) if c]
             i, j = support[0], support[-1] + 1
-            want.append((line.power, [(i, j) if a[i] > 0 else (j, i)]))
+            want.append((power, [(i, j) if a[i] > 0 else (j, i)]))
     assert model._i1_draws == want
 
 
@@ -906,3 +910,50 @@ def test_factorize_i1_sees_a_shallow_entry_in_block_1(monkeypatch):
     with pytest.raises(airycheck.VerificationError, match=r"remainder before step 2 is not in I\(2\)"):
         factorize_I1(model, g, mu)
     assert len(calls) == 1  # the step-1 S-factor
+
+
+# ---------------------------------------------------------------------------
+# One depth: every reader of the affine-line depth, pinned.
+
+def _pair(line):
+    """(root, t-power) of an affine line, whether it is stored as that pair
+    or as a record with those two fields."""
+    return line if isinstance(line, tuple) else (line.root, line.power)
+
+
+def _depth_readers_outputs():
+    """The outputs of every function that reads the depth of an affine line
+    or of a GL_n entry, as one list of reprs."""
+    from airycheck.gln_airy import z_element
+
+    outs = []
+    for n in range(2, 7):
+        model = GLnModel(n, 7)
+        for r in range(3 * n + 3):
+            outs.append(repr((n, r, loopmodel._gl_lines_at(n, r), loopmodel._shallow_positions(n, r))))
+        outs.append(repr(model._i1_draws))
+        outs.append(repr([z_element(model, r) for r in range(1, n + 2)]))
+        rng = random.Random(n)
+        for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+            _, _, residual, g = draw_factorization(model, mu, rng)
+            outs.append(repr((residual, g)))
+    for series, rank in cli.SUITE_TYPES:
+        rd = cli._suite_datum(series, rank)
+        alg = build_algebra(rd)
+        outs.append(repr([_pair(line) for line in filtration_basis(alg, 1)]))
+        outs.append(repr(phi_generic_check(alg)))
+        try:
+            outs.append(repr(odd_parahoric_check(alg)))
+        except ValueError as exc:
+            outs.append(str(exc))
+        for mu in minuscule_coweights(rd):
+            outs.append(repr(sorted(map(_pair, stab_affine_roots(alg, mu)))))
+    return outs
+
+
+def test_depth_readers_outputs_pinned():
+    # SHA-256 over the GL_n entry tables (_gl_lines_at and _shallow_positions
+    # at r = 0..3n+2, _i1_draws), z_element, draw_factorization's residual
+    # and g for GL_2-GL_6 over F_7, and the Lie-side lines over the suite
+    digest = hashlib.sha256("\n".join(_depth_readers_outputs()).encode()).hexdigest()
+    assert digest == "126580614829d7560477293a686bf2204d7ad3d5d6496731f8e83ec1099dd800"
