@@ -617,9 +617,6 @@ class MultiPoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __neg__(self):
         return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
 
@@ -637,9 +634,6 @@ class MultiPoly:
         return MultiPoly(self.variables, t)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return MultiPoly(self.variables, {e: c / scalar for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -9,8 +9,11 @@ Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
 extraspecial ones in one pass (the four-root relation, negation and the
 zero-sum rule) and checks the result (|N| = p + 1, the coroot relation and
-Jacobi on the root triples) before any algebra is built from it.  GL_n keeps
-the signs of the matrix units.
+Jacobi on the root triples) before any algebra is built from it.  GL_n
+enters as data: `_cartan_data` gives the constants of its matrix units, a
+Chevalley basis with their own signs, and its coroots and pairings on the
+diagonal, and those constants pass the same check; every bracket table is
+then built on one path.
 """
 
 from __future__ import annotations
@@ -48,14 +51,6 @@ class RationalField:
 QQ = RationalField()
 
 
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
-
-
 @lru_cache(maxsize=None)
 def _root_sums(rd: RootDatum):
     """sums[a] = {b: c} for the root indices (in rd.roots) with
@@ -88,12 +83,6 @@ def _string_below(sums, neg, a, b):
     return p
 
 
-def _negation(npos):
-    """neg[a] = the index of -a; rd.roots lists the negatives in the order
-    of rd.pos_roots."""
-    return [i + npos for i in range(npos)] + list(range(npos))
-
-
 @lru_cache(maxsize=None)
 def structure_constants(rd: RootDatum):
     """{(a, b): N_{a,b}} on root indices (in rd.roots), for every pair with
@@ -109,23 +98,22 @@ def structure_constants(rd: RootDatum):
     N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b) for a + b + c = 0.
     The result passes `_check_constants` before it is returned.
     """
-    roots = rd.roots
+    roots, neg = rd.roots, rd.neg
     sums = _root_sums(rd)
     npos = len(rd.pos_roots)
-    neg = _negation(npos)
     norm = [  # (x, x) = sum_j d_j x_j <x, alpha-check_j>, an int
         sum(dj * xj * tj for dj, xj, tj in zip(rd.d, x, t))
         for x, t in zip(roots, rd.pairings)
     ]
     N = {}  # positive pairs, both orders
 
-    def const(a, b):
+    def n_ab(a, b):
         if a < npos and b < npos:
             return N[a, b]
         if a >= npos and b >= npos:
-            return -const(neg[a], neg[b])
+            return -n_ab(neg[a], neg[b])
         if a >= npos:
-            return -const(b, a)
+            return -n_ab(b, a)
         # a positive, b negative: the zero-sum triple (a, b, -c); the
         # quotients are Fractions, since int / int would be a float
         c = sums[a][b]
@@ -151,29 +139,27 @@ def structure_constants(rd: RootDatum):
             q = Fraction(0)
             d = sums[zeta].get(neg[alpha])
             if d is not None:
-                q += Fraction(const(zeta, neg[alpha]) * const(xi, neg[beta]), norm[d])
+                q += Fraction(n_ab(zeta, neg[alpha]) * n_ab(xi, neg[beta]), norm[d])
             d = sums[xi].get(neg[alpha])
             if d is not None:
-                q += Fraction(const(neg[alpha], xi) * const(zeta, neg[beta]), norm[d])
+                q += Fraction(n_ab(neg[alpha], xi) * n_ab(zeta, neg[beta]), norm[d])
             v = _exact(q * norm[g] / top, roots, xi, zeta)
             N[xi, zeta], N[zeta, xi] = v, -v
-    out = {(a, b): const(a, b) for a, row in enumerate(sums) for b in row}
-    _check_constants(rd, out)
+    out = {(a, b): n_ab(a, b) for a, row in enumerate(sums) for b in row}
+    _check_constants(rd, out, _coroots(rd), rd.pairings)
     return out
 
 
-def _check_constants(rd: RootDatum, N):
+def _check_constants(rd: RootDatum, N, coroot, pairs):
     """Raise VerificationError, naming the roots, unless the constants N
     (as `structure_constants` returns them) are antisymmetric, have
     |N_{a,b}| = p + 1, satisfy N_{a,b} h_c + N_{b,c} h_a + N_{c,a} h_b = 0
     for a + b + c = 0, and satisfy Jacobi on every root triple whose sum is
-    a root."""
-    roots = rd.roots
+    a root.  coroot[a] is h_a and pairs[a][i] = <root a, b_i> on a Cartan
+    basis (b_i), both indexed by root position."""
+    roots, neg = rd.roots, rd.neg
     sums = _root_sums(rd)
     npos = len(rd.pos_roots)
-    neg = _negation(npos)
-    coroot = _coroots(rd)
-    pairs = rd.pairings
     for (a, b), v in N.items():
         if abs(v) != _string_below(sums, neg, a, b) + 1:
             raise VerificationError(f"|N| != p + 1 at {(roots[a], roots[b])}")
@@ -190,7 +176,7 @@ def _check_constants(rd: RootDatum, N):
     for (a, b), v in N.items():
         row_of[a][b] = v
 
-    def pairing(z, x):  # <z, x-check>
+    def z_on_x(z, x):  # <z, x-check>
         return sum(map(operator.mul, coroot[x], pairs[z]))
 
     # N is antisymmetric, so the Jacobi sum is alternating in (x, y, z): one
@@ -205,17 +191,17 @@ def _check_constants(rd: RootDatum, N):
             s = row.get(y)
             sy, ny = sums[y], row_of[y]
             for z in (every if s is None else sums[s]):
-                j = pairing(z, x) if s is None else nx[y] * row_of[s][z]
+                j = z_on_x(z, x) if s is None else nx[y] * row_of[s][z]
                 yz = sy.get(z)
                 if yz is not None:
                     j += ny[z] * row_of[yz][x]
                 elif z == neg[y]:
-                    j += pairing(x, y)
+                    j += z_on_x(x, y)
                 zx = sums[z].get(x)
                 if zx is not None:
                     j += row_of[z][x] * row_of[zx][y]
                 elif x == neg[z]:
-                    j += pairing(y, z)
+                    j += z_on_x(y, z)
                 if j:
                     raise VerificationError(
                         f"Jacobi fails at {(roots[x], roots[y], roots[z])}")
@@ -234,6 +220,27 @@ def _gl_root_interval(root):
     return support[-1] + 1, support[0]
 
 
+@lru_cache(maxsize=None)
+def _cartan_data(rd: RootDatum):
+    """(N, coroots, pairings) for the bracket table, each indexed by root
+    position: N as `structure_constants` gives it, the coroot h_a of each
+    root in the Cartan basis, and pairings[a][i] = <root a, b_i> on it.
+
+    The Cartan basis is the simple coroots, and for GL_n the diagonal matrix
+    units, where the coroot of e_i - e_j and its pairings are both the
+    vector e_i - e_j.  GL_n's matrix units are a Chevalley basis, with
+    N_{a,b} = [j_a == i_b] - [j_b == i_a] for a = e_{i_a} - e_{j_a}; they pass
+    `_check_constants` like the constants of every other type."""
+    if rd.series != "GL":
+        return structure_constants(rd), _coroots(rd), rd.pairings
+    ij = [_gl_root_interval(a) for a in rd.roots]
+    N = {(a, b): (ij[a][1] == ij[b][0]) - (ij[b][1] == ij[a][0])
+         for a, row in enumerate(_root_sums(rd)) for b in row}
+    coroots = tuple(tuple((k == i) - (k == j) for k in range(rd.rank)) for i, j in ij)
+    _check_constants(rd, N, coroots, coroots)
+    return N, coroots, coroots
+
+
 class ChevalleyAlgebra:
     def __init__(self, rd: RootDatum, field=QQ):
         h = coxeter_number(rd)
@@ -245,8 +252,6 @@ class ChevalleyAlgebra:
         self.npos = len(rd.pos_roots)
         self.ncartan = rd.rank
         self.dim = 2 * self.npos + self.ncartan
-        self.basis_roots = list(rd.roots)  # index -> root, first 2*npos slots
-        self.root_index = {a: i for i, a in enumerate(self.basis_roots)}
         self._build_table()
         self._build_kappa()
 
@@ -264,43 +269,17 @@ class ChevalleyAlgebra:
                 row = table[i].setdefault(j, {})
                 row[k] = row.get(k, 0) + c
 
-        if rd.series == "GL":
-            ij = {a: _gl_root_interval(a) for a in self.basis_roots}
-            for a, ia in enumerate(self.basis_roots):
-                i1, j1 = ij[ia]
-                for b, ib in enumerate(self.basis_roots):
-                    i2, j2 = ij[ib]
-                    s = _vadd(ia, ib)
-                    if s in self.root_index:
-                        k = self.root_index[s]
-                        if j1 == i2:
-                            add(a, b, k, 1)
-                        if j2 == i1:
-                            add(a, b, k, -1)
-                    elif all(c == 0 for c in s):
-                        add(a, b, self.cartan_index(i1), 1)
-                        add(a, b, self.cartan_index(j1), -1)
-            for i in range(rd.rank):
-                hi = self.cartan_index(i)
-                for b, ib in enumerate(self.basis_roots):
-                    i2, j2 = ij[ib]
-                    c = (1 if i == i2 else 0) - (1 if i == j2 else 0)
-                    add(hi, b, b, c)
-                    add(b, hi, b, -c)
-        else:
-            N = structure_constants(rd)
-            neg = _negation(self.npos)
-            for a, (row, coroot) in enumerate(zip(_root_sums(rd), _coroots(rd))):
-                for b, s in row.items():
-                    add(a, b, s, N[a, b])
-                for i, ci in enumerate(coroot):
-                    add(a, neg[a], self.cartan_index(i), ci)
-            pairs = rd.pairings
-            for i in range(rd.n):
-                hi = self.cartan_index(i)
-                for b, t in enumerate(pairs):
-                    add(hi, b, b, t[i])
-                    add(b, hi, b, -t[i])
+        N, coroots, pairings = _cartan_data(rd)
+        for a, (row, coroot) in enumerate(zip(_root_sums(rd), coroots)):
+            for b, s in row.items():
+                add(a, b, s, N[a, b])
+            for i, ci in enumerate(coroot):
+                add(a, rd.neg[a], self.cartan_index(i), ci)
+        for i in range(rd.rank):
+            hi = self.cartan_index(i)
+            for b, t in enumerate(pairings):
+                add(hi, b, b, t[i])
+                add(b, hi, b, -t[i])
         self.table = table
 
     def _build_kappa(self):
@@ -310,8 +289,7 @@ class ChevalleyAlgebra:
         be nonzero only when that sum is 0: on the pairs (e_a, e_{-a}) and
         on the Cartan block.  The same holds for the matrix trace form."""
         rd = self.rd
-        npos, cartan = self.npos, range(2 * self.npos, self.dim)
-        neg = _negation(npos)
+        npos, cartan, neg = self.npos, range(2 * self.npos, self.dim), rd.neg
         rows = [{} for _ in range(self.dim)]
         if rd.series == "GL":
             # matrix trace form
@@ -350,7 +328,7 @@ class ChevalleyAlgebra:
 
     def E(self, root):
         v = self.zero()
-        v[self.root_index[tuple(root)]] = self.field(1)
+        v[self.rd.root_index[tuple(root)]] = self.field(1)
         return v
 
     # -- operations --------------------------------------------------------
@@ -381,7 +359,7 @@ class ChevalleyAlgebra:
     def height_of_index(self, i):
         if i >= 2 * self.npos:
             return 0
-        return self.rd.height(self.basis_roots[i])
+        return self.rd.height(self.rd.roots[i])
 
 
 @lru_cache(maxsize=None)
@@ -415,22 +393,18 @@ def principal_sl2(alg: ChevalleyAlgebra):
     if c is None or any(x.denominator != 1 for x in c):
         raise VerificationError("2 rho-check is not an integral coroot combination")
     c = [int(x) for x in c]
+    coroots = _cartan_data(rd)[1]
     nminus = alg.zero()
     nplus = alg.zero()
+    hc = [0] * rd.rank  # H = sum_i c_i coroot(alpha_i), in the Cartan basis
+    for ci, simple in zip(c, rd.simple_roots):
+        a = rd.root_index[simple]
+        nminus[rd.neg[a]] = alg.field(1)
+        nplus[a] = alg.field(ci)
+        hc = [x + ci * y for x, y in zip(hc, coroots[a])]
     H = alg.zero()
-    for i in range(n):
-        simple = tuple(1 if j == i else 0 for j in range(n))
-        nminus[alg.root_index[_vneg(simple)]] = alg.field(1)
-        nplus[alg.root_index[simple]] = alg.field(c[i])
-    if rd.series == "GL":
-        prev = 0
-        for i in range(rd.rank):
-            ci = c[i] if i < n else 0
-            H[alg.cartan_index(i)] = alg.field(ci - prev)
-            prev = ci
-    else:
-        for i in range(n):
-            H[alg.cartan_index(i)] = alg.field(c[i])
+    for i, x in enumerate(hc):
+        H[alg.cartan_index(i)] = alg.field(x)
     if alg.bracket(nplus, nminus) != H:
         raise VerificationError("[N+, N-] != 2 rho-check")
     two = alg.field(2)
@@ -453,7 +427,7 @@ def height_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
             v[alg.cartan_index(i)] = alg.field(1)
             basis.append(tuple(v))
     else:
-        for a in alg.basis_roots:
+        for a in alg.rd.roots:
             if alg.rd.height(a) == r:
                 basis.append(tuple(alg.E(a)))
     return GradedSubspace(tuple(basis))
@@ -474,7 +448,7 @@ def grading_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
 def x_minus1(alg: ChevalleyAlgebra):
     """X_{-1} = N^- + E_theta, as a tuple."""
     x = list(principal_sl2(alg)[0])
-    i = alg.root_index[alg.rd.theta]
+    i = alg.rd.root_index[alg.rd.theta]
     x[i] = x[i] + alg.field(1)
     return tuple(x)
 
@@ -648,9 +622,9 @@ def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
     Column j is the image of b_j, built from brackets.  The entries are
     integers for every field, since the lift preserves the Chevalley lattice.
     """
-    simple = tuple(1 if j == i else 0 for j in range(alg.rd.n))
-    e = alg.root_index[simple]
-    f = alg.root_index[_vneg(simple)]
+    rd = alg.rd
+    e = rd.root_index[rd.simple_roots[i]]
+    f = rd.neg[e]
     cols = []
     for j in range(alg.dim):
         v = {j: 1}
@@ -690,22 +664,23 @@ def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
         if c:
             if i >= 2 * alg.npos:
                 raise VerificationError("w_P lift moves X_{-1} into the Cartan")
-            support[alg.basis_roots[i]] = c
-    simples = [tuple(1 if j == i else 0 for j in range(rd.n)) for i in range(rd.n)]
-    if set(support) != {_vneg(s) for s in simples} | {rd.theta}:
+            support[i] = c
+    theta = rd.root_index[rd.theta]
+    minus_simples = [rd.neg[rd.root_index[a]] for a in rd.simple_roots]
+    if set(support) != {*minus_simples, theta}:
         raise VerificationError("w_P lift does not map X_{-1} onto -Delta and theta")
-    xs = [support[_vneg(s)] for s in simples]  # alpha_i(t) = coeff at -alpha_i
+    xs = [support[a] for a in minus_simples]  # alpha_i(t) = coeff at -alpha_i
     theta_t = one
     for xi, ci in zip(xs, rd.theta):
         for _ in range(ci):
             theta_t = theta_t * xi
-    if theta_t * support[rd.theta] != one:
+    if theta_t * support[theta] != one:
         raise VerificationError("torus correction infeasible")
     diag = []
     for i in range(alg.dim):
         b = one
         if i < 2 * alg.npos:
-            for xi, ci in zip(xs, alg.basis_roots[i]):
+            for xi, ci in zip(xs, rd.roots[i]):
                 for _ in range(abs(ci)):
                     b = b * xi if ci > 0 else b / xi
         diag.append(b)
@@ -885,7 +860,7 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
         term = cut(alg.bracket(vplus, term))
 
     cut_roots = [a for a in rd.roots if 2 * rd.height(a) <= -h]
-    p_minus = {a: Z[alg.root_index[a]] for a in cut_roots}
+    p_minus = {a: Z[rd.root_index[a]] for a in cut_roots}
 
     # Phi_S and the inverse of the triangular change of variables
     # lambda_beta = f_beta(lambda), one exponent r at a time.  For the k
@@ -904,7 +879,7 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
         cands = [a for a in rd.roots if rd.height(a) == r - h]
         betas = next((
             bs for bs in combinations(cands, k)
-            if rank([[slots[i][1][alg.root_index[b]] for b in bs] for i in idxs]) == k
+            if rank([[slots[i][1][rd.root_index[b]] for b in bs] for i in idxs]) == k
         ), None)
         if betas is None:
             raise VerificationError(f"no invertible coefficient block at exponent {r}")

@@ -111,8 +111,7 @@ def phi_generic_check(alg: ChevalleyAlgebra) -> bool:
     on Lie I(2+h)."""
     rd = alg.rd
     zero = [None] * (alg.h + 2)
-    for i in range(rd.n):
-        simple = tuple(1 if j == i else 0 for j in range(rd.n))
+    for simple in rd.simple_roots:
         Y = list(zero)
         Y[1] = alg.E(simple)
         if not phi_eval(alg, Y):
@@ -298,7 +297,7 @@ class GLnModel:
             if idx >= len(lines):
                 raise ValueError("graded lift of a Cartan line")
             if lines[idx] is None:
-                raise ValueError(f"root {self.alg.basis_roots[idx]} has no line of depth {r}")
+                raise ValueError(f"root {self.rd.roots[idx]} has no line of depth {r}")
             i, j, k = lines[idx]
             out[i][j][k] = (out[i][j][k] + c.v) % self.p
         return out

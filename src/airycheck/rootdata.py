@@ -162,8 +162,10 @@ class WeylElement(Frozen):
 
 class RootDatum(Frozen):
     """Compared, hashed and printed on the eight structural fields of
-    `_fields`; `pairings` takes no part.  The hash is computed once, since
-    every lru_cache keyed on a root datum hashes it on each call."""
+    `_fields`; `pairings` and the root layout derived from `pos_roots`
+    (`roots`, `root_index`, `neg`, `simple_roots`) take no part.  The hash
+    is computed once, since every lru_cache keyed on a root datum hashes it
+    on each call."""
 
     _fields = ("series", "rank", "form", "n", "cartan", "d", "pos_roots", "coroots")
 
@@ -182,6 +184,15 @@ class RootDatum(Frozen):
         # `roots` order; <root a, coroot> for a coroot with simple-coroot
         # coordinates b is sum_i b_i pairings[a][i]
         set_(self, "pairings", pairings)
+        # the root layout, derived from pos_roots: the negatives follow the
+        # positives in the same order, and the simple roots, of height 1,
+        # come first in lex order, that is alpha_{n-1}, ..., alpha_0
+        npos = len(pos_roots)
+        roots = pos_roots + tuple(tuple(-c for c in r) for r in pos_roots)
+        set_(self, "roots", roots)
+        set_(self, "root_index", {a: i for i, a in enumerate(roots)})
+        set_(self, "neg", tuple(range(npos, 2 * npos)) + tuple(range(npos)))
+        set_(self, "simple_roots", pos_roots[n - 1::-1])  # alpha_i at position i
         set_(self, "_hash", hash(self._key()))
 
     def __hash__(self):
@@ -192,12 +203,6 @@ class RootDatum(Frozen):
         return RootDatum, self._key() + (self.pairings,)
 
     # -- basic structure -------------------------------------------------
-
-    @property
-    def roots(self):
-        return self.pos_roots + tuple(
-            tuple(-c for c in r) for r in self.pos_roots
-        )
 
     @property
     def num_roots(self):
@@ -254,11 +259,7 @@ class RootDatum(Frozen):
         return all(0 <= self.pairing(a, mu) <= 1 for a in self.pos_roots)
 
     def is_dominant(self, mu: Coweight) -> bool:
-        simples = [
-            tuple(1 if j == i else 0 for j in range(self.n))
-            for i in range(self.n)
-        ]
-        return all(self.pairing(a, mu) >= 0 for a in simples)
+        return all(self.pairing(a, mu) >= 0 for a in self.simple_roots)
 
 
 def build_root_datum(series: str, rank: int, form: str = "sc") -> RootDatum:
@@ -355,37 +356,29 @@ def minuscule_coweights(rd: RootDatum, degree_window=None):
         if degree_window is None:
             raise ValueError("GL_n needs a degree_window")
         lo, hi = degree_window
-        out = []
-        for c in range(lo, hi + 1):
-            for k in range(rd.rank):
-                out.append(Coweight((c + 1,) * k + (c,) * (rd.rank - k)))
-        return out
-    out = [Coweight((0,) * rd.n)]
-    for i in range(rd.n):
-        if rd.theta[i] == 1:
-            mu = fundamental_coweight(rd, i)
-            if rd.in_lattice(mu):
-                out.append(mu)
+        out = [Coweight((c + 1,) * k + (c,) * (rd.rank - k))
+               for c in range(lo, hi + 1) for k in range(rd.rank)]
+    else:
+        out = [Coweight((0,) * rd.n)]
+        for i in range(rd.n):
+            if rd.theta[i] == 1:
+                mu = fundamental_coweight(rd, i)
+                if rd.in_lattice(mu):
+                    out.append(mu)
     for mu in out:
         if not rd.is_minuscule(mu):
             raise VerificationError(f"{mu.coords} is not minuscule")
     return out
 
 
-def minuscule_bijection_check(rd: RootDatum, degree_window=None) -> bool:
+def minuscule_bijection_check(rd: RootDatum) -> bool:
     """Minuscule characters biject with X^*(T) modulo the root lattice.
 
     The character-lattice count of minuscule elements must equal the index
-    of the root lattice, with distinct elements in distinct classes.  For
-    GL_n the quotient is Z (by total degree) and the check runs over the
-    classes covered by the window.
+    of the root lattice, with distinct elements in distinct classes.  Not
+    for GL_n, whose minuscule coweights (c+1)^k c^(n-k) have the distinct
+    degrees n c + k by construction.
     """
-    if rd.series == "GL":
-        ms = minuscule_coweights(rd, degree_window or (-1, 1))
-        degrees = [sum(m.coords) for m in ms]
-        return len(set(degrees)) == len(degrees) and (
-            sorted(degrees) == list(range(min(degrees), max(degrees) + 1))
-        )
     # the dual datum: B and C swap, sc and adjoint swap; for G2 and F4 the
     # library's Cartan matrix is the transpose with the nodes relabelled,
     # which moves neither the count nor the classes below
@@ -429,11 +422,7 @@ def alpha_mu(rd: RootDatum, mu: Coweight):
     """Index of the unique simple root pairing to 1 with mu, or None."""
     if not rd.is_minuscule(mu):
         raise ValueError("mu is not minuscule")
-    hits = [
-        i
-        for i in range(rd.n)
-        if rd.pairing(tuple(1 if j == i else 0 for j in range(rd.n)), mu) == 1
-    ]
+    hits = [i for i, a in enumerate(rd.simple_roots) if rd.pairing(a, mu) == 1]
     if not hits:
         return None
     if len(hits) != 1:

@@ -15,6 +15,7 @@ from airycheck.chevalley import (
     QQ,
     ChevalleyAlgebra,
     GradedSubspace,
+    _cartan_data,
     _check_constants,
     _gl_root_interval,
     _wP_columns,
@@ -62,7 +63,7 @@ def _matrix_of(alg, x):
     for idx, c in enumerate(x):
         if c:
             if idx < 2 * alg.npos:
-                i, j = _gl_root_interval(alg.basis_roots[idx])
+                i, j = _gl_root_interval(alg.rd.roots[idx])
             else:
                 i = j = idx - 2 * alg.npos
             m[i][j] = m[i][j] + c
@@ -72,7 +73,7 @@ def _matrix_of(alg, x):
 def _from_matrix(alg, m):
     """The gl_n vector of an n x n matrix, the inverse of `_matrix_of`."""
     assert alg.rd.series == "GL", "the matrix model needs GL_n"
-    x = [alg.field(m[i][j]) for i, j in map(_gl_root_interval, alg.basis_roots)]
+    x = [alg.field(m[i][j]) for i, j in map(_gl_root_interval, alg.rd.roots)]
     return x + [alg.field(m[i][i]) for i in range(alg.rd.rank)]
 
 
@@ -137,7 +138,7 @@ def _corrupt(rd, scale, pairs=1):
     """A copy of the constants of rd with N_{x,y} and N_{y,x} replaced by
     scale(N) for the first `pairs` of (a, b), (b, c), (c, a), where a, b is
     a seeded root pair and a + b + c = 0; and the roots a, b."""
-    N = dict(structure_constants(rd))
+    N = dict(_cartan_data(rd)[0])
     a, b = random.Random(7).choice(sorted(N))
     c = rd.roots.index(tuple(-x - y for x, y in zip(rd.roots[a], rd.roots[b])))
     for x, y in [(a, b), (b, c), (c, a)][:pairs]:
@@ -145,12 +146,13 @@ def _corrupt(rd, scale, pairs=1):
     return N, [rd.roots[a], rd.roots[b]]
 
 
-@pytest.mark.parametrize("series,rank", [t for t in SUITE_TYPES if t != ("A", 1)])
+@pytest.mark.parametrize("series,rank", [t for t in SUITE_TYPES if t != ("A", 1)]
+                         + [("GL", n) for n in range(3, 7)])
 def test_check_constants_catches_a_flipped_sign(series, rank):
-    rd = get_root_datum(series, rank, "adjoint")
+    rd = get_root_datum(series, rank, "gl" if series == "GL" else "adjoint")
     N, named = _corrupt(rd, lambda v: -v)
     with pytest.raises(airycheck.VerificationError, match="coroot relation") as err:
-        _check_constants(rd, N)
+        _check_constants(rd, N, *_cartan_data(rd)[1:])
     assert all(str(root) in str(err.value) for root in named)
 
 
@@ -158,7 +160,7 @@ def test_check_constants_catches_a_magnitude_off_by_one():
     rd = get_root_datum("G", 2, "adjoint")
     N, named = _corrupt(rd, lambda v: v + (1 if v > 0 else -1))
     with pytest.raises(airycheck.VerificationError, match="p \\+ 1") as err:
-        _check_constants(rd, N)
+        _check_constants(rd, N, *_cartan_data(rd)[1:])
     assert all(str(root) in str(err.value) for root in named)
 
 
@@ -168,21 +170,22 @@ def test_check_constants_catches_a_flipped_zero_sum_triple():
     rd = get_root_datum("B", 3, "adjoint")
     N, _ = _corrupt(rd, lambda v: -v, pairs=3)
     with pytest.raises(airycheck.VerificationError, match="Jacobi"):
-        _check_constants(rd, N)
+        _check_constants(rd, N, *_cartan_data(rd)[1:])
 
 
 _CORRUPT_CONSTANTS = """
 from airycheck import VerificationError
-from airycheck.chevalley import _check_constants, structure_constants
+from airycheck.chevalley import _cartan_data, _check_constants
 from airycheck.rootdata import get_root_datum
 
 assert not __debug__, "this check must run under python -O"
 rd = get_root_datum("B", 2, "adjoint")
-N = dict(structure_constants(rd))
+N, coroots, pairings = _cartan_data(rd)
+N = dict(N)
 a, b = min(N)
 N[a, b], N[b, a] = -N[a, b], -N[b, a]
 try:
-    _check_constants(rd, N)
+    _check_constants(rd, N, coroots, pairings)
 except VerificationError as exc:
     print("raised:", exc)
 else:
@@ -292,6 +295,19 @@ def test_first_build_outputs_pinned():
     assert digest.hexdigest() == "b81928a9e531f056ea45281458dea9c70c85bf7ffa6640463344268f2f2d767b"
 
 
+def test_root_layout_and_principal_sl2_pinned():
+    # rd.roots and (N^-, H, N^+) for every suite type in both forms over QQ,
+    # and for GL_2-GL_8 over QQ and, where p = 7 > h, over F_7
+    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", F) for n in range(2, 9) for F in (QQ, GF(7)) if F is QQ or n < 7]
+    digest = hashlib.sha256()
+    for series, rank, form, field in cases:
+        rd = get_root_datum(series, rank, form)
+        item = (series, rank, form, repr(field), rd.roots, principal_sl2(build_algebra(rd, field)))
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == "c7381b05542a498b86e3d09c0121e3ad64856a027efc22458f75c515edc00c48"
+
+
 def _floats(obj):
     """The number of floats in nested lists, tuples and dicts."""
     if isinstance(obj, float):
@@ -340,8 +356,8 @@ def test_principal_sl2_sl3():
     # N^+ = 2 e_1 + 2 e_2 since 2 rho-check = 2 (omega-check_1 + omega-check_2)
     for i in (0, 1):
         simple = tuple(1 if j == i else 0 for j in range(2))
-        assert nplus[alg.root_index[simple]] == QQ(2)
-        assert nminus[alg.root_index[tuple(-c for c in simple)]] == QQ(1)
+        assert nplus[alg.rd.root_index[simple]] == QQ(2)
+        assert nminus[alg.rd.root_index[tuple(-c for c in simple)]] == QQ(1)
     assert tuple(alg.bracket(nplus, nminus)) == H
 
 
@@ -572,7 +588,7 @@ def test_s1_graph_needs_a_block_of_full_rank(monkeypatch):
 def test_x_minus1_components():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
     x = x_minus1(alg)
-    assert x[alg.root_index[alg.rd.theta]] == QQ(1)
+    assert x[alg.rd.root_index[alg.rd.theta]] == QQ(1)
     nz = [alg.height_of_index(i) for i, c in enumerate(x) if c]
     assert sorted(nz) == [-1, -1, 2]
 
@@ -669,7 +685,7 @@ reflection = chevalley._simple_reflection_ad
 def corrupt(alg, i):
     cols = list(reflection(alg, i))
     if i == 0:  # the s_1 lift with a wrong scale
-        j = alg.root_index[(-1, 0)]
+        j = alg.rd.root_index[(-1, 0)]
         cols[j] = tuple((k, 2 * c) for k, c in cols[j])
     return tuple(cols)
 

@@ -716,7 +716,7 @@ def test_block_coords_reads_back_the_root_placement(n):
     # diagonal of a block gives the Cartan coordinates
     model = GLnModel(n, 7)
     alg = model.alg
-    for root in alg.basis_roots:
+    for root in alg.rd.roots:
         lift = model.graded_lift(alg.E(root), alg.rd.height(root) + n)
         assert [model.block_coords(blk) == alg.E(root) for blk in lift] == [
             i == 1 for i in range(model.N)]

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,6 +33,24 @@ ALL_TYPES = (
     + [("C", r) for r in (2, 3, 4)]
     + [("D", 4), ("G", 2), ("F", 4)]
 )
+
+
+@pytest.mark.parametrize("series,rank,form", [(s, r, "adjoint") for s, r in ALL_TYPES]
+                         + [("GL", n, "gl") for n in (2, 3, 5)])
+def test_root_layout_is_set_once_and_rebuilt_on_unpickling(series, rank, form):
+    rd = get_root_datum(series, rank, form)
+    assert rd.roots is rd.roots
+    npos = len(rd.pos_roots)
+    assert rd.roots[:npos] == rd.pos_roots
+    for i, a in enumerate(rd.roots):
+        assert rd.root_index[a] == i
+        assert rd.roots[rd.neg[i]] == tuple(-c for c in a)
+    assert [[int(j == i) for j in range(rd.n)] for i in range(rd.n)] == list(
+        map(list, rd.simple_roots))
+    copy = pickle.loads(pickle.dumps(rd))
+    assert copy == rd and copy is not rd
+    assert (copy.roots, copy.root_index, copy.neg, copy.simple_roots) == (
+        rd.roots, rd.root_index, rd.neg, rd.simple_roots)
 
 
 def test_a1_basics():
