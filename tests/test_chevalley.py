@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 from fractions import Fraction
 import os
 import random
@@ -43,6 +44,7 @@ from airycheck.rootdata import (
     exponents,
     get_root_datum,
     minuscule_coweights,
+    stab_dimension,
     u_mu_roots,
     weyl_wP,
 )
@@ -306,6 +308,37 @@ def test_root_layout_and_principal_sl2_pinned():
         item = (series, rank, form, repr(field), rd.roots, principal_sl2(build_algebra(rd, field)))
         digest.update(repr(item).encode())
     assert digest.hexdigest() == "c7381b05542a498b86e3d09c0121e3ad64856a027efc22458f75c515edc00c48"
+
+
+def test_graded_pieces_and_lie_verdicts_pinned():
+    # per r, g(r) and g_r; per minuscule mu and r, u_{mu,r} and the
+    # decomposition and p_- verdicts; for every suite type in both forms
+    # over QQ, A3 in both forms over F_5 (where depth 3 fails) and F_7, and
+    # GL_2-GL_4 over QQ and F_7; then stab_dimension on the [-2, 2]^rank box
+    # for the suite types of rank <= 3 and GL_2, GL_3
+    cases = [(s, r, f, QQ, None) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("A", 3, f, GF(p), None) for p in (5, 7) for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", F, (0, 0)) for n in (2, 3, 4) for F in (QQ, GF(7))]
+    digest = hashlib.sha256()
+    for series, rank, form, field, window in cases:
+        rd = get_root_datum(series, rank, form)
+        alg = build_algebra(rd, field)
+        items = [(series, rank, form, repr(field))]
+        items += [(r, height_piece(alg, r).basis) for r in range(1 - alg.h, alg.h)]
+        items += [(r, grading_piece(alg, r).basis) for r in range(alg.h)]
+        items += [(r, p_minus_bijective(alg, r)) for r in range(1, alg.h)]
+        for mu in minuscule_coweights(rd, window):
+            items += [(mu, r, u_mu_piece(alg, mu, r).basis, decomposition_check(alg, mu, r))
+                      for r in range(1, alg.h)]
+        for item in items:
+            digest.update(repr(item).encode())
+    small = [(s, r, f) for s, r in SUITE_TYPES if r <= 3 for f in ("sc", "adjoint")]
+    for series, rank, form in small + [("GL", 2, "gl"), ("GL", 3, "gl")]:
+        rd = get_root_datum(series, rank, form)
+        box = itertools.product(range(-2, 3), repeat=rd.rank)
+        item = (series, rank, form, [stab_dimension(rd, Coweight(c)) for c in box])
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == "41031af9f7285133ef4edd99f7d575f8400f287ef47919bc28f81b9d9ad37391"
 
 
 def _floats(obj):
