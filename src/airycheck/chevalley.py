@@ -2,8 +2,17 @@
 
 Basis order: E_alpha for the positive roots (height/lex order), then E_{-alpha}
 in the matching order, then a Cartan basis (simple coroots; for GL_n the
-diagonal matrix units).  Structure constants are integers; scalars live in Q
-or F_p with p > h.
+diagonal matrix units).  So the indices fall in three blocks: the positive
+roots at [0, npos), the negative roots at [npos, 2 npos), the Cartan at
+[2 npos, dim).  Structure constants are integers; scalars live in Q or F_p
+with p > h.
+
+One cached table per algebra, `_heights`, gives the height of every basis
+index (0 on the Cartan).  The graded pieces g(r), g_r and u_{mu,r} are
+spanned by unit vectors at indices read from it; each is built once per
+algebra, as a cached tuple, and `decomposition_check` reads coordinates from
+the table instead of scanning the supports of those bases.  Checks are never
+cached: only the pieces and tables they read are.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
@@ -357,14 +366,27 @@ class ChevalleyAlgebra:
         return acc
 
     def height_of_index(self, i):
-        if i >= 2 * self.npos:
-            return 0
-        return self.rd.height(self.rd.roots[i])
+        return _heights(self)[i]
 
 
 @lru_cache(maxsize=None)
 def build_algebra(rd: RootDatum, field=QQ) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rd, field)
+
+
+@lru_cache(maxsize=None)
+def _heights(alg: ChevalleyAlgebra):
+    """heights[i] = the height of basis index i: the positive roots at
+    [0, npos), the negative roots at [npos, 2 npos), both in rd.roots
+    order, then the Cartan, of height 0."""
+    return tuple(map(alg.rd.height, alg.rd.roots)) + (0,) * alg.ncartan
+
+
+def _unit(alg: ChevalleyAlgebra, i):
+    """The basis vector b_i, as a tuple."""
+    v = alg.zero()
+    v[i] = alg.field(1)
+    return tuple(v)
 
 
 class GradedSubspace(Frozen):
@@ -415,24 +437,16 @@ def principal_sl2(alg: ChevalleyAlgebra):
     return tuple(nminus), tuple(H), tuple(nplus)
 
 
+@lru_cache(maxsize=None)
 def height_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
     """g(r): root spaces of height r; the Cartan when r = 0."""
     h = alg.h
     if not (1 - h <= r <= h - 1):
         raise ValueError("height out of range")
-    basis = []
-    if r == 0:
-        for i in range(alg.ncartan):
-            v = alg.zero()
-            v[alg.cartan_index(i)] = alg.field(1)
-            basis.append(tuple(v))
-    else:
-        for a in alg.rd.roots:
-            if alg.rd.height(a) == r:
-                basis.append(tuple(alg.E(a)))
-    return GradedSubspace(tuple(basis))
+    return GradedSubspace(tuple(_unit(alg, i) for i, t in enumerate(_heights(alg)) if t == r))
 
 
+@lru_cache(maxsize=None)
 def grading_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
     """Cyclic piece g_r = g(r) + g(r-h); g_0 = g(0) = t."""
     h = alg.h
@@ -509,12 +523,10 @@ def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubs
 
 
 def p_minus_project(alg: ChevalleyAlgebra, v):
-    """Component of v in negative heights."""
-    out = alg.zero()
-    for i, c in enumerate(v):
-        if c and alg.height_of_index(i) < 0:
-            out[i] = c
-    return out
+    """Component of v in negative heights: its negative-root block
+    [npos, 2 npos), with zeros elsewhere."""
+    npos, zero = alg.npos, alg.field(0)
+    return [zero] * npos + list(v[npos:2 * npos]) + [zero] * alg.ncartan
 
 
 def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
@@ -534,39 +546,44 @@ def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
     return not any(any(alg.bracket(nminus, v)) for v in proj)
 
 
+def _u_mu_indices(alg: ChevalleyAlgebra, mu: Coweight, r: int):
+    """The basis indices of u_{mu,r}: the roots of Phi(u_mu) of height
+    congruent to r mod h, in Phi(u_mu) order, so distinct root indices of
+    height r or r - h when 1 <= r <= h - 1."""
+    heights, h = _heights(alg), alg.h
+    at = map(alg.rd.root_index.__getitem__, u_mu_roots(alg.rd, mu)[0])
+    return [i for i in at if heights[i] % h == r % h]
+
+
+@lru_cache(maxsize=None)
 def u_mu_piece(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> GradedSubspace:
-    phi_u, _ = u_mu_roots(alg.rd, mu)
-    return GradedSubspace(
-        tuple(tuple(alg.E(a)) for a in phi_u if alg.rd.height(a) % alg.h == r % alg.h))
-
-
-def _support(v) -> set:
-    return {i for i, c in enumerate(v) if c}
+    """u_{mu,r}: the root vectors E_alpha, alpha in Phi(u_mu), of height
+    r mod h."""
+    return GradedSubspace(tuple(_unit(alg, i) for i in _u_mu_indices(alg, mu, r)))
 
 
 def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
     """g_r = z_r + a_r^mu + u_{mu,r}, checked by dimension, support and rank.
 
-    g_r is spanned by unit vectors, and so is u_{mu,r} (distinct root
-    vectors E_alpha).  So the sum is g_r exactly when every vector lies in
-    g_r and z_r + a_r^mu, read on the coordinates of g_r that no u_{mu,r}
-    vector covers, has full rank there.
+    g_r is spanned by the unit vectors at the indices of height r or r - h,
+    and u_{mu,r} by unit vectors at some of them.  So the sum is g_r exactly
+    when the dimensions add up, no z_r or a_r^mu vector has a coordinate
+    outside g_r, and z_r + a_r^mu, read on the coordinates of g_r that
+    u_{mu,r} does not cover, has full rank there.
     """
-    if not (1 <= r <= alg.h - 1):
+    h = alg.h
+    if not (1 <= r <= h - 1):
         raise ValueError("r out of range")
-    zr = centralizer_z(alg)[r]
-    ar = a_subspace(alg, r, mu)
-    ur = u_mu_piece(alg, mu, r)
-    gr = grading_piece(alg, r)
-    if zr.dim + ar.dim + ur.dim != gr.dim:
+    rest = centralizer_z(alg)[r].basis + a_subspace(alg, r, mu).basis
+    heights = _heights(alg)
+    gr = [i for i, t in enumerate(heights) if t % h == r]
+    ur = _u_mu_indices(alg, mu, r)
+    if len(rest) + len(ur) != len(gr):
         return False
-    coords = set().union(*map(_support, gr.basis))
-    rest = zr.basis + ar.basis
-    if any(not _support(v) <= coords for v in rest + ur.basis):
+    outside = [i for i, t in enumerate(heights) if t % h != r]
+    if any(v[i] for v in rest for i in outside):
         return False
-    free = sorted(coords.difference(*map(_support, ur.basis)))
-    if len(free) != len(rest):  # some u_{mu,r} vector is not a unit vector
-        return False
+    free = sorted(set(gr).difference(ur))
     return not rest or rank([[v[i] for i in free] for v in rest]) == len(free)
 
 

@@ -13,6 +13,7 @@ reflection indices applied left to right (w = s_{w[0]} s_{w[1]} ...).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -225,12 +226,10 @@ class RootDatum(Frozen):
 
     def pairing(self, root, mu: Coweight):
         """<alpha, mu> for a root alpha and a cocharacter mu."""
-        if self.series == "GL":
-            m = mu.coords
-            return sum(
-                c * (m[k] - m[k + 1]) for k, c in enumerate(root) if c
-            )
-        return sum(c * m for c, m in zip(root, mu.coords))
+        m = mu.coords
+        if self.series == "GL":  # <alpha_k, mu> = m_k - m_{k+1}
+            m = map(operator.sub, m, m[1:])
+        return sum(map(operator.mul, root, m))
 
     def heights_count(self):
         """k_r = number of positive roots of height r, as a dict."""
@@ -518,17 +517,21 @@ def u_mu_roots(rd: RootDatum, mu: Coweight):
 # ---------------------------------------------------------------------------
 # Dimension counts.
 
+@lru_cache(maxsize=None)
+def _stab_tops(rd: RootDatum):
+    """floor((Ht(alpha) - 1) / h) for the roots alpha in rd.roots order."""
+    h = coxeter_number(rd)
+    return tuple((rd.height(a) - 1) // h for a in rd.roots)
+
+
 def stab_dimension(rd: RootDatum, mu: Coweight) -> int:
     """dim of the stabilizer of t^mu in the negative loop group.
 
     dim T + sum over roots of #{r : <alpha,mu> <= r <= (Ht(alpha)-1)/h}.
     """
-    h = coxeter_number(rd)
     total = rd.rank
-    for a in rd.roots:
-        hi = (rd.height(a) - 1) // h  # floor
-        lo = rd.pairing(a, mu)
-        total += max(0, hi - lo + 1)
+    for a, hi in zip(rd.roots, _stab_tops(rd)):
+        total += max(0, hi - rd.pairing(a, mu) + 1)
     return total
 
 

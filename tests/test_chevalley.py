@@ -27,6 +27,7 @@ from airycheck.chevalley import (
     grading_piece,
     height_piece,
     p_minus_bijective,
+    p_minus_project,
     principal_sl2,
     relevance_linear_kernel,
     relevance_quadratic_bruteforce,
@@ -501,6 +502,9 @@ def test_decomposition_fails_off_g_r(piece, monkeypatch):
         first[off] = first[off] + 1
         return GradedSubspace((tuple(first),) + sub.basis[1:])
 
+    # the verdicts first, with every piece and table warm: the nudge below
+    # must still fail, so no verdict is read from a cache
+    assert all(decomposition_check(alg, mu, r) for r in range(1, alg.h))
     if piece == "a":
         monkeypatch.setattr(chevalley, "a_subspace", lambda *args: nudge(a_subspace(*args)))
     else:
@@ -509,6 +513,69 @@ def test_decomposition_fails_off_g_r(piece, monkeypatch):
     assert len(depths) == (4 if piece == "a" else 3)
     for r in depths:
         assert not decomposition_check(alg, mu, r)
+
+
+def _index_cases():
+    """Every suite type in both forms over QQ, and GL_4 and GL_6 over F_7."""
+    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", GF(7)) for n in (4, 6)]
+    for series, rank, form, field in cases:
+        yield build_algebra(get_root_datum(series, rank, form), field)
+
+
+def test_height_of_index_matches_the_root_heights():
+    # the index table against rd.height on rd.roots: positive roots, then
+    # negative roots, then the Cartan at height 0
+    for alg in _index_cases():
+        rd = alg.rd
+        want = [rd.height(a) for a in rd.roots] + [0] * rd.rank
+        got = [alg.height_of_index(i) for i in range(alg.dim)]
+        assert got == want, (rd.series, rd.rank, rd.form)
+        assert all(t > 0 for t in got[:alg.npos])
+        assert all(t < 0 for t in got[alg.npos:2 * alg.npos])
+
+
+def test_p_minus_project_keeps_the_negative_heights():
+    # p_- against a projection built from rd.height, on seeded vectors
+    # with about half their entries zero
+    rng = random.Random(23)
+    for alg in _index_cases():
+        rd, zero = alg.rd, alg.field(0)
+        negative = [i < 2 * alg.npos and rd.height(rd.roots[i]) < 0 for i in range(alg.dim)]
+        for _ in range(5):
+            v = [alg.field(rng.randrange(-3, 4)) if rng.random() < 0.5 else zero
+                 for _ in range(alg.dim)]
+            want = [c if neg else zero for c, neg in zip(v, negative)]
+            assert p_minus_project(alg, v) == want, (rd.series, rd.rank, rd.form)
+
+
+def test_repeated_decomposition_check_rebuilds_nothing(monkeypatch):
+    # once the pieces are warm, a repeated check reads them and the index
+    # table: no cache misses, and no unit vector built through E
+    from airycheck import chevalley
+
+    rd = get_root_datum("B", 3, "adjoint")
+    alg = build_algebra(rd)
+    mus = minuscule_coweights(rd)
+    caches = [chevalley._heights, height_piece, grading_piece, u_mu_piece,
+              centralizer_z, a_subspace, u_mu_roots]
+    for mu in mus:
+        for r in range(1, alg.h):
+            assert decomposition_check(alg, mu, r)
+    misses = [c.cache_info().misses for c in caches]
+    calls = Counter()
+    E = ChevalleyAlgebra.E
+
+    def counted(self, root):
+        calls["E"] += 1
+        return E(self, root)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "E", counted)
+    for mu in mus:
+        for r in range(1, alg.h):
+            assert decomposition_check(alg, mu, r)
+    assert [c.cache_info().misses for c in caches] == misses
+    assert not calls
 
 
 def test_u_mu_piece_trivial_mu():

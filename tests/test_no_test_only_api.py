@@ -24,7 +24,7 @@ KEEP = {
 SHARED = {
     "arith.FqElement.coeffs": "FqElement.__repr__ reads self.coeffs for e > 1",
     "linalg.rank": "chevalley.p_minus_bijective and relevance_linear_kernel call rank(rows)",
-    "chevalley.GradedSubspace.dim": "chevalley.decomposition_check reads zr.dim, ar.dim and ur.dim",
+    "chevalley.GradedSubspace.dim": "chevalley.relevance_linear_kernel reads ar.dim",
 }
 
 
