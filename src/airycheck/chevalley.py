@@ -8,11 +8,13 @@ roots at [0, npos), the negative roots at [npos, 2 npos), the Cartan at
 with p > h.
 
 One cached table per algebra, `_heights`, gives the height of every basis
-index (0 on the Cartan).  The graded pieces g(r), g_r and u_{mu,r} are
-spanned by unit vectors at indices read from it; each is built once per
-algebra, as a cached tuple, and `decomposition_check` reads coordinates from
-the table instead of scanning the supports of those bases.  Checks are never
-cached: only the pieces and tables they read are.
+index (0 on the Cartan).  The graded pieces g(r), g_r and u_{mu,r} are spanned
+by basis vectors, so each is the cached tuple of their indices, read from that
+table; only the spanned pieces z_r and a_r^mu are `GradedSubspace` records of
+dense vectors.  Where a check takes ad or kappa against a basis vector b_j it
+reads the tables: ad_{b_j} is the table row `table[j]`, and kappa(w, b_j) sums
+`kappa_rows[j]`, which is symmetric.  The w_P lift is one cached set of sparse
+columns.  Checks are never cached: only the pieces and tables they read are.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
@@ -382,18 +384,37 @@ def _heights(alg: ChevalleyAlgebra):
     return tuple(map(alg.rd.height, alg.rd.roots)) + (0,) * alg.ncartan
 
 
-def _unit(alg: ChevalleyAlgebra, i):
-    """The basis vector b_i, as a tuple."""
-    v = alg.zero()
-    v[i] = alg.field(1)
-    return tuple(v)
+def _ad_basis(alg: ChevalleyAlgebra, j, y):
+    """[b_j, y] for the basis vector b_j and a dense y, read off the table
+    row of b_j: ad_{b_j} is table[j]."""
+    out = alg.zero()
+    for i, row in alg.table[j].items():
+        yi = y[i]
+        if yi:
+            for k, c in row.items():
+                out[k] = out[k] + yi * c
+    return out
+
+
+def _kappa_basis(alg: ChevalleyAlgebra, w, j):
+    """kappa(w, b_j) for a dense w and the basis vector b_j, read off
+    kappa_rows[j] (kappa is symmetric)."""
+    acc = alg.field(0)
+    for i, g in alg.kappa_rows[j].items():
+        wi = w[i]
+        if wi:
+            acc = acc + wi * g
+    return acc
 
 
 class GradedSubspace(Frozen):
+    """A spanned piece (z_r or a_r^mu): `basis` is a tuple of dense
+    coordinate tuples."""
+
     _fields = ("basis",)
 
     def __init__(self, basis: tuple):
-        object.__setattr__(self, "basis", basis)  # tuple of coordinate tuples
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self):
@@ -438,24 +459,25 @@ def principal_sl2(alg: ChevalleyAlgebra):
 
 
 @lru_cache(maxsize=None)
-def height_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
-    """g(r): root spaces of height r; the Cartan when r = 0."""
+def height_piece(alg: ChevalleyAlgebra, r: int) -> tuple:
+    """g(r), the root spaces of height r (the Cartan when r = 0), as the
+    ascending tuple of their basis indices."""
     h = alg.h
     if not (1 - h <= r <= h - 1):
         raise ValueError("height out of range")
-    return GradedSubspace(tuple(_unit(alg, i) for i, t in enumerate(_heights(alg)) if t == r))
+    return tuple(i for i, t in enumerate(_heights(alg)) if t == r)
 
 
 @lru_cache(maxsize=None)
-def grading_piece(alg: ChevalleyAlgebra, r: int) -> GradedSubspace:
-    """Cyclic piece g_r = g(r) + g(r-h); g_0 = g(0) = t."""
+def grading_piece(alg: ChevalleyAlgebra, r: int) -> tuple:
+    """Cyclic piece g_r = g(r) + g(r-h), g_0 = g(0) = t, as the basis
+    indices of g(r) followed by those of g(r-h)."""
     h = alg.h
     if not (0 <= r <= h - 1):
         raise ValueError("cyclic degree out of range")
-    basis = height_piece(alg, r).basis
-    if r != 0:
-        basis += height_piece(alg, r - h).basis
-    return GradedSubspace(basis)
+    if r == 0:
+        return height_piece(alg, 0)
+    return height_piece(alg, r) + height_piece(alg, r - h)
 
 
 @lru_cache(maxsize=None)
@@ -479,14 +501,22 @@ def _combine(alg: ChevalleyAlgebra, coeffs, basis):
     return v
 
 
-def _ad_kernel(alg: ChevalleyAlgebra, x, basis):
-    """Basis of {v in span(basis) : [x, v] = 0}."""
-    if not basis:
+def _ad_kernel(alg: ChevalleyAlgebra, x, indices):
+    """Basis of {v in span(b_j : j in indices) : [x, v] = 0}, as dense
+    vectors."""
+    if not indices:
         return []
-    rows = [alg.bracket(x, v) for v in basis]
-    # kernel of the coefficient-space map c -> sum c_i [x, v_i]
+    # kernel of the coefficient-space map c -> sum c_j [b_j, x], which is
+    # minus c -> sum c_j [x, b_j]
+    rows = [_ad_basis(alg, j, x) for j in indices]
     cols = [[row[i] for row in rows] for i in range(alg.dim)]
-    return [_combine(alg, coeffs, basis) for coeffs in nullspace(cols, alg.field(1))]
+    out = []
+    for coeffs in nullspace(cols, alg.field(1)):
+        v = alg.zero()
+        for j, c in zip(indices, coeffs):
+            v[j] = c
+        out.append(v)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -495,7 +525,7 @@ def centralizer_z(alg: ChevalleyAlgebra):
     pieces."""
     x = x_minus1(alg)
     return tuple(
-        GradedSubspace(tuple(map(tuple, _ad_kernel(alg, x, grading_piece(alg, r).basis))))
+        GradedSubspace(tuple(map(tuple, _ad_kernel(alg, x, grading_piece(alg, r)))))
         for r in range(alg.h)
     )
 
@@ -513,11 +543,11 @@ def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubs
     basis = []
     if r >= 2:
         _, _, nplus = principal_sl2(alg)
-        rows = [alg.bracket(v, nplus) for v in height_piece(alg, r - 1 - h).basis]
+        rows = [_ad_basis(alg, j, nplus) for j in height_piece(alg, r - 1 - h)]
         red, pivots = rref(rows)
         basis = red[:len(pivots)]
     if mu is not None and basis:
-        cols = _wP_columns(alg, mu)
+        cols = wP_representative(alg, mu)
         basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
     return GradedSubspace(tuple(map(tuple, basis)))
 
@@ -535,56 +565,48 @@ def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
         raise ValueError("r out of range")
     zr = centralizer_z(alg)[r]
     nminus, _, _ = principal_sl2(alg)
-    tgt_basis = height_piece(alg, r - alg.h).basis
-    # kernel of ad_{N^-} restricted to g(r-h)
-    rows = [alg.bracket(nminus, v) for v in tgt_basis]
-    ker_dim = len(tgt_basis) - (rank(rows) if rows else 0)
+    tgt = height_piece(alg, r - alg.h)
+    # kernel of ad_{N^-} restricted to g(r-h): the rank of the [b_j, N^-]
+    ker_dim = len(tgt) - rank([_ad_basis(alg, j, nminus) for j in tgt])
     proj = [p_minus_project(alg, v) for v in zr.basis]
-    proj_rank = rank(proj) if proj else 0
-    if proj_rank != len(zr.basis) or proj_rank != ker_dim:
+    proj_rank = rank(proj)
+    if proj_rank != zr.dim or proj_rank != ker_dim:
         return False
     return not any(any(alg.bracket(nminus, v)) for v in proj)
 
 
-def _u_mu_indices(alg: ChevalleyAlgebra, mu: Coweight, r: int):
-    """The basis indices of u_{mu,r}: the roots of Phi(u_mu) of height
-    congruent to r mod h, in Phi(u_mu) order, so distinct root indices of
-    height r or r - h when 1 <= r <= h - 1."""
+@lru_cache(maxsize=None)
+def u_mu_piece(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> tuple:
+    """u_{mu,r}, spanned by the root vectors E_alpha, alpha in Phi(u_mu), of
+    height congruent to r mod h: the tuple of their basis indices in
+    Phi(u_mu) order, so distinct indices of height r or r - h when
+    1 <= r <= h - 1."""
     heights, h = _heights(alg), alg.h
     at = map(alg.rd.root_index.__getitem__, u_mu_roots(alg.rd, mu)[0])
-    return [i for i in at if heights[i] % h == r % h]
-
-
-@lru_cache(maxsize=None)
-def u_mu_piece(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> GradedSubspace:
-    """u_{mu,r}: the root vectors E_alpha, alpha in Phi(u_mu), of height
-    r mod h."""
-    return GradedSubspace(tuple(_unit(alg, i) for i in _u_mu_indices(alg, mu, r)))
+    return tuple(i for i in at if heights[i] % h == r % h)
 
 
 def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
     """g_r = z_r + a_r^mu + u_{mu,r}, checked by dimension, support and rank.
 
-    g_r is spanned by the unit vectors at the indices of height r or r - h,
-    and u_{mu,r} by unit vectors at some of them.  So the sum is g_r exactly
-    when the dimensions add up, no z_r or a_r^mu vector has a coordinate
-    outside g_r, and z_r + a_r^mu, read on the coordinates of g_r that
-    u_{mu,r} does not cover, has full rank there.
+    g_r is spanned by the basis vectors at the indices of `grading_piece`,
+    and u_{mu,r} by those at some of them.  So the sum is g_r exactly when
+    the dimensions add up, no z_r or a_r^mu vector has a coordinate outside
+    g_r, and z_r + a_r^mu, read on the coordinates of g_r that u_{mu,r} does
+    not cover, has full rank there.
     """
-    h = alg.h
-    if not (1 <= r <= h - 1):
+    if not (1 <= r <= alg.h - 1):
         raise ValueError("r out of range")
     rest = centralizer_z(alg)[r].basis + a_subspace(alg, r, mu).basis
-    heights = _heights(alg)
-    gr = [i for i, t in enumerate(heights) if t % h == r]
-    ur = _u_mu_indices(alg, mu, r)
+    gr = grading_piece(alg, r)
+    ur = u_mu_piece(alg, mu, r)
     if len(rest) + len(ur) != len(gr):
         return False
-    outside = [i for i, t in enumerate(heights) if t % h != r]
+    outside = set(range(alg.dim)).difference(gr)
     if any(v[i] for v in rest for i in outside):
         return False
     free = sorted(set(gr).difference(ur))
-    return not rest or rank([[v[i] for i in free] for v in rest]) == len(free)
+    return rank([[v[i] for i in free] for v in rest]) == len(free)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +674,12 @@ def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
 
 
 @lru_cache(maxsize=None)
-def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
-    """Sparse columns of the torus-corrected w_P lift."""
+def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
+    """Ad-matrix of a lift of w_P, torus-corrected to fix X_{-1} exactly, as
+    sparse columns ((row, entry), ...) with entries in the field.
+
+    Raises VerificationError if the lift cannot be corrected to fix X_{-1}.
+    """
     rd = alg.rd
     one = alg.field(1)
     zero = alg.field(0)
@@ -708,20 +734,6 @@ def _wP_columns(alg: ChevalleyAlgebra, mu: Coweight):
     return M
 
 
-def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
-    """Ad-matrix of a lift of w_P, torus-corrected to fix X_{-1} exactly.
-
-    Raises VerificationError if the lift cannot be corrected to fix X_{-1}.
-    Returns the dense matrix as a tuple of rows.
-    """
-    zero = alg.field(0)
-    M = [[zero] * alg.dim for _ in range(alg.dim)]
-    for j, col in enumerate(_wP_columns(alg, mu)):
-        for k, c in col:
-            M[k][j] = c
-    return tuple(map(tuple, M))
-
-
 # ---------------------------------------------------------------------------
 # Relevance checks (linear and quadratic).
 
@@ -730,14 +742,12 @@ def relevance_linear_kernel(alg: ChevalleyAlgebra, r: int) -> bool:
     if not (2 <= r <= (alg.h + 1) // 2):
         raise ValueError("r out of range")
     ar = a_subspace(alg, r)
-    if ar.dim == 0:
-        return True
     nminus, _, _ = principal_sl2(alg)
-    tgt = height_piece(alg, alg.h + 1 - r).basis
+    tgt = height_piece(alg, alg.h + 1 - r)
     rows = []
     for v in ar.basis:
         w = alg.bracket(v, nminus)
-        rows.append([alg.kappa(w, b) for b in tgt])
+        rows.append([_kappa_basis(alg, w, j) for j in tgt])
     return rank(rows) == ar.dim
 
 
@@ -762,7 +772,7 @@ def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra):
     nminus, _, _ = principal_sl2(alg)
     etheta = alg.E(alg.rd.theta)
     cut = h // 2 + 1
-    tgt = [alg.E(a) for a in alg.rd.pos_roots if alg.rd.height(a) >= cut]
+    tgt = [i for i, t in enumerate(_heights(alg)) if t >= cut]
     half = alg.field(1) / alg.field(2)
     sols = []
     coeffs = [alg.field(0)] * len(basis)
@@ -772,7 +782,7 @@ def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra):
             w = alg.bracket(e, nminus)
             q = alg.bracket(e, alg.bracket(e, etheta))
             expr = [a + half * b for a, b in zip(w, q)]
-            if all(not alg.kappa(expr, t) for t in tgt):
+            if all(not _kappa_basis(alg, expr, j) for j in tgt):
                 sols.append(tuple(coeffs))
             return
         for c in range(p):
@@ -818,7 +828,7 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
     # one slot per exponent <= h/2, doubled at h/2 in type D even rank
     slots = []  # (r, Y_r vector, v_r lift)
     for r in range(1, h // 2 + 1):
-        ys = _ad_kernel(alg, nminus, height_piece(alg, r - h).basis)
+        ys = _ad_kernel(alg, nminus, height_piece(alg, r - h))
         if not ys:
             continue
         if len(ys) != len(zs[r].basis):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -187,7 +188,7 @@ def check_factorization(seed=DEFAULT_SEED, samples=100):
     for n in (2, 3, 4):
         model = GLnModel(n, 7)
         rng = random.Random(seed + n)
-        for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+        for mu in minuscule_coweights(model.rd):
             for _ in range(samples):
                 coords, prods, residual, g = draw_factorization(model, mu, rng)
                 try:
@@ -225,23 +226,14 @@ def check_stab_dichotomy():
     for series, rank in small:
         rd = _suite_datum(series, rank)
         dim_b = rd.dim_b
-
-        def scan(coords):
-            if len(coords) == rank:
-                mu = Coweight(tuple(coords))
-                d = stab_dimension(rd, mu)
-                if d < dim_b:
-                    failures.append({"type": f"{series}{rank}", "mu": tuple(coords)})
-                minuscule = rd.is_dominant(mu) and rd.is_minuscule(mu)
-                if (d == dim_b) != minuscule:
-                    failures.append(
-                        {"type": f"{series}{rank}", "mu": tuple(coords), "what": "equality"}
-                    )
-                return
-            for c in range(-2, 3):
-                scan(coords + [c])
-
-        scan([])
+        for coords in itertools.product(range(-2, 3), repeat=rank):
+            mu = Coweight(coords)
+            d = stab_dimension(rd, mu)
+            if d < dim_b:
+                failures.append({"type": f"{series}{rank}", "mu": coords})
+            minuscule = rd.is_dominant(mu) and rd.is_minuscule(mu)
+            if (d == dim_b) != minuscule:
+                failures.append({"type": f"{series}{rank}", "mu": coords, "what": "equality"})
     return not failures, {"types": [f"{s}{r}" for s, r in small], "box": [-2, 2]}, failures or None
 
 
@@ -411,9 +403,7 @@ def cmd_roots(args):
         "coxeter_number": coxeter_number(rd),
         "exponents": list(exponents(rd)),
         "theta": list(rd.theta),
-        "minuscule": [list(m.coords) for m in minuscule_coweights(
-            rd, degree_window=(0, 0) if args.series == "GL" else None
-        )],
+        "minuscule": [list(m.coords) for m in minuscule_coweights(rd)],
     }
     print(json.dumps(out, indent=2))
     return 0

@@ -1,53 +1,21 @@
-"""Exact dense linear algebra over an arbitrary field.
+"""Exact dense linear algebra over an arbitrary field: row reduction and
+what is read off it (`rref`, `rank`, `nullspace`, `solve`).
 
 Matrices are lists of lists of field elements (Fraction, FqElement, ...).
 Elements must support +, -, *, /, unary -, == and truthiness (zero is falsy).
 Everything here copies its inputs; nothing is mutated in place.
 
-Callers: Weyl-group matrices and the coroot coordinates of a coweight, one
-`solve` against the transposed Cartan matrix (`rootdata`), kernels, ranks and
-spans in the Chevalley algebras (`chevalley`), and the one `rref` per
-(n, p, mu, r) with which `loopmodel._factor_bases` builds the depth-r solve
-maps of `factorize_I1`.  No factorization sample comes here:
-`loopmodel` applies those maps, and multiplies and inverts GL_n loop-group
-series, on int residues mod p itself.
+Callers: the coroot coordinates of a coweight, one `solve` against the
+transposed Cartan matrix (`rootdata`), kernels, ranks and spans in the
+Chevalley algebras (`chevalley`), and the one `rref` per (n, p, mu, r) with
+which `loopmodel._factor_bases` builds the depth-r solve maps of
+`factorize_I1`.  No matrix product lives here: Weyl elements are built from
+their words and act by their int matrices (`rootdata`), the w_P lift is
+applied by its sparse columns (`chevalley`), and `loopmodel` multiplies
+GL_n loop-group series on int residues mod p itself.
 """
 
 from __future__ import annotations
-
-
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = None
-            for s in range(k):
-                a = Ai[s]
-                if not a:
-                    continue
-                term = a * B[s][j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = Ai[0] * 0 if k else 0
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = None
-        for a, x in zip(row, v):
-            if a:
-                term = a * x
-                acc = term if acc is None else acc + term
-        out.append((row[0] * 0 if v else 0) if acc is None else acc)
-    return out
 
 
 def rref(rows):

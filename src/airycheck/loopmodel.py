@@ -175,8 +175,8 @@ def odd_parahoric_check(alg: ChevalleyAlgebra) -> bool:
     q1 = dim(P(1 + n) - I(n + 2))
     q2 = dim(I(n + 1) - P(1 + n))
     return (
-        q1 == len(height_piece(alg, n + 1).basis)
-        and q2 == len(height_piece(alg, n + 1 - h).basis)
+        q1 == len(height_piece(alg, n + 1))
+        and q2 == len(height_piece(alg, n + 1 - h))
     )
 
 
@@ -403,7 +403,8 @@ def _factor_bases(model_key, mu_coords):
 
     A sample is the vector x of the remainder's entries at `reads`, the
     (t-power, row, col) of the depth-r root lines.  One rref of
-    [colmat | I], with the z, a^mu and u_mu bases as the columns of colmat,
+    [colmat | I], with the z and a^mu bases and the basis vectors at the
+    u_mu indices as the columns of colmat,
     gives an invertible E with E colmat reduced.  The rows of E below the
     rank are the consistency rows: x is in the span exactly when they all
     annihilate it.  The pivot rows of E give the coordinates that
@@ -422,24 +423,26 @@ def _factor_bases(model_key, mu_coords):
     for r in range(1, (model.h + 1) // 2 + 1):
         zb = zs[r].basis
         ab = a_subspace(alg, r, mu).basis
-        ub = u_mu_piece(alg, mu, r).basis
-        cols = zb + ab + ub
+        ub = u_mu_piece(alg, mu, r)
+        # column k as its nonzero (algebra index, entry) pairs
+        cols = [[(idx, b) for idx, b in enumerate(col) if b] for col in zb + ab]
+        cols += [[(idx, one)] for idx in ub]
         # algebra index -> (t-power, row, col) of its depth-r line
         lines = {idx: line for idx, line in enumerate(_gl_lines_at(n, r)) if line}
-        aug = [
-            [col[i] for col in cols] + [one if j == i else zero for j in range(alg.dim)]
-            for i in range(alg.dim)
-        ]
+        aug = [[zero] * len(cols) + [one if j == i else zero for j in range(alg.dim)]
+               for i in range(alg.dim)]
+        for k, col in enumerate(cols):
+            for idx, b in col:
+                aug[idx][k] = b
         M, pivots = rref(aug)
         rank = sum(c < len(cols) for c in pivots)
         E = [[row[len(cols) + idx].v for idx in lines] for row in M]
         parts = ({}, {}, {})  # z, a, u: algebra index -> row over x
         for erow, k in zip(E, pivots[:rank]):
             part = parts[(k >= len(zb)) + (k >= len(zb) + len(ab))]
-            for idx, b in enumerate(cols[k]):
-                if b:
-                    acc = part.setdefault(idx, [0] * len(lines))
-                    part[idx] = [(y + b.v * e) % p for y, e in zip(acc, erow)]
+            for idx, b in cols[k]:
+                acc = part.setdefault(idx, [0] * len(lines))
+                part[idx] = [(y + b.v * e) % p for y, e in zip(acc, erow)]
 
         def placed(part):
             rows = []
@@ -653,8 +656,15 @@ def draw_factorization(model: GLnModel, mu: Coweight, rng):
                     v[i] = v[i] + c * y
         return v
 
+    def draw_indices(indices):
+        v = alg.zero()
+        for i in indices:
+            v[i] = alg.field(rng.randrange(p))
+        return v
+
     coords = [
-        tuple(map(draw, (u_mu_piece(alg, mu, r).basis, a_subspace(alg, r, mu).basis, zs[r].basis)))
+        (draw_indices(u_mu_piece(alg, mu, r)), draw(a_subspace(alg, r, mu).basis),
+         draw(zs[r].basis))
         for r in range(1, half + 1)
     ]
     residual = model.identity_series()

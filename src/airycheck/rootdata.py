@@ -6,8 +6,10 @@ integer vectors in fundamental-coweight coordinates, except for GL_n where
 the cocharacter lattice is Z^n with the standard pairing.
 
 Conventions: cartan[i][j] = <alpha_j, alpha-check_i>.  Weyl elements act on
-root coordinates through their `matrix`; the reduced `word` lists simple
-reflection indices applied left to right (w = s_{w[0]} s_{w[1]} ...).
+root coordinates through their int `matrix`, built from their `word`, the
+simple reflection indices applied left to right (w = s_{w[0]} s_{w[1]} ...).
+The words of w_0 and w_{P,0} are reduced; that of w_P = w_{P,0} w_0 is their
+concatenation, which need not be: for A2 it is (1, 0, 1, 0).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import Frozen, VerificationError
-from .linalg import mat_mul, mat_vec, solve
+from .linalg import solve
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "GL")
 FORMS = ("sc", "adjoint", "gl")
@@ -151,14 +153,10 @@ class WeylElement(Frozen):
 
     def __init__(self, matrix: tuple, word: tuple):
         object.__setattr__(self, "matrix", matrix)  # action on simple-root coordinates
-        object.__setattr__(self, "word", word)  # reduced word, applied left to right
+        object.__setattr__(self, "word", word)  # applied left to right
 
     def apply_root(self, coords):
-        return tuple(mat_vec([list(r) for r in self.matrix], list(coords)))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        m = mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return WeylElement(tuple(tuple(r) for r in m), self.word + other.word)
+        return tuple(sum(map(operator.mul, row, coords)) for row in self.matrix)
 
 
 class RootDatum(Frozen):
@@ -345,18 +343,16 @@ def fundamental_coweight(rd: RootDatum, i: int) -> Coweight:
     return Coweight(tuple(1 if j == i else 0 for j in range(rd.n)))
 
 
-def minuscule_coweights(rd: RootDatum, degree_window=None):
-    """All mu in X_*(T) with 0 <= <alpha, mu> <= 1 for every positive alpha.
+@lru_cache(maxsize=None)
+def minuscule_coweights(rd: RootDatum):
+    """All mu in X_*(T) with 0 <= <alpha, mu> <= 1 for every positive alpha,
+    as a tuple.
 
-    For GL_n the set is infinite; `degree_window = (lo, hi)` bounds the
-    central coordinate c of mu = (c+1,...,c+1,c,...,c).
+    For GL_n the set is infinite, the (c+1)^k c^(n-k) for every integer c;
+    this returns the n of degree 0 to n - 1, the 1^k 0^(n-k).
     """
     if rd.series == "GL":
-        if degree_window is None:
-            raise ValueError("GL_n needs a degree_window")
-        lo, hi = degree_window
-        out = [Coweight((c + 1,) * k + (c,) * (rd.rank - k))
-               for c in range(lo, hi + 1) for k in range(rd.rank)]
+        out = [Coweight((1,) * k + (0,) * (rd.rank - k)) for k in range(rd.rank)]
     else:
         out = [Coweight((0,) * rd.n)]
         for i in range(rd.n):
@@ -367,7 +363,7 @@ def minuscule_coweights(rd: RootDatum, degree_window=None):
     for mu in out:
         if not rd.is_minuscule(mu):
             raise VerificationError(f"{mu.coords} is not minuscule")
-    return out
+    return tuple(out)
 
 
 def minuscule_bijection_check(rd: RootDatum) -> bool:
@@ -478,7 +474,8 @@ def weyl_wP0(rd: RootDatum, mu: Coweight) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def weyl_wP(rd: RootDatum, mu: Coweight) -> WeylElement:
-    return weyl_wP0(rd, mu) * weyl_w0(rd)
+    """w_P = w_{P,0} w_0, from the concatenation of their words."""
+    return _weyl_from_word(rd, weyl_wP0(rd, mu).word + weyl_w0(rd).word)
 
 
 def check_wP_heights(rd: RootDatum, mu: Coweight) -> bool:

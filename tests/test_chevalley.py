@@ -18,8 +18,9 @@ from airycheck.chevalley import (
     GradedSubspace,
     _cartan_data,
     _check_constants,
+    _ad_basis,
     _gl_root_interval,
-    _wP_columns,
+    _kappa_basis,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -39,7 +40,7 @@ from airycheck.chevalley import (
     x_minus1,
 )
 from airycheck.cli import SUITE_TYPES
-from airycheck.linalg import mat_mul, mat_vec
+from matrix_oracle import mat_mul, mat_vec
 from airycheck.rootdata import (
     Coweight,
     exponents,
@@ -54,6 +55,22 @@ from airycheck.rootdata import (
 def _basis(alg):
     one, zero = alg.field(1), alg.field(0)
     return [[one if i == j else zero for j in range(alg.dim)] for i in range(alg.dim)]
+
+
+def _units(alg, indices):
+    """The basis vectors at the given indices, as a tuple of tuples: the
+    form in which the graded pieces were once cached and pinned."""
+    basis = _basis(alg)
+    return tuple(tuple(basis[i]) for i in indices)
+
+
+def _dense_wP(alg, mu):
+    """The w_P lift as a dense tuple of rows, from its sparse columns."""
+    M = [[alg.field(0)] * alg.dim for _ in range(alg.dim)]
+    for j, col in enumerate(wP_representative(alg, mu)):
+        for k, c in col:
+            M[k][j] = c
+    return tuple(map(tuple, M))
 
 
 def _matrix_of(alg, x):
@@ -269,11 +286,11 @@ def test_gl3_kappa_is_the_trace_form():
 def _first_builds():
     """(root datum, algebra, minuscule coweights) for every suite type in
     both forms over QQ, then GL_2, GL_4 and GL_6 over F_7."""
-    cases = [(s, r, f, QQ, None) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
-    cases += [("GL", n, "gl", GF(7), (0, 0)) for n in (2, 4, 6)]
-    for series, rank, form, field, window in cases:
+    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", GF(7)) for n in (2, 4, 6)]
+    for series, rank, form, field in cases:
         rd = get_root_datum(series, rank, form)
-        yield rd, build_algebra(rd, field), minuscule_coweights(rd, window)
+        yield rd, build_algebra(rd, field), minuscule_coweights(rd)
 
 
 def test_first_build_outputs_pinned():
@@ -291,7 +308,7 @@ def test_first_build_outputs_pinned():
             [list(map(list, z.basis)) for z in centralizer_z(alg)],
         ]
         for mu in mus:
-            items.append((mu, weyl_wP(rd, mu), _wP_columns(alg, mu)))
+            items.append((mu, weyl_wP(rd, mu), wP_representative(alg, mu)))
             items.append([list(map(list, a_subspace(alg, r, mu).basis)) for r in range(1, alg.h)])
         for item in items:
             digest.update(repr(item).encode())
@@ -317,19 +334,19 @@ def test_graded_pieces_and_lie_verdicts_pinned():
     # over QQ, A3 in both forms over F_5 (where depth 3 fails) and F_7, and
     # GL_2-GL_4 over QQ and F_7; then stab_dimension on the [-2, 2]^rank box
     # for the suite types of rank <= 3 and GL_2, GL_3
-    cases = [(s, r, f, QQ, None) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
-    cases += [("A", 3, f, GF(p), None) for p in (5, 7) for f in ("sc", "adjoint")]
-    cases += [("GL", n, "gl", F, (0, 0)) for n in (2, 3, 4) for F in (QQ, GF(7))]
+    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("A", 3, f, GF(p)) for p in (5, 7) for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", F) for n in (2, 3, 4) for F in (QQ, GF(7))]
     digest = hashlib.sha256()
-    for series, rank, form, field, window in cases:
+    for series, rank, form, field in cases:
         rd = get_root_datum(series, rank, form)
         alg = build_algebra(rd, field)
         items = [(series, rank, form, repr(field))]
-        items += [(r, height_piece(alg, r).basis) for r in range(1 - alg.h, alg.h)]
-        items += [(r, grading_piece(alg, r).basis) for r in range(alg.h)]
+        items += [(r, _units(alg, height_piece(alg, r))) for r in range(1 - alg.h, alg.h)]
+        items += [(r, _units(alg, grading_piece(alg, r))) for r in range(alg.h)]
         items += [(r, p_minus_bijective(alg, r)) for r in range(1, alg.h)]
-        for mu in minuscule_coweights(rd, window):
-            items += [(mu, r, u_mu_piece(alg, mu, r).basis, decomposition_check(alg, mu, r))
+        for mu in minuscule_coweights(rd):
+            items += [(mu, r, _units(alg, u_mu_piece(alg, mu, r)), decomposition_check(alg, mu, r))
                       for r in range(1, alg.h)]
         for item in items:
             digest.update(repr(item).encode())
@@ -362,7 +379,7 @@ def test_first_build_outputs_are_exact():
         outputs = [structure_constants(rd), alg.table, alg.kappa_rows,
                    [z.basis for z in centralizer_z(alg)]]
         for mu in mus:
-            outputs += [weyl_wP(rd, mu).word, _wP_columns(alg, mu),
+            outputs += [weyl_wP(rd, mu).word, wP_representative(alg, mu),
                         [a_subspace(alg, r, mu).basis for r in range(1, alg.h)]]
         assert _floats(outputs) == 0, (rd.series, rd.rank, rd.form)
 
@@ -399,10 +416,10 @@ def test_grading_dims():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
     h = alg.h
     assert h == 3
-    assert grading_piece(alg, 0).dim == 2
+    assert len(grading_piece(alg, 0)) == 2
     # g_r = g(r) + g(r-h); total dim is dim g
-    assert sum(grading_piece(alg, r).dim for r in range(h)) == alg.dim
-    assert height_piece(alg, h - 1).dim == 1  # highest root line
+    assert sorted(i for r in range(h) for i in grading_piece(alg, r)) == list(range(alg.dim))
+    assert height_piece(alg, h - 1) == (alg.rd.root_index[alg.rd.theta],)  # highest root line
     with pytest.raises(ValueError):
         height_piece(alg, h)
 
@@ -444,7 +461,7 @@ def test_a_subspace():
     for r in range(2, h):
         ar = a_subspace(alg, r)
         # a_r = [g(r-1-h), N^+] has the dimension of g(r-1-h) when p_- behaves
-        assert ar.dim == height_piece(alg, r - 1 - h).dim
+        assert ar.dim == len(height_piece(alg, r - 1 - h))
         for v in ar.basis:
             assert all(
                 not c or alg.height_of_index(i) in (r, r - h)
@@ -549,19 +566,29 @@ def test_p_minus_project_keeps_the_negative_heights():
             assert p_minus_project(alg, v) == want, (rd.series, rd.rank, rd.form)
 
 
+def _warm_checks(alg, mus):
+    """Every decomposition, p_- and linear relevance verdict of alg."""
+    for mu in mus:
+        for r in range(1, alg.h):
+            assert decomposition_check(alg, mu, r)
+    for r in range(1, alg.h):
+        assert p_minus_bijective(alg, r)
+    for r in range(2, (alg.h + 1) // 2 + 1):
+        assert relevance_linear_kernel(alg, r)
+
+
 def test_repeated_decomposition_check_rebuilds_nothing(monkeypatch):
-    # once the pieces are warm, a repeated check reads them and the index
-    # table: no cache misses, and no unit vector built through E
+    # once the pieces are warm, a repeated decomposition, p_- or linear
+    # relevance check reads them and the index table: no cache misses, and
+    # no unit vector built through E
     from airycheck import chevalley
 
     rd = get_root_datum("B", 3, "adjoint")
     alg = build_algebra(rd)
     mus = minuscule_coweights(rd)
     caches = [chevalley._heights, height_piece, grading_piece, u_mu_piece,
-              centralizer_z, a_subspace, u_mu_roots]
-    for mu in mus:
-        for r in range(1, alg.h):
-            assert decomposition_check(alg, mu, r)
+              centralizer_z, a_subspace, u_mu_roots, principal_sl2, wP_representative]
+    _warm_checks(alg, mus)
     misses = [c.cache_info().misses for c in caches]
     calls = Counter()
     E = ChevalleyAlgebra.E
@@ -571,11 +598,30 @@ def test_repeated_decomposition_check_rebuilds_nothing(monkeypatch):
         return E(self, root)
 
     monkeypatch.setattr(ChevalleyAlgebra, "E", counted)
-    for mu in mus:
-        for r in range(1, alg.h):
-            assert decomposition_check(alg, mu, r)
+    _warm_checks(alg, mus)
     assert [c.cache_info().misses for c in caches] == misses
     assert not calls
+
+
+def test_table_reads_match_the_dense_bracket_and_kappa():
+    # [b_j, y] read off table[j] and kappa(w, b_j) read off kappa_rows[j]
+    # against the dense bracket(e_j, y), -bracket(y, e_j) and kappa(w, e_j),
+    # on seeded vectors with about half their entries zero
+    rng = random.Random(29)
+    cases = [(get_root_datum(s, r, f), QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [(get_root_datum("GL", 4, "gl"), GF(7))]
+    for rd, field in cases:
+        alg = build_algebra(rd, field)
+        basis, zero = _basis(alg), field(0)
+
+        def seeded():
+            return [field(rng.randrange(-3, 4)) if rng.random() < 0.5 else zero
+                    for _ in range(alg.dim)]
+
+        x, w = seeded(), seeded()
+        for j, e in enumerate(basis):
+            assert _ad_basis(alg, j, x) == alg.bracket(e, x) == [-c for c in alg.bracket(x, e)], (rd, j)
+            assert _kappa_basis(alg, w, j) == alg.kappa(w, e) == alg.kappa(e, w), (rd, j)
 
 
 def test_u_mu_piece_trivial_mu():
@@ -583,23 +629,22 @@ def test_u_mu_piece_trivial_mu():
     alg = build_algebra(rd)
     mu = Coweight((0, 0))
     # for mu = 0, u_mu = n^- so the piece at r collects heights r-h (mod h)
-    total = sum(u_mu_piece(alg, mu, r).dim for r in range(1, alg.h))
+    total = sum(len(u_mu_piece(alg, mu, r)) for r in range(1, alg.h))
     assert total == len(rd.pos_roots)
 
 
 def test_wp_trivial_mu_identity():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
-    M = wP_representative(alg, Coweight((0, 0)))
-    assert M == tuple(map(tuple, _basis(alg)))
+    assert _dense_wP(alg, Coweight((0, 0))) == tuple(map(tuple, _basis(alg)))
 
 
 def test_wp_conjugates_a_r():
     rd = get_root_datum("A", 2, "adjoint")
     alg = build_algebra(rd)
     mu = next(m for m in minuscule_coweights(rd) if any(m.coords))
-    M = wP_representative(alg, mu)
-    for v in a_subspace(alg, 2).basis:
-        w = mat_vec(M, v)
+    M = _dense_wP(alg, mu)
+    for v, w in zip(a_subspace(alg, 2).basis, a_subspace(alg, 2, mu).basis):
+        assert mat_vec(M, v) == list(w)
         assert any(w)
 
 

@@ -65,8 +65,8 @@ def test_dim_components_sees_a_missing_minuscule_coweight(monkeypatch):
     # the adjoint A3; with one dropped only that form fails
     coweights = rootdata.minuscule_coweights
 
-    def drop_one(rd, degree_window=None):
-        out = coweights(rd, degree_window)
+    def drop_one(rd):
+        out = coweights(rd)
         return out[:-1] if (rd.series, rd.rank, rd.form) == ("A", 3, "adjoint") else out
 
     monkeypatch.setattr(rootdata, "minuscule_coweights", drop_one)

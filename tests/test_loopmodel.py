@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import airycheck
+from matrix_oracle import mat_mul
 from airycheck import cli, loopmodel
 from airycheck.chevalley import (
     a_subspace,
@@ -17,7 +18,6 @@ from airycheck.chevalley import (
     principal_sl2,
     u_mu_piece,
 )
-from airycheck.linalg import mat_mul
 from airycheck.loopmodel import (
     GLnModel,
     all_lines,
@@ -241,7 +241,7 @@ def _random_series(model, rng, lo=0, hi=None):
 
 
 def _naive_mul(model, A, B):
-    """sum_{i+j=k} A_i B_j with FqElement blocks and linalg.mat_mul."""
+    """sum_{i+j=k} A_i B_j with FqElement blocks and the reference mat_mul."""
     F, n = model.field, model.n
     out = [[[F(0)] * n for _ in range(n)] for _ in range(model.N)]
     for i in range(model.N):
@@ -555,7 +555,7 @@ def test_factorize_i1_forms_no_series_product(monkeypatch):
         for n in (2, 3, 4):
             model = GLnModel(n, 7)
             rng = random.Random(n)
-            for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+            for mu in minuscule_coweights(model.rd):
                 for _ in range(3):
                     g = model.random_I1(rng)
                     outs.append((model, g, factorize_I1(model, g, mu)))
@@ -592,8 +592,7 @@ def test_factorize_random(n, p):
     rng = random.Random(100 * n + p)
     half = (model.h + 1) // 2
     rd = model.rd
-    window = (0, 0)
-    for mu in minuscule_coweights(rd, degree_window=window):
+    for mu in minuscule_coweights(rd):
         for _ in range(10):
             g = model.random_I1(rng)
             u, a, s, res = factorize_I1(model, g, mu)
@@ -757,8 +756,8 @@ def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
     alg = model.alg
     corrupted = 0
     for r in range(1, len(coords) + 1):
-        bases = (u_mu_piece(alg, mu, r).basis, a_subspace(alg, r, mu).basis,
-                 centralizer_z(alg)[r].basis)
+        units = [[alg.field(int(i == j)) for i in range(alg.dim)] for j in u_mu_piece(alg, mu, r)]
+        bases = (units, a_subspace(alg, r, mu).basis, centralizer_z(alg)[r].basis)
         for part, (name, basis) in enumerate(zip("uas", bases)):
             for b in basis:  # one coordinate, moved by 1
                 bad = [list(vecs) for vecs in coords]
@@ -814,7 +813,7 @@ def test_factorize_i1_rank_defect_gl5_f7():
     model = GLnModel(5, 7)
     rng = random.Random(57)
     raised = ""
-    for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+    for mu in minuscule_coweights(model.rd):
         for _ in range(6):
             g = model.random_I1(rng)
             try:
@@ -835,20 +834,20 @@ def test_factorize_i1_outputs_pinned_p11(n, digest):
     model = GLnModel(n, 11)
     rng = random.Random(100 * n + 11)
     outs = [factorize_I1(model, model.random_I1(rng), mu)
-            for mu in minuscule_coweights(model.rd, degree_window=(0, 0)) for _ in range(3)]
+            for mu in minuscule_coweights(model.rd) for _ in range(3)]
     assert hashlib.sha256(repr(outs).encode()).hexdigest() == digest
 
 
 def test_factorize_i1_outputs_pinned_p7():
     # SHA-256 over the (u, a, s, residual) reprs, or the error texts, of the
-    # loop workload's grid (GL_2-GL_4 over F_7, every mu in degree window
-    # (0, 0)) and of GL_5 over F_7, where p < 2h - 1 and most samples raise;
+    # loop workload's grid (GL_2-GL_4 over F_7, every minuscule mu
+    # 1^k 0^(n-k)) and of GL_5 over F_7, where p < 2h - 1 and most samples raise;
     # the digest is that of the code that formed inverse series
     outs = []
     for n in (2, 3, 4, 5):
         model = GLnModel(n, 7)
         rng = random.Random(100 * n + 7)
-        for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+        for mu in minuscule_coweights(model.rd):
             for _ in range(3):
                 try:
                     outs.append(repr(factorize_I1(model, model.random_I1(rng), mu)))
@@ -934,7 +933,7 @@ def _depth_readers_outputs():
         outs.append(repr(model._i1_draws))
         outs.append(repr([z_element(model, r) for r in range(1, n + 2)]))
         rng = random.Random(n)
-        for mu in minuscule_coweights(model.rd, degree_window=(0, 0)):
+        for mu in minuscule_coweights(model.rd):
             _, _, residual, g = draw_factorization(model, mu, rng)
             outs.append(repr((residual, g)))
     for series, rank in cli.SUITE_TYPES:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import airycheck
-from airycheck.linalg import mat_mul
+from matrix_oracle import mat_mul
 from airycheck.rootdata import (
     Coweight,
     alpha_mu,
@@ -120,6 +120,13 @@ def test_weyl_matrices_are_products_of_reflections(series, rank):
         for i in w.word:
             m = mat_mul(m, reflection(i))
         assert w.matrix == tuple(map(tuple, m))
+        # w_P = w_{P,0} w_0: its word is theirs concatenated, its matrix
+        # their product
+        wp0, w0 = weyl_wP0(rd, mu), weyl_w0(rd)
+        assert w.word == wp0.word + w0.word
+        assert w.matrix == tuple(map(tuple, mat_mul(wp0.matrix, w0.matrix)))
+        for a in rd.roots:
+            assert w.apply_root(a) == tuple(x for (x,) in mat_mul(w.matrix, [[c] for c in a]))
 
 
 def test_minuscule_sl2_vs_pgl2():
@@ -130,11 +137,15 @@ def test_minuscule_sl2_vs_pgl2():
 
 
 def test_minuscule_gl_window():
-    rd = get_root_datum("GL", 4, "gl")
-    mus = {m.coords for m in minuscule_coweights(rd, degree_window=(-1, 1))}
-    assert (0, 0, 0, -1) in mus
-    for m in mus:
-        assert all(c in (min(m), min(m) + 1) for c in m)
+    # the n minuscule coweights 1^k 0^(n-k) of degree k = 0..n-1, in that
+    # order; each is minuscule and dominant
+    for n in (2, 3, 4):
+        rd = get_root_datum("GL", n, "gl")
+        mus = minuscule_coweights(rd)
+        assert isinstance(mus, tuple)
+        assert [m.coords for m in mus] == [(1,) * k + (0,) * (n - k) for k in range(n)]
+        assert all(rd.is_minuscule(m) and rd.is_dominant(m) for m in mus)
+        assert minuscule_coweights(rd) is mus
 
 
 def test_minuscule_bijection():
