@@ -13,8 +13,10 @@ by basis vectors, so each is the cached tuple of their indices, read from that
 table; only the spanned pieces z_r and a_r^mu are `GradedSubspace` records of
 dense vectors.  Where a check takes ad or kappa against a basis vector b_j it
 reads the tables: ad_{b_j} is the table row `table[j]`, and kappa(w, b_j) sums
-`kappa_rows[j]`, which is symmetric.  The w_P lift is one cached set of sparse
-columns.  Checks are never cached: only the pieces and tables they read are.
+`kappa_rows[j]`, which is symmetric; `p_minus_bijective` takes [N^-, v] as
+the sum of the [b_j, v] at the rank nonzero indices of N^-.  The w_P lift is
+one cached set of sparse columns.  Checks are never cached: only the pieces
+and tables they read are.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
@@ -384,10 +386,12 @@ def _heights(alg: ChevalleyAlgebra):
     return tuple(map(alg.rd.height, alg.rd.roots)) + (0,) * alg.ncartan
 
 
-def _ad_basis(alg: ChevalleyAlgebra, j, y):
+def _ad_basis(alg: ChevalleyAlgebra, j, y, out=None):
     """[b_j, y] for the basis vector b_j and a dense y, read off the table
-    row of b_j: ad_{b_j} is table[j]."""
-    out = alg.zero()
+    row of b_j: ad_{b_j} is table[j].  With `out`, a dense vector, [b_j, y]
+    is added into it in place and `out` is returned."""
+    if out is None:
+        out = alg.zero()
     for i, row in alg.table[j].items():
         yi = y[i]
         if yi:
@@ -572,7 +576,16 @@ def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
     proj_rank = rank(proj)
     if proj_rank != zr.dim or proj_rank != ker_dim:
         return False
-    return not any(any(alg.bracket(nminus, v)) for v in proj)
+    # N^- is the sum of the b_j at its rank nonzero indices (each entry 1),
+    # so [N^-, v] is the sum of their [b_j, v]
+    simple = [j for j, c in enumerate(nminus) if c]
+    for v in proj:
+        out = alg.zero()
+        for j in simple:
+            _ad_basis(alg, j, v, out)
+        if any(out):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -1,52 +1,145 @@
-"""Exact dense linear algebra over an arbitrary field: row reduction and
-what is read off it (`rref`, `rank`, `nullspace`, `solve`).
+"""Exact dense linear algebra over Q and the prime fields F_p: row reduction
+and what is read off it (`rref`, `rank`, `nullspace`, `solve`).
 
-Matrices are lists of lists of field elements (Fraction, FqElement, ...).
-Elements must support +, -, *, /, unary -, == and truthiness (zero is falsy).
-Everything here copies its inputs; nothing is mutated in place.
+Matrices are lists of lists of field elements: Fractions (plain ints are
+read as rationals) or FqElements of a prime field GF(p).  F_{p^e} with
+e > 1 is refused with ValueError.  Everything here copies its inputs;
+nothing is mutated in place.
+
+One Gauss-Jordan kernel, `_eliminate`, works on Python int rows, and no
+field element is made inside it.  A row enters once, on the columns where
+some row is nonzero (no row step makes another column nonzero): over Q it is
+scaled by the lcm of its denominators, over F_p each entry becomes its
+residue `x.v`.
+Over Q a row step is `r <- a r - b P` (P the pivot row, a its pivot, b the
+entry of r in the pivot column, both divided by their gcd), and the row is
+then divided by its content, the gcd of its entries, so that the rows stay
+primitive.  Over F_p the pivot row is scaled by `pow(a, -1, p)` and a row
+step is `r <- (r - b P) mod p`.  Field elements are built only for results:
+a reduced row over Q is `Fraction(x, pivot)`, over F_p `field.from_index(x)`;
+`nullspace` and `solve` read those rows, and `rank` builds no element.
 
 Callers: the coroot coordinates of a coweight, one `solve` against the
 transposed Cartan matrix (`rootdata`), kernels, ranks and spans in the
-Chevalley algebras (`chevalley`), and the one `rref` per (n, p, mu, r) with
-which `loopmodel._factor_bases` builds the depth-r solve maps of
-`factorize_I1`.  No matrix product lives here: Weyl elements are built from
-their words and act by their int matrices (`rootdata`), the w_P lift is
-applied by its sparse columns (`chevalley`), and `loopmodel` multiplies
-GL_n loop-group series on int residues mod p itself.
+Chevalley algebras over Q, F_5 and F_7 (`chevalley`), and the one `rref`
+per (n, p, mu) with which `loopmodel._factor_bases` builds the depth-r
+solve maps of `factorize_I1`.  No matrix product lives here: Weyl elements
+are built from their words and act by their int matrices (`rootdata`), the
+w_P lift is applied by its sparse columns (`chevalley`), and `loopmodel`
+multiplies GL_n loop-group series on int residues mod p itself.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def _int_rows(rows):
+    """(int rows, cols, field) for a nonempty matrix with columns.
+
+    `cols` are the columns where some row is nonzero, ascending; no row
+    operation makes another column nonzero, so the int rows carry only
+    those.  field is None over Q, where each row is scaled by the lcm of its
+    denominators and divided by its content, and the GF(p) field over F_p,
+    where each entry is its residue."""
+    first = rows[0][0]
+    if isinstance(first, (int, Fraction)):
+        field = None
+        # (column, (numerator, denominator)) of the nonzero entries
+        entries = [[(k, x.as_integer_ratio()) for k, x in enumerate(row) if x] for row in rows]
+    else:
+        field = first.field
+        if field.e != 1:
+            raise ValueError(f"linalg works over Q and prime fields, not F_{field.p}^{field.e}")
+        entries = [[(k, x.v) for k, x in enumerate(row) if x.v] for row in rows]
+    cols = sorted({k for row in entries for k, _ in row})
+    at = {k: t for t, k in enumerate(cols)}
+    M = []
+    for row in entries:
+        out = [0] * len(cols)
+        if field is not None:
+            for k, v in row:
+                out[at[k]] = v
+        elif row:
+            d = lcm(*[q for _, (_, q) in row])
+            ints = [n * (d // q) for _, (n, q) in row]
+            g = gcd(*ints)
+            for (k, _), x in zip(row, ints):
+                out[at[k]] = x // g
+        M.append(out)
+    return M, cols, field
+
+
+def _eliminate(M, field):
+    """Gauss-Jordan on the int rows M in place, over Q (field None) or F_p;
+    returns the pivot columns.  Afterwards the rows below the rank are zero,
+    pivot row k has its only nonzero entry of column pivots[k] there, and
+    over F_p that entry is 1."""
+    p = None if field is None else field.p
+    m = len(M)
+    pivots = []
+    r = 0
+    for c in range(len(M[0])):
+        for pr in range(r, m):
+            if M[pr][c]:
+                break
+        else:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        P = M[r]
+        a = P[c]
+        if p is None:
+            for i, row in enumerate(M):
+                b = row[c]
+                if b and i != r:
+                    g = gcd(a, b)
+                    a1, b1 = a // g, b // g
+                    row = [a1 * x - b1 * y for x, y in zip(row, P)]
+                    g = gcd(*row)
+                    M[i] = [x // g for x in row] if g > 1 else row
+        else:
+            if a != 1:
+                inv = pow(a, -1, p)
+                P = M[r] = [x * inv % p for x in P]
+            for i, row in enumerate(M):
+                b = row[c]
+                if b and i != r:
+                    M[i] = [(x - b * y) % p for x, y in zip(row, P)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
 
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    M = [list(r) for r in rows]
-    if not M:
-        return M, []
-    ncols = len(M[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c]
-        # zero entries are skipped: exact rows are mostly sparse
-        M[r] = [x / inv if x else x for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b if b else a for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return M, pivots
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    if not ncols:
+        return [[] for _ in rows], []
+    M, cols, field = _int_rows(rows)
+    pivots = _eliminate(M, field)
+    zero = Fraction(0) if field is None else field.from_index(0)
+    out = []
+    for row, c in zip(M, pivots):
+        a = row[c]  # 1 over F_p
+        v = [zero] * ncols
+        for k, x in zip(cols, row):
+            if x:
+                v[k] = Fraction(x, a) if field is None else field.from_index(x)
+        out.append(v)
+    out += [[zero] * ncols for _ in M[len(pivots):]]
+    return out, [cols[c] for c in pivots]
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    if not rows or not rows[0]:
+        return 0
+    M, cols, field = _int_rows(rows)
+    return len(_eliminate(M, field))
 
 
 def nullspace(rows, one):
@@ -81,4 +174,3 @@ def solve(A, b):
     for r, pc in enumerate(pivots):
         x[pc] = M[r][ncols]
     return x
-

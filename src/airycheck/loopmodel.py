@@ -53,6 +53,7 @@ from .arith import GF
 from .chevalley import (
     ChevalleyAlgebra,
     _gl_root_interval,
+    _kappa_basis,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -94,41 +95,41 @@ def phi_eval(alg: ChevalleyAlgebra, Y) -> object:
     """phi(Y) = kappa(N^-, Y_1) + kappa(E_theta, Y_2) for Y in Lie I(1).
 
     Y is a list of algebra coefficient vectors, indexed by t-power; this is
-    the residue pairing against t^{-1}N^- + t^{-2}E_theta.
+    the residue pairing against t^{-1}N^- + t^{-2}E_theta.  E_theta is the
+    basis vector at theta's index, so kappa(E_theta, Y_2) is read off
+    kappa_rows there.
     """
     nminus, _, _ = principal_sl2(alg)
-    etheta = alg.E(alg.rd.theta)
     acc = alg.field(0)
     if len(Y) > 1 and Y[1] is not None:
         acc = acc + alg.kappa(nminus, Y[1])
     if len(Y) > 2 and Y[2] is not None:
-        acc = acc + alg.kappa(etheta, Y[2])
+        acc = acc + _kappa_basis(alg, Y[2], alg.rd.root_index[alg.rd.theta])
     return acc
 
 
 def phi_generic_check(alg: ChevalleyAlgebra) -> bool:
     """phi is nonzero on each affine simple line of depth h+1 and vanishes
-    on Lie I(2+h)."""
+    on Lie I(2+h).
+
+    The test vectors are the basis vectors b_j at t-powers 1 and 2, where
+    phi is kappa(N^-, b_j) and kappa(E_theta, b_j), each read off kappa_rows
+    at j; phi is zero at every other t-power."""
     rd = alg.rd
-    zero = [None] * (alg.h + 2)
-    for simple in rd.simple_roots:
-        Y = list(zero)
-        Y[1] = alg.E(simple)
-        if not phi_eval(alg, Y):
-            return False
-    Y = list(zero)
-    Y[2] = alg.E(tuple(-c for c in rd.theta))
-    if not phi_eval(alg, Y):
+    nminus, _, _ = principal_sl2(alg)
+    pairs = {1: nminus, 2: alg.E(rd.theta)}  # t-power -> what phi pairs it with
+
+    def phi(root, power):
+        w = pairs.get(power)
+        return w is not None and _kappa_basis(alg, w, rd.root_index[root])
+
+    if not all(phi(simple, 1) for simple in rd.simple_roots):
+        return False
+    if not phi(tuple(-c for c in rd.theta), 2):
         return False
     # vanishing on depth >= h+2 within the truncation
-    for root, power in filtration_basis(alg, alg.h + 2):
-        if root is None:
-            continue
-        Y = list(zero)
-        Y[power] = alg.E(root)
-        if phi_eval(alg, Y):
-            return False
-    return True
+    return not any(phi(root, power) for root, power in filtration_basis(alg, alg.h + 2)
+                   if root is not None)
 
 
 def stab_affine_roots(alg: ChevalleyAlgebra, mu: Coweight):
@@ -375,13 +376,22 @@ class GLnModel:
         return draws
 
     def random_I1(self, rng):
-        """Uniform-ish element 1 + (random Lie I(1) coefficients)."""
+        """Uniform-ish element 1 + (random Lie I(1) coefficients).
+
+        Each drawn entry is 0 in the identity and gets a uniform residue,
+        drawn as `rng.randrange(p)` draws it on CPython: p.bit_length()
+        random bits, drawn again while the value is >= p."""
         p = self.p
+        k = p.bit_length()
+        getrandbits = rng.getrandbits
         g = self.identity_series()
         for power, entries in self._i1_draws:
             blk = g[power]
             for i, j in entries:
-                blk[i][j] = (blk[i][j] + rng.randrange(p)) % p
+                v = getrandbits(k)
+                while v >= p:
+                    v = getrandbits(k)
+                blk[i][j] = v
         return g
 
 
