@@ -13,10 +13,11 @@ by basis vectors, so each is the cached tuple of their indices, read from that
 table; only the spanned pieces z_r and a_r^mu are `GradedSubspace` records of
 dense vectors.  Where a check takes ad or kappa against a basis vector b_j it
 reads the tables: ad_{b_j} is the table row `table[j]`, and kappa(w, b_j) sums
-`kappa_rows[j]`, which is symmetric; `p_minus_bijective` takes [N^-, v] as
-the sum of the [b_j, v] at the rank nonzero indices of N^-.  The w_P lift is
-one cached set of sparse columns.  Checks are never cached: only the pieces
-and tables they read are.
+`kappa_rows[j]`, which is symmetric; kappa is read only through kappa_rows.
+N^- is read at its support, the cached `_minus_simples`: [N^-, v] is the sum
+of the [b_j, v] there (`_ad_nminus`).  The w_P lift is one cached set of
+sparse columns.  Checks are never cached: only the pieces and tables they
+read are.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
@@ -34,7 +35,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import Frozen, Record, VerificationError
 from .linalg import nullspace, rank, rref, solve
@@ -359,19 +360,6 @@ class ChevalleyAlgebra:
                         out[k] = out[k] + prod * c
         return out
 
-    def kappa(self, x, y):
-        acc = self.field(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, g in self.kappa_rows[i].items():
-                if y[j]:
-                    acc = acc + xi * y[j] * g
-        return acc
-
-    def height_of_index(self, i):
-        return _heights(self)[i]
-
 
 @lru_cache(maxsize=None)
 def build_algebra(rd: RootDatum, field=QQ) -> ChevalleyAlgebra:
@@ -384,6 +372,23 @@ def _heights(alg: ChevalleyAlgebra):
     [0, npos), the negative roots at [npos, 2 npos), both in rd.roots
     order, then the Cartan, of height 0."""
     return tuple(map(alg.rd.height, alg.rd.roots)) + (0,) * alg.ncartan
+
+
+@lru_cache(maxsize=None)
+def _minus_simples(alg: ChevalleyAlgebra):
+    """The basis indices of the -alpha_i, in alpha_i order: the support of
+    N^-, whose entries there are all 1."""
+    rd = alg.rd
+    return tuple(rd.neg[rd.root_index[a]] for a in rd.simple_roots)
+
+
+def _ad_nminus(alg: ChevalleyAlgebra, v):
+    """[N^-, v] for a dense v: the sum of the [b_j, v] over the support j of
+    N^-, read off the table rows."""
+    out = alg.zero()
+    for j in _minus_simples(alg):
+        _ad_basis(alg, j, v, out)
+    return out
 
 
 def _ad_basis(alg: ChevalleyAlgebra, j, y, out=None):
@@ -433,20 +438,17 @@ def principal_sl2(alg: ChevalleyAlgebra):
     """(N^-, H, N^+) with H = 2 rho-check, [N^+, N^-] = H, [H, N^pm] = pm 2,
     as tuples."""
     rd = alg.rd
-    n = rd.n
-    # c solving sum_i c_i <alpha_j, coroot_i> = 2 for all j
-    A = [[Fraction(rd.cartan[i][j]) for i in range(n)] for j in range(n)]
-    c = solve(A, [Fraction(2)] * n)
-    if c is None or any(x.denominator != 1 for x in c):
+    # 2 rho-check = sum_i c_i coroot_i pairs to 2 with every alpha_j
+    c = rd._coroot_lattice_coords((2,) * rd.n)
+    if any(x.denominator != 1 for x in c):
         raise VerificationError("2 rho-check is not an integral coroot combination")
-    c = [int(x) for x in c]
     coroots = _cartan_data(rd)[1]
     nminus = alg.zero()
     nplus = alg.zero()
     hc = [0] * rd.rank  # H = sum_i c_i coroot(alpha_i), in the Cartan basis
-    for ci, simple in zip(c, rd.simple_roots):
-        a = rd.root_index[simple]
-        nminus[rd.neg[a]] = alg.field(1)
+    for ci, m in zip(map(int, c), _minus_simples(alg)):
+        a = rd.neg[m]
+        nminus[m] = alg.field(1)
         nplus[a] = alg.field(ci)
         hc = [x + ci * y for x, y in zip(hc, coroots[a])]
     H = alg.zero()
@@ -576,16 +578,7 @@ def p_minus_bijective(alg: ChevalleyAlgebra, r: int) -> bool:
     proj_rank = rank(proj)
     if proj_rank != zr.dim or proj_rank != ker_dim:
         return False
-    # N^- is the sum of the b_j at its rank nonzero indices (each entry 1),
-    # so [N^-, v] is the sum of their [b_j, v]
-    simple = [j for j, c in enumerate(nminus) if c]
-    for v in proj:
-        out = alg.zero()
-        for j in simple:
-            _ad_basis(alg, j, v, out)
-        if any(out):
-            return False
-    return True
+    return not any(any(_ad_nminus(alg, v)) for v in proj)
 
 
 @lru_cache(maxsize=None)
@@ -722,7 +715,7 @@ def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
                 raise VerificationError("w_P lift moves X_{-1} into the Cartan")
             support[i] = c
     theta = rd.root_index[rd.theta]
-    minus_simples = [rd.neg[rd.root_index[a]] for a in rd.simple_roots]
+    minus_simples = _minus_simples(alg)
     if set(support) != {*minus_simples, theta}:
         raise VerificationError("w_P lift does not map X_{-1} onto -Delta and theta")
     xs = [support[a] for a in minus_simples]  # alpha_i(t) = coeff at -alpha_i
@@ -755,11 +748,11 @@ def relevance_linear_kernel(alg: ChevalleyAlgebra, r: int) -> bool:
     if not (2 <= r <= (alg.h + 1) // 2):
         raise ValueError("r out of range")
     ar = a_subspace(alg, r)
-    nminus, _, _ = principal_sl2(alg)
     tgt = height_piece(alg, alg.h + 1 - r)
+    # the rows kappa([N^-, e], b_j) are minus kappa([e, N^-], b_j): same rank
     rows = []
     for v in ar.basis:
-        w = alg.bracket(v, nminus)
+        w = _ad_nminus(alg, v)
         rows.append([_kappa_basis(alg, w, j) for j in tgt])
     return rank(rows) == ar.dim
 
@@ -782,28 +775,18 @@ def relevance_quadratic_bruteforce(alg: ChevalleyAlgebra):
         basis.extend(a_subspace(alg, r).basis)
     if p ** len(basis) > QUADRATIC_BUDGET:
         raise ValueError("search space exceeds budget")
-    nminus, _, _ = principal_sl2(alg)
     etheta = alg.E(alg.rd.theta)
     cut = h // 2 + 1
     tgt = [i for i, t in enumerate(_heights(alg)) if t >= cut]
     half = alg.field(1) / alg.field(2)
     sols = []
-    coeffs = [alg.field(0)] * len(basis)
-
-    def rec(i, e):
-        if i == len(basis):
-            w = alg.bracket(e, nminus)
-            q = alg.bracket(e, alg.bracket(e, etheta))
-            expr = [a + half * b for a, b in zip(w, q)]
-            if all(not _kappa_basis(alg, expr, j) for j in tgt):
-                sols.append(tuple(coeffs))
-            return
-        for c in range(p):
-            coeffs[i] = alg.field(c)
-            e2 = [a + coeffs[i] * b for a, b in zip(e, basis[i])]
-            rec(i + 1, e2)
-
-    rec(0, alg.zero())
+    for coeffs in product(alg.field.elements(), repeat=len(basis)):
+        e = _combine(alg, coeffs, basis)
+        # [e, N^-] + [e, [e, E_theta]]/2, with [e, N^-] = -[N^-, e]
+        q = alg.bracket(e, alg.bracket(e, etheta))
+        expr = [half * b - a for a, b in zip(_ad_nminus(alg, e), q)]
+        if all(not _kappa_basis(alg, expr, j) for j in tgt):
+            sols.append(coeffs)
     return sols
 
 
@@ -875,10 +858,12 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
                 vplus[i] = vplus[i] + lv * up
 
     # components above height -h/2 can never come back down, so drop them
+    heights = _heights(alg)
+
     def cut(vec):
         out = list(vec)
         for i in range(alg.dim):
-            if out[i] and 2 * alg.height_of_index(i) > -h:
+            if out[i] and 2 * heights[i] > -h:
                 out[i] = zero
         return out
 

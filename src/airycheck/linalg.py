@@ -1,8 +1,8 @@
 """Exact dense linear algebra over Q and the prime fields F_p: row reduction
-and what is read off it (`rref`, `rank`, `nullspace`, `solve`).
+and what is read off it (`rref`, `rank`, `nullspace`, `solve`), and `det`.
 
 Matrices are lists of lists of field elements: Fractions (plain ints are
-read as rationals) or FqElements of a prime field GF(p).  F_{p^e} with
+read as rationals) or FqElements of a prime field GF(p); `det` takes ints.  F_{p^e} with
 e > 1 is refused with ValueError.  Everything here copies its inputs;
 nothing is mutated in place.
 
@@ -19,14 +19,15 @@ step is `r <- (r - b P) mod p`.  Field elements are built only for results:
 a reduced row over Q is `Fraction(x, pivot)`, over F_p `field.from_index(x)`;
 `nullspace` and `solve` read those rows, and `rank` builds no element.
 
-Callers: the coroot coordinates of a coweight, one `solve` against the
-transposed Cartan matrix (`rootdata`), kernels, ranks and spans in the
-Chevalley algebras over Q, F_5 and F_7 (`chevalley`), and the one `rref`
-per (n, p, mu) with which `loopmodel._factor_bases` builds the depth-r
-solve maps of `factorize_I1`.  No matrix product lives here: Weyl elements
-are built from their words and act by their int matrices (`rootdata`), the
-w_P lift is applied by its sparse columns (`chevalley`), and `loopmodel`
-multiplies GL_n loop-group series on int residues mod p itself.
+Callers: the coroot coordinates of a pairing vector, one `solve` against
+the transposed Cartan matrix, and the root-lattice index |det C| (`rootdata`),
+kernels, ranks and spans in the Chevalley algebras over Q, F_5 and F_7
+(`chevalley`), and the one `rref` per (n, p, mu) with which
+`loopmodel._factor_bases` builds the depth-r solve maps of `factorize_I1`.
+No matrix product lives here: Weyl elements are built from their words and
+act by their int matrices (`rootdata`), the w_P lift is applied by its
+sparse columns (`chevalley`), and `loopmodel` multiplies GL_n loop-group
+series on int residues mod p itself.
 """
 
 from __future__ import annotations
@@ -174,3 +175,27 @@ def solve(A, b):
     for r, pc in enumerate(pivots):
         x[pc] = M[r][ncols]
     return x
+
+
+def det(rows):
+    """The determinant of a square int matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968): after step k each entry below and
+    right of the pivot is a (k+1)-minor, so the division by the previous
+    pivot is exact and no Fraction is made."""
+    M = [list(row) for row in rows]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            pr = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if pr is None:
+                return 0
+            M[k], M[pr] = M[pr], M[k]
+            sign = -sign
+        P, a = M[k], M[k][k]
+        for row in M[k + 1:]:
+            b = row[k]
+            for j in range(k + 1, n):
+                row[j] = (a * row[j] - b * P[j]) // prev
+        prev = a
+    return sign * M[-1][-1] if n else 1

@@ -52,8 +52,10 @@ from . import VerificationError
 from .arith import GF
 from .chevalley import (
     ChevalleyAlgebra,
+    _combine,
     _gl_root_interval,
     _kappa_basis,
+    _minus_simples,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -95,14 +97,14 @@ def phi_eval(alg: ChevalleyAlgebra, Y) -> object:
     """phi(Y) = kappa(N^-, Y_1) + kappa(E_theta, Y_2) for Y in Lie I(1).
 
     Y is a list of algebra coefficient vectors, indexed by t-power; this is
-    the residue pairing against t^{-1}N^- + t^{-2}E_theta.  E_theta is the
-    basis vector at theta's index, so kappa(E_theta, Y_2) is read off
-    kappa_rows there.
+    the residue pairing against t^{-1}N^- + t^{-2}E_theta.  N^- is the sum
+    of the basis vectors at its support and E_theta the basis vector at
+    theta's index, so both pairings are read off kappa_rows there.
     """
-    nminus, _, _ = principal_sl2(alg)
     acc = alg.field(0)
     if len(Y) > 1 and Y[1] is not None:
-        acc = acc + alg.kappa(nminus, Y[1])
+        for j in _minus_simples(alg):
+            acc = acc + _kappa_basis(alg, Y[1], j)
     if len(Y) > 2 and Y[2] is not None:
         acc = acc + _kappa_basis(alg, Y[2], alg.rd.root_index[alg.rd.theta])
     return acc
@@ -656,20 +658,21 @@ def draw_factorization(model: GLnModel, mu: Coweight, rng):
     alg, p = model.alg, model.p
     half = (model.h + 1) // 2
     zs = centralizer_z(alg)
+    bits, getrandbits = p.bit_length(), rng.getrandbits
+
+    def residue():  # as rng.randrange(p) draws it on CPython (see random_I1)
+        v = getrandbits(bits)
+        while v >= p:
+            v = getrandbits(bits)
+        return v
 
     def draw(basis):
-        v = alg.zero()
-        for b in basis:
-            c = rng.randrange(p)
-            for i, y in enumerate(b):
-                if y:
-                    v[i] = v[i] + c * y
-        return v
+        return _combine(alg, [residue() for _ in basis], basis)
 
     def draw_indices(indices):
         v = alg.zero()
         for i in indices:
-            v[i] = alg.field(rng.randrange(p))
+            v[i] = alg.field(residue())
         return v
 
     coords = [
@@ -680,7 +683,7 @@ def draw_factorization(model: GLnModel, mu: Coweight, rng):
     residual = model.identity_series()
     for (i, j, k), d in _gl_depths(model.n).items():
         if d > half:
-            residual[i][j][k] = (residual[i][j][k] + rng.randrange(p)) % p
+            residual[i][j][k] = (residual[i][j][k] + residue()) % p
     prods = _factor_products(model, coords)
     g = model.mul(model.mul(model.mul(prods[0][-1], prods[1][-1]), prods[2][-1]), residual)
     return coords, prods, residual, g

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import Frozen, VerificationError
-from .linalg import solve
+from .linalg import det, solve
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G", "GL")
 FORMS = ("sc", "adjoint", "gl")
@@ -238,18 +238,20 @@ class RootDatum(Frozen):
 
     # -- lattice membership ----------------------------------------------
 
-    def _coroot_lattice_coords(self, mu: Coweight):
-        """mu as a rational combination of simple coroots (not for GL)."""
-        # mu = sum_i b_i coroot_i with sum_i b_i cartan[i][j] = coords[j]
+    def _coroot_lattice_coords(self, pairing):
+        """The rational b with sum_i b_i cartan[i][j] = pairing[j] for every
+        j: the combination sum_i b_i coroot_i of the simple coroots that
+        pairs to pairing[j] with alpha_j.  A coweight in fundamental-coweight
+        coordinates is its own pairing vector."""
         Ct = [[Fraction(row[j]) for row in self.cartan] for j in range(self.n)]
-        return tuple(solve(Ct, [Fraction(m) for m in mu.coords]))
+        return tuple(solve(Ct, [Fraction(m) for m in pairing]))
 
     def in_lattice(self, mu: Coweight) -> bool:
         """Whether mu lies in the cocharacter lattice of this form (not for
         GL, whose minuscule coweights are listed directly)."""
         if self.form == "adjoint":
             return all(isinstance(c, int) for c in mu.coords)
-        b = self._coroot_lattice_coords(mu)
+        b = self._coroot_lattice_coords(mu.coords)
         return all(x.denominator == 1 for x in b)
 
     def is_minuscule(self, mu: Coweight) -> bool:
@@ -382,30 +384,13 @@ def minuscule_bijection_check(rd: RootDatum) -> bool:
         {"sc": "adjoint", "adjoint": "sc"}[rd.form],
     )
     ms = minuscule_coweights(dual)
-    if rd.form == "adjoint":
-        index = 1
-    else:
-        C = [[Fraction(x) for x in row] for row in rd.cartan]
-        det = Fraction(1)
-        rows = [row[:] for row in C]
-        for c in range(len(rows)):
-            piv = next(i for i in range(c, len(rows)) if rows[i][c])
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = -det
-            det *= rows[c][c]
-            rows[c] = [x / rows[c][c] for x in rows[c]]
-            for i in range(len(rows)):
-                if i != c and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        index = abs(int(det))
+    index = 1 if rd.form == "adjoint" else abs(det(rd.cartan))
     if len(ms) != index:
         return False
     # distinct classes mod the (co)root lattice of the dual datum
     seen = set()
     for mu in ms:
-        b = dual._coroot_lattice_coords(mu)
+        b = dual._coroot_lattice_coords(mu.coords)
         cls = tuple(x - math.floor(x) for x in b)
         if cls in seen:
             return False

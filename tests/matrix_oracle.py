@@ -1,8 +1,11 @@
-"""Dense matrix products and element-generic row reduction over any field,
-the references the tests check the library against: the library forms no
-dense matrix product (its matrices are sparse or built from words), and
-`linalg` row-reduces on int rows.  Matrices are lists of lists of field
-elements or ints."""
+"""Dense matrix products, element-generic row reduction over any field and
+a determinant by elimination on Fractions, the references the tests check
+the library against: the library forms no dense matrix product (its
+matrices are sparse or built from words), and `linalg` row-reduces on int
+rows and takes determinants fraction-free.  Matrices are lists of lists of
+field elements or ints."""
+
+from fractions import Fraction
 
 
 def mat_mul(A, B):
@@ -64,3 +67,26 @@ def rref(rows):
         if r == len(M):
             break
     return M, pivots
+
+
+def det(rows):
+    """The determinant as the product of the pivots of Gaussian elimination
+    on Fractions, negated once per row swap: the reference for the
+    fraction-free `linalg.det`."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    n = len(M)
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if M[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            out = -out
+        out *= M[c][c]
+        for i in range(c + 1, n):
+            f = M[i][c] / M[c][c]
+            if f:
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    assert out.denominator == 1
+    return int(out)

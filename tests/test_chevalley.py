@@ -20,6 +20,7 @@ from airycheck.chevalley import (
     _check_constants,
     _ad_basis,
     _gl_root_interval,
+    _heights,
     _kappa_basis,
     a_subspace,
     build_algebra,
@@ -97,6 +98,19 @@ def _from_matrix(alg, m):
     return x + [alg.field(m[i][i]) for i in range(alg.rd.rank)]
 
 
+def _kappa(alg, x, y):
+    """kappa(x, y) for dense x and y, summed over kappa_rows[i] at every
+    nonzero x_i: the reference for the table reads and the first-build pin."""
+    acc = alg.field(0)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, g in alg.kappa_rows[i].items():
+            if y[j]:
+                acc = acc + xi * y[j] * g
+    return acc
+
+
 def _jacobi_holds(alg):
     """Jacobi on all basis triples, dense: how _build_table assembles the
     structure constants and the Cartan rows."""
@@ -120,7 +134,7 @@ def _kappa_invariant(alg):
         for y in basis:
             xy = alg.bracket(x, y)
             for z in basis:
-                if alg.kappa(xy, z) != alg.kappa(x, alg.bracket(y, z)):
+                if _kappa(alg, xy, z) != _kappa(alg, x, alg.bracket(y, z)):
                     return False
     return True
 
@@ -240,11 +254,11 @@ def _ad_entries(alg):
 
 
 def _kappa_mismatches(alg, oracle):
-    """The basis pairs (i, j) where alg.kappa differs from oracle(i, j)."""
+    """The basis pairs (i, j) where kappa differs from oracle(i, j)."""
     basis = _basis(alg)
     return [
         (i, j) for i, x in enumerate(basis) for j, y in enumerate(basis)
-        if alg.kappa(x, y) != oracle(i, j)
+        if _kappa(alg, x, y) != oracle(i, j)
     ]
 
 
@@ -304,7 +318,7 @@ def test_first_build_outputs_pinned():
             (rd.series, rd.rank, rd.form, repr(alg.field)),
             sorted((i, j, sorted(row.items()))
                    for i, t in enumerate(alg.table) for j, row in t.items()),
-            [[alg.kappa(x, y) for y in basis] for x in basis],
+            [[_kappa(alg, x, y) for y in basis] for x in basis],
             [list(map(list, z.basis)) for z in centralizer_z(alg)],
         ]
         for mu in mus:
@@ -464,7 +478,7 @@ def test_a_subspace():
         assert ar.dim == len(height_piece(alg, r - 1 - h))
         for v in ar.basis:
             assert all(
-                not c or alg.height_of_index(i) in (r, r - h)
+                not c or _heights(alg)[i] in (r, r - h)
                 for i, c in enumerate(v)
             )
     with pytest.raises(ValueError):
@@ -540,13 +554,13 @@ def _index_cases():
         yield build_algebra(get_root_datum(series, rank, form), field)
 
 
-def test_height_of_index_matches_the_root_heights():
+def test_heights_match_the_root_heights():
     # the index table against rd.height on rd.roots: positive roots, then
     # negative roots, then the Cartan at height 0
     for alg in _index_cases():
         rd = alg.rd
         want = [rd.height(a) for a in rd.roots] + [0] * rd.rank
-        got = [alg.height_of_index(i) for i in range(alg.dim)]
+        got = list(_heights(alg))
         assert got == want, (rd.series, rd.rank, rd.form)
         assert all(t > 0 for t in got[:alg.npos])
         assert all(t < 0 for t in got[alg.npos:2 * alg.npos])
@@ -621,7 +635,7 @@ def test_table_reads_match_the_dense_bracket_and_kappa():
         x, w = seeded(), seeded()
         for j, e in enumerate(basis):
             assert _ad_basis(alg, j, x) == alg.bracket(e, x) == [-c for c in alg.bracket(x, e)], (rd, j)
-            assert _kappa_basis(alg, w, j) == alg.kappa(w, e) == alg.kappa(e, w), (rd, j)
+            assert _kappa_basis(alg, w, j) == _kappa(alg, w, e) == _kappa(alg, e, w), (rd, j)
 
 
 def test_u_mu_piece_trivial_mu():
@@ -666,6 +680,55 @@ def test_relevance_quadratic_sp4():
     sols = relevance_quadratic_bruteforce(alg)
     assert all(not any(c.v for c in s) for s in sols)
     assert len(sols) == 1
+
+
+# (series, rank, form, p) of the quadratic brute force: the rigidity-kernel
+# cases over F_5, B2 and A3 over F_5, G2 over F_7, and A4 and GL_5 over F_7,
+# where the depth-3 linear kernel is nonzero
+QUADRATIC_CASES = [("A", 4, "adjoint", 7), ("GL", 5, "gl", 7), ("GL", 2, "gl", 5),
+                   ("GL", 4, "gl", 5), ("C", 2, "sc", 5), ("B", 2, "adjoint", 5),
+                   ("G", 2, "adjoint", 7), ("A", 3, "adjoint", 5)]
+
+
+@pytest.mark.parametrize("series,rank,form,p", QUADRATIC_CASES)
+def test_quadratic_solutions_exactly_where_a_linear_kernel_is_nonzero(series, rank, form, p):
+    # the quadratic equation against g(h+1-k) is L_k(e_k) plus terms in the
+    # e_r with r < k, so it is triangular in the degree: a nonzero solution
+    # exists exactly when some L_k, the relevance_linear_kernel map over
+    # the same field, is not injective
+    alg = build_algebra(get_root_datum(series, rank, form), GF(p))
+    verdicts = [relevance_linear_kernel(alg, r) for r in range(2, (alg.h + 1) // 2 + 1)]
+    nonzero = [s for s in relevance_quadratic_bruteforce(alg) if any(s)]
+    assert bool(nonzero) == (not all(verdicts))
+    if (series, rank) in (("A", 4), ("GL", 5)):
+        assert verdicts == [True, False]  # r = 3 is not injective over F_7
+        assert len(nonzero) == 6
+
+
+def test_relevance_bijection_and_phi_z_outputs_pinned():
+    # the full quadratic solution lists of QUADRATIC_CASES; the linear
+    # relevance verdicts, the minuscule coweights and the bijection verdict
+    # for every suite type and E6-E8 in both forms over QQ; and phi(Z) on
+    # the character check's models and GL_6 over F_13
+    from airycheck.cli import PHI_Z_MODELS
+    from airycheck.gln_airy import phi_z_values
+    from airycheck.loopmodel import GLnModel
+    from airycheck.rootdata import minuscule_bijection_check
+
+    digest = hashlib.sha256()
+    for series, rank, form, p in QUADRATIC_CASES:
+        sols = relevance_quadratic_bruteforce(build_algebra(get_root_datum(series, rank, form), GF(p)))
+        digest.update(repr((series, rank, form, p, sols)).encode())
+    for series, rank in list(SUITE_TYPES) + [("E", 6), ("E", 7), ("E", 8)]:
+        for form in ("sc", "adjoint"):
+            rd = get_root_datum(series, rank, form)
+            alg = build_algebra(rd, QQ)
+            item = (series, rank, form, minuscule_coweights(rd), minuscule_bijection_check(rd),
+                    [relevance_linear_kernel(alg, r) for r in range(2, (alg.h + 1) // 2 + 1)])
+            digest.update(repr(item).encode())
+    for n, p in PHI_Z_MODELS + ((6, 13),):
+        digest.update(repr((n, p, phi_z_values(GLnModel(n, p)))).encode())
+    assert digest.hexdigest() == "f569053b88c3d4f70d804c60e0ef9e98f65db3ce25e96d86c743c5c3058d053f"
 
 
 def test_s1_graph_sl2():
@@ -734,7 +797,7 @@ def test_x_minus1_components():
     alg = build_algebra(get_root_datum("A", 2, "sc"))
     x = x_minus1(alg)
     assert x[alg.rd.root_index[alg.rd.theta]] == QQ(1)
-    nz = [alg.height_of_index(i) for i, c in enumerate(x) if c]
+    nz = [_heights(alg)[i] for i, c in enumerate(x) if c]
     assert sorted(nz) == [-1, -1, 2]
 
 

@@ -6,11 +6,13 @@ import pytest
 
 from airycheck.arith import GF, FqField
 from airycheck.linalg import (
+    det,
     nullspace,
     rank,
     rref,
     solve,
 )
+from matrix_oracle import det as oracle_det
 from matrix_oracle import mat_mul, mat_vec
 from matrix_oracle import rref as oracle_rref
 
@@ -219,3 +221,60 @@ def test_rank_over_q_does_no_fraction_arithmetic(monkeypatch):
     for op in ("__mul__", "__sub__", "__truediv__"):
         monkeypatch.setattr(Fraction, op, refuse)
     assert [rank(rows) for rows in cases] == want
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free determinant against the oracle.
+
+def _det_cases(seed):
+    """(shape, matrix) pairs of seeded square int matrices."""
+    rng = random.Random(seed)
+
+    def rand(m, n, lo=-9, hi=9):
+        return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+    dup = rand(4, 4)
+    dup[3] = list(dup[1])
+    zero_col = rand(4, 4)
+    for row in zero_col:
+        row[2] = 0
+    # an upper triangular matrix with its rows reversed: a zero pivot at
+    # every step but the last
+    upper = [[0] * i + [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(4 - i)]
+             for i in range(5)]
+    return [
+        ("random", rand(5, 5)),
+        ("nonnegative", rand(3, 3, 0, 20)),
+        ("negative entries", rand(4, 4, -20, -1)),
+        ("duplicate row", dup),
+        ("zero column", zero_col),
+        ("row swaps", upper[::-1]),
+        ("rank deficient", mat_mul(rand(4, 2), rand(2, 4))),
+        ("1x1", rand(1, 1)),
+        ("1x1 zero", [[0]]),
+        ("0x0", []),
+    ]
+
+
+def test_det_matches_oracle():
+    for seed in (0, 1, 2):
+        for shape, rows in _det_cases(seed):
+            before = copy.deepcopy(rows)
+            got = det(rows)
+            assert got == oracle_det(rows), (shape, seed)
+            assert type(got) is int, (shape, seed)
+            assert rows == before, (shape, seed)  # inputs are not mutated
+    assert det([[0, 2, 1], [3, 1, 4], [1, 5, 9]]) == -32  # needs a row swap
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([]) == 1
+
+
+def test_det_of_every_cartan_matrix():
+    # |det C| is the index of the root lattice in the weight lattice
+    from airycheck.rootdata import cartan_matrix
+
+    want = [(("A", n), n + 1) for n in range(1, 9)]
+    want += [((s, n), 2) for s in "BC" for n in range(2, 8)]
+    want += [(("D", n), 4) for n in range(4, 9)]
+    want += [(("E", 6), 3), (("E", 7), 2), (("E", 8), 1), (("F", 4), 1), (("G", 2), 1)]
+    assert [(t, det(cartan_matrix(*t))) for t, _ in want] == want
