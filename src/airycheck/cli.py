@@ -1,5 +1,9 @@
 """Command-line entry point: every verification as a subcommand.
 
+Each acceptance check returns (params, failures), its params read from the
+tuples and ranges its loops run.  `run_check` alone makes the verdict: `pass`
+is `not failures`, and a failing verdict carries them as its `witness`.
+
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
 """
 
@@ -12,6 +16,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 from . import VerificationError
 from .arith import GF, FqField
@@ -43,7 +48,6 @@ from .gln_airy import (
     geometric_section,
     log_section,
     make_params,
-    phi_z_values,
     section_mul,
 )
 from .loopmodel import (
@@ -52,6 +56,7 @@ from .loopmodel import (
     factorize_I1,
     odd_parahoric_check,
     phi_generic_check,
+    phi_z_values,
     round_trip_mismatch,
     stab_affine_roots,
 )
@@ -79,6 +84,7 @@ SUITE_TYPES = (
     + [("C", r) for r in (2, 3, 4)]
     + [("D", 4), ("G", 2), ("F", 4)]
 )
+SUITE_NAMES = [f"{s}{r}" for s, r in SUITE_TYPES]
 
 
 def _suite_datum(series, rank):
@@ -87,8 +93,15 @@ def _suite_datum(series, rank):
     return get_root_datum(series, rank, "adjoint")
 
 
+def _suite(max_rank=None):
+    """(name, adjoint datum) over the suite types, of rank <= max_rank if given."""
+    for name, (series, rank) in zip(SUITE_NAMES, SUITE_TYPES):
+        if max_rank is None or rank <= max_rank:
+            yield name, _suite_datum(series, rank)
+
+
 # ---------------------------------------------------------------------------
-# Acceptance checks.  Each returns (ok, params, witness).
+# Acceptance checks.  Each returns (params, failures).
 
 # the (n, p, e, lambda) grids of the trace identities, which weil-bound
 # runs on too: trace-identity-gl2 runs n = 2 and trace-identity-gl4 runs
@@ -108,25 +121,22 @@ def _trace_cases(n):
     return [(p, e, lam) for p in grid["p"] for e in grid["e"] for lam in lams]
 
 
-def _trace_failures(ns):
+def _trace_check(ns):
     failures = []
     for n in ns:
         for p, e, lam in _trace_cases(n):
             v = compare_traces(n, p, e, lam)
             if not v.ok:
                 failures.append(v.detail)
-    return failures
+    return {f"n={n}": TRACE_GRIDS[n] for n in ns}, failures
 
 
 def check_trace_gl2():
-    failures = _trace_failures([2])
-    return not failures, TRACE_GRIDS[2], failures or None
+    return _trace_check((2,))
 
 
 def check_trace_gl4():
-    ns = (4, 6, 8)
-    failures = _trace_failures(ns)
-    return not failures, {f"n={n}": TRACE_GRIDS[n] for n in ns}, failures or None
+    return _trace_check((4, 6, 8))
 
 
 def check_weil():
@@ -138,55 +148,52 @@ def check_weil():
             v = weil_check(table)
             if not v.ok:
                 failures.append({"n": n, "p": p, "e": e, "lambda": lam, **v.detail})
-    return not failures, {"tables": "all Airy tables of criteria 1-2"}, failures or None
+    return {f"n={n}": grid for n, grid in TRACE_GRIDS.items()}, failures
 
 
 def check_decomposition():
     failures = []
-    for series, rank in SUITE_TYPES:
-        rd = _suite_datum(series, rank)
+    for name, rd in _suite():
         alg = build_algebra(rd, QQ)
-        h = alg.h
-        exp_counts = {}
-        for ex in exponents(rd):
-            exp_counts[ex] = exp_counts.get(ex, 0) + 1
+        exp_counts = Counter(exponents(rd))
         zs = centralizer_z(alg)
-        for r in range(1, h):
-            if len(zs[r].basis) != exp_counts.get(r, 0):
-                failures.append({"type": f"{series}{rank}", "r": r, "what": "dim z_r"})
+        for r in range(1, alg.h):
+            if len(zs[r].basis) != exp_counts[r]:
+                failures.append({"type": name, "r": r, "what": "dim z_r"})
             if not p_minus_bijective(alg, r):
-                failures.append({"type": f"{series}{rank}", "r": r, "what": "p_minus"})
+                failures.append({"type": name, "r": r, "what": "p_minus"})
         for mu in minuscule_coweights(rd):
-            for r in range(1, h):
+            for r in range(1, alg.h):
                 if not decomposition_check(alg, mu, r):
-                    failures.append(
-                        {"type": f"{series}{rank}", "mu": mu.coords, "r": r}
-                    )
-    return not failures, {"types": [f"{s}{r}" for s, r in SUITE_TYPES]}, failures or None
+                    failures.append({"type": name, "mu": mu.coords, "r": r})
+    return {"types": SUITE_NAMES}, failures
 
 
 def check_rigidity_kernel():
     failures = []
-    for series, rank in SUITE_TYPES:
-        alg = build_algebra(_suite_datum(series, rank), QQ)
+    for name, rd in _suite():
+        alg = build_algebra(rd, QQ)
         for r in range(2, (alg.h + 1) // 2 + 1):
             if not relevance_linear_kernel(alg, r):
-                failures.append({"type": f"{series}{rank}", "r": r, "what": "linear"})
-    for series, rank, form in (("GL", 2, "gl"), ("GL", 4, "gl"), ("C", 2, "sc")):
-        alg = build_algebra(get_root_datum(series, rank, form), GF(5))
+                failures.append({"type": name, "r": r, "what": "linear"})
+    quadratic, p = (("GL", 2, "gl"), ("GL", 4, "gl"), ("C", 2, "sc")), 5
+    for series, rank, form in quadratic:
+        alg = build_algebra(get_root_datum(series, rank, form), GF(p))
         sols = relevance_quadratic_bruteforce(alg)
         nonzero = [s for s in sols if any(s)]
         if nonzero:
             failures.append({"type": f"{series}{rank}", "what": "quadratic", "sols": len(nonzero)})
-    return not failures, {"quadratic_over": "F_5: GL_2, GL_4, Sp_4"}, failures or None
+    params = {"linear": SUITE_NAMES, "quadratic": [f"{s}{r} {f}" for s, r, f in quadratic], "p": p}
+    return params, failures
 
 
 def check_factorization(seed=DEFAULT_SEED, samples=100):
     """Round trip: g built from random u_mu, a^mu, z and residual
     coordinates must factorize back to the same coordinates."""
+    ns, p = (2, 3, 4), 7
     failures = []
-    for n in (2, 3, 4):
-        model = GLnModel(n, 7)
+    for n in ns:
+        model = GLnModel(n, p)
         rng = random.Random(seed + n)
         for mu in minuscule_coweights(model.rd):
             for _ in range(samples):
@@ -199,8 +206,7 @@ def check_factorization(seed=DEFAULT_SEED, samples=100):
                 what = round_trip_mismatch(model, coords, prods, residual, found)
                 if what:
                     failures.append({"n": n, "mu": mu.coords, "what": what})
-    params = {"n": [2, 3, 4], "p": 7, "samples": samples, "seed": seed}
-    return not failures, params, failures or None
+    return {"n": list(ns), "p": p, "samples": samples, "seed": seed}, failures
 
 
 # the forms the minuscule bijection runs on: on the adjoint form the dual is
@@ -210,40 +216,37 @@ BIJECTION_FORMS = ("adjoint", "sc")
 
 def check_dim_components():
     failures = []
-    for series, rank in SUITE_TYPES:
-        if dim_bunJ_defect(_suite_datum(series, rank)) != 0:
-            failures.append({"type": f"{series}{rank}", "what": "defect"})
+    for name, rd in _suite():
+        if dim_bunJ_defect(rd) != 0:
+            failures.append({"type": name, "what": "defect"})
         for form in BIJECTION_FORMS:
-            if not minuscule_bijection_check(get_root_datum(series, rank, form)):
-                failures.append({"type": f"{series}{rank}", "form": form, "what": "bijection"})
-    params = {"types": [f"{s}{r}" for s, r in SUITE_TYPES], "bijection_forms": list(BIJECTION_FORMS)}
-    return not failures, params, failures or None
+            if not minuscule_bijection_check(get_root_datum(rd.series, rd.rank, form)):
+                failures.append({"type": name, "form": form, "what": "bijection"})
+    return {"types": SUITE_NAMES, "bijection_forms": list(BIJECTION_FORMS)}, failures
 
 
 def check_stab_dichotomy():
     failures = []
-    small = [(s, r) for s, r in SUITE_TYPES if r <= 3]
-    for series, rank in small:
-        rd = _suite_datum(series, rank)
+    box = range(-2, 3)
+    small = list(_suite(max_rank=3))
+    for name, rd in small:
         dim_b = rd.dim_b
-        for coords in itertools.product(range(-2, 3), repeat=rank):
+        for coords in itertools.product(box, repeat=rd.rank):
             mu = Coweight(coords)
             d = stab_dimension(rd, mu)
             if d < dim_b:
-                failures.append({"type": f"{series}{rank}", "mu": coords})
+                failures.append({"type": name, "mu": coords})
             minuscule = rd.is_dominant(mu) and rd.is_minuscule(mu)
             if (d == dim_b) != minuscule:
-                failures.append({"type": f"{series}{rank}", "mu": coords, "what": "equality"})
-    return not failures, {"types": [f"{s}{r}" for s, r in small], "box": [-2, 2]}, failures or None
+                failures.append({"type": name, "mu": coords, "what": "equality"})
+    return {"types": [name for name, _ in small], "box": [box[0], box[-1]]}, failures
 
 
 def check_weyl_appendix():
     failures = []
     odd_h = []
-    for series, rank in SUITE_TYPES:
-        rd = _suite_datum(series, rank)
+    for name, rd in _suite():
         alg = build_algebra(rd, QQ)
-        name = f"{series}{rank}"
         if not phi_generic_check(alg):
             failures.append({"type": name, "what": "phi generic"})
         if alg.h % 2:
@@ -265,9 +268,7 @@ def check_weyl_appendix():
             if i is not None:
                 if weyl_wP0(rd, mu).apply_root(rd.theta) != rd.simple_roots[i]:
                     failures.append({**tag, "what": "w_P0 theta"})
-    types = [f"{s}{r}" for s, r in SUITE_TYPES]
-    params = {"types": types, "phi_generic": types, "odd_parahoric": odd_h}
-    return not failures, params, failures or None
+    return {"types": SUITE_NAMES, "phi_generic": SUITE_NAMES, "odd_parahoric": odd_h}, failures
 
 
 # what check_character runs: the exp/log round trips (n, p, samples), the
@@ -317,30 +318,30 @@ def check_character(seed=DEFAULT_SEED):
         "geometric": [{"q": p ** e, "n": n, "lambda": lam} for p, e, n, lam in CHI_GEOMETRIC],
         "phi_z": [{"n": n, "p": p} for n, p in PHI_Z_MODELS],
     }
-    return not failures, params, failures or None
+    return params, failures
 
 
 def check_s1_graph(seed=DEFAULT_SEED):
+    ns, p, samples = (4, 6), 7, 200
     failures = []
-    for n in (4, 6):
-        alg = build_algebra(get_root_datum("GL", n, "gl"), GF(7))
+    for n in ns:
+        alg = build_algebra(get_root_datum("GL", n, "gl"), GF(p))
         try:
             graph = s1_graph(alg)
         except (VerificationError, ValueError) as exc:
             failures.append({"n": n, "what": str(exc)})
             continue
-        if not s1_graph_check(alg, graph, random.Random(seed + n), 200):
+        if not s1_graph_check(alg, graph, random.Random(seed + n), samples):
             failures.append({"n": n, "what": "sample relations"})
-    params = {"n": [4, 6], "p": 7, "samples": 200, "seed": seed}
-    return not failures, params, failures or None
+    return {"n": list(ns), "p": p, "samples": samples, "seed": seed}, failures
 
 
 def check_swan():
     failures = []
-    for series, rank in SUITE_TYPES:
-        if not swan_identity_check(_suite_datum(series, rank)):
-            failures.append({"type": f"{series}{rank}"})
-    return not failures, {"types": [f"{s}{r}" for s, r in SUITE_TYPES]}, failures or None
+    for name, rd in _suite():
+        if not swan_identity_check(rd):
+            failures.append({"type": name})
+    return {"types": SUITE_NAMES}, failures
 
 
 ACCEPTANCE = [
@@ -365,15 +366,15 @@ SEEDED_CHECKS = {"factorization", "character-machinery", "s1-graph"}
 
 def run_check(name, fn):
     t0 = time.perf_counter()
-    ok, params, witness = fn()
+    params, failures = fn()
     verdict = {
         "check": name,
         "params": params,
-        "pass": ok,
+        "pass": not failures,
         "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
-    if not ok:
-        verdict["witness"] = witness
+    if failures:
+        verdict["witness"] = failures
     return verdict
 
 

@@ -1,9 +1,11 @@
-"""Explicit GL_n (n even) machinery: Z_r, the section, the character chi.
+"""Explicit GL_n (n even) machinery: the section, the character chi, the
+Hecke maps; a scalar layer on `arith` alone, loading no Lie stack.
 
 The abelianization S(1)/S(2+n) is modelled by vectors x = (x_1, ..., x_{1+n})
-standing for Id + sum x_r Z_r, where Z_r is the loop-group incarnation of the
-cyclic shift power E_1^r and Z_i Z_j = Z_{i+j} (zero past n+1).  All scalars
-live in a caller-supplied field context, an FqField(p, e) (GF(p) for e = 1).
+standing for Id + sum x_r Z_r, where Z_r (`loopmodel.z_element`) is the
+loop-group incarnation of the cyclic shift power E_1^r and Z_i Z_j = Z_{i+j}
+(zero past n+1).  All scalars live in a caller-supplied field context, an
+FqField(p, e) (GF(p) for e = 1).
 
 The arithmetic runs on element indices (`FqElement.v`) with the field's
 tables (`arith._mul`, `arith._add`, or the tables read inline in the exp and
@@ -18,7 +20,6 @@ from functools import lru_cache
 
 from . import Frozen, VerificationError
 from .arith import FqElement, _add, _mul, fq_tables
-from .loopmodel import GLnModel, _gl_depths, phi_eval
 
 
 def _require_even(n: int):
@@ -51,27 +52,6 @@ class CharacterParams(Frozen):
 
 def make_params(n: int, field, lam) -> CharacterParams:
     return CharacterParams(n, field, tuple(field(x) for x in lam))
-
-
-# ---------------------------------------------------------------------------
-# The Z_r in the loop model.
-
-def z_element(model: GLnModel, r: int):
-    """Z_r as a truncated series: the cyclic shift power E_1^r, the sum of
-    the entries of depth r."""
-    if not 1 <= r <= model.n + 1:
-        raise ValueError("r out of range")
-    out = model.zero_series()
-    for (i, j, k), d in _gl_depths(model.n).items():
-        if d == r:
-            out[i][j][k] = 1
-    return out
-
-
-def phi_z_values(model: GLnModel):
-    """phi(Z_r) for r = 1..n+1; only r = n+1 pairs nontrivially (value n)."""
-    return [phi_eval(model.alg, [model.block_coords(blk) for blk in z_element(model, r)])
-            for r in range(1, model.n + 2)]
 
 
 # ---------------------------------------------------------------------------

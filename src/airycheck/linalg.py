@@ -22,8 +22,9 @@ a reduced row over Q is `Fraction(x, pivot)`, over F_p `field.from_index(x)`;
 Callers: the coroot coordinates of a pairing vector, one `solve` against
 the transposed Cartan matrix, and the root-lattice index |det C| (`rootdata`),
 kernels, ranks and spans in the Chevalley algebras over Q, F_5 and F_7
-(`chevalley`), and the one `rref` per (n, p, mu) with which
-`loopmodel._factor_bases` builds the depth-r solve maps of `factorize_I1`.
+(`chevalley`), and `loopmodel._factor_bases`, which builds the depth-r solve
+maps of `factorize_I1` by one `_eliminate` per (n, p, mu, r) on residues,
+with one row per depth-r line.
 No matrix product lives here: Weyl elements are built from their words and
 act by their int matrices (`rootdata`), the w_P lift is applied by its
 sparse columns (`chevalley`), and `loopmodel` multiplies GL_n loop-group

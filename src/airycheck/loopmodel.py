@@ -14,7 +14,7 @@ coefficients).  One cached table, `_gl_lines` with its per-depth view
 read it.  One cached table, `_gl_depths`, gives each entry (t-power, row,
 col) the `_line_depth` of the line it carries, the diagonal carrying the
 Cartan line; `_gl_lines_at`, `in_filtration`, the draws, the S-solve's
-depth guard, the oracle's residual and `gln_airy.z_element` all read it.
+depth guard, the oracle's residual and `z_element` all read it.
 A series product works on packed rows (Kronecker
 substitution): all of B is packed by one struct call and split by shifts
 into one int per row j, over all h+2 blocks, with a 64-bit slot per entry;
@@ -64,7 +64,7 @@ from .chevalley import (
     u_mu_piece,
     x_minus1,
 )
-from .linalg import rref
+from .linalg import _eliminate
 from .rootdata import Coweight, coxeter_number, get_root_datum, u_mu_roots
 
 
@@ -397,6 +397,24 @@ class GLnModel:
         return g
 
 
+def z_element(model: GLnModel, r: int):
+    """Z_r as a truncated series: the cyclic shift power E_1^r, the sum of
+    the entries of depth r."""
+    if not 1 <= r <= model.n + 1:
+        raise ValueError("r out of range")
+    out = model.zero_series()
+    for (i, j, k), d in _gl_depths(model.n).items():
+        if d == r:
+            out[i][j][k] = 1
+    return out
+
+
+def phi_z_values(model: GLnModel):
+    """phi(Z_r) for r = 1..n+1; only r = n+1 pairs nontrivially (value n)."""
+    return [phi_eval(model.alg, [model.block_coords(blk) for blk in z_element(model, r)])
+            for r in range(1, model.n + 2)]
+
+
 @lru_cache(maxsize=None)
 def _shallow_positions(n, r):
     """The entries of depth < r of a GL_n series: the t^0 diagonal, which is
@@ -414,12 +432,12 @@ def _factor_bases(model_key, mu_coords):
     a_lift, z_lift).
 
     A sample is the vector x of the remainder's entries at `reads`, the
-    (t-power, row, col) of the depth-r root lines.  One rref of
-    [colmat | I], with the z and a^mu bases and the basis vectors at the
-    u_mu indices as the columns of colmat,
-    gives an invertible E with E colmat reduced.  The rows of E below the
-    rank are the consistency rows: x is in the span exactly when they all
-    annihilate it.  The pivot rows of E give the coordinates that
+    (t-power, row, col) of the depth-r root lines.  One `_eliminate` of
+    [colmat | I] on residues, a row per depth-r line, with the z and a^mu
+    bases and the basis vectors at the u_mu indices as the columns of
+    colmat, gives an invertible E with E colmat reduced.  The rows of E
+    below the rank are the consistency rows: x is in the span exactly when
+    they all annihilate it.  The pivot rows of E give the coordinates that
     `linalg.solve` picks (the free ones 0); composed with the bases, they
     give each entry of a part's graded lift as one row over x.  `u_lines`
     holds the u_mu root lines in algebra-index order, and every entry is a
@@ -430,44 +448,38 @@ def _factor_bases(model_key, mu_coords):
     alg = model.alg
     mu = Coweight(mu_coords)
     zs = centralizer_z(alg)
-    one, zero = alg.field(1), alg.field(0)
     out = {}
     for r in range(1, (model.h + 1) // 2 + 1):
         zb = zs[r].basis
         ab = a_subspace(alg, r, mu).basis
-        ub = u_mu_piece(alg, mu, r)
-        # column k as its nonzero (algebra index, entry) pairs
-        cols = [[(idx, b) for idx, b in enumerate(col) if b] for col in zb + ab]
-        cols += [[(idx, one)] for idx in ub]
+        # column k as its nonzero (algebra index, residue) pairs
+        cols = [[(idx, b.v) for idx, b in enumerate(col) if b] for col in zb + ab]
+        cols += [[(idx, 1)] for idx in u_mu_piece(alg, mu, r)]
+        k = len(cols)
         # algebra index -> (t-power, row, col) of its depth-r line
         lines = {idx: line for idx, line in enumerate(_gl_lines_at(n, r)) if line}
-        aug = [[zero] * len(cols) + [one if j == i else zero for j in range(alg.dim)]
-               for i in range(alg.dim)]
-        for k, col in enumerate(cols):
+        row_of = {idx: t for t, idx in enumerate(lines)}
+        aug = [[0] * k + [int(s == t) for s in range(len(lines))] for t in range(len(lines))]
+        for c, col in enumerate(cols):
             for idx, b in col:
-                aug[idx][k] = b
-        M, pivots = rref(aug)
-        rank = sum(c < len(cols) for c in pivots)
-        E = [[row[len(cols) + idx].v for idx in lines] for row in M]
+                if idx not in row_of:
+                    raise ValueError(f"a basis vector has no line of depth {r}")
+                aug[row_of[idx]][c] = b
+        pivots = _eliminate(aug, model.field)
+        rank = sum(c < k for c in pivots)
+        E = [row[k:] for row in aug]
         parts = ({}, {}, {})  # z, a, u: algebra index -> row over x
-        for erow, k in zip(E, pivots[:rank]):
-            part = parts[(k >= len(zb)) + (k >= len(zb) + len(ab))]
-            for idx, b in cols[k]:
+        for erow, c in zip(E, pivots[:rank]):
+            part = parts[(c >= len(zb)) + (c >= len(zb) + len(ab))]
+            for idx, b in cols[c]:
                 acc = part.setdefault(idx, [0] * len(lines))
-                part[idx] = [(y + b.v * e) % p for y, e in zip(acc, erow)]
+                part[idx] = [(y + b * e) % p for y, e in zip(acc, erow)]
 
         def placed(part):
-            rows = []
-            for idx in sorted(part):
-                if any(part[idx]):
-                    if idx not in lines:
-                        raise ValueError(f"a basis vector has no line of depth {r}")
-                    rows.append(lines[idx] + (part[idx],))
-            return rows
+            return [lines[idx] + (part[idx],) for idx in sorted(part) if any(part[idx])]
 
         z_lift, a_lift, u_lines = map(placed, parts)
-        consistency = [row for row in E[rank:] if any(row)]
-        out[r] = (list(lines.values()), consistency, u_lines, a_lift, z_lift)
+        out[r] = (list(lines.values()), E[rank:], u_lines, a_lift, z_lift)
     return out
 
 

@@ -711,8 +711,7 @@ def test_relevance_bijection_and_phi_z_outputs_pinned():
     # for every suite type and E6-E8 in both forms over QQ; and phi(Z) on
     # the character check's models and GL_6 over F_13
     from airycheck.cli import PHI_Z_MODELS
-    from airycheck.gln_airy import phi_z_values
-    from airycheck.loopmodel import GLnModel
+    from airycheck.loopmodel import GLnModel, phi_z_values
     from airycheck.rootdata import minuscule_bijection_check
 
     digest = hashlib.sha256()

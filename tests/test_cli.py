@@ -70,9 +70,43 @@ def test_dim_components_sees_a_missing_minuscule_coweight(monkeypatch):
         return out[:-1] if (rd.series, rd.rank, rd.form) == ("A", 3, "adjoint") else out
 
     monkeypatch.setattr(rootdata, "minuscule_coweights", drop_one)
-    ok, _, witness = cli.check_dim_components()
-    assert not ok
+    _, witness = cli.check_dim_components()
     assert witness == [{"type": "A3", "form": "sc", "what": "bijection"}]
+
+
+def test_run_check_derives_pass_and_witness_from_the_failures():
+    failures = [{"type": "A1", "what": "defect"}]
+    verdict = cli.run_check("fake", lambda: ({"types": ["A1"]}, failures))
+    assert verdict["pass"] is False and verdict["witness"] == failures
+    assert verdict["params"] == {"types": ["A1"]}
+    verdict = cli.run_check("fake", lambda: ({"types": ["A1"]}, []))
+    assert verdict["pass"] is True and "witness" not in verdict
+
+
+def test_rigidity_kernel_params_name_what_ran():
+    params, failures = cli.check_rigidity_kernel()
+    assert failures == []
+    assert params == {
+        "linear": ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4",
+                   "C2", "C3", "C4", "D4", "G2", "F4"],
+        "quadratic": ["GL2 gl", "GL4 gl", "C2 sc"],
+        "p": 5,
+    }
+
+
+def test_trace_and_weil_params_are_the_trace_grids():
+    grids = {f"n={n}": grid for n, grid in cli.TRACE_GRIDS.items()}
+    params, failures = cli.check_weil()
+    assert failures == [] and params == grids
+    assert sorted(params) == ["n=2", "n=4", "n=6", "n=8"]
+    params, failures = cli.check_trace_gl2()
+    assert failures == [] and params == {"n=2": cli.TRACE_GRIDS[2]}
+
+
+def test_factorization_params_report_the_samples_run():
+    params, failures = cli.check_factorization(samples=5)
+    assert failures == []
+    assert params == {"n": [2, 3, 4], "p": 7, "samples": 5, "seed": cli.DEFAULT_SEED}
 
 
 def test_verify_suite_flag_removed(capsys):
@@ -272,7 +306,7 @@ def test_acceptance_names():
 
 
 def _failing_swan(monkeypatch):
-    failing = lambda: (False, {"types": ["A1"]}, [{"type": "A1"}])
+    failing = lambda: ({"types": ["A1"]}, [{"type": "A1"}])
     monkeypatch.setattr(cli, "ACCEPTANCE", [
         (name, failing if name == "swan-identity" else fn) for name, fn in cli.ACCEPTANCE
     ])
@@ -314,11 +348,11 @@ def test_character_machinery_params_list_what_ran(capsys):
     }
 
 
-def test_import_path_skips_dataclasses_inspect_and_typing():
+def _modules_after_import(module):
     # a fresh process pays for every module airycheck imports; pytest itself
-    # imports all three, so only a subprocess can see the import path, and
+    # imports them all, so only a subprocess can see the import path, and
     # -S keeps site-packages' .pth files from importing anything first
-    code = "import sys, airycheck.cli; print(' '.join(sorted(sys.modules)))"
+    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
     src = os.path.dirname(os.path.dirname(airycheck.__file__))
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -326,8 +360,20 @@ def test_import_path_skips_dataclasses_inspect_and_typing():
     )
     assert out.returncode == 0, out.stderr
     modules = set(out.stdout.split())
-    assert "airycheck.cli" in modules
+    assert module in modules
+    return modules
+
+
+def test_import_path_skips_dataclasses_inspect_and_typing():
+    modules = _modules_after_import("airycheck.cli")
     assert not {"dataclasses", "inspect", "typing"} & modules
+
+
+def test_scalar_layer_loads_no_lie_stack():
+    # the trace tables need F_q arithmetic and the GL_n character only
+    modules = _modules_after_import("airycheck.expsum")
+    lie = {f"airycheck.{m}" for m in ("chevalley", "linalg", "loopmodel", "rootdata")}
+    assert not lie & modules
 
 
 def _a2_wP():

@@ -13,12 +13,10 @@ from airycheck.gln_airy import (
     hecke_forms,
     log_section,
     make_params,
-    phi_z_values,
     poly_eval,
     section_mul,
-    z_element,
 )
-from airycheck.loopmodel import GLnModel
+from airycheck.loopmodel import GLnModel, phi_z_values, z_element
 
 import hecke_oracle
 
