@@ -11,13 +11,26 @@ One cached table per algebra, `_heights`, gives the height of every basis
 index (0 on the Cartan).  The graded pieces g(r), g_r and u_{mu,r} are spanned
 by basis vectors, so each is the cached tuple of their indices, read from that
 table; only the spanned pieces z_r and a_r^mu are `GradedSubspace` records of
-dense vectors.  Where a check takes ad or kappa against a basis vector b_j it
+dense vectors, each with the support it reads off its basis when built.
+Where a check takes ad or kappa against a basis vector b_j it
 reads the tables: ad_{b_j} is the table row `table[j]`, and kappa(w, b_j) sums
 `kappa_rows[j]`, which is symmetric; kappa is read only through kappa_rows.
 N^- is read at its support, the cached `_minus_simples`: [N^-, v] is the sum
-of the [b_j, v] there (`_ad_nminus`).  The w_P lift is one cached set of
-sparse columns.  Checks are never cached: only the pieces and tables they
-read are.
+of the [b_j, v] there (`_ad_nminus`).  Checks are never cached: only the
+pieces and tables they read are.
+
+The cold builds work on the Chevalley lattice, where X_{-1}, N^- and N^+
+are integral.  z_r (`_ad_kernel`) and a_r read the [b_j, X_{-1}] and
+[b_j, N^+] as int rows off the table (`_ad_int_rows`) and row-reduce them
+on ints (`linalg.nullspace` and `linalg._reduce`); field elements are made
+only for the bases returned.  The w_P lift (`wP_representative`) is one
+cached set of sparse columns, each listing its rows in ascending order: the
+product of the integer simple-reflection lifts along a reduced word of w_P
+(`rootdata.wP_reduced_word`), corrected by one sign per root to fix
+X_{-1}, since the product is unimodular.  `_check_lift` then checks the
+whole lift, not only the columns X_{-1} reaches: each root column is +-1 at
+w_P of its root, the signs respect the structure constants, and the Cartan
+block is w_P on the coroots.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
@@ -35,16 +48,17 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from . import Frozen, Record, VerificationError
-from .linalg import nullspace, rank, rref, solve
+from .linalg import _reduce, nullspace, rank, rref, solve
 from .rootdata import (
     Coweight,
     RootDatum,
     coxeter_number,
     u_mu_roots,
     weyl_wP,
+    wP_reduced_word,
 )
 
 
@@ -66,16 +80,24 @@ QQ = RationalField()
 
 
 @lru_cache(maxsize=None)
+def _root_codes(rd: RootDatum):
+    """(powers, codes, at): a root x is coded as sum_i x_i B^i, with
+    powers[i] = B^i and B > 4 max|x_i|.  The code is linear, and injective
+    on sums of two roots, so a root sum is one integer add and the image of
+    a root under a linear map is the dot product of its coordinates with
+    the codes of the images of the simple roots.  codes[a] is the code of
+    rd.roots[a] and at[code] its root index."""
+    base = 4 * max(abs(c) for a in rd.pos_roots for c in a) + 1
+    powers = tuple(base ** i for i in range(rd.n))
+    codes = tuple(sum(map(operator.mul, a, powers)) for a in rd.roots)
+    return powers, codes, {x: i for i, x in enumerate(codes)}
+
+
+@lru_cache(maxsize=None)
 def _root_sums(rd: RootDatum):
     """sums[a] = {b: c} for the root indices (in rd.roots) with
-    root a + root b = root c, b ascending.
-
-    A root x is coded as sum_i x_i B^i with B > 4 max|x_i|, which is additive
-    and injective on sums of two roots, so a root sum is one integer add.
-    """
-    base = 4 * max(abs(c) for a in rd.pos_roots for c in a) + 1
-    code = [sum(c * base ** i for i, c in enumerate(a)) for a in rd.roots]
-    at = {x: i for i, x in enumerate(code)}
+    root a + root b = root c, b ascending, by adding root codes."""
+    _, code, at = _root_codes(rd)
     return tuple(
         {b: at[x + y] for b, y in enumerate(code) if x + y in at} for x in code
     )
@@ -418,12 +440,16 @@ def _kappa_basis(alg: ChevalleyAlgebra, w, j):
 
 class GradedSubspace(Frozen):
     """A spanned piece (z_r or a_r^mu): `basis` is a tuple of dense
-    coordinate tuples."""
+    coordinate tuples.  `support`, the frozenset of the coordinates where
+    some basis vector is nonzero, is read off the basis once, here; it
+    takes no part in equality, hashing or printing."""
 
     _fields = ("basis",)
 
     def __init__(self, basis: tuple):
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "support", frozenset(
+            i for v in basis for i in compress(range(len(v)), v)))
 
     @property
     def dim(self):
@@ -507,17 +533,41 @@ def _combine(alg: ChevalleyAlgebra, coeffs, basis):
     return v
 
 
+def _ad_int_rows(alg: ChevalleyAlgebra, x, indices):
+    """[b_j, x] for j in indices, as {k: int} of the nonzero coefficients,
+    for an integral x (numerators over Q, residues over F_p, where the
+    coefficients are residues too), read off the table rows."""
+    p = alg.field.p
+    xs = {i: c.numerator if p is None else c.v for i, c in enumerate(x) if c}
+    if p is None and any(x[i].denominator != 1 for i in xs):
+        raise ValueError("the int rows of ad need an integral vector")
+    rows = []
+    for j in indices:
+        adj, acc = alg.table[j], {}
+        for i, xi in xs.items():
+            for k, c in adj.get(i, {}).items():
+                acc[k] = acc.get(k, 0) + xi * c
+        if p is not None:
+            acc = {k: c % p for k, c in acc.items()}
+        rows.append({k: c for k, c in acc.items() if c})
+    return rows
+
+
 def _ad_kernel(alg: ChevalleyAlgebra, x, indices):
     """Basis of {v in span(b_j : j in indices) : [x, v] = 0}, as dense
-    vectors."""
+    vectors, for an integral x."""
     if not indices:
         return []
     # kernel of the coefficient-space map c -> sum c_j [b_j, x], which is
-    # minus c -> sum c_j [x, b_j]
-    rows = [_ad_basis(alg, j, x) for j in indices]
-    cols = [[row[i] for row in rows] for i in range(alg.dim)]
+    # minus c -> sum c_j [x, b_j]: one int row per coordinate it reaches
+    # (a zero row if it reaches none)
+    m = len(indices)
+    coords = {}
+    for t, row in enumerate(_ad_int_rows(alg, x, indices)):
+        for k, c in row.items():
+            coords.setdefault(k, [0] * m)[t] = c
     out = []
-    for coeffs in nullspace(cols, alg.field(1)):
+    for coeffs in nullspace(list(coords.values()) or [[0] * m], alg.field(1)):
         v = alg.zero()
         for j, c in zip(indices, coeffs):
             v[j] = c
@@ -546,15 +596,16 @@ def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubs
     h = alg.h
     if not 1 <= r <= h - 1:
         raise ValueError("r out of range")
+    if mu is not None:  # the cached a_r, moved by the lift on its support
+        ar, cols, zero = a_subspace(alg, r), wP_representative(alg, mu), alg.field(0)
+        return GradedSubspace(tuple(tuple(_apply_columns(cols, v, zero, ar.support))
+                                    for v in ar.basis))
     basis = []
     if r >= 2:
-        _, _, nplus = principal_sl2(alg)
-        rows = [_ad_basis(alg, j, nplus) for j in height_piece(alg, r - 1 - h)]
-        red, pivots = rref(rows)
-        basis = red[:len(pivots)]
-    if mu is not None and basis:
-        cols = wP_representative(alg, mu)
-        basis = [_apply_columns(cols, v, alg.field(0)) for v in basis]
+        rows = _ad_int_rows(alg, principal_sl2(alg)[2], height_piece(alg, r - 1 - h))
+        cols = sorted({k for row in rows for k in row})
+        M = [[row.get(k, 0) for k in cols] for row in rows]
+        basis, _ = _reduce(M, cols, alg.dim, None if alg.field.p is None else alg.field)
     return GradedSubspace(tuple(map(tuple, basis)))
 
 
@@ -598,18 +649,18 @@ def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
     g_r is spanned by the basis vectors at the indices of `grading_piece`,
     and u_{mu,r} by those at some of them.  So the sum is g_r exactly when
     the dimensions add up, no z_r or a_r^mu vector has a coordinate outside
-    g_r, and z_r + a_r^mu, read on the coordinates of g_r that u_{mu,r} does
-    not cover, has full rank there.
+    g_r (read off the pieces' supports), and z_r + a_r^mu, read on the
+    coordinates of g_r that u_{mu,r} does not cover, has full rank there.
     """
     if not (1 <= r <= alg.h - 1):
         raise ValueError("r out of range")
-    rest = centralizer_z(alg)[r].basis + a_subspace(alg, r, mu).basis
+    zr, ar = centralizer_z(alg)[r], a_subspace(alg, r, mu)
+    rest = zr.basis + ar.basis
     gr = grading_piece(alg, r)
     ur = u_mu_piece(alg, mu, r)
     if len(rest) + len(ur) != len(gr):
         return False
-    outside = set(range(alg.dim)).difference(gr)
-    if any(v[i] for v in rest for i in outside):
+    if not zr.support.issubset(gr) or not ar.support.issubset(gr):
         return False
     free = sorted(set(gr).difference(ur))
     return rank([[v[i] for i in free] for v in rest]) == len(free)
@@ -649,10 +700,12 @@ def _exp_ad_basis(alg: ChevalleyAlgebra, i: int, t: int, v):
     return {l: c for l, c in out.items() if c}
 
 
-def _apply_columns(cols, v, zero):
-    """M v for M given by sparse columns ((row, entry), ...)."""
+def _apply_columns(cols, v, zero, support):
+    """M v for M given by sparse columns ((row, entry), ...) and a dense v
+    whose nonzero entries lie at the indices in `support`."""
     out = [zero] * len(cols)
-    for j, vj in enumerate(v):
+    for j in support:
+        vj = v[j]
         if vj:
             for k, c in cols[j]:
                 out[k] = out[k] + c * vj
@@ -681,18 +734,29 @@ def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
 
 @lru_cache(maxsize=None)
 def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
-    """Ad-matrix of a lift of w_P, torus-corrected to fix X_{-1} exactly, as
-    sparse columns ((row, entry), ...) with entries in the field.
+    """Ad-matrix of the lift of w_P that fixes X_{-1}, as sparse columns
+    ((row, entry), ...) with entries in the field, each column's rows in
+    ascending order.
 
-    Raises VerificationError if the lift cannot be corrected to fix X_{-1}.
+    The lift is the product of the simple-reflection lifts along the
+    reduced word `wP_reduced_word` (Tits: the product does not depend on
+    the reduced word), torus-corrected to fix X_{-1}.  It is computed on
+    the Chevalley lattice: the product is unimodular, so each root column is
+    +-1 at one row, each coefficient of M X_{-1} must be +-1, and the torus
+    correction is one sign per root.  Field elements are built only for the
+    result.
+
+    Raises VerificationError unless M X_{-1} is +-1 exactly on -Delta and
+    theta, the correction fixes X_{-1}, and the corrected lift passes
+    `_check_lift`: each root column is +-1 at w_P of its root, the signs
+    respect the structure constants, and the Cartan block is w_P on the
+    coroots.
     """
     rd = alg.rd
-    one = alg.field(1)
-    zero = alg.field(0)
     # M = n_{i_1} ... n_{i_k} over the integers: column j of M N is M
     # applied to column j of N
     M = tuple(((j, 1),) for j in range(alg.dim))
-    for i in weyl_wP(rd, mu).word:
+    for i in wP_reduced_word(rd, mu):
         out = []
         for col in _simple_reflection_ad(alg, i):
             if len(col) == 1:  # every root column: M[k] times its sign
@@ -705,39 +769,86 @@ def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
                     acc[r] = acc.get(r, 0) + m * c
             out.append(tuple((r, x) for r, x in acc.items() if x))
         M = tuple(out)
-    x = x_minus1(alg)
-    v = _apply_columns(M, x, zero)
-    # v is supported on -Delta and theta; solve the torus correction
-    support = {}
-    for i, c in enumerate(v):
-        if c:
-            if i >= 2 * alg.npos:
-                raise VerificationError("w_P lift moves X_{-1} into the Cartan")
-            support[i] = c
-    theta = rd.root_index[rd.theta]
     minus_simples = _minus_simples(alg)
+    theta = rd.root_index[rd.theta]
+    support = _apply_int(M, (*minus_simples, theta))
+    if any(i >= 2 * alg.npos for i in support):
+        raise VerificationError("w_P lift moves X_{-1} into the Cartan")
     if set(support) != {*minus_simples, theta}:
         raise VerificationError("w_P lift does not map X_{-1} onto -Delta and theta")
-    xs = [support[a] for a in minus_simples]  # alpha_i(t) = coeff at -alpha_i
-    theta_t = one
-    for xi, ci in zip(xs, rd.theta):
-        for _ in range(ci):
-            theta_t = theta_t * xi
-    if theta_t * support[theta] != one:
+    if any(abs(c) != 1 for c in support.values()):
+        raise VerificationError("w_P lift is not unimodular on X_{-1}")
+    # the torus element t with alpha_i(t) = the coefficient at -alpha_i,
+    # +-1, scales E_a by a(t), the product of the flipped a_i's signs
+    flipped = [i for i, m in enumerate(minus_simples) if support[m] < 0]
+    sign = [1 - 2 * (sum(a[i] for i in flipped) % 2) for a in rd.roots]
+    sign += [1] * alg.ncartan
+    if sign[theta] * support[theta] != 1:
         raise VerificationError("torus correction infeasible")
-    diag = []
-    for i in range(alg.dim):
-        b = one
-        if i < 2 * alg.npos:
-            for xi, ci in zip(xs, rd.roots[i]):
-                for _ in range(abs(ci)):
-                    b = b * xi if ci > 0 else b / xi
-        diag.append(b)
-    # the corrected lift, with entries in the field
-    M = tuple(tuple((r, y) for r, c in col if (y := diag[r] * c)) for col in M)
-    if tuple(_apply_columns(M, x, zero)) != x:
+    M = tuple(tuple(sorted((r, sign[r] * c) for r, c in col)) for col in M)
+    if _apply_int(M, (*minus_simples, theta)) != dict.fromkeys((*minus_simples, theta), 1):
         raise VerificationError("Ad of the w_P lift does not fix X_{-1}")
-    return M
+    _check_lift(alg, weyl_wP(rd, mu), M)
+    # the corrected lift, with entries in the field, each built once
+    scalar = {c: alg.field(c) for c in {c for col in M for _, c in col}}
+    return tuple(tuple((r, scalar[c]) for r, c in col if scalar[c]) for col in M)
+
+
+def _apply_int(cols, indices):
+    """{row: int} of the nonzero entries of the sum of the int columns at
+    `indices`: M v for the 0/1 vector v supported there."""
+    out = {}
+    for j in indices:
+        for r, c in cols[j]:
+            out[r] = out.get(r, 0) + c
+    return {r: c for r, c in out.items() if c}
+
+
+def _check_lift(alg: ChevalleyAlgebra, w, cols):
+    """Raise VerificationError unless the int columns are Ad of a lift of
+    the Weyl element w, read off its matrix.  Each root column a is
+    eps(a) = +-1 at the row of w(a); eps(a + b) N_{a,b} =
+    eps(a) eps(b) N_{wa,wb} on the pairs (a, +-alpha_i) and eps(a) eps(-a)
+    = 1, which with these pairs generating fixes the signs; and the Cartan
+    block sends each simple coroot h_{alpha_i} to h_{w alpha_i} (for GL_n
+    it also fixes the identity matrix, the centre)."""
+    rd = alg.rd
+    N, coroots, _ = _cartan_data(rd)
+    powers, _, at = _root_codes(rd)
+    neg, sums = rd.neg, _root_sums(rd)
+    # the codes of w(alpha_i), the columns of w's matrix
+    wcodes = [sum(map(operator.mul, col, powers)) for col in zip(*w.matrix)]
+    image, eps = [], []
+    for a, root in enumerate(rd.roots):
+        b = at[sum(map(operator.mul, root, wcodes))]
+        col = cols[a]
+        if len(col) != 1 or col[0][0] != b or abs(col[0][1]) != 1:
+            raise VerificationError(f"the w_P lift does not send E_{root} to +-E_{rd.roots[b]}")
+        image.append(b)
+        eps.append(col[0][1])
+    simples = [rd.root_index[a] for a in rd.simple_roots]
+    steps = simples + [neg[i] for i in simples]
+    for a, e in enumerate(eps):
+        if e * eps[neg[a]] != 1:
+            raise VerificationError(f"the w_P lift signs of +-{rd.roots[a]} differ")
+    for a, row in enumerate(sums):
+        for b in steps:
+            s = row.get(b)
+            if s is not None and eps[s] * N[a, b] != eps[a] * eps[b] * N[image[a], image[b]]:
+                raise VerificationError(
+                    f"the w_P lift is no automorphism at {(rd.roots[a], rd.roots[b])}")
+    cartan = alg.cartan_index(0)
+    images = [(coroots[i], coroots[image[i]]) for i in simples]
+    if rd.series == "GL":
+        images.append(((1,) * rd.rank, (1,) * rd.rank))
+    for h, wh in images:
+        got = {}
+        for k, c in enumerate(h):
+            if c:
+                for r, m in cols[cartan + k]:
+                    got[r] = got.get(r, 0) + c * m
+        if {r: c for r, c in got.items() if c} != {cartan + k: c for k, c in enumerate(wh) if c}:
+            raise VerificationError(f"the w_P lift does not send the coroot {h} to {wh}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,19 @@ entry of r in the pivot column, both divided by their gcd), and the row is
 then divided by its content, the gcd of its entries, so that the rows stay
 primitive.  Over F_p the pivot row is scaled by `pow(a, -1, p)` and a row
 step is `r <- (r - b P) mod p`.  Field elements are built only for results:
-a reduced row over Q is `Fraction(x, pivot)`, over F_p `field.from_index(x)`;
-`nullspace` and `solve` read those rows, and `rank` builds no element.
+a reduced row over Q is `Fraction(x, pivot)`, over F_p `field.from_index(x)`.
+`_reduce` is the one int-row entry: it eliminates int rows and builds the
+reduced pivot rows; `rref` and `nullspace` read their rows through it,
+`solve` reads `rref`, and `rank` builds no element.  `nullspace` also takes
+rows of plain ints, read in the field of its `one`.
 
 Callers: the coroot coordinates of a pairing vector, one `solve` against
 the transposed Cartan matrix, and the root-lattice index |det C| (`rootdata`),
-kernels, ranks and spans in the Chevalley algebras over Q, F_5 and F_7
-(`chevalley`), and `loopmodel._factor_bases`, which builds the depth-r solve
-maps of `factorize_I1` by one `_eliminate` per (n, p, mu, r) on residues,
-with one row per depth-r line.
+ranks and spans in the Chevalley algebras over Q, F_5 and F_7, and their
+integral kernels and spans, z_r from int rows through `nullspace` and a_r
+through `_reduce` (`chevalley`), and `loopmodel._factor_bases`, which builds
+the depth-r solve maps of `factorize_I1` by one `_eliminate` per
+(n, p, mu, r) on residues, with one row per depth-r line.
 No matrix product lives here: Weyl elements are built from their words and
 act by their int matrices (`rootdata`), the w_P lift is applied by its
 sparse columns (`chevalley`), and `loopmodel` multiplies GL_n loop-group
@@ -35,6 +39,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _prime(field):
+    """field itself, or ValueError unless it is a prime field."""
+    if field.e != 1:
+        raise ValueError(f"linalg works over Q and prime fields, not F_{field.p}^{field.e}")
+    return field
 
 
 def _int_rows(rows):
@@ -51,9 +62,7 @@ def _int_rows(rows):
         # (column, (numerator, denominator)) of the nonzero entries
         entries = [[(k, x.as_integer_ratio()) for k, x in enumerate(row) if x] for row in rows]
     else:
-        field = first.field
-        if field.e != 1:
-            raise ValueError(f"linalg works over Q and prime fields, not F_{field.p}^{field.e}")
+        field = _prime(first.field)
         entries = [[(k, x.v) for k, x in enumerate(row) if x.v] for row in rows]
     cols = sorted({k for row in entries for k, _ in row})
     at = {k: t for t, k in enumerate(cols)}
@@ -115,15 +124,14 @@ def _eliminate(M, field):
     return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    if not ncols:
-        return [[] for _ in rows], []
-    M, cols, field = _int_rows(rows)
-    pivots = _eliminate(M, field)
+def _reduce(M, cols, ncols, field):
+    """(pivot rows, pivot columns) of the reduced row echelon form of an
+    ncols-column matrix, from its int rows M on the columns `cols` (as
+    `_int_rows` gives them), which are eliminated in place.  The pivot rows
+    are dense rows of field elements, each divided by its pivot; the zero
+    rows below them are left out.  The int-row entry of `rref` and
+    `nullspace`, and of callers whose rows are integral to begin with."""
+    pivots = _eliminate(M, field) if M else []
     zero = Fraction(0) if field is None else field.from_index(0)
     out = []
     for row, c in zip(M, pivots):
@@ -133,8 +141,20 @@ def rref(rows):
             if x:
                 v[k] = Fraction(x, a) if field is None else field.from_index(x)
         out.append(v)
-    out += [[zero] * ncols for _ in M[len(pivots):]]
     return out, [cols[c] for c in pivots]
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    if not ncols:
+        return [[] for _ in rows], []
+    M, cols, field = _int_rows(rows)
+    out, pivots = _reduce(M, cols, ncols, field)
+    zero = Fraction(0) if field is None else field.from_index(0)
+    return out + [[zero] * ncols for _ in M[len(pivots):]], pivots
 
 
 def rank(rows):
@@ -145,19 +165,26 @@ def rank(rows):
 
 
 def nullspace(rows, one):
-    """Basis of the right kernel of the matrix, as a list of vectors."""
-    if not rows:
+    """Basis of the right kernel of the matrix, as a list of vectors.  Rows
+    of plain ints are read in the field of `one`: as rationals over Q, as
+    residues over F_p."""
+    if not rows or not rows[0]:
         return []
     ncols = len(rows[0])
+    if isinstance(rows[0][0], int) and not isinstance(one, (int, Fraction)):
+        p = _prime(one.field).p
+        M, cols, field = [[x % p for x in row] for row in rows], range(ncols), one.field
+    else:
+        M, cols, field = _int_rows(rows)
+    red, pivots = _reduce(M, cols, ncols, field)
+    # one vector per free column: 1 there, minus its entries at the pivots
     zero = one - one
-    M, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         v = [zero] * ncols
         v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 

@@ -9,7 +9,8 @@ Conventions: cartan[i][j] = <alpha_j, alpha-check_i>.  Weyl elements act on
 root coordinates through their int `matrix`, built from their `word`, the
 simple reflection indices applied left to right (w = s_{w[0]} s_{w[1]} ...).
 The words of w_0 and w_{P,0} are reduced; that of w_P = w_{P,0} w_0 is their
-concatenation, which need not be: for A2 it is (1, 0, 1, 0).
+concatenation, which need not be: for A2 it is (1, 0, 1, 0).  A reduced word
+of w_P, (0, 1) there, is read off its matrix by `wP_reduced_word`.
 """
 
 from __future__ import annotations
@@ -431,17 +432,22 @@ def _longest_word(rd: RootDatum, subset):
     return tuple(word)
 
 
+def _times_reflection(rd: RootDatum, m, i):
+    """m s_i in place, where s_i = 1 - e_i cartan[i] on simple-root
+    coordinates: each row of m loses its entry i times row i of the Cartan
+    matrix."""
+    ci = rd.cartan[i]
+    for a, row in enumerate(m):
+        c = row[i]
+        if c:
+            m[a] = [x - c * y for x, y in zip(row, ci)]
+
+
 def _weyl_from_word(rd: RootDatum, word) -> WeylElement:
     n = rd.n
     m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
     for i in word:
-        # m s_i, where s_i = 1 - e_i cartan[i] on simple-root coordinates:
-        # each row loses its entry i times row i of the Cartan matrix
-        ci = rd.cartan[i]
-        for a, row in enumerate(m):
-            c = row[i]
-            if c:
-                m[a] = [x - c * y for x, y in zip(row, ci)]
+        _times_reflection(rd, m, i)
     return WeylElement(tuple(tuple(r) for r in m), tuple(word))
 
 
@@ -461,6 +467,21 @@ def weyl_wP0(rd: RootDatum, mu: Coweight) -> WeylElement:
 def weyl_wP(rd: RootDatum, mu: Coweight) -> WeylElement:
     """w_P = w_{P,0} w_0, from the concatenation of their words."""
     return _weyl_from_word(rd, weyl_wP0(rd, mu).word + weyl_w0(rd).word)
+
+
+@lru_cache(maxsize=None)
+def wP_reduced_word(rd: RootDatum, mu: Coweight) -> tuple:
+    """A reduced word of w_P, read off `weyl_wP(rd, mu).matrix` by right
+    descents: while w != 1 some alpha_i has w(alpha_i) < 0 (column i of the
+    matrix is a negative root), and w s_i is one shorter, so the word of w
+    is that of w s_i followed by i.  Its length is the number of positive
+    roots that w_P sends to negative ones."""
+    m = [list(row) for row in weyl_wP(rd, mu).matrix]
+    word = []
+    while (i := next((i for i in range(rd.n) if any(row[i] < 0 for row in m)), None)) is not None:
+        _times_reflection(rd, m, i)
+        word.append(i)
+    return tuple(reversed(word))
 
 
 def check_wP_heights(rd: RootDatum, mu: Coweight) -> bool:

@@ -18,6 +18,7 @@ from airycheck.chevalley import (
     GradedSubspace,
     _cartan_data,
     _check_constants,
+    _check_lift,
     _ad_basis,
     _gl_root_interval,
     _heights,
@@ -42,6 +43,7 @@ from airycheck.chevalley import (
 )
 from airycheck.cli import SUITE_TYPES
 from matrix_oracle import mat_mul, mat_vec
+from wp_oracle import wp_lift
 from airycheck.rootdata import (
     Coweight,
     exponents,
@@ -549,6 +551,24 @@ def test_decomposition_fails_off_g_r(piece, monkeypatch):
         assert not decomposition_check(alg, mu, r)
 
 
+def test_graded_subspace_support_is_read_off_its_basis():
+    # decomposition_check reads the support in place of scanning the
+    # vectors; it is each piece's own, a nudged copy's too, and takes no
+    # part in equality or printing
+    alg = build_algebra(get_root_datum("B", 3, "adjoint"))
+    mu = minuscule_coweights(alg.rd)[0]
+    for sub in list(centralizer_z(alg)) + [a_subspace(alg, r, mu) for r in range(1, alg.h)]:
+        want = {i for v in sub.basis for i, c in enumerate(v) if c}
+        assert sub.support == want
+    zero, one = QQ(0), QQ(1)
+    a = GradedSubspace(((one, zero, zero), (zero, zero, one)))
+    b = GradedSubspace(((one, zero, zero), (zero, zero, zero)))
+    assert a.support == {0, 2} and b.support == {0} and GradedSubspace(()).support == set()
+    assert repr(a) == "GradedSubspace(basis=((Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), " \
+        "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))))"
+    assert a == GradedSubspace(a.basis) and hash(a) == hash(GradedSubspace(a.basis))
+
+
 def _index_cases():
     """Every suite type in both forms over QQ, and GL_4 and GL_6 over F_7."""
     cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
@@ -919,6 +939,136 @@ def test_wp_checks_survive_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised:"), out.stdout
+
+
+_CORRUPT_CARTAN = """
+from airycheck import VerificationError, chevalley
+from airycheck.chevalley import build_algebra, wP_representative
+from airycheck.rootdata import Coweight, get_root_datum
+
+assert not __debug__, "this check must run under python -O"
+alg = build_algebra(get_root_datum("A", 2, "adjoint"))
+reflection = chevalley._simple_reflection_ad
+
+
+def corrupt(alg, i):
+    cols = list(reflection(alg, i))
+    if i == 0:  # a Cartan column of the s_1 lift with a wrong scale
+        j = alg.cartan_index(0)
+        cols[j] = tuple((k, 3 * c) for k, c in cols[j])
+    return tuple(cols)
+
+
+chevalley._simple_reflection_ad = corrupt
+try:
+    wP_representative(alg, Coweight((1, 0)))
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_wp_cartan_check_survives_optimize():
+    # negative control: a Cartan column never reaches M X_{-1}, so only the
+    # lift's Cartan-block check can see it, and it must run under -O
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_CARTAN],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:") and "coroot" in out.stdout, out.stdout
+
+
+def _lift_cases():
+    """Every suite type in both forms over QQ, GL_2, GL_4 and GL_6 over F_7,
+    and E6, E7 and E8 adjoint over QQ."""
+    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", GF(7)) for n in (2, 4, 6)]
+    cases += [("E", r, "adjoint", QQ) for r in (6, 7, 8)]
+    for series, rank, form, field in cases:
+        yield build_algebra(get_root_datum(series, rank, form), field)
+
+
+def test_wp_lift_matches_the_unreduced_word_oracle():
+    # the lift along the reduced word, sign-corrected on ints, against the
+    # product along the concatenated word, corrected on field elements:
+    # the same entries, each column's rows ascending
+    for alg in _lift_cases():
+        for mu in minuscule_coweights(alg.rd):
+            got = wP_representative(alg, mu)
+            assert all(list(col) == sorted(col) for col in got)
+            want = tuple(tuple(sorted(col)) for col in wp_lift(alg, mu))
+            assert got == want, (alg.rd.series, alg.rd.rank, alg.rd.form, mu)
+
+
+def _int_lift(alg, mu):
+    """(w_P, the lift as lists of (row, int) columns) over QQ."""
+    cols = [[(r, int(c)) for r, c in col] for col in wP_representative(alg, mu)]
+    return weyl_wP(alg.rd, mu), cols
+
+
+def _b3_lift():
+    alg = build_algebra(get_root_datum("B", 3, "adjoint"))
+    mu = next(m for m in minuscule_coweights(alg.rd) if any(m.coords))
+    w, cols = _int_lift(alg, mu)
+    _check_lift(alg, w, cols)  # the lift itself passes
+    return alg, w, cols
+
+
+def test_lift_check_sees_a_root_column_off_w_alpha():
+    alg, w, cols = _b3_lift()
+    a = alg.rd.root_index[alg.rd.theta]
+    (row, c), = cols[a]
+    for bad in [((row, 2 * c),), ((row, c), (alg.cartan_index(0), 1)), (((row + 1) % alg.npos, c),)]:
+        broken = list(cols)
+        broken[a] = bad
+        with pytest.raises(airycheck.VerificationError, match="does not send E_"):
+            _check_lift(alg, w, broken)
+
+
+def test_lift_check_sees_a_sign_off_the_structure_constants():
+    # flipping eps(a) alone breaks eps(a) eps(-a) = 1; flipping eps(a) and
+    # eps(-a) together keeps it, and a pair (a, +-alpha_i) sees it
+    alg, w, cols = _b3_lift()
+    rd = alg.rd
+    a = rd.root_index[rd.theta]
+
+    def flipped(indices):
+        out = list(cols)
+        for i in indices:
+            (row, c), = out[i]
+            out[i] = ((row, -c),)
+        return out
+
+    with pytest.raises(airycheck.VerificationError, match="signs of"):
+        _check_lift(alg, w, flipped([a]))
+    with pytest.raises(airycheck.VerificationError, match="no automorphism"):
+        _check_lift(alg, w, flipped([a, rd.neg[a]]))
+
+
+def test_lift_check_sees_a_wrong_cartan_block():
+    alg, w, cols = _b3_lift()
+    k = alg.cartan_index(0)
+    broken = list(cols)
+    broken[k] = tuple((r, 3 * c) for r, c in cols[k])
+    with pytest.raises(airycheck.VerificationError, match="coroot"):
+        _check_lift(alg, w, broken)
+    # GL_n: one vector added to every Cartan column leaves each
+    # h_{alpha_i} = b_i - b_{i+1} in place; only the centre sees it
+    alg = build_algebra(get_root_datum("GL", 3, "gl"))
+    mu = Coweight((1, 0, 0))
+    w, cols = _int_lift(alg, mu)
+    _check_lift(alg, w, cols)
+    first = alg.cartan_index(0)
+    for j in range(first, alg.dim):
+        got = dict(cols[j])
+        got[first] = got.get(first, 0) + 1
+        cols[j] = sorted((r, c) for r, c in got.items() if c)
+    with pytest.raises(airycheck.VerificationError, match=r"coroot \(1, 1, 1\)"):
+        _check_lift(alg, w, cols)
 
 
 def test_verification_error_is_an_assertion_error():

@@ -157,6 +157,23 @@ def test_nullspace_matches_oracle(name):
 
 
 @pytest.mark.parametrize("name", FIELDS)
+def test_nullspace_reads_int_rows_in_the_field_of_one(name):
+    # integral kernels pass rows of plain ints: read as residues over F_p,
+    # negative entries and entries of p and more too, and as rationals over Q
+    one, _ = _field(name)
+    rng = random.Random(31)
+
+    def element(x):
+        return Fraction(x) if name == "QQ" else GF(name)(x % name)
+
+    for m, n in ((3, 5), (5, 3), (4, 4), (1, 6), (2, 2)):
+        ints = [[rng.randint(-15, 15) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(m)]
+        ints += [list(ints[0]), [0] * n]  # a repeated row and a zero row
+        assert nullspace(ints, one) == nullspace([list(map(element, row)) for row in ints], one), (m, n)
+
+
+@pytest.mark.parametrize("name", FIELDS)
 def test_solve_matches_oracle(name):
     one, entry = _field(name)
     zero = one - one

@@ -25,6 +25,7 @@ from airycheck.rootdata import (
     weyl_w0,
     weyl_wP,
     weyl_wP0,
+    wP_reduced_word,
 )
 
 ALL_TYPES = (
@@ -127,6 +128,45 @@ def test_weyl_matrices_are_products_of_reflections(series, rank):
         assert w.matrix == tuple(map(tuple, mat_mul(wp0.matrix, w0.matrix)))
         for a in rd.roots:
             assert w.apply_root(a) == tuple(x for (x,) in mat_mul(w.matrix, [[c] for c in a]))
+
+
+REDUCED_WORD_CASES = (
+    [(s, r, f) for s, r in ALL_TYPES for f in ("sc", "adjoint")]
+    + [("GL", n, "gl") for n in (2, 4, 6)]
+    + [("E", r, "adjoint") for r in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("series,rank,form", REDUCED_WORD_CASES)
+def test_reduced_word_rebuilds_w_p(series, rank, form):
+    # the word read off w_P's matrix multiplies back to that matrix, and
+    # its length is the number of positive roots w_P sends to negative ones
+    rd = get_root_datum(series, rank, form)
+    n = rd.n
+
+    def reflection(i):  # s_i on simple-root coordinates
+        return [[int(a == b) - (a == i) * rd.cartan[i][b] for b in range(n)] for a in range(n)]
+
+    for mu in minuscule_coweights(rd):
+        w, word = weyl_wP(rd, mu), wP_reduced_word(rd, mu)
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        for i in word:
+            m = mat_mul(m, reflection(i))
+        assert tuple(map(tuple, m)) == w.matrix, (series, rank, form, mu)
+        inversions = [a for a in rd.pos_roots if rd.height(w.apply_root(a)) < 0]
+        assert len(word) == len(inversions) <= len(w.word), (series, rank, form, mu)
+
+
+def test_reduced_word_of_a2():
+    # w_P for mu = (1, 0) has the concatenated word (1, 0, 1, 0) and the
+    # reduced word (0, 1); for mu = 0 it is w_0 w_0 = 1, whose reduced word
+    # is empty, in E8 too, where the concatenation has 240 letters
+    rd = get_root_datum("A", 2, "adjoint")
+    assert weyl_wP(rd, Coweight((1, 0))).word == (1, 0, 1, 0)
+    assert wP_reduced_word(rd, Coweight((1, 0))) == (0, 1)
+    assert wP_reduced_word(rd, Coweight((0, 0))) == ()
+    assert len(weyl_wP(get_root_datum("E", 8, "adjoint"), Coweight((0,) * 8)).word) == 240
+    assert wP_reduced_word(get_root_datum("E", 8, "adjoint"), Coweight((0,) * 8)) == ()
 
 
 def test_minuscule_sl2_vs_pgl2():
