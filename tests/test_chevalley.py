@@ -553,8 +553,8 @@ def test_decomposition_fails_off_g_r(piece, monkeypatch):
 
 def test_graded_subspace_support_is_read_off_its_basis():
     # decomposition_check reads the support in place of scanning the
-    # vectors; it is each piece's own, a nudged copy's too, and takes no
-    # part in equality or printing
+    # vectors: each record computes it from the basis it is given, and it
+    # takes no part in equality, hashing or printing
     alg = build_algebra(get_root_datum("B", 3, "adjoint"))
     mu = minuscule_coweights(alg.rd)[0]
     for sub in list(centralizer_z(alg)) + [a_subspace(alg, r, mu) for r in range(1, alg.h)]:

@@ -3,8 +3,8 @@
 lifts along `weyl_wP(rd, mu).word`, the unreduced concatenation
 w_{P,0} w_0, then corrected by the torus element t with alpha_i(t) the
 coefficient of M X_{-1} at -alpha_i, on field elements (1/x, not a sign).
-It shares with the library only the simple-reflection lifts and the bracket
-table they are read from."""
+It shares with the library only its inputs: the simple-reflection lifts,
+X_{-1} and the word of w_P."""
 
 from airycheck import VerificationError
 from airycheck.chevalley import _simple_reflection_ad, x_minus1
