@@ -22,10 +22,12 @@ pieces and tables they read are.
 The cold builds work on the Chevalley lattice, where X_{-1}, N^- and N^+
 are integral.  z_r (`_ad_kernel`) and a_r read the [b_j, X_{-1}] and
 [b_j, N^+] as int rows off the table (`_ad_int_rows`) and row-reduce them
-on ints (`linalg.nullspace` and `linalg._reduce`); field elements are made
-only for the bases returned.  The w_P lift (`wP_representative`) is one
-cached set of sparse columns, each listing its rows in ascending order: the
-product of the integer simple-reflection lifts along a reduced word of w_P
+on ints (`linalg.nullspace` and `linalg._reduce`), and `principal_sl2`
+checks its relations on such rows; field elements are made only for the
+results returned.  The w_P lift (`wP_representative`) is one cached set of
+sparse columns, each listing its rows in ascending order: the product of
+the integer simple-reflection lifts (`_simple_reflection_ad`, read off the
+alpha_i-strings and the coroots) along a reduced word of w_P
 (`rootdata.wP_reduced_word`), corrected by one sign per root to fix
 X_{-1}, since the product is unimodular.  `_check_lift` then checks the
 whole lift, not only the columns X_{-1} reaches: each root column is +-1 at
@@ -36,11 +38,11 @@ Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
 extraspecial ones in one pass (the four-root relation, negation and the
 zero-sum rule) and checks the result (|N| = p + 1, the coroot relation and
-Jacobi on the root triples) before any algebra is built from it.  GL_n
-enters as data: `_cartan_data` gives the constants of its matrix units, a
-Chevalley basis with their own signs, and its coroots and pairings on the
-diagonal, and those constants pass the same check; every bracket table is
-then built on one path.
+Jacobi, read on the generators e_{+-alpha_i}) before any algebra is built
+from it.  GL_n enters as data: `_cartan_data` gives the constants of its
+matrix units, a Chevalley basis with their own signs, and its coroots and
+pairings on the diagonal, and those constants pass the same check; every
+bracket table is then built on one path.
 """
 
 from __future__ import annotations
@@ -190,9 +192,32 @@ def _check_constants(rd: RootDatum, N, coroot, pairs):
     """Raise VerificationError, naming the roots, unless the constants N
     (as `structure_constants` returns them) are antisymmetric, have
     |N_{a,b}| = p + 1, satisfy N_{a,b} h_c + N_{b,c} h_a + N_{c,a} h_b = 0
-    for a + b + c = 0, and satisfy Jacobi on every root triple whose sum is
-    a root.  coroot[a] is h_a and pairs[a][i] = <root a, b_i> on a Cartan
-    basis (b_i), both indexed by root position."""
+    for a + b + c = 0, and satisfy Jacobi.  coroot[a] is h_a and
+    pairs[a][i] = <root a, b_i> on a Cartan basis (b_i), both indexed by
+    root position.
+
+    Jacobi is checked with a generator as its first argument.  For an
+    antisymmetric bracket the Jacobiator J(x, y, z) = [[x, y], z] +
+    [[y, z], x] + [[z, x], y] is alternating and satisfies
+
+        [a, J(b,c,d)] - [b, J(a,c,d)] + [c, J(a,b,d)] - [d, J(a,b,c)]
+            = J([a,b],c,d) - J([a,c],b,d) + J([a,d],b,c)
+              + J([b,c],a,d) - J([b,d],a,c) + J([c,d],a,b),
+
+    so S = {x : J(x, ., .) = 0} is a subalgebra: for a, b in S every term
+    but J([a,b],c,d) has an argument in S.  The bracket is antisymmetric
+    when N is and coroot is odd under a -> -a.  S holds the Cartan basis
+    when pairs is additive over root sums and pairs and coroot are odd
+    (ad_h is then a derivation), and S holds every e_beta once it holds the
+    e_{+-alpha_i}, when each non-simple positive beta has a positive root
+    beta - alpha_i: e_beta is [e_{alpha_i}, e_{beta-alpha_i}] / N with
+    N != 0, by induction on the height, and the negative roots likewise.
+    These three hypotheses are checked here, so J vanishes everywhere once
+    J(e_g, ., .) = 0 for the 2n generators g = +-alpha_i.  J(e_g, e_y, e_z)
+    lies in the weight space of g + y + z: on the Cartan (sum 0) it is the
+    coroot relation, on a root space the coefficient checked below, and it
+    is zero otherwise, and also unless two of g, y, z sum to a root or 0.
+    """
     roots, neg = rd.roots, rd.neg
     sums = _root_sums(rd)
     npos = len(rd.pos_roots)
@@ -208,6 +233,21 @@ def _check_constants(rd: RootDatum, N, coroot, pairs):
             raise VerificationError(
                 f"coroot relation fails at {(roots[a], roots[b], roots[c])}")
 
+    # pairs[a] coded as the int sum_i pairs[a][i] B^i, with B > 6 max|entry|,
+    # so a sum of at most three codes is 0 only on a zero vector
+    base = 6 * max(abs(t) for p in pairs for t in p) + 1
+    code = [sum(t * base ** i for i, t in enumerate(p)) for p in pairs]
+    for a, row in enumerate(sums):
+        if code[a] + code[neg[a]] or any(map(operator.add, coroot[a], coroot[neg[a]])):
+            raise VerificationError(f"the pairings or the coroots of +-{roots[a]} are not odd")
+        for b, c in row.items():
+            if code[a] + code[b] != code[c]:
+                raise VerificationError(f"the pairings are not additive at {(roots[a], roots[b])}")
+    simples = [rd.root_index[a] for a in rd.simple_roots]
+    for b in range(npos):
+        if b not in simples and all(sums[b].get(neg[i], npos) >= npos for i in simples):
+            raise VerificationError(f"{roots[b]} is no simple root plus a positive root")
+
     row_of = [{} for _ in roots]  # row_of[a][b] = N_{a,b}
     for (a, b), v in N.items():
         row_of[a][b] = v
@@ -215,32 +255,46 @@ def _check_constants(rd: RootDatum, N, coroot, pairs):
     def z_on_x(z, x):  # <z, x-check>
         return sum(map(operator.mul, coroot[x], pairs[z]))
 
-    # N is antisymmetric, so the Jacobi sum is alternating in (x, y, z): one
-    # order with x < y and x + y in Phi or 0 covers every triple.  Each of
-    # its three terms, the coefficient of [[e_u, e_v], e_w] at e_{u+v+w}, is
-    # N_{u,v} N_{u+v,w} when u + v is a root, <w, u-check> when v = -u and
-    # 0 otherwise
+    # J(g, y, z) is alternating in (y, z).  Each of its three terms, the
+    # coefficient of [[e_u, e_v], e_w] at e_{u+v+w}, is N_{u,v} N_{u+v,w}
+    # when u + v is a root, <w, u-check> when v = -u and 0 otherwise
     every = range(len(roots))
-    for x, row in enumerate(sums):
-        nx = row_of[x]
-        for y in [b for b in row if b > x] + ([neg[x]] if x < npos else []):
+    for g in simples + [neg[i] for i in simples]:
+        row, ng = sums[g], row_of[g]
+        near = {*row, neg[g]}  # the y with g + y a root or 0
+        # g + y in Phi or 0: each pair {y, z} once, from its least y in near
+        for y in near:
             s = row.get(y)
             sy, ny = sums[y], row_of[y]
             for z in (every if s is None else sums[s]):
-                j = z_on_x(z, x) if s is None else nx[y] * row_of[s][z]
+                if z == g or (z <= y and z in near):
+                    continue
+                j = z_on_x(z, g) if s is None else ng[y] * row_of[s][z]
                 yz = sy.get(z)
                 if yz is not None:
-                    j += ny[z] * row_of[yz][x]
+                    j += ny[z] * row_of[yz][g]
                 elif z == neg[y]:
-                    j += z_on_x(x, y)
-                zx = sums[z].get(x)
-                if zx is not None:
-                    j += row_of[z][x] * row_of[zx][y]
-                elif x == neg[z]:
+                    j += z_on_x(g, y)
+                zg = sums[z].get(g)
+                if zg is not None:
+                    j += row_of[z][g] * row_of[zg][y]
+                elif g == neg[z]:
                     j += z_on_x(y, z)
                 if j:
                     raise VerificationError(
-                        f"Jacobi fails at {(roots[x], roots[y], roots[z])}")
+                        f"Jacobi fails at {(roots[g], roots[y], roots[z])}")
+        # neither y nor z in near: J(g, y, z) is [[y, z], g] alone, which is
+        # N_{y,z} N_{s,g} != 0 when y + z = s is a root, and <g, y-check>
+        # when z = -y
+        for s in row:
+            for b, z in sums[s].items():
+                if neg[b] not in near and z not in near:
+                    raise VerificationError(
+                        f"Jacobi fails at {(roots[g], roots[neg[b]], roots[z])}")
+        for y in range(npos):
+            if y not in near and neg[y] not in near and z_on_x(g, y):
+                raise VerificationError(
+                    f"Jacobi fails at {(roots[g], roots[y], roots[neg[y]])}")
 
 
 def _coroots(rd: RootDatum):
@@ -462,32 +516,48 @@ class GradedSubspace(Frozen):
 @lru_cache(maxsize=None)
 def principal_sl2(alg: ChevalleyAlgebra):
     """(N^-, H, N^+) with H = 2 rho-check, [N^+, N^-] = H, [H, N^pm] = pm 2,
-    as tuples."""
+    as tuples.
+
+    N^- is the sum of the e_{-alpha_i}, H = sum_i c_i h_{alpha_i} the sum of
+    the positive coroots, and N^+ = sum_i c_i e_{alpha_i}.  All three are
+    integral, so the relations are checked on int rows of the table, as
+    `_ad_int_rows` reads them; field elements are built only for the tuples
+    returned."""
     rd = alg.rd
-    # 2 rho-check = sum_i c_i coroot_i pairs to 2 with every alpha_j
-    c = rd._coroot_lattice_coords((2,) * rd.n)
-    if any(x.denominator != 1 for x in c):
-        raise VerificationError("2 rho-check is not an integral coroot combination")
+    # 2 rho-check in simple-coroot coordinates pairs to 2 with every alpha_j
+    c = [sum(col) for col in zip(*rd.coroots)]
+    if any(sum(map(operator.mul, c, col)) != 2 for col in zip(*rd.cartan)):
+        raise VerificationError("2 rho-check does not pair to 2 with every simple root")
     coroots = _cartan_data(rd)[1]
-    nminus = alg.zero()
-    nplus = alg.zero()
+    minus = _minus_simples(alg)
+    nminus = dict.fromkeys(minus, 1)
+    nplus = {rd.neg[m]: ci for m, ci in zip(minus, c)}
     hc = [0] * rd.rank  # H = sum_i c_i coroot(alpha_i), in the Cartan basis
-    for ci, m in zip(map(int, c), _minus_simples(alg)):
-        a = rd.neg[m]
-        nminus[m] = alg.field(1)
-        nplus[a] = alg.field(ci)
+    for a, ci in nplus.items():
         hc = [x + ci * y for x, y in zip(hc, coroots[a])]
-    H = alg.zero()
-    for i, x in enumerate(hc):
-        H[alg.cartan_index(i)] = alg.field(x)
-    if alg.bracket(nplus, nminus) != H:
+    H = {alg.cartan_index(i): x for i, x in enumerate(hc) if x}
+
+    def int_bracket(x, y):  # [x, y] = sum_j x_j [b_j, y] on sparse ints
+        acc = {}
+        for xj, row in zip(x.values(), _ad_int_rows(alg, y, x)):
+            for k, v in row.items():
+                acc[k] = acc.get(k, 0) + xj * v
+        return _nonzero(alg, acc)
+
+    if int_bracket(nplus, nminus) != _nonzero(alg, H):
         raise VerificationError("[N+, N-] != 2 rho-check")
-    two = alg.field(2)
-    if alg.bracket(H, nplus) != [two * x for x in nplus]:
+    if int_bracket(H, nplus) != _nonzero(alg, {k: 2 * v for k, v in nplus.items()}):
         raise VerificationError("[H, N+] != 2 N+")
-    if alg.bracket(H, nminus) != [-(two * x) for x in nminus]:
+    if int_bracket(H, nminus) != _nonzero(alg, {k: -2 * v for k, v in nminus.items()}):
         raise VerificationError("[H, N-] != -2 N-")
-    return tuple(nminus), tuple(H), tuple(nplus)
+
+    def dense(x):
+        v = alg.zero()
+        for k, xk in x.items():
+            v[k] = alg.field(xk)
+        return tuple(v)
+
+    return dense(nminus), dense(H), dense(nplus)
 
 
 @lru_cache(maxsize=None)
@@ -533,23 +603,35 @@ def _combine(alg: ChevalleyAlgebra, coeffs, basis):
     return v
 
 
-def _ad_int_rows(alg: ChevalleyAlgebra, x, indices):
-    """[b_j, x] for j in indices, as {k: int} of the nonzero coefficients,
-    for an integral x (numerators over Q, residues over F_p, where the
-    coefficients are residues too), read off the table rows."""
+def _int_coords(alg: ChevalleyAlgebra, x):
+    """{i: int} of the nonzero coefficients of an integral dense x:
+    numerators over Q, residues over F_p."""
     p = alg.field.p
     xs = {i: c.numerator if p is None else c.v for i, c in enumerate(x) if c}
     if p is None and any(x[i].denominator != 1 for i in xs):
         raise ValueError("the int rows of ad need an integral vector")
+    return xs
+
+
+def _nonzero(alg: ChevalleyAlgebra, acc):
+    """The nonzero entries of {k: int}, as residues over F_p."""
+    p = alg.field.p
+    if p is not None:
+        acc = {k: c % p for k, c in acc.items()}
+    return {k: c for k, c in acc.items() if c}
+
+
+def _ad_int_rows(alg: ChevalleyAlgebra, xs, indices):
+    """[b_j, x] for j in indices, as {k: int} of the nonzero coefficients,
+    for x given as {i: int} (residues over F_p, where the coefficients are
+    residues too), read off the table rows."""
     rows = []
     for j in indices:
         adj, acc = alg.table[j], {}
         for i, xi in xs.items():
             for k, c in adj.get(i, {}).items():
                 acc[k] = acc.get(k, 0) + xi * c
-        if p is not None:
-            acc = {k: c % p for k, c in acc.items()}
-        rows.append({k: c for k, c in acc.items() if c})
+        rows.append(_nonzero(alg, acc))
     return rows
 
 
@@ -563,7 +645,7 @@ def _ad_kernel(alg: ChevalleyAlgebra, x, indices):
     # (a zero row if it reaches none)
     m = len(indices)
     coords = {}
-    for t, row in enumerate(_ad_int_rows(alg, x, indices)):
+    for t, row in enumerate(_ad_int_rows(alg, _int_coords(alg, x), indices)):
         for k, c in row.items():
             coords.setdefault(k, [0] * m)[t] = c
     out = []
@@ -602,7 +684,8 @@ def a_subspace(alg: ChevalleyAlgebra, r: int, mu: Coweight = None) -> GradedSubs
                                     for v in ar.basis))
     basis = []
     if r >= 2:
-        rows = _ad_int_rows(alg, principal_sl2(alg)[2], height_piece(alg, r - 1 - h))
+        nplus = _int_coords(alg, principal_sl2(alg)[2])
+        rows = _ad_int_rows(alg, nplus, height_piece(alg, r - 1 - h))
         cols = sorted({k for row in rows for k in row})
         M = [[row.get(k, 0) for k in cols] for row in rows]
         basis, _ = _reduce(M, cols, alg.dim, None if alg.field.p is None else alg.field)
@@ -667,38 +750,7 @@ def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exponentials and the w_P representative.
-
-def _exp_ad_basis(alg: ChevalleyAlgebra, i: int, t: int, v):
-    """exp(t ad b_i) v for t = +-1 and an integral sparse vector v
-    ({index: int}), over the integers.
-
-    The series sum_k t^k ad_{b_i}^k(v)/k! is finite since b_i is a root
-    vector, and each term is integral on the Chevalley lattice (Kostant's
-    Z-form); each ad_{b_i} step reads the table entries [b_i, b_j].
-    """
-    ad_i = alg.table[i]
-    out = dict(v)
-    term = v
-    k = 0
-    while term:
-        k += 1
-        if k > alg.dim:
-            raise ValueError("ad of a root vector is not nilpotent")
-        nxt = {}
-        for j, c in term.items():
-            for l, d in ad_i.get(j, {}).items():
-                nxt[l] = nxt.get(l, 0) + c * d
-        term = {}
-        for l, c in nxt.items():
-            q, rem = divmod(t * c, k)
-            if rem:
-                raise VerificationError("ad_e^k/k! is not integral")
-            if q:
-                term[l] = q
-                out[l] = out.get(l, 0) + q
-    return {l: c for l, c in out.items() if c}
-
+# Simple-reflection lifts and the w_P representative.
 
 def _apply_columns(cols, v, zero, support):
     """M v for M given by sparse columns ((row, entry), ...) and a dense v
@@ -714,21 +766,40 @@ def _apply_columns(cols, v, zero, support):
 
 @lru_cache(maxsize=None)
 def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
-    """Ad lift exp(ad e) exp(-ad f) exp(ad e) of s_i, as sparse integer
-    columns ((row, entry), ...) in row order.
+    """Ad of n_i = exp(ad e) exp(-ad f) exp(ad e), the lift of s_i, with
+    e = e_{alpha_i} and f = e_{-alpha_i}, as sparse integer columns
+    ((row, entry), ...) in row order, read off the integer data.
 
-    Column j is the image of b_j, built from brackets.  The entries are
-    integers for every field, since the lift preserves the Chevalley lattice.
+    n_i sends e to -f and f to -e, and acts on the Cartan as s_i:
+    h -> h - <alpha_i, h> h_{alpha_i}.  Every other root beta sits at some
+    place q of its alpha_i-string beta_0, ..., beta_m (beta_k = beta_0 +
+    k alpha_i), and n_i sends e_beta to eta e_{s_i beta}, s_i beta =
+    beta_{m-q}, with eta = (-1)^q eps_q eps_{m-q}, where eps_k is the
+    product of the signs of N_{alpha_i, beta_j} for j < k.
     """
     rd = alg.rd
+    N, coroots, pairings = _cartan_data(rd)
+    sums, neg = _root_sums(rd), rd.neg
     e = rd.root_index[rd.simple_roots[i]]
-    f = rd.neg[e]
-    cols = []
-    for j in range(alg.dim):
-        v = {j: 1}
-        for idx, t in ((e, 1), (f, -1), (e, 1)):
-            v = _exp_ad_basis(alg, idx, t, v)
-        cols.append(tuple(sorted(v.items())))
+    f = neg[e]
+    cols = [None] * alg.dim
+    cols[e], cols[f] = ((f, -1),), ((e, -1),)
+    for b, row in enumerate(sums):
+        if b in (e, f) or f in row:
+            continue
+        string, eps = [b], [1]  # b is the bottom of its alpha_i-string
+        while (c := sums[string[-1]].get(e)) is not None:
+            eps.append(eps[-1] if N[e, string[-1]] > 0 else -eps[-1])
+            string.append(c)
+        m = len(string) - 1
+        for q, beta in enumerate(string):
+            cols[beta] = ((string[m - q], (-1) ** q * eps[q] * eps[m - q]),)
+    # h_k -> h_k - <alpha_i, h_k> h_{alpha_i} on the Cartan basis
+    first, h = alg.cartan_index(0), coroots[e]
+    for k, t in enumerate(pairings[e]):
+        col = {first + r: -t * c for r, c in enumerate(h) if c}
+        col[first + k] = col.get(first + k, 0) + 1
+        cols[first + k] = tuple(sorted((r, c) for r, c in col.items() if c))
     return tuple(cols)
 
 

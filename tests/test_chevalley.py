@@ -2,8 +2,10 @@ import copy
 import hashlib
 import itertools
 from fractions import Fraction
+import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -23,6 +25,8 @@ from airycheck.chevalley import (
     _gl_root_interval,
     _heights,
     _kappa_basis,
+    _root_sums,
+    _simple_reflection_ad,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -42,8 +46,9 @@ from airycheck.chevalley import (
     x_minus1,
 )
 from airycheck.cli import SUITE_TYPES
+from jacobi_oracle import jacobi_failure
 from matrix_oracle import mat_mul, mat_vec
-from wp_oracle import wp_lift
+from wp_oracle import series_reflection, wp_lift
 from airycheck.rootdata import (
     Coweight,
     exponents,
@@ -170,16 +175,21 @@ def test_structure_constants_pinned():
     assert digest.hexdigest() == "f9942cd8b3fe34de05c9982c19bd81601eed197d3f866d0b47ffad870ed7028b"
 
 
-def _corrupt(rd, scale, pairs=1):
+def _scale_triple(rd, a, b, scale, pairs=3):
     """A copy of the constants of rd with N_{x,y} and N_{y,x} replaced by
-    scale(N) for the first `pairs` of (a, b), (b, c), (c, a), where a, b is
-    a seeded root pair and a + b + c = 0; and the roots a, b."""
+    scale(N) for the first `pairs` of (a, b), (b, c), (c, a), where
+    a + b + c = 0."""
     N = dict(_cartan_data(rd)[0])
-    a, b = random.Random(7).choice(sorted(N))
     c = rd.roots.index(tuple(-x - y for x, y in zip(rd.roots[a], rd.roots[b])))
     for x, y in [(a, b), (b, c), (c, a)][:pairs]:
         N[x, y], N[y, x] = scale(N[x, y]), scale(N[y, x])
-    return N, [rd.roots[a], rd.roots[b]]
+    return N
+
+
+def _corrupt(rd, scale, pairs=1):
+    """`_scale_triple` at a seeded root pair a, b; and the roots a, b."""
+    a, b = random.Random(7).choice(sorted(_cartan_data(rd)[0]))
+    return _scale_triple(rd, a, b, scale, pairs), [rd.roots[a], rd.roots[b]]
 
 
 @pytest.mark.parametrize("series,rank", [t for t in SUITE_TYPES if t != ("A", 1)]
@@ -238,6 +248,147 @@ def test_constant_checks_survive_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised:"), out.stdout
+
+
+def test_jacobiator_identity_makes_its_kernel_a_subalgebra():
+    # the identity behind the generator-only Jacobi check, on seeded
+    # antisymmetric brackets of dimension 5 that are no Lie brackets
+    rng = random.Random(29)
+    n = 5
+
+    def combine(*terms):  # sum of sign * vector
+        return [sum(sign * v[k] for sign, v in terms) for k in range(n)]
+
+    for _ in range(5):
+        const = {}
+        for i, j in itertools.combinations(range(n), 2):
+            v = [rng.randrange(-3, 4) for _ in range(n)]
+            const[i, j], const[j, i] = v, [-t for t in v]
+
+        def br(x, y):
+            return combine(*((x[i] * y[j], v) for (i, j), v in const.items()))
+
+        def jac(x, y, z):
+            return combine((1, br(br(x, y), z)), (1, br(br(y, z), x)), (1, br(br(z, x), y)))
+
+        a, b, c, d = ([rng.randrange(-3, 4) for _ in range(n)] for _ in range(4))
+        lhs = combine((1, br(a, jac(b, c, d))), (-1, br(b, jac(a, c, d))),
+                      (1, br(c, jac(a, b, d))), (-1, br(d, jac(a, b, c))))
+        rhs = combine((1, jac(br(a, b), c, d)), (-1, jac(br(a, c), b, d)), (1, jac(br(a, d), b, c)),
+                      (1, jac(br(b, c), a, d)), (-1, jac(br(b, d), a, c)), (1, jac(br(c, d), a, b)))
+        assert lhs == rhs
+        assert any(jac(a, b, c))
+
+
+def _jacobi_types():
+    """(series, rank, form) of every suite type in both forms, GL_2-GL_6
+    and E6-E8 adjoint."""
+    types = [(s, r, f) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    types += [("GL", n, "gl") for n in range(2, 7)]
+    return types + [("E", r, "adjoint") for r in (6, 7, 8)]
+
+
+def test_generator_jacobi_accepts_what_the_full_oracle_accepts():
+    for series, rank, form in _jacobi_types():
+        rd = get_root_datum(series, rank, form)
+        data = _cartan_data(rd)
+        _check_constants(rd, *data)
+        assert jacobi_failure(rd, *data) is None, (series, rank, form)
+
+
+def _off_simple_pair(rd):
+    """The first root pair (a, b) with a, b and -(a + b) all off +-Delta."""
+    simple = {rd.root_index[a] for a in rd.simple_roots}
+    simple |= {rd.neg[i] for i in simple}
+    sums = _root_sums(rd)
+    return next((a, b) for a, b in sorted(_cartan_data(rd)[0])
+                if not {a, b, rd.neg[sums[a][b]]} & simple)
+
+
+def _jacobi_corpus():
+    """(label, rd, N): N flipped on the three pairs of a zero-sum triple,
+    which keeps |N| and the coroot relation, so that only Jacobi sees it: at
+    the seeded pairs 0-2 and 7 of every type with a root sum, at every pair
+    of G2, and on one triple off +-Delta."""
+    for series, rank, form in _jacobi_types():
+        rd = get_root_datum(series, rank, form)
+        pairs = sorted(_cartan_data(rd)[0])
+        if form == "sc" or not pairs:
+            continue
+        for seed in (0, 1, 2, 7):
+            yield f"{series}{rank} seed {seed}", rd, _scale_triple(rd, *random.Random(seed).choice(pairs), operator.neg)
+    rd = get_root_datum("G", 2, "adjoint")
+    for a, b in sorted(_cartan_data(rd)[0]):
+        yield f"G2 at {(a, b)}", rd, _scale_triple(rd, a, b, operator.neg)
+    rd = get_root_datum("D", 4, "adjoint")
+    yield "D4 off Delta", rd, _scale_triple(rd, *_off_simple_pair(rd), operator.neg)
+
+
+def test_generator_jacobi_rejects_what_the_full_oracle_rejects():
+    for label, rd, N in _jacobi_corpus():
+        _, coroots, pairings = _cartan_data(rd)
+        assert jacobi_failure(rd, N, coroots, pairings) is not None, label
+        with pytest.raises(airycheck.VerificationError, match="Jacobi"):
+            _check_constants(rd, N, coroots, pairings)
+
+
+def test_check_constants_checks_the_generator_hypotheses():
+    # the three hypotheses under which Jacobi on generators is Jacobi
+    # everywhere: pairings and coroots odd, pairings additive, and every
+    # root reached from the simple roots
+    rd = get_root_datum("A", 1, "adjoint")
+    N, coroots, pairings = _cartan_data(rd)
+    with pytest.raises(airycheck.VerificationError, match="not odd"):
+        _check_constants(rd, N, (coroots[0], coroots[0]), pairings)
+    rd = get_root_datum("B", 3, "adjoint")
+    N, coroots, pairings = _cartan_data(rd)
+    theta = rd.root_index[rd.theta]
+    bad = list(pairings)
+    bad[theta] = tuple(2 * t for t in pairings[theta])
+    with pytest.raises(airycheck.VerificationError, match="not additive"):
+        _check_constants(rd, N, coroots, bad)
+    fewer = copy.copy(rd)  # alpha_0 alone as the simple roots
+    object.__setattr__(fewer, "simple_roots", rd.simple_roots[:1])
+    with pytest.raises(airycheck.VerificationError, match="no simple root plus"):
+        _check_constants(fewer, N, coroots, pairings)
+
+
+_CORRUPT_JACOBI = """
+from airycheck import VerificationError
+from airycheck.chevalley import _cartan_data, _check_constants, _root_sums
+from airycheck.rootdata import get_root_datum
+
+assert not __debug__, "this check must run under python -O"
+rd = get_root_datum("D", 4, "adjoint")
+N, coroots, pairings = _cartan_data(rd)
+N = dict(N)
+simple = {rd.root_index[a] for a in rd.simple_roots}
+simple |= {rd.neg[i] for i in simple}
+sums = _root_sums(rd)
+a, b = next((a, b) for a, b in sorted(N) if not {a, b, rd.neg[sums[a][b]]} & simple)
+c = rd.neg[sums[a][b]]
+for x, y in [(a, b), (b, c), (c, a)]:
+    N[x, y], N[y, x] = -N[x, y], -N[y, x]
+try:
+    _check_constants(rd, N, coroots, pairings)
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_generator_jacobi_survives_optimize():
+    # a sign flip on a zero-sum triple with no root of +-Delta: only Jacobi
+    # sees it, and only through the generators' brackets
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_JACOBI],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:") and "Jacobi" in out.stdout, out.stdout
 
 
 def _ad_entries(alg):
@@ -429,6 +580,66 @@ def test_principal_sl2_sl3():
         assert nplus[alg.rd.root_index[simple]] == QQ(2)
         assert nminus[alg.rd.root_index[tuple(-c for c in simple)]] == QQ(1)
     assert tuple(alg.bracket(nplus, nminus)) == H
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("coroots", "pair to 2"), ("[e, f]", "[N+, N-]"), ("[h, e]", "[H, N+]"), ("[h, f]", "[H, N-]")])
+def test_principal_sl2_sees_each_fault(fault, message):
+    # one fault per check, on a fresh B2 algebra: a positive coroot doubled
+    # in the root datum, or one table row of alpha_1's sl2 changed
+    rd = get_root_datum("B", 2, "adjoint")
+    alg = ChevalleyAlgebra(rd)
+    e = rd.root_index[rd.simple_roots[0]]
+    f, h = rd.neg[e], alg.cartan_index(0)
+    if fault == "coroots":
+        alg.rd = copy.copy(rd)
+        object.__setattr__(alg.rd, "coroots", (tuple(2 * c for c in rd.coroots[0]),) + rd.coroots[1:])
+    elif fault == "[e, f]":
+        alg.table[e][f] = {k: 2 * c for k, c in alg.table[e][f].items()}
+    elif fault == "[h, e]":
+        alg.table[h][e] = {e: alg.table[h][e][e] + 1}
+    else:
+        alg.table[h][f] = {f: alg.table[h][f][f] + 1}
+    with pytest.raises(airycheck.VerificationError, match=re.escape(message)):
+        principal_sl2(alg)
+
+
+_CORRUPT_COROOT = """
+from airycheck import VerificationError, chevalley
+from airycheck.chevalley import build_algebra, principal_sl2
+from airycheck.rootdata import get_root_datum
+
+assert not __debug__, "this check must run under python -O"
+cartan_data = chevalley._cartan_data
+
+
+def corrupt(rd):  # the coroot of alpha_1 doubled, before the first build
+    N, coroots, pairings = cartan_data(rd)
+    a = rd.root_index[rd.simple_roots[0]]
+    coroots = list(coroots)
+    coroots[a] = tuple(2 * c for c in coroots[a])
+    return N, tuple(coroots), pairings
+
+
+chevalley._cartan_data = corrupt
+try:
+    principal_sl2(build_algebra(get_root_datum("A", 2, "adjoint")))
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_principal_sl2_checks_survive_optimize():
+    src = os.path.dirname(os.path.dirname(airycheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_COROOT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:"), out.stdout
 
 
 def test_grading_dims():
@@ -990,6 +1201,17 @@ def _lift_cases():
     cases += [("E", r, "adjoint", QQ) for r in (6, 7, 8)]
     for series, rank, form, field in cases:
         yield build_algebra(get_root_datum(series, rank, form), field)
+
+
+def test_reflection_lifts_match_the_exp_series():
+    # the lifts read off the root strings and the coroots against
+    # exp(ad e) exp(-ad f) exp(ad e) on the bracket table, column for column
+    for alg in _lift_cases():
+        for i in range(alg.rd.n):
+            got, want = _simple_reflection_ad(alg, i), series_reflection(alg, i)
+            assert len(got) == len(want) == alg.dim
+            for j, (a, b) in enumerate(zip(got, want)):
+                assert a == b, (alg.rd.series, alg.rd.rank, alg.rd.form, i, j)
 
 
 def test_wp_lift_matches_the_unreduced_word_oracle():

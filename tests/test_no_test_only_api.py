@@ -16,7 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 KEEP = {
     "cli.main": "the console-script entry point named in pyproject.toml",
     "loopmodel.GLnModel.random_I1": "the loop workload of the benchmark draws its samples with it",
-    "arith.CyclotomicValue.galois": "the Galois action the exact L-function check needs (ROADMAP item 1)",
+    "arith.CyclotomicValue.galois": "the Galois action the exact L-function check needs (ROADMAP item 4)",
 }
 
 # public defs whose bare name the library also binds as an attribute, each

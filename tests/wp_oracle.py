@@ -3,12 +3,63 @@
 lifts along `weyl_wP(rd, mu).word`, the unreduced concatenation
 w_{P,0} w_0, then corrected by the torus element t with alpha_i(t) the
 coefficient of M X_{-1} at -alpha_i, on field elements (1/x, not a sign).
-It shares with the library only its inputs: the simple-reflection lifts,
-X_{-1} and the word of w_P."""
+The simple-reflection lifts are built here too, as the library once built
+them, by exp(ad) series on the bracket table.  So the oracle shares with the
+library only its inputs: the bracket table, X_{-1} and the word of w_P."""
+
+from functools import lru_cache
 
 from airycheck import VerificationError
-from airycheck.chevalley import _simple_reflection_ad, x_minus1
+from airycheck.chevalley import x_minus1
 from airycheck.rootdata import weyl_wP
+
+
+def _exp_ad_basis(alg, i, t, v):
+    """exp(t ad b_i) v for t = +-1 and an integral sparse vector v
+    ({index: int}), over the integers.
+
+    The series sum_k t^k ad_{b_i}^k(v)/k! is finite since b_i is a root
+    vector, and each term is integral on the Chevalley lattice (Kostant's
+    Z-form); each ad_{b_i} step reads the table entries [b_i, b_j].
+    """
+    ad_i = alg.table[i]
+    out = dict(v)
+    term = v
+    k = 0
+    while term:
+        k += 1
+        if k > alg.dim:
+            raise ValueError("ad of a root vector is not nilpotent")
+        nxt = {}
+        for j, c in term.items():
+            for l, d in ad_i.get(j, {}).items():
+                nxt[l] = nxt.get(l, 0) + c * d
+        term = {}
+        for l, c in nxt.items():
+            q, rem = divmod(t * c, k)
+            if rem:
+                raise VerificationError("ad_e^k/k! is not integral")
+            if q:
+                term[l] = q
+                out[l] = out.get(l, 0) + q
+    return {l: c for l, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def series_reflection(alg, i):
+    """Ad lift exp(ad e) exp(-ad f) exp(ad e) of s_i, e = e_{alpha_i} and
+    f = e_{-alpha_i}, as sparse integer columns ((row, entry), ...) in row
+    order: column j is the image of b_j, built from brackets."""
+    rd = alg.rd
+    e = rd.root_index[rd.simple_roots[i]]
+    f = rd.neg[e]
+    cols = []
+    for j in range(alg.dim):
+        v = {j: 1}
+        for idx, t in ((e, 1), (f, -1), (e, 1)):
+            v = _exp_ad_basis(alg, idx, t, v)
+        cols.append(tuple(sorted(v.items())))
+    return tuple(cols)
 
 
 def _apply(cols, v, zero):
@@ -29,7 +80,7 @@ def wp_lift(alg, mu):
     M = tuple(((j, 1),) for j in range(alg.dim))
     for i in weyl_wP(rd, mu).word:
         out = []
-        for col in _simple_reflection_ad(alg, i):
+        for col in series_reflection(alg, i):
             acc = {}
             for k, c in col:
                 for r, m in M[k]:
