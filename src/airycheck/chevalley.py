@@ -36,13 +36,13 @@ block is w_P on the coroots.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
-extraspecial ones in one pass (the four-root relation, negation and the
-zero-sum rule) and checks the result (|N| = p + 1, the coroot relation and
-Jacobi, read on the generators e_{+-alpha_i}) before any algebra is built
-from it.  GL_n enters as data: `_cartan_data` gives the constants of its
-matrix units, a Chevalley basis with their own signs, and its coroots and
-pairings on the diagonal, and those constants pass the same check; every
-bracket table is then built on one path.
+extraspecial ones in one pass on ints (the four-root relation, negation
+and the zero-sum rule) and checks the result (|N| = p + 1, the coroot
+relation and Jacobi, read on the generators e_{+-alpha_i}) before any
+algebra is built from it.  GL_n enters as data: `_cartan_data` gives the
+constants of its matrix units, a Chevalley basis with their own signs, and
+its coroots and pairings on the diagonal, and those constants pass the
+same check; every bracket table is then built on one path.
 """
 
 from __future__ import annotations
@@ -105,10 +105,12 @@ def _root_sums(rd: RootDatum):
     )
 
 
-def _exact(q, roots, a, b):
-    if q.denominator != 1:
+def _exact(num, den, roots, a, b):
+    """num / den as an int, or raise naming the pair (a, b)."""
+    q, r = divmod(num, den)
+    if r:
         raise VerificationError(f"N at {(roots[a], roots[b])} is not integral")
-    return int(q)
+    return q
 
 
 def _string_below(sums, neg, a, b):
@@ -134,7 +136,9 @@ def structure_constants(rd: RootDatum):
     relation with (-alpha, -beta).  A pair with a negative root follows from
     N_{-x,-y} = -N_{x,y}, antisymmetry and the zero-sum rule
     N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b) for a + b + c = 0.
-    The result passes `_check_constants` before it is returned.
+    Every quotient is one exact divmod on ints; a special pair's two terms
+    are put over one denominator first.  The result passes
+    `_check_constants` before it is returned.
     """
     roots, neg = rd.roots, rd.neg
     sums = _root_sums(rd)
@@ -143,6 +147,9 @@ def structure_constants(rd: RootDatum):
         sum(dj * xj * tj for dj, xj, tj in zip(rd.d, x, t))
         for x, t in zip(roots, rd.pairings)
     ]
+    for x, v in zip(roots, norm):
+        if v <= 0:
+            raise VerificationError(f"(x, x) = {v} is not positive at x = {x}")
     N = {}  # positive pairs, both orders
 
     def n_ab(a, b):
@@ -152,14 +159,12 @@ def structure_constants(rd: RootDatum):
             return -n_ab(neg[a], neg[b])
         if a >= npos:
             return -n_ab(b, a)
-        # a positive, b negative: the zero-sum triple (a, b, -c); the
-        # quotients are Fractions, since int / int would be a float
+        # a positive, b negative: the zero-sum triple (a, b, -c)
         c = sums[a][b]
         if c < npos:  # N_{a,b}/(c,c) = N_{b,-c}/(a,a) = -N_{-b,c}/(a,a)
-            q = Fraction(-norm[c] * N[neg[b], c], norm[a])
-        else:  # N_{a,b}/(c,c) = N_{-c,a}/(b,b)
-            q = Fraction(norm[c] * N[neg[c], a], norm[b])
-        return _exact(q, roots, a, b)
+            return _exact(-norm[c] * N[neg[b], c], norm[a], roots, a, b)
+        # N_{a,b}/(c,c) = N_{-c,a}/(b,b)
+        return _exact(norm[c] * N[neg[c], a], norm[b], roots, a, b)
 
     for g in range(npos):
         special = [(x, z) for x in range(g)
@@ -173,15 +178,19 @@ def structure_constants(rd: RootDatum):
             # N_{xi,zeta} N_{-alpha,-beta}/(gamma,gamma)
             #   + N_{zeta,-alpha} N_{xi,-beta}/(zeta-alpha,zeta-alpha)
             #   + N_{-alpha,xi} N_{zeta,-beta}/(xi-alpha,xi-alpha) = 0,
-            # a term dropped when its sum is not a root
-            q = Fraction(0)
+            # a term dropped when its sum is not a root; the kept terms
+            # over one denominator, num / den, then N_{xi,zeta} is
+            # num (gamma,gamma) / (den top)
+            num, den = 0, 1
             d = sums[zeta].get(neg[alpha])
             if d is not None:
-                q += Fraction(n_ab(zeta, neg[alpha]) * n_ab(xi, neg[beta]), norm[d])
+                t = n_ab(zeta, neg[alpha]) * n_ab(xi, neg[beta])
+                num, den = num * norm[d] + t * den, den * norm[d]
             d = sums[xi].get(neg[alpha])
             if d is not None:
-                q += Fraction(n_ab(neg[alpha], xi) * n_ab(zeta, neg[beta]), norm[d])
-            v = _exact(q * norm[g] / top, roots, xi, zeta)
+                t = n_ab(neg[alpha], xi) * n_ab(zeta, neg[beta])
+                num, den = num * norm[d] + t * den, den * norm[d]
+            v = _exact(num * norm[g], den * top, roots, xi, zeta)
             N[xi, zeta], N[zeta, xi] = v, -v
     out = {(a, b): n_ab(a, b) for a, row in enumerate(sums) for b in row}
     _check_constants(rd, out, _coroots(rd), rd.pairings)
@@ -222,14 +231,24 @@ def _check_constants(rd: RootDatum, N, coroot, pairs):
     sums = _root_sums(rd)
     npos = len(rd.pos_roots)
     for (a, b), v in N.items():
-        if abs(v) != _string_below(sums, neg, a, b) + 1:
-            raise VerificationError(f"|N| != p + 1 at {(roots[a], roots[b])}")
         if N[b, a] != -v:
             raise VerificationError(f"N is not antisymmetric at {(roots[a], roots[b])}")
+    # with N antisymmetric, |N_{b,a}| = |N_{a,b}|, and p is the same for
+    # (a, b) and (b, a) in a root system, so each unordered pair once
+    for (a, b), v in N.items():
+        if a < b and abs(v) != _string_below(sums, neg, a, b) + 1:
+            raise VerificationError(f"|N| != p + 1 at {(roots[a], roots[b])}")
+    # The coroot relation of a + b + c = 0 is the same sum in each cyclic
+    # order and its negative in the other (N is antisymmetric), so it is
+    # checked once, at a < b < c.  h_x is coded as the int sum_i h_x[i] B^i:
+    # each |N| = p + 1 <= 4, since a root string has at most four roots, so
+    # the relation's entries are at most 12 max|h| < B in size and the code
+    # of the sum is 0 only on the zero vector.
+    base = 12 * max(abs(t) for h in coroot for t in h) + 1
+    hcode = [sum(t * base ** i for i, t in enumerate(h)) for h in coroot]
     for (a, b), v in N.items():
         c = neg[sums[a][b]]
-        if any(v * x + N[b, c] * y + N[c, a] * z
-               for x, y, z in zip(coroot[c], coroot[a], coroot[b])):
+        if a < b < c and v * hcode[c] + N[b, c] * hcode[a] + N[c, a] * hcode[b]:
             raise VerificationError(
                 f"coroot relation fails at {(roots[a], roots[b], roots[c])}")
 

@@ -465,8 +465,12 @@ def weyl_wP0(rd: RootDatum, mu: Coweight) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def weyl_wP(rd: RootDatum, mu: Coweight) -> WeylElement:
-    """w_P = w_{P,0} w_0, from the concatenation of their words."""
-    return _weyl_from_word(rd, weyl_wP0(rd, mu).word + weyl_w0(rd).word)
+    """w_P = w_{P,0} w_0: the product of their cached matrices, with the
+    concatenation of their words."""
+    wp0, w0 = weyl_wP0(rd, mu), weyl_w0(rd)
+    cols = tuple(zip(*w0.matrix))
+    matrix = tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in wp0.matrix)
+    return WeylElement(matrix, wp0.word + w0.word)
 
 
 @lru_cache(maxsize=None)

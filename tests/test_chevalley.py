@@ -51,6 +51,7 @@ from matrix_oracle import mat_mul, mat_vec
 from wp_oracle import series_reflection, wp_lift
 from airycheck.rootdata import (
     Coweight,
+    RootDatum,
     exponents,
     get_root_datum,
     minuscule_coweights,
@@ -200,6 +201,53 @@ def test_check_constants_catches_a_flipped_sign(series, rank):
     with pytest.raises(airycheck.VerificationError, match="coroot relation") as err:
         _check_constants(rd, N, *_cartan_data(rd)[1:])
     assert all(str(root) in str(err.value) for root in named)
+
+
+@pytest.mark.parametrize("series,rank", [t for t in SUITE_TYPES if t != ("A", 1)]
+                         + [("GL", n) for n in range(3, 7)])
+def test_coroot_relation_sees_each_pair_of_its_triple(series, rank):
+    # the relation is checked once per zero-sum triple, in one orientation:
+    # a flip on any one of its three pairs must still be seen
+    rd = get_root_datum(series, rank, "gl" if series == "GL" else "adjoint")
+    a, b = random.Random(7).choice(sorted(_cartan_data(rd)[0]))
+    c = rd.neg[_root_sums(rd)[a][b]]
+    for x, y in [(a, b), (b, c), (c, a)]:
+        N = _scale_triple(rd, x, y, operator.neg, pairs=1)
+        with pytest.raises(airycheck.VerificationError, match="coroot relation") as err:
+            _check_constants(rd, N, *_cartan_data(rd)[1:])
+        assert str(rd.roots[x]) in str(err.value) and str(rd.roots[y]) in str(err.value)
+
+
+def _with_d(rd, d):
+    """rd with the symmetrizer d in place of its own."""
+    return RootDatum(rd.series, rd.rank, rd.form, rd.n, rd.cartan, d, rd.pos_roots,
+                     rd.coroots, rd.pairings)
+
+
+def test_structure_constants_reject_a_bad_symmetrizer():
+    # G2 with d = (1, 1) gives the short root alpha_0 + alpha_1 norm 0;
+    # B2 with d = (1, 1) gives norms that make a quotient non-integral
+    g2 = _with_d(get_root_datum("G", 2, "adjoint"), (1, 1))
+    with pytest.raises(airycheck.VerificationError, match=re.escape("not positive at x = (1, 1)")):
+        structure_constants(g2)
+    b2 = _with_d(get_root_datum("B", 2, "adjoint"), (1, 1))
+    with pytest.raises(airycheck.VerificationError,
+                       match=re.escape("N at ((0, 1), (-1, -2)) is not integral")):
+        structure_constants(b2)
+
+
+def test_structure_constants_use_no_fraction(monkeypatch):
+    import airycheck.chevalley as chevalley
+
+    def refuse(*args):
+        raise AssertionError("Fraction in the structure-constant pass")
+
+    monkeypatch.setattr(chevalley, "Fraction", refuse)
+    for series, rank in [("G", 2), ("F", 4), ("E", 8)]:
+        rd = get_root_datum(series, rank, "adjoint")
+        N = structure_constants.__wrapped__(rd)
+        assert N == structure_constants(rd)
+        _check_constants(rd, N, *_cartan_data(rd)[1:])
 
 
 def test_check_constants_catches_a_magnitude_off_by_one():

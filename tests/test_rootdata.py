@@ -8,8 +8,10 @@ import pytest
 
 import airycheck
 from matrix_oracle import mat_mul
+from airycheck.cli import SUITE_TYPES
 from airycheck.rootdata import (
     Coweight,
+    _weyl_from_word,
     alpha_mu,
     check_wP_heights,
     coxeter_number,
@@ -128,6 +130,19 @@ def test_weyl_matrices_are_products_of_reflections(series, rank):
         assert w.matrix == tuple(map(tuple, mat_mul(wp0.matrix, w0.matrix)))
         for a in rd.roots:
             assert w.apply_root(a) == tuple(x for (x,) in mat_mul(w.matrix, [[c] for c in a]))
+
+
+def test_weyl_wp_is_the_word_walk():
+    # w_P multiplies the cached matrices of w_{P,0} and w_0; the reference
+    # walks their concatenated word one reflection at a time
+    cases = [(s, r, f) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl") for n in range(2, 7)] + [("E", r, "adjoint") for r in (6, 7, 8)]
+    for series, rank, form in cases:
+        rd = get_root_datum(series, rank, form)
+        for mu in minuscule_coweights(rd):
+            walked = _weyl_from_word(rd, weyl_wP0(rd, mu).word + weyl_w0(rd).word)
+            w = weyl_wP(rd, mu)
+            assert (w.matrix, w.word) == (walked.matrix, walked.word), (series, rank, form, mu)
 
 
 REDUCED_WORD_CASES = (
