@@ -225,7 +225,7 @@ def _with_d(rd, d):
 
 
 def test_structure_constants_reject_a_bad_symmetrizer():
-    # G2 with d = (1, 1) gives the short root alpha_0 + alpha_1 norm 0;
+    # G2 with d = (1, 1) gives the root (1, 1) norm 0;
     # B2 with d = (1, 1) gives norms that make a quotient non-integral
     g2 = _with_d(get_root_datum("G", 2, "adjoint"), (1, 1))
     with pytest.raises(airycheck.VerificationError, match=re.escape("not positive at x = (1, 1)")):
