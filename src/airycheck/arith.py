@@ -106,6 +106,20 @@ def _is_irreducible(m, p):
     return True
 
 
+def _prime_divisors(n: int):
+    """The primes dividing n, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _digits(i: int, p: int, e: int):
     """The e base-p digits of i, lowest first."""
     out = []
@@ -224,15 +238,20 @@ class FqTables:
         q = p ** e
         self.p, self.e, self.q, self.modulus = p, e, q, tuple(m)
 
-        # the first g, in index order, whose powers walk through all of F_q*;
-        # for e > 1 that is past the indices below p, the constants of F_p,
-        # whose order divides p - 1 < q - 1
-        order, times = q - 1, _IndexProduct(p, m)
+        # the first g, in index order, of order q - 1: g^((q-1)/r) != 1 for
+        # every prime r | q - 1.  For e > 1 the search starts past the
+        # indices below p, the constants of F_p, whose order divides
+        # p - 1 < q - 1.  Only that g's powers are walked; the walk's length
+        # proves its order (a reducible modulus fails here)
+        order, one = q - 1, _poly_mod([1], m, p)
+        cofactors = [order // r for r in _prime_divisors(order)]
+        exp = None
         for gidx in range(p if e > 1 else 1, q):
-            exp = _power_walk(times.by(_digits(gidx, p, e)), q)
-            if exp is not None and len(exp) == order:
+            g = _digits(gidx, p, e)
+            if all(_poly_powmod(g, k, m, p) != one for k in cofactors):
+                exp = _power_walk(_IndexProduct(p, m).by(g), q)
                 break
-        else:
+        if exp is None or len(exp) != order:
             raise VerificationError(f"no primitive element modulo {tuple(m)} over F_{p}")
         log = [-1] * q
         for k, i in enumerate(exp):

@@ -9,17 +9,20 @@ All character sums are computed in Z[zeta_p]; equality of tables is exact.
 Floats only enter through the Weil-bound checks.  Both sums are row
 kernels on element indices (`FqElement.v`): each step handles all of F_q
 at once with list comprehensions over the field's `FqTables`, and the
-points are binned by trace with `collections.Counter`.
+points are counted on residues mod p.
 
-- The Airy sum reads Tr f(g^k) for every k as a sum of monomial rows
-  Tr(c_i g^(ik)), each a strided walk round the antilog table, and counts
-  Tr f(x) + Tr(t x) for each t with one `Counter`.
+- The Airy sum reads Tr f(g^k) for every k as Tr f(0) plus a sum of
+  monomial rows Tr(c_i g^(ik)), each a strided walk round the antilog
+  table, reduced mod p once; for each t one `Counter` counts
+  Tr f(x) + Tr(t x), which lies in [0, 2p - 2] and folds mod p by one
+  subtraction.
 - The brute fiber sum visits every point of F_q^{1+n/2}: per m_1 it takes
   p_1 and p_2 as the affine forms of `gln_airy.hecke_forms` and extends
   their partial sums one tail coordinate at a time, adding the row
   x -> x w of that coordinate's coefficient w by Zech logarithms
   (`_mul_row`, `_add_rows`).  Each point's p_1 and p_2 are field-element
-  indices, binned once by (p_2, Tr p_1).
+  indices; the point is counted in one flat list of q p ints at
+  p (index of p_2) + Tr p_1, whose length-p slices are the fibers' counts.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from collections import Counter
 from operator import add
 
-from . import Record
+from . import Record, VerificationError
 from .arith import CyclotomicValue, FqField, _add, fq_tables
 from .gln_airy import CharacterParams, chi_geometric, f_poly, hecke_forms, make_params
 
@@ -45,31 +48,34 @@ def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
 def _trace_sums(field, f_coeffs) -> dict:
     """{t: -sum_{x in F_q} psi(Tr(f(x) + t x))} for every t.
 
-    For x = g^k, Tr f(x) = sum_i Tr(c_i g^(ik)): the row k -> Tr(c_i g^k)
-    is the traces of the antilog table from log c_i on, and reading it with
-    stride i (mod q-1) gives the monomial's row.  Tr(t x) = Tr(g^(k + log t))
-    is a slice of the same traces.  The sums stay unreduced ints until the
-    counts are folded mod p.
+    For x = g^k, Tr f(x) = Tr f(0) + sum_i Tr(c_i g^(ik)): the row
+    k -> Tr(c_i g^k) is the traces of the antilog table from log c_i on, and
+    reading it with stride i (mod q-1) gives the monomial's row.  The sum of
+    the rows is reduced mod p once, so with Tr(t x) = Tr(g^(k + log t)), a
+    slice of the same traces, each t's sums lie in [0, 2p - 2] and fold mod
+    p by one subtraction.  The folded counts are negated, so each entry is
+    built once with its sign.
     """
     p = field.p
     tab = fq_tables(p, field.e)
     m, log = tab.q - 1, tab.log
     tr_exp = [tab.trace[i] for i in tab.exp]  # Tr(g^k), k < 2(q-1)
     c = [field(x).v for x in f_coeffs]
-    tr_f = [0] * m  # Tr(f(g^k) - f(0)), k < q-1
+    tr_f0 = tab.trace[c[0]]
+    tr_f = [tr_f0] * m  # Tr f(g^k), k < q-1
     for i in range(1, len(c)):
         if c[i]:
             row = tr_exp[log[c[i]]: log[c[i]] + m]
             tr_f = list(map(add, tr_f, (row * i)[::i]))
-    tr_f0 = tab.trace[c[0]]
+    tr_f = [s % p for s in tr_f]
     entries = {}
     for t in field.elements():
         counts = Counter(map(add, tr_f, tr_exp[log[t.v]: log[t.v] + m]) if t.v else tr_f)
-        folded = [0] * p
+        minus = [0] * p  # minus the number of x at each trace
         for s, k in counts.items():
-            folded[(s + tr_f0) % p] += k
-        folded[tr_f0] += 1  # x = 0
-        entries[t] = -_counts_to_cyclo(p, folded)
+            minus[s - p if s >= p else s] -= k
+        minus[tr_f0] -= 1  # x = 0
+        entries[t] = _counts_to_cyclo(p, minus)
     return entries
 
 
@@ -163,33 +169,39 @@ def _add_rows(tab, sums: list, row: list) -> list:
 
 
 def _brute_table_entries(params: CharacterParams):
-    """(-1)^{n-1} sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for
-    every a at once: one pass over all of F_q^{1+n/2}, binning the trace of
-    p_1 by the index of p_2.
+    """-sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for every a at
+    once ((-1)^{n-1} = -1, as n is even): one pass over all of
+    F_q^{1+n/2}, counting each point at p (index of p_2) + Tr p_1 of one
+    flat list, whose length-p slices are the fibers' counts.
 
     Per m_1 the Hecke maps are the affine forms of `hecke_forms` in the
     tail (m_2, ..., m_{1+n/2}).  Their values at every tail are built one
     coordinate at a time: the partial sums of p_1 and of p_2 are each
     extended by the row x -> x w of that coordinate's coefficient, in the
-    same order, so the two lists stay aligned point by point.
+    same order, so the two lists stay aligned point by point; p_2 has no
+    constant term, so its partial sums start as the first row.  The counts
+    must total q^{1+n/2}, or a point was lost and VerificationError is
+    raised.
     """
     field, n = params.field, params.n
     require_brute_budget(field.p, field.e, n)
     q, p = field.q, field.p
     tab = fq_tables(p, field.e)
-    bins = Counter()  # (index of p_2, Tr p_1) -> points
+    trace, at = tab.trace, [p * a for a in range(q)]
+    counts = [0] * (q * p)  # p (index of p_2) + Tr p_1 -> points
     for m1 in field.elements():
         c, w1, w2 = hecke_forms(n, field, m1.v)
-        p1, p2 = [_add(tab, chi_geometric(params, m1).v, c)], [0]
-        for y1, y2 in zip(w1, w2):
+        p1 = _add_rows(tab, [_add(tab, chi_geometric(params, m1).v, c)], _mul_row(tab, w1[0]))
+        p2 = _mul_row(tab, w2[0])
+        for y1, y2 in zip(w1[1:], w2[1:]):
             p1 = _add_rows(tab, p1, _mul_row(tab, y1))
             p2 = _add_rows(tab, p2, _mul_row(tab, y2))
-        bins.update(zip(p2, map(tab.trace.__getitem__, p1)))
-    counts = [[0] * p for _ in range(q)]
-    for (a, tr), k in bins.items():
-        counts[a][tr] += k
-    entries = {a: _counts_to_cyclo(p, c) for a, c in zip(field.elements(), counts)}
-    return entries if n % 2 == 1 else {a: -v for a, v in entries.items()}
+        for a, x in zip(p2, p1):
+            counts[at[a] + trace[x]] += 1
+    points = sum(counts)
+    if points != q ** (1 + n // 2):
+        raise VerificationError(f"the brute fiber sum counted {points} of the q^{1 + n // 2} points")
+    return {a: -_counts_to_cyclo(p, counts[i: i + p]) for a, i in zip(field.elements(), at)}
 
 
 def _require_brute(brute):

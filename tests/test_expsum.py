@@ -157,6 +157,41 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
     assert len(made) <= 20 * field.q
 
 
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
+def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch):
+    # the count vector of every fiber, not only its entry: _counts_to_cyclo
+    # forgets a constant added to a fiber's counts, so a shifted bin could
+    # still give the right entries.  The oracle counts Tr p_1(m) over
+    # {m : p_2(m) = a} with field operators, one point at a time
+    from airycheck import expsum
+
+    field = FqField(p, e)
+    params = make_params(n, field, (2,) * (n // 2))
+    binned, to_cyclo = [], expsum._counts_to_cyclo
+    monkeypatch.setattr(
+        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(list(counts)) or to_cyclo(p, counts)
+    )
+    hecke_trace_table(params, brute=True)
+    expected = {a: [0] * p for a in field.elements()}
+    for m in itertools.product(field.elements(), repeat=1 + n // 2):
+        expected[hecke_oracle.p2(n, field, m)][hecke_oracle.trace(hecke_oracle.p1(params, m))] += 1
+    # the entries are built in index order of a
+    assert binned == [expected[a] for a in field.elements()]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_brute_kernel_refuses_a_short_row(n, monkeypatch):
+    # negative control for the kernel's own count: a row one entry short
+    # makes the zip of p_1 and p_2 drop points, which must raise rather
+    # than return a table
+    from airycheck import VerificationError, expsum
+
+    mul_row = expsum._mul_row
+    monkeypatch.setattr(expsum, "_mul_row", lambda tab, w: mul_row(tab, w)[:-1])
+    with pytest.raises(VerificationError, match="points"):
+        hecke_trace_table(make_params(n, GF(7), (1,) * (n // 2)), brute=True)
+
+
 @pytest.mark.parametrize("p,e", [(7, 1), (5, 2), (7, 2)])
 def test_row_helpers_match_index_arithmetic(p, e):
     # the brute kernel's rows against arith._mul and _add on every pair
