@@ -33,18 +33,16 @@ def is_prime(n: int) -> bool:
 # Polynomials over F_p (coefficient lists, low degree first) and F_{p^e}.
 
 def _poly_mod(a, m, p):
-    a = [x % p for x in a]
+    """a mod (m, p) for a monic m and any int coefficients a, in one pass
+    down from the top: each coefficient is taken mod p once."""
+    a = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1]
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return a + [0] * (dm - len(a))
+    for k in range(len(a) - 1, dm - 1, -1):
+        c = a[k] % p
+        if c:
+            for i, mi in enumerate(m, k - dm):
+                a[i] -= c * mi
+    return [x % p for x in a[:dm]] + [0] * (dm - len(a))
 
 
 def _poly_mulmod(a, b, m, p):
@@ -52,7 +50,7 @@ def _poly_mulmod(a, b, m, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] += ai * bj
     return _poly_mod(out, m, p)
 
 

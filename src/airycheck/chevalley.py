@@ -25,14 +25,14 @@ are integral.  z_r (`_ad_kernel`) and a_r read the [b_j, X_{-1}] and
 on ints (`linalg.nullspace` and `linalg._reduce`), and `principal_sl2`
 checks its relations on such rows; field elements are made only for the
 results returned.  The w_P lift (`wP_representative`) is one cached set of
-sparse columns, each listing its rows in ascending order: the product of
-the integer simple-reflection lifts (`_simple_reflection_ad`, read off the
-alpha_i-strings and the coroots) along a reduced word of w_P
-(`rootdata.wP_reduced_word`), corrected by one sign per root to fix
-X_{-1}, since the product is unimodular.  `_check_lift` then checks the
-whole lift, not only the columns X_{-1} reaches: each root column is +-1 at
-w_P of its root, the signs respect the structure constants, and the Cartan
-block is w_P on the coroots.
+sparse columns, each listing its rows in ascending order, read off the
+data: its Ad is unique once it fixes X_{-1}, so each root column is one
+sign at w_P of its root, the signs set to 1 on -Delta and theta and carried
+to every other root by the structure constants, and the Cartan block is
+the product of the simple reflections along a reduced word of w_P
+(`rootdata.wP_reduced_word`).  `_check_lift` then checks the whole lift:
+each root column is +-1 at w_P of its root, the signs respect the
+structure constants, and the Cartan block is w_P on the coroots.
 
 Signs are fixed by the extraspecial-pair convention on the height/lex root
 order: `structure_constants` derives every other constant from the
@@ -769,7 +769,7 @@ def decomposition_check(alg: ChevalleyAlgebra, mu: Coweight, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Simple-reflection lifts and the w_P representative.
+# The w_P representative.
 
 def _apply_columns(cols, v, zero, support):
     """M v for M given by sparse columns ((row, entry), ...) and a dense v
@@ -783,43 +783,12 @@ def _apply_columns(cols, v, zero, support):
     return out
 
 
-@lru_cache(maxsize=None)
-def _simple_reflection_ad(alg: ChevalleyAlgebra, i: int):
-    """Ad of n_i = exp(ad e) exp(-ad f) exp(ad e), the lift of s_i, with
-    e = e_{alpha_i} and f = e_{-alpha_i}, as sparse integer columns
-    ((row, entry), ...) in row order, read off the integer data.
-
-    n_i sends e to -f and f to -e, and acts on the Cartan as s_i:
-    h -> h - <alpha_i, h> h_{alpha_i}.  Every other root beta sits at some
-    place q of its alpha_i-string beta_0, ..., beta_m (beta_k = beta_0 +
-    k alpha_i), and n_i sends e_beta to eta e_{s_i beta}, s_i beta =
-    beta_{m-q}, with eta = (-1)^q eps_q eps_{m-q}, where eps_k is the
-    product of the signs of N_{alpha_i, beta_j} for j < k.
-    """
-    rd = alg.rd
-    N, coroots, pairings = _cartan_data(rd)
-    sums, neg = _root_sums(rd), rd.neg
-    e = rd.root_index[rd.simple_roots[i]]
-    f = neg[e]
-    cols = [None] * alg.dim
-    cols[e], cols[f] = ((f, -1),), ((e, -1),)
-    for b, row in enumerate(sums):
-        if b in (e, f) or f in row:
-            continue
-        string, eps = [b], [1]  # b is the bottom of its alpha_i-string
-        while (c := sums[string[-1]].get(e)) is not None:
-            eps.append(eps[-1] if N[e, string[-1]] > 0 else -eps[-1])
-            string.append(c)
-        m = len(string) - 1
-        for q, beta in enumerate(string):
-            cols[beta] = ((string[m - q], (-1) ** q * eps[q] * eps[m - q]),)
-    # h_k -> h_k - <alpha_i, h_k> h_{alpha_i} on the Cartan basis
-    first, h = alg.cartan_index(0), coroots[e]
-    for k, t in enumerate(pairings[e]):
-        col = {first + r: -t * c for r, c in enumerate(h) if c}
-        col[first + k] = col.get(first + k, 0) + 1
-        cols[first + k] = tuple(sorted((r, c) for r, c in col.items() if c))
-    return tuple(cols)
+def _root_image(rd: RootDatum, w):
+    """image[a] = the index of w(root a), read off w's matrix by the root
+    codes: column i of the matrix is w(alpha_i)."""
+    powers, _, at = _root_codes(rd)
+    wcodes = [sum(map(operator.mul, col, powers)) for col in zip(*w.matrix)]
+    return [at[sum(map(operator.mul, root, wcodes))] for root in rd.roots]
 
 
 @lru_cache(maxsize=None)
@@ -828,70 +797,52 @@ def wP_representative(alg: ChevalleyAlgebra, mu: Coweight):
     ((row, entry), ...) with entries in the field, each column's rows in
     ascending order.
 
-    The lift is the product of the simple-reflection lifts along the
-    reduced word `wP_reduced_word` (Tits: the product does not depend on
-    the reduced word), torus-corrected to fix X_{-1}.  It is computed on
-    the Chevalley lattice: the product is unimodular, so each root column is
-    +-1 at one row, each coefficient of M X_{-1} must be +-1, and the torus
-    correction is one sign per root.  Field elements are built only for the
-    result.
+    This Ad is unique: two lifts differ by some t in T, and if both fix
+    X_{-1} = sum_i e_{-alpha_i} + e_theta then alpha_i(t) = 1 for every i.
+    It sends each e_a to eps(a) e_{w_P a}, eps(a) = +-1 (Carter, Simple
+    Groups of Lie Type, 4.2).  Fixing X_{-1} needs w_P to permute -Delta
+    and theta, with eps = 1 there; every other sign follows from
+    eps(a + b) N_{a,b} = eps(a) eps(b) N_{wa,wb} with b = -alpha_j, which
+    reaches every negative root from -Delta and every positive root from
+    theta.  The Cartan block is the product of the reflections
+    h -> h - <alpha_i, h> h_{alpha_i} along `wP_reduced_word`, on ints.
 
-    Raises VerificationError unless M X_{-1} is +-1 exactly on -Delta and
-    theta, the correction fixes X_{-1}, and the corrected lift passes
-    `_check_lift`: each root column is +-1 at w_P of its root, the signs
-    respect the structure constants, and the Cartan block is w_P on the
-    coroots.
+    Raises VerificationError unless w_P permutes -Delta and theta and the
+    lift passes `_check_lift`, which proves it an automorphism and checks
+    the Cartan block against w_P's matrix on the coroots.
     """
     rd = alg.rd
-    # M = n_{i_1} ... n_{i_k} over the integers: column j of M N is M
-    # applied to column j of N
-    M = tuple(((j, 1),) for j in range(alg.dim))
+    N, coroots, pairings = _cartan_data(rd)
+    sums, npos = _root_sums(rd), alg.npos
+    w = weyl_wP(rd, mu)
+    image = _root_image(rd, w)
+    minus = _minus_simples(alg)
+    fixed = (*minus, rd.root_index[rd.theta])
+    if {image[a] for a in fixed} != set(fixed):
+        raise VerificationError("w_P does not permute -Delta and theta")
+    eps = dict.fromkeys(fixed, 1)
+    # down from theta through the positive roots, from -Delta through the
+    # negative ones, in height order, so eps(a) is set before a is read
+    for a in (*reversed(range(npos)), *range(npos, 2 * npos)):
+        for b in minus:
+            s = sums[a].get(b)
+            if s is not None and s not in eps:
+                eps[s] = eps[a] * N[image[a], image[b]] // N[a, b]
+    cols = [((b, eps[a]),) for a, b in enumerate(image)]
+    # Cartan column k is the image of b_k; multiplying by s_i on the right
+    # takes t_k = <alpha_i, b_k> times the image v of h_{alpha_i} off it
+    cartan = [[int(r == k) for r in range(rd.rank)] for k in range(rd.rank)]
     for i in wP_reduced_word(rd, mu):
-        out = []
-        for col in _simple_reflection_ad(alg, i):
-            if len(col) == 1:  # every root column: M[k] times its sign
-                (k, c), = col
-                out.append(M[k] if c == 1 else tuple((r, m * c) for r, m in M[k]))
-                continue
-            acc = {}
-            for k, c in col:
-                for r, m in M[k]:
-                    acc[r] = acc.get(r, 0) + m * c
-            out.append(tuple((r, x) for r, x in acc.items() if x))
-        M = tuple(out)
-    minus_simples = _minus_simples(alg)
-    theta = rd.root_index[rd.theta]
-    support = _apply_int(M, (*minus_simples, theta))
-    if any(i >= 2 * alg.npos for i in support):
-        raise VerificationError("w_P lift moves X_{-1} into the Cartan")
-    if set(support) != {*minus_simples, theta}:
-        raise VerificationError("w_P lift does not map X_{-1} onto -Delta and theta")
-    if any(abs(c) != 1 for c in support.values()):
-        raise VerificationError("w_P lift is not unimodular on X_{-1}")
-    # the torus element t with alpha_i(t) = the coefficient at -alpha_i,
-    # +-1, scales E_a by a(t), the product of the flipped a_i's signs
-    flipped = [i for i, m in enumerate(minus_simples) if support[m] < 0]
-    sign = [1 - 2 * (sum(a[i] for i in flipped) % 2) for a in rd.roots]
-    sign += [1] * alg.ncartan
-    if sign[theta] * support[theta] != 1:
-        raise VerificationError("torus correction infeasible")
-    M = tuple(tuple(sorted((r, sign[r] * c) for r, c in col)) for col in M)
-    if _apply_int(M, (*minus_simples, theta)) != dict.fromkeys((*minus_simples, theta), 1):
-        raise VerificationError("Ad of the w_P lift does not fix X_{-1}")
-    _check_lift(alg, weyl_wP(rd, mu), M)
-    # the corrected lift, with entries in the field, each built once
-    scalar = {c: alg.field(c) for c in {c for col in M for _, c in col}}
-    return tuple(tuple((r, scalar[c]) for r, c in col if scalar[c]) for col in M)
-
-
-def _apply_int(cols, indices):
-    """{row: int} of the nonzero entries of the sum of the int columns at
-    `indices`: M v for the 0/1 vector v supported there."""
-    out = {}
-    for j in indices:
-        for r, c in cols[j]:
-            out[r] = out.get(r, 0) + c
-    return {r: c for r, c in out.items() if c}
+        e = rd.root_index[rd.simple_roots[i]]
+        v = [sum(map(operator.mul, coroots[e], row)) for row in zip(*cartan)]
+        for k, t in enumerate(pairings[e]):
+            if t:
+                cartan[k] = [x - t * y for x, y in zip(cartan[k], v)]
+    first = alg.cartan_index(0)
+    cols += [tuple((first + r, c) for r, c in enumerate(col) if c) for col in cartan]
+    _check_lift(alg, w, cols)
+    scalar = {c: alg.field(c) for c in {c for col in cols for _, c in col}}
+    return tuple(tuple((r, scalar[c]) for r, c in col if scalar[c]) for col in cols)
 
 
 def _check_lift(alg: ChevalleyAlgebra, w, cols):
@@ -904,17 +855,12 @@ def _check_lift(alg: ChevalleyAlgebra, w, cols):
     it also fixes the identity matrix, the centre)."""
     rd = alg.rd
     N, coroots, _ = _cartan_data(rd)
-    powers, _, at = _root_codes(rd)
     neg, sums = rd.neg, _root_sums(rd)
-    # the codes of w(alpha_i), the columns of w's matrix
-    wcodes = [sum(map(operator.mul, col, powers)) for col in zip(*w.matrix)]
-    image, eps = [], []
-    for a, root in enumerate(rd.roots):
-        b = at[sum(map(operator.mul, root, wcodes))]
+    image, eps = _root_image(rd, w), []
+    for a, (root, b) in enumerate(zip(rd.roots, image)):
         col = cols[a]
         if len(col) != 1 or col[0][0] != b or abs(col[0][1]) != 1:
             raise VerificationError(f"the w_P lift does not send E_{root} to +-E_{rd.roots[b]}")
-        image.append(b)
         eps.append(col[0][1])
     simples = [rd.root_index[a] for a in rd.simple_roots]
     steps = simples + [neg[i] for i in simples]

@@ -26,7 +26,6 @@ from airycheck.chevalley import (
     _heights,
     _kappa_basis,
     _root_sums,
-    _simple_reflection_ad,
     a_subspace,
     build_algebra,
     centralizer_z,
@@ -48,7 +47,7 @@ from airycheck.chevalley import (
 from airycheck.cli import SUITE_TYPES
 from jacobi_oracle import jacobi_failure
 from matrix_oracle import mat_mul, mat_vec
-from wp_oracle import series_reflection, wp_lift
+from wp_oracle import wp_lift
 from airycheck.rootdata import (
     Coweight,
     RootDatum,
@@ -1161,25 +1160,14 @@ def test_a_subspace_and_u_mu_roots_cached(monkeypatch):
     assert u_mu_roots(alg.rd, mu) == split
 
 
-_CORRUPT_REFLECTION = """
+_CORRUPT_WORD = """
 from airycheck import VerificationError, chevalley
 from airycheck.chevalley import build_algebra, wP_representative
-from airycheck.rootdata import Coweight, get_root_datum
+from airycheck.rootdata import Coweight, get_root_datum, weyl_w0
 
 assert not __debug__, "this check must run under python -O"
 alg = build_algebra(get_root_datum("A", 2, "adjoint"))
-reflection = chevalley._simple_reflection_ad
-
-
-def corrupt(alg, i):
-    cols = list(reflection(alg, i))
-    if i == 0:  # the s_1 lift with a wrong scale
-        j = alg.rd.root_index[(-1, 0)]
-        cols[j] = tuple((k, 2 * c) for k, c in cols[j])
-    return tuple(cols)
-
-
-chevalley._simple_reflection_ad = corrupt
+chevalley.weyl_wP = lambda rd, mu: weyl_w0(rd)  # w_0 sends -Delta to Delta
 try:
     wP_representative(alg, Coweight((1, 0)))
 except VerificationError as exc:
@@ -1189,15 +1177,22 @@ else:
 """
 
 
-def test_wp_checks_survive_optimize():
+def _run_optimized(script):
     src = os.path.dirname(os.path.dirname(airycheck.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_REFLECTION],
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised:"), out.stdout
+    return out.stdout
+
+
+def test_wp_checks_survive_optimize():
+    # negative control: a Weyl element that does not permute -Delta and
+    # theta has no lift fixing X_{-1}, and the refusal must run under -O
+    out = _run_optimized(_CORRUPT_WORD)
+    assert out.startswith("raised:") and "does not permute" in out, out
 
 
 _CORRUPT_CARTAN = """
@@ -1207,18 +1202,8 @@ from airycheck.rootdata import Coweight, get_root_datum
 
 assert not __debug__, "this check must run under python -O"
 alg = build_algebra(get_root_datum("A", 2, "adjoint"))
-reflection = chevalley._simple_reflection_ad
-
-
-def corrupt(alg, i):
-    cols = list(reflection(alg, i))
-    if i == 0:  # a Cartan column of the s_1 lift with a wrong scale
-        j = alg.cartan_index(0)
-        cols[j] = tuple((k, 3 * c) for k, c in cols[j])
-    return tuple(cols)
-
-
-chevalley._simple_reflection_ad = corrupt
+word = chevalley.wP_reduced_word
+chevalley.wP_reduced_word = lambda rd, mu: word(rd, mu)[:-1]  # one letter short
 try:
     wP_representative(alg, Coweight((1, 0)))
 except VerificationError as exc:
@@ -1229,43 +1214,30 @@ else:
 
 
 def test_wp_cartan_check_survives_optimize():
-    # negative control: a Cartan column never reaches M X_{-1}, so only the
-    # lift's Cartan-block check can see it, and it must run under -O
-    src = os.path.dirname(os.path.dirname(airycheck.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_CARTAN],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised:") and "coroot" in out.stdout, out.stdout
+    # negative control: the root block is read off w_P's matrix, so a word
+    # one letter short reaches only the Cartan block, and only the lift's
+    # Cartan-block check can see it; it must run under -O
+    out = _run_optimized(_CORRUPT_CARTAN)
+    assert out.startswith("raised:") and "coroot" in out, out
 
 
 def _lift_cases():
-    """Every suite type in both forms over QQ, GL_2, GL_4 and GL_6 over F_7,
-    and E6, E7 and E8 adjoint over QQ."""
-    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES for f in ("sc", "adjoint")]
+    """Every suite type in both forms over QQ, D5 in both forms, GL_3 and
+    GL_5 over QQ and F_7, GL_2, GL_4 and GL_6 over F_7, E6 and E7 in both
+    forms and E8 adjoint over QQ."""
+    cases = [(s, r, f, QQ) for s, r in SUITE_TYPES + [("D", 5)] for f in ("sc", "adjoint")]
+    cases += [("GL", n, "gl", F) for n in (3, 5) for F in (QQ, GF(7))]
     cases += [("GL", n, "gl", GF(7)) for n in (2, 4, 6)]
+    cases += [("E", r, "sc", QQ) for r in (6, 7)]
     cases += [("E", r, "adjoint", QQ) for r in (6, 7, 8)]
     for series, rank, form, field in cases:
         yield build_algebra(get_root_datum(series, rank, form), field)
 
 
-def test_reflection_lifts_match_the_exp_series():
-    # the lifts read off the root strings and the coroots against
-    # exp(ad e) exp(-ad f) exp(ad e) on the bracket table, column for column
-    for alg in _lift_cases():
-        for i in range(alg.rd.n):
-            got, want = _simple_reflection_ad(alg, i), series_reflection(alg, i)
-            assert len(got) == len(want) == alg.dim
-            for j, (a, b) in enumerate(zip(got, want)):
-                assert a == b, (alg.rd.series, alg.rd.rank, alg.rd.form, i, j)
-
-
 def test_wp_lift_matches_the_unreduced_word_oracle():
-    # the lift along the reduced word, sign-corrected on ints, against the
-    # product along the concatenated word, corrected on field elements:
-    # the same entries, each column's rows ascending
+    # the lift read off w_P and X_{-1} against the product of the exp(ad)
+    # series reflection lifts along the concatenated word, torus-corrected
+    # on field elements: the same entries, each column's rows ascending
     for alg in _lift_cases():
         for mu in minuscule_coweights(alg.rd):
             got = wP_representative(alg, mu)
