@@ -785,10 +785,16 @@ def _apply_columns(cols, v, zero, support):
 
 def _root_image(rd: RootDatum, w):
     """image[a] = the index of w(root a), read off w's matrix by the root
-    codes: column i of the matrix is w(alpha_i)."""
+    codes: column i of the matrix is w(alpha_i).  Raises VerificationError
+    naming the first root that w sends to a code of no root."""
     powers, _, at = _root_codes(rd)
     wcodes = [sum(map(operator.mul, col, powers)) for col in zip(*w.matrix)]
-    return [at[sum(map(operator.mul, root, wcodes))] for root in rd.roots]
+    try:
+        return [at[sum(map(operator.mul, root, wcodes))] for root in rd.roots]
+    except KeyError:
+        root = next(r for r in rd.roots if sum(map(operator.mul, r, wcodes)) not in at)
+        raise VerificationError(
+            f"w sends the root {root} to {w.apply_root(root)}, outside the root system") from None
 
 
 @lru_cache(maxsize=None)

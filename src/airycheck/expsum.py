@@ -13,23 +13,24 @@ points are counted on residues mod p.
 
 - The Airy sum reads Tr f(g^k) for every k as Tr f(0) plus a sum of
   monomial rows Tr(c_i g^(ik)), each a strided walk round the antilog
-  table, reduced mod p once; for each t one `Counter` counts
-  Tr f(x) + Tr(t x), which lies in [0, 2p - 2] and folds mod p by one
-  subtraction.
+  table, reduced mod p once; for each t a plain increment loop counts
+  Tr f(x) + Tr(t x), which lies in [0, 2p - 2], into a list of 2p ints
+  whose two halves fold mod p by one addition.
 - The brute fiber sum visits every point of F_q^{1+n/2}: per m_1 it takes
   p_1 and p_2 as the affine forms of `gln_airy.hecke_forms` and extends
   their partial sums one tail coordinate at a time, adding the row
-  x -> x w of that coordinate's coefficient w by Zech logarithms
-  (`_mul_row`, `_add_rows`).  Each point's p_1 and p_2 are field-element
-  indices; the point is counted in one flat list of q p ints at
-  p (index of p_2) + Tr p_1, whose length-p slices are the fibers' counts.
+  x -> x w of that coordinate's coefficient w (`_mul_row`, one slice of
+  the antilog table in index order) by Zech logarithms (`_add_rows`).
+  Each point's p_1 and p_2 are field-element indices; the point is counted
+  in one flat list of q p ints at p (index of p_2) + Tr p_1, whose
+  length-p slices are the fibers' counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from operator import add
+from functools import lru_cache
+from operator import add, itemgetter
 
 from . import Record, VerificationError
 from .arith import CyclotomicValue, FqField, _add, fq_tables
@@ -52,9 +53,10 @@ def _trace_sums(field, f_coeffs) -> dict:
     k -> Tr(c_i g^k) is the traces of the antilog table from log c_i on, and
     reading it with stride i (mod q-1) gives the monomial's row.  The sum of
     the rows is reduced mod p once, so with Tr(t x) = Tr(g^(k + log t)), a
-    slice of the same traces, each t's sums lie in [0, 2p - 2] and fold mod
-    p by one subtraction.  The folded counts are negated, so each entry is
-    built once with its sign.
+    slice of the same traces, each t's sums lie in [0, 2p - 2]: one
+    increment loop counts them in a list of 2p ints, and its two halves
+    fold mod p.  The folded counts are negated, so each entry is built once
+    with its sign.
     """
     p = field.p
     tab = fq_tables(p, field.e)
@@ -70,12 +72,11 @@ def _trace_sums(field, f_coeffs) -> dict:
     tr_f = [s % p for s in tr_f]
     entries = {}
     for t in field.elements():
-        counts = Counter(map(add, tr_f, tr_exp[log[t.v]: log[t.v] + m]) if t.v else tr_f)
-        minus = [0] * p  # minus the number of x at each trace
-        for s, k in counts.items():
-            minus[s - p if s >= p else s] -= k
-        minus[tr_f0] -= 1  # x = 0
-        entries[t] = _counts_to_cyclo(p, minus)
+        counts = [0] * (2 * p)  # the number of x at each unfolded sum
+        counts[tr_f0] = 1  # x = 0
+        for s in map(add, tr_f, tr_exp[log[t.v]: log[t.v] + m]) if t.v else tr_f:
+            counts[s] += 1
+        entries[t] = _counts_to_cyclo(p, [-a - b for a, b in zip(counts, counts[p:])])
     return entries
 
 
@@ -146,13 +147,22 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     return TraceTable(field.q, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
 
+@lru_cache(maxsize=None)
+def _by_log(tab):
+    """itemgetter(log 1, ..., log (q-1)) of the field of `tab`, q > 2:
+    applied to a list indexed by discrete logs, it returns the entries in
+    index order, built once per field."""
+    return itemgetter(*tab.log[1:])
+
+
 def _mul_row(tab, w: int) -> list:
-    """[x w for x in F_q], x in index order: the row x -> x w, read off the
-    log and antilog tables."""
+    """[x w for x in F_q], x in index order: the row x -> x w.  The slice of
+    the doubled antilog table from log w on holds g^k w at k, and `_by_log`
+    puts it in index order."""
     if not w:
         return [0] * tab.q
-    exp, lw = tab.exp, tab.log[w]
-    return [0] + [exp[lx + lw] for lx in tab.log[1:]]
+    lw = tab.log[w]
+    return [0, *_by_log(tab)(tab.exp[lw: lw + tab.q - 1])]
 
 
 def _add_rows(tab, sums: list, row: list) -> list:

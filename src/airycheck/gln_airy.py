@@ -12,6 +12,8 @@ tables (`arith._mul`, `arith._add`, or the tables read inline in the exp and
 log recurrences): the section algebra and chi take field
 elements, compute on their indices and build field elements only for the
 result, and the Hecke maps are affine forms with index coefficients.
+`chi_geometric` runs Horner's rule (`poly_eval`) on the coefficient indices
+that its `CharacterParams` stores, so no coefficient is read per call.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class CharacterParams(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lam", lam)  # (lambda_1, ..., lambda_{n/2})
-        object.__setattr__(self, "_chi_geo_coeffs", _chi_geo_coeffs(self))
+        object.__setattr__(self, "_chi_geo_indices", _chi_geo_indices(self))
 
 
 def make_params(n: int, field, lam) -> CharacterParams:
@@ -177,21 +179,20 @@ def chi_eval(params: CharacterParams, x):
     return field.from_index(acc)
 
 
-def _chi_geo_coeffs(params: CharacterParams):
-    """Coefficient vector of sum (lambda_r/r) m^r + (n/(1+n)) m^{1+n}."""
+def _chi_geo_indices(params: CharacterParams):
+    """The indices of the coefficients of sum (lambda_r/r) m^r +
+    (n/(1+n)) m^{1+n}, constant term first."""
     n, field = params.n, params.field
-    coeffs = [field(0)] * (n + 2)
+    coeffs = [0] * (n + 2)
     for r in range(1, n // 2 + 1):
-        coeffs[r] = params.lam[r - 1] / field(r)
-    coeffs[n + 1] = field(n) / field(n + 1)
+        coeffs[r] = (params.lam[r - 1] / field(r)).v
+    coeffs[n + 1] = (field(n) / field(n + 1)).v
     return coeffs
 
 
 def chi_geometric(params: CharacterParams, m1):
     """Closed form sum (lambda_r/r) m1^r + (n/(1+n)) m1^{1+n}."""
-    field = params.field
-    m1 = field(m1) if isinstance(m1, int) else m1
-    return poly_eval(field, params._chi_geo_coeffs, m1)
+    return poly_eval(params.field, params._chi_geo_indices, m1)
 
 
 def geometric_section(params: CharacterParams, m1):
@@ -242,10 +243,12 @@ def f_poly(params: CharacterParams):
 
 
 def poly_eval(field, coeffs, x):
-    """sum coeffs[i] x^i, by Horner's rule on element indices."""
+    """sum c_i x^i, by Horner's rule on element indices: coeffs are the
+    indices (`FqElement.v`) of c_0, c_1, ..., and x is a field element or
+    an int."""
     tab = field._tables
     (v,) = _indices(field, (x,))
     acc = 0
-    for c in reversed(_indices(field, coeffs)):
+    for c in reversed(coeffs):
         acc = _add(tab, _mul(tab, acc, v), c)
     return field.from_index(acc)

@@ -1221,6 +1221,38 @@ def test_wp_cartan_check_survives_optimize():
     assert out.startswith("raised:") and "coroot" in out, out
 
 
+_CORRUPT_MATRIX = """
+from airycheck import VerificationError, chevalley
+from airycheck.chevalley import build_algebra, wP_representative
+from airycheck.rootdata import Coweight, WeylElement, get_root_datum
+
+assert not __debug__, "this check must run under python -O"
+alg = build_algebra(get_root_datum("A", 2, "adjoint"))
+chevalley.weyl_wP = lambda rd, mu: WeylElement(((2, 0), (0, 1)), ())
+try:
+    wP_representative(alg, Coweight((1, 0)))
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_wp_refuses_a_matrix_that_leaves_the_roots(monkeypatch):
+    # negative control: a matrix that sends alpha_1 to 2 alpha_1 is no Weyl
+    # element; the root image must refuse it by name, not fail by KeyError,
+    # in process and under -O
+    from airycheck import VerificationError, chevalley
+    from airycheck.rootdata import WeylElement
+
+    alg = build_algebra(get_root_datum("A", 2, "adjoint"))
+    monkeypatch.setattr(chevalley, "weyl_wP", lambda rd, mu: WeylElement(((2, 0), (0, 1)), ()))
+    with pytest.raises(VerificationError, match=re.escape("root (1, 0) to (2, 0)")):
+        wP_representative.__wrapped__(alg, Coweight((1, 0)))
+    out = _run_optimized(_CORRUPT_MATRIX)
+    assert out.startswith("raised:") and "(1, 0) to (2, 0), outside" in out, out
+
+
 def _lift_cases():
     """Every suite type in both forms over QQ, D5 in both forms, GL_3 and
     GL_5 over QQ and F_7, GL_2, GL_4 and GL_6 over F_7, E6 and E7 in both

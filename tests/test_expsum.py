@@ -157,7 +157,7 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
     assert len(made) <= 20 * field.q
 
 
-@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])
 def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch):
     # the count vector of every fiber, not only its entry: _counts_to_cyclo
     # forgets a constant added to a fiber's counts, so a shifted bin could
@@ -231,6 +231,32 @@ def test_trace_identity_n6(p):
         assert v.ok and v.detail["brute_mismatches"] == 0, v.detail
 
 
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
+def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch):
+    # the count vector of every t, 0 included, not only its entry:
+    # _counts_to_cyclo forgets a constant added to all counts, so a wrong
+    # fold of the unfolded sums could still give the right entries.  The
+    # oracle counts Tr(f(x) + t x) over every x with field operators, f
+    # written out as sum c_i x^i; the Airy sum passes minus the counts
+    from airycheck import expsum
+
+    field = FqField(p, e)
+    f = f_poly(make_params(n, field, (2,) * (n // 2)))
+    passed, to_cyclo = [], expsum._counts_to_cyclo
+    monkeypatch.setattr(
+        expsum, "_counts_to_cyclo", lambda p, counts: passed.append(list(counts)) or to_cyclo(p, counts)
+    )
+    airy_trace_table(f, p, e)
+    values = [sum((c * x ** i for i, c in enumerate(f)), field(0)) for x in field.elements()]
+    expected = []
+    for t in field.elements():  # the entries are built in index order of t
+        minus = [0] * p
+        for x, fx in zip(field.elements(), values):
+            minus[hecke_oracle.trace(fx + t * x)] -= 1
+        expected.append(minus)
+    assert passed == expected
+
+
 def test_airy_constant_shift():
     # replacing f by f + c multiplies each entry by psi(c)
     p = 7
@@ -253,7 +279,7 @@ def test_airy_column_sum_orthogonality():
     acc = CyclotomicValue(p)
     for t in F.elements():
         acc = acc + table.entries[t]
-    assert acc == psi(p, poly_eval(F, f, F(0))) * (-p)
+    assert acc == psi(p, poly_eval(F, [c.v for c in f], F(0))) * (-p)
 
 
 def test_airy_extension_field():

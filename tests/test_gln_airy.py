@@ -109,8 +109,9 @@ def test_chi_geometric_matches_chi_eval_n4():
 
 @pytest.mark.parametrize("p,e", [(7, 1), (11, 1), (7, 2)])
 def test_poly_eval_matches_powers(p, e):
-    # Horner on indices against sum c_i x^i with field operators, on every
-    # x, for coefficient lists with zeros, a zero top one, and the empty list
+    # Horner on coefficient indices against sum c_i x^i with field
+    # operators, on every x, for coefficient lists with zeros, a zero top
+    # one, and the empty list
     F = FqField(p, e)
     rng = random.Random(p * e)
     lists = [[F.from_index(rng.randrange(F.q)) if rng.random() < 0.7 else F(0)
@@ -118,7 +119,7 @@ def test_poly_eval_matches_powers(p, e):
     for coeffs in lists + [[F(3), F(0), F(0)], []]:
         for x in F.elements():
             want = sum((c * x ** i for i, c in enumerate(coeffs)), F(0))
-            assert poly_eval(F, coeffs, x) == want
+            assert poly_eval(F, [c.v for c in coeffs], x) == want
 
 
 def test_hecke_p2_specialization():
@@ -138,7 +139,7 @@ def test_hecke_p1_on_geometric_locus():
     n = 4
     F = GF(11)
     params = make_params(n, F, (1, 0))
-    f = f_poly(params)
+    f = [c.v for c in f_poly(params)]
     for m1 in F.elements():
         m = [m1, F(0), F(0)]
         a = hecke_oracle.p2(n, F, m)
@@ -150,7 +151,7 @@ def test_fiber_identity_random():
     n = 4
     F = GF(7)
     params = make_params(n, F, (2, 3))
-    f = f_poly(params)
+    f = [c.v for c in f_poly(params)]
     rng = random.Random(8)
     for _ in range(200):
         m = [F(rng.randrange(7)) for _ in range(1 + n // 2)]
@@ -286,7 +287,7 @@ def test_section_kernels_build_field_elements_only_at_exit(monkeypatch):
         (lambda: exp_section(n, F, a), n + 1),
         (lambda: log_section(n, F, a), n + 1),
         (lambda: chi_eval(params, a), 1),
-        (lambda: poly_eval(F, b, a[0]), 1),
+        (lambda: poly_eval(F, [c.v for c in b], a[0]), 1),
     ):
         made.clear()
         kernel()
