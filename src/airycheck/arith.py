@@ -345,8 +345,9 @@ class FqField:
         return f"FqField({self.p}, {self.e})"
 
 
+@lru_cache(maxsize=None)
 def GF(p: int) -> FqField:
-    """The prime field F_p."""
+    """The prime field F_p, one field object per p."""
     return FqField(p, 1)
 
 
@@ -486,6 +487,15 @@ def _mul(t: FqTables, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # Cyclotomic integers Z[zeta_p].
 
+def _cyclo(p: int, coeffs: tuple) -> "CyclotomicValue":
+    """A CyclotomicValue on a coefficient tuple of length p - 1 that the
+    caller owns, taken without a copy or a check."""
+    c = object.__new__(CyclotomicValue)
+    c.p = p
+    c.coeffs = coeffs
+    return c
+
+
 class CyclotomicValue:
     """Exact element of Z[zeta_p] in the basis 1, zeta, ..., zeta^(p-2)."""
 
@@ -525,7 +535,7 @@ class CyclotomicValue:
         return CyclotomicValue(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return CyclotomicValue(self.p, [-a for a in self.coeffs])
+        return _cyclo(self.p, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -670,16 +680,18 @@ class MultiPoly:
         e[i] = 1
         return self.terms.get(tuple(e), 0)
 
-    def evaluate(self, values: dict):
-        """Full evaluation; every variable must be assigned a scalar."""
-        acc = None
+    def log_terms(self, field, slot: dict):
+        """The terms as (log of coefficient, [(variable slot, exponent)]) for
+        `_eval_log_terms`, over `field`'s tables: `slot` maps each variable
+        name to its position in the value list.  A coefficient that is 0 in
+        the field drops its term."""
+        log = field._tables.log
+        out = []
         for e, c in self.terms.items():
-            term = c
-            for name, k in zip(self.variables, e):
-                for _ in range(k):
-                    term = term * values[name]
-            acc = term if acc is None else acc + term
-        return 0 if acc is None else acc
+            v = field(c).v
+            if v:
+                out.append((log[v], [(slot[name], k) for name, k in zip(self.variables, e) if k]))
+        return out
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute MultiPolys (or scalars) for some of the variables."""
@@ -711,3 +723,27 @@ class MultiPoly:
             )
             parts.append(f"({c})" + ("*" + mono if mono else ""))
         return " + ".join(parts)
+
+
+def _eval_log_terms(t: FqTables, terms, values) -> int:
+    """The index of the polynomial whose `MultiPoly.log_terms` are `terms`
+    at the element indices `values`: each term is g^(log c + sum k log x),
+    0 if one of its variables is 0, and the terms are summed on their logs
+    by Zech logarithms."""
+    exp, log, zech, order = t.exp, t.log, t.zech, t.q - 1
+    acc = -1  # the log of the sum, -1 while it is 0
+    for lc, mono in terms:
+        k = lc
+        for slot, e in mono:
+            v = values[slot]
+            if not v:
+                break
+            k += e * log[v]
+        else:
+            k %= order
+            if acc < 0:
+                acc = k
+            else:
+                z = zech[k - acc]  # a negative difference wraps round mod q-1
+                acc = (acc + z) % order if z >= 0 else -1
+    return exp[acc] if acc >= 0 else 0

@@ -1095,22 +1095,34 @@ def s1_graph(alg: ChevalleyAlgebra) -> S1Graph:
 
 
 def s1_graph_check(alg: ChevalleyAlgebra, graph: S1Graph, rng, samples: int = 200) -> bool:
-    """Random lambda-samples: the graph polynomials reproduce p_-(s)."""
-    p = alg.field.p
+    """Random lambda-samples: the graph polynomials reproduce p_-(s).
+
+    Each polynomial is compiled once into its `MultiPoly.log_terms` and
+    evaluated on element indices (`arith._eval_log_terms`); a sample is the
+    list of the lambda values and then the x values, x_i being p_- at the
+    i-th root of Phi_S."""
+    from .arith import _eval_log_terms
+
+    field = alg.field
+    p = field.p
     if p is None:
         raise ValueError("sampling needs a finite field")
+    tab = field._tables
     m = len(graph.lambda_names)
+    slot = {name: i for i, name in enumerate(graph.lambda_names + graph.var_names)}
+    p_minus = {a: f.log_terms(field, slot) for a, f in graph.p_minus.items()}
+    graphs = [(a, f.log_terms(field, slot)) for a, f in graph.graphs.items()]
+    lambda_exprs = [graph.lambda_exprs[n].log_terms(field, slot) for n in graph.lambda_names]
     for _ in range(samples):
-        lam_vals = {n: alg.field(rng.randrange(p)) for n in graph.lambda_names}
-        vals = {a: f.evaluate(lam_vals) for a, f in graph.p_minus.items()}
-        xvals = {
-            x: vals[beta] for x, beta in zip(graph.var_names, graph.phi_s)
-        }
-        for a, poly in graph.graphs.items():
-            if poly.evaluate(xvals) != vals[a]:
+        # a constant c < p of F_q is its own index
+        values = [rng.randrange(p) for _ in graph.lambda_names] + [0] * m
+        vals = {a: _eval_log_terms(tab, terms, values) for a, terms in p_minus.items()}
+        values[m:] = [vals[beta] for beta in graph.phi_s]
+        for a, terms in graphs:
+            if _eval_log_terms(tab, terms, values) != vals[a]:
                 return False
         # the inverse change of variables recovers lambda
-        for n in graph.lambda_names:
-            if graph.lambda_exprs[n].evaluate(xvals) != lam_vals[n]:
+        for i, terms in enumerate(lambda_exprs):
+            if _eval_log_terms(tab, terms, values) != values[i]:
                 return False
     return True

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import add, itemgetter
 
 from . import Record, VerificationError
-from .arith import CyclotomicValue, FqField, _add, fq_tables
+from .arith import CyclotomicValue, FqField, _add, _cyclo, fq_tables
 from .gln_airy import CharacterParams, chi_geometric, f_poly, hecke_forms, make_params
 
 BRUTE_BUDGET = 10 ** 7
@@ -43,7 +43,7 @@ WEIL_SLACK = 1e-6  # float error allowed in the Weil bound
 def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
     """sum_c counts[c] * zeta^c with the zeta^{p-1} relation applied."""
     k = counts[p - 1]
-    return CyclotomicValue(p, [counts[c] - k for c in range(p - 1)])
+    return _cyclo(p, tuple([counts[c] - k for c in range(p - 1)]))
 
 
 def _trace_sums(field, f_coeffs) -> dict:
@@ -211,7 +211,8 @@ def _brute_table_entries(params: CharacterParams):
     points = sum(counts)
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum counted {points} of the q^{1 + n // 2} points")
-    return {a: -_counts_to_cyclo(p, counts[i: i + p]) for a, i in zip(field.elements(), at)}
+    return {a: _counts_to_cyclo(p, [-c for c in counts[i: i + p]])
+            for a, i in zip(field.elements(), at)}
 
 
 def _require_brute(brute):
@@ -245,7 +246,8 @@ class Verdict(Record):
 
 def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     """Exact cyclotomic comparison of the Hecke eigenvalue trace, as the
-    brute fiber sum, with the Airy trace twisted by q^{n/2-1}."""
+    brute fiber sum, with the Airy trace twisted by q^{n/2-1}; for n = 2
+    the twist is 1 and the Airy table is compared as it is."""
     _require_brute(brute)
     require_brute_budget(p, e, n)
     require_airy_budget(p, e)
@@ -254,7 +256,8 @@ def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     q = p ** e
     hecke = hecke_trace_table(params)
     airy = airy_trace_table(f_poly(params), p, e, lam=params.lam)
-    twisted = airy.scaled(q ** (n // 2 - 1), "airy-twisted")
+    twist = q ** (n // 2 - 1)
+    twisted = airy if twist == 1 else airy.scaled(twist, "airy-twisted")
     mismatches = [a for a in field.elements() if hecke.entries[a] != twisted.entries[a]]
     detail = {
         "n": n,

@@ -8,12 +8,15 @@ loop-group incarnation of the cyclic shift power E_1^r and Z_i Z_j = Z_{i+j}
 FqField(p, e) (GF(p) for e = 1).
 
 The arithmetic runs on element indices (`FqElement.v`) with the field's
-tables (`arith._mul`, `arith._add`, or the tables read inline in the exp and
-log recurrences): the section algebra and chi take field
-elements, compute on their indices and build field elements only for the
-result, and the Hecke maps are affine forms with index coefficients.
-`chi_geometric` runs Horner's rule (`poly_eval`) on the coefficient indices
-that its `CharacterParams` stores, so no coefficient is read per call.
+tables: the truncated product, the exp and log recurrences and chi's
+lambda-sum read the log, antilog and Zech tables inline, and the rest
+calls `arith._mul` and `arith._add`.  The section algebra and chi take
+field elements, compute on their indices and build field elements only
+for the result, and the Hecke maps are affine forms with index
+coefficients.  `chi_geometric` runs Horner's rule (`poly_eval`) on the
+coefficient indices that its `CharacterParams` stores, computed once per
+params on indices (each 1/k read from `_inverses`), so no coefficient is
+read per call.
 """
 
 from __future__ import annotations
@@ -81,14 +84,24 @@ def _elements(field, vs):
 
 def _trunc_mul(tab, n, a, b):
     """X Y for index vectors of Z-coefficients (index r-1 <-> Z_r); the
-    terms past Z_{n+1} are dropped."""
+    terms past Z_{n+1} are dropped.  Products and sums read the log,
+    antilog and Zech tables inline, as in `_exp_series`."""
+    exp, log, zech = tab.exp, tab.log, tab.zech
     out = [0] * (n + 1)
     for i, x in enumerate(a):
         if not x:
             continue
-        for j, y in enumerate(b[:n - i]):
+        lx = log[x]
+        for k, y in enumerate(b[:n - i], start=i + 1):
             if y:
-                out[i + j + 1] = _add(tab, out[i + j + 1], _mul(tab, x, y))
+                v = exp[lx + log[y]]
+                acc = out[k]
+                if acc:
+                    la = log[acc]
+                    z = zech[log[v] - la]
+                    out[k] = exp[la + z] if z >= 0 else 0
+                else:
+                    out[k] = v
     return out
 
 
@@ -169,24 +182,37 @@ def log_section(n, field, x):
 
 def chi_eval(params: CharacterParams, x):
     """chi(Id + sum x_r Z_r) = sum_{r<=n/2} lambda_r y_r + n y_{1+n}, with
-    y = log of the section, run on indices."""
+    y = log of the section, run on indices with the tables read inline."""
     n, field = params.n, params.field
     tab = field._tables
+    exp, log, zech = tab.exp, tab.log, tab.zech
     y = _log_series(tab, n, _indices(field, x))
     acc = _mul(tab, n % field.p, y[n])
     for lam, v in zip(_indices(field, params.lam), y):
-        acc = _add(tab, acc, _mul(tab, lam, v))
+        if lam and v:
+            t = exp[log[lam] + log[v]]
+            if acc:
+                la = log[acc]
+                z = zech[log[t] - la]
+                acc = exp[la + z] if z >= 0 else 0
+            else:
+                acc = t
     return field.from_index(acc)
 
 
 def _chi_geo_indices(params: CharacterParams):
     """The indices of the coefficients of sum (lambda_r/r) m^r +
-    (n/(1+n)) m^{1+n}, constant term first."""
+    (n/(1+n)) m^{1+n}, constant term first: each 1/k is read from
+    `_inverses`, an index in every F_{p^e}, and n < p is its own index."""
     n, field = params.n, params.field
+    tab = field._tables
+    exp, log = tab.exp, tab.log
+    inv = _inverses(field.p, n)
     coeffs = [0] * (n + 2)
-    for r in range(1, n // 2 + 1):
-        coeffs[r] = (params.lam[r - 1] / field(r)).v
-    coeffs[n + 1] = (field(n) / field(n + 1)).v
+    for r, lam in enumerate(_indices(field, params.lam), start=1):
+        if lam:
+            coeffs[r] = exp[log[lam] + log[inv[r - 1]]]
+    coeffs[n + 1] = exp[log[n] + log[inv[n]]]
     return coeffs
 
 

@@ -19,9 +19,12 @@ A series product works on packed rows (Kronecker
 substitution): all of B is packed by one struct call and split by shifts
 into one int per row j, over all h+2 blocks, with a 64-bit slot per entry;
 a row of A B is a sum of small multiples of shifted packed rows, over the
-rows of A that are not all zero, and the rows of A B are unpacked by one
-struct call and reduced mod p.  No slot carries while (h+2) n (p-1)^2 is
-below 2^64, which `GLnModel` checks.  `factorize_I1` forms no
+rows of A that are not all zero.  A slot then holds at most (h+2) n (p-1)^2,
+a number of b bits.  The packed product is reduced mod p inside the int,
+every slot at once, by a multiply and shift (Granlund and Montgomery's
+division by an invariant integer), and its rows are unpacked by one struct
+call.  No slot carries and the reduction is exact while 2b +
+p.bit_length() <= 64, which `GLnModel` checks.  `factorize_I1` forms no
 series product and no inverse: each factor is an entry list, applied to a
 series by sparse row or column operations, and an S-factor is undone by a
 triangular solve.  u, a and s are carried as {(t-power, row, col): value}
@@ -219,10 +222,16 @@ class GLnModel:
     block is an n x n list of int residues mod p.  For GF(p) a residue is
     the index of the field element, so an entry v equals model.field(v).
     The methods accept any ints and return residues in [0, p).
+
+    A model exists only where `mul`'s packed reduction is exact: with b the
+    bits of (n+2) n (p-1)^2, the largest sum a product slot holds, 2b +
+    p.bit_length() must be at most 64 (at n = 8, p up to 1021); otherwise
+    ValueError is raised before a field table is built.
     """
 
     def __init__(self, n: int, p: int):
-        if (n + 2) * n * (p - 1) ** 2 >= 1 << 64:
+        b = ((n + 2) * n * (p - 1) ** 2).bit_length()
+        if 2 * b + p.bit_length() > 64:
             raise ValueError(f"GL_{n} series products over F_{p} overflow 64-bit slots")
         self.n = n
         self.p = p
@@ -232,6 +241,11 @@ class GLnModel:
         self.h = n
         self.N = n + 2  # truncation order
         self._slots = struct.Struct(f"<{self.N * n * n}Q")  # every row, packed
+        self._row = struct.Struct(f"<{n}Q")  # one row of one block
+        # M, s and the mask of each slot's low b bits, for `_residues`
+        s = b + p.bit_length()
+        low = sum((1 << b) - 1 << 64 * k for k in range(self.N * n * n))
+        self._reduce = (-(-(1 << s) // p), s, low)
         self._identity = [
             [[int(j == k) for k in range(n)] for j in range(n)] if i == 0
             else [[0] * n for _ in range(n)]
@@ -251,9 +265,10 @@ class GLnModel:
         one struct call, row j over all N blocks into one int whose 64-bit
         slot m n + c holds B_m[j][c]; row r of A B is the sum of x (packed
         row j << 64 n i) over the nonzero entries x = A_i[r][j], with the
-        all-zero rows of A skipped, cut to N n slots.  The rows of A B are
-        unpacked together by one struct call.  A slot sums at most N n
-        products below p^2, so none carries."""
+        all-zero rows of A skipped, cut to N n slots.  A slot sums at most
+        N n products below p^2, so it is below 2^b and none carries.
+        `_residues` reduces every slot mod p in the packed int, and the rows
+        of A B are unpacked together, one row of one block per record."""
         n, p, N, slots = self.n, self.p, self.N, self._slots
         width = 64 * n  # one block of a packed row
         row_bits = width * N
@@ -273,13 +288,34 @@ class GLnModel:
                             s += x * b
                     row += s << width * i
             acc |= (row & mask) << row_bits * r
-        vals = [v % p for v in slots.unpack(acc.to_bytes(slots.size, "little"))]
-        return [[vals[(r * N + m) * n:(r * N + m + 1) * n] for r in range(n)] for m in range(N)]
+        out = self._residues(acc).to_bytes(slots.size, "little")
+        rows = list(map(list, self._row.iter_unpack(out)))  # row r of block m at r N + m
+        return [rows[m::N] for m in range(N)]
+
+    def _residues(self, acc):
+        """acc, packed as a product of `mul`, with every 64-bit slot value
+        v < 2^b replaced by v mod p, by division by an invariant integer
+        (Granlund and Montgomery): with s = b + p.bit_length() and
+        M = ceil(2^s / p), floor(v / p) = floor(v M / 2^s).  Each slot's
+        v M is below 2^(2b+1) <= 2^64, so the slots of acc M do not
+        overlap, and after the shift by s the low b bits of a slot hold its
+        quotient: the next slot's low s bits land at bit 64 - s >= b."""
+        M, s, low = self._reduce
+        return acc - self.p * ((acc * M >> s) & low)
 
     def eq(self, A, B):
+        """A = B mod p.  Equal lists are equal at once; otherwise each side
+        is flattened, and reduced only if an entry lies outside [0, p)."""
+        if A == B:
+            return True
         p = self.p
-        return ([x % p for blk in A for row in blk for x in row]
-                == [x % p for blk in B for row in blk for x in row])
+        flat = chain.from_iterable
+        a, b = list(flat(flat(A))), list(flat(flat(B)))
+        if min(a) < 0 or max(a) >= p:
+            a = [x % p for x in a]
+        if min(b) < 0 or max(b) >= p:
+            b = [x % p for x in b]
+        return a == b
 
     def in_filtration(self, A, r: int) -> bool:
         """A - 1 has depth >= r: reads only the entries of depth < r."""

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from airycheck.arith import (
     FqField,
     FqTables,
     MultiPoly,
+    _eval_log_terms,
     _poly_mod,
     _poly_mulmod,
     _poly_powmod,
@@ -335,9 +337,45 @@ def test_multipoly_arithmetic():
     f = (x + y) * (x - y)
     assert f == x * x - y * y
     assert max(sum(e) for e in f.terms) == 2
-    assert f.evaluate({"x": Fraction(3), "y": Fraction(2)}) == 5
+    F = GF(7)
+    slot = {"x": 0, "y": 1}
+    assert _eval_log_terms(F._tables, f.log_terms(F, slot), [3, 2]) == 5
     g = f.substitute({"y": x})
     assert not g
-    F = GF(7)
     h = MultiPoly(vs, {e: F(c) for e, c in f.terms.items()})
-    assert h.evaluate({"x": F(3), "y": F(1)}) == F(1)
+    assert _eval_log_terms(F._tables, h.log_terms(F, slot), [3, 1]) == 1
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (7, 2), (11, 2)])
+def test_log_terms_evaluate_as_field_operators(p, e):
+    # the index evaluator against sum c x^k summed with field operators, on
+    # seeded polynomials and points with zero coordinates; exponents past
+    # q - 1 wrap round the antilog table, and terms that cancel give 0
+    F = FqField(p, e)
+    tab = F._tables
+    rng = random.Random(100 * p + e)
+    names = ("a", "b", "c")
+    slot = {"c": 0, "a": 1, "b": 2}  # positions need not follow the variable order
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randrange(0, 8)):
+            expo = tuple(rng.choice((0, 0, 1, 2, 3, F.q + 1)) for _ in names)
+            terms[expo] = F.from_index(rng.randrange(1, F.q))
+        poly = MultiPoly(names, terms)
+        compiled = poly.log_terms(F, slot)
+        for _ in range(10):
+            point = {v: F.from_index(rng.randrange(F.q)) if rng.random() < 0.8 else F(0)
+                     for v in names}
+            want = F(0)
+            for expo, c in poly.terms.items():
+                want = want + c * math.prod((point[v] ** k for v, k in zip(names, expo)), start=F(1))
+            values = [0] * 3
+            for v in names:
+                values[slot[v]] = point[v].v
+            assert _eval_log_terms(tab, compiled, values) == want.v
+    # x - x as two terms that cancel, and a coefficient that is 0 in F_p
+    a = MultiPoly(names, {(1, 0, 0): F(1)})
+    a_minus_a = [*a.log_terms(F, slot), *(-a).log_terms(F, slot)]
+    assert _eval_log_terms(tab, a_minus_a, [0, 5, 0]) == 0
+    assert _eval_log_terms(tab, a_minus_a + a.log_terms(F, slot), [0, 5, 0]) == 5
+    assert MultiPoly(names, {(1, 0, 0): Fraction(p)}).log_terms(F, slot) == []

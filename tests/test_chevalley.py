@@ -18,6 +18,7 @@ from airycheck.chevalley import (
     QQ,
     ChevalleyAlgebra,
     GradedSubspace,
+    S1Graph,
     _cartan_data,
     _check_constants,
     _check_lift,
@@ -1054,6 +1055,35 @@ def test_s1_graph_outputs_pinned():
         for item in items:
             digest.update(repr(item).encode())
     assert digest.hexdigest() == "ce77a345b4455c62176d9c0772555e20ddb5ee82ef094d2b184b178f1644e4a3"
+
+
+def _check_draws(graph, p, seed, samples):
+    """The state of Random(seed) after one randrange(p) per lambda name per
+    sample, the draws of s1_graph_check."""
+    rng = random.Random(seed)
+    for _ in range(samples * len(graph.lambda_names)):
+        rng.randrange(p)
+    return rng.getstate()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_s1_graph_check_on_indices_rejects_a_changed_polynomial(n):
+    # negative controls for the index evaluator: a graph polynomial with
+    # its constant raised by 1, and a lambda-expression doubled.  A passing
+    # check draws one randrange(p) per lambda name per sample, in order
+    F = GF(7)
+    alg = build_algebra(get_root_datum("GL", n, "gl"), F)
+    graph = s1_graph(alg)
+    fields = {k: getattr(graph, k) for k in S1Graph._fields}
+    rng = random.Random(n)
+    assert s1_graph_check(alg, graph, rng, samples=60)
+    assert rng.getstate() == _check_draws(graph, 7, n, 60)
+    for a, f in graph.graphs.items():
+        bad = S1Graph(**{**fields, "graphs": {**graph.graphs, a: f + F(1)}})
+        assert not s1_graph_check(alg, bad, random.Random(n), samples=60)
+    for name, f in graph.lambda_exprs.items():
+        bad = S1Graph(**{**fields, "lambda_exprs": {**graph.lambda_exprs, name: f * F(2)}})
+        assert not s1_graph_check(alg, bad, random.Random(n), samples=60)
 
 
 def test_s1_graph_needs_a_block_of_full_rank(monkeypatch):

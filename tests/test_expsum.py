@@ -139,7 +139,8 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
 def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
     # every point of F_q^{1+n/2} is binned once: the counts the kernel turns
-    # into entries total q^{1+n/2}; and the field elements made are O(q):
+    # into entries (it passes minus the counts) total q^{1+n/2}; and the
+    # field elements made are O(q):
     # the m_1 loop and the entries, none per point
     from airycheck import arith, expsum
 
@@ -149,7 +150,7 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
     fq, to_cyclo = arith._fq, expsum._counts_to_cyclo
     monkeypatch.setattr(arith, "_fq", lambda f, v: made.append(v) or fq(f, v))
     monkeypatch.setattr(
-        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(sum(counts)) or to_cyclo(p, counts)
+        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(-sum(counts)) or to_cyclo(p, counts)
     )
     hecke_trace_table(params, brute=True)
     assert len(binned) == field.q
@@ -162,7 +163,8 @@ def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch):
     # the count vector of every fiber, not only its entry: _counts_to_cyclo
     # forgets a constant added to a fiber's counts, so a shifted bin could
     # still give the right entries.  The oracle counts Tr p_1(m) over
-    # {m : p_2(m) = a} with field operators, one point at a time
+    # {m : p_2(m) = a} with field operators, one point at a time; the brute
+    # sum passes minus the counts, as the Airy sum does
     from airycheck import expsum
 
     field = FqField(p, e)
@@ -176,7 +178,7 @@ def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch):
     for m in itertools.product(field.elements(), repeat=1 + n // 2):
         expected[hecke_oracle.p2(n, field, m)][hecke_oracle.trace(hecke_oracle.p1(params, m))] += 1
     # the entries are built in index order of a
-    assert binned == [expected[a] for a in field.elements()]
+    assert binned == [[-c for c in expected[a]] for a in field.elements()]
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -334,6 +336,26 @@ def test_compare_fails_against_airy_table_for_shifted_lambda(n, p, lam, monkeypa
     monkeypatch.setattr(expsum, "airy_trace_table", shifted)
     v = compare_traces(n, p, 1, lam)
     assert not v.ok and v.detail["brute_mismatches"] > 0, v.detail
+
+
+@pytest.mark.parametrize("n,p,lam", [(2, 7, (3,)), (4, 7, (1, 0))])
+def test_compare_counts_one_changed_airy_entry(n, p, lam, monkeypatch):
+    # negative control at the entry level: an Airy table with one entry
+    # changed gives exactly one mismatch, where the twist is 1 (n = 2, the
+    # table compared as it is) and where it is q (n = 4)
+    from airycheck import expsum
+
+    airy = expsum.airy_trace_table
+
+    def one_changed(f_coeffs, p, e, lam=()):
+        table = airy(f_coeffs, p, e, lam=lam)
+        a = next(iter(table.entries))
+        table.entries[a] = table.entries[a] + CyclotomicValue.zeta_pow(p, 1)
+        return table
+
+    monkeypatch.setattr(expsum, "airy_trace_table", one_changed)
+    v = compare_traces(n, p, 1, lam)
+    assert not v.ok and v.detail["brute_mismatches"] == 1, v.detail
 
 
 def test_brute_false_rejected():

@@ -231,17 +231,24 @@ def _oracle_chi(params, x):
     return sum((lam * v for lam, v in zip(params.lam, y)), F(0)) + F(n) * y[n]
 
 
-# GF(7), GF(11), F_25, F_49 for n = 2, 4, 6, where the section needs p > n + 1,
-# and GF(11), GF(13) for n = 8, where exp and log divide by k up to 9
-ORACLE_CASES = [(n, p, e) for n in (2, 4, 6) for p, e in ((7, 1), (11, 1), (5, 2), (7, 2))
+# GF(7), GF(11), F_25, F_49, F_121 for n = 2, 4, 6, where the section needs
+# p > n + 1, and GF(11), GF(13) for n = 8, where exp and log divide by k up to 9
+ORACLE_CASES = [(n, p, e) for n in (2, 4, 6) for p, e in ((7, 1), (11, 1), (5, 2), (7, 2), (11, 2))
                 if p > n + 1] + [(8, 11, 1), (8, 13, 1)]
 
 
 @pytest.mark.parametrize("n,p,e", ORACLE_CASES)
 def test_section_kernels_match_field_operators(n, p, e):
+    # lambda is drawn from all of F_q, so over F_{p^e} it leaves F_p; chi's
+    # coefficients, computed on indices, are checked against the divisions
     F = FqField(p, e)
     rng = random.Random(31 * n + 7 * p + e)
-    params = make_params(n, F, [rng.randrange(p) for _ in range(n // 2)])
+    params = make_params(n, F, [F.from_index(rng.randrange(F.q)) for _ in range(n // 2)])
+    geo = [F(0)] * (n + 2)
+    for r, lam in enumerate(params.lam, start=1):
+        geo[r] = lam / F(r)
+    geo[n + 1] = F(n) / F(n + 1)
+    assert params._chi_geo_indices == [c.v for c in geo]
     # dense vectors, sparse ones and the zero vector
     vec = lambda density: [F.from_index(rng.randrange(F.q)) if rng.random() < density else F(0)
                            for _ in range(n + 1)]

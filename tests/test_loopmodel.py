@@ -9,6 +9,7 @@ import pytest
 
 import airycheck
 from matrix_oracle import mat_mul
+from test_chevalley import _run_optimized
 from airycheck import cli, loopmodel
 from airycheck.chevalley import (
     a_subspace,
@@ -423,18 +424,80 @@ def test_mul_of_dense_top_residues(n, p):
 
 
 def test_model_rejects_a_prime_whose_slots_overflow(monkeypatch):
-    # N n (p-1)^2 must stay below 2^64, checked before GF(p) builds a table
+    # 2b + p.bit_length() <= 64, b the bits of N n (p-1)^2, checked before
+    # GF(p) builds a table.  At n = 8, 80 (p-1)^2 has b = 27 bits up to
+    # p = 1023 (10 bits); from p = 1024 on p has 11 bits, and b = 26 would
+    # need p <= 916, so 1023 is the largest p accepted
     def build(p):
         raise RuntimeError("a field table was built")
 
     monkeypatch.setattr(loopmodel, "GF", build)
     with pytest.raises(ValueError, match="64-bit slots"):
         GLnModel(2, 2 ** 61 - 1)
-    top = math.isqrt((2 ** 64 - 1) // 80) + 1  # the largest p with 80 (p-1)^2 < 2^64
-    with pytest.raises(ValueError, match="64-bit slots"):
-        GLnModel(8, top + 1)
+    for p in (1024, 1031, 2 ** 20):
+        with pytest.raises(ValueError, match="64-bit slots"):
+            GLnModel(8, p)
     with pytest.raises(RuntimeError, match="table"):
-        GLnModel(8, top)
+        GLnModel(8, 1023)
+
+
+def test_largest_accepted_prime_multiplies_its_top_residues():
+    # at the bound every slot of top * top takes its largest sum, 80 * 1020^2
+    n, p = 8, 1021  # the largest prime below 1024
+    model = GLnModel(n, p)
+    top = [[[p - 1] * n for _ in range(n)] for _ in range(model.N)]
+    assert model.mul(top, top) == _naive_mul(model, top, top)
+
+
+_GUARD_UNDER_O = """
+from airycheck.loopmodel import GLnModel
+
+assert not __debug__, "this check must run under python -O"
+try:
+    GLnModel(8, 1024)
+except ValueError as exc:
+    print("raised", exc)
+"""
+
+
+def test_slot_guard_raises_under_optimize():
+    out = _run_optimized(_GUARD_UNDER_O)
+    assert out.startswith("raised GL_8 series products over F_1024 overflow"), out
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_residues_of_every_slot_value(n, p):
+    # every value 0..N n (p-1)^2 that a slot of a product can hold, packed
+    # N n^2 to an int as in mul, comes back as its residue mod p
+    model = GLnModel(n, p)
+    slots = model._slots
+    k = model.N * n * n
+    values = list(range(model.N * n * (p - 1) ** 2 + 1))
+    values += [0] * (-len(values) % k)
+    for i in range(0, len(values), k):
+        chunk = values[i:i + k]
+        acc = int.from_bytes(slots.pack(*chunk), "little")
+        got = slots.unpack(model._residues(acc).to_bytes(slots.size, "little"))
+        assert list(got) == [v % p for v in chunk]
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES)
+def test_eq_reduces_entries_outside_the_residues(n, p):
+    # eq compares mod p: negative entries and entries >= p, on either side
+    # and in either order, against the reduced series
+    model = GLnModel(n, p)
+    rng = random.Random(900 + 10 * n + p)
+    A = _random_series(model, rng)
+    shift = lambda S, lo, hi: [[[x + p * rng.randrange(lo, hi) for x in row] for row in blk]
+                               for blk in S]
+    # every entry negative, every entry >= p, and a mix with residues
+    for B in (shift(A, -3, 0), shift(A, 1, 4), shift(A, -2, 3)):
+        assert model.eq(A, B) and model.eq(B, A) and model.eq(B, B)
+        C = _copy(B)
+        C[rng.randrange(model.N)][rng.randrange(n)][rng.randrange(n)] += 1
+        assert not model.eq(A, C) and not model.eq(C, B)
+    neg = [[[-x for x in row] for row in blk] for blk in A]
+    assert model.eq(neg, [[[(-x) % p for x in row] for row in blk] for blk in A])
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
