@@ -304,18 +304,13 @@ class GLnModel:
         return acc - self.p * ((acc * M >> s) & low)
 
     def eq(self, A, B):
-        """A = B mod p.  Equal lists are equal at once; otherwise each side
-        is flattened, and reduced only if an entry lies outside [0, p)."""
+        """A = B mod p.  Equal lists, as two reduced series that agree are,
+        compare equal at once; other series are compared reduced."""
         if A == B:
             return True
         p = self.p
-        flat = chain.from_iterable
-        a, b = list(flat(flat(A))), list(flat(flat(B)))
-        if min(a) < 0 or max(a) >= p:
-            a = [x % p for x in a]
-        if min(b) < 0 or max(b) >= p:
-            b = [x % p for x in b]
-        return a == b
+        return ([x % p for blk in A for row in blk for x in row]
+                == [x % p for blk in B for row in blk for x in row])
 
     def in_filtration(self, A, r: int) -> bool:
         """A - 1 has depth >= r: reads only the entries of depth < r."""

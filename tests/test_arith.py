@@ -373,7 +373,7 @@ def test_log_terms_evaluate_as_field_operators(p, e):
             for v in names:
                 values[slot[v]] = point[v].v
             assert _eval_log_terms(tab, compiled, values) == want.v
-    # x - x as two terms that cancel, and a coefficient that is 0 in F_p
+    # a - a as two terms that cancel, and a coefficient that is 0 in F_p
     a = MultiPoly(names, {(1, 0, 0): F(1)})
     a_minus_a = [*a.log_terms(F, slot), *(-a).log_terms(F, slot)]
     assert _eval_log_terms(tab, a_minus_a, [0, 5, 0]) == 0

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import os
 import random
 import subprocess
