@@ -6,8 +6,9 @@ Every finite field is an `FqField(p, e)` built from a deterministic
 e = 1, its value); its arithmetic is lookups in O(q) log, Zech-log, negation
 and trace tables (`FqTables`), built once per (p, e).  Values of the additive
 character live in Z[zeta_p] with exact integer coordinates.
-Floats appear only in `CyclotomicValue.embed`, which is used for analytic
-bound checks, never for equality.
+Floats appear only in `CyclotomicValue.embed` and the powers of zeta it
+reads (`_zeta_powers`, cached per p), which are used for analytic bound
+checks, never for equality.
 """
 
 from __future__ import annotations
@@ -496,6 +497,14 @@ def _cyclo(p: int, coeffs: tuple) -> "CyclotomicValue":
     return c
 
 
+@lru_cache(maxsize=None)
+def _zeta_powers(p: int) -> tuple:
+    """(z^0, ..., z^(p-2)) for z = exp(2*pi*i/p), each power formed as
+    `z ** i`, once per p."""
+    z = cmath.exp(2j * cmath.pi / p)
+    return tuple(z ** i for i in range(p - 1))
+
+
 class CyclotomicValue:
     """Exact element of Z[zeta_p] in the basis 1, zeta, ..., zeta^(p-2)."""
 
@@ -584,8 +593,8 @@ class CyclotomicValue:
 
     def embed(self) -> complex:
         """Complex embedding zeta -> exp(2*pi*i/p), double precision."""
-        z = cmath.exp(2j * cmath.pi / self.p)
-        return sum(a * z ** i for i, a in enumerate(self.coeffs) if a) + 0j
+        zs = _zeta_powers(self.p)
+        return sum(a * zs[i] for i, a in enumerate(self.coeffs) if a) + 0j
 
     def __repr__(self):
         return f"Cyc({self.p}){list(self.coeffs)}"

@@ -16,6 +16,13 @@ points are counted on residues mod p.
   table, reduced mod p once; for each t a plain increment loop counts
   Tr f(x) + Tr(t x), which lies in [0, 2p - 2], into a list of 2p ints
   whose two halves fold mod p by one addition.
+- The linear coefficient c_1 of f only moves the Fourier variable:
+  S_f(t) = S_{f - c_1 x}(t + c_1).  So the Airy table of f is one cached
+  base table, keyed on (p, e, the coefficient indices of f with c_1 set to
+  0), read at the index of t + c_1: every lambda of GL_2 at one (p, e)
+  shares a base.  The base is built once per key by the one kernel,
+  `_trace_sums`; a refused input (degree, p | deg f, budget) is refused
+  before the cache is read, so it is never cached.
 - The brute fiber sum visits every point of F_q^{1+n/2}: per m_1 it takes
   p_1 and p_2 as the affine forms of `gln_airy.hecke_forms` and extends
   their partial sums one tail coordinate at a time, adding the row
@@ -134,8 +141,25 @@ def require_brute_budget(p: int, e: int, n: int):
         raise ValueError("brute-force fiber enumeration exceeds budget")
 
 
+@lru_cache(maxsize=None)
+def _airy_base(p: int, e: int, c: tuple) -> tuple:
+    """The Airy table of the f with coefficient indices `c`, which has no
+    linear term (c[1] = 0), as its entries in t-index order: `_trace_sums`
+    runs once per (p, e, c)."""
+    field = FqField(p, e)
+    return tuple(_trace_sums(field, [field.from_index(i) for i in c]).values())
+
+
 def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
-    """Entry at t is -sum_{x in F_q} psi(Tr(f(x) + t x))."""
+    """Entry at t is -sum_{x in F_q} psi(Tr(f(x) + t x)).
+
+    With c_1 the linear coefficient of f, the entry is S_{f - c_1 x}(t + c_1):
+    entry t reads the cached base table of f - c_1 x (`_airy_base`, keyed on
+    (p, e, coefficient indices with c_1 set to 0)) at the index of t + c_1.
+    The degree, p | deg f and budget refusals come first, so a refused input
+    is never cached; the entries dict is new on every call, so a caller that
+    edits it cannot reach the cache.
+    """
     n = len(f_coeffs) - 2
     if n < 1 or not f_coeffs[-1]:
         raise ValueError("f must have degree n + 1 >= 2")
@@ -143,7 +167,10 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("p must not divide deg f")
     require_airy_budget(p, e)
     field = FqField(p, e)
-    entries = _trace_sums(field, f_coeffs)
+    c = [field(x).v for x in f_coeffs]
+    c1, c[1] = c[1], 0
+    base, tab = _airy_base(p, e, tuple(c)), field._tables
+    entries = {t: base[_add(tab, t.v, c1)] for t in field.elements()}
     return TraceTable(field.q, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
 

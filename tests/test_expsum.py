@@ -239,7 +239,8 @@ def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch):
     # _counts_to_cyclo forgets a constant added to all counts, so a wrong
     # fold of the unfolded sums could still give the right entries.  The
     # oracle counts Tr(f(x) + t x) over every x with field operators, f
-    # written out as sum c_i x^i; the Airy sum passes minus the counts
+    # written out as sum c_i x^i; the kernel runs on the full f, linear
+    # term included, and passes minus the counts
     from airycheck import expsum
 
     field = FqField(p, e)
@@ -248,7 +249,7 @@ def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch):
     monkeypatch.setattr(
         expsum, "_counts_to_cyclo", lambda p, counts: passed.append(list(counts)) or to_cyclo(p, counts)
     )
-    airy_trace_table(f, p, e)
+    expsum._trace_sums(field, f)
     values = [sum((c * x ** i for i, c in enumerate(f)), field(0)) for x in field.elements()]
     expected = []
     for t in field.elements():  # the entries are built in index order of t
@@ -257,6 +258,87 @@ def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch):
             minus[hecke_oracle.trace(fx + t * x)] -= 1
         expected.append(minus)
     assert passed == expected
+
+
+def _airy_oracle(field, f, t):
+    """-sum_x psi(Tr(f(x) + t x)), f(x) = sum c_i x^i with field operators."""
+    acc = CyclotomicValue(field.p)
+    for x in field.elements():
+        fx = sum((c * x ** i for i, c in enumerate(f)), field(0))
+        acc = acc + psi(field.p, hecke_oracle.trace(fx + t * x))
+    return -acc
+
+
+# (n, p, e, lambda as element indices): lambda_1 != 0, so the linear term of
+# f is a nonzero shift; index 9 of F_49 lies outside F_7
+SHIFT_CASES = [(2, 7, 1, (3,)), (2, 7, 2, (9,)), (4, 11, 1, (2, 5))]
+
+
+@pytest.mark.parametrize("n,p,e,lam", SHIFT_CASES)
+def test_airy_entries_match_field_operator_sums(n, p, e, lam):
+    # every entry against the sum itself, built from a cold cache and read
+    # from a warm one: the warm base is built for lambda_1 = 0, so the
+    # second table is the shift of another f's base
+    from airycheck import expsum
+
+    field = FqField(p, e)
+    params = make_params(n, field, [field.from_index(i) for i in lam])
+    f = f_poly(params)
+    expected = {t: _airy_oracle(field, f, t) for t in field.elements()}
+    expsum._airy_base.cache_clear()
+    assert airy_trace_table(f, p, e).entries == expected
+    assert expsum._airy_base.cache_info().misses == 1
+
+    expsum._airy_base.cache_clear()
+    unshifted = make_params(n, field, [field(0)] + [field.from_index(i) for i in lam[1:]])
+    airy_trace_table(f_poly(unshifted), p, e)
+    assert airy_trace_table(f, p, e).entries == expected
+    info = expsum._airy_base.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("lam1", [0, 3])
+def test_edited_airy_table_does_not_reach_the_cache(lam1):
+    # a caller that edits its entries, as test_compare_counts_one_changed_airy_entry
+    # does, leaves the next table for the same f as it was, with no shift
+    # (lambda_1 = 0) and with one
+    field = GF(7)
+    f = f_poly(make_params(2, field, (lam1,)))
+    first = airy_trace_table(f, 7, 1)
+    kept = dict(first.entries)
+    for t in first.entries:
+        first.entries[t] = first.entries[t] + CyclotomicValue.zeta_pow(7, 1)
+    first.entries.clear()
+    assert airy_trace_table(f, 7, 1).entries == kept
+
+
+@pytest.mark.parametrize("f,p", [
+    ([0, 1, 0, 1], 100003),  # q^2 past the budget
+    ([0] * 5 + [1], 5),  # p | deg f
+    ([0, 1], 5),  # degree 1
+], ids=["budget", "p-divides-deg", "degree"])
+def test_refused_airy_input_is_never_cached(f, p):
+    from airycheck import expsum
+
+    before = expsum._airy_base.cache_info().currsize
+    with pytest.raises(ValueError):
+        airy_trace_table(f, p, 1)
+    assert expsum._airy_base.cache_info().currsize == before
+
+
+def test_trace_checks_share_airy_bases():
+    # the 33 grid tables have 17 distinct nonlinear parts; weil-bound, run
+    # after the two trace checks, builds none
+    from airycheck import cli, expsum
+
+    expsum._airy_base.cache_clear()
+    cli.check_trace_gl2()
+    cli.check_trace_gl4()
+    info = expsum._airy_base.cache_info()
+    assert (info.hits + info.misses, info.misses) == (33, 17)
+    cli.check_weil()
+    after = expsum._airy_base.cache_info()
+    assert (after.hits - info.hits, after.misses - info.misses) == (33, 0)
 
 
 def test_airy_constant_shift():
@@ -310,6 +392,28 @@ def test_weil_bound_values():
     assert v.detail["worst"] <= v.detail["bound"] + 1e-6
 
 
+def test_embed_reads_cached_zeta_powers_bit_for_bit():
+    # the embedding of every entry of every weil-bound table equals the
+    # inline formula z ** i, summed in the same order, to the last bit
+    import cmath
+
+    from airycheck import cli
+
+    def inline(v):
+        z = cmath.exp(2j * cmath.pi / v.p)
+        return sum(a * z ** i for i, a in enumerate(v.coeffs) if a) + 0j
+
+    entries = 0
+    for n in cli.TRACE_GRIDS:
+        for p, e, lam in cli._trace_cases(n):
+            params = make_params(n, FqField(p, e), lam)
+            for v in airy_trace_table(f_poly(params), p, e).entries.values():
+                got, want = v.embed(), inline(v)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+                entries += 1
+    assert entries == 813
+
+
 def test_weil_check_refuses_a_table_that_is_not_airy():
     # the bound n sqrt(q) holds for the Airy sums only; a Hecke or a twisted
     # table is refused, not checked against a scaled bound
@@ -334,6 +438,32 @@ def test_compare_fails_against_airy_table_for_shifted_lambda(n, p, lam, monkeypa
 
     assert compare_traces(n, p, 1, lam).ok
     monkeypatch.setattr(expsum, "airy_trace_table", shifted)
+    v = compare_traces(n, p, 1, lam)
+    assert not v.ok and v.detail["brute_mismatches"] > 0, v.detail
+
+
+@pytest.mark.parametrize("n,p,lam", [(2, 7, (3,)), (4, 7, (1, 0))])
+def test_compare_fails_for_airy_shift_by_minus_c1(n, p, lam, monkeypatch):
+    # negative control for the shift: the base read at t - c_1 in place of
+    # t + c_1 is a failed verdict, not an exception, so the brute oracle
+    # sees the direction of the shift
+    from airycheck import expsum
+    from airycheck.arith import _add
+
+    airy = expsum.airy_trace_table
+
+    def minus_shift(f_coeffs, p, e, lam=()):
+        table = airy(f_coeffs, p, e, lam=lam)
+        field = FqField(p, e)
+        tab = field._tables
+        c = [field(x).v for x in f_coeffs]
+        c1, c[1] = c[1], 0
+        base = expsum._airy_base(p, e, tuple(c))
+        table.entries = {t: base[_add(tab, t.v, tab.neg[c1])] for t in field.elements()}
+        return table
+
+    assert compare_traces(n, p, 1, lam).ok
+    monkeypatch.setattr(expsum, "airy_trace_table", minus_shift)
     v = compare_traces(n, p, 1, lam)
     assert not v.ok and v.detail["brute_mismatches"] > 0, v.detail
 

@@ -1,6 +1,12 @@
-"""One table places a root of GL_n at a matrix entry: `_gl_root_interval`
+"""One-path guards, read off the AST of `src/`.
+
+One table places a root of GL_n at a matrix entry: `_gl_root_interval`
 is named in `src/` only where `chevalley` builds the GL structure constants
-and where `loopmodel` builds its line table (and imports it for that)."""
+and where `loopmodel` builds its line table (and imports it for that).
+
+One kernel computes the Airy sums: `expsum._trace_sums` is named in `src/`
+only by its definition and by the cached base table, `_airy_base`, that
+every Airy table reads."""
 
 import ast
 import pathlib
@@ -15,22 +21,26 @@ ALLOWED = {
 }
 
 
-def namings(module, tree):
-    """(module, place) for each naming of NAME in a module's tree: the
+AIRY_KERNEL = "_trace_sums"
+AIRY_ALLOWED = {("expsum", "<def>"), ("expsum", "_airy_base")}
+
+
+def namings(module, tree, name=NAME):
+    """(module, place) for each naming of `name` in a module's tree: the
     qualified name of the def it occurs in, `<def>` for its own definition,
     `<import>` for an import of it and `<module>` at top level."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if node.name == NAME:
+            if node.name == name:
                 found.append((module, "<def>"))
             scope = f"{scope}.{node.name}" if scope else node.name
-        elif isinstance(node, ast.ImportFrom) and any(a.name == NAME for a in node.names):
+        elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
             found.append((module, "<import>"))
-        elif (isinstance(node, ast.Name) and node.id == NAME
-              or isinstance(node, ast.Attribute) and node.attr == NAME
-              or isinstance(node, ast.Constant) and node.value == NAME):
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name
+              or isinstance(node, ast.Constant) and node.value == name):
             found.append((module, scope or "<module>"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -58,3 +68,13 @@ def test_gl_placement_has_one_table_per_module():
     ]
     assert set(found) - ALLOWED == set()
     assert set(found) == ALLOWED, "a table this guard names is gone; update ALLOWED"
+
+
+def test_airy_sums_have_one_kernel_and_one_caller():
+    # a second caller of _trace_sums would be a second way to build an
+    # Airy table, beside the cached base
+    found = [
+        hit for path in sorted(SRC.glob("*.py"))
+        for hit in namings(path.stem, ast.parse(path.read_text(), str(path)), AIRY_KERNEL)
+    ]
+    assert sorted(found) == sorted(AIRY_ALLOWED)
