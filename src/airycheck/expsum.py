@@ -28,9 +28,15 @@ points are counted on residues mod p.
   their partial sums one tail coordinate at a time, adding the row
   x -> x w of that coordinate's coefficient w (`_mul_row`, one slice of
   the antilog table in index order) by Zech logarithms (`_add_rows`).
-  Each point's p_1 and p_2 are field-element indices; the point is counted
-  in one flat list of q p ints at p (index of p_2) + Tr p_1, whose
-  length-p slices are the fibers' counts.
+- lambda enters the brute sum only through chi(m_1), a constant for each
+  m_1, and Tr is additive.  So the points are enumerated once per
+  (n, p, e), without chi: `_fiber_keys`, an lru_cache, holds per m_1 a
+  tuple of the keys 2p (index of p_2) + Tr(p_1 - chi(m_1)), and refuses
+  (uncached) an enumeration that does not reach q^{1+n/2} points.  Each
+  lambda adds Tr chi_lambda(m_1) to m_1's keys and counts them in one flat
+  list of 2pq ints, whose length-2p slices are the fibers' unfolded
+  counts, folded mod p as the Airy sum's are.  The budget refusal comes
+  before the cache is read, and each call builds its own entries dict.
 """
 
 from __future__ import annotations
@@ -205,41 +211,68 @@ def _add_rows(tab, sums: list, row: list) -> list:
     ]
 
 
-def _brute_table_entries(params: CharacterParams):
-    """-sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for every a at
-    once ((-1)^{n-1} = -1, as n is even): one pass over all of
-    F_q^{1+n/2}, counting each point at p (index of p_2) + Tr p_1 of one
-    flat list, whose length-p slices are the fibers' counts.
+@lru_cache(maxsize=None)
+def _fiber_keys(n: int, p: int, e: int) -> tuple:
+    """The lambda-free half of the brute fiber sum of GL_n over F_{p^e}: per
+    m_1, in index order, a tuple of the key 2p (index of p_2) + Tr(p_1 -
+    chi(m_1)) of every point (m_1, m_2, ..., m_{1+n/2}) of F_q^{1+n/2}.
 
     Per m_1 the Hecke maps are the affine forms of `hecke_forms` in the
-    tail (m_2, ..., m_{1+n/2}).  Their values at every tail are built one
-    coordinate at a time: the partial sums of p_1 and of p_2 are each
-    extended by the row x -> x w of that coordinate's coefficient, in the
-    same order, so the two lists stay aligned point by point; p_2 has no
-    constant term, so its partial sums start as the first row.  The counts
-    must total q^{1+n/2}, or a point was lost and VerificationError is
-    raised.
+    tail (m_2, ..., m_{1+n/2}), without chi(m_1), the only term that depends
+    on lambda.  Their values at every tail are built one coordinate at a
+    time: the partial sums of p_1 and of p_2 are each extended by the row
+    x -> x w of that coordinate's coefficient, in the same order, so the
+    two lists stay aligned point by point; p_2 has no constant term, so its
+    partial sums start as the first row.  The keys must number q^{1+n/2},
+    or a point was lost and VerificationError is raised; lru_cache does not
+    cache an exception, so a short enumeration is never stored.
     """
-    field, n = params.field, params.n
-    require_brute_budget(field.p, field.e, n)
-    q, p = field.q, field.p
-    tab = fq_tables(p, field.e)
-    trace, at = tab.trace, [p * a for a in range(q)]
-    counts = [0] * (q * p)  # p (index of p_2) + Tr p_1 -> points
-    for m1 in field.elements():
-        c, w1, w2 = hecke_forms(n, field, m1.v)
-        p1 = _add_rows(tab, [_add(tab, chi_geometric(params, m1).v, c)], _mul_row(tab, w1[0]))
+    field = FqField(p, e)
+    tab = field._tables
+    q, trace = tab.q, tab.trace
+    # key[a][t] = 2p a + t, one int object per key shared by every point
+    key = [list(range(2 * p * a, 2 * p * a + p)) for a in range(q)]
+    keys = []
+    for m1 in range(q):
+        c, w1, w2 = hecke_forms(n, field, m1)
+        p1 = _add_rows(tab, [c], _mul_row(tab, w1[0]))
         p2 = _mul_row(tab, w2[0])
         for y1, y2 in zip(w1[1:], w2[1:]):
             p1 = _add_rows(tab, p1, _mul_row(tab, y1))
             p2 = _add_rows(tab, p2, _mul_row(tab, y2))
-        for a, x in zip(p2, p1):
-            counts[at[a] + trace[x]] += 1
+        keys.append(tuple([key[a][trace[x]] for a, x in zip(p2, p1)]))
+    points = sum(map(len, keys))
+    if points != q ** (1 + n // 2):
+        raise VerificationError(f"the brute fiber sum enumerated {points} of the q^{1 + n // 2} points")
+    return tuple(keys)
+
+
+def _brute_table_entries(params: CharacterParams):
+    """-sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for every a at
+    once ((-1)^{n-1} = -1, as n is even), from the cached enumeration of
+    (n, p, e) (`_fiber_keys`).
+
+    Tr is additive and chi(m_1) is constant on the points with first
+    coordinate m_1, so each m_1's keys are shifted by Tr chi_lambda(m_1)
+    and counted in one flat list of 2pq ints: 2p (index of p_2) + Tr p_1
+    unfolded, in [0, 2p - 2] past the fiber's start.  Each fiber's two
+    halves fold mod p.  The budget refusal comes before the cache is read,
+    and the counts must total q^{1+n/2}, or VerificationError is raised.
+    """
+    field, n = params.field, params.n
+    require_brute_budget(field.p, field.e, n)
+    q, p = field.q, field.p
+    trace, elements = field._tables.trace, field.elements()
+    counts = [0] * (2 * p * q)  # 2p (index of p_2) + Tr p_1, unfolded -> points
+    for m1, keys in zip(elements, _fiber_keys(n, p, field.e)):
+        s = trace[chi_geometric(params, m1).v]
+        for k in keys:
+            counts[k + s] += 1
     points = sum(counts)
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum counted {points} of the q^{1 + n // 2} points")
-    return {a: _counts_to_cyclo(p, [-c for c in counts[i: i + p]])
-            for a, i in zip(field.elements(), at)}
+    return {a: _counts_to_cyclo(p, [-x - y for x, y in zip(counts[i: i + p], counts[i + p: i + 2 * p])])
+            for a, i in zip(elements, range(0, 2 * p * q, 2 * p))}
 
 
 def _require_brute(brute):

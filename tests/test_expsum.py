@@ -22,6 +22,19 @@ import hecke_oracle
 from hecke_oracle import psi
 
 
+@pytest.fixture
+def cold_fiber_keys():
+    """For a test that patches a kernel the brute fiber sum calls: the
+    cached enumeration (`expsum._fiber_keys`) is cleared before, so the
+    patched kernel runs, and after, so nothing built under the patch
+    outlives it."""
+    from airycheck import expsum
+
+    expsum._fiber_keys.cache_clear()
+    yield
+    expsum._fiber_keys.cache_clear()
+
+
 def test_trace_identity_n2():
     # Hecke eigenvalue trace = Airy trace for GL_2 (trivial Tate twist)
     for p in (5, 7):
@@ -67,6 +80,16 @@ def _fiber_sum(params, a, p2=hecke_oracle.p2):
         if p2(n, field, m) == a:
             acc = acc + psi(field.p, hecke_oracle.p1(params, m))
     return acc if n % 2 == 1 else -acc
+
+
+def _oracle_counts(params):
+    """{a: the number of points of the fiber p_2(m) = a at each Tr p_1(m)},
+    with field operators, one point at a time."""
+    field, n = params.field, params.n
+    counts = {a: [0] * field.p for a in field.elements()}
+    for m in itertools.product(field.elements(), repeat=1 + n // 2):
+        counts[hecke_oracle.p2(n, field, m)][hecke_oracle.trace(hecke_oracle.p1(params, m))] += 1
+    return counts
 
 
 # the trace workload's grid, plus GL_6 over F_11
@@ -137,7 +160,7 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
-def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
+def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, cold_fiber_keys):
     # every point of F_q^{1+n/2} is binned once: the counts the kernel turns
     # into entries (it passes minus the counts) total q^{1+n/2}; and the
     # field elements made are O(q):
@@ -159,7 +182,7 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch):
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])
-def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch):
+def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_keys):
     # the count vector of every fiber, not only its entry: _counts_to_cyclo
     # forgets a constant added to a fiber's counts, so a shifted bin could
     # still give the right entries.  The oracle counts Tr p_1(m) over
@@ -174,15 +197,13 @@ def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch):
         expsum, "_counts_to_cyclo", lambda p, counts: binned.append(list(counts)) or to_cyclo(p, counts)
     )
     hecke_trace_table(params, brute=True)
-    expected = {a: [0] * p for a in field.elements()}
-    for m in itertools.product(field.elements(), repeat=1 + n // 2):
-        expected[hecke_oracle.p2(n, field, m)][hecke_oracle.trace(hecke_oracle.p1(params, m))] += 1
+    expected = _oracle_counts(params)
     # the entries are built in index order of a
     assert binned == [[-c for c in expected[a]] for a in field.elements()]
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_brute_kernel_refuses_a_short_row(n, monkeypatch):
+def test_brute_kernel_refuses_a_short_row(n, monkeypatch, cold_fiber_keys):
     # negative control for the kernel's own count: a row one entry short
     # makes the zip of p_1 and p_2 drop points, which must raise rather
     # than return a table
@@ -192,6 +213,120 @@ def test_brute_kernel_refuses_a_short_row(n, monkeypatch):
     monkeypatch.setattr(expsum, "_mul_row", lambda tab, w: mul_row(tab, w)[:-1])
     with pytest.raises(VerificationError, match="points"):
         hecke_trace_table(make_params(n, GF(7), (1,) * (n // 2)), brute=True)
+
+
+def test_short_enumeration_is_never_cached(monkeypatch, cold_fiber_keys):
+    # the enumeration's own count refuses a short build, and lru_cache
+    # stores no exception: once the kernel is whole again, the next table
+    # enumerates afresh and is right
+    from airycheck import VerificationError, expsum
+
+    mul_row = expsum._mul_row
+    monkeypatch.setattr(expsum, "_mul_row", lambda tab, w: mul_row(tab, w)[:-1])
+    with pytest.raises(VerificationError, match="enumerated"):
+        expsum._fiber_keys(2, 7, 1)
+    assert expsum._fiber_keys.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert compare_traces(2, 7, 1, (3,)).ok
+    info = expsum._fiber_keys.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+
+
+@pytest.mark.parametrize("n,p,e", [(4, 223, 1), (8, 11, 2)])
+def test_refused_brute_input_is_never_cached(n, p, e):
+    # q^{1+n/2} past the budget is refused before the cache is read, by the
+    # table and by the comparison: not even a miss is counted
+    from airycheck import expsum
+
+    params = make_params(n, FqField(p, e), (1,) + (0,) * (n // 2 - 1))
+    before = expsum._fiber_keys.cache_info()
+    with pytest.raises(ValueError, match="brute-force"):
+        hecke_trace_table(params)
+    with pytest.raises(ValueError, match="brute-force"):
+        compare_traces(n, p, e, params.lam)
+    assert expsum._fiber_keys.cache_info() == before
+
+
+def test_edited_brute_table_does_not_reach_the_cache():
+    # every call counts into its own list and builds its own entries dict,
+    # so a caller that edits one leaves the next table, for the same lambda
+    # or another sharing the enumeration, as it was
+    field = GF(7)
+    first = hecke_trace_table(make_params(4, field, (1, 2)))
+    kept = dict(first.entries)
+    other = dict(hecke_trace_table(make_params(4, field, (3, 0))).entries)
+    for a in first.entries:
+        first.entries[a] = first.entries[a] + CyclotomicValue.zeta_pow(7, 1)
+    first.entries.clear()
+    assert hecke_trace_table(make_params(4, field, (1, 2))).entries == kept
+    assert hecke_trace_table(make_params(4, field, (3, 0))).entries == other
+
+
+def _outside(field, indices):
+    """lambda as the elements of `field` at `indices`, with at least one of
+    them outside F_p (x^p != x): make_params reads ints mod p, so such a
+    lambda is built from indices."""
+    lam = [field.from_index(i) for i in indices]
+    assert any(x ** field.p != x for x in lam)
+    return lam
+
+
+def test_brute_equals_twisted_airy_for_lambda_outside_fp():
+    # GL_4 over F_49, three lambda outside F_7 on one enumeration: each
+    # brute table is the Airy table twisted by q
+    from airycheck import expsum
+
+    field = FqField(7, 2)
+    expsum._fiber_keys.cache_clear()
+    for indices in [(8, 0), (0, 9), (15, 23)]:
+        params = make_params(4, field, _outside(field, indices))
+        airy = airy_trace_table(f_poly(params), 7, 2, lam=params.lam)
+        assert hecke_trace_table(params).entries == airy.scaled(49, "airy-twisted").entries
+    info = expsum._fiber_keys.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+# (p, e, index of lambda_1): each lambda lies outside F_p
+OUTSIDE_FP = [(7, 2, 8), (7, 2, 9), (7, 2, 15), (7, 2, 23), (5, 2, 7)]
+
+
+@pytest.mark.parametrize("p,e,index", OUTSIDE_FP)
+def test_brute_bins_match_oracle_counts_outside_fp(p, e, index, monkeypatch, cold_fiber_keys):
+    # the count vector of every fiber for a lambda that the trace grids,
+    # whose lambda are ints, cannot name
+    from airycheck import expsum
+
+    field = FqField(p, e)
+    params = make_params(2, field, _outside(field, (index,)))
+    binned, to_cyclo = [], expsum._counts_to_cyclo
+    monkeypatch.setattr(
+        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(list(counts)) or to_cyclo(p, counts)
+    )
+    hecke_trace_table(params)
+    expected = _oracle_counts(params)
+    assert binned == [[-c for c in expected[a]] for a in field.elements()]
+
+
+def test_lambdas_sharing_an_enumeration_differ_where_the_oracle_does():
+    # two lambda outside F_7 read one cached enumeration; the shift by
+    # Tr chi_lambda(m_1) keeps their tables apart at every a where the
+    # oracle's sums differ, and only there
+    from airycheck import expsum
+
+    field = FqField(7, 2)
+    tables, oracles = [], []
+    expsum._fiber_keys.cache_clear()
+    for index in (9, 15):
+        params = make_params(2, field, _outside(field, (index,)))
+        tables.append(hecke_trace_table(params).entries)
+        counts = _oracle_counts(params)
+        oracles.append({a: -sum((psi(7, t) * c for t, c in enumerate(counts[a])), CyclotomicValue(7))
+                        for a in field.elements()})
+    info = expsum._fiber_keys.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    differ = {a for a in field.elements() if oracles[0][a] != oracles[1][a]}
+    assert differ
+    assert {a for a in field.elements() if tables[0][a] != tables[1][a]} == differ
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (5, 2), (7, 2)])
@@ -234,7 +369,7 @@ def test_trace_identity_n6(p):
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
-def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch):
+def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_keys):
     # the count vector of every t, 0 included, not only its entry:
     # _counts_to_cyclo forgets a constant added to all counts, so a wrong
     # fold of the unfolded sums could still give the right entries.  The
@@ -339,6 +474,18 @@ def test_trace_checks_share_airy_bases():
     cli.check_weil()
     after = expsum._airy_base.cache_info()
     assert (after.hits - info.hits, after.misses - info.misses) == (33, 0)
+
+
+def test_trace_checks_share_fiber_enumerations():
+    # the 33 grid tables lie on 11 grid points (n, p, e), each enumerated
+    # once: every other lambda of a grid point reads its cached keys
+    from airycheck import cli, expsum
+
+    expsum._fiber_keys.cache_clear()
+    cli.check_trace_gl2()
+    cli.check_trace_gl4()
+    info = expsum._fiber_keys.cache_info()
+    assert (info.hits + info.misses, info.misses) == (33, 11)
 
 
 def test_airy_constant_shift():

@@ -6,7 +6,11 @@ and where `loopmodel` builds its line table (and imports it for that).
 
 One kernel computes the Airy sums: `expsum._trace_sums` is named in `src/`
 only by its definition and by the cached base table, `_airy_base`, that
-every Airy table reads."""
+every Airy table reads.
+
+One enumeration visits the Hecke fibers: `gln_airy.hecke_forms` is named in
+`src/` only by its definition, by `expsum`'s import of it and by the cached
+enumeration, `_fiber_keys`, that every brute table reads."""
 
 import ast
 import pathlib
@@ -23,6 +27,9 @@ ALLOWED = {
 
 AIRY_KERNEL = "_trace_sums"
 AIRY_ALLOWED = {("expsum", "<def>"), ("expsum", "_airy_base")}
+
+HECKE_FORMS = "hecke_forms"
+HECKE_ALLOWED = {("gln_airy", "<def>"), ("expsum", "<import>"), ("expsum", "_fiber_keys")}
 
 
 def namings(module, tree, name=NAME):
@@ -78,3 +85,13 @@ def test_airy_sums_have_one_kernel_and_one_caller():
         for hit in namings(path.stem, ast.parse(path.read_text(), str(path)), AIRY_KERNEL)
     ]
     assert sorted(found) == sorted(AIRY_ALLOWED)
+
+
+def test_hecke_fibers_have_one_enumeration():
+    # a second caller of hecke_forms would be a second way to enumerate the
+    # fibers of p_2, beside the cached one that every lambda shares
+    found = [
+        hit for path in sorted(SRC.glob("*.py"))
+        for hit in namings(path.stem, ast.parse(path.read_text(), str(path)), HECKE_FORMS)
+    ]
+    assert sorted(found) == sorted(HECKE_ALLOWED)
