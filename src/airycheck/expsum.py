@@ -30,24 +30,29 @@ points are counted on residues mod p.
   the antilog table in index order) by Zech logarithms (`_add_rows`).
 - lambda enters the brute sum only through chi(m_1), a constant for each
   m_1, and Tr is additive.  So the points are enumerated once per
-  (n, p, e), without chi: `_fiber_keys`, an lru_cache, holds per m_1 a
-  tuple of the keys 2p (index of p_2) + Tr(p_1 - chi(m_1)), and refuses
-  (uncached) an enumeration that does not reach q^{1+n/2} points.  Each
-  lambda adds Tr chi_lambda(m_1) to m_1's keys and counts them in one flat
-  list of 2pq ints, whose length-2p slices are the fibers' unfolded
-  counts, folded mod p as the Airy sum's are.  The budget refusal comes
-  before the cache is read, and each call builds its own entries dict.
+  (n, p, e), without chi: `_fiber_histograms`, an lru_cache, holds per m_1
+  one int, the histogram of the keys 2p (index of p_2) + Tr(p_1 - chi(m_1))
+  packed in slots of w bits, w the smallest array item width that holds
+  q^{n/2}, the size of every fiber.  It refuses (uncached) an enumeration
+  that does not reach q^{1+n/2} points or overflows a slot.  Each lambda
+  reads Tr chi_lambda(m_1) for every m_1 off one Horner row
+  (`gln_airy.chi_geometric_row`), shifts each m_1's int up by that many
+  slots and adds them: one int of 2pq slots, read back as one array, whose
+  length-2p windows are the fibers' unfolded counts, folded mod p as the
+  Airy sum's are.  The budget refusal comes before the cache is read, and
+  each call builds its own entries dict.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from operator import add, itemgetter
 
 from . import Record, VerificationError
 from .arith import CyclotomicValue, FqField, _add, _cyclo, fq_tables
-from .gln_airy import CharacterParams, chi_geometric, f_poly, hecke_forms, make_params
+from .gln_airy import CharacterParams, chi_geometric_row, f_poly, hecke_forms, make_params
 
 BRUTE_BUDGET = 10 ** 7
 WEIL_SLACK = 1e-6  # float error allowed in the Weil bound
@@ -211,11 +216,18 @@ def _add_rows(tab, sums: list, row: list) -> list:
     ]
 
 
+def _slot_typecode(most: int) -> str:
+    """The smallest unsigned `array` typecode whose items hold `most`."""
+    return next(tc for tc in "BHILQ" if most < 1 << 8 * array(tc).itemsize)
+
+
 @lru_cache(maxsize=None)
-def _fiber_keys(n: int, p: int, e: int) -> tuple:
+def _fiber_histograms(n: int, p: int, e: int) -> tuple:
     """The lambda-free half of the brute fiber sum of GL_n over F_{p^e}: per
-    m_1, in index order, a tuple of the key 2p (index of p_2) + Tr(p_1 -
-    chi(m_1)) of every point (m_1, m_2, ..., m_{1+n/2}) of F_q^{1+n/2}.
+    m_1, in index order, one int packing the histogram of the keys 2p (index
+    of p_2) + Tr(p_1 - chi(m_1)) over the points (m_1, m_2, ..., m_{1+n/2})
+    of F_q^{1+n/2}: key k is counted in slot k, the bits [k b, (k + 1) b)
+    for b the item width in bits of `_slot_typecode(q^{n/2})`.
 
     Per m_1 the Hecke maps are the affine forms of `hecke_forms` in the
     tail (m_2, ..., m_{1+n/2}), without chi(m_1), the only term that depends
@@ -223,16 +235,19 @@ def _fiber_keys(n: int, p: int, e: int) -> tuple:
     time: the partial sums of p_1 and of p_2 are each extended by the row
     x -> x w of that coordinate's coefficient, in the same order, so the
     two lists stay aligned point by point; p_2 has no constant term, so its
-    partial sums start as the first row.  The keys must number q^{1+n/2},
-    or a point was lost and VerificationError is raised; lru_cache does not
-    cache an exception, so a short enumeration is never stored.
+    partial sums start as the first row.  Each m_1's keys are counted in an
+    array of 2pq slots, read as one little-endian int.  The points must
+    number q^{1+n/2}, and every slot must hold its count (an array item
+    raises OverflowError past its range), or VerificationError is raised;
+    lru_cache does not cache an exception, so a short or overflowing
+    enumeration is never stored.
     """
     field = FqField(p, e)
     tab = field._tables
     q, trace = tab.q, tab.trace
-    # key[a][t] = 2p a + t, one int object per key shared by every point
-    key = [list(range(2 * p * a, 2 * p * a + p)) for a in range(q)]
-    keys = []
+    key = [list(range(2 * p * a, 2 * p * a + p)) for a in range(q)]  # key[a][t] = 2p a + t
+    empty = array(_slot_typecode(q ** (n // 2)), [0]) * (2 * p * q)
+    hists, points = [], 0
     for m1 in range(q):
         c, w1, w2 = hecke_forms(n, field, m1)
         p1 = _add_rows(tab, [c], _mul_row(tab, w1[0]))
@@ -240,39 +255,58 @@ def _fiber_keys(n: int, p: int, e: int) -> tuple:
         for y1, y2 in zip(w1[1:], w2[1:]):
             p1 = _add_rows(tab, p1, _mul_row(tab, y1))
             p2 = _add_rows(tab, p2, _mul_row(tab, y2))
-        keys.append(tuple([key[a][trace[x]] for a, x in zip(p2, p1)]))
-    points = sum(map(len, keys))
+        keys = [key[a][trace[x]] for a, x in zip(p2, p1)]
+        slots = empty[:]
+        try:
+            for k in keys:
+                slots[k] += 1
+        except OverflowError:
+            raise VerificationError(f"a fiber's count overflowed its {8 * empty.itemsize}-bit slot") from None
+        points += len(keys)
+        hists.append(int.from_bytes(slots, "little"))
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum enumerated {points} of the q^{1 + n // 2} points")
-    return tuple(keys)
+    return tuple(hists)
 
 
 def _brute_table_entries(params: CharacterParams):
     """-sum over the fiber p_2(m) = a of psi(Tr(p_1(m))), for every a at
-    once ((-1)^{n-1} = -1, as n is even), from the cached enumeration of
-    (n, p, e) (`_fiber_keys`).
+    once ((-1)^{n-1} = -1, as n is even), from the cached histograms of
+    (n, p, e) (`_fiber_histograms`).
 
     Tr is additive and chi(m_1) is constant on the points with first
-    coordinate m_1, so each m_1's keys are shifted by Tr chi_lambda(m_1)
-    and counted in one flat list of 2pq ints: 2p (index of p_2) + Tr p_1
-    unfolded, in [0, 2p - 2] past the fiber's start.  Each fiber's two
-    halves fold mod p.  The budget refusal comes before the cache is read,
-    and the counts must total q^{1+n/2}, or VerificationError is raised.
+    coordinate m_1, so each m_1's histogram moves up by Tr chi_lambda(m_1)
+    slots, read for every m_1 off one `chi_geometric_row`; the histograms
+    of the m_1 with one shift are added first, then the p sums are shifted
+    and added, into one int of 2pq slots: 2p (index of p_2) + Tr p_1
+    unfolded.  Every fiber has q^{n/2} points (p_2's coefficient of
+    m_{1+n/2} is -1 for every m_1), which a slot holds, and a shift of at
+    most p - 1 keeps each key in [0, 2p - 2] past its fiber's start, so no
+    slot carries into the next; a carry would lower the total by 2^w - 1.
+    The int is read back as one array and each fiber's two halves fold
+    mod p.  The budget refusal comes before the cache is read, and the
+    counts must total q^{1+n/2}, or VerificationError is raised.
     """
     field, n = params.field, params.n
     require_brute_budget(field.p, field.e, n)
     q, p = field.q, field.p
-    trace, elements = field._tables.trace, field.elements()
-    counts = [0] * (2 * p * q)  # 2p (index of p_2) + Tr p_1, unfolded -> points
-    for m1, keys in zip(elements, _fiber_keys(n, p, field.e)):
-        s = trace[chi_geometric(params, m1).v]
-        for k in keys:
-            counts[k + s] += 1
+    trace = field._tables.trace
+    hists = _fiber_histograms(n, p, field.e)
+    counts = array(_slot_typecode(q ** (n // 2)))
+    w = 8 * counts.itemsize
+    by_shift = [0] * p  # at s, the sum of the histograms of the m_1 with Tr chi(m_1) = s
+    for h, chi in zip(hists, chi_geometric_row(params)):
+        by_shift[trace[chi]] += h
+    acc = 0
+    for h in reversed(by_shift):
+        acc = (acc << w) + h
+    counts.frombytes(acc.to_bytes(2 * p * q * counts.itemsize, "little"))
     points = sum(counts)
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum counted {points} of the q^{1 + n // 2} points")
-    return {a: _counts_to_cyclo(p, [-x - y for x, y in zip(counts[i: i + p], counts[i + p: i + 2 * p])])
-            for a, i in zip(elements, range(0, 2 * p * q, 2 * p))}
+    c = counts.tolist()
+    return {a: _counts_to_cyclo(p, [-x - y for x, y in zip(c[i: i + p], c[i + p: i + 2 * p])])
+            for a, i in zip(field.elements(), range(0, 2 * p * q, 2 * p))}
 
 
 def _require_brute(brute):

@@ -13,10 +13,13 @@ lambda-sum read the log, antilog and Zech tables inline, and the rest
 calls `arith._mul` and `arith._add`.  The section algebra and chi take
 field elements, compute on their indices and build field elements only
 for the result, and the Hecke maps are affine forms with index
-coefficients.  `chi_geometric` runs Horner's rule (`poly_eval`) on the
-coefficient indices that its `CharacterParams` stores, computed once per
-params on indices (each 1/k read from `_inverses`), so no coefficient is
-read per call.
+coefficients.  Horner's rule has one kernel, `_horner`, on index lists in
+and out with the table lookups inline, and one loop over the coefficients
+per point: `poly_eval` is its one-point read, `chi_geometric` evaluates at
+one m1 through it, and `chi_geometric_row` reads chi at every m1 of F_q in
+one call, for the brute fiber sum.  Both run on the coefficient indices
+that `CharacterParams` stores, computed once per params on indices (each
+1/k read from `_inverses`), so no coefficient is read per call.
 """
 
 from __future__ import annotations
@@ -221,6 +224,13 @@ def chi_geometric(params: CharacterParams, m1):
     return poly_eval(params.field, params._chi_geo_indices, m1)
 
 
+def chi_geometric_row(params: CharacterParams) -> list:
+    """The indices of chi_geometric(params, m1) for every m1 of the field,
+    in index order: one `_horner` row over all of F_q."""
+    tab = params.field._tables
+    return _horner(tab, params._chi_geo_indices, range(tab.q))
+
+
 def geometric_section(params: CharacterParams, m1):
     """Id + sum_{r=1}^{n/2} m1^r Z_r, the element chi_geometric evaluates."""
     n, field = params.n, params.field
@@ -268,13 +278,36 @@ def f_poly(params: CharacterParams):
     return coeffs
 
 
+def _horner(tab, coeffs, xs) -> list:
+    """[sum c_i x^i for x in xs], by Horner's rule on element indices: coeffs
+    are the indices of c_0, c_1, ... and xs a row of indices.  Each point
+    runs its own loop over the coefficients, so a row of one costs what one
+    point does; products and sums read the log, antilog and Zech tables
+    inline, as in `_exp_series`."""
+    exp, log, zech = tab.exp, tab.log, tab.zech
+    down = coeffs[::-1]
+    at_zero = coeffs[0] if coeffs else 0
+    out = []
+    for x in xs:
+        if not x:
+            out.append(at_zero)
+            continue
+        lx, acc = log[x], 0
+        for c in down:  # acc <- acc x + c
+            if acc:
+                acc = exp[log[acc] + lx]
+                if c:
+                    la = log[acc]
+                    z = zech[log[c] - la]
+                    acc = exp[la + z] if z >= 0 else 0
+            else:
+                acc = c
+        out.append(acc)
+    return out
+
+
 def poly_eval(field, coeffs, x):
-    """sum c_i x^i, by Horner's rule on element indices: coeffs are the
-    indices (`FqElement.v`) of c_0, c_1, ..., and x is a field element or
-    an int."""
-    tab = field._tables
+    """sum c_i x^i, the one-point read of `_horner`: coeffs are the indices
+    (`FqElement.v`) of c_0, c_1, ..., and x is a field element or an int."""
     (v,) = _indices(field, (x,))
-    acc = 0
-    for c in reversed(coeffs):
-        acc = _add(tab, _mul(tab, acc, v), c)
-    return field.from_index(acc)
+    return field.from_index(_horner(field._tables, coeffs, (v,))[0])

@@ -23,16 +23,16 @@ from hecke_oracle import psi
 
 
 @pytest.fixture
-def cold_fiber_keys():
+def cold_fiber_histograms():
     """For a test that patches a kernel the brute fiber sum calls: the
-    cached enumeration (`expsum._fiber_keys`) is cleared before, so the
+    cached enumeration (`expsum._fiber_histograms`) is cleared before, so the
     patched kernel runs, and after, so nothing built under the patch
     outlives it."""
     from airycheck import expsum
 
-    expsum._fiber_keys.cache_clear()
+    expsum._fiber_histograms.cache_clear()
     yield
-    expsum._fiber_keys.cache_clear()
+    expsum._fiber_histograms.cache_clear()
 
 
 def test_trace_identity_n2():
@@ -160,7 +160,7 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
-def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, cold_fiber_keys):
+def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, cold_fiber_histograms):
     # every point of F_q^{1+n/2} is binned once: the counts the kernel turns
     # into entries (it passes minus the counts) total q^{1+n/2}; and the
     # field elements made are O(q):
@@ -182,7 +182,7 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, c
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])
-def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_keys):
+def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_histograms):
     # the count vector of every fiber, not only its entry: _counts_to_cyclo
     # forgets a constant added to a fiber's counts, so a shifted bin could
     # still give the right entries.  The oracle counts Tr p_1(m) over
@@ -203,7 +203,7 @@ def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_keys):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_brute_kernel_refuses_a_short_row(n, monkeypatch, cold_fiber_keys):
+def test_brute_kernel_refuses_a_short_row(n, monkeypatch, cold_fiber_histograms):
     # negative control for the kernel's own count: a row one entry short
     # makes the zip of p_1 and p_2 drop points, which must raise rather
     # than return a table
@@ -215,7 +215,7 @@ def test_brute_kernel_refuses_a_short_row(n, monkeypatch, cold_fiber_keys):
         hecke_trace_table(make_params(n, GF(7), (1,) * (n // 2)), brute=True)
 
 
-def test_short_enumeration_is_never_cached(monkeypatch, cold_fiber_keys):
+def test_short_enumeration_is_never_cached(monkeypatch, cold_fiber_histograms):
     # the enumeration's own count refuses a short build, and lru_cache
     # stores no exception: once the kernel is whole again, the next table
     # enumerates afresh and is right
@@ -224,11 +224,11 @@ def test_short_enumeration_is_never_cached(monkeypatch, cold_fiber_keys):
     mul_row = expsum._mul_row
     monkeypatch.setattr(expsum, "_mul_row", lambda tab, w: mul_row(tab, w)[:-1])
     with pytest.raises(VerificationError, match="enumerated"):
-        expsum._fiber_keys(2, 7, 1)
-    assert expsum._fiber_keys.cache_info().currsize == 0
+        expsum._fiber_histograms(2, 7, 1)
+    assert expsum._fiber_histograms.cache_info().currsize == 0
     monkeypatch.undo()
     assert compare_traces(2, 7, 1, (3,)).ok
-    info = expsum._fiber_keys.cache_info()
+    info = expsum._fiber_histograms.cache_info()
     assert (info.misses, info.currsize) == (2, 1)
 
 
@@ -239,12 +239,12 @@ def test_refused_brute_input_is_never_cached(n, p, e):
     from airycheck import expsum
 
     params = make_params(n, FqField(p, e), (1,) + (0,) * (n // 2 - 1))
-    before = expsum._fiber_keys.cache_info()
+    before = expsum._fiber_histograms.cache_info()
     with pytest.raises(ValueError, match="brute-force"):
         hecke_trace_table(params)
     with pytest.raises(ValueError, match="brute-force"):
         compare_traces(n, p, e, params.lam)
-    assert expsum._fiber_keys.cache_info() == before
+    assert expsum._fiber_histograms.cache_info() == before
 
 
 def test_edited_brute_table_does_not_reach_the_cache():
@@ -277,12 +277,12 @@ def test_brute_equals_twisted_airy_for_lambda_outside_fp():
     from airycheck import expsum
 
     field = FqField(7, 2)
-    expsum._fiber_keys.cache_clear()
+    expsum._fiber_histograms.cache_clear()
     for indices in [(8, 0), (0, 9), (15, 23)]:
         params = make_params(4, field, _outside(field, indices))
         airy = airy_trace_table(f_poly(params), 7, 2, lam=params.lam)
         assert hecke_trace_table(params).entries == airy.scaled(49, "airy-twisted").entries
-    info = expsum._fiber_keys.cache_info()
+    info = expsum._fiber_histograms.cache_info()
     assert (info.hits, info.misses) == (2, 1)
 
 
@@ -291,7 +291,7 @@ OUTSIDE_FP = [(7, 2, 8), (7, 2, 9), (7, 2, 15), (7, 2, 23), (5, 2, 7)]
 
 
 @pytest.mark.parametrize("p,e,index", OUTSIDE_FP)
-def test_brute_bins_match_oracle_counts_outside_fp(p, e, index, monkeypatch, cold_fiber_keys):
+def test_brute_bins_match_oracle_counts_outside_fp(p, e, index, monkeypatch, cold_fiber_histograms):
     # the count vector of every fiber for a lambda that the trace grids,
     # whose lambda are ints, cannot name
     from airycheck import expsum
@@ -315,14 +315,14 @@ def test_lambdas_sharing_an_enumeration_differ_where_the_oracle_does():
 
     field = FqField(7, 2)
     tables, oracles = [], []
-    expsum._fiber_keys.cache_clear()
+    expsum._fiber_histograms.cache_clear()
     for index in (9, 15):
         params = make_params(2, field, _outside(field, (index,)))
         tables.append(hecke_trace_table(params).entries)
         counts = _oracle_counts(params)
         oracles.append({a: -sum((psi(7, t) * c for t, c in enumerate(counts[a])), CyclotomicValue(7))
                         for a in field.elements()})
-    info = expsum._fiber_keys.cache_info()
+    info = expsum._fiber_histograms.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     differ = {a for a in field.elements() if oracles[0][a] != oracles[1][a]}
     assert differ
@@ -369,7 +369,7 @@ def test_trace_identity_n6(p):
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
-def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_keys):
+def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_histograms):
     # the count vector of every t, 0 included, not only its entry:
     # _counts_to_cyclo forgets a constant added to all counts, so a wrong
     # fold of the unfolded sums could still give the right entries.  The
@@ -481,10 +481,10 @@ def test_trace_checks_share_fiber_enumerations():
     # once: every other lambda of a grid point reads its cached keys
     from airycheck import cli, expsum
 
-    expsum._fiber_keys.cache_clear()
+    expsum._fiber_histograms.cache_clear()
     cli.check_trace_gl2()
     cli.check_trace_gl4()
-    info = expsum._fiber_keys.cache_info()
+    info = expsum._fiber_histograms.cache_info()
     assert (info.hits + info.misses, info.misses) == (33, 11)
 
 

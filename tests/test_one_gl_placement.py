@@ -10,7 +10,7 @@ every Airy table reads.
 
 One enumeration visits the Hecke fibers: `gln_airy.hecke_forms` is named in
 `src/` only by its definition, by `expsum`'s import of it and by the cached
-enumeration, `_fiber_keys`, that every brute table reads."""
+enumeration, `_fiber_histograms`, that every brute table reads."""
 
 import ast
 import pathlib
@@ -29,7 +29,7 @@ AIRY_KERNEL = "_trace_sums"
 AIRY_ALLOWED = {("expsum", "<def>"), ("expsum", "_airy_base")}
 
 HECKE_FORMS = "hecke_forms"
-HECKE_ALLOWED = {("gln_airy", "<def>"), ("expsum", "<import>"), ("expsum", "_fiber_keys")}
+HECKE_ALLOWED = {("gln_airy", "<def>"), ("expsum", "<import>"), ("expsum", "_fiber_histograms")}
 
 
 def namings(module, tree, name=NAME):
