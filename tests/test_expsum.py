@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from airycheck.expsum import (
 )
 from airycheck.gln_airy import (
     CharacterParams,
+    chi_geometric,
     f_poly,
     make_params,
     poly_eval,
@@ -230,6 +234,30 @@ def test_short_enumeration_is_never_cached(monkeypatch, cold_fiber_histograms):
     assert compare_traces(2, 7, 1, (3,)).ok
     info = expsum._fiber_histograms.cache_info()
     assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_narrow_slots_are_refused_and_never_cached(monkeypatch, cold_fiber_histograms):
+    # negative control for the slot width: at (8, 11, 1) a fiber holds
+    # 11^4 = 14,641 points, and at m_1 = 0 p_1 is 0, so 1,331 of them share
+    # one slot; 8-bit slots cannot hold that, and the brute sum must refuse
+    # (not raise OverflowError, and not return a table) without caching
+    from airycheck import VerificationError, expsum
+
+    monkeypatch.setattr(expsum, "_slot_typecode", lambda most: "B")
+    before = expsum._fiber_histograms.cache_info().currsize
+    with pytest.raises(VerificationError, match="slot"):
+        hecke_trace_table(make_params(8, GF(11), (3, 1, 4, 9)))
+    assert expsum._fiber_histograms.cache_info().currsize == before
+
+
+def test_fiber_cache_holds_one_int_per_m1():
+    # at (8, 11, 1) the cached entry is one int per m_1, 242 slots of 16
+    # bits each, where the key tuples it replaced held 161,051 keys
+    from airycheck import expsum
+
+    entry = expsum._fiber_histograms(8, 11, 1)
+    assert len(entry) == 11 and all(type(h) is int for h in entry)
+    assert sum(map(sys.getsizeof, entry)) < 16 * 1024
 
 
 @pytest.mark.parametrize("n,p,e", [(4, 223, 1), (8, 11, 2)])
@@ -478,7 +506,7 @@ def test_trace_checks_share_airy_bases():
 
 def test_trace_checks_share_fiber_enumerations():
     # the 33 grid tables lie on 11 grid points (n, p, e), each enumerated
-    # once: every other lambda of a grid point reads its cached keys
+    # once: every other lambda of a grid point reads its cached histograms
     from airycheck import cli, expsum
 
     expsum._fiber_histograms.cache_clear()
@@ -486,6 +514,46 @@ def test_trace_checks_share_fiber_enumerations():
     cli.check_trace_gl4()
     info = expsum._fiber_histograms.cache_info()
     assert (info.hits + info.misses, info.misses) == (33, 11)
+
+
+def _trace_grid_points():
+    """The (n, p, e) of `cli.TRACE_GRIDS` and of the trace workload's
+    `TRACE_GRID` in perfbench/workloads.py."""
+    from airycheck import cli
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    points = {(n, p, e) for n, grid in cli.TRACE_GRIDS.items() for p in grid["p"] for e in grid["e"]}
+    return sorted(points | set(workloads.TRACE_GRID))
+
+
+def test_brute_sum_reads_chi_geometric_at_every_m1(monkeypatch):
+    # the chi row the brute sum shifts by is chi_geometric at every m_1, in
+    # index order, on every trace grid point; lambda is drawn from all of
+    # F_q, so at e = 2 some lambda lie outside F_p
+    from airycheck import expsum, gln_airy
+
+    rows, chi_row = [], gln_airy.chi_geometric_row
+
+    def spy(params):
+        rows.append(chi_row(params))
+        return rows[-1]
+
+    monkeypatch.setattr(expsum, "chi_geometric_row", spy)
+    rng = random.Random(37)
+    outside = 0
+    for n, p, e in _trace_grid_points():
+        field = FqField(p, e)
+        for _ in range(3):
+            lam = [field.from_index(rng.randrange(field.q)) for _ in range(n // 2)]
+            outside += any(x ** p != x for x in lam)
+            params = make_params(n, field, lam)
+            rows.clear()
+            hecke_trace_table(params)
+            assert rows == [[chi_geometric(params, m1).v for m1 in field.elements()]]
+    assert outside
 
 
 def test_airy_constant_shift():

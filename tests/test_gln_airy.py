@@ -111,15 +111,17 @@ def test_chi_geometric_matches_chi_eval_n4():
 def test_poly_eval_matches_powers(p, e):
     # Horner on coefficient indices against sum c_i x^i with field
     # operators, on every x, for coefficient lists with zeros, a zero top
-    # one, and the empty list
+    # one, and the empty list: one point at a time (poly_eval) and as the
+    # row of every index of F_q in one call (the kernel behind it)
     F = FqField(p, e)
     rng = random.Random(p * e)
     lists = [[F.from_index(rng.randrange(F.q)) if rng.random() < 0.7 else F(0)
               for _ in range(rng.randrange(1, 10))] for _ in range(6)]
     for coeffs in lists + [[F(3), F(0), F(0)], []]:
-        for x in F.elements():
-            want = sum((c * x ** i for i, c in enumerate(coeffs)), F(0))
-            assert poly_eval(F, [c.v for c in coeffs], x) == want
+        idx = [c.v for c in coeffs]
+        want = [sum((c * x ** i for i, c in enumerate(coeffs)), F(0)) for x in F.elements()]
+        assert [poly_eval(F, idx, x) for x in F.elements()] == want
+        assert gln_airy._horner(F._tables, idx, range(F.q)) == [w.v for w in want]
 
 
 def test_hecke_p2_specialization():
