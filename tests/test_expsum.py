@@ -250,6 +250,19 @@ def test_narrow_slots_are_refused_and_never_cached(monkeypatch, cold_fiber_histo
     assert expsum._fiber_histograms.cache_info().currsize == before
 
 
+def test_a_slot_carry_fails_the_total_check(monkeypatch):
+    # negative control for the per-lambda total: histograms that put all 25
+    # points of each m_1 over F_25 in slot 0, read with no chi shift, add up
+    # to 625 in an 8-bit slot, which carries; the carry lowers the total of
+    # the slots, and the brute sum must refuse rather than return a table
+    from airycheck import VerificationError, expsum
+
+    monkeypatch.setattr(expsum, "_fiber_histograms", lambda n, p, e: (25,) * 25)
+    monkeypatch.setattr(expsum, "chi_geometric_row", lambda params: [0] * 25)
+    with pytest.raises(VerificationError, match="counted 115 of"):
+        hecke_trace_table(make_params(2, FqField(5, 2), (1,)))
+
+
 def test_fiber_cache_holds_one_int_per_m1():
     # at (8, 11, 1) the cached entry is one int per m_1, 242 slots of 16
     # bits each, where the key tuples it replaced held 161,051 keys
