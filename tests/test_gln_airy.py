@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -301,3 +302,35 @@ def test_section_kernels_build_field_elements_only_at_exit(monkeypatch):
         made.clear()
         kernel()
         assert len(made) == outputs
+
+
+# n = 2, 4, 6 over GF(7), GF(11), F_49 and F_121, wherever p > n + 1
+PIN_CASES = [(n, p, e) for p in (7, 11) for e in (1, 2) for n in (2, 4, 6) if p > n + 1]
+
+
+def _section_and_chi_outputs():
+    """The indices of section_mul, exp_section, log_section and chi_eval on
+    seeded inputs (about a third of their entries 0) and of chi_geometric
+    at every m_1, for every case of PIN_CASES."""
+    rows = []
+    for n, p, e in PIN_CASES:
+        F = FqField(p, e)
+        rng = random.Random(f"section-pin {n} {p} {e}")
+        draw = lambda: F.from_index(rng.randrange(F.q) if rng.random() < 0.7 else 0)
+        params = make_params(n, F, [draw() for _ in range(n // 2)])
+        for _ in range(6):
+            a, b = ([draw() for _ in range(n + 1)] for _ in range(2))
+            rows.append((
+                (n, p, e),
+                [x.v for x in section_mul(n, F, a, b)],
+                [x.v for x in exp_section(n, F, a)],
+                [x.v for x in log_section(n, F, a)],
+                chi_eval(params, a).v,
+            ))
+        rows.append([chi_geometric(params, m1).v for m1 in F.elements()])
+    return rows
+
+
+def test_section_and_chi_outputs_pinned():
+    digest = hashlib.sha256(repr(_section_and_chi_outputs()).encode()).hexdigest()
+    assert digest == "c09ec06ef86ff3f50c4ea5e661f5025530b806500862a8e061a67267920019db"
