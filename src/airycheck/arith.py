@@ -4,8 +4,11 @@ Every finite field is an `FqField(p, e)` built from a deterministic
 (lexicographically smallest) irreducible modulus; the prime field F_p is
 `GF(p) = FqField(p, 1)`.  A field element is an integer index in [0, q) (for
 e = 1, its value); its arithmetic is lookups in O(q) log, Zech-log, negation
-and trace tables (`FqTables`), built once per (p, e).  Values of the additive
-character live in Z[zeta_p] with exact integer coordinates.
+and trace tables (`FqTables`), built once per (p, e).  The kernels on bare
+indices are `_add`, `_mul` and `_dot`, the one accumulation loop
+acc + sum x y; `_eval_log_terms` sums a polynomial's terms on their logs.
+Values of the additive character live in Z[zeta_p] with exact integer
+coordinates.
 Floats appear only in `CyclotomicValue.embed` and the powers of zeta it
 reads (`_zeta_powers`, cached per p), which are used for analytic bound
 checks, never for equality.
@@ -483,6 +486,23 @@ def _add(t: FqTables, a: int, b: int) -> int:
 def _mul(t: FqTables, a: int, b: int) -> int:
     """Index of a * b: g^(log a + log b), read from the doubled exp table."""
     return t.exp[t.log[a] + t.log[b]] if a and b else 0
+
+
+def _dot(t: FqTables, xs, ys, acc: int = 0) -> int:
+    """Index of acc + sum x y over the index pairs of zip(xs, ys): each
+    product is read from the doubled exp table and added by Zech logarithms,
+    as in `_add`, with the lookups inline."""
+    exp, log, zech = t.exp, t.log, t.zech
+    for x, y in zip(xs, ys):
+        if x and y:
+            v = exp[log[x] + log[y]]
+            if acc:
+                la = log[acc]
+                z = zech[log[v] - la]
+                acc = exp[la + z] if z >= 0 else 0
+            else:
+                acc = v
+    return acc
 
 
 # ---------------------------------------------------------------------------

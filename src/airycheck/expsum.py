@@ -7,9 +7,12 @@ over the maps p_1, p_2, an oracle independent of the Airy sum.
 
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
 Floats only enter through the Weil-bound checks.  Both sums are row
-kernels on element indices (`FqElement.v`): each step handles all of F_q
-at once with list comprehensions over the field's `FqTables`, and the
-points are counted on residues mod p.
+kernels on the element indices of `fq_tables(p, e)`, from the coefficient
+indices in to the entries out, and build no field element: each step
+handles all of F_q at once with list comprehensions over the tables, and
+the points are counted on residues mod p.  `_add_rows` is one of the five
+readers of the Zech table, with `arith._add`, `arith._dot`,
+`arith._eval_log_terms` and `gln_airy._horner`.
 
 - The Airy sum reads Tr f(g^k) for every k as Tr f(0) plus a sum of
   monomial rows Tr(c_i g^(ik)), each a strided walk round the antilog
@@ -21,8 +24,9 @@ points are counted on residues mod p.
   base table, keyed on (p, e, the coefficient indices of f with c_1 set to
   0), read at the index of t + c_1: every lambda of GL_2 at one (p, e)
   shares a base.  The base is built once per key by the one kernel,
-  `_trace_sums`; a refused input (degree, p | deg f, budget) is refused
-  before the cache is read, so it is never cached.
+  `_trace_sums(tab, c)`, as a tuple in t-index order; a refused input
+  (degree, p | deg f, budget) is refused before the cache is read, so it
+  is never cached.
 - The brute fiber sum visits every point of F_q^{1+n/2}: per m_1 it takes
   p_1 and p_2 as the affine forms of `gln_airy.hecke_forms` and extends
   their partial sums one tail coordinate at a time, adding the row
@@ -64,8 +68,9 @@ def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
     return _cyclo(p, tuple([counts[c] - k for c in range(p - 1)]))
 
 
-def _trace_sums(field, f_coeffs) -> dict:
-    """{t: -sum_{x in F_q} psi(Tr(f(x) + t x))} for every t.
+def _trace_sums(tab, c) -> tuple:
+    """-sum_{x in F_q} psi(Tr(f(x) + t x)) for every t, in index order, for
+    the f whose coefficients have the indices c over the tables `tab`.
 
     For x = g^k, Tr f(x) = Tr f(0) + sum_i Tr(c_i g^(ik)): the row
     k -> Tr(c_i g^k) is the traces of the antilog table from log c_i on, and
@@ -76,11 +81,8 @@ def _trace_sums(field, f_coeffs) -> dict:
     fold mod p.  The folded counts are negated, so each entry is built once
     with its sign.
     """
-    p = field.p
-    tab = fq_tables(p, field.e)
-    m, log = tab.q - 1, tab.log
+    p, m, log = tab.p, tab.q - 1, tab.log
     tr_exp = [tab.trace[i] for i in tab.exp]  # Tr(g^k), k < 2(q-1)
-    c = [field(x).v for x in f_coeffs]
     tr_f0 = tab.trace[c[0]]
     tr_f = [tr_f0] * m  # Tr f(g^k), k < q-1
     for i in range(1, len(c)):
@@ -88,14 +90,14 @@ def _trace_sums(field, f_coeffs) -> dict:
             row = tr_exp[log[c[i]]: log[c[i]] + m]
             tr_f = list(map(add, tr_f, (row * i)[::i]))
     tr_f = [s % p for s in tr_f]
-    entries = {}
-    for t in field.elements():
+    entries = []
+    for t in range(tab.q):
         counts = [0] * (2 * p)  # the number of x at each unfolded sum
         counts[tr_f0] = 1  # x = 0
-        for s in map(add, tr_f, tr_exp[log[t.v]: log[t.v] + m]) if t.v else tr_f:
+        for s in map(add, tr_f, tr_exp[log[t]: log[t] + m]) if t else tr_f:
             counts[s] += 1
-        entries[t] = _counts_to_cyclo(p, [-a - b for a, b in zip(counts, counts[p:])])
-    return entries
+        entries.append(_counts_to_cyclo(p, [-a - b for a, b in zip(counts, counts[p:])]))
+    return tuple(entries)
 
 
 class TraceTable(Record):
@@ -157,8 +159,7 @@ def _airy_base(p: int, e: int, c: tuple) -> tuple:
     """The Airy table of the f with coefficient indices `c`, which has no
     linear term (c[1] = 0), as its entries in t-index order: `_trace_sums`
     runs once per (p, e, c)."""
-    field = FqField(p, e)
-    return tuple(_trace_sums(field, [field.from_index(i) for i in c]).values())
+    return _trace_sums(fq_tables(p, e), c)
 
 
 def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
@@ -235,34 +236,31 @@ def _fiber_histograms(n: int, p: int, e: int) -> tuple:
     time: the partial sums of p_1 and of p_2 are each extended by the row
     x -> x w of that coordinate's coefficient, in the same order, so the
     two lists stay aligned point by point; p_2 has no constant term, so its
-    partial sums start as the first row.  Each m_1's keys are counted in an
-    array of 2pq slots, read as one little-endian int.  The points must
-    number q^{1+n/2}, and every slot must hold its count (an array item
-    raises OverflowError past its range), or VerificationError is raised;
-    lru_cache does not cache an exception, so a short or overflowing
-    enumeration is never stored.
+    partial sums start as the first row.  Each m_1's keys are counted, point
+    by point as the two lists are zipped, in an array of 2pq slots, read as
+    one little-endian int.  The points must number q^{1+n/2}, and every slot
+    must hold its count (an array item raises OverflowError past its range),
+    or VerificationError is raised; lru_cache does not cache an exception,
+    so a short or overflowing enumeration is never stored.
     """
-    field = FqField(p, e)
-    tab = field._tables
-    q, trace = tab.q, tab.trace
-    key = [list(range(2 * p * a, 2 * p * a + p)) for a in range(q)]  # key[a][t] = 2p a + t
-    empty = array(_slot_typecode(q ** (n // 2)), [0]) * (2 * p * q)
+    tab = fq_tables(p, e)
+    q, trace, two_p = tab.q, tab.trace, 2 * p
+    empty = array(_slot_typecode(q ** (n // 2)), [0]) * (two_p * q)
     hists, points = [], 0
     for m1 in range(q):
-        c, w1, w2 = hecke_forms(n, field, m1)
+        c, w1, w2 = hecke_forms(n, tab, m1)
         p1 = _add_rows(tab, [c], _mul_row(tab, w1[0]))
         p2 = _mul_row(tab, w2[0])
         for y1, y2 in zip(w1[1:], w2[1:]):
             p1 = _add_rows(tab, p1, _mul_row(tab, y1))
             p2 = _add_rows(tab, p2, _mul_row(tab, y2))
-        keys = [key[a][trace[x]] for a, x in zip(p2, p1)]
         slots = empty[:]
         try:
-            for k in keys:
-                slots[k] += 1
+            for a, x in zip(p2, p1):
+                slots[two_p * a + trace[x]] += 1
         except OverflowError:
             raise VerificationError(f"a fiber's count overflowed its {8 * empty.itemsize}-bit slot") from None
-        points += len(keys)
+        points += len(p2)
         hists.append(int.from_bytes(slots, "little"))
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum enumerated {points} of the q^{1 + n // 2} points")

@@ -8,18 +8,20 @@ loop-group incarnation of the cyclic shift power E_1^r and Z_i Z_j = Z_{i+j}
 FqField(p, e) (GF(p) for e = 1).
 
 The arithmetic runs on element indices (`FqElement.v`) with the field's
-tables: the truncated product, the exp and log recurrences and chi's
-lambda-sum read the log, antilog and Zech tables inline, and the rest
-calls `arith._mul` and `arith._add`.  The section algebra and chi take
-field elements, compute on their indices and build field elements only
-for the result, and the Hecke maps are affine forms with index
-coefficients.  Horner's rule has one kernel, `_horner`, on index lists in
+tables.  The truncated product, the exp and log recurrences and chi's
+lambda-sum are dot products, each one call of `arith._dot`; the rest calls
+`arith._mul` and `arith._add`.  The section algebra and chi take field
+elements, compute on their indices and build field elements only for the
+result, and the Hecke maps are affine forms with index coefficients over
+the tables.  Horner's rule has its own kernel, `_horner`, on index lists in
 and out with the table lookups inline, and one loop over the coefficients
-per point: `poly_eval` is its one-point read, `chi_geometric` evaluates at
-one m1 through it, and `chi_geometric_row` reads chi at every m1 of F_q in
-one call, for the brute fiber sum.  Both run on the coefficient indices
-that `CharacterParams` stores, computed once per params on indices (each
-1/k read from `_inverses`), so no coefficient is read per call.
+per point, so that `chi_geometric` (Horner) and `chi_eval` (log and dot)
+share no code: `poly_eval` is its one-point read, `chi_geometric`
+evaluates at one m1 through it, and `chi_geometric_row` reads chi at every
+m1 of F_q in one call, for the brute fiber sum.  `CharacterParams` stores
+the indices of lambda and of chi_geometric's coefficients, computed once
+per params on indices (each 1/k read from `_inverses`), so no coefficient
+is read per call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import Frozen, VerificationError
-from .arith import FqElement, _add, _mul, fq_tables
+from .arith import FqElement, _add, _dot, _mul
 
 
 def _require_even(n: int):
@@ -55,6 +57,7 @@ class CharacterParams(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lam", lam)  # (lambda_1, ..., lambda_{n/2})
+        object.__setattr__(self, "_lam_indices", tuple(_indices(field, lam)))
         object.__setattr__(self, "_chi_geo_indices", _chi_geo_indices(self))
 
 
@@ -69,11 +72,9 @@ def make_params(n: int, field, lam) -> CharacterParams:
 # in between every coefficient is its index in F_q (`FqElement.v`) and the
 # arithmetic is on the field's tables.  exp and log are the O(n^2)
 # recurrences that follow from E' = X' E and (1 + X) L' = X' for E = exp(X)
-# and L = log(1 + X) (Knuth, TAOCP vol. 2, 4.7); they read the log and
-# antilog tables and add by Zech logarithms inline, as `expsum._add_rows`
-# does, rather than through `_mul`/`_add`.  They divide by k <= n+1 only,
-# which `_require_char` makes a unit, and read each 1/k from one cached
-# tuple per (p, n).
+# and L = log(1 + X) (Knuth, TAOCP vol. 2, 4.7); each step is one
+# `_dot`.  They divide by k <= n+1 only, which `_require_char` makes a
+# unit, and read each 1/k from one cached tuple per (p, n).
 
 def _indices(field, xs):
     """The indices of the elements xs of `field` (ints are read as field(x))."""
@@ -87,25 +88,9 @@ def _elements(field, vs):
 
 def _trunc_mul(tab, n, a, b):
     """X Y for index vectors of Z-coefficients (index r-1 <-> Z_r); the
-    terms past Z_{n+1} are dropped.  Products and sums read the log,
-    antilog and Zech tables inline, as in `_exp_series`."""
-    exp, log, zech = tab.exp, tab.log, tab.zech
-    out = [0] * (n + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        lx = log[x]
-        for k, y in enumerate(b[:n - i], start=i + 1):
-            if y:
-                v = exp[lx + log[y]]
-                acc = out[k]
-                if acc:
-                    la = log[acc]
-                    z = zech[log[v] - la]
-                    out[k] = exp[la + z] if z >= 0 else 0
-                else:
-                    out[k] = v
-    return out
+    terms past Z_{n+1} are dropped.  The coefficient of Z_{m+1} is the dot
+    product of a with b[:m] reversed, which zip stops after m pairs."""
+    return [_dot(tab, a, reversed(b[:m])) for m in range(n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -118,46 +103,22 @@ def _inverses(p, n):
 def _exp_series(tab, n, x):
     """The Z-coefficients e_1..e_{n+1} of exp(X) for X = sum x_r Z^r, on
     indices, by k e_k = sum_{j=1..k} (j x_j) e_{k-j} with e_0 = 1.  An
-    integer j < p is its own index; 1 <= k <= n+1 < p is invertible.
-    Products are looked up inline in the log and antilog tables, sums by
-    Zech logarithms."""
-    exp, log, zech = tab.exp, tab.log, tab.zech
-    jx = [exp[log[j] + log[v]] if v else 0 for j, v in enumerate(x, start=1)]
+    integer j < p is its own index; 1 <= k <= n+1 < p is invertible."""
+    jx = [_mul(tab, j, v) for j, v in enumerate(x, start=1)]
     e = [1]
     for inv in _inverses(tab.p, n):
-        acc = 0
-        for a, b in zip(jx, reversed(e)):  # (j x_j) e_{k-j}, j = 1..k
-            if a and b:
-                y = exp[log[a] + log[b]]
-                if acc:
-                    la = log[acc]
-                    z = zech[log[y] - la]
-                    acc = exp[la + z] if z >= 0 else 0
-                else:
-                    acc = y
-        e.append(exp[log[inv] + log[acc]] if acc else 0)
+        e.append(_mul(tab, inv, _dot(tab, jx, reversed(e))))  # (j x_j) e_{k-j}, j = 1..k
     return e[1:]
 
 
 def _log_series(tab, n, x):
     """The Z-coefficients l_1..l_{n+1} of log(1 + X) for X = sum x_r Z^r,
-    on indices, by k l_k = k x_k - sum_{j<k} (j l_j) x_{k-j}, with the
-    table lookups inline as in `_exp_series`."""
-    exp, log, zech, neg = tab.exp, tab.log, tab.zech, tab.neg
+    on indices, by k l_k = k x_k + sum_{j<k} (j l_j) (-x_{k-j})."""
+    minus_x = [tab.neg[v] for v in x]
     jl = []  # jl[j-1] is the index of j l_j
     for k in range(1, n + 2):
-        acc = exp[log[k] + log[x[k - 1]]] if x[k - 1] else 0
-        for a, b in zip(jl, reversed(x[:k - 1])):  # -(j l_j) x_{k-j}, j < k
-            if a and b:
-                y = neg[exp[log[a] + log[b]]]
-                if acc:
-                    la = log[acc]
-                    z = zech[log[y] - la]
-                    acc = exp[la + z] if z >= 0 else 0
-                else:
-                    acc = y
-        jl.append(acc)
-    return [exp[log[inv] + log[v]] if v else 0 for inv, v in zip(_inverses(tab.p, n), jl)]
+        jl.append(_dot(tab, jl, reversed(minus_x[:k - 1]), _mul(tab, k, x[k - 1])))
+    return [_mul(tab, inv, v) for inv, v in zip(_inverses(tab.p, n), jl)]
 
 
 def section_mul(n, field, a, b):
@@ -185,22 +146,12 @@ def log_section(n, field, x):
 
 def chi_eval(params: CharacterParams, x):
     """chi(Id + sum x_r Z_r) = sum_{r<=n/2} lambda_r y_r + n y_{1+n}, with
-    y = log of the section, run on indices with the tables read inline."""
+    y = log of the section, on indices: one dot product of lambda with y,
+    started at n y_{1+n} (n < p is its own index)."""
     n, field = params.n, params.field
     tab = field._tables
-    exp, log, zech = tab.exp, tab.log, tab.zech
     y = _log_series(tab, n, _indices(field, x))
-    acc = _mul(tab, n % field.p, y[n])
-    for lam, v in zip(_indices(field, params.lam), y):
-        if lam and v:
-            t = exp[log[lam] + log[v]]
-            if acc:
-                la = log[acc]
-                z = zech[log[t] - la]
-                acc = exp[la + z] if z >= 0 else 0
-            else:
-                acc = t
-    return field.from_index(acc)
+    return field.from_index(_dot(tab, params._lam_indices, y, _mul(tab, n, y[n])))
 
 
 def _chi_geo_indices(params: CharacterParams):
@@ -212,7 +163,7 @@ def _chi_geo_indices(params: CharacterParams):
     exp, log = tab.exp, tab.log
     inv = _inverses(field.p, n)
     coeffs = [0] * (n + 2)
-    for r, lam in enumerate(_indices(field, params.lam), start=1):
+    for r, lam in enumerate(params._lam_indices, start=1):
         if lam:
             coeffs[r] = exp[log[lam] + log[inv[r - 1]]]
     coeffs[n + 1] = exp[log[n] + log[inv[n]]]
@@ -241,9 +192,9 @@ def geometric_section(params: CharacterParams, m1):
     return x
 
 
-def hecke_forms(n: int, field, m1: int):
+def hecke_forms(n: int, tab, m1: int):
     """p_1 and p_2 at first coordinate m1, as affine forms in the tail
-    (m_2, ..., m_{1+n/2}), on element indices (`FqElement.v`):
+    (m_2, ..., m_{1+n/2}), on element indices over the tables `tab`:
 
         p_2(m) = -sum_{r=2}^{1+n/2} m_r m1^{n/2-r+1}
         p_1(m) = chi_geometric(m1) - m1^{n+1} - sum_{r=2}^{1+n/2} m_r m1^{n/2-r+2}
@@ -253,7 +204,6 @@ def hecke_forms(n: int, field, m1: int):
     the only term that depends on lambda, is added by the caller.
     """
     _require_even(n)
-    tab = fq_tables(field.p, field.e)
     if m1:
         step = tab.log[m1]
         powers = [tab.exp[step * k % (tab.q - 1)] for k in range(n + 2)]
@@ -283,7 +233,7 @@ def _horner(tab, coeffs, xs) -> list:
     are the indices of c_0, c_1, ... and xs a row of indices.  Each point
     runs its own loop over the coefficients, so a row of one costs what one
     point does; products and sums read the log, antilog and Zech tables
-    inline, as in `_exp_series`."""
+    inline, as `arith._dot` does."""
     exp, log, zech = tab.exp, tab.log, tab.zech
     down = coeffs[::-1]
     at_zero = coeffs[0] if coeffs else 0

@@ -18,6 +18,7 @@ from airycheck.arith import (
     FqField,
     FqTables,
     MultiPoly,
+    _dot,
     _eval_log_terms,
     _poly_mod,
     _poly_mulmod,
@@ -379,3 +380,31 @@ def test_log_terms_evaluate_as_field_operators(p, e):
     assert _eval_log_terms(tab, a_minus_a, [0, 5, 0]) == 0
     assert _eval_log_terms(tab, a_minus_a + a.log_terms(F, slot), [0, 5, 0]) == 5
     assert MultiPoly(names, {(1, 0, 0): Fraction(p)}).log_terms(F, slot) == []
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (7, 2)])
+def test_dot_matches_field_operator_sums(p, e):
+    # acc + sum x y on indices against the same sum with field operators,
+    # on seeded pairs (about a third of their entries 0, lists of length 0
+    # to 7) from a zero and a nonzero start value, in both pair orders
+    F = FqField(p, e)
+    tab = F._tables
+    rng = random.Random(1000 + 10 * p + e)
+    draw = lambda: rng.randrange(F.q) if rng.random() < 0.7 else 0
+    for _ in range(300):
+        k = rng.randrange(8)
+        xs, ys, acc = [draw() for _ in range(k)], [draw() for _ in range(k)], draw()
+        terms = [F.from_index(x) * F.from_index(y) for x, y in zip(xs, ys)]
+        assert _dot(tab, xs, ys, acc) == sum(terms, F.from_index(acc)).v
+        assert _dot(tab, xs, ys) == sum(terms, F(0)).v
+        assert _dot(tab, xs, reversed(ys)) == sum(
+            (F.from_index(x) * F.from_index(y) for x, y in zip(xs, reversed(ys))), F(0)).v
+    # an empty pair list, and pairs with a zero on either side, add nothing
+    assert _dot(tab, [], []) == 0
+    assert _dot(tab, [], [], 5) == 5
+    assert _dot(tab, [0, 3, 0], [2, 0, 0], 5) == 5
+    # a partial sum that cancels to 0 (the Zech entry -1) and then grows again
+    a, b = 3, F.q - 2
+    assert _dot(tab, [a, tab.neg[a], b], [1, 1, 1]) == b
+    assert _dot(tab, [tab.neg[a], b], [1, 1], a) == b
+    assert _dot(tab, [tab.neg[a]], [1], a) == 0

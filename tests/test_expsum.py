@@ -425,7 +425,7 @@ def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_histog
     monkeypatch.setattr(
         expsum, "_counts_to_cyclo", lambda p, counts: passed.append(list(counts)) or to_cyclo(p, counts)
     )
-    expsum._trace_sums(field, f)
+    expsum._trace_sums(field._tables, [x.v for x in f])
     values = [sum((c * x ** i for i, c in enumerate(f)), field(0)) for x in field.elements()]
     expected = []
     for t in field.elements():  # the entries are built in index order of t
@@ -471,6 +471,26 @@ def test_airy_entries_match_field_operator_sums(n, p, e, lam):
     assert airy_trace_table(f, p, e).entries == expected
     info = expsum._airy_base.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
+def test_airy_base_builds_no_field_element(n, p, e, monkeypatch):
+    # a cold base runs from the coefficient indices to the entries on the
+    # tables alone: it makes no FqElement, while the patch sees one made
+    # after it
+    from airycheck import arith, expsum
+
+    field = FqField(p, e)
+    c = [x.v for x in f_poly(make_params(n, field, (2,) * (n // 2)))]
+    c[1] = 0
+    made, fq = [], arith._fq
+    monkeypatch.setattr(arith, "_fq", lambda f, v: made.append(v) or fq(f, v))
+    expsum._airy_base.cache_clear()
+    base = expsum._airy_base(p, e, tuple(c))
+    expsum._airy_base.cache_clear()
+    assert len(base) == field.q and made == []
+    field.from_index(3)
+    assert made == [3]
 
 
 @pytest.mark.parametrize("lam1", [0, 3])

@@ -10,7 +10,14 @@ every Airy table reads.
 
 One enumeration visits the Hecke fibers: `gln_airy.hecke_forms` is named in
 `src/` only by its definition, by `expsum`'s import of it and by the cached
-enumeration, `_fiber_histograms`, that every brute table reads."""
+enumeration, `_fiber_histograms`, that every brute table reads.
+
+One Zech addition per kernel shape: the functions that read
+`FqTables.zech` are `arith._add`, the dot kernel `arith._dot`,
+`arith._eval_log_terms`, `gln_airy._horner` and `expsum._add_rows`, and
+the section algebra and chi reach Zech logarithms only through `_dot`.
+Horner's rule is not built on `_dot`, since `chi_geometric` (Horner) is
+checked against `chi_eval` (log and dot)."""
 
 import ast
 import pathlib
@@ -30,6 +37,24 @@ AIRY_ALLOWED = {("expsum", "<def>"), ("expsum", "_airy_base")}
 
 HECKE_FORMS = "hecke_forms"
 HECKE_ALLOWED = {("gln_airy", "<def>"), ("expsum", "<import>"), ("expsum", "_fiber_histograms")}
+
+ZECH_READERS = {
+    ("arith", "_add"),
+    ("arith", "_dot"),
+    ("arith", "_eval_log_terms"),
+    ("gln_airy", "_horner"),
+    ("expsum", "_add_rows"),
+}
+
+DOT_KERNEL = "_dot"
+DOT_ALLOWED = {
+    ("arith", "<def>"),
+    ("gln_airy", "<import>"),
+    ("gln_airy", "_trunc_mul"),
+    ("gln_airy", "_exp_series"),
+    ("gln_airy", "_log_series"),
+    ("gln_airy", "chi_eval"),
+}
 
 
 def namings(module, tree, name=NAME):
@@ -54,6 +79,40 @@ def namings(module, tree, name=NAME):
 
     visit(tree, "")
     return found
+
+
+def zech_readers(module, tree):
+    """(module, qualified def) for each read of an attribute `zech`, or of
+    the string "zech" outside a `__slots__`, in a module's tree; the
+    stores that build the table are not reads."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            return
+        elif (isinstance(node, ast.Attribute) and node.attr == "zech"
+              and isinstance(node.ctx, ast.Load)
+              or isinstance(node, ast.Constant) and node.value == "zech"):
+            found.append((module, scope or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_zech_guard_sees_every_read():
+    tree = ast.parse(
+        "class T:\n    __slots__ = ('zech',)\n"
+        "    def __init__(self):\n        self.zech = []\n"
+        "def add(t):\n    return t.zech[0]\n"
+        "def dot(t):\n    z = getattr(t, 'zech')\n"
+        "class K:\n    def row(self, t):\n        exp, zech = t.exp, t.zech\n"
+    )
+    assert zech_readers("m", tree) == [("m", "add"), ("m", "dot"), ("m", "K.row")]
 
 
 def test_the_guard_sees_every_spelling():
@@ -95,3 +154,19 @@ def test_hecke_fibers_have_one_enumeration():
         for hit in namings(path.stem, ast.parse(path.read_text(), str(path)), HECKE_FORMS)
     ]
     assert sorted(found) == sorted(HECKE_ALLOWED)
+
+
+def test_zech_addition_has_five_readers():
+    # a sixth function that reads the Zech table would be a sixth
+    # hand-inlined copy of the addition; the section algebra and chi read
+    # it through _dot, and Horner's rule keeps its own loop
+    found = {
+        hit for path in sorted(SRC.glob("*.py"))
+        for hit in zech_readers(path.stem, ast.parse(path.read_text(), str(path)))
+    }
+    assert found == ZECH_READERS
+    dot = [
+        hit for path in sorted(SRC.glob("*.py"))
+        for hit in namings(path.stem, ast.parse(path.read_text(), str(path)), DOT_KERNEL)
+    ]
+    assert sorted(dot) == sorted(DOT_ALLOWED)
