@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -290,6 +291,22 @@ def test_compare(capsys):
     )
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+# (n, prime, ext, lambda): F_25; c_1 != 0 at n = 4; lambda_1 = 0 at n = 2 and 4
+TRACE_CLI_PIN_INPUTS = [("2", "5", "2", "1"), ("4", "7", "1", "1,2"), ("2", "7", "1", "0"), ("4", "7", "1", "0,3")]
+
+
+def test_trace_and_compare_json_pinned(capsys):
+    # SHA-256 of the exit codes and the JSON that `trace airy`, `trace hecke`
+    # and `compare` print, as the tables keyed by field element gave them
+    outs = []
+    for n, prime, ext, lam in TRACE_CLI_PIN_INPUTS:
+        for cmd in (["trace", "airy"], ["trace", "hecke"], ["compare"]):
+            code, out, _ = run_capture(capsys, cmd + ["--n", n, "--prime", prime, "--ext", ext, "--lambda", lam])
+            outs.append((code, out))
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+    assert digest == "a1ccb7ae30d6f79c96145beea5d4f74bc58fdfc1986751458a9b8dd9f1cf7c6a"
 
 
 def test_compare_odd_n(capsys):
