@@ -353,7 +353,7 @@ def _cartan_data(rd: RootDatum):
 class ChevalleyAlgebra:
     def __init__(self, rd: RootDatum, field=QQ):
         h = coxeter_number(rd)
-        if getattr(field, "p", None) is not None and field.p <= h:
+        if field.p is not None and field.p <= h:
             raise ValueError(f"need p > h = {h}")
         self.rd = rd
         self.field = field

@@ -472,12 +472,13 @@ def cmd_trace(args):
         table = airy_trace_table(f_poly(params), args.prime, args.ext, lam=params.lam)
     else:
         table = hecke_trace_table(params)
+    names = [str(params.field.from_index(i)) for i in range(table.q)]
     out = {
         "kind": args.kind,
         "provenance": table.provenance,
         "q": table.q,
-        "entries": {str(a): str(v) for a, v in table.entries.items()},
-        "entries_abs": {str(a): abs(v.embed()) for a, v in table.entries.items()},
+        "entries": {a: str(v) for a, v in zip(names, table.entries)},
+        "entries_abs": {a: abs(v.embed()) for a, v in zip(names, table.entries)},
     }
     print(json.dumps(out, indent=2))
     return 0

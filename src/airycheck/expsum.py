@@ -6,45 +6,33 @@ There are two table builders, and every trace check compares them:
 over the maps p_1, p_2, an oracle independent of the Airy sum.
 
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
-Floats only enter through the Weil-bound checks.  Both sums are row
+Floats only enter through the Weil-bound checks.  A table's entries are a
+tuple in index order, entry i the value at `field.from_index(i)`: readers
+zip or iterate it, and only the CLI names the elements.  Both sums are row
 kernels on the element indices of `fq_tables(p, e)`, from the coefficient
-indices in to the entries out, and build no field element: each step
-handles all of F_q at once with list comprehensions over the tables, and
-the points are counted on residues mod p.  `_add_rows` is one of the five
-readers of the Zech table, with `arith._add`, `arith._dot`,
-`arith._eval_log_terms` and `gln_airy._horner`.
+indices in to the entries out, and build no field element per entry or
+point: each step handles all of F_q at once with list comprehensions over
+the tables, the points are counted on residues mod p, and both builders end
+in one `_fold` of their flat counts, 2p unfolded sums per entry.
+`_add_rows` is one of the five readers of the Zech table, with
+`arith._add`, `arith._dot`, `arith._eval_log_terms` and `gln_airy._horner`.
 
-- The Airy sum reads Tr f(g^k) for every k as Tr f(0) plus a sum of
-  monomial rows Tr(c_i g^(ik)), each a strided walk round the antilog
-  table, reduced mod p once; for each t a plain increment loop counts
-  Tr f(x) + Tr(t x), which lies in [0, 2p - 2], into a list of 2p ints
-  whose two halves fold mod p by one addition.
-- The linear coefficient c_1 of f only moves the Fourier variable:
-  S_f(t) = S_{f - c_1 x}(t + c_1).  So the Airy table of f is one cached
-  base table, keyed on (p, e, the coefficient indices of f with c_1 set to
-  0), read at the index of t + c_1: every lambda of GL_2 at one (p, e)
-  shares a base.  The base is built once per key by the one kernel,
-  `_trace_sums(tab, c)`, as a tuple in t-index order; a refused input
-  (degree, p | deg f, budget) is refused before the cache is read, so it
-  is never cached.
-- The brute fiber sum visits every point of F_q^{1+n/2}: per m_1 it takes
-  p_1 and p_2 as the affine forms of `gln_airy.hecke_forms` and extends
-  their partial sums one tail coordinate at a time, adding the row
-  x -> x w of that coordinate's coefficient w (`_mul_row`, one slice of
-  the antilog table in index order) by Zech logarithms (`_add_rows`).
-- lambda enters the brute sum only through chi(m_1), a constant for each
-  m_1, and Tr is additive.  So the points are enumerated once per
-  (n, p, e), without chi: `_fiber_histograms`, an lru_cache, holds per m_1
-  one int, the histogram of the keys 2p (index of p_2) + Tr(p_1 - chi(m_1))
-  packed in slots of w bits, w the smallest array item width that holds
-  q^{n/2}, the size of every fiber.  It refuses (uncached) an enumeration
-  that does not reach q^{1+n/2} points or overflows a slot.  Each lambda
-  reads Tr chi_lambda(m_1) for every m_1 off one Horner row
-  (`gln_airy.chi_geometric_row`), shifts each m_1's int up by that many
-  slots and adds them: one int of 2pq slots, read back as one array, whose
-  length-2p windows are the fibers' unfolded counts, folded mod p as the
-  Airy sum's are.  The budget refusal comes before the cache is read, and
-  each call builds its own entries dict.
+- The Airy sum (`_trace_sums`) counts Tr f(x) + Tr(t x) for every t, with
+  Tr f(g^k) a sum of strided walks round the antilog table.  The linear
+  coefficient c_1 of f only moves the Fourier variable, S_f(t) =
+  S_{f - c_1 x}(t + c_1), so the Airy table of f is a cached base table
+  (`_airy_base`, keyed on the coefficient indices with c_1 set to 0) read
+  along the row t + c_1, or the base itself when c_1 = 0: every lambda of
+  GL_2 at one (p, e) shares a base.  A refused input (degree, p | deg f,
+  budget) is refused before the cache is read, so it is never cached.
+- The brute fiber sum visits every point of F_q^{1+n/2}, extending the
+  affine forms p_1, p_2 of `gln_airy.hecke_forms` one tail coordinate at a
+  time by rows (`_mul_row`, `_add_rows`).  lambda enters only through
+  chi(m_1), a constant for each m_1, and Tr is additive, so the points are
+  enumerated once per (n, p, e), without chi, into packed histograms per
+  m_1 (`_fiber_histograms`); each lambda shifts and adds them
+  (`_brute_table_entries`).  The budget refusal comes before the cache is
+  read.
 """
 
 from __future__ import annotations
@@ -55,7 +43,7 @@ from functools import lru_cache
 from operator import add, itemgetter
 
 from . import Record, VerificationError
-from .arith import CyclotomicValue, FqField, _add, _cyclo, fq_tables
+from .arith import CyclotomicValue, FqField, _cyclo, fq_tables
 from .gln_airy import CharacterParams, chi_geometric_row, f_poly, hecke_forms, make_params
 
 BRUTE_BUDGET = 10 ** 7
@@ -68,6 +56,15 @@ def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
     return _cyclo(p, tuple([counts[c] - k for c in range(p - 1)]))
 
 
+def _fold(p: int, counts) -> tuple:
+    """The entries of the flat unfolded counts `counts`, 2p per entry in
+    index order: each entry's sums lie in [0, 2p - 2], so its two halves
+    fold mod p by one addition, and the folded counts are negated, so each
+    entry is built once with its sign."""
+    return tuple([_counts_to_cyclo(p, [-a - b for a, b in zip(counts[i: i + p], counts[i + p: i + 2 * p])])
+                  for i in range(0, len(counts), 2 * p)])
+
+
 def _trace_sums(tab, c) -> tuple:
     """-sum_{x in F_q} psi(Tr(f(x) + t x)) for every t, in index order, for
     the f whose coefficients have the indices c over the tables `tab`.
@@ -77,9 +74,8 @@ def _trace_sums(tab, c) -> tuple:
     reading it with stride i (mod q-1) gives the monomial's row.  The sum of
     the rows is reduced mod p once, so with Tr(t x) = Tr(g^(k + log t)), a
     slice of the same traces, each t's sums lie in [0, 2p - 2]: one
-    increment loop counts them in a list of 2p ints, and its two halves
-    fold mod p.  The folded counts are negated, so each entry is built once
-    with its sign.
+    increment loop counts them in a list of 2p ints, and `_fold` folds and
+    negates the lists of every t at once.
     """
     p, m, log = tab.p, tab.q - 1, tab.log
     tr_exp = [tab.trace[i] for i in tab.exp]  # Tr(g^k), k < 2(q-1)
@@ -90,38 +86,32 @@ def _trace_sums(tab, c) -> tuple:
             row = tr_exp[log[c[i]]: log[c[i]] + m]
             tr_f = list(map(add, tr_f, (row * i)[::i]))
     tr_f = [s % p for s in tr_f]
-    entries = []
+    flat = []
     for t in range(tab.q):
         counts = [0] * (2 * p)  # the number of x at each unfolded sum
         counts[tr_f0] = 1  # x = 0
         for s in map(add, tr_f, tr_exp[log[t]: log[t] + m]) if t else tr_f:
             counts[s] += 1
-        entries.append(_counts_to_cyclo(p, [-a - b for a, b in zip(counts, counts[p:])]))
-    return tuple(entries)
+        flat += counts
+    return _fold(p, flat)
 
 
 class TraceTable(Record):
     _fields = ("q", "n", "lam", "f_coeffs", "entries", "provenance")
 
-    def __init__(self, q: int, n: int, lam: tuple, f_coeffs: tuple, entries: dict,
+    def __init__(self, q: int, n: int, lam: tuple, f_coeffs: tuple, entries: tuple,
                  provenance: str):
         self.q = q
         self.n = n
         self.lam = lam
         self.f_coeffs = f_coeffs
-        self.entries = entries  # field element -> CyclotomicValue
+        self.entries = entries  # CyclotomicValues, entry i at field.from_index(i)
         self.provenance = provenance
 
     def scaled(self, factor, provenance: str) -> "TraceTable":
         """Every entry times `factor`, an int or a CyclotomicValue."""
-        return TraceTable(
-            self.q,
-            self.n,
-            self.lam,
-            self.f_coeffs,
-            {a: v * factor for a, v in self.entries.items()},
-            provenance,
-        )
+        return TraceTable(self.q, self.n, self.lam, self.f_coeffs,
+                          tuple([v * factor for v in self.entries]), provenance)
 
     def __eq__(self, other):
         return (
@@ -166,11 +156,11 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     """Entry at t is -sum_{x in F_q} psi(Tr(f(x) + t x)).
 
     With c_1 the linear coefficient of f, the entry is S_{f - c_1 x}(t + c_1):
-    entry t reads the cached base table of f - c_1 x (`_airy_base`, keyed on
-    (p, e, coefficient indices with c_1 set to 0)) at the index of t + c_1.
-    The degree, p | deg f and budget refusals come first, so a refused input
-    is never cached; the entries dict is new on every call, so a caller that
-    edits it cannot reach the cache.
+    the table reads the cached base of f - c_1 x (`_airy_base`, keyed on
+    (p, e, coefficient indices with c_1 set to 0)) along the row
+    `_add_rows(tab, [c_1], range(q))` of the indices of t + c_1, and is the
+    base itself when c_1 = 0.  The degree, p | deg f and budget refusals
+    come first, so a refused input is never cached.
     """
     n = len(f_coeffs) - 2
     if n < 1 or not f_coeffs[-1]:
@@ -181,8 +171,9 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
     field = FqField(p, e)
     c = [field(x).v for x in f_coeffs]
     c1, c[1] = c[1], 0
-    base, tab = _airy_base(p, e, tuple(c)), field._tables
-    entries = {t: base[_add(tab, t.v, c1)] for t in field.elements()}
+    entries = _airy_base(p, e, tuple(c))
+    if c1:
+        entries = tuple([entries[i] for i in _add_rows(field._tables, [c1], range(field.q))])
     return TraceTable(field.q, n, tuple(lam), tuple(f_coeffs), entries, "airy")
 
 
@@ -281,9 +272,9 @@ def _brute_table_entries(params: CharacterParams):
     m_{1+n/2} is -1 for every m_1), which a slot holds, and a shift of at
     most p - 1 keeps each key in [0, 2p - 2] past its fiber's start, so no
     slot carries into the next; a carry would lower the total by 2^w - 1.
-    The int is read back as one array and each fiber's two halves fold
-    mod p.  The budget refusal comes before the cache is read, and the
-    counts must total q^{1+n/2}, or VerificationError is raised.
+    The int is read back as one array, the flat counts that `_fold` reads
+    in a-index order.  The budget refusal comes before the cache is read,
+    and the counts must total q^{1+n/2}, or VerificationError is raised.
     """
     field, n = params.field, params.n
     require_brute_budget(field.p, field.e, n)
@@ -302,9 +293,7 @@ def _brute_table_entries(params: CharacterParams):
     points = sum(counts)
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum counted {points} of the q^{1 + n // 2} points")
-    c = counts.tolist()
-    return {a: _counts_to_cyclo(p, [-x - y for x, y in zip(c[i: i + p], c[i + p: i + 2 * p])])
-            for a, i in zip(field.elements(), range(0, 2 * p * q, 2 * p))}
+    return _fold(p, counts.tolist())
 
 
 def _require_brute(brute):
@@ -338,19 +327,20 @@ class Verdict(Record):
 
 def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     """Exact cyclotomic comparison of the Hecke eigenvalue trace, as the
-    brute fiber sum, with the Airy trace twisted by q^{n/2-1}; for n = 2
-    the twist is 1 and the Airy table is compared as it is."""
+    brute fiber sum, with the Airy trace of the same f twisted by q^{n/2-1};
+    for n = 2 the twist is 1 and the Airy table is compared as it is.  A
+    failed verdict names the first element whose entries differ."""
     _require_brute(brute)
     require_brute_budget(p, e, n)
     require_airy_budget(p, e)
     field = FqField(p, e)
     params = make_params(n, field, lam)
-    q = p ** e
     hecke = hecke_trace_table(params)
-    airy = airy_trace_table(f_poly(params), p, e, lam=params.lam)
-    twist = q ** (n // 2 - 1)
+    airy = airy_trace_table(hecke.f_coeffs, p, e, lam=params.lam)
+    twist = field.q ** (n // 2 - 1)
     twisted = airy if twist == 1 else airy.scaled(twist, "airy-twisted")
-    mismatches = [a for a in field.elements() if hecke.entries[a] != twisted.entries[a]]
+    pairs = zip(hecke.entries, twisted.entries, strict=True)
+    mismatches = [i for i, (h, a) in enumerate(pairs) if h != a]
     detail = {
         "n": n,
         "p": p,
@@ -358,6 +348,8 @@ def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
         "lambda": [str(x) for x in params.lam],
         "brute_mismatches": len(mismatches),
     }
+    if mismatches:
+        detail["first_mismatch"] = str(field.from_index(mismatches[0]))
     return Verdict(not mismatches, detail)
 
 
@@ -368,6 +360,6 @@ def weil_check(table: TraceTable) -> Verdict:
         raise ValueError(f"the Weil bound is checked on Airy tables, not {table.provenance!r}")
     bound = table.n * math.sqrt(table.q)
     worst = 0.0
-    for v in table.entries.values():
+    for v in table.entries:
         worst = max(worst, abs(v.embed()))
     return Verdict(worst <= bound + WEIL_SLACK, {"worst": worst, "bound": bound})

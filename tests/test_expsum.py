@@ -44,7 +44,7 @@ def test_trace_identity_n2():
     for p in (5, 7):
         for lam1 in (0, 1, 2):
             v = compare_traces(2, p, 1, (lam1,))
-            assert v.ok, v.detail
+            assert v.ok and "first_mismatch" not in v.detail, v.detail
 
 
 def test_trace_identity_n2_ext():
@@ -60,7 +60,7 @@ def test_trace_identity_n4():
     brute = hecke_trace_table(params)
     airy = airy_trace_table(f_poly(params), 7, 1)
     for a in GF(7).elements():
-        assert brute.entries[a] == airy.entries[a] * 7
+        assert brute.entries[a.v] == airy.entries[a.v] * 7
 
 
 def test_scaled_by_int_or_cyclotomic_value():
@@ -109,7 +109,7 @@ def test_brute_tables_pinned():
         field = FqField(p, e)
         lam = tuple(rng.randrange(p) for _ in range(n // 2))
         table = hecke_trace_table(make_params(n, field, lam), brute=True)
-        rows.append((n, p, e, lam, [table.entries[a].coeffs for a in field.elements()]))
+        rows.append((n, p, e, lam, [table.entries[a.v].coeffs for a in field.elements()]))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "1694541d2cc4a50ade44a0ba5ad14c6c6d8b9e2c8ca53f4c1be569a48c3a8e06"
 
@@ -130,7 +130,7 @@ def test_airy_tables_pinned():
         for lam in lams:
             params = make_params(n, field, lam)
             table = airy_trace_table(f_poly(params), p, e, lam=params.lam)
-            rows.append((n, p, e, lam, [table.entries[a].coeffs for a in field.elements()]))
+            rows.append((n, p, e, lam, [table.entries[a.v].coeffs for a in field.elements()]))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "f7cff75dd11c5814a960d8c174881a8a5e1e40efa0b115e1ff2f53d0c86deac8"
 
@@ -143,7 +143,7 @@ def test_brute_kernel_matches_fiber_sum(n, p, e, lam):
     params = make_params(n, field, lam)
     brute = hecke_trace_table(params, brute=True)
     for a in field.elements():
-        assert _fiber_sum(params, a) == brute.entries[a]
+        assert _fiber_sum(params, a) == brute.entries[a.v]
 
 
 # p_2 with its sign flipped, and with every power of m_1 one higher
@@ -160,15 +160,15 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
     params = make_params(4, field, (1, 2))
     # unperturbed, _fiber_sum gives this table (test_brute_kernel_matches_fiber_sum)
     brute = hecke_trace_table(params)
-    assert any(_fiber_sum(params, a, wrong_p2) != brute.entries[a] for a in field.elements())
+    assert any(_fiber_sum(params, a, wrong_p2) != brute.entries[a.v] for a in field.elements())
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
 def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, cold_fiber_histograms):
     # every point of F_q^{1+n/2} is binned once: the counts the kernel turns
     # into entries (it passes minus the counts) total q^{1+n/2}; and the
-    # field elements made are O(q):
-    # the m_1 loop and the entries, none per point
+    # only field elements made are those of f_poly, the table's f_coeffs, a
+    # number that does not grow with q: none per point, m_1 or entry
     from airycheck import arith, expsum
 
     field = FqField(p, e)
@@ -182,7 +182,25 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, c
     hecke_trace_table(params, brute=True)
     assert len(binned) == field.q
     assert sum(binned) == field.q ** (1 + n // 2)
-    assert len(made) <= 20 * field.q
+    table_made = len(made)
+    made.clear()
+    f_poly(params)
+    assert table_made == len(made) <= 4 * (n + 2)
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
+def test_warm_airy_table_makes_one_field_element_per_coefficient(n, p, e, monkeypatch):
+    # a warm table reads its base along the row t + c_1 (c_1 = 2 here) on
+    # the indices alone: the only field elements made are the n + 2
+    # coefficients of f read as indices, none per entry
+    from airycheck import arith
+
+    f = f_poly(make_params(n, FqField(p, e), (2,) * (n // 2)))
+    airy_trace_table(f, p, e)
+    made, fq = [], arith._fq
+    monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
+    airy_trace_table(f, p, e)
+    assert len(made) == n + 2
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])
@@ -289,18 +307,17 @@ def test_refused_brute_input_is_never_cached(n, p, e):
 
 
 def test_edited_brute_table_does_not_reach_the_cache():
-    # every call counts into its own list and builds its own entries dict,
-    # so a caller that edits one leaves the next table, for the same lambda
-    # or another sharing the enumeration, as it was
+    # the entries are a tuple, so a caller cannot edit them in place, and a
+    # rebuild, for the same lambda or another sharing the enumeration, is
+    # the table it had
     field = GF(7)
     first = hecke_trace_table(make_params(4, field, (1, 2)))
-    kept = dict(first.entries)
-    other = dict(hecke_trace_table(make_params(4, field, (3, 0))).entries)
-    for a in first.entries:
-        first.entries[a] = first.entries[a] + CyclotomicValue.zeta_pow(7, 1)
-    first.entries.clear()
-    assert hecke_trace_table(make_params(4, field, (1, 2))).entries == kept
-    assert hecke_trace_table(make_params(4, field, (3, 0))).entries == other
+    other = hecke_trace_table(make_params(4, field, (3, 0)))
+    assert type(first.entries) is tuple and len(first.entries) == 7
+    with pytest.raises(TypeError):
+        first.entries[0] = first.entries[0] + CyclotomicValue.zeta_pow(7, 1)
+    assert hecke_trace_table(make_params(4, field, (1, 2))) == first
+    assert hecke_trace_table(make_params(4, field, (3, 0))) == other
 
 
 def _outside(field, indices):
@@ -367,7 +384,7 @@ def test_lambdas_sharing_an_enumeration_differ_where_the_oracle_does():
     assert (info.hits, info.misses) == (1, 1)
     differ = {a for a in field.elements() if oracles[0][a] != oracles[1][a]}
     assert differ
-    assert {a for a in field.elements() if tables[0][a] != tables[1][a]} == differ
+    assert {a for a in field.elements() if tables[0][a.v] != tables[1][a.v]} == differ
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (5, 2), (7, 2)])
@@ -460,7 +477,7 @@ def test_airy_entries_match_field_operator_sums(n, p, e, lam):
     field = FqField(p, e)
     params = make_params(n, field, [field.from_index(i) for i in lam])
     f = f_poly(params)
-    expected = {t: _airy_oracle(field, f, t) for t in field.elements()}
+    expected = tuple([_airy_oracle(field, f, t) for t in field.elements()])
     expsum._airy_base.cache_clear()
     assert airy_trace_table(f, p, e).entries == expected
     assert expsum._airy_base.cache_info().misses == 1
@@ -495,17 +512,16 @@ def test_airy_base_builds_no_field_element(n, p, e, monkeypatch):
 
 @pytest.mark.parametrize("lam1", [0, 3])
 def test_edited_airy_table_does_not_reach_the_cache(lam1):
-    # a caller that edits its entries, as test_compare_counts_one_changed_airy_entry
-    # does, leaves the next table for the same f as it was, with no shift
-    # (lambda_1 = 0) and with one
+    # the entries are a tuple, the cached base itself when there is no
+    # shift (lambda_1 = 0): a caller cannot edit them in place, and a
+    # rebuild for the same f is the table it had
     field = GF(7)
     f = f_poly(make_params(2, field, (lam1,)))
     first = airy_trace_table(f, 7, 1)
-    kept = dict(first.entries)
-    for t in first.entries:
-        first.entries[t] = first.entries[t] + CyclotomicValue.zeta_pow(7, 1)
-    first.entries.clear()
-    assert airy_trace_table(f, 7, 1).entries == kept
+    assert type(first.entries) is tuple and len(first.entries) == 7
+    with pytest.raises(TypeError):
+        first.entries[0] = first.entries[0] + CyclotomicValue.zeta_pow(7, 1)
+    assert airy_trace_table(f, 7, 1) == first
 
 
 @pytest.mark.parametrize("f,p", [
@@ -599,7 +615,7 @@ def test_airy_constant_shift():
     t2 = airy_trace_table(g, p, 1)
     factor = psi(p, 3)
     for t in F.elements():
-        assert t2.entries[t] == factor * t1.entries[t]
+        assert t2.entries[t.v] == factor * t1.entries[t.v]
 
 
 def test_airy_column_sum_orthogonality():
@@ -609,8 +625,8 @@ def test_airy_column_sum_orthogonality():
     f = [F(1), F(2), F(1), F(3)]
     table = airy_trace_table(f, p, e)
     acc = CyclotomicValue(p)
-    for t in F.elements():
-        acc = acc + table.entries[t]
+    for v in table.entries:
+        acc = acc + v
     assert acc == psi(p, poly_eval(F, [c.v for c in f], F(0))) * (-p)
 
 
@@ -655,7 +671,7 @@ def test_embed_reads_cached_zeta_powers_bit_for_bit():
     for n in cli.TRACE_GRIDS:
         for p, e, lam in cli._trace_cases(n):
             params = make_params(n, FqField(p, e), lam)
-            for v in airy_trace_table(f_poly(params), p, e).entries.values():
+            for v in airy_trace_table(f_poly(params), p, e).entries:
                 got, want = v.embed(), inline(v)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
                 entries += 1
@@ -707,7 +723,7 @@ def test_compare_fails_for_airy_shift_by_minus_c1(n, p, lam, monkeypatch):
         c = [field(x).v for x in f_coeffs]
         c1, c[1] = c[1], 0
         base = expsum._airy_base(p, e, tuple(c))
-        table.entries = {t: base[_add(tab, t.v, tab.neg[c1])] for t in field.elements()}
+        table.entries = tuple([base[_add(tab, t, tab.neg[c1])] for t in range(field.q)])
         return table
 
     assert compare_traces(n, p, 1, lam).ok
@@ -720,20 +736,23 @@ def test_compare_fails_for_airy_shift_by_minus_c1(n, p, lam, monkeypatch):
 def test_compare_counts_one_changed_airy_entry(n, p, lam, monkeypatch):
     # negative control at the entry level: an Airy table with one entry
     # changed gives exactly one mismatch, where the twist is 1 (n = 2, the
-    # table compared as it is) and where it is q (n = 4)
+    # table compared as it is) and where it is q (n = 4), and the failed
+    # verdict names the changed element
     from airycheck import expsum
 
     airy = expsum.airy_trace_table
 
     def one_changed(f_coeffs, p, e, lam=()):
         table = airy(f_coeffs, p, e, lam=lam)
-        a = next(iter(table.entries))
-        table.entries[a] = table.entries[a] + CyclotomicValue.zeta_pow(p, 1)
+        entries = list(table.entries)
+        entries[3] = entries[3] + CyclotomicValue.zeta_pow(p, 1)
+        table.entries = tuple(entries)
         return table
 
     monkeypatch.setattr(expsum, "airy_trace_table", one_changed)
     v = compare_traces(n, p, 1, lam)
     assert not v.ok and v.detail["brute_mismatches"] == 1, v.detail
+    assert v.detail["first_mismatch"] == str(GF(p).from_index(3)) == "3 (mod 7)"
 
 
 def test_brute_false_rejected():

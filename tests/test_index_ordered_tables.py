@@ -1,0 +1,70 @@
+"""A trace table's entries are a tuple in index order from the kernels to
+the verdict: the table builders of `expsum` name no field element, so they
+call neither `elements()` nor `from_index`; in `expsum` only the failure
+witness of `compare_traces` turns an index back into an element; and no
+module of airycheck reads entries as a dict (`.items()` or `.values()`)."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "airycheck"
+
+BUILDERS = {
+    "_trace_sums",
+    "_airy_base",
+    "airy_trace_table",
+    "_fiber_histograms",
+    "_brute_table_entries",
+    "_fold",
+    "hecke_trace_table",
+}
+
+
+def element_calls(tree):
+    """{name: the `elements` and `from_index` methods it calls, in source
+    order} over the module-level functions of a tree."""
+    return {
+        node.name: [
+            call.func.attr for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("elements", "from_index")
+        ]
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+
+
+def entries_as_dict(tree):
+    """Line numbers of the calls `entries.items()` and `entries.values()`,
+    on a name `entries` or an attribute `x.entries`."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("items", "values")
+        and "entries" in (getattr(node.func.value, "attr", None), getattr(node.func.value, "id", None))
+    ]
+
+
+def test_the_guards_see_what_they_refuse():
+    tree = ast.parse(
+        "def f(field, table):\n"
+        "    return field.elements(), table.entries.items()\n"
+        "def g(field, entries):\n"
+        "    return field.from_index(0), entries.values(), entries.count(0), {}.items()\n"
+    )
+    assert element_calls(tree) == {"f": ["elements"], "g": ["from_index"]}
+    assert entries_as_dict(tree) == [2, 4]
+
+
+def test_table_builders_name_no_field_element():
+    calls = element_calls(ast.parse((SRC / "expsum.py").read_text()))
+    assert BUILDERS <= set(calls)
+    assert {name: found for name, found in calls.items() if found} == {"compare_traces": ["from_index"]}
+
+
+def test_no_module_reads_entries_as_a_dict():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := entries_as_dict(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
