@@ -44,7 +44,7 @@ from operator import add, itemgetter
 
 from . import Record, VerificationError
 from .arith import CyclotomicValue, FqField, _cyclo, fq_tables
-from .gln_airy import CharacterParams, chi_geometric_row, f_poly, hecke_forms, make_params
+from .gln_airy import CharacterParams, _indices, chi_geometric_row, f_poly, hecke_forms, make_params
 
 BRUTE_BUDGET = 10 ** 7
 WEIL_SLACK = 1e-6  # float error allowed in the Weil bound
@@ -169,7 +169,7 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("p must not divide deg f")
     require_airy_budget(p, e)
     field = FqField(p, e)
-    c = [field(x).v for x in f_coeffs]
+    c = _indices(field, f_coeffs)
     c1, c[1] = c[1], 0
     entries = _airy_base(p, e, tuple(c))
     if c1:

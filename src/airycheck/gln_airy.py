@@ -19,9 +19,10 @@ per point, so that `chi_geometric` (Horner) and `chi_eval` (log and dot)
 share no code: `poly_eval` is its one-point read, `chi_geometric`
 evaluates at one m1 through it, and `chi_geometric_row` reads chi at every
 m1 of F_q in one call, for the brute fiber sum.  `CharacterParams` stores
-the indices of lambda and of chi_geometric's coefficients, computed once
-per params on indices (each 1/k read from `_inverses`), so no coefficient
-is read per call.
+the indices of lambda, of chi_geometric's and of f's coefficients, computed
+once per params on indices from one list of lambda_r/r (each 1/k read from
+`_inverses`), so no coefficient is read per call and `f_poly` divides
+nothing.
 """
 
 from __future__ import annotations
@@ -57,8 +58,11 @@ class CharacterParams(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lam", lam)  # (lambda_1, ..., lambda_{n/2})
-        object.__setattr__(self, "_lam_indices", tuple(_indices(field, lam)))
-        object.__setattr__(self, "_chi_geo_indices", _chi_geo_indices(self))
+        lam_indices = tuple(_indices(field, lam))
+        chi, f = _airy_indices(field._tables, n, lam_indices)
+        object.__setattr__(self, "_lam_indices", lam_indices)
+        object.__setattr__(self, "_chi_geo_indices", chi)
+        object.__setattr__(self, "_f_indices", f)
 
 
 def make_params(n: int, field, lam) -> CharacterParams:
@@ -98,6 +102,19 @@ def _inverses(p, n):
     """(1/1, 1/2, ..., 1/(n+1)) mod p: for k < p, 1/k lies in F_p, so these
     are also its indices in every F_{p^e}."""
     return tuple(pow(k, -1, p) for k in range(1, n + 2))
+
+
+def _airy_indices(tab, n, lam):
+    """The indices of the coefficients of chi_geometric(m) = sum (lambda_r/r)
+    m^r + (n/(n+1)) m^{n+1} and of f(m) = sum (lambda_r/r) m^r -
+    m^{n+1}/(n+1), constant term first, from one list of lambda_r/r for
+    lambda's indices `lam` (each 1/k from `_inverses`; n < p is its index)."""
+    exp, log = tab.exp, tab.log
+    inv = _inverses(tab.p, n)
+    low = [0] * (n + 1)
+    for r, v in enumerate(lam, start=1):
+        low[r] = exp[log[v] + log[inv[r - 1]]] if v else 0
+    return low + [exp[log[n] + log[inv[n]]]], low + [tab.neg[inv[n]]]
 
 
 def _exp_series(tab, n, x):
@@ -154,22 +171,6 @@ def chi_eval(params: CharacterParams, x):
     return field.from_index(_dot(tab, params._lam_indices, y, _mul(tab, n, y[n])))
 
 
-def _chi_geo_indices(params: CharacterParams):
-    """The indices of the coefficients of sum (lambda_r/r) m^r +
-    (n/(1+n)) m^{1+n}, constant term first: each 1/k is read from
-    `_inverses`, an index in every F_{p^e}, and n < p is its own index."""
-    n, field = params.n, params.field
-    tab = field._tables
-    exp, log = tab.exp, tab.log
-    inv = _inverses(field.p, n)
-    coeffs = [0] * (n + 2)
-    for r, lam in enumerate(params._lam_indices, start=1):
-        if lam:
-            coeffs[r] = exp[log[lam] + log[inv[r - 1]]]
-    coeffs[n + 1] = exp[log[n] + log[inv[n]]]
-    return coeffs
-
-
 def chi_geometric(params: CharacterParams, m1):
     """Closed form sum (lambda_r/r) m1^r + (n/(1+n)) m1^{1+n}."""
     return poly_eval(params.field, params._chi_geo_indices, m1)
@@ -217,15 +218,11 @@ def hecke_forms(n: int, tab, m1: int):
 
 def f_poly(params: CharacterParams):
     """Coefficients of f(m) = -m^{n+1}/(n+1) + sum (lambda_r/r) m^r,
-    index i <-> m^i; degree exactly n+1."""
-    n, field = params.n, params.field
-    coeffs = [field(0)] * (n + 2)
-    for r in range(1, n // 2 + 1):
-        coeffs[r] = params.lam[r - 1] / field(r)
-    coeffs[n + 1] = -(field(1) / field(n + 1))
-    if not coeffs[n + 1]:
+    index i <-> m^i, as field elements built from `params._f_indices`;
+    degree exactly n+1."""
+    if not params._f_indices[-1]:
         raise VerificationError("f has degree below n + 1")
-    return coeffs
+    return _elements(params.field, params._f_indices)
 
 
 def _horner(tab, coeffs, xs) -> list:

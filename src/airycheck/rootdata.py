@@ -543,7 +543,9 @@ def stab_dimension(rd: RootDatum, mu: Coweight) -> int:
 
 
 def dim_bunJ_defect(rd: RootDatum) -> int:
-    """dim G(O)/J minus the dimension matched by the exponent count; 0."""
+    """dim G(O)/J minus the dimension matched by the exponent count; 0.  It
+    restates the exponents' symmetry, which `_check_invariants` enforces, so
+    it cannot fail until ROADMAP item 12 derives the exponents anew."""
     h = coxeter_number(rd)
     k = rd.heights_count()
     es = exponents(rd)
@@ -560,6 +562,7 @@ def dim_bunJ_defect(rd: RootDatum) -> int:
 
 
 def swan_identity_check(rd: RootDatum) -> bool:
-    """n(h+1) = n + #Phi, the Swan-conductor consistency count."""
+    """n(h+1) = n + #Phi, that is #Phi = n h, which `_check_invariants`
+    enforces: it cannot fail until ROADMAP item 12 derives h anew."""
     h = coxeter_number(rd)
     return rd.n * (h + 1) == rd.n + rd.num_roots

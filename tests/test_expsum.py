@@ -189,10 +189,11 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, c
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
-def test_warm_airy_table_makes_one_field_element_per_coefficient(n, p, e, monkeypatch):
+def test_warm_airy_table_makes_no_field_element_for_coefficients_in_its_field(n, p, e, monkeypatch):
     # a warm table reads its base along the row t + c_1 (c_1 = 2 here) on
-    # the indices alone: the only field elements made are the n + 2
-    # coefficients of f read as indices, none per entry
+    # the indices alone, and f's coefficients, elements of the table's
+    # field, are read by their indices (`gln_airy._indices`): it makes no
+    # field element, while the patch sees one made after it
     from airycheck import arith
 
     f = f_poly(make_params(n, FqField(p, e), (2,) * (n // 2)))
@@ -200,7 +201,24 @@ def test_warm_airy_table_makes_one_field_element_per_coefficient(n, p, e, monkey
     made, fq = [], arith._fq
     monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
     airy_trace_table(f, p, e)
-    assert len(made) == n + 2
+    assert made == []
+    f[0].field.from_index(3)
+    assert made == [3]
+
+
+@pytest.mark.parametrize("n,p,e,count", [(2, 7, 2, 5), (4, 11, 1, 8)])
+def test_warm_compare_makes_only_the_elements_of_lambda_and_f(n, p, e, count, monkeypatch):
+    # a warm comparison makes the n/2 elements of lambda (make_params) and
+    # the n + 2 coefficients of f (f_poly, the tables' f_coeffs), and none
+    # per entry, point or coefficient read
+    from airycheck import arith
+
+    lam = (2,) * (n // 2)
+    compare_traces(n, p, e, lam)
+    made, fq = [], arith._fq
+    monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
+    assert compare_traces(n, p, e, lam).ok
+    assert len(made) == n // 2 + n + 2 == count
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])

@@ -334,3 +334,61 @@ def _section_and_chi_outputs():
 def test_section_and_chi_outputs_pinned():
     digest = hashlib.sha256(repr(_section_and_chi_outputs()).encode()).hexdigest()
     assert digest == "c09ec06ef86ff3f50c4ea5e661f5025530b806500862a8e061a67267920019db"
+
+
+def _oracle_airy_coefficients(params):
+    """chi_geometric's and f's coefficients, constant term first, with the
+    field's operators: sum (lambda_r/r) m^r plus (n/(n+1)) m^{n+1}, and plus
+    -m^{n+1}/(n+1)."""
+    n, F = params.n, params.field
+    low = [F(0)] * (n + 1)
+    for r, lam in enumerate(params.lam, start=1):
+        low[r] = lam / F(r)
+    return low + [F(n) / F(n + 1)], low + [-(F(1) / F(n + 1))]
+
+
+@pytest.mark.parametrize("n,p,e", PIN_CASES)
+def test_chi_and_f_indices_match_field_operators(n, p, e):
+    # CharacterParams states lambda_r/r once for both polynomials; each
+    # index list is checked against the divisions, for lambda all zero, all
+    # nonzero, with zero and nonzero entries, and drawn from all of F_q.
+    # chi_geometric - f = m^{n+1} at every m ties the two top coefficients
+    # to p_1's -m_1^{n+1} term.
+    F = FqField(p, e)
+    rng = random.Random(f"airy-coefficients {n} {p} {e}")
+    half = n // 2
+    lams = [
+        (0,) * half,
+        tuple(range(1, half + 1)),
+        tuple(r % 2 for r in range(1, half + 1)),
+        (0,) + tuple(F.from_index(rng.randrange(1, F.q)) for _ in range(half - 1)),
+        tuple(F.from_index(rng.randrange(F.q)) for _ in range(half)),
+    ]
+    for lam in lams:
+        params = make_params(n, F, lam)
+        chi, f = _oracle_airy_coefficients(params)
+        assert params._chi_geo_indices == [c.v for c in chi]
+        assert params._f_indices == [c.v for c in f]
+        assert f_poly(params) == f
+        for m in F.elements():
+            assert chi_geometric(params, m) - poly_eval(F, params._f_indices, m) == m ** (n + 1)
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 2)])
+def test_f_poly_builds_its_coefficients_without_division(n, p, e, monkeypatch):
+    # f's coefficients are read off params._f_indices: f_poly divides
+    # nothing in the field and makes exactly its n + 2 coefficients
+    from airycheck import arith
+
+    params = make_params(n, FqField(p, e), (2,) * (n // 2))
+
+    def refuse(*args):
+        raise AssertionError("f_poly divided in the field")
+
+    monkeypatch.setattr(arith.FqElement, "__truediv__", refuse)
+    monkeypatch.setattr(arith.FqElement, "inverse", refuse)
+    made, fq = [], arith._fq
+    monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
+    f = f_poly(params)
+    assert len(made) == n + 2
+    assert [c.v for c in f] == params._f_indices

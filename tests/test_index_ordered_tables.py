@@ -2,7 +2,11 @@
 the verdict: the table builders of `expsum` name no field element, so they
 call neither `elements()` nor `from_index`; in `expsum` only the failure
 witness of `compare_traces` turns an index back into an element; and no
-module of airycheck reads entries as a dict (`.items()` or `.values()`)."""
+module of airycheck reads entries as a dict (`.items()` or `.values()`).
+The coefficients of f come to the tables as indices: no function of
+`expsum` reads `.v` off a call (as in `field(x).v`, which builds an
+element to read its index), and `gln_airy.f_poly`, which builds f from the
+indices `CharacterParams` stores, divides nothing."""
 
 import ast
 import pathlib
@@ -44,6 +48,26 @@ def entries_as_dict(tree):
     ]
 
 
+def index_of_calls(tree):
+    """Line numbers of the reads of `.v` off the result of a call, as in
+    `field(x).v`."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "v" and isinstance(node.value, ast.Call)
+    ]
+
+
+def divisions(tree, name):
+    """Line numbers of the true divisions (`/`, `/=`) and the `inverse()`
+    calls in the module-level function `name` of a tree."""
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return sorted(
+        node.lineno for node in ast.walk(fn)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "inverse"
+    )
+
+
 def test_the_guards_see_what_they_refuse():
     tree = ast.parse(
         "def f(field, table):\n"
@@ -53,6 +77,16 @@ def test_the_guards_see_what_they_refuse():
     )
     assert element_calls(tree) == {"f": ["elements"], "g": ["from_index"]}
     assert entries_as_dict(tree) == [2, 4]
+    tree = ast.parse(
+        "def f(field, x, y):\n"
+        "    return field(x).v, x.v, field.from_index(1).v, x // 2\n"
+        "def g(x, y):\n"
+        "    y /= x\n"
+        "    return x / y, x.inverse()\n"
+    )
+    assert index_of_calls(tree) == [2, 2]
+    assert divisions(tree, "f") == []
+    assert divisions(tree, "g") == [4, 5, 5]
 
 
 def test_table_builders_name_no_field_element():
@@ -68,3 +102,11 @@ def test_no_module_reads_entries_as_a_dict():
         if (lines := entries_as_dict(ast.parse(path.read_text(), str(path))))
     }
     assert found == {}
+
+
+def test_expsum_reads_no_index_off_a_new_element():
+    assert index_of_calls(ast.parse((SRC / "expsum.py").read_text())) == []
+
+
+def test_f_poly_divides_nothing():
+    assert divisions(ast.parse((SRC / "gln_airy.py").read_text()), "f_poly") == []
