@@ -20,6 +20,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import VerificationError
 
@@ -613,8 +614,7 @@ class CyclotomicValue:
 
     def embed(self) -> complex:
         """Complex embedding zeta -> exp(2*pi*i/p), double precision."""
-        zs = _zeta_powers(self.p)
-        return sum(a * zs[i] for i, a in enumerate(self.coeffs) if a) + 0j
+        return sum(map(mul, self.coeffs, _zeta_powers(self.p))) + 0j
 
     def __repr__(self):
         return f"Cyc({self.p}){list(self.coeffs)}"

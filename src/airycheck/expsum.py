@@ -12,8 +12,14 @@ zip or iterate it, and only the CLI names the elements.  Both sums are row
 kernels on the element indices of `fq_tables(p, e)`, from the coefficient
 indices in to the entries out, and build no field element per entry or
 point: each step handles all of F_q at once with list comprehensions over
-the tables, the points are counted on residues mod p, and both builders end
-in one `_fold` of their flat counts, 2p unfolded sums per entry.
+the tables, and the points are counted on residues mod p.  Both builders
+end in one `_fold` of one packed int: 2p slots of unfolded counts per
+entry, each slot an `array` item wide enough for twice an entry's total
+(`_slot_typecode`), so that every count and every sum of a window's two
+halves stays below the slot's top bit.  `_fold` adds the halves, applies
+the zeta^(p-1) relation under a bias of 2^(w-1) per slot by mask, shift and
+repunit product on the int, and reads the coefficients back as one signed
+array; a count that reaches a top bit raises VerificationError.
 `_add_rows` is one of the five readers of the Zech table, with
 `arith._add`, `arith._dot`, `arith._eval_log_terms` and `gln_airy._horner`.
 
@@ -32,7 +38,11 @@ in one `_fold` of their flat counts, 2p unfolded sums per entry.
   enumerated once per (n, p, e), without chi, into packed histograms per
   m_1 (`_fiber_histograms`); each lambda shifts and adds them
   (`_brute_table_entries`).  The budget refusal comes before the cache is
-  read.
+  read.  `hecke_forms` writes p_1 - chi(m_1) = -m_1^{n+1} + m_1 p_2
+  coefficient by coefficient (w1 = m_1 w2), and the enumeration checks that
+  identity point by point: every point of the fiber p_2 = a over m_1 has
+  Tr(p_1 - chi(m_1)) = Tr(a m_1 - m_1^{n+1}).  Nothing here derives p_1 and
+  p_2 from the Hecke correspondence.
 """
 
 from __future__ import annotations
@@ -50,19 +60,46 @@ BRUTE_BUDGET = 10 ** 7
 WEIL_SLACK = 1e-6  # float error allowed in the Weil bound
 
 
-def _counts_to_cyclo(p: int, counts) -> CyclotomicValue:
-    """sum_c counts[c] * zeta^c with the zeta^{p-1} relation applied."""
-    k = counts[p - 1]
-    return _cyclo(p, tuple([counts[c] - k for c in range(p - 1)]))
+@lru_cache(maxsize=None)
+def _fold_masks(p: int, q: int, w: int) -> tuple:
+    """The masks `_fold` reads on q windows of 2p slots of w bits: the low p
+    slots of every window, slot 0 of every window, the repunit of p - 1
+    slots, slots 0 to p - 2 of every window, the bias 2^(w-1) in each of
+    those, and the top bit of every slot; built once per (p, q, w)."""
+    windows = ((1 << 2 * p * q * w) - 1) // ((1 << 2 * p * w) - 1)  # 1 in slot 0 of each window
+    rep = ((1 << (p - 1) * w) - 1) // ((1 << w) - 1)
+    body = rep * windows
+    every = ((1 << 2 * p * q * w) - 1) // ((1 << w) - 1)  # 1 in every slot
+    return (((1 << p * w) - 1) * windows, ((1 << w) - 1) * windows, rep,
+            body * ((1 << w) - 1), body << w - 1, every << w - 1)
 
 
-def _fold(p: int, counts) -> tuple:
-    """The entries of the flat unfolded counts `counts`, 2p per entry in
-    index order: each entry's sums lie in [0, 2p - 2], so its two halves
-    fold mod p by one addition, and the folded counts are negated, so each
-    entry is built once with its sign."""
-    return tuple([_counts_to_cyclo(p, [-a - b for a, b in zip(counts[i: i + p], counts[i + p: i + 2 * p])])
-                  for i in range(0, len(counts), 2 * p)])
+def _fold(p: int, q: int, tc: str, acc: int) -> tuple:
+    """The q entries of the unfolded counts packed in `acc`: window i, slots
+    [2p i, 2p (i + 1)) of the `array` item width of typecode `tc`, holds the
+    number of points of entry i at each unfolded sum in [0, 2p - 2].
+
+    The two halves of every window are added by one mask and shift, giving
+    the counts f_c of the sums c mod p; slot p - 1 of each window, times the
+    repunit of p - 1 slots, puts k = f_{p-1} in slots 0 to p - 2 (the
+    relation zeta^(p-1) = -(1 + ... + zeta^(p-2))); and k - f_c, the
+    negated folded coefficient, is formed under a bias of 2^(w-1) per slot,
+    so no slot borrows, and the bias is XORed away.  The int is read back
+    as one signed array whose strided slices give each entry its p - 1
+    coefficients.  This needs every unfolded and every folded count below
+    2^(w-1), which a top-bit mask checks; otherwise VerificationError is
+    raised, so a fold carry never goes through as a table.
+    """
+    w = 8 * array(tc).itemsize
+    low, first, rep, body, bias, top = _fold_masks(p, q, w)
+    if acc & top or acc >> 2 * p * q * w:
+        raise VerificationError(f"an unfolded count reached the top bit of its {w}-bit slot")
+    folded = (acc & low) + (acc >> p * w & low)
+    if folded & top:
+        raise VerificationError(f"a folded count reached the top bit of its {w}-bit slot")
+    k = (folded >> (p - 1) * w & first) * rep
+    vals = array(tc.lower(), (((k | bias) - (folded & body)) ^ bias).to_bytes(2 * p * q * w // 8, "little"))
+    return tuple([_cyclo(p, v) for v in zip(*[vals[c:: 2 * p] for c in range(p - 1)])])
 
 
 def _trace_sums(tab, c) -> tuple:
@@ -74,8 +111,9 @@ def _trace_sums(tab, c) -> tuple:
     reading it with stride i (mod q-1) gives the monomial's row.  The sum of
     the rows is reduced mod p once, so with Tr(t x) = Tr(g^(k + log t)), a
     slice of the same traces, each t's sums lie in [0, 2p - 2]: one
-    increment loop counts them in a list of 2p ints, and `_fold` folds and
-    negates the lists of every t at once.
+    increment loop counts them in a list of 2p ints, and the lists of every
+    t, packed into one int in slots wide enough for twice the q points of a
+    t, are folded and negated by `_fold`.
     """
     p, m, log = tab.p, tab.q - 1, tab.log
     tr_exp = [tab.trace[i] for i in tab.exp]  # Tr(g^k), k < 2(q-1)
@@ -93,7 +131,8 @@ def _trace_sums(tab, c) -> tuple:
         for s in map(add, tr_f, tr_exp[log[t]: log[t] + m]) if t else tr_f:
             counts[s] += 1
         flat += counts
-    return _fold(p, flat)
+    tc = _slot_typecode(tab.q)
+    return _fold(p, tab.q, tc, int.from_bytes(array(tc, flat), "little"))
 
 
 class TraceTable(Record):
@@ -208,9 +247,11 @@ def _add_rows(tab, sums: list, row: list) -> list:
     ]
 
 
-def _slot_typecode(most: int) -> str:
-    """The smallest unsigned `array` typecode whose items hold `most`."""
-    return next(tc for tc in "BHILQ" if most < 1 << 8 * array(tc).itemsize)
+def _slot_typecode(total: int) -> str:
+    """The smallest unsigned `array` typecode whose items hold twice
+    `total`, the number of points of one entry: the headroom `_fold` needs,
+    every count and every sum of two below the item's top bit."""
+    return next(tc for tc in "BHILQ" if 2 * total < 1 << 8 * array(tc).itemsize)
 
 
 @lru_cache(maxsize=None)
@@ -218,8 +259,9 @@ def _fiber_histograms(n: int, p: int, e: int) -> tuple:
     """The lambda-free half of the brute fiber sum of GL_n over F_{p^e}: per
     m_1, in index order, one int packing the histogram of the keys 2p (index
     of p_2) + Tr(p_1 - chi(m_1)) over the points (m_1, m_2, ..., m_{1+n/2})
-    of F_q^{1+n/2}: key k is counted in slot k, the bits [k b, (k + 1) b)
-    for b the item width in bits of `_slot_typecode(q^{n/2})`.
+    of F_q^{1+n/2}: key k is counted in slot k, the bits [k w, (k + 1) w)
+    for w the item width in bits of `_slot_typecode(q^{n/2})`, which holds
+    twice a fiber's size.
 
     Per m_1 the Hecke maps are the affine forms of `hecke_forms` in the
     tail (m_2, ..., m_{1+n/2}), without chi(m_1), the only term that depends
@@ -230,13 +272,16 @@ def _fiber_histograms(n: int, p: int, e: int) -> tuple:
     partial sums start as the first row.  Each m_1's keys are counted, point
     by point as the two lists are zipped, in an array of 2pq slots, read as
     one little-endian int.  The points must number q^{1+n/2}, and every slot
-    must hold its count (an array item raises OverflowError past its range),
-    or VerificationError is raised; lru_cache does not cache an exception,
-    so a short or overflowing enumeration is never stored.
+    must hold its count (an array item raises OverflowError past its range)
+    below its top bit (`_fold_masks`), or VerificationError is raised;
+    lru_cache does not cache an exception, so a short, overflowing or
+    too narrow enumeration is never stored.
     """
     tab = fq_tables(p, e)
     q, trace, two_p = tab.q, tab.trace, 2 * p
     empty = array(_slot_typecode(q ** (n // 2)), [0]) * (two_p * q)
+    w = 8 * empty.itemsize
+    top = _fold_masks(p, q, w)[-1]
     hists, points = [], 0
     for m1 in range(q):
         c, w1, w2 = hecke_forms(n, tab, m1)
@@ -250,9 +295,12 @@ def _fiber_histograms(n: int, p: int, e: int) -> tuple:
             for a, x in zip(p2, p1):
                 slots[two_p * a + trace[x]] += 1
         except OverflowError:
-            raise VerificationError(f"a fiber's count overflowed its {8 * empty.itemsize}-bit slot") from None
+            raise VerificationError(f"a fiber's count overflowed its {w}-bit slot") from None
         points += len(p2)
-        hists.append(int.from_bytes(slots, "little"))
+        h = int.from_bytes(slots, "little")
+        if h & top:
+            raise VerificationError(f"a fiber's count reached the top bit of its {w}-bit slot")
+        hists.append(h)
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum enumerated {points} of the q^{1 + n // 2} points")
     return tuple(hists)
@@ -269,19 +317,21 @@ def _brute_table_entries(params: CharacterParams):
     of the m_1 with one shift are added first, then the p sums are shifted
     and added, into one int of 2pq slots: 2p (index of p_2) + Tr p_1
     unfolded.  Every fiber has q^{n/2} points (p_2's coefficient of
-    m_{1+n/2} is -1 for every m_1), which a slot holds, and a shift of at
-    most p - 1 keeps each key in [0, 2p - 2] past its fiber's start, so no
-    slot carries into the next; a carry would lower the total by 2^w - 1.
-    The int is read back as one array, the flat counts that `_fold` reads
-    in a-index order.  The budget refusal comes before the cache is read,
-    and the counts must total q^{1+n/2}, or VerificationError is raised.
+    m_{1+n/2} is -1 for every m_1), half of what a slot holds, and a shift
+    of at most p - 1 keeps each key in [0, 2p - 2] past its fiber's start,
+    so no slot carries into the next; a carry would lower the total by
+    2^w - 1.  The budget refusal comes before the cache is read, and the
+    counts, read back as one array, must total q^{1+n/2}, or
+    VerificationError is raised; `_fold` folds the int itself, in a-index
+    order.
     """
     field, n = params.field, params.n
     require_brute_budget(field.p, field.e, n)
     q, p = field.q, field.p
     trace = field._tables.trace
     hists = _fiber_histograms(n, p, field.e)
-    counts = array(_slot_typecode(q ** (n // 2)))
+    tc = _slot_typecode(q ** (n // 2))
+    counts = array(tc)
     w = 8 * counts.itemsize
     by_shift = [0] * p  # at s, the sum of the histograms of the m_1 with Tr chi(m_1) = s
     for h, chi in zip(hists, chi_geometric_row(params)):
@@ -293,7 +343,7 @@ def _brute_table_entries(params: CharacterParams):
     points = sum(counts)
     if points != q ** (1 + n // 2):
         raise VerificationError(f"the brute fiber sum counted {points} of the q^{1 + n // 2} points")
-    return _fold(p, counts.tolist())
+    return _fold(p, q, tc, acc)
 
 
 def _require_brute(brute):
@@ -359,7 +409,5 @@ def weil_check(table: TraceTable) -> Verdict:
     if table.provenance != "airy":
         raise ValueError(f"the Weil bound is checked on Airy tables, not {table.provenance!r}")
     bound = table.n * math.sqrt(table.q)
-    worst = 0.0
-    for v in table.entries:
-        worst = max(worst, abs(v.embed()))
+    worst = max(map(abs, map(CyclotomicValue.embed, table.entries)))
     return Verdict(worst <= bound + WEIL_SLACK, {"worst": worst, "bound": bound})

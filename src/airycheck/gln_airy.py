@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import Frozen, VerificationError
+from . import Frozen
 from .arith import FqElement, _add, _dot, _mul
 
 
@@ -219,9 +219,7 @@ def hecke_forms(n: int, tab, m1: int):
 def f_poly(params: CharacterParams):
     """Coefficients of f(m) = -m^{n+1}/(n+1) + sum (lambda_r/r) m^r,
     index i <-> m^i, as field elements built from `params._f_indices`;
-    degree exactly n+1."""
-    if not params._f_indices[-1]:
-        raise VerificationError("f has degree below n + 1")
+    degree exactly n+1, as `_require_char` makes -1/(n+1) a unit."""
     return _elements(params.field, params._f_indices)
 
 

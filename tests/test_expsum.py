@@ -4,6 +4,7 @@ import itertools
 import pathlib
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -22,6 +23,7 @@ from airycheck.gln_airy import (
     poly_eval,
 )
 
+import fold_oracle
 import hecke_oracle
 from hecke_oracle import psi
 
@@ -37,6 +39,19 @@ def cold_fiber_histograms():
     expsum._fiber_histograms.cache_clear()
     yield
     expsum._fiber_histograms.cache_clear()
+
+
+def spy_fold(monkeypatch) -> list:
+    """Patch `expsum._fold` to record, per call, the 2p unfolded counts of
+    every entry of the int it folds (`fold_oracle.windows`); the list it
+    returns fills as tables are built."""
+    from airycheck import expsum
+
+    calls, fold = [], expsum._fold
+    monkeypatch.setattr(
+        expsum, "_fold", lambda p, q, tc, acc: calls.append(fold_oracle.windows(p, q, tc, acc)) or fold(p, q, tc, acc)
+    )
+    return calls
 
 
 def test_trace_identity_n2():
@@ -165,23 +180,21 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
 def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, cold_fiber_histograms):
-    # every point of F_q^{1+n/2} is binned once: the counts the kernel turns
-    # into entries (it passes minus the counts) total q^{1+n/2}; and the
-    # only field elements made are those of f_poly, the table's f_coeffs, a
-    # number that does not grow with q: none per point, m_1 or entry
-    from airycheck import arith, expsum
+    # every point of F_q^{1+n/2} is binned once: the counts the kernel
+    # folds into entries, 2p per entry, total q^{1+n/2}; and the only field
+    # elements made are those of f_poly, the table's f_coeffs, a number that
+    # does not grow with q: none per point, m_1 or entry
+    from airycheck import arith
 
     field = FqField(p, e)
     params = make_params(n, field, (2,) * (n // 2))
-    made, binned = [], []
-    fq, to_cyclo = arith._fq, expsum._counts_to_cyclo
+    made, folds = [], spy_fold(monkeypatch)
+    fq = arith._fq
     monkeypatch.setattr(arith, "_fq", lambda f, v: made.append(v) or fq(f, v))
-    monkeypatch.setattr(
-        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(-sum(counts)) or to_cyclo(p, counts)
-    )
     hecke_trace_table(params, brute=True)
+    (binned,) = folds
     assert len(binned) == field.q
-    assert sum(binned) == field.q ** (1 + n // 2)
+    assert sum(map(sum, binned)) == field.q ** (1 + n // 2)
     table_made = len(made)
     made.clear()
     f_poly(params)
@@ -223,23 +236,20 @@ def test_warm_compare_makes_only_the_elements_of_lambda_and_f(n, p, e, count, mo
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])
 def test_brute_bins_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_histograms):
-    # the count vector of every fiber, not only its entry: _counts_to_cyclo
-    # forgets a constant added to a fiber's counts, so a shifted bin could
-    # still give the right entries.  The oracle counts Tr p_1(m) over
+    # the count vector of every fiber, not only its entry: the fold forgets
+    # a constant added to a fiber's counts, so a shifted bin could still
+    # give the right entries.  The oracle counts Tr p_1(m) over
     # {m : p_2(m) = a} with field operators, one point at a time; the brute
-    # sum passes minus the counts, as the Airy sum does
-    from airycheck import expsum
-
+    # sum packs 2p unfolded counts per fiber, whose two halves add up to
+    # the counts mod p
     field = FqField(p, e)
     params = make_params(n, field, (2,) * (n // 2))
-    binned, to_cyclo = [], expsum._counts_to_cyclo
-    monkeypatch.setattr(
-        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(list(counts)) or to_cyclo(p, counts)
-    )
+    folds = spy_fold(monkeypatch)
     hecke_trace_table(params, brute=True)
     expected = _oracle_counts(params)
     # the entries are built in index order of a
-    assert binned == [[-c for c in expected[a]] for a in field.elements()]
+    (binned,) = folds
+    assert [fold_oracle.folded(p, w) for w in binned] == [expected[a] for a in field.elements()]
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -297,6 +307,87 @@ def test_a_slot_carry_fails_the_total_check(monkeypatch):
     monkeypatch.setattr(expsum, "chi_geometric_row", lambda params: [0] * 25)
     with pytest.raises(VerificationError, match="counted 115 of"):
         hecke_trace_table(make_params(2, FqField(5, 2), (1,)))
+
+
+def test_too_narrow_slots_are_refused_and_never_cached(monkeypatch, cold_fiber_histograms):
+    # negative control for the fold's headroom: at (6, 13, 1) a fiber holds
+    # 13^3 = 2,197 points, so the slots are 16 bits wide (twice a fiber's
+    # size); one width narrower, every m_1 puts 169 points of some fiber in
+    # one 8-bit slot, which holds them but not below its top bit, and the
+    # brute sum must refuse without caching
+    from airycheck import VerificationError, expsum
+
+    slot_typecode = expsum._slot_typecode
+    assert slot_typecode(13 ** 3) == "H"
+    monkeypatch.setattr(expsum, "_slot_typecode", lambda total: "BHILQ"["BHILQ".index(slot_typecode(total)) - 1])
+    with pytest.raises(VerificationError, match="top bit of its 8-bit slot"):
+        hecke_trace_table(make_params(6, GF(13), (2, 5, 7)))
+    assert expsum._fiber_histograms.cache_info().currsize == 0
+
+
+def test_packed_fold_equals_the_list_fold(monkeypatch):
+    # the packed fold against the list fold it replaced (fold_oracle), on
+    # the ints of the 33 brute and 33 Airy tables of the trace grids, on
+    # seeded random counts, and on windows right at the 2^(w-1) headroom,
+    # where one count more is refused
+    from airycheck import VerificationError, cli, expsum
+
+    packed, fold = [], expsum._fold
+    monkeypatch.setattr(expsum, "_fold", lambda p, q, tc, acc: packed.append((p, q, tc, acc)) or fold(p, q, tc, acc))
+    for n in cli.TRACE_GRIDS:
+        for p, e, lam in cli._trace_cases(n):
+            params = make_params(n, FqField(p, e), lam)
+            hecke_trace_table(params)
+            expsum._trace_sums(params.field._tables, list(params._f_indices))
+    monkeypatch.undo()
+    assert len(packed) == 66
+    rng = random.Random(41)
+    for _ in range(200):
+        p, q, tc = rng.choice([3, 5, 7, 11, 13]), rng.randrange(1, 30), rng.choice("BH")
+        half = 1 << 8 * array(tc).itemsize - 1
+        counts = []
+        for _ in range(q):
+            pairs = [(a, rng.randrange(half - a)) for a in (rng.randrange(half) for _ in range(p))]
+            counts += [a for a, _ in pairs] + [b for _, b in pairs]
+        packed.append((p, q, tc, fold_oracle.pack(tc, counts)))
+    for p, tc in [(5, "B"), (7, "H")]:
+        most = (1 << 8 * array(tc).itemsize - 1) - 1  # the largest count below the top bit
+
+        def window(slots):
+            return [slots.get(c, 0) for c in range(2 * p)]
+
+        edge = [
+            window({0: most}),  # an unfolded and folded count at the edge, k = 0
+            window({p - 1: most}),  # k at the edge
+            window({1: most // 2, p + 1: most - most // 2, p - 1: 1, 2 * p - 1: most - 1}),  # both halves
+        ]
+        packed.append((p, len(edge), tc, fold_oracle.pack(tc, sum(edge, []))))
+        for past, where in [({0: most + 1}, "unfolded"), ({1: most // 2 + 1, p + 1: most - most // 2}, "folded")]:
+            with pytest.raises(VerificationError, match=f"{where} count reached the top bit"):
+                expsum._fold(p, 1, tc, fold_oracle.pack(tc, window(past)))
+    for p, q, tc, acc in packed:
+        assert expsum._fold(p, q, tc, acc) == fold_oracle.fold(p, fold_oracle.unpack(p, q, tc, acc))
+
+
+def test_a_count_moved_in_its_window_changes_that_entry_only(monkeypatch):
+    # negative control for the fold: one point of fiber 3 at (4, 11, 1)
+    # moved to another sum mod p, the fiber's total kept, changes entry 3
+    # and no other
+    from airycheck import expsum
+
+    params = make_params(4, GF(11), (1, 0))
+    folds = spy_fold(monkeypatch)
+    entries = hecke_trace_table(params).entries
+    (windows,) = folds
+    tc, i = expsum._slot_typecode(11 ** 2), 3
+    w = 8 * array(tc).itemsize
+    src = next(c for c in range(22) if windows[i][c])
+    dst = (src + 1) % 11
+    acc = fold_oracle.pack(tc, sum(windows, []))
+    moved = acc - (1 << (22 * i + src) * w) + (1 << (22 * i + dst) * w)
+    changed = expsum._fold(11, 11, tc, moved)
+    assert changed[i] != entries[i]
+    assert changed[:i] + changed[i + 1:] == entries[:i] + entries[i + 1:]
 
 
 def test_fiber_cache_holds_one_int_per_m1():
@@ -370,17 +461,13 @@ OUTSIDE_FP = [(7, 2, 8), (7, 2, 9), (7, 2, 15), (7, 2, 23), (5, 2, 7)]
 def test_brute_bins_match_oracle_counts_outside_fp(p, e, index, monkeypatch, cold_fiber_histograms):
     # the count vector of every fiber for a lambda that the trace grids,
     # whose lambda are ints, cannot name
-    from airycheck import expsum
-
     field = FqField(p, e)
     params = make_params(2, field, _outside(field, (index,)))
-    binned, to_cyclo = [], expsum._counts_to_cyclo
-    monkeypatch.setattr(
-        expsum, "_counts_to_cyclo", lambda p, counts: binned.append(list(counts)) or to_cyclo(p, counts)
-    )
+    folds = spy_fold(monkeypatch)
     hecke_trace_table(params)
     expected = _oracle_counts(params)
-    assert binned == [[-c for c in expected[a]] for a in field.elements()]
+    (binned,) = folds
+    assert [fold_oracle.folded(p, w) for w in binned] == [expected[a] for a in field.elements()]
 
 
 def test_lambdas_sharing_an_enumeration_differ_where_the_oracle_does():
@@ -446,29 +533,28 @@ def test_trace_identity_n6(p):
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
 def test_airy_counts_match_oracle_counts(n, p, e, monkeypatch, cold_fiber_histograms):
-    # the count vector of every t, 0 included, not only its entry:
-    # _counts_to_cyclo forgets a constant added to all counts, so a wrong
-    # fold of the unfolded sums could still give the right entries.  The
-    # oracle counts Tr(f(x) + t x) over every x with field operators, f
-    # written out as sum c_i x^i; the kernel runs on the full f, linear
-    # term included, and passes minus the counts
+    # the count vector of every t, 0 included, not only its entry: the fold
+    # forgets a constant added to all counts, so a wrong fold of the
+    # unfolded sums could still give the right entries.  The oracle counts
+    # Tr(f(x) + t x) over every x with field operators, f written out as
+    # sum c_i x^i; the kernel runs on the full f, linear term included, and
+    # packs 2p unfolded counts per t, whose two halves add up to the counts
+    # mod p
     from airycheck import expsum
 
     field = FqField(p, e)
     f = f_poly(make_params(n, field, (2,) * (n // 2)))
-    passed, to_cyclo = [], expsum._counts_to_cyclo
-    monkeypatch.setattr(
-        expsum, "_counts_to_cyclo", lambda p, counts: passed.append(list(counts)) or to_cyclo(p, counts)
-    )
+    folds = spy_fold(monkeypatch)
     expsum._trace_sums(field._tables, [x.v for x in f])
     values = [sum((c * x ** i for i, c in enumerate(f)), field(0)) for x in field.elements()]
     expected = []
     for t in field.elements():  # the entries are built in index order of t
-        minus = [0] * p
+        counts = [0] * p
         for x, fx in zip(field.elements(), values):
-            minus[hecke_oracle.trace(fx + t * x)] -= 1
-        expected.append(minus)
-    assert passed == expected
+            counts[hecke_oracle.trace(fx + t * x)] += 1
+        expected.append(counts)
+    (passed,) = folds
+    assert [fold_oracle.folded(p, w) for w in passed] == expected
 
 
 def _airy_oracle(field, f, t):

@@ -6,7 +6,9 @@ module of airycheck reads entries as a dict (`.items()` or `.values()`).
 The coefficients of f come to the tables as indices: no function of
 `expsum` reads `.v` off a call (as in `field(x).v`, which builds an
 element to read its index), and `gln_airy.f_poly`, which builds f from the
-indices `CharacterParams` stores, divides nothing."""
+indices `CharacterParams` stores, divides nothing.  Both builders end in
+one fold: in `expsum` only `_fold` names `_cyclo`, and `_trace_sums` and
+`_brute_table_entries` each call `_fold` once."""
 
 import ast
 import pathlib
@@ -68,6 +70,17 @@ def divisions(tree, name):
     )
 
 
+def name_reads(tree, name):
+    """{function: the number of times it reads the bare name `name`} over
+    the module-level functions of a tree that read it at all, a call such
+    as `name(x)` or a bare read such as `map(name, xs)`."""
+    found = {
+        node.name: sum(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    return {fn: count for fn, count in found.items() if count}
+
+
 def test_the_guards_see_what_they_refuse():
     tree = ast.parse(
         "def f(field, table):\n"
@@ -87,6 +100,14 @@ def test_the_guards_see_what_they_refuse():
     assert index_of_calls(tree) == [2, 2]
     assert divisions(tree, "f") == []
     assert divisions(tree, "g") == [4, 5, 5]
+    tree = ast.parse(
+        "def f(p, xs):\n"
+        "    return [_fold(p, x) for x in xs], _cyclo.__name__\n"
+        "def g(p, x):\n"
+        "    return list(map(_cyclo, x)), x._fold(p)\n"
+    )
+    assert name_reads(tree, "_fold") == {"f": 1}
+    assert name_reads(tree, "_cyclo") == {"f": 1, "g": 1}
 
 
 def test_table_builders_name_no_field_element():
@@ -110,3 +131,9 @@ def test_expsum_reads_no_index_off_a_new_element():
 
 def test_f_poly_divides_nothing():
     assert divisions(ast.parse((SRC / "gln_airy.py").read_text()), "f_poly") == []
+
+
+def test_one_fold_ends_both_builders():
+    tree = ast.parse((SRC / "expsum.py").read_text())
+    assert name_reads(tree, "_cyclo") == {"_fold": 1}
+    assert name_reads(tree, "_fold") == {"_trace_sums": 1, "_brute_table_entries": 1}
