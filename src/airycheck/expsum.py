@@ -3,7 +3,11 @@
 There are two table builders, and every trace check compares them:
 `airy_trace_table`, Katz's Airy sum in closed form over F_q, and
 `hecke_trace_table`, the Hecke eigenvalue trace as the brute fiber sum
-over the maps p_1, p_2, an oracle independent of the Airy sum.
+over the maps p_1, p_2, an oracle independent of the Airy sum.  The
+verdict, `compare_traces`, reads both off its `CharacterParams`: the Airy
+entries by `_airy_entries` at `params._f_indices`, the Hecke entries by
+`_brute_table_entries`; the public builders front the same readers, each
+public entry refuses its budget once, and a `TraceTable` holds no f.
 
 All character sums are computed in Z[zeta_p]; equality of tables is exact.
 Floats only enter through the Weil-bound checks.  A table's entries are a
@@ -54,7 +58,7 @@ from operator import add, itemgetter
 
 from . import Record, VerificationError
 from .arith import CyclotomicValue, FqField, _cyclo, fq_tables
-from .gln_airy import CharacterParams, _indices, chi_geometric_row, f_poly, hecke_forms, make_params
+from .gln_airy import CharacterParams, _indices, chi_geometric_row, hecke_forms, make_params
 
 BRUTE_BUDGET = 10 ** 7
 WEIL_SLACK = 1e-6  # float error allowed in the Weil bound
@@ -136,28 +140,18 @@ def _trace_sums(tab, c) -> tuple:
 
 
 class TraceTable(Record):
-    _fields = ("q", "n", "lam", "f_coeffs", "entries", "provenance")
+    _fields = ("q", "n", "lam", "entries", "provenance")
 
-    def __init__(self, q: int, n: int, lam: tuple, f_coeffs: tuple, entries: tuple,
-                 provenance: str):
+    def __init__(self, q: int, n: int, lam: tuple, entries: tuple, provenance: str):
         self.q = q
         self.n = n
         self.lam = lam
-        self.f_coeffs = f_coeffs
         self.entries = entries  # CyclotomicValues, entry i at field.from_index(i)
         self.provenance = provenance
 
     def scaled(self, factor, provenance: str) -> "TraceTable":
         """Every entry times `factor`, an int or a CyclotomicValue."""
-        return TraceTable(self.q, self.n, self.lam, self.f_coeffs,
-                          tuple([v * factor for v in self.entries]), provenance)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TraceTable)
-            and self.q == other.q
-            and self.entries == other.entries
-        )
+        return TraceTable(self.q, self.n, self.lam, tuple([v * factor for v in self.entries]), provenance)
 
 
 def _exceeds_budget(p: int, e: int, k: int) -> bool:
@@ -191,16 +185,24 @@ def _airy_base(p: int, e: int, c: tuple) -> tuple:
     return _trace_sums(fq_tables(p, e), c)
 
 
-def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
-    """Entry at t is -sum_{x in F_q} psi(Tr(f(x) + t x)).
+def _airy_entries(field, c) -> tuple:
+    """The Airy table of the f with coefficient indices `c` over `field`,
+    as its entries in t-index order: with c_1 the linear coefficient, the
+    entry at t is S_{f - c_1 x}(t + c_1), so the cached base of f - c_1 x
+    (`_airy_base`, keyed on (p, e, c with c_1 set to 0)) is read along the
+    row `_add_rows(tab, [c_1], range(q))` of the indices of t + c_1, or is
+    the table itself when c_1 = 0.  It refuses nothing: its callers have."""
+    entries = _airy_base(field.p, field.e, (c[0], 0, *c[2:]))
+    if c[1]:
+        entries = tuple([entries[i] for i in _add_rows(field._tables, [c[1]], range(field.q))])
+    return entries
 
-    With c_1 the linear coefficient of f, the entry is S_{f - c_1 x}(t + c_1):
-    the table reads the cached base of f - c_1 x (`_airy_base`, keyed on
-    (p, e, coefficient indices with c_1 set to 0)) along the row
-    `_add_rows(tab, [c_1], range(q))` of the indices of t + c_1, and is the
-    base itself when c_1 = 0.  The degree, p | deg f and budget refusals
-    come first, so a refused input is never cached.
-    """
+
+def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
+    """Entry at t is -sum_{x in F_q} psi(Tr(f(x) + t x)), read by
+    `_airy_entries` off the indices of f's coefficients.  The degree,
+    p | deg f and budget refusals come first, so a refused input is never
+    cached."""
     n = len(f_coeffs) - 2
     if n < 1 or not f_coeffs[-1]:
         raise ValueError("f must have degree n + 1 >= 2")
@@ -208,12 +210,7 @@ def airy_trace_table(f_coeffs, p: int, e: int, lam=()) -> TraceTable:
         raise ValueError("p must not divide deg f")
     require_airy_budget(p, e)
     field = FqField(p, e)
-    c = _indices(field, f_coeffs)
-    c1, c[1] = c[1], 0
-    entries = _airy_base(p, e, tuple(c))
-    if c1:
-        entries = tuple([entries[i] for i in _add_rows(field._tables, [c1], range(field.q))])
-    return TraceTable(field.q, n, tuple(lam), tuple(f_coeffs), entries, "airy")
+    return TraceTable(field.q, n, tuple(lam), _airy_entries(field, _indices(field, f_coeffs)), "airy")
 
 
 @lru_cache(maxsize=None)
@@ -250,8 +247,12 @@ def _add_rows(tab, sums: list, row: list) -> list:
 def _slot_typecode(total: int) -> str:
     """The smallest unsigned `array` typecode whose items hold twice
     `total`, the number of points of one entry: the headroom `_fold` needs,
-    every count and every sum of two below the item's top bit."""
-    return next(tc for tc in "BHILQ" if 2 * total < 1 << 8 * array(tc).itemsize)
+    every count and every sum of two below the item's top bit.  Past the
+    widest item, 64 bits, it raises ValueError."""
+    for tc in "BHILQ":
+        if 2 * total < 1 << 8 * array(tc).itemsize:
+            return tc
+    raise ValueError(f"twice an entry's {total} points reach the 64-bit slot limit")
 
 
 @lru_cache(maxsize=None)
@@ -320,13 +321,12 @@ def _brute_table_entries(params: CharacterParams):
     m_{1+n/2} is -1 for every m_1), half of what a slot holds, and a shift
     of at most p - 1 keeps each key in [0, 2p - 2] past its fiber's start,
     so no slot carries into the next; a carry would lower the total by
-    2^w - 1.  The budget refusal comes before the cache is read, and the
-    counts, read back as one array, must total q^{1+n/2}, or
+    2^w - 1.  The counts, read back as one array, must total q^{1+n/2}, or
     VerificationError is raised; `_fold` folds the int itself, in a-index
-    order.
+    order.  It refuses no budget: its callers have, before the cache is
+    read.
     """
     field, n = params.field, params.n
-    require_brute_budget(field.p, field.e, n)
     q, p = field.q, field.p
     trace = field._tables.trace
     hists = _fiber_histograms(n, p, field.e)
@@ -355,16 +355,12 @@ def _require_brute(brute):
 
 
 def hecke_trace_table(params: CharacterParams, brute: bool = True) -> TraceTable:
-    """The Hecke eigenvalue trace at every a, as the brute fiber sum."""
+    """The Hecke eigenvalue trace at every a, as the brute fiber sum; the
+    budget refusal comes before the cache is read."""
     _require_brute(brute)
-    return TraceTable(
-        params.field.q,
-        params.n,
-        params.lam,
-        tuple(f_poly(params)),
-        _brute_table_entries(params),
-        "hecke-brute",
-    )
+    field = params.field
+    require_brute_budget(field.p, field.e, params.n)
+    return TraceTable(field.q, params.n, params.lam, _brute_table_entries(params), "hecke-brute")
 
 
 class Verdict(Record):
@@ -377,19 +373,21 @@ class Verdict(Record):
 
 def compare_traces(n: int, p: int, e: int, lam, brute: bool = True) -> Verdict:
     """Exact cyclotomic comparison of the Hecke eigenvalue trace, as the
-    brute fiber sum, with the Airy trace of the same f twisted by q^{n/2-1};
-    for n = 2 the twist is 1 and the Airy table is compared as it is.  A
+    brute fiber sum, with the Airy trace of the same f twisted by q^{n/2-1},
+    both read off the params: the brute entries of `_brute_table_entries`
+    and the Airy entries of `_airy_entries` at `params._f_indices`.  For
+    n = 2 the twist is 1 and the Airy entries are compared as they are.  A
     failed verdict names the first element whose entries differ."""
     _require_brute(brute)
     require_brute_budget(p, e, n)
     require_airy_budget(p, e)
     field = FqField(p, e)
     params = make_params(n, field, lam)
-    hecke = hecke_trace_table(params)
-    airy = airy_trace_table(hecke.f_coeffs, p, e, lam=params.lam)
+    airy = _airy_entries(field, params._f_indices)
     twist = field.q ** (n // 2 - 1)
-    twisted = airy if twist == 1 else airy.scaled(twist, "airy-twisted")
-    pairs = zip(hecke.entries, twisted.entries, strict=True)
+    if twist != 1:
+        airy = [v * twist for v in airy]
+    pairs = zip(_brute_table_entries(params), airy, strict=True)
     mismatches = [i for i, (h, a) in enumerate(pairs) if h != a]
     detail = {
         "n": n,

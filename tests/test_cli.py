@@ -10,7 +10,7 @@ import pytest
 
 import airycheck
 from airycheck import arith, cli, expsum, rootdata
-from airycheck.arith import FqField
+from airycheck.arith import CyclotomicValue, FqField
 from airycheck.gln_airy import make_params
 from airycheck.rootdata import (
     Coweight,
@@ -102,6 +102,26 @@ def test_trace_and_weil_params_are_the_trace_grids():
     assert sorted(params) == ["n=2", "n=4", "n=6", "n=8"]
     params, failures = cli.check_trace_gl2()
     assert failures == [] and params == {"n=2": cli.TRACE_GRIDS[2]}
+
+
+def test_weil_bound_fails_on_one_entry_past_the_bound(monkeypatch):
+    # negative control for the weil-bound check: the Airy table of one grid
+    # case, GL_4 over F_7 at lambda = (1, 0), with one entry past n sqrt(q),
+    # fails the check, and the witness names that case
+    airy = expsum.airy_trace_table
+
+    def one_past(f, p, e, lam=()):
+        table = airy(f, p, e, lam=lam)
+        if (table.n, p, e) == (4, 7, 1) and [x.v for x in lam] == [1, 0]:
+            past = CyclotomicValue(7, [11, 0, 0, 0, 0, 0])  # 11 > 4 sqrt(7) = 10.58...
+            table.entries = (*table.entries[:3], past, *table.entries[4:])
+        return table
+
+    monkeypatch.setattr(cli, "airy_trace_table", one_past)
+    verdict = cli.run_check("weil-bound", cli.check_weil)
+    assert verdict["pass"] is False
+    (witness,) = verdict["witness"]
+    assert witness == {"n": 4, "p": 7, "e": 1, "lambda": (1, 0), "worst": 11.0, "bound": 4 * 7 ** 0.5}
 
 
 def test_factorization_params_report_the_samples_run():
@@ -267,6 +287,17 @@ def test_trace_budgets_refuse_before_any_field_is_built(capsys, monkeypatch, arg
             expsum.require_brute_budget(prime, 1, n)
         else:
             expsum.airy_trace_table([0, 1] + [0] * (n - 1) + [1], prime, 1)
+
+
+def test_slot_limit_exits_2(capsys, monkeypatch):
+    # with the brute budget lifted, GL_26 over F_29 reaches the next
+    # refusal, the 64-bit slot limit of the fiber histograms (twice 29^13
+    # points past 2^64), which is read before any point is visited; the CLI
+    # reports it and exits 2
+    monkeypatch.setattr(expsum, "BRUTE_BUDGET", 10 ** 30)
+    code, out, err = run_capture(capsys, ["trace", "hecke", "--n", "26", "--prime", "29", "--lambda", ",".join("0" * 13)])
+    assert code == 2
+    assert "64-bit slot limit" in err and out == ""
 
 
 def test_trace_budgets_refuse_a_huge_extension_without_forming_it():

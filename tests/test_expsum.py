@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import itertools
+import math
 import pathlib
 import random
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from airycheck.arith import GF, CyclotomicValue, FqField
 from airycheck.expsum import (
+    TraceTable,
     airy_trace_table,
     compare_traces,
     hecke_trace_table,
@@ -181,9 +183,9 @@ def test_fiber_sum_with_a_perturbed_p2_disagrees(wrong_p2):
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
 def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, cold_fiber_histograms):
     # every point of F_q^{1+n/2} is binned once: the counts the kernel
-    # folds into entries, 2p per entry, total q^{1+n/2}; and the only field
-    # elements made are those of f_poly, the table's f_coeffs, a number that
-    # does not grow with q: none per point, m_1 or entry
+    # folds into entries, 2p per entry, total q^{1+n/2}; and a Hecke table
+    # makes no field element, none per point, m_1 or entry and none for f,
+    # while the patch sees one made after it
     from airycheck import arith
 
     field = FqField(p, e)
@@ -195,10 +197,9 @@ def test_brute_visits_every_point_without_field_elements(n, p, e, monkeypatch, c
     (binned,) = folds
     assert len(binned) == field.q
     assert sum(map(sum, binned)) == field.q ** (1 + n // 2)
-    table_made = len(made)
-    made.clear()
-    f_poly(params)
-    assert table_made == len(made) <= 4 * (n + 2)
+    assert made == []
+    field.from_index(3)
+    assert made == [3]
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1)])
@@ -219,11 +220,11 @@ def test_warm_airy_table_makes_no_field_element_for_coefficients_in_its_field(n,
     assert made == [3]
 
 
-@pytest.mark.parametrize("n,p,e,count", [(2, 7, 2, 5), (4, 11, 1, 8)])
-def test_warm_compare_makes_only_the_elements_of_lambda_and_f(n, p, e, count, monkeypatch):
+@pytest.mark.parametrize("n,p,e,count", [(2, 7, 2, 1), (4, 11, 1, 2)])
+def test_warm_compare_makes_only_the_elements_of_lambda(n, p, e, count, monkeypatch):
     # a warm comparison makes the n/2 elements of lambda (make_params) and
-    # the n + 2 coefficients of f (f_poly, the tables' f_coeffs), and none
-    # per entry, point or coefficient read
+    # nothing else: both tables are read off the params' indices, so none
+    # is made for f, nor per entry, point or coefficient read
     from airycheck import arith
 
     lam = (2,) * (n // 2)
@@ -231,7 +232,7 @@ def test_warm_compare_makes_only_the_elements_of_lambda_and_f(n, p, e, count, mo
     made, fq = [], arith._fq
     monkeypatch.setattr(arith, "_fq", lambda field, v: made.append(v) or fq(field, v))
     assert compare_traces(n, p, e, lam).ok
-    assert len(made) == n // 2 + n + 2 == count
+    assert len(made) == n // 2 == count
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 7, 2), (4, 11, 1), (6, 11, 1)])
@@ -323,6 +324,30 @@ def test_too_narrow_slots_are_refused_and_never_cached(monkeypatch, cold_fiber_h
     with pytest.raises(VerificationError, match="top bit of its 8-bit slot"):
         hecke_trace_table(make_params(6, GF(13), (2, 5, 7)))
     assert expsum._fiber_histograms.cache_info().currsize == 0
+
+
+def test_slot_typecode_refuses_past_64_bit_slots():
+    # twice an entry's total must lie below 2^64, the widest array item:
+    # 2^63 - 1 points still take a 64-bit item, while 2^63 points, and
+    # GL_26's fibers over F_29 (29^13 points each), are refused by a
+    # ValueError that names the limit
+    from airycheck import expsum
+
+    assert 8 * array(expsum._slot_typecode(2 ** 63 - 1)).itemsize == 64
+    for total in (2 ** 63, 29 ** 13):
+        with pytest.raises(ValueError, match="64-bit slot limit"):
+            expsum._slot_typecode(total)
+
+
+def test_fiber_histograms_past_the_slot_limit_cache_nothing(cold_fiber_histograms):
+    # GL_26 over F_29 reaches the limit: the slot width is chosen before any
+    # point is visited, and lru_cache stores no exception
+    from airycheck import expsum
+
+    with pytest.raises(ValueError, match="64-bit slot limit"):
+        expsum._fiber_histograms(26, 29, 1)
+    info = expsum._fiber_histograms.cache_info()
+    assert (info.misses, info.currsize) == (1, 0)
 
 
 def test_packed_fold_equals_the_list_fold(monkeypatch):
@@ -782,6 +807,21 @@ def test_embed_reads_cached_zeta_powers_bit_for_bit():
     assert entries == 813
 
 
+@pytest.mark.parametrize("n,p,e,lam", [(2, 11, 1, (2,)), (4, 7, 1, (1, 0)), (2, 5, 2, (1,))])
+def test_weil_check_fails_on_one_entry_past_the_bound(n, p, e, lam):
+    # negative control: an Airy table with entry 3 replaced by the least
+    # rational integer past n sqrt(q) fails the Weil bound
+    params = make_params(n, FqField(p, e), lam)
+    airy = airy_trace_table(f_poly(params), p, e, lam=params.lam)
+    assert weil_check(airy).ok
+    past = math.isqrt(n * n * airy.q) + 1
+    entries = list(airy.entries)
+    entries[3] = CyclotomicValue(p, [past] + [0] * (p - 2))
+    v = weil_check(TraceTable(airy.q, n, airy.lam, tuple(entries), "airy"))
+    assert not v.ok and v.detail["worst"] > v.detail["bound"] + 1e-6, v.detail
+    assert v.detail["worst"] == past
+
+
 def test_weil_check_refuses_a_table_that_is_not_airy():
     # the bound n sqrt(q) holds for the Airy sums only; a Hecke or a twisted
     # table is refused, not checked against a scaled bound
@@ -798,14 +838,13 @@ def test_compare_fails_against_airy_table_for_shifted_lambda(n, p, lam, monkeypa
     # no twist (n = 2) and with the twist by q (n = 4)
     from airycheck import expsum
 
-    airy = expsum.airy_trace_table
+    airy_entries = expsum._airy_entries
 
-    def shifted(f_coeffs, p, e, lam=()):
-        wrong = make_params(len(f_coeffs) - 2, FqField(p, e), [x + 1 for x in lam])
-        return airy(f_poly(wrong), p, e, lam=wrong.lam)
+    def shifted(field, c):
+        return airy_entries(field, make_params(n, field, [x + 1 for x in lam])._f_indices)
 
     assert compare_traces(n, p, 1, lam).ok
-    monkeypatch.setattr(expsum, "airy_trace_table", shifted)
+    monkeypatch.setattr(expsum, "_airy_entries", shifted)
     v = compare_traces(n, p, 1, lam)
     assert not v.ok and v.detail["brute_mismatches"] > 0, v.detail
 
@@ -818,20 +857,14 @@ def test_compare_fails_for_airy_shift_by_minus_c1(n, p, lam, monkeypatch):
     from airycheck import expsum
     from airycheck.arith import _add
 
-    airy = expsum.airy_trace_table
-
-    def minus_shift(f_coeffs, p, e, lam=()):
-        table = airy(f_coeffs, p, e, lam=lam)
-        field = FqField(p, e)
+    def minus_shift(field, c):
         tab = field._tables
-        c = [field(x).v for x in f_coeffs]
-        c1, c[1] = c[1], 0
-        base = expsum._airy_base(p, e, tuple(c))
-        table.entries = tuple([base[_add(tab, t, tab.neg[c1])] for t in range(field.q)])
-        return table
+        assert c[1]  # lambda_1 != 0: the shift moves the row
+        base = expsum._airy_base(field.p, field.e, (c[0], 0, *c[2:]))
+        return tuple([base[_add(tab, t, tab.neg[c[1]])] for t in range(field.q)])
 
     assert compare_traces(n, p, 1, lam).ok
-    monkeypatch.setattr(expsum, "airy_trace_table", minus_shift)
+    monkeypatch.setattr(expsum, "_airy_entries", minus_shift)
     v = compare_traces(n, p, 1, lam)
     assert not v.ok and v.detail["brute_mismatches"] > 0, v.detail
 
@@ -844,16 +877,14 @@ def test_compare_counts_one_changed_airy_entry(n, p, lam, monkeypatch):
     # verdict names the changed element
     from airycheck import expsum
 
-    airy = expsum.airy_trace_table
+    airy_entries = expsum._airy_entries
 
-    def one_changed(f_coeffs, p, e, lam=()):
-        table = airy(f_coeffs, p, e, lam=lam)
-        entries = list(table.entries)
-        entries[3] = entries[3] + CyclotomicValue.zeta_pow(p, 1)
-        table.entries = tuple(entries)
-        return table
+    def one_changed(field, c):
+        entries = list(airy_entries(field, c))
+        entries[3] = entries[3] + CyclotomicValue.zeta_pow(field.p, 1)
+        return tuple(entries)
 
-    monkeypatch.setattr(expsum, "airy_trace_table", one_changed)
+    monkeypatch.setattr(expsum, "_airy_entries", one_changed)
     v = compare_traces(n, p, 1, lam)
     assert not v.ok and v.detail["brute_mismatches"] == 1, v.detail
     assert v.detail["first_mismatch"] == str(GF(p).from_index(3)) == "3 (mod 7)"

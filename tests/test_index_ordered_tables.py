@@ -8,7 +8,10 @@ The coefficients of f come to the tables as indices: no function of
 element to read its index), and `gln_airy.f_poly`, which builds f from the
 indices `CharacterParams` stores, divides nothing.  Both builders end in
 one fold: in `expsum` only `_fold` names `_cyclo`, and `_trace_sums` and
-`_brute_table_entries` each call `_fold` once."""
+`_brute_table_entries` each call `_fold` once.  The verdict reads both
+tables off the params' indices: `expsum` never calls `f_poly`,
+`compare_traces` calls neither public table builder, and only
+`_airy_entries` reads the cached Airy bases (`_airy_base`)."""
 
 import ast
 import pathlib
@@ -18,6 +21,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "airycheck"
 BUILDERS = {
     "_trace_sums",
     "_airy_base",
+    "_airy_entries",
     "airy_trace_table",
     "_fiber_histograms",
     "_brute_table_entries",
@@ -81,6 +85,22 @@ def name_reads(tree, name):
     return {fn: count for fn, count in found.items() if count}
 
 
+def verdict_path_faults(tree):
+    """The reads that the one path from the params to the trace verdict
+    refuses, over the module-level functions of a tree of `expsum`: of
+    `f_poly` anywhere, of `airy_trace_table` or `hecke_trace_table` in
+    `compare_traces`, and of `_airy_base` outside `_airy_entries`."""
+    return {
+        "f_poly": name_reads(tree, "f_poly"),
+        "compare_traces": [name for name in ("airy_trace_table", "hecke_trace_table")
+                           if "compare_traces" in name_reads(tree, name)],
+        "_airy_base": sorted(set(name_reads(tree, "_airy_base")) - {"_airy_entries"}),
+    }
+
+
+NO_FAULTS = {"f_poly": {}, "compare_traces": [], "_airy_base": []}
+
+
 def test_the_guards_see_what_they_refuse():
     tree = ast.parse(
         "def f(field, table):\n"
@@ -108,6 +128,26 @@ def test_the_guards_see_what_they_refuse():
     )
     assert name_reads(tree, "_fold") == {"f": 1}
     assert name_reads(tree, "_cyclo") == {"f": 1, "g": 1}
+    # the verdict path as it stood before the params' indices reached it:
+    # the Hecke table stored f's elements for the comparison to hand to
+    # the public Airy table, which read the base itself
+    tree = ast.parse(
+        "def airy_trace_table(f_coeffs, p, e, lam=()):\n"
+        "    return _airy_base(p, e, c)\n"
+        "def hecke_trace_table(params, brute=True):\n"
+        "    return TraceTable(q, n, lam, tuple(f_poly(params)), entries, 'hecke-brute')\n"
+        "def compare_traces(n, p, e, lam, brute=True):\n"
+        "    hecke = hecke_trace_table(params)\n"
+        "    return airy_trace_table(hecke.f_coeffs, p, e, lam=params.lam)\n"
+        "def _airy_entries(field, c):\n"
+        "    return _airy_base(field.p, field.e, c)\n"
+    )
+    assert verdict_path_faults(tree) == {
+        "f_poly": {"hecke_trace_table": 1},
+        "compare_traces": ["airy_trace_table", "hecke_trace_table"],
+        "_airy_base": ["airy_trace_table"],
+    }
+    assert verdict_path_faults(ast.parse("def _airy_entries(field, c):\n    return _airy_base(c)\n")) == NO_FAULTS
 
 
 def test_table_builders_name_no_field_element():
@@ -137,3 +177,10 @@ def test_one_fold_ends_both_builders():
     tree = ast.parse((SRC / "expsum.py").read_text())
     assert name_reads(tree, "_cyclo") == {"_fold": 1}
     assert name_reads(tree, "_fold") == {"_trace_sums": 1, "_brute_table_entries": 1}
+
+
+def test_the_verdict_reads_both_tables_off_the_params():
+    tree = ast.parse((SRC / "expsum.py").read_text())
+    assert verdict_path_faults(tree) == NO_FAULTS
+    assert name_reads(tree, "_airy_base") == {"_airy_entries": 1}
+    assert name_reads(tree, "_airy_entries") == {"airy_trace_table": 1, "compare_traces": 1}
