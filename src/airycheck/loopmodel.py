@@ -15,33 +15,26 @@ read it.  One cached table, `_gl_depths`, gives each entry (t-power, row,
 col) the `_line_depth` of the line it carries, the diagonal carrying the
 Cartan line; `_gl_lines_at`, `in_filtration`, the draws, the S-solve's
 depth guard, the oracle's residual and `z_element` all read it.
-A series product works on packed rows (Kronecker
-substitution): all of B is packed by one struct call and split by shifts
-into one int per row j, over all h+2 blocks, with a 64-bit slot per entry;
-a row of A B is a sum of small multiples of shifted packed rows, over the
-rows of A that are not all zero.  A slot then holds at most (h+2) n (p-1)^2,
-a number of b bits.  The packed product is reduced mod p inside the int,
-every slot at once, by a multiply and shift (Granlund and Montgomery's
-division by an invariant integer), and its rows are unpacked by one struct
-call.  No slot carries and the reduction is exact while 2b +
-p.bit_length() <= 64, which `GLnModel` checks.  `factorize_I1` forms no
-series product and no inverse: each factor is an entry list, applied to a
-series by sparse row or column operations, and an S-factor is undone by a
-triangular solve.  u, a and s are carried as {(t-power, row, col): value}
-dicts of their nonzero entries, so a column operation touches only the
-nonzero entries of the column it reads, and each is made dense once, on
-return.  Field elements enter only in `_factor_bases`, which turns the z,
-a^mu and u_mu bases into int solve maps once per (n, p, mu); a sample
-reads, solves and updates on residues alone.
+
+Series arithmetic works on packed ints (Kronecker substitution), reduced
+mod p inside the int, every slot at once, by a multiply and shift (Granlund
+and Montgomery's division by an invariant integer).  `mul` packs each row
+of B over all h+2 blocks into one int with 64-bit slots, sums small
+multiples of shifted rows and unpacks by one struct call; `GLnModel` checks
+that no slot carries.  `factorize_I1` forms no series product and no
+inverse: it applies each factor, an entry list, by row or column operations
+on ints of its own (`_packing`), the remainder as n rows and u, a and s as
+n columns, one shift, multiply and add per entry over every block, and
+undoes an S-factor by a solve, rows bottom-up, one pass per block.  Field
+elements enter only in `_factor_bases`, which turns the z, a^mu and u_mu
+bases into int solve maps once per (n, p, mu).
 
 `draw_factorization` and `round_trip_mismatch` are the round-trip oracle
 of `factorize_I1`: they build g from random factor coordinates and read the
 coordinates back from the factors it returns.  The oracle forms its factors
 with `graded_lift`, `exp_series` and `mul` only (and `identity_series`),
-and must share none of factorize_I1's kernels (`_factor_bases`, `_entries`,
-`_sparse_exp_terms`, `_exp_pair`, `_times_one_plus`, `_one_plus_times`,
-`_solve_one_plus`, `_dense`), so that a fault in one of them cannot cancel
-out of the comparison.
+and shares none of factorize_I1's kernels, which use none of `mul`'s code,
+so that a fault in either cannot cancel out of the comparison.
 """
 
 from __future__ import annotations
@@ -50,6 +43,7 @@ import operator
 import struct
 from functools import cached_property, lru_cache
 from itertools import chain
+from types import SimpleNamespace
 
 from . import VerificationError
 from .arith import GF
@@ -566,61 +560,103 @@ def _exp_pair(model: GLnModel, Y):
     return tuple([key + (c % p,) for key, c in d.items() if c % p] for d in (plus, minus))
 
 
-def _times_one_plus(model: GLnModel, A, entries):
-    """A (1 + Z) in place, for A a {(t-power, row, col): value} dict of its
-    nonzero entries and Z the sum of c t^i E_jk over the entries
-    (i, j, k, c): each entry x of column j of the old A, at (m, r, j), adds
-    c x at (m + i, r, k), dropped at t^N."""
-    N, p = model.N, model.p
-    by_col = {}  # j -> [(t-power, col, value)] of Z
-    for i, j, k, c in entries:
-        by_col.setdefault(j, []).append((i, k, c))
-    adds = [((m + i, r, k), c * x)
-            for (m, r, j), x in A.items() for i, k, c in by_col.get(j, ()) if m + i < N]
-    for key, y in adds:
-        v = (A.get(key, 0) + y) % p
-        if v:
-            A[key] = v
-        else:
-            A.pop(key, None)
-    return A
+@lru_cache(maxsize=None)
+def _packing(n, p):
+    """The slots of factorize_I1's packed series over GL_n(F_p): row j of a
+    remainder holds entry (m, j, k) at slot m n + k, column k of a factor at
+    slot (m n + j) n + k, so a factor's columns sum to the row-major series.
+    A kernel reduces a slot once a product of residues is added, so a slot
+    holds at most p (p - 1), of b bits; `width` is the least of 16, 32 and 64
+    with 2b + p.bit_length() <= width, for `reduce` to act as in `mul`.
+    `GLnModel`'s guard is that bound at 64 for a larger b.  `block` is one
+    block of a row, masks[b] cuts a row to b blocks and `full` a column;
+    `series` and `row` unpack a series and one row of one block."""
+    N, bits, b = n + 2, p.bit_length(), (p * (p - 1)).bit_length()
+    width, code = next((w, c) for w, c in ((16, "H"), (32, "I"), (64, "Q")) if 2 * b + bits <= w)
+    low = sum((1 << b) - 1 << width * k for k in range(N * n * n))
+    masks = tuple((1 << width * n * blocks) - 1 for blocks in range(N + 1))
+    return SimpleNamespace(
+        n=n, p=p, width=width, block=width * n, masks=masks, full=(1 << width * N * n * n) - 1,
+        reduce=(-(-(1 << b + bits) // p), b + bits, low),
+        series=struct.Struct(f"<{N * n * n}{code}"), row=struct.Struct(f"<{n}{code}"))
 
 
-def _dense(model: GLnModel, A):
-    """The series whose nonzero entries are the {(t-power, row, col): value}
-    dict A."""
-    out = model.zero_series()
-    for (i, j, k), x in A.items():
-        out[i][j][k] = x
-    return out
+@lru_cache(maxsize=None)
+def _filtration_masks(n, p, r):
+    """(mask, value) per packed row: a reduced series is in I(r) exactly when
+    row & mask == value for every row, the masks covering the entries of
+    depth < r (`_shallow_positions`) and the values their 1s, on the diagonal."""
+    width = _packing(n, p).width
+    ones, zeros = _shallow_positions(n, r)
+    masks = [0] * n
+    for i, j, k in [(0, j, j) for j in ones] + list(zeros):
+        masks[j] |= (1 << width) - 1 << width * (i * n + k)
+    return tuple((mask, (j in ones) << width * j) for j, mask in enumerate(masks))
 
 
-def _one_plus_times(model: GLnModel, entries, A):
-    """(1 + Z) A in place: row j of block m gains c times row k of the old
-    block m - i."""
-    N, p = len(A), model.p
-    adds = [(m, j, c, A[m - i][k]) for i, j, k, c in entries for m in range(i, N)]
-    for m, j, c, src in adds:  # rows are replaced, so src keeps the old row
-        A[m][j] = [(y + c * x) % p for y, x in zip(A[m][j], src)]
+def _pack_rows(pk, A):
+    """The packed rows of the series A, its entries reduced mod p."""
+    n, p = pk.n, pk.p
+    whole = int.from_bytes(
+        pk.series.pack(*[x % p for j in range(n) for blk in A for x in blk[j]]), "little")
+    return [whole >> pk.block * (n + 2) * j & pk.masks[n + 2] for j in range(n)]
 
 
-def _solve_one_plus(model: GLnModel, entries, A):
-    """(1 + Z)^{-1} A in place, for Z of positive depth: X = A - Z X, where
-    row j of block m of Z X is the sum of c times row k of X_{m-i}.  Blocks
-    are solved in ascending order and the rows of a block from the bottom
-    up, since a t^0 entry (j, k) of positive depth has k > j.  Rows are
-    replaced, never changed in place."""
-    p, depths = model.p, _gl_depths(model.n)
-    by_row = [[] for _ in range(model.n)]  # row j -> [(t-power, col, value)] of Z
+def _unpack_rows(pk, rows):
+    """The series with packed rows `rows`, by one struct call."""
+    N = pk.n + 2
+    whole = sum(row << pk.block * N * j for j, row in enumerate(rows))
+    out = list(map(list, pk.row.iter_unpack(whole.to_bytes(pk.series.size, "little"))))
+    return [out[m::N] for m in range(N)]  # row j of block m at j N + m
+
+
+def _unpack_cols(pk, cols):
+    """The series with packed columns `cols`, by one struct call."""
+    out = list(map(list, pk.row.iter_unpack(sum(cols).to_bytes(pk.series.size, "little"))))
+    return [out[m * pk.n:(m + 1) * pk.n] for m in range(pk.n + 2)]  # row j of block m at m n + j
+
+
+def _one_plus_rows(pk, entries, rows, blocks):
+    """(1 + Z) A in place on packed rows cut to `blocks` blocks, Z the sum of
+    c t^i E_jk over entries (i, j, k, c): row j gains c t^i (row k of old A)."""
+    p, block, (M, s, low), mask = pk.p, pk.block, pk.reduce, pk.masks[blocks]
+    for j, v in [(j, c % p * rows[k] << block * i) for i, j, k, c in entries]:
+        v = rows[j] + v & mask
+        rows[j] = v - p * ((v * M >> s) & low)
+
+
+def _solve_one_plus_rows(pk, entries, rows, blocks):
+    """(1 + Z)^{-1} A in place, as `_one_plus_rows`: X = A - Z X, one pass per
+    block m.  It takes the t^0 entries (j, k) of Z rows bottom-up (k > j at
+    positive depth); block m is then final, and each entry at t^i, i > 0,
+    reads it off row k into block m + i of row j.  Depths are checked first."""
+    p, depths = pk.p, _gl_depths(pk.n)
+    at0, later = [], []
     for i, j, k, c in entries:
         if depths[i, j, k] < 1:
             raise ValueError(f"t^{i} entry ({j}, {k}) of Z does not have positive depth")
-        by_row[j].append((i, k, c))
-    for m, blk in enumerate(A):
-        for j in reversed(range(model.n)):
-            for i, k, c in by_row[j]:
-                if i <= m:
-                    blk[j] = [(y - c * x) % p for y, x in zip(blk[j], A[m - i][k])]
+        (later if i else at0).append((i, j, k, -c % p))
+    at0.sort(key=operator.itemgetter(1), reverse=True)
+    (M, s, low), block, one = pk.reduce, pk.block, pk.masks[1]
+    for m in range(blocks):
+        here = one << block * m
+        for _, j, k, c in at0:
+            v = rows[j] + c * (rows[k] & here)
+            rows[j] = v - p * ((v * M >> s) & low)
+        for i, j, k, c in later:
+            if m + i < blocks:
+                v = rows[j] + (c * (rows[k] >> block * m & one) << block * (m + i))
+                rows[j] = v - p * ((v * M >> s) & low)
+
+
+def _times_one_plus_cols(pk, cols, entries):
+    """A (1 + Z) in place on the packed columns of A, Z as in `_one_plus_rows`
+    of positive depth: column k gains c times column j of old A, moved i blocks."""
+    n, p, width, (M, s, low) = pk.n, pk.p, pk.width, pk.reduce
+    for k, v in [(k, c % p * cols[j] << width * (i * n * n + k - j)) for i, j, k, c in entries]:
+        v = cols[k] + v & pk.full
+        cols[k] = v - p * ((v * M >> s) & low)
+    return cols
 
 
 def factorize_I1(model: GLnModel, g, mu: Coweight):
@@ -628,52 +664,52 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
     depth-r A-factors, s in S(1), residual in I(1 + ceil(h/2)).
 
     The remainder (u a s)^{-1} g is carried as s^{-1} a^{-1} w with
-    w = u^{-1} g, and every factor as the entry list of its part off the
-    identity: a root-line factor 1 + Y (Y square-zero, inverse 1 - Y)
-    updates u by a column and w by a row operation, an A-factor exp(Y)
-    updates a by column operations and is undone on the remainder by the
-    row operations of exp(-Y), and an S-factor 1 + Z updates s by column
-    operations and is undone on the remainder by a triangular solve.  u, a
-    and s are {(t-power, row, col): value} dicts of their nonzero entries,
-    from the identity on, made dense once on return.  No inverse series and
-    no dense series product is formed.
+    w = u^{-1} g, w as packed rows and u, a and s as packed columns
+    (`_packing`), unpacked on return; each factor is the entry list of its
+    part off the identity.  A root-line factor 1 + Y (Y square-zero,
+    inverse 1 - Y) updates u by a column and w by a row operation, an
+    A-factor exp(Y) updates a by column operations and is undone on the
+    remainder by the row operations of exp(-Y), and an S-factor 1 + Z
+    updates s by column operations and is undone by a triangular solve.
     """
     if not model.in_filtration(g, 1):
         raise ValueError("element is not in I(1)")
-    p = model.p
+    n, p = model.n, model.p
     half = (model.h + 1) // 2
-    maps = _factor_bases((model.n, p), tuple(mu.coords))
-    w = [[[x % p for x in row] for row in blk] for blk in g]
-    u, a, s = ({(0, j, j): 1 for j in range(model.n)} for _ in "uas")
+    maps = _factor_bases((n, p), tuple(mu.coords))
+    pk = _packing(n, p)
+    width, slot = pk.width, (1 << pk.width) - 1
+    w = _pack_rows(pk, g)
+    u, a, s = ([1 << width * k * (n + 1) for k in range(n)] for _ in "uas")
     a_steps, s_steps = [], []  # exp(-Y) - 1 and Z of each factor, in step order
 
     def remainder(blocks):
-        d = [list(blk) for blk in w[:blocks]]  # rows are replaced, never changed
+        d = [row & pk.masks[blocks] for row in w]
         for e in a_steps:
-            _one_plus_times(model, e, d)
+            _one_plus_rows(pk, e, d, blocks)
         for z in s_steps:
-            _solve_one_plus(model, z, d)
+            _solve_one_plus_rows(pk, z, d, blocks)
         return d
 
     for r in range(1, half + 1):
         # the step reads only entries of depth <= r <= h; an entry at t^i
         # has depth at least i h - (h - 1), so these lie in blocks 0 and 1
         d = remainder(2)
-        if not model.in_filtration(d, r):
+        if any(row & m != v for row, (m, v) in zip(d, _filtration_masks(n, p, r))):
             raise VerificationError(f"remainder before step {r} is not in I({r})")
         reads, consistency, u_lines, a_lift, z_lift = maps[r]
-        x = [d[i][j][k] for i, j, k in reads]
+        x = [d[j] >> width * (i * n + k) & slot for i, j, k in reads]
         if any(sum(map(operator.mul, row, x)) % p for row in consistency):
             raise VerificationError(f"depth-{r} part is not in z + a^mu + u_mu")
         # u-part: product of one-parameter root subgroups (each square-zero)
         for i, j, k, c in _entries(u_lines, x, p):
-            _times_one_plus(model, u, [(i, j, k, c)])
-            _one_plus_times(model, [(i, j, k, p - c)], w)
+            _times_one_plus_cols(pk, u, [(i, j, k, c)])
+            _one_plus_rows(pk, [(i, j, k, p - c)], w, model.N)
         # a-part: exp of the graded lift (a t^{-mu}w_P-conjugate of exp(tY))
         ya = _entries(a_lift, x, p)
         if ya:
             e, e_minus = _exp_pair(model, ya)
-            _times_one_plus(model, a, e)
+            _times_one_plus_cols(pk, a, e)
             a_steps.append(e_minus)
         # s-part: 1 + Z with Z a multiple of E_1^r, which commutes with
         # t N^- + E_theta, so 1 + Z lies in S(r)
@@ -682,11 +718,11 @@ def factorize_I1(model: GLnModel, g, mu: Coweight):
             if not model.stabilizes_x_tilde(zs):
                 raise VerificationError(f"the depth-{r} S-factor does not fix X-tilde")
             s_steps.append(zs)
-            _times_one_plus(model, s, zs)
-    residual = remainder(model.N)
+            _times_one_plus_cols(pk, s, zs)
+    residual = _unpack_rows(pk, remainder(model.N))
     if not model.in_filtration(residual, 1 + half):
         raise VerificationError(f"residual is not in I({1 + half})")
-    return _dense(model, u), _dense(model, a), _dense(model, s), residual
+    return _unpack_cols(pk, u), _unpack_cols(pk, a), _unpack_cols(pk, s), residual
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import airycheck
+import factor_oracle
 from matrix_oracle import mat_mul
 from test_chevalley import _run_optimized
 from airycheck import cli, loopmodel
@@ -170,22 +171,47 @@ def _copy(A):
     return [[list(row) for row in blk] for blk in A]
 
 
+def _packing(model):
+    return loopmodel._packing(model.n, model.p)
+
+
+def _rows(model, A):
+    """The packed rows of A, a series of N or fewer blocks."""
+    return loopmodel._pack_rows(_packing(model), _padded(model, A))
+
+
+def _series(model, rows, blocks):
+    """The first `blocks` blocks of the series with packed rows `rows`."""
+    return loopmodel._unpack_rows(_packing(model), rows)[:blocks]
+
+
+def _cols(model, A):
+    """The packed columns of A: column k holds entry (m, j, k) at slot
+    (m n + j) n + k, as factorize_I1 holds u, a and s."""
+    pk, n = _packing(model), model.n
+    whole = int.from_bytes(
+        pk.series.pack(*[x % model.p for blk in A for row in blk for x in row]), "little")
+    slot = (1 << pk.width) - 1
+    return [whole & sum(slot << pk.width * q for q in range(k, model.N * n * n, n))
+            for k in range(n)]
+
+
 def _solved(model, entries, A):
-    """(1 + Z)^{-1} A by _solve_one_plus, on a copy of A."""
-    X = _copy(A)
-    loopmodel._solve_one_plus(model, entries, X)
-    return X
+    """(1 + Z)^{-1} A by _solve_one_plus_rows, on the packed rows of A."""
+    rows = _rows(model, A)
+    loopmodel._solve_one_plus_rows(_packing(model), entries, rows, len(A))
+    return _series(model, rows, len(A))
 
 
 def _one_plus_applied(model, entries, A):
-    """(1 + Z) A by _one_plus_times, on a copy of A."""
-    X = _copy(A)
-    loopmodel._one_plus_times(model, entries, X)
-    return X
+    """(1 + Z) A by _one_plus_rows, on the packed rows of A."""
+    rows = _rows(model, A)
+    loopmodel._one_plus_rows(_packing(model), entries, rows, len(A))
+    return _series(model, rows, len(A))
 
 
 def test_model_mul_inv():
-    # g = 1 + Z in I(1) times its inverse, which _solve_one_plus applies to 1
+    # g = 1 + Z in I(1) times its inverse, which _solve_one_plus_rows applies to 1
     model = GLnModel(3, 7)
     rng = random.Random(0)
     one = model.identity_series()
@@ -302,34 +328,33 @@ def test_mul_with_zero_rows_multiples_of_p_and_negative_entries(n, p):
     assert model.mul(multiples, _random_series(model, rng)) == model.zero_series()
 
 
-def _entry_dict(model, A):
-    """The {(t-power, row, col): value} dict of the nonzero entries of A."""
-    return {(i, j, k): x % model.p for i, blk in enumerate(A) for j, row in enumerate(blk)
-            for k, x in enumerate(row) if x % model.p}
-
-
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_times_one_plus_on_entry_dicts(n, p):
-    # A (1 + Z) on the entry dict of A agrees with the dense product, for Z
-    # with several entries, some of whose target columns others read: every
-    # update reads the columns of the old A
+    # A (1 + Z) on the packed columns of A agrees with the dense product, for
+    # Z with several entries, some of whose target columns others read:
+    # every update reads the columns of the old A; the columns come back
+    # reduced, each holding only its own slots
     model = GLnModel(n, p)
     rng = random.Random(600 + 10 * n + p)
     chain = [(0, j, j + 1, rng.randrange(1, p)) for j in range(n - 1)]  # col j+1 gains col j
     chain += [(1, n - 1, 0, rng.randrange(1, p)), (model.N - 1, 0, 0, 1)]
     cases = [chain] + [_random_positive_depth(model, rng, d) for d in (0.1, 0.3, 1.0)]
+    pk = _packing(model)
     for Z in cases:
         for A in (model.identity_series(), model.random_I1(rng), _random_series(model, rng)):
-            D = _entry_dict(model, A)
-            got = loopmodel._times_one_plus(model, D, Z)
-            assert got is D and all(0 < x < p for x in D.values())
-            assert loopmodel._dense(model, D) == model.mul(A, _one_plus_series(model, Z))
-    # an entry that cancels leaves the dict: (1 - c E_01)(1 + c E_01) = 1
+            D = _cols(model, A)
+            got = loopmodel._times_one_plus_cols(pk, D, Z)
+            dense = loopmodel._unpack_cols(pk, D)
+            assert got is D and _is_reduced(model, dense) and D == _cols(model, dense)
+            assert dense == model.mul(A, _one_plus_series(model, Z))
+    # an entry that cancels leaves the identity: (1 - c E_01)(1 + c E_01) = 1
     c = rng.randrange(1, p)
-    D = {(0, j, j): 1 for j in range(n)}
-    D[0, 0, 1] = p - c
-    assert loopmodel._times_one_plus(model, D, [(0, 0, 1, c)]) == {(0, j, j): 1 for j in range(n)}
-    assert loopmodel._dense(model, D) == model.identity_series()
+    A = model.identity_series()
+    A[0][0][1] = p - c
+    D = _cols(model, A)
+    one = _cols(model, model.identity_series())
+    assert loopmodel._times_one_plus_cols(pk, D, [(0, 0, 1, c)]) == one
+    assert loopmodel._unpack_cols(pk, D) == model.identity_series()
 
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
@@ -358,7 +383,7 @@ def _padded(model, A):
 
 
 def _check_two_sided(model, entries, rng):
-    """_solve_one_plus undoes _one_plus_times and the other way round, on a
+    """_solve_one_plus_rows undoes _one_plus_rows and the other way round, on a
     full and on a 2-block series, and agrees with the product by 1 + Z: on
     the 2-block series, blocks 0 and 1 of the product by the zero-padded X."""
     one_plus = _one_plus_series(model, entries)
@@ -374,7 +399,7 @@ def _check_two_sided(model, entries, rng):
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_inv_two_sided(n, p):
-    # (1 + Z)^{-1} as _solve_one_plus applies it, for dense and sparse Z of
+    # (1 + Z)^{-1} as _solve_one_plus_rows applies it, for dense and sparse Z of
     # positive depth, and for Z with one block only, at t^0, t^1 or t^(N-1)
     model = GLnModel(n, p)
     rng = random.Random(200 + 10 * n + p)
@@ -524,17 +549,17 @@ def test_kernel_returns_residues(n, p):
 
 @pytest.mark.parametrize("n,p", KERNEL_CASES)
 def test_inv_rejects_singular_constant_block(n, p):
-    # _solve_one_plus inverts 1 + Z only for Z of positive depth; a t^0
+    # _solve_one_plus_rows inverts 1 + Z only for Z of positive depth; a t^0
     # entry on or below the diagonal raises before the series is touched
     model = GLnModel(n, p)
     g = model.random_I1(random.Random(n * p))
     Z = _off_identity(model, g)
-    A = model.random_I1(random.Random(n * p + 1))
-    before = _copy(A)
+    A = _rows(model, model.random_I1(random.Random(n * p + 1)))
+    before = list(A)
     # -1 at t^0 (n-1, n-1): the last row of the t^0 block of 1 + Z is 0 mod p
     for bad in ((0, n - 1, n - 1, p - 1), (0, n - 1, 0, 1)):
         with pytest.raises(ValueError, match=rf"t\^0 entry \({bad[1]}, {bad[2]}\)"):
-            loopmodel._solve_one_plus(model, Z + [bad], A)
+            loopmodel._solve_one_plus_rows(_packing(model), Z + [bad], A, model.N)
         assert A == before
 
 
@@ -544,8 +569,10 @@ from airycheck.loopmodel import GLnModel
 
 assert not __debug__, "this check must run under python -O"
 model = GLnModel(3, 7)
+pk = loopmodel._packing(3, 7)
 try:
-    loopmodel._solve_one_plus(model, [(0, 1, 1, 6)], model.identity_series())
+    rows = loopmodel._pack_rows(pk, model.identity_series())
+    loopmodel._solve_one_plus_rows(pk, [(0, 1, 1, 6)], rows, model.N)
 except ValueError as exc:
     print("raised", exc)
 """
@@ -628,7 +655,7 @@ def test_factorization_check_sees_a_wrong_inverse(fault, failures, monkeypatch):
     # undoing a factor on the remainder by the factor itself, instead of its
     # inverse, leaves the round trip with wrong coordinates or residuals
     if fault.startswith("S"):
-        monkeypatch.setattr(loopmodel, "_solve_one_plus", loopmodel._one_plus_times)
+        monkeypatch.setattr(loopmodel, "_solve_one_plus_rows", loopmodel._one_plus_rows)
     else:
         exp_pair = loopmodel._exp_pair
         monkeypatch.setattr(loopmodel, "_exp_pair", lambda model, Y: (exp_pair(model, Y)[0],) * 2)
@@ -830,8 +857,9 @@ def test_factorization_round_trip_sees_one_corrupted_coordinate(n):
 
 
 # factorize_I1's own kernels, which its round-trip oracle must not call
-FACTORIZE_KERNELS = ("_times_one_plus", "_one_plus_times", "_solve_one_plus", "_factor_bases",
-                     "_exp_pair", "_sparse_exp_terms", "_entries", "_dense")
+FACTORIZE_KERNELS = ("_times_one_plus_cols", "_one_plus_rows", "_solve_one_plus_rows",
+                     "_factor_bases", "_exp_pair", "_sparse_exp_terms", "_entries", "_packing",
+                     "_filtration_masks", "_pack_rows", "_unpack_rows", "_unpack_cols")
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -882,6 +910,113 @@ def test_factorize_i1_rank_defect_gl5_f7():
                 assert str(exc) == "depth-3 part is not in z + a^mu + u_mu"
                 raised += "1"
     assert raised == "111110111111110111011101011001"
+
+
+def _factorized(factorize, model, g, mu):
+    """The repr of factorize's (u, a, s, residual), or the type and message
+    of what it raises."""
+    try:
+        return repr(factorize(model, g, mu))
+    except (ValueError, airycheck.VerificationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _agree_with_the_list_reference(model, samples):
+    """The packed factorize_I1 and the list one of factor_oracle give the
+    same output on every (g, mu); returns the outputs."""
+    outs = []
+    for g, mu in samples:
+        got = _factorized(factorize_I1, model, g, mu)
+        assert got == _factorized(factor_oracle.factorize_I1, model, g, mu), (model.n, model.p)
+        outs.append(got)
+    return outs
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 9) for p in (5, 7, 11) if p > n])
+def test_packed_factorize_i1_matches_the_list_reference(n, p):
+    # seeded samples of every minuscule mu, their entries also shifted by
+    # multiples of p, and an element outside I(1)
+    model = GLnModel(n, p)
+    rng = random.Random(1000 * n + p)
+    samples = []
+    for mu in minuscule_coweights(model.rd):
+        for _ in range(3):
+            g = model.random_I1(rng)
+            samples.append((g, mu))
+            shifted = [[[x + p * rng.randrange(-2, 3) for x in row] for row in blk] for blk in g]
+            samples.append((shifted, mu))
+    outside = model.identity_series()
+    outside[0][n - 1][0] = 1  # depth 1 - n
+    samples.append((outside, mu))
+    outs = _agree_with_the_list_reference(model, samples)
+    assert outs[-1] == "ValueError: element is not in I(1)"
+
+
+def test_packed_factorize_i1_matches_the_list_reference_where_it_raises():
+    # the GL_5 / F_7 samples of test_factorize_i1_rank_defect_gl5_f7
+    model = GLnModel(5, 7)
+    rng = random.Random(57)
+    samples = [(model.random_I1(rng), mu) for mu in minuscule_coweights(model.rd) for _ in range(6)]
+    outs = _agree_with_the_list_reference(model, samples)
+    raised = "".join(str(int(out == "VerificationError: depth-3 part is not in z + a^mu + u_mu"))
+                     for out in outs)
+    assert raised == "111110111111110111011101011001"
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_packed_factorize_i1_matches_the_list_reference_at_the_slot_edge(n):
+    # p = 1021, the largest prime GLnModel(8, p) accepts: 64-bit slots; the
+    # samples include entries at p - 1 wherever I(1) allows them
+    model = GLnModel(n, 1021)
+    assert loopmodel._packing(n, 1021).width == 64
+    rng = random.Random(n)
+    samples = []
+    for mu in minuscule_coweights(model.rd)[:4]:
+        samples += [(model.random_I1(rng), mu) for _ in range(2)]
+        top = model.random_I1(rng)
+        for power, entries in model._i1_draws:
+            for j, k in entries:
+                top[power][j][k] = 1020
+        samples.append((top, mu))
+    _agree_with_the_list_reference(model, samples)
+
+
+def _mask_test(model, rows, r):
+    """factorize_I1's test of packed reduced rows for I(r)."""
+    masks = loopmodel._filtration_masks(model.n, model.p, r)
+    return not any(row & m != v for row, (m, v) in zip(rows, masks))
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CASES + [(8, 1021)])
+def test_filtration_masks_agree_with_in_filtration(n, p):
+    # on series in I(r), and on each of them with one entry of depth < r
+    # changed, as full rows and as rows cut to the blocks 0 and 1 that
+    # factorize_I1 tests, for r = 1 .. 1 + ceil(h/2)
+    model = GLnModel(n, p)
+    rng = random.Random(n * p + 2)
+    pk = loopmodel._packing(n, p)
+    depths = loopmodel._gl_depths(n)
+    seen = set()
+    for r in range(1, (n + 1) // 2 + 2):
+        ones, zeros = loopmodel._shallow_positions(n, r)
+        for _ in range(3):
+            g = model.identity_series()
+            for (i, j, k), d in depths.items():
+                if d >= r:
+                    g[i][j][k] = rng.randrange(p)
+            bad = [(0, j, j, rng.randrange(2, p + 1) % p) for j in ones]
+            bad += [(i, j, k, rng.randrange(1, p)) for i, j, k in zeros]
+            for change in [None] + bad:
+                A = _copy(g)
+                if change:
+                    i, j, k, v = change
+                    A[i][j][k] = v
+                want = model.in_filtration(A, r)
+                rows = _rows(model, A)
+                assert _mask_test(model, rows, r) == want
+                assert _mask_test(model, [row & pk.masks[2] for row in rows], r) == want
+                seen.add(want)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("n,digest", [
@@ -956,15 +1091,15 @@ def test_factorize_i1_sees_a_shallow_entry_in_block_1(monkeypatch):
     mu = Coweight((1, 0, 0, 0))
     g = model.random_I1(random.Random(1))  # its step 1 has an S-factor
     factorize_I1(model, g, mu)
-    solve = loopmodel._solve_one_plus
+    solve = loopmodel._solve_one_plus_rows
     calls = []
 
-    def off_by_one(model, entries, A):
-        solve(model, entries, A)
+    def off_by_one(pk, entries, rows, blocks):
+        solve(pk, entries, rows, blocks)
         calls.append(entries)
-        loopmodel._one_plus_times(model, [(1, model.n - 1, 0, 1)], A)
+        loopmodel._one_plus_rows(pk, [(1, model.n - 1, 0, 1)], rows, blocks)
 
-    monkeypatch.setattr(loopmodel, "_solve_one_plus", off_by_one)
+    monkeypatch.setattr(loopmodel, "_solve_one_plus_rows", off_by_one)
     with pytest.raises(airycheck.VerificationError, match=r"remainder before step 2 is not in I\(2\)"):
         factorize_I1(model, g, mu)
     assert len(calls) == 1  # the step-1 S-factor
