@@ -473,6 +473,45 @@ def test_largest_accepted_prime_multiplies_its_top_residues():
     assert model.mul(top, top) == _naive_mul(model, top, top)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_packed_slots_reduce_exactly_at_every_width_edge(n, monkeypatch):
+    # every p that GLnModel(n, p) accepts has a factorize_I1 slot width; at
+    # the largest such p, and on both sides of each change of width, slots
+    # up to their bound p (p - 1) reduce exactly
+    def build(p):
+        raise RuntimeError("accepted")
+
+    def accepted(p):
+        try:
+            GLnModel(n, p)
+        except ValueError:
+            return False
+        except RuntimeError:
+            return True
+
+    def first_wider(width):  # the least p whose slots are wider than `width`
+        lo, hi = 2, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if loopmodel._packing(n, mid).width <= width else (lo, mid)
+        return lo
+
+    monkeypatch.setattr(loopmodel, "GF", build)
+    top = max(p for p in range(2, 1 << 12) if accepted(p))
+    edges = {top} | {q for width in (16, 32) for q in (first_wider(width) - 1, first_wider(width))}
+    assert [loopmodel._packing(n, p).width for p in sorted(edges)] == [16, 32, 32, 64, 64]
+    rng = random.Random(n)
+    for p in sorted(edges):
+        pk = loopmodel._packing(n, p)
+        M, s, low = pk.reduce
+        size = pk.series.size // (pk.width // 8)
+        values = [0, 1, p - 1, p, p * (p - 1)]
+        values += [rng.randrange(p * p - p + 1) for _ in range(size - len(values))]
+        v = int.from_bytes(pk.series.pack(*values), "little")
+        got = pk.series.unpack((v - p * ((v * M >> s) & low)).to_bytes(pk.series.size, "little"))
+        assert list(got) == [x % p for x in values], p
+
+
 _GUARD_UNDER_O = """
 from airycheck.loopmodel import GLnModel
 
